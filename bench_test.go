@@ -7,9 +7,10 @@
 //
 // prints the same rows/series the paper reports. Absolute times differ
 // from the authors' P100 testbed (our substrate is a calibrated simulator,
-// see DESIGN.md), but the shapes — who wins, by what factor, where the
+// see doc.go), but the shapes — who wins, by what factor, where the
 // crossovers fall — are asserted in the package test suites and visible in
-// the metrics here. EXPERIMENTS.md indexes paper-vs-measured values.
+// the metrics here. benchmark/README.md defines the measured end-to-end
+// counterparts (kfac_overhead, time_to_loss_ratio) on the real engine.
 package repro
 
 import (
@@ -353,7 +354,7 @@ func BenchmarkTable3_Architectures(b *testing.B) {
 	b.ReportMetric(float64(len(arch.All())), "architectures")
 }
 
-// --- Ablation benches for the design choices called out in DESIGN.md ---
+// --- Ablation benches for the design choices called out in doc.go ---
 
 // BenchmarkAblationInversionParallel compares PipeFisher's refresh interval
 // and utilization with and without inversion parallelism on Chimera.

@@ -80,8 +80,41 @@
 // (tensor.Snap), halving the paper's Msave_err resident cost. Accumulating
 // entry points (TMatMulAddInto) add the widened float32 product to the
 // float64 accumulator rather than narrowing it, and
-// factorization-sensitive code (Cholesky, eigen, damping) never routes
-// through GEMM and stays float64 in either mode.
+// factorization-sensitive code (Cholesky inversion, eigen, damping) stays
+// float64 in either mode.
+//
+// The K-FAC inversion unit (tensor.SPDInverseInto: Cholesky, then
+// cholesky_inverse) runs on the same driver. Above nb = 64 (tensor's
+// invNB, a compile-time constant like the driver's MC/KC blocking) a
+// recursive blocked form splits A = [A11 A21^T; A21 A22] at a multiple of
+// nb and turns it in place into M = L⁻¹ (A = L L^T): M11 by recursion,
+// L21^T = M11 A21^T, the Schur update A22 -= L21 L21^T, M22 by recursion,
+// M21 = -M22 L21 M11; then A⁻¹ = M^T M. Every one of those O(n³) products
+// is a call into the packed driver on strided sub-block views — there is
+// one GEMM driver, with flags for a negated product, for a triangular
+// left operand (each row panel runs only the k range that can hold
+// nonzeros) and for the symmetric rank-k update that computes only the
+// tiles touching the lower triangle and mirrors them. The same rank-k
+// form builds the Kronecker factors (TMatMulInto with both operands the
+// same matrix, hence Snap.GramInto), bit-identical to the full product at
+// half the flops. The scalar loops survive as the base case: a factor of
+// dimension <= nb runs the scalar pipeline end to end, each element one
+// ascending-k reduction, so its inverse does not depend on the kernel
+// variant or on this blocking at all; above nb only the <= nb diagonal
+// blocks use them, and ErrNotSPD still means a non-positive pivot — of a
+// trailing block's Schur complement if not of the leading one — with the
+// damping-escalation rescue unchanged around both regimes. The blocked
+// path pins the float64 micro-kernels (inverses stay float64 under
+// SetF32; TestSPDInverseIgnoresF32) and runs the scalar variant on the
+// tiled Go micro-kernel, so scalar and tiled inverses agree bit for bit
+// and fma differs by fused rounding only. Determinism: split points, tile
+// grids and per-panel k ranges are functions of n alone, workers own
+// disjoint row panels, the base case and the mirror are serial — the
+// inverse is bit-identical across SetParallelism/SetOpParallelism within
+// a variant (TestSPDInverseVariantAndParallelismIdentity), and exactly
+// symmetric by construction. kfac ping-pongs two retained buffers per
+// factor (write the spare, then swap the pointer), so a refresh allocates
+// nothing and a reader never sees a half-written inverse.
 //
 // The kernels are goroutine-parallel behind a shared worker pool:
 // tensor.SetParallelism sizes the process-wide intra-op worker budget

@@ -30,17 +30,40 @@ func BenchmarkUpdateCurvature(b *testing.B) {
 	}
 }
 
+// BenchmarkUpdateInverses refreshes every cached inverse of a
+// preconditioner: the 64->64 layer (both factors in the scalar base case of
+// tensor.SPDInverseInto) and a d = 128 / dff = 512 feed-forward pair, the
+// benchmark's wide_1f1b_k8 shape (factors 128 and 512, the blocked path).
+// Steady state allocates nothing: inverses ping-pong two retained buffers.
 func BenchmarkUpdateInverses(b *testing.B) {
-	p := benchPreconditioner(b)
-	if err := p.UpdateCurvature(512); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.UpdateInverses(); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, p *Preconditioner) {
+		for i := 0; i < 2; i++ { // both ping-pong buffers exist before timing
+			if err := p.UpdateCurvature(512); err != nil {
+				b.Fatal(err)
+			}
+			if err := p.UpdateInverses(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := p.UpdateInverses(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("d=64", func(b *testing.B) { run(b, benchPreconditioner(b)) })
+	b.Run("d=128_dff=512", func(b *testing.B) {
+		rng := tensor.NewRNG(1)
+		ff1 := nn.NewDense("ff1", 128, 512, rng)
+		ff2 := nn.NewDense("ff2", 512, 128, rng)
+		ff1.CaptureKFAC, ff2.CaptureKFAC = true, true
+		h := ff1.Forward(tensor.RandN(rng, 64, 128, 1)) // tokens < dff: rank-deficient factors
+		ff2.Forward(h)
+		ff1.Backward(ff2.Backward(tensor.RandN(rng, 64, 128, 0.5)))
+		run(b, NewPreconditioner([]*nn.Dense{ff1, ff2}, DefaultOptions()))
+	})
 }
 
 func BenchmarkUpdateInversesBlockDiagonal(b *testing.B) {

@@ -133,3 +133,53 @@ func TestInvertFactorResetsAge(t *testing.T) {
 		t.Fatal("NaN inverse")
 	}
 }
+
+// Inversion refreshes ping-pong two retained buffers per factor: a refresh
+// writes the spare and then swaps the pointer, so whoever still holds the
+// previous inverse keeps reading a complete matrix; a failed refresh leaves
+// the cached inverse in place.
+func TestInverseRefreshPingPong(t *testing.T) {
+	rng := tensor.NewRNG(7)
+	l := nn.NewDense("probe", 6, 4, rng)
+	p := NewPreconditioner([]*nn.Dense{l}, DefaultOptions())
+	step := func() {
+		t.Helper()
+		l.Backward(tensor.RandN(rng, 8, 4, 0.1))
+		if err := p.UpdateCurvature(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Forward(tensor.RandN(rng, 8, 6, 1))
+	step()
+	s := p.States()[0]
+	if err := p.UpdateInverses(); err != nil {
+		t.Fatal(err)
+	}
+	first, firstVals := s.AInv, s.AInv.Clone()
+	step()
+	if err := p.InvertFactor(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if s.AInv == first {
+		t.Fatal("refresh wrote the live inverse in place")
+	}
+	if !first.Equal(firstVals) {
+		t.Fatal("refresh clobbered the previous inverse a reader may still hold")
+	}
+	step()
+	if err := p.InvertFactor(0, false); err != nil {
+		t.Fatal(err)
+	}
+	if s.AInv != first {
+		t.Fatal("third refresh did not reuse the first buffer")
+	}
+	// A poisoned factor fails the refresh; the cached inverse stays.
+	s.A.Data[0] = math.NaN()
+	cur, curVals := s.AInv, s.AInv.Clone()
+	if err := p.InvertFactor(0, false); err == nil {
+		t.Fatal("expected an error from a NaN factor")
+	}
+	if s.AInv != cur || !cur.Equal(curVals) {
+		t.Fatal("failed refresh disturbed the cached inverse")
+	}
+}

@@ -46,6 +46,11 @@ type LayerState struct {
 	// preTmp is the retained B⁻¹G intermediate of Precondition, so the
 	// per-step preconditioning allocates nothing in steady state.
 	preTmp *tensor.Matrix
+	// spareA and spareB are the inversion targets: each refresh writes the
+	// spare buffer and then swaps it with the cached inverse, so a reader
+	// of AInv/BInv never sees a half-written matrix and steady-state
+	// refreshes allocate nothing.
+	spareA, spareB *tensor.Matrix
 }
 
 // HasInverses reports whether the layer has usable cached inverses.
@@ -212,31 +217,27 @@ func (p *Preconditioner) InvertFactor(index int, factorB bool) error {
 	}
 	dampA, dampB := p.factoredDamping(s)
 	if factorB {
-		binv, err := dampedInverse(s.B, dampB)
-		if err != nil {
+		if err := invertIntoSpare(&s.spareB, s.B, dampB); err != nil {
 			return fmt.Errorf("inverting B of %q: %w", s.Layer.Name, err)
 		}
-		s.BInv = binv
+		s.BInv, s.spareB = s.spareB, s.BInv
 		s.InverseUpdates++
 	} else {
-		ainv, err := dampedInverse(s.A, dampA)
-		if err != nil {
+		if err := invertIntoSpare(&s.spareA, s.A, dampA); err != nil {
 			return fmt.Errorf("inverting A of %q: %w", s.Layer.Name, err)
 		}
-		s.AInv = ainv
+		s.AInv, s.spareA = s.spareA, s.AInv
 	}
 	s.InverseAge = 0
 	return nil
 }
 
-// dampedInverse computes (m + damp*I)⁻¹ with the damped copy cycling
-// through the tensor workspace pool instead of being freshly allocated at
-// every inversion refresh.
-func dampedInverse(m *tensor.Matrix, damp float64) (*tensor.Matrix, error) {
-	work := tensor.GetClone(m)
-	defer tensor.Put(work)
-	work.AddDiagonalInPlace(damp)
-	return tensor.SPDInverse(work, 0)
+// invertIntoSpare computes (m + damp*I)⁻¹ into the layer's spare buffer
+// (allocated on first use); the caller swaps it with the cached inverse
+// once every inverse it refreshes has succeeded.
+func invertIntoSpare(spare **tensor.Matrix, m *tensor.Matrix, damp float64) error {
+	*spare = tensor.Reuse(*spare, m.Rows, m.Cols)
+	return tensor.SPDInverseInto(*spare, m, damp)
 }
 
 // UpdateInverses refreshes the cached inverses of every registered layer.
@@ -270,15 +271,14 @@ func (p *Preconditioner) invertLayer(s *LayerState) error {
 		return fmt.Errorf("kfac: no curvature for layer %q yet", s.Layer.Name)
 	}
 	dampA, dampB := p.factoredDamping(s)
-	ainv, err := dampedInverse(s.A, dampA)
-	if err != nil {
+	if err := invertIntoSpare(&s.spareA, s.A, dampA); err != nil {
 		return fmt.Errorf("inverting A: %w", err)
 	}
-	binv, err := dampedInverse(s.B, dampB)
-	if err != nil {
+	if err := invertIntoSpare(&s.spareB, s.B, dampB); err != nil {
 		return fmt.Errorf("inverting B: %w", err)
 	}
-	s.AInv, s.BInv = ainv, binv
+	s.AInv, s.spareA = s.spareA, s.AInv
+	s.BInv, s.spareB = s.spareB, s.BInv
 	s.InverseUpdates++
 	s.InverseAge = 0
 	return nil

@@ -108,7 +108,11 @@ func CostsFor(cfg CostConfig) (StageCosts, error) {
 
 	// One curvature unit per Kronecker factor per block per micro-batch
 	// (U U^T costs 2·d²·tokens), and one inversion unit per factor
-	// (Cholesky + cholesky_inverse, ~d³, not large-GEMM efficient).
+	// (Cholesky + cholesky_inverse, ~d³). GEMMLike false models the
+	// paper's GPU, where cuSOLVER's potrf/potri run well below GEMM
+	// efficiency; it says nothing about this host, whose
+	// tensor.SPDInverseInto runs its O(d³) terms on the packed GEMM driver
+	// (hardware.Fit refits measured costs when the two must agree).
 	tokens := float64(cfg.MicroBatch) * float64(a.SeqLen)
 	for b := 0; b < cfg.BlocksPerStage; b++ {
 		for _, d := range a.FactorDims() {

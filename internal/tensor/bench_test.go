@@ -137,42 +137,29 @@ func BenchmarkTMatMulAddInto(b *testing.B) {
 	}
 }
 
-func BenchmarkCholesky(b *testing.B) {
-	for _, n := range []int{32, 128} {
+// BenchmarkSPDInverse tracks the K-FAC inversion unit at the factor sizes
+// the benchmark workloads use. GFLOP/s counts the n^3 flops of Cholesky
+// (n^3/3) plus cholesky_inverse (2n^3/3); the Into form must not allocate
+// in steady state.
+func BenchmarkSPDInverse(b *testing.B) {
+	for _, n := range []int{64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := NewRNG(4)
+			r := NewRNG(6)
 			m := RandSPD(r, n, 1)
+			dst := Zeros(n, n)
+			if err := SPDInverseInto(dst, m, 1e-3); err != nil { // warm the pools
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := Cholesky(m); err != nil {
+				if err := SPDInverseInto(dst, m, 1e-3); err != nil {
 					b.Fatal(err)
 				}
 			}
+			nf := float64(n)
+			b.ReportMetric(nf*nf*nf*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 		})
-	}
-}
-
-func BenchmarkCholeskyInverse(b *testing.B) {
-	r := NewRNG(5)
-	m := RandSPD(r, 64, 1)
-	l, err := Cholesky(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CholeskyInverse(l)
-	}
-}
-
-func BenchmarkSPDInverse(b *testing.B) {
-	r := NewRNG(6)
-	m := RandSPD(r, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SPDInverse(m, 1e-3); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

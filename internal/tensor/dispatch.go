@@ -39,9 +39,10 @@ import (
 // write-back — halving packed-panel memory traffic. KernelScalar has no
 // separate float32 loop; in float32 mode it shares the tiled Go
 // micro-kernels, which are themselves bit-identical to a naive ascending-k
-// float32 reduction. Factorization-sensitive code (Cholesky, eigen
-// decomposition, damping) never routes through GEMM and stays float64
-// regardless of the mode.
+// float32 reduction. Factorization-sensitive code stays float64
+// regardless of the mode: eigen decomposition and damping never route
+// through GEMM, and the blocked SPD inverse (cholesky.go) pins the driver's
+// float64 micro-kernels.
 
 // Kernel identifies one matmul implementation variant.
 type Kernel int32

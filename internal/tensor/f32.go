@@ -189,7 +189,8 @@ func (s Snap) Release() {
 	}
 }
 
-// GramInto computes dst = s^T * s (the K-FAC factor partial product). dst
+// GramInto computes dst = s^T * s (the K-FAC factor partial product) as
+// TMatMulInto's symmetric rank-k update: lower tiles only, mirrored. dst
 // must have shape Cols x Cols. A float32 Snap widens into a pooled scratch
 // first; in float32 mode the product itself then renarrows inside the
 // packed driver, and widen-then-narrow is exact, so the result is

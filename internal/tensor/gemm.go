@@ -4,7 +4,9 @@ import "sync"
 
 // The packed-panel GEMM driver: the shared implementation behind the
 // MatMul*/TMatMul* entry points for KernelTiled and KernelFMA (and for
-// every kernel in float32 mode). The structure is GotoBLAS-style:
+// every kernel in float32 mode), and behind every O(n³) term of the
+// blocked SPD inverse (cholesky.go), which calls it on strided sub-block
+// views with the gemmFlags variants. The structure is GotoBLAS-style:
 //
 //	pack B once per call (nr-column panels, shared read-only)
 //	split M into mr-row panels, fan panel ranges out to pool workers
@@ -34,13 +36,63 @@ const (
 type microF64 func(c []float64, ldc int, ap, bp []float64, kc int)
 type microF32 func(c []float32, ldc int, ap, bp []float32, kc int)
 
+// mview is a strided window into a row-major float64 matrix: element
+// (i, j) lives at data[i*ld+j]. The driver's operands are views so the
+// blocked factorizations (cholesky.go) can run it on sub-blocks in place.
+type mview struct {
+	data           []float64
+	rows, cols, ld int
+}
+
+func viewOf(m *Matrix) mview { return mview{m.Data, m.Rows, m.Cols, m.Cols} }
+
+// sub returns the rows x cols window whose top-left corner is (i, j).
+func (v mview) sub(i, j, rows, cols int) mview {
+	return mview{v.data[i*v.ld+j:], rows, cols, v.ld}
+}
+
+func (v mview) zero() {
+	if v.ld == v.cols {
+		clear(v.data[:v.rows*v.cols])
+		return
+	}
+	for i := 0; i < v.rows; i++ {
+		clear(v.data[i*v.ld : i*v.ld+v.cols])
+	}
+}
+
+// gemmFlags selects the variant of dst = op(a)*op(b) one driver call runs.
+type gemmFlags uint8
+
+const (
+	gemmAT  gemmFlags = 1 << iota // op(a) = a^T
+	gemmBT                        // op(b) = b^T
+	gemmAcc                       // dst += instead of dst =
+	// gemmNeg negates the product (dst = -op(a)*op(b), or dst -= with
+	// gemmAcc) by negating the packed A panels, which is exact. Like the
+	// triangular flags below it is honoured on the float64 path only:
+	// set gemmF64 with it.
+	gemmNeg
+	// gemmLower computes only the micro-tiles that touch dst's lower
+	// triangle (dst square): the symmetric rank-k update. Elements above
+	// the diagonal are left unspecified; mirrorLower fills them.
+	gemmLower
+	// gemmALower / gemmAUpper declare op(a) lower / upper triangular
+	// (square, m == k): each row panel then runs only the k range that can
+	// hold nonzeros. The skipped entries are never multiplied, so they
+	// need not be zero outside the mr-wide band around the diagonal.
+	gemmALower
+	gemmAUpper
+	// gemmF64 pins the float64 micro-kernels regardless of F32().
+	gemmF64
+)
+
 // gemmCtx is the per-call state shared by all workers of one packed GEMM.
 // Contexts are pooled so steady-state calls allocate nothing.
 type gemmCtx struct {
-	dst, a, b *Matrix
+	dst, a, b mview
 	m, n, k   int
-	aT, bT    bool
-	acc       bool
+	fl        gemmFlags
 	f32       bool
 	mr, nr    int
 	nPanB     int
@@ -52,31 +104,31 @@ type gemmCtx struct {
 
 var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
 
-// gemmPacked computes dst = op(a)*op(b) (or dst += with acc) through the
-// packed-panel pipeline. op is transpose when aT/bT is set. kern selects
-// the micro-kernel family; KernelScalar callers only arrive here in
-// float32 mode, where the tiled Go kernel doubles as the scalar
+// gemmPacked computes dst = op(a)*op(b) through the packed-panel
+// pipeline, in the variant fl selects. kern selects the micro-kernel
+// family; KernelScalar callers only arrive here in float32 mode or from
+// the blocked inverse, where the tiled Go kernel doubles as the scalar
 // reference. dst must not alias a or b (a may alias b).
-func gemmPacked(dst, a, b *Matrix, aT, bT, acc bool, kern Kernel) {
-	m, n := dst.Rows, dst.Cols
-	k := a.Cols
-	if aT {
-		k = a.Rows
+func gemmPacked(dst, a, b mview, fl gemmFlags, kern Kernel) {
+	m, n := dst.rows, dst.cols
+	k := a.cols
+	if fl&gemmAT != 0 {
+		k = a.rows
 	}
 	if m == 0 || n == 0 {
 		return
 	}
 	if k == 0 {
-		if !acc {
-			dst.Zero()
+		if fl&gemmAcc == 0 {
+			dst.zero()
 		}
 		return
 	}
 	g := gemmCtxPool.Get().(*gemmCtx)
 	g.dst, g.a, g.b = dst, a, b
 	g.m, g.n, g.k = m, n, k
-	g.aT, g.bT, g.acc = aT, bT, acc
-	g.f32 = F32()
+	g.fl = fl
+	g.f32 = fl&gemmF64 == 0 && F32()
 	if g.f32 {
 		if kern == KernelFMA {
 			g.mr, g.nr, g.k32 = 8, 8, fma8x8f32
@@ -93,10 +145,10 @@ func gemmPacked(dst, a, b *Matrix, aT, bT, acc bool, kern Kernel) {
 	g.nPanB = (n + g.nr - 1) / g.nr
 	if g.f32 {
 		g.bp32 = Get32(1, g.nPanB*g.nr*k)
-		packBF32(g.bp32.Data, b, bT, n, k, g.nr)
+		packBF32(g.bp32.Data, b, fl&gemmBT != 0, n, k, g.nr)
 	} else {
 		g.bp = Get(1, g.nPanB*g.nr*k)
-		packBF64(g.bp.Data, b, bT, n, k, g.nr)
+		packBF64(g.bp.Data, b, fl&gemmBT != 0, n, k, g.nr)
 	}
 
 	nPanA := (m + g.mr - 1) / g.mr
@@ -113,7 +165,9 @@ func gemmPacked(dst, a, b *Matrix, aT, bT, acc bool, kern Kernel) {
 
 // parRunGemm fans row-panel ranges [0, nPan) out to the worker pool with
 // the same work-conserving handoff as parRun: parked workers take chunks,
-// the caller runs the rest inline. work gates the serial fallback.
+// the caller runs the rest inline. work gates the serial fallback. Chunks
+// hold equal shares of panelCost, so the triangular variants stay balanced;
+// which worker computes a panel never changes its result.
 func parRunGemm(g *gemmCtx, nPan, work int) {
 	w := opWorkers()
 	if w > nPan {
@@ -123,14 +177,24 @@ func parRunGemm(g *gemmCtx, nPan, work int) {
 		gemmRange(g, 0, nPan)
 		return
 	}
-	chunk := (nPan + w - 1) / w
+	var total int
+	for p := 0; p < nPan; p++ {
+		total += g.panelCost(p)
+	}
+	share := (total + w - 1) / w
+	chunkEnd := func(lo int) int {
+		hi, acc := lo, 0
+		for hi < nPan && acc < share {
+			acc += g.panelCost(hi)
+			hi++
+		}
+		return hi
+	}
 	wg := wgPool.Get().(*sync.WaitGroup)
 	p := curPool.Load()
-	for lo := chunk; lo < nPan; lo += chunk {
-		hi := lo + chunk
-		if hi > nPan {
-			hi = nPan
-		}
+	first := chunkEnd(0)
+	for lo := first; lo < nPan; {
+		hi := chunkEnd(lo)
 		wg.Add(1)
 		t := task{g: g, lo: lo, hi: hi, wg: wg}
 		select {
@@ -139,10 +203,32 @@ func parRunGemm(g *gemmCtx, nPan, work int) {
 			gemmRange(g, lo, hi)
 			wg.Done()
 		}
+		lo = hi
 	}
-	gemmRange(g, 0, chunk)
+	gemmRange(g, 0, first)
 	wg.Wait()
 	wgPool.Put(wg)
+}
+
+// panelCost is row panel p's share of the call's multiply-adds: uniform
+// for a plain product, the panel's tile count times its k range for the
+// lower-only and triangular variants.
+func (g *gemmCtx) panelCost(p int) int {
+	if g.fl&(gemmLower|gemmALower|gemmAUpper) == 0 {
+		return 1
+	}
+	end := min((p+1)*g.mr, g.m)
+	cols, kl := g.n, g.k
+	if g.fl&gemmLower != 0 {
+		cols = min(cols, end)
+	}
+	if g.fl&gemmALower != 0 {
+		kl = min(kl, end)
+	}
+	if g.fl&gemmAUpper != 0 {
+		kl -= p * g.mr
+	}
+	return cols * kl
 }
 
 // gemmRange computes the output row panels [p0, p1) of one packed GEMM.
@@ -152,7 +238,10 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 		gemmRange32(g, p0, p1)
 		return
 	}
-	mr, nr, n := g.mr, g.nr, g.n
+	mr, nr, n, ldc := g.mr, g.nr, g.n, g.dst.ld
+	fl := g.fl
+	structured := fl&(gemmLower|gemmALower|gemmAUpper) != 0
+	c := g.dst.data
 	i0 := p0 * mr
 	iEnd := p1 * mr
 	if iEnd > g.m {
@@ -177,19 +266,36 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 		if ic > gemmMC {
 			ic = gemmMC
 		}
-		if !g.acc {
-			z := g.dst.Data[ib*n : (ib+ic)*n]
-			for i := range z {
-				z[i] = 0
+		if fl&gemmAcc == 0 {
+			// Lower-only: no tile of this block reaches past column
+			// ib+ic+nr, and the caller's mirror overwrites the rest.
+			zc := n
+			if fl&gemmLower != 0 {
+				zc = min(n, ib+ic+nr)
 			}
+			g.dst.sub(ib, 0, ic, zc).zero()
 		}
+		nPanA := (ic + mr - 1) / mr
 		for kk := 0; kk < g.k; kk += gemmKC {
 			kc := g.k - kk
 			if kc > gemmKC {
 				kc = gemmKC
 			}
-			packAF64(apData, g.a, g.aT, ib, ic, kk, kc, mr)
-			nPanA := (ic + mr - 1) / mr
+			// Triangular op(a): k blocks wholly past the block's last row
+			// (lower) or before its first (upper) hold only zeros.
+			if fl&gemmALower != 0 && kk >= ib+ic {
+				break
+			}
+			if fl&gemmAUpper != 0 && kk+kc <= ib {
+				continue
+			}
+			packAF64(apData, g.a, fl&gemmAT != 0, ib, ic, kk, kc, mr)
+			if fl&gemmNeg != 0 {
+				neg := apData[:nPanA*mr*kc]
+				for i, v := range neg {
+					neg[i] = -v
+				}
+			}
 			for jp := 0; jp < g.nPanB; jp++ {
 				jc := n - jp*nr
 				if jc > nr {
@@ -203,15 +309,33 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 						rows = mr
 					}
 					apan := apData[ip*mr*kc : (ip+1)*mr*kc]
+					bsub, kl := bpan, kc
+					if structured {
+						if fl&gemmLower != 0 && jp*nr >= row+rows {
+							continue // tile wholly above the diagonal
+						}
+						// This panel's k range within the block: [t0, t1).
+						t0, t1 := 0, kc
+						if fl&gemmALower != 0 && row+rows < kk+kc {
+							t1 = row + rows - kk
+						}
+						if fl&gemmAUpper != 0 && row > kk {
+							t0 = row - kk
+						}
+						if t0 >= t1 {
+							continue
+						}
+						apan, bsub, kl = apan[t0*mr:t1*mr], bpan[t0*nr:t1*nr], t1-t0
+					}
 					if rows == mr && jc == nr {
-						g.k64(g.dst.Data[row*n+jp*nr:], n, apan, bpan, kc)
+						g.k64(c[row*ldc+jp*nr:], ldc, apan, bsub, kl)
 					} else {
 						for r := 0; r < rows; r++ {
-							copy(tile[r*nr:r*nr+jc], g.dst.Data[(row+r)*n+jp*nr:(row+r)*n+jp*nr+jc])
+							copy(tile[r*nr:r*nr+jc], c[(row+r)*ldc+jp*nr:(row+r)*ldc+jp*nr+jc])
 						}
-						g.k64(tile, nr, apan, bpan, kc)
+						g.k64(tile, nr, apan, bsub, kl)
 						for r := 0; r < rows; r++ {
-							copy(g.dst.Data[(row+r)*n+jp*nr:(row+r)*n+jp*nr+jc], tile[r*nr:r*nr+jc])
+							copy(c[(row+r)*ldc+jp*nr:(row+r)*ldc+jp*nr+jc], tile[r*nr:r*nr+jc])
 						}
 					}
 				}
@@ -228,7 +352,10 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 // add-in-float64 for accumulate semantics, preserving the float64
 // precision of gradient accumulators.
 func gemmRange32(g *gemmCtx, p0, p1 int) {
-	mr, nr, n := g.mr, g.nr, g.n
+	mr, nr, n, ldc := g.mr, g.nr, g.n, g.dst.ld
+	lower := g.fl&gemmLower != 0
+	aT, acc := g.fl&gemmAT != 0, g.fl&gemmAcc != 0
+	c := g.dst.data
 	i0 := p0 * mr
 	iEnd := p1 * mr
 	if iEnd > g.m {
@@ -261,19 +388,22 @@ func gemmRange32(g *gemmCtx, p0, p1 int) {
 			if kc > gemmKC {
 				kc = gemmKC
 			}
-			packAF32(ap.Data, g.a, g.aT, ib, ic, kk, kc, mr)
+			packAF32(ap.Data, g.a, aT, ib, ic, kk, kc, mr)
 			nPanA := icPad / mr
 			for jp := 0; jp < g.nPanB; jp++ {
 				bpan := g.bp32.Data[jp*nr*g.k+kk*nr : jp*nr*g.k+(kk+kc)*nr]
 				for ip := 0; ip < nPanA; ip++ {
+					if lower && jp*nr >= ib+(ip+1)*mr {
+						continue // tile wholly above the diagonal: stays zero
+					}
 					g.k32(sd[ip*mr*nPad+jp*nr:], nPad, ap.Data[ip*mr*kc:(ip+1)*mr*kc], bpan, kc)
 				}
 			}
 		}
-		if g.acc {
+		if acc {
 			for r := 0; r < ic; r++ {
 				srow := sd[r*nPad : r*nPad+n]
-				drow := g.dst.Data[(ib+r)*n : (ib+r)*n+n]
+				drow := c[(ib+r)*ldc : (ib+r)*ldc+n]
 				for j, v := range srow {
 					drow[j] += float64(v)
 				}
@@ -281,7 +411,7 @@ func gemmRange32(g *gemmCtx, p0, p1 int) {
 		} else {
 			for r := 0; r < ic; r++ {
 				srow := sd[r*nPad : r*nPad+n]
-				drow := g.dst.Data[(ib+r)*n : (ib+r)*n+n]
+				drow := c[(ib+r)*ldc : (ib+r)*ldc+n]
 				for j, v := range srow {
 					drow[j] = float64(v)
 				}

@@ -49,7 +49,7 @@ func MatMulInto(dst, a, b *Matrix) {
 		return
 	}
 	if kern := ActiveKernel(); kern != KernelScalar || F32() {
-		gemmPacked(dst, a, b, false, false, false, kern)
+		gemmPacked(viewOf(dst), viewOf(a), viewOf(b), 0, kern)
 		return
 	}
 	parRun(matMulChunk, dst, a, b, a.Rows, a.Rows*a.Cols*b.Cols)
@@ -104,7 +104,7 @@ func MatMulTInto(dst, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: MatMulTInto dst shape %dx%d, want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
 	if kern := ActiveKernel(); kern != KernelScalar || F32() {
-		gemmPacked(dst, a, b, false, true, false, kern)
+		gemmPacked(viewOf(dst), viewOf(a), viewOf(b), gemmBT, kern)
 		return
 	}
 	parRun(matMulTChunk, dst, a, b, a.Rows, a.Rows*a.Cols*b.Rows)
@@ -165,10 +165,49 @@ func TMatMulInto(dst, a, b *Matrix) {
 		return
 	}
 	if kern := ActiveKernel(); kern != KernelScalar || F32() {
-		gemmPacked(dst, a, b, true, false, false, kern)
+		if a == b {
+			// Gram product (the K-FAC factor U^T U): the result is
+			// symmetric, so only the tiles touching the lower triangle
+			// are computed and the rest is mirrored — bit-identical to
+			// the full product (element (j,i) multiplies the same pairs
+			// in the same ascending-k order as (i,j)) at half the flops.
+			gemmPacked(viewOf(dst), viewOf(a), viewOf(b), gemmAT|gemmLower, kern)
+			mirrorLower(dst)
+			return
+		}
+		gemmPacked(viewOf(dst), viewOf(a), viewOf(b), gemmAT, kern)
 		return
 	}
 	parRun(tMatMulZeroChunk, dst, a, b, a.Cols, a.Rows*a.Cols*b.Cols)
+}
+
+// mirrorLower copies the square matrix m's lower triangle onto its upper
+// one. Off-diagonal blocks are transposed through a small contiguous
+// scratch so that both the reads and the writes of m run along rows: a
+// direct column-wise write strides by a full row, which at power-of-two
+// dimensions lands every line of a block in one cache set.
+func mirrorLower(m *Matrix) {
+	const blk = 32
+	var scratch [blk * blk]float64
+	n := m.Rows
+	for ib := 0; ib < n; ib += blk {
+		rows := min(blk, n-ib)
+		for jb := 0; jb < ib; jb += blk {
+			for i := 0; i < rows; i++ {
+				for j, v := range m.Data[(ib+i)*n+jb : (ib+i)*n+jb+blk] {
+					scratch[j*blk+i] = v
+				}
+			}
+			for j := 0; j < blk; j++ {
+				copy(m.Data[(jb+j)*n+ib:(jb+j)*n+ib+rows], scratch[j*blk:])
+			}
+		}
+		for i := ib; i < ib+rows; i++ {
+			for j := ib; j < i; j++ {
+				m.Data[j*n+i] = m.Data[i*n+j]
+			}
+		}
+	}
 }
 
 // TMatMulAddInto computes dst += a^T * b — the fused form of the
@@ -180,7 +219,7 @@ func TMatMulAddInto(dst, a, b *Matrix) {
 		return
 	}
 	if kern := ActiveKernel(); kern != KernelScalar || F32() {
-		gemmPacked(dst, a, b, true, false, true, kern)
+		gemmPacked(viewOf(dst), viewOf(a), viewOf(b), gemmAT|gemmAcc, kern)
 		return
 	}
 	parRun(tMatMulChunk, dst, a, b, a.Cols, a.Rows*a.Cols*b.Cols)

@@ -12,10 +12,10 @@ package tensor
 
 // packAF64 packs rows [ib, ib+ic) of the (possibly transposed) A operand,
 // k slice [kk, kk+kc), into mr-row panels in buf. With aT, the logical
-// A(row, t) is a.Data[t*a.Cols+row].
-func packAF64(buf []float64, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
+// A(row, t) is a.data[t*a.Cols+row].
+func packAF64(buf []float64, a mview, aT bool, ib, ic, kk, kc, mr int) {
 	nPan := (ic + mr - 1) / mr
-	ac := a.Cols
+	ac := a.ld
 	for p := 0; p < nPan; p++ {
 		dst := buf[p*mr*kc : (p+1)*mr*kc]
 		base := ib + p*mr
@@ -25,7 +25,7 @@ func packAF64(buf []float64, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
 		}
 		if aT {
 			for t := 0; t < kc; t++ {
-				src := a.Data[(kk+t)*ac+base : (kk+t)*ac+base+rows]
+				src := a.data[(kk+t)*ac+base : (kk+t)*ac+base+rows]
 				o := t * mr
 				for r, v := range src {
 					dst[o+r] = v
@@ -36,7 +36,7 @@ func packAF64(buf []float64, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
 			}
 		} else {
 			for r := 0; r < rows; r++ {
-				src := a.Data[(base+r)*ac+kk : (base+r)*ac+kk+kc]
+				src := a.data[(base+r)*ac+kk : (base+r)*ac+kk+kc]
 				for t, v := range src {
 					dst[t*mr+r] = v
 				}
@@ -52,10 +52,10 @@ func packAF64(buf []float64, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
 
 // packBF64 packs the full k range of the (possibly transposed) B operand
 // into nr-column panels in buf — done once per GEMM, shared read-only by
-// every worker. With bT, the logical B(t, j) is b.Data[j*b.Cols+t].
-func packBF64(buf []float64, b *Matrix, bT bool, n, k, nr int) {
+// every worker. With bT, the logical B(t, j) is b.data[j*b.Cols+t].
+func packBF64(buf []float64, b mview, bT bool, n, k, nr int) {
 	nPan := (n + nr - 1) / nr
-	bc := b.Cols
+	bc := b.ld
 	for jp := 0; jp < nPan; jp++ {
 		dst := buf[jp*nr*k : (jp+1)*nr*k]
 		j0 := jp * nr
@@ -65,7 +65,7 @@ func packBF64(buf []float64, b *Matrix, bT bool, n, k, nr int) {
 		}
 		if bT {
 			for j := 0; j < cols; j++ {
-				src := b.Data[(j0+j)*bc : (j0+j)*bc+k]
+				src := b.data[(j0+j)*bc : (j0+j)*bc+k]
 				for t, v := range src {
 					dst[t*nr+j] = v
 				}
@@ -77,7 +77,7 @@ func packBF64(buf []float64, b *Matrix, bT bool, n, k, nr int) {
 			}
 		} else {
 			for t := 0; t < k; t++ {
-				src := b.Data[t*bc+j0 : t*bc+j0+cols]
+				src := b.data[t*bc+j0 : t*bc+j0+cols]
 				o := t * nr
 				for j, v := range src {
 					dst[o+j] = v
@@ -91,9 +91,9 @@ func packBF64(buf []float64, b *Matrix, bT bool, n, k, nr int) {
 }
 
 // packAF32 is packAF64 narrowing to float32.
-func packAF32(buf []float32, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
+func packAF32(buf []float32, a mview, aT bool, ib, ic, kk, kc, mr int) {
 	nPan := (ic + mr - 1) / mr
-	ac := a.Cols
+	ac := a.ld
 	for p := 0; p < nPan; p++ {
 		dst := buf[p*mr*kc : (p+1)*mr*kc]
 		base := ib + p*mr
@@ -103,7 +103,7 @@ func packAF32(buf []float32, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
 		}
 		if aT {
 			for t := 0; t < kc; t++ {
-				src := a.Data[(kk+t)*ac+base : (kk+t)*ac+base+rows]
+				src := a.data[(kk+t)*ac+base : (kk+t)*ac+base+rows]
 				o := t * mr
 				for r, v := range src {
 					dst[o+r] = float32(v)
@@ -114,7 +114,7 @@ func packAF32(buf []float32, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
 			}
 		} else {
 			for r := 0; r < rows; r++ {
-				src := a.Data[(base+r)*ac+kk : (base+r)*ac+kk+kc]
+				src := a.data[(base+r)*ac+kk : (base+r)*ac+kk+kc]
 				for t, v := range src {
 					dst[t*mr+r] = float32(v)
 				}
@@ -129,9 +129,9 @@ func packAF32(buf []float32, a *Matrix, aT bool, ib, ic, kk, kc, mr int) {
 }
 
 // packBF32 is packBF64 narrowing to float32.
-func packBF32(buf []float32, b *Matrix, bT bool, n, k, nr int) {
+func packBF32(buf []float32, b mview, bT bool, n, k, nr int) {
 	nPan := (n + nr - 1) / nr
-	bc := b.Cols
+	bc := b.ld
 	for jp := 0; jp < nPan; jp++ {
 		dst := buf[jp*nr*k : (jp+1)*nr*k]
 		j0 := jp * nr
@@ -141,7 +141,7 @@ func packBF32(buf []float32, b *Matrix, bT bool, n, k, nr int) {
 		}
 		if bT {
 			for j := 0; j < cols; j++ {
-				src := b.Data[(j0+j)*bc : (j0+j)*bc+k]
+				src := b.data[(j0+j)*bc : (j0+j)*bc+k]
 				for t, v := range src {
 					dst[t*nr+j] = float32(v)
 				}
@@ -153,7 +153,7 @@ func packBF32(buf []float32, b *Matrix, bT bool, n, k, nr int) {
 			}
 		} else {
 			for t := 0; t < k; t++ {
-				src := b.Data[t*bc+j0 : t*bc+j0+cols]
+				src := b.data[t*bc+j0 : t*bc+j0+cols]
 				o := t * nr
 				for j, v := range src {
 					dst[o+j] = float32(v)

@@ -10,10 +10,11 @@
 //	    [-threshold 10] [-gate seqs_per_s] [-gate-rows '^BenchmarkMatMul']
 //
 // Metrics are compared by direction: ns_per_op, bytes_per_op and
-// allocs_per_op regress when they grow; seqs_per_s, mb_per_s (throughput)
-// and poolchunks_per_op (effective per-op worker fan-out) regress when they
-// shrink. Only the metrics named by -gate (comma list, or "all") cause a
-// non-zero exit, and only on rows whose benchmark name matches -gate-rows
+// allocs_per_op regress when they grow; seqs_per_s, mb_per_s, gflops
+// (throughput) and poolchunks_per_op (effective per-op worker fan-out)
+// regress when they shrink. Only the metrics named by -gate (comma list, or
+// "all") cause a non-zero exit, and only on rows whose benchmark name
+// matches -gate-rows
 // (a regexp; default every row); everything else is reported
 // informationally. The default gate is seqs_per_s — steady-state executor
 // throughput — because wall-clock nanoseconds on shared CI runners are too
@@ -44,6 +45,7 @@ var metrics = []metric{
 	{"mb_per_s", "MB/s", true},
 	{"seqs_per_s", "seqs/s", true},
 	{"poolchunks_per_op", "poolchunks/op", true},
+	{"gflops", "GFLOP/s", true},
 }
 
 func loadBench(path string) (map[string]map[string]float64, []string, error) {
