@@ -116,6 +116,42 @@
 // factor (write the spare, then swap the pointer), so a refresh allocates
 // nothing and a reader never sees a half-written inverse.
 //
+// Attention's per-(sequence, head) core runs on the same driver too,
+// through its one strided-window entry point: tensor.MulViews takes a
+// batch of products dst = op(a)*op(b) whose operands are tensor.Views
+// (Matrix.View: a rows x cols window at (i, j), sharing storage). For
+// every item nn.MultiHeadAttention hands it scores = Qh Kh^T and
+// Oh = P Vh on the way forward, dP = dOh Vh^T, dVh = P^T dOh, dQh = dS Kh
+// and dKh = dS^T Qh on the way back, with Qh, Kh, Vh, dOh the S x dk
+// column windows of the (B·S) x d projections and the results written
+// straight into the head's window — no gather copies, no zeroing pass.
+// Scale, causal mask, max, exp and normalise are one row pass over the
+// scores in place, and the scale is folded into dS on the way back; a
+// causal module computes the full product and masks in that pass. What is
+// identical to what: every product element is one ascending-k reduction, so
+// under scalar (which runs the tiled Go micro-kernel here, as in the
+// blocked inverse) and tiled the outputs, probabilities, input gradient
+// and all eight parameter gradients equal the scalar dot-product loops
+// this replaced, kept as the test oracle, bit for bit; fma differs from
+// them by fused rounding (<= 1e-12 of the matrix scale). The batch's
+// products — not the rows of a 64 x 64 x 16 product that sits below the
+// serial limit — are the unit of worker fan-out, each computed whole by
+// one worker on a tile grid that depends on its shape alone, so results
+// are bit-identical across SetParallelism/SetOpParallelism within a
+// variant (TestAttentionMatchesScalarOracle enforces all three sentences
+// over a generated B x S x heads x dk x causal suite;
+// TestMulViewsEdges, TestMulViewsBatchParallelismIdentity and
+// FuzzMulViews cover the entry point itself, windows at the last row and
+// column, ld != cols, k = 1 and empty windows included). In float32 mode
+// the six products follow the compute mode like Dense's do — float32
+// panels, float32 accumulation, widened on write-back (TestMulViewsF32:
+// bit-identical to a naive float32 reduction for scalar/tiled) — while the
+// softmax and its backward stay float64; the module then stays within
+// 2e-5 of the float64 loops (the suite's f32AttentionBound). Steady state
+// allocates nothing (TestMulViewsZeroAlloc,
+// TestTransformerBlockSteadyStateZeroAlloc) and every pooled pack buffer
+// is returned (TestAttentionShapeChangeAndRepeatedForward).
+//
 // The kernels are goroutine-parallel behind a shared worker pool:
 // tensor.SetParallelism sizes the process-wide intra-op worker budget
 // (default GOMAXPROCS, the -workers flag on cmd/pipefisher and
@@ -207,7 +243,8 @@
 //     part slices that remain caller-owned; the transport never retains
 //     them past the call. On the receive side each Ring owns its reader
 //     scratch, interns buffer names, and recycles payload buffers through
-//     a pool — the steady-state chunk path allocates nothing, and stale
+//     pools, one per power-of-two size — the steady-state chunk path
+//     allocates nothing, and stale
 //     frames from an aborted round are drained back into the pool, not
 //     leaked.
 //   - Chunking: payloads split at DefaultChunkFloats (64 KiB) so the fold
@@ -219,6 +256,18 @@
 //     BenchmarkAllReduce measures the real wire (on a single-core host
 //     the fixed per-frame cost makes chunked ~= unchunked; the model is
 //     the acceptance bar, the bench is the honest measurement).
+//   - Batching: a stage's per-parameter gradient reductions, and a K-FAC
+//     factor with its row count, go to the group as one
+//     transport.AllReduceBatch. A Ring (a transport.BatchReducer) runs
+//     every reduce pass before the first distribution pass: the same
+//     frames, bytes and arithmetic as one AllReduce each
+//     (TestRingAllReduceBatchMatchesSeparateCalls), but rank 0 no longer
+//     waits for reduction k to come back around the ring before it starts
+//     reduction k+1 — a 26-parameter stage pays the ring's round trip
+//     once, not 26 times, and each of those round trips was a chain of
+//     goroutine wake-ups that a millisecond-scale step spent a third of
+//     its time in. Any other group gets the calls one after another, so
+//     the loopback fold is instruction-for-instruction what it was.
 //   - Failure semantics ride the round protocol: BeginRound tags every
 //     collective with an epoch, and a rank that aborts mid-round sends an
 //     abort frame around the ring, so a dropped or failed remote

@@ -36,9 +36,10 @@ import (
 // succeeded.
 
 // initCollectives prepares the engine's transport routing: the resolved
-// group (Loopback when none was configured), the per-stage fold scratch
-// (reused [][]float64 part views — the steady-state collective path must
-// not allocate), and the precomputed per-parameter collective names.
+// group (Loopback when none was configured) and the per-stage fold batch —
+// one transport.Reduction per parameter with its collective name and a
+// reused part-view slice, so the steady-state collective path does not
+// allocate.
 func (e *Engine) initCollectives() {
 	e.group = e.cfg.Transport
 	if e.group == nil {
@@ -46,15 +47,20 @@ func (e *Engine) initCollectives() {
 	}
 	e.multiRank = e.group.Size() > 1
 	perStep := e.cfg.MicroBatches * e.cfg.Replicas
-	e.foldScratch = make([][][]float64, e.cfg.Stages)
-	e.foldNames = make([][]string, e.cfg.Stages)
+	e.foldOps = make([][]transport.Reduction, e.cfg.Stages)
 	for s, params := range e.reps[0].stageParams {
-		e.foldScratch[s] = make([][]float64, perStep)
-		e.foldNames[s] = make([]string, len(params))
-		for k := range params {
-			e.foldNames[s][k] = fmt.Sprintf("g/%d/%d", s, k)
-		}
+		e.foldOps[s] = newFoldOps(fmt.Sprintf("g/%d", s), len(params), perStep)
 	}
+}
+
+// newFoldOps returns n reductions named prefix/0 .. prefix/n-1, each with
+// room for parts part views.
+func newFoldOps(prefix string, n, parts int) []transport.Reduction {
+	ops := make([]transport.Reduction, n)
+	for k := range ops {
+		ops[k] = transport.Reduction{Name: fmt.Sprintf("%s/%d", prefix, k), Parts: make([][]float64, parts)}
+	}
+	return ops
 }
 
 // syncInitialParams aligns a multi-rank group's starting weights on rank
@@ -115,32 +121,40 @@ func (e *Engine) syncParamsFrom(root int) error {
 // accumulate-semantics base) plus every rank's micro-batch deltas in
 // ascending global micro-batch order. carried[k] and deltas[m][k] align
 // with params[k]; delta buffers are returned to the pool and their slots
-// nilled, carried buffers stay with the caller (rollback state). scratch
-// must have len(deltas) slots and names one per parameter; both are reused
-// across calls, so the loopback steady state allocates nothing. Returns
-// the bytes the group put on the wire.
-func foldParams(group transport.Group, names []string, scratch [][]float64, params []*nn.Param, carried []*tensor.Matrix, deltas [][]*tensor.Matrix) (int64, error) {
-	var bytes int64
+// nilled, carried buffers stay with the caller (rollback state). ops is the
+// stage's retained batch (newFoldOps: one reduction per parameter, one part
+// slot per micro-batch), so the loopback steady state allocates nothing.
+// The parameters go to the group as one batch: on a ring their waits
+// overlap (transport.AllReduceBatch). Returns the bytes the group put on
+// the wire.
+func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.Param, carried []*tensor.Matrix, deltas [][]*tensor.Matrix) (int64, error) {
 	for k, p := range params {
 		if carried[k] == nil {
-			return bytes, fmt.Errorf("missing carried gradient state for %s", p.Name)
+			return 0, fmt.Errorf("missing carried gradient state for %s", p.Name)
 		}
+		op := &ops[k]
+		op.Dst, op.Base = p.Grad.Data, carried[k].Data
 		for m := range deltas {
 			d := deltas[m][k]
 			if d == nil {
-				return bytes, fmt.Errorf("missing micro-batch %d gradient contribution for %s", m, p.Name)
+				return 0, fmt.Errorf("missing micro-batch %d gradient contribution for %s", m, p.Name)
 			}
-			scratch[m] = d.Data
+			op.Parts[m] = d.Data
 		}
-		nb, err := group.AllReduce(names[k], p.Grad.Data, carried[k].Data, scratch)
-		if err != nil {
-			return bytes, fmt.Errorf("all-reduce of %s: %w", p.Name, err)
-		}
-		bytes += nb
-		for m := range deltas {
+	}
+	bytes, err := transport.AllReduceBatch(group, ops)
+	for k := range ops {
+		op := &ops[k]
+		op.Dst, op.Base = nil, nil
+		clear(op.Parts)
+	}
+	if err != nil {
+		return bytes, fmt.Errorf("gradient all-reduce: %w", err)
+	}
+	for m := range deltas {
+		for k := range params {
 			tensor.Put(deltas[m][k])
 			deltas[m][k] = nil
-			scratch[m] = nil
 		}
 	}
 	return bytes, nil
@@ -168,6 +182,7 @@ type kfacFoldScratch struct {
 	rowVals  []float64   // per-micro row counts as float64
 	rowParts [][]float64 // rowParts[m] = rowVals[m : m+1]
 	rowDst   [1]float64
+	ops      [2]transport.Reduction // the payload fold and its row count, one batch
 	// Collective names: factor A/B payload folds and their row-count
 	// companions. A layer's names are reused across generations; the
 	// schedule's cross-generation dependency edges order a carried fold
@@ -222,12 +237,10 @@ func (e *Engine) foldFactor(name, rowName string, fs *kfacFoldScratch, parts []*
 	if sum == nil {
 		return nil, 0, fmt.Errorf("no curvature contributions")
 	}
-	bytes, err := e.group.AllReduce(name, sum.Data, nil, fs.parts)
-	if err == nil {
-		var nb int64
-		nb, err = e.group.AllReduce(rowName, fs.rowDst[:], nil, fs.rowParts)
-		bytes += nb
-	}
+	fs.ops[0] = transport.Reduction{Name: name, Dst: sum.Data, Parts: fs.parts}
+	fs.ops[1] = transport.Reduction{Name: rowName, Dst: fs.rowDst[:], Parts: fs.rowParts}
+	bytes, err := transport.AllReduceBatch(e.group, fs.ops[:])
+	fs.ops[0].Dst = nil
 	for m := range fs.parts {
 		fs.parts[m] = nil
 	}

@@ -371,11 +371,10 @@ func TestReduceGradsZeroAlloc(t *testing.T) {
 	for m := range deltas {
 		deltas[m] = make([]*tensor.Matrix, len(params))
 	}
-	// The preallocated scratch and names mirror what initCollectives hands
-	// the executor: the loopback fold must stay zero-alloc with them.
+	// The preallocated batch mirrors what initCollectives hands the
+	// executor: the loopback fold must stay zero-alloc with it.
 	group := transport.Loopback{}
-	names := []string{"g/0/0", "g/0/1"}
-	scratch := make([][]float64, micros)
+	ops := newFoldOps("g/0", len(params), micros)
 	fill := func() {
 		for k, p := range params {
 			carried[k] = tensor.GetClone(p.Grad)
@@ -394,13 +393,13 @@ func TestReduceGradsZeroAlloc(t *testing.T) {
 	}
 	// Warm the pool.
 	fill()
-	if _, err := foldParams(group, names, scratch, params, carried, deltas); err != nil {
+	if _, err := foldParams(group, ops, params, carried, deltas); err != nil {
 		t.Fatal(err)
 	}
 	release()
 	allocs := testing.AllocsPerRun(50, func() {
 		fill()
-		if _, err := foldParams(group, names, scratch, params, carried, deltas); err != nil {
+		if _, err := foldParams(group, ops, params, carried, deltas); err != nil {
 			t.Fatal(err)
 		}
 		release()

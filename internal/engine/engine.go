@@ -299,15 +299,14 @@ type Engine struct {
 	// collective, and the initial parameter broadcast.
 	group     transport.Group
 	multiRank bool
-	// foldScratch[s] is the reusable part-view slice of stage s's gradient
-	// collective (one slot per local micro-batch of a step) and
-	// foldNames[s][k] the precomputed collective name of the stage's k-th
-	// parameter — preallocated so the loopback steady state allocates
+	// foldOps[s] is stage s's gradient collective as a retained batch: one
+	// reduction per parameter, holding its precomputed collective name and
+	// a reusable part-view slice (one slot per local micro-batch of a
+	// step) — preallocated so the loopback steady state allocates
 	// nothing. Safe per stage: one stage's gradient folds are serialized
 	// by the step-commit barriers, and concurrent folds (chimera's mirror
-	// stage, different stages) use different slots.
-	foldScratch [][][]float64
-	foldNames   [][]string
+	// stage, different stages) use different batches.
+	foldOps [][]transport.Reduction
 	// kfacFold[s][li] is the factor collective's reusable scratch
 	// (collective.go), allocated at EnableKFAC. A-then-B folds of one
 	// layer run sequentially under layerMu[s][li] and share the scratch.

@@ -446,7 +446,7 @@ func (st *runState) foldStages(op *pipeline.Op) (int64, error) {
 		s := s
 		st.foldDone[j][s].Do(func() {
 			var nb int64
-			nb, st.foldErr[j][s] = foldParams(st.e.group, st.e.foldNames[s], st.e.foldScratch[s],
+			nb, st.foldErr[j][s] = foldParams(st.e.group, st.e.foldOps[s],
 				st.e.reps[0].stageParams[s], st.carried[j][s], st.deltas[j][s])
 			bytes += nb
 		})

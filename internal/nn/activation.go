@@ -7,11 +7,14 @@ import (
 )
 
 // GELU is the Gaussian Error Linear Unit activation used by BERT:
-// gelu(x) = x/2 * (1 + erf(x/sqrt(2))). The backward uses the exact
-// derivative. Forward and Backward return retained buffers (valid until the
-// module's next call), so the steady-state hot path allocates nothing.
+// gelu(x) = x * Φ(x), Φ(x) = (1 + erf(x/sqrt(2)))/2. The backward uses the
+// exact derivative Φ(x) + x*φ(x) and reads Φ from the forward pass, so a
+// forward + backward pair costs one erf and one exp per element. Forward
+// and Backward return retained buffers (valid until the module's next
+// call), so the steady-state hot path allocates nothing.
 type GELU struct {
 	lastInput *tensor.Matrix
+	cdfBuf    *tensor.Matrix // Φ of lastInput, element-wise
 	outBuf    *tensor.Matrix
 	dxBuf     *tensor.Matrix
 }
@@ -27,8 +30,13 @@ func (g *GELU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	g.lastInput = x
 	y := tensor.Reuse(g.outBuf, x.Rows, x.Cols)
 	g.outBuf = y
+	cdf := tensor.Reuse(g.cdfBuf, x.Rows, x.Cols)
+	g.cdfBuf = cdf
 	for i, v := range x.Data {
-		y.Data[i] = 0.5 * v * (1 + math.Erf(v/math.Sqrt2))
+		// v*c equals 0.5*v*(1+erf) bit for bit: the halving is exact.
+		c := 0.5 * (1 + math.Erf(v/math.Sqrt2))
+		cdf.Data[i] = c
+		y.Data[i] = v * c
 	}
 	return y
 }
@@ -45,9 +53,8 @@ func (g *GELU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	g.dxBuf = out
 	invSqrt2Pi := 1 / math.Sqrt(2*math.Pi)
 	for i, v := range g.lastInput.Data {
-		cdf := 0.5 * (1 + math.Erf(v/math.Sqrt2))
 		pdf := invSqrt2Pi * math.Exp(-0.5*v*v)
-		out.Data[i] = grad.Data[i] * (cdf + v*pdf)
+		out.Data[i] = grad.Data[i] * (g.cdfBuf.Data[i] + v*pdf)
 	}
 	return out
 }

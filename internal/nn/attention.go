@@ -7,10 +7,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// negInf is the masking value for causal attention scores; softmax maps it
-// to exactly zero probability.
-var negInf = math.Inf(-1)
-
 // MultiHeadAttention implements the standard transformer self-attention
 // sublayer: Q/K/V projections, per-head scaled dot-product attention, and
 // an output projection. Inputs are token matrices of shape (B·S) x d; the
@@ -32,20 +28,22 @@ type MultiHeadAttention struct {
 	// Q, K, V, Out are the four projection layers.
 	Q, K, V, Out *Dense
 
-	seqLen    int
-	batch     int
-	lastQ     *tensor.Matrix   // (B·S) x d
-	lastK     *tensor.Matrix   // (B·S) x d
-	lastV     *tensor.Matrix   // (B·S) x d
-	lastProbs []*tensor.Matrix // per (batch, head): S x S attention probabilities
+	seqLen int
+	batch  int
+	lastQ  *tensor.Matrix // (B·S) x d
+	lastK  *tensor.Matrix // (B·S) x d
+	lastV  *tensor.Matrix // (B·S) x d
+	// probs stacks the S x S attention probabilities of the B·heads items;
+	// lastProbs[b*Heads+h] is item (b, h)'s block of it.
+	probs     *tensor.Matrix
+	lastProbs []*tensor.Matrix
 
 	// Retained scratch buffers so the steady-state hot path allocates
-	// nothing: lastProbs entries are reused across calls, the rest are
-	// transient within one Forward/Backward.
-	scoreBuf            *tensor.Matrix // S x S raw scores
-	concatBuf           *tensor.Matrix // (B·S) x d head concatenation
-	dpBuf, dsBuf        *tensor.Matrix // S x S backward scratch
-	dqBuf, dkBuf, dvBuf *tensor.Matrix // (B·S) x d projection gradients
+	// nothing: probs is reused across calls, the rest are transient within
+	// one Forward/Backward.
+	concatBuf           *tensor.Matrix   // (B·S) x d head concatenation
+	dqBuf, dkBuf, dvBuf *tensor.Matrix   // (B·S) x d projection gradients
+	prods               []tensor.Product // the batch handed to tensor.MulViews
 }
 
 // NewMultiHeadAttention builds the sublayer; d must be divisible by heads.
@@ -72,6 +70,36 @@ func (m *MultiHeadAttention) SetShape(batch, seqLen int) {
 	m.seqLen = seqLen
 }
 
+// The per-(sequence, head) core runs on the packed GEMM driver: every
+// product below is one tensor.MulViews batch over the B·heads items, whose
+// operands are the S x dk column windows of the (B·S) x d projections —
+// no gather copies, results written straight into the head's window. Each
+// element is one ascending-k reduction, so under KernelScalar/KernelTiled
+// the result equals scalar dot-product loops bit for bit (KernelFMA differs
+// by fused rounding), for any worker count. The products follow the compute
+// mode like Dense's (float32 panels under tensor.SetF32); the softmax and
+// its backward stay float64.
+
+// head returns item i's S x dk window of the (B·S) x d matrix x; item
+// i = b*Heads + h is head h of sequence b.
+func (m *MultiHeadAttention) head(x *tensor.Matrix, i int) tensor.View {
+	dk := m.DModel / m.Heads
+	return x.View(i/m.Heads*m.seqLen, i%m.Heads*dk, m.seqLen, dk)
+}
+
+// square returns item i's S x S block of a stacked (B·heads·S) x S matrix.
+func (m *MultiHeadAttention) square(x *tensor.Matrix, i int) tensor.View {
+	return x.View(i*m.seqLen, 0, m.seqLen, m.seqLen)
+}
+
+// products returns the retained batch, n products long.
+func (m *MultiHeadAttention) products(n int) []tensor.Product {
+	if cap(m.prods) < n {
+		m.prods = make([]tensor.Product, n)
+	}
+	return m.prods[:n]
+}
+
 // Forward runs self-attention over each sequence independently.
 func (m *MultiHeadAttention) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if m.batch == 0 || m.seqLen == 0 {
@@ -80,149 +108,81 @@ func (m *MultiHeadAttention) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if x.Rows != m.batch*m.seqLen {
 		panic(fmt.Sprintf("nn: attention %q got %d tokens, want %d*%d", m.Name, x.Rows, m.batch, m.seqLen))
 	}
-	q := m.Q.Forward(x)
-	k := m.K.Forward(x)
-	v := m.V.Forward(x)
+	return m.Out.Forward(m.attend(m.Q.Forward(x), m.K.Forward(x), m.V.Forward(x)))
+}
+
+// attend is the forward core: per item, probs = softmax(Qh Kh^T * scale)
+// and Oh = probs Vh, concatenated over the heads. q, k and v are retained
+// for attendBackward.
+func (m *MultiHeadAttention) attend(q, k, v *tensor.Matrix) *tensor.Matrix {
 	m.lastQ, m.lastK, m.lastV = q, k, v
-
-	d := m.DModel
-	dk := d / m.Heads
-	scale := 1 / math.Sqrt(float64(dk))
-	s := m.seqLen
-	concat := tensor.Reuse(m.concatBuf, x.Rows, d)
+	n, s := m.batch*m.Heads, m.seqLen
+	scale := 1 / math.Sqrt(float64(m.DModel/m.Heads))
+	concat := tensor.Reuse(m.concatBuf, q.Rows, m.DModel)
 	m.concatBuf = concat
-	concat.Zero()
-	if len(m.lastProbs) != m.batch*m.Heads {
-		m.lastProbs = make([]*tensor.Matrix, m.batch*m.Heads)
-	}
-	// scores = Qh Kh^T * scale, S x S (future positions masked to -inf for
-	// causal attention); one retained scratch matrix serves every head.
-	scores := tensor.Reuse(m.scoreBuf, s, s)
-	m.scoreBuf = scores
-
-	for b := 0; b < m.batch; b++ {
-		base := b * s
-		for h := 0; h < m.Heads; h++ {
-			off := h * dk
-			for i := 0; i < s; i++ {
-				qrow := q.Row(base + i)[off : off+dk]
-				srow := scores.Row(i)
-				for j := 0; j < s; j++ {
-					if m.Causal && j > i {
-						srow[j] = negInf
-						continue
-					}
-					krow := k.Row(base + j)[off : off+dk]
-					var dot float64
-					for t := 0; t < dk; t++ {
-						dot += qrow[t] * krow[t]
-					}
-					srow[j] = dot * scale
-				}
-			}
-			probs := tensor.Reuse(m.lastProbs[b*m.Heads+h], s, s)
-			m.lastProbs[b*m.Heads+h] = probs
-			SoftmaxRowsInto(probs, scores)
-			// Oh = probs Vh, written into the concat slice.
-			for i := 0; i < s; i++ {
-				prow := probs.Row(i)
-				orow := concat.Row(base + i)[off : off+dk]
-				for j := 0; j < s; j++ {
-					p := prow[j]
-					if p == 0 {
-						continue
-					}
-					vrow := v.Row(base + j)[off : off+dk]
-					for t := 0; t < dk; t++ {
-						orow[t] += p * vrow[t]
-					}
-				}
-			}
+	if probs := tensor.Reuse(m.probs, n*s, s); probs != m.probs {
+		m.probs, m.lastProbs = probs, make([]*tensor.Matrix, n)
+		for i := range m.lastProbs {
+			m.lastProbs[i] = tensor.New(s, s, probs.Data[i*s*s:(i+1)*s*s])
 		}
 	}
-	return m.Out.Forward(concat)
+
+	// The scores land in probs and are normalised in place; for causal
+	// attention the product is full and the row pass masks the future.
+	ps := m.products(n)
+	for i := range ps {
+		ps[i] = tensor.Product{Dst: m.square(m.probs, i), A: m.head(q, i), B: m.head(k, i), TransB: true}
+	}
+	tensor.MulViews(ps)
+	softmaxRows(m.probs, m.probs, scale, m.Causal)
+	for i := range ps {
+		ps[i] = tensor.Product{Dst: m.head(concat, i), A: m.square(m.probs, i), B: m.head(v, i)}
+	}
+	tensor.MulViews(ps)
+	return concat
 }
 
 // Backward propagates through the output projection, the per-head
 // attention, and the Q/K/V projections.
 func (m *MultiHeadAttention) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	if m.lastProbs == nil {
+	if m.probs == nil {
 		panic(fmt.Sprintf("nn: attention %q Backward before Forward", m.Name))
 	}
-	dConcat := m.Out.Backward(grad) // (B·S) x d
-
-	d := m.DModel
-	dk := d / m.Heads
-	scale := 1 / math.Sqrt(float64(dk))
-	s := m.seqLen
-	dQ := tensor.Reuse(m.dqBuf, dConcat.Rows, d)
-	m.dqBuf = dQ
-	dQ.Zero()
-	dK := tensor.Reuse(m.dkBuf, dConcat.Rows, d)
-	m.dkBuf = dK
-	dK.Zero()
-	dV := tensor.Reuse(m.dvBuf, dConcat.Rows, d)
-	m.dvBuf = dV
-	dV.Zero()
-	dP := tensor.Reuse(m.dpBuf, s, s)
-	m.dpBuf = dP
-	dScores := tensor.Reuse(m.dsBuf, s, s)
-	m.dsBuf = dScores
-
-	for b := 0; b < m.batch; b++ {
-		base := b * s
-		for h := 0; h < m.Heads; h++ {
-			off := h * dk
-			probs := m.lastProbs[b*m.Heads+h]
-			// dP = dOh Vh^T ; dVh += P^T dOh.
-			for i := 0; i < s; i++ {
-				dorow := dConcat.Row(base + i)[off : off+dk]
-				dprow := dP.Row(i)
-				prow := probs.Row(i)
-				for j := 0; j < s; j++ {
-					vrow := m.lastV.Row(base + j)[off : off+dk]
-					var dot float64
-					for t := 0; t < dk; t++ {
-						dot += dorow[t] * vrow[t]
-					}
-					dprow[j] = dot
-					// dVh[j] += P[i][j] * dOh[i]
-					p := prow[j]
-					if p != 0 {
-						dvrow := dV.Row(base + j)[off : off+dk]
-						for t := 0; t < dk; t++ {
-							dvrow[t] += p * dorow[t]
-						}
-					}
-				}
-			}
-			// Softmax backward to get dScores.
-			SoftmaxBackwardRowsInto(dScores, probs, dP)
-			// dQh = dScores Kh * scale ; dKh = dScores^T Qh * scale.
-			for i := 0; i < s; i++ {
-				dsrow := dScores.Row(i)
-				dqrow := dQ.Row(base + i)[off : off+dk]
-				qrow := m.lastQ.Row(base + i)[off : off+dk]
-				for j := 0; j < s; j++ {
-					ds := dsrow[j] * scale
-					if ds == 0 {
-						continue
-					}
-					krow := m.lastK.Row(base + j)[off : off+dk]
-					dkrow := dK.Row(base + j)[off : off+dk]
-					for t := 0; t < dk; t++ {
-						dqrow[t] += ds * krow[t]
-						dkrow[t] += ds * qrow[t]
-					}
-				}
-			}
-		}
-	}
-
+	dQ, dK, dV := m.attendBackward(m.Out.Backward(grad))
 	dx := m.Q.Backward(dQ)
 	dx.AddInPlace(m.K.Backward(dK))
 	dx.AddInPlace(m.V.Backward(dV))
 	return dx
+}
+
+// attendBackward is the backward core: the gradients of attend's q, k and
+// v given the gradient of its (B·S) x d result.
+func (m *MultiHeadAttention) attendBackward(dConcat *tensor.Matrix) (dQ, dK, dV *tensor.Matrix) {
+	n := m.batch * m.Heads
+	scale := 1 / math.Sqrt(float64(m.DModel/m.Heads))
+	dQ = tensor.Reuse(m.dqBuf, dConcat.Rows, m.DModel)
+	dK = tensor.Reuse(m.dkBuf, dConcat.Rows, m.DModel)
+	dV = tensor.Reuse(m.dvBuf, dConcat.Rows, m.DModel)
+	m.dqBuf, m.dkBuf, m.dvBuf = dQ, dK, dV
+
+	// dP = dOh Vh^T, stacked like probs, then the softmax backward in place
+	// with the score scale folded in: dS = P∘(dP - rowsum(dP∘P)) * scale.
+	ds := tensor.Get(m.probs.Rows, m.probs.Cols)
+	defer tensor.Put(ds)
+	ps := m.products(3 * n)
+	for i := 0; i < n; i++ {
+		ps[i] = tensor.Product{Dst: m.square(ds, i), A: m.head(dConcat, i), B: m.head(m.lastV, i), TransB: true}
+	}
+	tensor.MulViews(ps[:n])
+	softmaxBackwardRows(ds, m.probs, ds, scale)
+	// dVh = P^T dOh ; dQh = dS Kh ; dKh = dS^T Qh, into the heads' windows.
+	for i := 0; i < n; i++ {
+		ps[3*i] = tensor.Product{Dst: m.head(dV, i), A: m.square(m.probs, i), B: m.head(dConcat, i), TransA: true}
+		ps[3*i+1] = tensor.Product{Dst: m.head(dQ, i), A: m.square(ds, i), B: m.head(m.lastK, i)}
+		ps[3*i+2] = tensor.Product{Dst: m.head(dK, i), A: m.square(ds, i), B: m.head(m.lastQ, i), TransA: true}
+	}
+	tensor.MulViews(ps)
+	return dQ, dK, dV
 }
 
 // Params returns the parameters of the four projections.

@@ -16,20 +16,34 @@ func SoftmaxRows(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // SoftmaxRowsInto writes the row-wise softmax of x into dst (same shape,
-// fully overwritten; dst may not alias x).
-func SoftmaxRowsInto(dst, x *tensor.Matrix) {
-	out := dst
+// fully overwritten; dst may alias x).
+func SoftmaxRowsInto(dst, x *tensor.Matrix) { softmaxRows(dst, x, 1, false) }
+
+// softmaxRows writes softmax(scale*x) row by row into dst (dst may alias
+// x) — attention's fused scale + mask + max + exp + normalise pass. With
+// causal, x is a stack of square Cols x Cols score blocks: row i of a block
+// sees columns <= i only and the rest get probability exactly 0, as if
+// their scores were -Inf.
+func softmaxRows(dst, x *tensor.Matrix, scale float64, causal bool) {
 	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
-		orow := out.Row(i)
+		n := x.Cols
+		if causal {
+			n = i%x.Cols + 1
+		}
+		row := x.Row(i)[:n]
+		orow := dst.Row(i)
+		clear(orow[n:])
+		orow = orow[:n]
 		mx := math.Inf(-1)
-		for _, v := range row {
+		for j, v := range row {
+			v *= scale
+			orow[j] = v
 			if v > mx {
 				mx = v
 			}
 		}
 		var sum float64
-		for j, v := range row {
+		for j, v := range orow {
 			e := math.Exp(v - mx)
 			orow[j] = e
 			sum += e
@@ -53,17 +67,22 @@ func SoftmaxBackwardRows(probs, grad *tensor.Matrix) *tensor.Matrix {
 // SoftmaxBackwardRowsInto writes the softmax gradient into dst (same shape,
 // fully overwritten; dst may alias grad but not probs).
 func SoftmaxBackwardRowsInto(dst, probs, grad *tensor.Matrix) {
-	out := dst
+	softmaxBackwardRows(dst, probs, grad, 1)
+}
+
+// softmaxBackwardRows is SoftmaxBackwardRowsInto times scale: the gradient
+// with respect to x of softmax(scale*x).
+func softmaxBackwardRows(dst, probs, grad *tensor.Matrix, scale float64) {
 	for i := 0; i < grad.Rows; i++ {
 		prow := probs.Row(i)
-		grow := grad.Row(i)
-		orow := out.Row(i)
+		grow := grad.Row(i)[:len(prow)]
+		orow := dst.Row(i)[:len(prow)]
 		var dot float64
-		for j := range prow {
-			dot += prow[j] * grow[j]
+		for j, p := range prow {
+			dot += p * grow[j]
 		}
-		for j := range prow {
-			orow[j] = prow[j] * (grow[j] - dot)
+		for j, p := range prow {
+			orow[j] = p * (grow[j] - dot) * scale
 		}
 	}
 }

@@ -125,6 +125,9 @@ type LAMB struct {
 	step int
 	m    [][]float64
 	v    [][]float64
+	// update holds one parameter's update between the pass that computes
+	// its norm and the pass that applies it; sized to the largest parameter.
+	update []float64
 }
 
 // NewLAMB builds an NVLAMB optimizer with the paper's hyperparameters
@@ -136,14 +139,17 @@ func NewLAMB(params []*nn.Param, weightDecay float64) *LAMB {
 	}
 	l.m = make([][]float64, len(params))
 	l.v = make([][]float64, len(params))
+	largest := 0
 	for i, p := range params {
 		l.m[i] = make([]float64, len(p.Value.Data))
 		l.v[i] = make([]float64, len(p.Value.Data))
+		largest = max(largest, len(p.Value.Data))
 	}
+	l.update = make([]float64, largest)
 	return l
 }
 
-// Step applies one NVLAMB update.
+// Step applies one NVLAMB update. It allocates nothing.
 func (l *LAMB) Step(lr float64) {
 	l.step++
 	preScale := 1.0
@@ -157,7 +163,7 @@ func (l *LAMB) Step(lr float64) {
 	for i, p := range l.params {
 		m, v := l.m[i], l.v[i]
 		var wNorm, uNorm float64
-		update := make([]float64, len(p.Value.Data))
+		update := l.update[:len(p.Value.Data)]
 		for j := range p.Value.Data {
 			g := p.Grad.Data[j] * preScale
 			m[j] = l.Beta1*m[j] + (1-l.Beta1)*g

@@ -21,6 +21,35 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
+// BenchmarkPack is the panel-packing rung under the GEMM driver at the
+// operand shapes of one attention item (S = 64, dk = 16, the fma kernels'
+// mr = 8, nr = 4): lanes from source rows (A as stored, B transposed) and
+// lanes from source columns (A transposed, B as stored).
+func BenchmarkPack(b *testing.B) {
+	rng := NewRNG(1)
+	head := RandN(rng, 128, 64, 1).View(64, 16, 64, 16) // one head's S x dk window
+	probs := RandN(rng, 64, 64, 1).View(0, 0, 64, 64)
+	buf := make([]float64, 64*64)
+	for _, c := range []struct {
+		name string
+		pack func()
+		n    int
+	}{
+		{"A_rows_64x16", func() { packA(buf, head, false, 0, 64, 0, 16, 8) }, 64 * 16},
+		{"A_rows_64x64", func() { packA(buf, probs, false, 0, 64, 0, 64, 8) }, 64 * 64},
+		{"A_cols_64x64", func() { packA(buf, probs, true, 0, 64, 0, 64, 8) }, 64 * 64},
+		{"B_rows_64x16", func() { packB(buf, head, true, 64, 16, 4) }, 64 * 16},
+		{"B_cols_64x16", func() { packB(buf, head, false, 16, 64, 4) }, 64 * 16},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.pack()
+			}
+			b.SetBytes(int64(8 * c.n))
+		})
+	}
+}
+
 // BenchmarkMatMulWorkers measures the same 256x256 product under explicit
 // worker budgets — the parallel-speedup trajectory the CI bench job tracks.
 // Besides MB/s it reports poolchunks/op, the number of packed-panel chunks

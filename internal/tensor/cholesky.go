@@ -150,7 +150,7 @@ func invertBlocked(dst, work *Matrix) error {
 // M = L⁻¹, w = L L^T, in w's lower triangle. Above the diagonal only the
 // diagonal blocks' entries are defined (zero), which is all the
 // triangular GEMM variants read.
-func cholInverseFactor(w mview, kern Kernel) error {
+func cholInverseFactor(w View, kern Kernel) error {
 	n := w.rows
 	if n <= invNB {
 		return cholInverseFactorBase(w)
@@ -179,7 +179,7 @@ func cholInverseFactor(w mview, kern Kernel) error {
 // most invNB rows: the scalar Cholesky and triangular inverse, run on a
 // contiguous pooled copy (rows of w are a full matrix row apart, which
 // aliases in L1), then stored back with the strict upper triangle zeroed.
-func cholInverseFactorBase(w mview) error {
+func cholInverseFactorBase(w View) error {
 	n := w.rows
 	a, l := Get(n, n), Get(n, n)
 	defer Put(a)

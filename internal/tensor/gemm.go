@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // The packed-panel GEMM driver: the shared implementation behind the
 // MatMul*/TMatMul* entry points for KernelTiled and KernelFMA (and for
@@ -36,22 +39,38 @@ const (
 type microF64 func(c []float64, ldc int, ap, bp []float64, kc int)
 type microF32 func(c []float32, ldc int, ap, bp []float32, kc int)
 
-// mview is a strided window into a row-major float64 matrix: element
+// View is a strided window into a row-major float64 matrix: element
 // (i, j) lives at data[i*ld+j]. The driver's operands are views so the
-// blocked factorizations (cholesky.go) can run it on sub-blocks in place.
-type mview struct {
+// blocked factorizations (cholesky.go) can run it on sub-blocks in place
+// and attention (nn) on the per-head column windows of its (B·S) x d
+// projections, with no gather copies. Outside the package a View is made
+// by Matrix.View and consumed by MulViews.
+type View struct {
 	data           []float64
 	rows, cols, ld int
 }
 
-func viewOf(m *Matrix) mview { return mview{m.Data, m.Rows, m.Cols, m.Cols} }
+func viewOf(m *Matrix) View { return View{m.Data, m.Rows, m.Cols, m.Cols} }
 
-// sub returns the rows x cols window whose top-left corner is (i, j).
-func (v mview) sub(i, j, rows, cols int) mview {
-	return mview{v.data[i*v.ld+j:], rows, cols, v.ld}
+// View returns the rows x cols window of m whose top-left corner is
+// (i, j). The window shares m's storage. It panics if the window does not
+// lie inside m.
+func (m *Matrix) View(i, j, rows, cols int) View {
+	if i < 0 || j < 0 || rows < 0 || cols < 0 || i+rows > m.Rows || j+cols > m.Cols {
+		panic(fmt.Sprintf("tensor: View (%d,%d)+%dx%d outside %dx%d matrix", i, j, rows, cols, m.Rows, m.Cols))
+	}
+	if rows == 0 || cols == 0 {
+		return View{rows: rows, cols: cols, ld: m.Cols}
+	}
+	return viewOf(m).sub(i, j, rows, cols)
 }
 
-func (v mview) zero() {
+// sub returns the rows x cols window whose top-left corner is (i, j).
+func (v View) sub(i, j, rows, cols int) View {
+	return View{v.data[i*v.ld+j:], rows, cols, v.ld}
+}
+
+func (v View) zero() {
 	if v.ld == v.cols {
 		clear(v.data[:v.rows*v.cols])
 		return
@@ -87,10 +106,12 @@ const (
 	gemmF64
 )
 
-// gemmCtx is the per-call state shared by all workers of one packed GEMM.
-// Contexts are pooled so steady-state calls allocate nothing.
+// gemmCtx is the per-call state shared by all workers of one packed GEMM,
+// or — with batch set — of one MulViews batch, whose workers each run
+// their products through a private single-product context. Contexts are
+// pooled so steady-state calls allocate nothing.
 type gemmCtx struct {
-	dst, a, b mview
+	dst, a, b View
 	m, n, k   int
 	fl        gemmFlags
 	f32       bool
@@ -100,31 +121,45 @@ type gemmCtx struct {
 	bp32      *Matrix32 // packed B, float32 path
 	k64       microF64
 	k32       microF32
+
+	batch []Product // batch context: the fan-out unit is one product
+	kern  Kernel    // kernel family of the batch's products
 }
 
 var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
 
 // gemmPacked computes dst = op(a)*op(b) through the packed-panel
 // pipeline, in the variant fl selects. kern selects the micro-kernel
-// family; KernelScalar callers only arrive here in float32 mode or from
-// the blocked inverse, where the tiled Go kernel doubles as the scalar
-// reference. dst must not alias a or b (a may alias b).
-func gemmPacked(dst, a, b mview, fl gemmFlags, kern Kernel) {
+// family; KernelScalar callers only arrive here in float32 mode, from the
+// blocked inverse or from MulViews, where the tiled Go kernel doubles as
+// the scalar reference. dst must not alias a or b (a may alias b).
+func gemmPacked(dst, a, b View, fl gemmFlags, kern Kernel) {
+	g := gemmCtxPool.Get().(*gemmCtx)
+	if g.setup(dst, a, b, fl, kern) {
+		parRunGemm(g, g.nPanA(), g.m*g.n*g.k)
+	}
+	g.release()
+}
+
+// setup points g at one product and packs its B operand, reusing the pack
+// buffer of g's previous product when that is large enough. It reports
+// false, with any dst = 0 already stored, when there is nothing to
+// multiply.
+func (g *gemmCtx) setup(dst, a, b View, fl gemmFlags, kern Kernel) bool {
 	m, n := dst.rows, dst.cols
 	k := a.cols
 	if fl&gemmAT != 0 {
 		k = a.rows
 	}
 	if m == 0 || n == 0 {
-		return
+		return false
 	}
 	if k == 0 {
 		if fl&gemmAcc == 0 {
 			dst.zero()
 		}
-		return
+		return false
 	}
-	g := gemmCtxPool.Get().(*gemmCtx)
 	g.dst, g.a, g.b = dst, a, b
 	g.m, g.n, g.k = m, n, k
 	g.fl = fl
@@ -143,31 +178,105 @@ func gemmPacked(dst, a, b mview, fl gemmFlags, kern Kernel) {
 		}
 	}
 	g.nPanB = (n + g.nr - 1) / g.nr
+	need := g.nPanB * g.nr * k
 	if g.f32 {
-		g.bp32 = Get32(1, g.nPanB*g.nr*k)
-		packBF32(g.bp32.Data, b, fl&gemmBT != 0, n, k, g.nr)
+		if g.bp32 == nil || len(g.bp32.Data) < need {
+			Put32(g.bp32)
+			g.bp32 = Get32(1, need)
+		}
+		packB(g.bp32.Data, b, fl&gemmBT != 0, n, k, g.nr)
 	} else {
-		g.bp = Get(1, g.nPanB*g.nr*k)
-		packBF64(g.bp.Data, b, fl&gemmBT != 0, n, k, g.nr)
+		if g.bp == nil || len(g.bp.Data) < need {
+			Put(g.bp)
+			g.bp = Get(1, need)
+		}
+		packB(g.bp.Data, b, fl&gemmBT != 0, n, k, g.nr)
 	}
+	return true
+}
 
-	nPanA := (m + g.mr - 1) / g.mr
-	parRunGemm(g, nPanA, m*n*k)
+func (g *gemmCtx) nPanA() int { return (g.m + g.mr - 1) / g.mr }
 
-	if g.f32 {
-		Put32(g.bp32)
-	} else {
-		Put(g.bp)
-	}
+// release returns g's pack buffers and g itself to their pools.
+func (g *gemmCtx) release() {
+	Put32(g.bp32)
+	Put(g.bp)
 	*g = gemmCtx{}
 	gemmCtxPool.Put(g)
 }
 
-// parRunGemm fans row-panel ranges [0, nPan) out to the worker pool with
-// the same work-conserving handoff as parRun: parked workers take chunks,
-// the caller runs the rest inline. work gates the serial fallback. Chunks
-// hold equal shares of panelCost, so the triangular variants stay balanced;
-// which worker computes a panel never changes its result.
+// Product names one dst = op(a)*op(b) of a MulViews batch; TransA and
+// TransB make op the transpose.
+type Product struct {
+	Dst, A, B      View
+	TransA, TransB bool
+}
+
+func (p *Product) flags() (fl gemmFlags) {
+	if p.TransA {
+		fl |= gemmAT
+	}
+	if p.TransB {
+		fl |= gemmBT
+	}
+	return fl
+}
+
+// dims returns the product's m, n and k, or ok = false when the three
+// windows' shapes do not agree.
+func (p *Product) dims() (m, n, k int, ok bool) {
+	m, k = p.A.rows, p.A.cols
+	if p.TransA {
+		m, k = k, m
+	}
+	kb, n := p.B.rows, p.B.cols
+	if p.TransB {
+		kb, n = n, kb
+	}
+	return m, n, k, k == kb && p.Dst.rows == m && p.Dst.cols == n
+}
+
+// MulViews overwrites every product's Dst window with op(A)*op(B) — the
+// strided-window entry point of the packed driver, built for attention's
+// per-(sequence, head) products. The products are independent and are the
+// unit of worker fan-out (one product alone fans out over its row panels
+// like MatMulInto); each runs the same tile grid and ascending-k reduction
+// whichever worker takes it, so results are bit-identical across
+// parallelism settings. KernelScalar runs the tiled Go micro-kernel, which
+// is bit-identical to a scalar ascending-k dot product; KernelFMA differs
+// by fused rounding; in float32 mode the panels narrow as in MatMulInto.
+// A Dst window must not overlap any window the batch reads or another Dst.
+// Steady-state calls allocate nothing. It panics on a shape mismatch.
+func MulViews(ps []Product) {
+	work := 0
+	for i := range ps {
+		m, n, k, ok := ps[i].dims()
+		if !ok {
+			p := &ps[i]
+			panic(fmt.Sprintf("tensor: MulViews product %d: dst %dx%d = op(%dx%d) * op(%dx%d) (TransA %v, TransB %v)",
+				i, p.Dst.rows, p.Dst.cols, p.A.rows, p.A.cols, p.B.rows, p.B.cols, p.TransA, p.TransB))
+		}
+		work += m * n * k
+	}
+	switch len(ps) {
+	case 0:
+		return
+	case 1:
+		gemmPacked(ps[0].Dst, ps[0].A, ps[0].B, ps[0].flags(), ActiveKernel())
+		return
+	}
+	g := gemmCtxPool.Get().(*gemmCtx)
+	g.batch, g.kern = ps, ActiveKernel()
+	parRunGemm(g, len(ps), work)
+	g.release()
+}
+
+// parRunGemm fans row-panel ranges [0, nPan) — of a batch context, product
+// ranges — out to the worker pool with the same work-conserving handoff as
+// parRun: parked workers take chunks, the caller runs the rest inline.
+// work gates the serial fallback. Chunks hold equal shares of panelCost,
+// so the triangular variants stay balanced; which worker computes a panel
+// never changes its result.
 func parRunGemm(g *gemmCtx, nPan, work int) {
 	w := opWorkers()
 	if w > nPan {
@@ -212,8 +321,12 @@ func parRunGemm(g *gemmCtx, nPan, work int) {
 
 // panelCost is row panel p's share of the call's multiply-adds: uniform
 // for a plain product, the panel's tile count times its k range for the
-// lower-only and triangular variants.
+// lower-only and triangular variants, the whole product for a batch.
 func (g *gemmCtx) panelCost(p int) int {
+	if g.batch != nil {
+		m, n, k, _ := g.batch[p].dims()
+		return m * n * k
+	}
 	if g.fl&(gemmLower|gemmALower|gemmAUpper) == 0 {
 		return 1
 	}
@@ -231,9 +344,21 @@ func (g *gemmCtx) panelCost(p int) int {
 	return cols * kl
 }
 
-// gemmRange computes the output row panels [p0, p1) of one packed GEMM.
-// Runs on pool workers; each invocation owns its row range exclusively.
+// gemmRange computes the output row panels [p0, p1) of one packed GEMM,
+// or the products [p0, p1) of a batch, each whole on this goroutine.
+// Runs on pool workers; each invocation owns its range exclusively.
 func gemmRange(g *gemmCtx, p0, p1 int) {
+	if g.batch != nil {
+		one := gemmCtxPool.Get().(*gemmCtx)
+		for i := p0; i < p1; i++ {
+			p := &g.batch[i]
+			if one.setup(p.Dst, p.A, p.B, p.flags(), g.kern) {
+				gemmRange(one, 0, one.nPanA())
+			}
+		}
+		one.release()
+		return
+	}
 	if g.f32 {
 		gemmRange32(g, p0, p1)
 		return
@@ -289,7 +414,7 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 			if fl&gemmAUpper != 0 && kk+kc <= ib {
 				continue
 			}
-			packAF64(apData, g.a, fl&gemmAT != 0, ib, ic, kk, kc, mr)
+			packA(apData, g.a, fl&gemmAT != 0, ib, ic, kk, kc, mr)
 			if fl&gemmNeg != 0 {
 				neg := apData[:nPanA*mr*kc]
 				for i, v := range neg {
@@ -388,7 +513,7 @@ func gemmRange32(g *gemmCtx, p0, p1 int) {
 			if kc > gemmKC {
 				kc = gemmKC
 			}
-			packAF32(ap.Data, g.a, aT, ib, ic, kk, kc, mr)
+			packA(ap.Data, g.a, aT, ib, ic, kk, kc, mr)
 			nPanA := icPad / mr
 			for jp := 0; jp < g.nPanB; jp++ {
 				bpan := g.bp32.Data[jp*nr*g.k+kk*nr : jp*nr*g.k+(kk+kc)*nr]

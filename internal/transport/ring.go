@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"strings"
 	"sync"
@@ -137,17 +138,28 @@ type Ring struct {
 	// so steady-state chunk traffic does not allocate.
 	rscr     []byte
 	names    map[string]string
-	payloads sync.Pool
+	payloads [payloadClasses]sync.Pool
 
 	onClose func() // optional cleanup hook (NewLocalRing temp dir)
 }
 
+// payloadClasses bounds the payload size classes: readFrame rejects frames
+// of more than 1<<28 floats.
+const payloadClasses = 29
+
 // getPayload returns a recycled payload buffer of length n, or a fresh one.
+// Buffers are pooled by power-of-two capacity: a batch keeps payloads of
+// many sizes in flight at once, and one mixed pool would hand a large frame
+// a small buffer and allocate more often than not.
 func (r *Ring) getPayload(n int) []float64 {
-	if v, _ := r.payloads.Get().(*[]float64); v != nil && cap(*v) >= n {
+	if n == 0 {
+		return nil
+	}
+	c := bits.Len(uint(n - 1))
+	if v, _ := r.payloads[c].Get().(*[]float64); v != nil {
 		return (*v)[:n]
 	}
-	return make([]float64, n)
+	return make([]float64, n, 1<<c)
 }
 
 // putPayload returns a consumed frame's payload to the recycle pool.
@@ -156,7 +168,7 @@ func (r *Ring) putPayload(p []float64) {
 		return
 	}
 	p = p[:0]
-	r.payloads.Put(&p)
+	r.payloads[bits.Len(uint(cap(p)))-1].Put(&p)
 }
 
 // Frame kinds on the wire.
@@ -663,59 +675,95 @@ func (r *Ring) expect(name string, epoch int64, pass byte, chunk uint32, n int) 
 
 // AllReduce implements the chunked chain all-reduce described on Ring.
 func (r *Ring) AllReduce(name string, dst, base []float64, parts [][]float64) (int64, error) {
-	if err := checkReduceArgs(dst, base, parts); err != nil {
-		return 0, err
+	one := [1]Reduction{{Name: name, Dst: dst, Base: base, Parts: parts}}
+	return r.AllReduceBatch(one[:])
+}
+
+// AllReduceBatch runs the reduce pass of every reduction before the first
+// distribution pass. The frames, their order per name and the arithmetic
+// are those of one AllReduce call each; what changes is the waiting. Called
+// one at a time, reduction k+1 cannot start on rank 0 before reduction k's
+// result has come back around the ring; batched, rank 0 streams every
+// partial without waiting, the following ranks fold them as they arrive,
+// and the whole batch pays the ring's round-trip latency once. The readers
+// queue frames by name however early they arrive, so no rank can block
+// another.
+func (r *Ring) AllReduceBatch(rs []Reduction) (int64, error) {
+	for i := range rs {
+		if err := checkReduceArgs(rs[i].Dst, rs[i].Base, rs[i].Parts); err != nil {
+			return 0, err
+		}
 	}
 	epoch := r.epoch.Load()
 	if err := r.abortErr(epoch); err != nil {
 		return 0, err
 	}
-	n := len(dst)
+	var sent int64
+	for i := range rs {
+		nb, err := r.reducePass(&rs[i], epoch)
+		sent += nb
+		if err != nil {
+			return sent, err
+		}
+	}
+	if r.rank == r.size-1 {
+		return sent, nil // every dst completed during its reduce pass
+	}
+	for i := range rs {
+		nb, err := r.distributePass(rs[i].Name, rs[i].Dst, epoch)
+		sent += nb
+		if err != nil {
+			return sent, err
+		}
+	}
+	return sent, nil
+}
+
+// reducePass: partials flow rank 0 -> 1 -> ... -> W-1, each rank folding
+// its own parts in ascending order. Rank W-1 owns the completed chunk and
+// starts the distribution pass.
+func (r *Ring) reducePass(op *Reduction, epoch int64) (int64, error) {
+	dst, n := op.Dst, len(op.Dst)
 	var sent int64
 	last := r.rank == r.size-1
-	// Reduce pass: partials flow rank 0 -> 1 -> ... -> W-1, each rank
-	// folding its own parts in ascending order. Rank W-1 owns the
-	// completed chunk and starts the distribution pass.
 	for lo, idx := 0, uint32(0); lo < n || n == 0; lo, idx = lo+r.chunk, idx+1 {
 		hi := lo + r.chunk
 		if hi > n {
 			hi = n
 		}
+		pass, origin := passReduce, byte(r.rank)
 		if r.rank == 0 {
-			foldInto(dst, base, parts, lo, hi)
-			nb, err := r.sendData(name, passReduce, 0, epoch, idx, dst[lo:hi])
-			if err != nil {
-				return sent, err
-			}
-			sent += nb
+			foldInto(dst, op.Base, op.Parts, lo, hi)
 		} else {
-			f, err := r.expect(name, epoch, passReduce, idx, hi-lo)
+			f, err := r.expect(op.Name, epoch, passReduce, idx, hi-lo)
 			if err != nil {
 				return sent, err
 			}
 			copy(dst[lo:hi], f.payload)
-			addParts(dst, parts, lo, hi)
+			addParts(dst, op.Parts, lo, hi)
 			r.putPayload(f.payload)
-			pass := passReduce
 			if last {
 				pass = passFinal // chunk complete; start the distribution pass
 			}
-			nb, err := r.sendData(name, pass, byte(r.rank), epoch, idx, dst[lo:hi])
-			if err != nil {
-				return sent, err
-			}
-			sent += nb
 		}
+		nb, err := r.sendData(op.Name, pass, origin, epoch, idx, dst[lo:hi])
+		if err != nil {
+			return sent, err
+		}
+		sent += nb
 		if n == 0 {
 			break
 		}
 	}
-	if last {
-		return sent, nil // dst completed during the reduce pass
-	}
-	// Distribution pass: completed chunks flow W-1 -> 0 -> ... -> W-2;
-	// every rank copies them into dst and forwards until the rank before
-	// the originator.
+	return sent, nil
+}
+
+// distributePass: completed chunks flow W-1 -> 0 -> ... -> W-2; every rank
+// but W-1 copies them into dst and forwards until the rank before the
+// originator.
+func (r *Ring) distributePass(name string, dst []float64, epoch int64) (int64, error) {
+	n := len(dst)
+	var sent int64
 	forward := r.rank != r.size-2
 	for lo, idx := 0, uint32(0); lo < n || n == 0; lo, idx = lo+r.chunk, idx+1 {
 		hi := lo + r.chunk

@@ -94,6 +94,42 @@ type Group interface {
 	Close() error
 }
 
+// Reduction is one all-reduce of a batch: the arguments of Group.AllReduce.
+type Reduction struct {
+	Name      string
+	Dst, Base []float64
+	Parts     [][]float64
+}
+
+// BatchReducer is implemented by groups that can overlap the waits of
+// independent all-reduces; Ring is one.
+type BatchReducer interface {
+	// AllReduceBatch leaves every reduction's Dst as one AllReduce call
+	// each would: same fold order, same frames, same bytes on the wire.
+	// The reductions must have distinct names and disjoint Dst buffers.
+	AllReduceBatch(rs []Reduction) (int64, error)
+}
+
+// AllReduceBatch runs rs on g — as one overlapped exchange when g is a
+// BatchReducer, as one AllReduce after another otherwise — and returns the
+// bytes put on the wire. A stage's per-parameter gradient reductions go
+// through here: on a wire each separate call waits for its peers in turn,
+// and a step whose compute is short spends most of its time in those waits.
+func AllReduceBatch(g Group, rs []Reduction) (int64, error) {
+	if b, ok := g.(BatchReducer); ok {
+		return b.AllReduceBatch(rs)
+	}
+	var bytes int64
+	for i := range rs {
+		nb, err := g.AllReduce(rs[i].Name, rs[i].Dst, rs[i].Base, rs[i].Parts)
+		bytes += nb
+		if err != nil {
+			return bytes, fmt.Errorf("all-reduce %q: %w", rs[i].Name, err)
+		}
+	}
+	return bytes, nil
+}
+
 // RankFailure is the typed liveness error of a wire transport: a specific
 // peer is believed dead or unreachable — its connection closed, its wire
 // deadline expired, or a collective timed out waiting on it. It is

@@ -411,3 +411,130 @@ func TestDialRingValidation(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// TestRingAllReduceBatchMatchesSeparateCalls is the batch's contract: every
+// Dst, and the bytes each rank reports, equal those of one AllReduce call
+// per reduction — for mixed sizes (empty and multi-chunk included), with and
+// without a base, at every ring width.
+func TestRingAllReduceBatchMatchesSeparateCalls(t *testing.T) {
+	sizes := []int{0, 1, 5, 300, 1023, 64}
+	for _, size := range []int{2, 3, 4} {
+		t.Run(fmt.Sprintf("W%d", size), func(t *testing.T) {
+			mk := func(rank int) []Reduction {
+				rs := make([]Reduction, len(sizes))
+				for k, n := range sizes {
+					rs[k] = Reduction{Name: fmt.Sprintf("g/%d", k), Dst: make([]float64, n),
+						Parts: [][]float64{fill(n, float64(rank)+1.0), fill(n, float64(rank*k)+1.5)}}
+					if k%2 == 0 {
+						rs[k].Base = fill(n, 0.25+float64(k))
+					}
+				}
+				return rs
+			}
+			var separate, batched [4][]Reduction
+			var sepBytes, batchBytes [4]int64
+			runRingCollective(t, size, 256, func(r *Ring) error {
+				rs := mk(r.Rank())
+				for k := range rs {
+					nb, err := r.AllReduce(rs[k].Name, rs[k].Dst, rs[k].Base, rs[k].Parts)
+					if err != nil {
+						return err
+					}
+					sepBytes[r.Rank()] += nb
+				}
+				separate[r.Rank()] = rs
+				return nil
+			})
+			runRingCollective(t, size, 256, func(r *Ring) error {
+				rs := mk(r.Rank())
+				nb, err := AllReduceBatch(r, rs)
+				batched[r.Rank()], batchBytes[r.Rank()] = rs, nb
+				return err
+			})
+			for rk := 0; rk < size; rk++ {
+				for k := range sizes {
+					if !bitEqual(batched[rk][k].Dst, separate[rk][k].Dst) {
+						t.Fatalf("rank %d reduction %d: batch differs from a separate AllReduce", rk, k)
+					}
+				}
+				if batchBytes[rk] != sepBytes[rk] {
+					t.Fatalf("rank %d: batch put %d bytes on the wire, separate calls %d", rk, batchBytes[rk], sepBytes[rk])
+				}
+			}
+		})
+	}
+}
+
+// TestAllReduceBatchFallsBackToAllReduce: a group without AllReduceBatch
+// gets one AllReduce per reduction, in order.
+func TestAllReduceBatchFallsBackToAllReduce(t *testing.T) {
+	rs := []Reduction{
+		{Name: "a", Dst: make([]float64, 3), Base: fill(3, 0.5), Parts: [][]float64{fill(3, 1), fill(3, 2)}},
+		{Name: "b", Dst: make([]float64, 2), Parts: [][]float64{fill(2, 3)}},
+	}
+	if _, err := AllReduceBatch(Loopback{}, rs); err != nil {
+		t.Fatal(err)
+	}
+	if want := refFold(3, rs[0].Base, [][][]float64{rs[0].Parts}); !bitEqual(rs[0].Dst, want) {
+		t.Fatal("reduction a differs from the reference fold")
+	}
+	if want := refFold(2, nil, [][][]float64{rs[1].Parts}); !bitEqual(rs[1].Dst, want) {
+		t.Fatal("reduction b differs from the reference fold")
+	}
+	rs[1].Parts[0] = fill(5, 1) // wrong length: the error names the reduction
+	if _, err := AllReduceBatch(Loopback{}, rs); err == nil || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("got %v, want an error naming reduction b", err)
+	}
+}
+
+// TestRingAllReduceBatchAbortUnblocks: a rank waiting inside a batch whose
+// peer never joins fails with the abort, like a single AllReduce.
+func TestRingAllReduceBatchAbortUnblocks(t *testing.T) {
+	rings, err := NewLocalRing(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(t, rings)
+	for _, r := range rings {
+		r.BeginRound() // an abort poisons round epochs only
+	}
+	done := make(chan error, 1)
+	go func() {
+		rs := []Reduction{
+			{Name: "x", Dst: make([]float64, 4), Parts: [][]float64{fill(4, 1)}},
+			{Name: "y", Dst: make([]float64, 4), Parts: [][]float64{fill(4, 2)}},
+		}
+		_, err := rings[0].AllReduceBatch(rs)
+		done <- err
+	}()
+	rings[1].Abort(errors.New("peer gave up"))
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "peer gave up") {
+		t.Fatalf("got %v, want the peer's abort", err)
+	}
+}
+
+// TestPayloadPoolSizeClasses: payloads are pooled by power-of-two capacity,
+// so a frame never gets a recycled buffer of another size. (Capacities, not
+// addresses: under the race detector sync.Pool drops Puts at random.)
+func TestPayloadPoolSizeClasses(t *testing.T) {
+	rings, err := NewLocalRing(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(t, rings)
+	r := rings[0]
+	if p := r.getPayload(0); p != nil {
+		t.Fatalf("empty payload %v, want nil", p)
+	}
+	big, small := r.getPayload(1000), r.getPayload(3)
+	if len(big) != 1000 || cap(big) != 1024 || len(small) != 3 || cap(small) != 4 {
+		t.Fatalf("got len/cap %d/%d and %d/%d, want 1000/1024 and 3/4", len(big), cap(big), len(small), cap(small))
+	}
+	r.putPayload(big)
+	r.putPayload(small)
+	for _, c := range []struct{ n, wantCap int }{{600, 1024}, {4, 4}, {5, 8}, {1024, 1024}, {1025, 2048}} {
+		if got := r.getPayload(c.n); len(got) != c.n || cap(got) != c.wantCap {
+			t.Fatalf("getPayload(%d): len/cap %d/%d, want %d/%d", c.n, len(got), cap(got), c.n, c.wantCap)
+		}
+	}
+}
