@@ -532,38 +532,55 @@ func BenchmarkAblationDamping(b *testing.B) {
 // BenchmarkEngineStep measures per-step throughput of the *real* executor
 // at data-parallel widths W = 1 and W = 2: the same global batch, either
 // on one pipeline or sharded across two replicas with the in-process
-// gradient collective. CI distills these rows into BENCH_engine.json so
-// the perf trajectory covers the executor, not just the kernels.
+// gradient collective. The chimera row is the schedule the paper headlines,
+// at the paired benchmark's base_chimera_k4 block shape (D = 2, N = 4): its
+// two devices run the two pipeline directions at the same time on
+// per-direction module sets, so its seqs/s is a 2-core-host number — on one
+// core the directions take turns again. CI distills these rows into
+// BENCH_engine.json so the perf trajectory covers the executor, not just
+// the kernels.
 func BenchmarkEngineStep(b *testing.B) {
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("W%d", w), func(b *testing.B) {
-			m, err := bert.New(bert.TinyConfig(), 5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 17)
-			if err != nil {
-				b.Fatal(err)
-			}
-			e, err := engine.NewWithConfig(m, engine.Config{
+			benchEngineStep(b, bert.TinyConfig(), engine.Config{
 				Method: "1f1b", Stages: 2, MicroBatches: 4 / w, Replicas: w,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			const batchSize = 8
-			batch := c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
-			params := m.Params()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				nn.ZeroGrads(params)
-				if _, err := e.TrainStep(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 		})
 	}
+	b.Run("chimera", func(b *testing.B) { // 2-core host: both directions at once
+		benchEngineStep(b, chimeraBenchModel, engine.Config{Method: "chimera", Stages: 2, MicroBatches: 4})
+	})
+}
+
+// chimeraBenchModel is benchmark/'s base_chimera_k4 model: the paper's
+// regime, where forward/backward/recompute do most of a step's work.
+var chimeraBenchModel = bert.Config{VocabSize: 512, DModel: 64, DFF: 256, Heads: 4, Blocks: 2, SeqLen: 64}
+
+func benchEngineStep(b *testing.B, mc bert.Config, ec engine.Config) {
+	m, err := bert.New(mc, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := data.NewCorpus(mc.VocabSize, 1.0, 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := engine.NewWithConfig(m, ec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batchSize = 8
+	batch := c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
+	params := m.Params()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.ZeroGrads(params)
+		if _, err := e.TrainStep(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 }
 
 // BenchmarkEngineRoundKFAC measures round-mode executor throughput: the
@@ -602,44 +619,61 @@ func BenchmarkEngineRoundKFAC(b *testing.B) {
 				name += "-overlap"
 			}
 			b.Run(name, func(b *testing.B) {
-				m, err := bert.New(bert.TinyConfig(), 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 17)
-				if err != nil {
-					b.Fatal(err)
-				}
-				e, err := engine.NewWithConfig(m, engine.Config{
+				benchEngineRoundKFAC(b, bert.TinyConfig(), engine.Config{
 					Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: k,
 					OverlapRounds: overlap,
 				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := e.EnableKFAC(kfac.DefaultOptions(), 4); err != nil {
-					b.Fatal(err)
-				}
-				opt := optim.NewLAMB(m.Params(), 0.01)
-				e.SetOptimizer(func(step int) error {
-					opt.Step(1e-3)
-					return nil
-				})
-				const batchSize = 8
-				batches := make([]*data.Batch, k)
-				for j := range batches {
-					batches[j] = c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := e.TrainRound(batches); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(batchSize*k)*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 			})
 		}
 	}
+	// The paired benchmark's base_chimera_k4 pipefisher arm: Chimera, D = 2,
+	// N = 4, one refresh per 4-step overlapped round. 2-core host: the two
+	// directions run at once (see BenchmarkEngineStep/chimera).
+	b.Run("chimera-K4-overlap", func(b *testing.B) {
+		benchEngineRoundKFAC(b, chimeraBenchModel, engine.Config{
+			Method: "chimera", Stages: 2, MicroBatches: 4, RefreshSteps: 4,
+			OverlapRounds: true,
+		})
+	})
+}
+
+// benchEngineRoundKFAC times TrainRound on a K-FAC engine refreshing every
+// 4 steps, LAMB firing at the round-internal step barriers.
+func benchEngineRoundKFAC(b *testing.B, mc bert.Config, ec engine.Config) {
+	m, err := bert.New(mc, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := data.NewCorpus(mc.VocabSize, 1.0, 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := engine.NewWithConfig(m, ec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := e.EnableKFAC(kfac.DefaultOptions(), 4); err != nil {
+		b.Fatal(err)
+	}
+	opt := optim.NewLAMB(m.Params(), 0.01)
+	e.SetOptimizer(func(step int) error {
+		opt.Step(1e-3)
+		return nil
+	})
+	const batchSize = 8
+	k := ec.RefreshSteps
+	batches := make([]*data.Batch, k)
+	for j := range batches {
+		batches[j] = c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.TrainRound(batches); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(batchSize*k)*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 }
 
 // BenchmarkAllReduce measures the socket transport's chunked chain

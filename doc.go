@@ -189,6 +189,26 @@
 // real as in-process reductions (internal/engine/collective.go) under a
 // strict contract:
 //
+//   - Ownership: the unit of execution is a module set — one copy of the
+//     model's modules with its own layer workspace and gradient
+//     accumulators. A replica is one module set; a Chimera replica is
+//     two, one per pipeline direction, and the up-pipeline set holds no
+//     weights of its own: its parameter Value.Data aliases its replica's
+//     storage (the real system's second weight copy, without the copy or
+//     a broadcast to it). Every (replica, pipeline, stage) of a schedule
+//     maps to exactly one device — checked whenever a schedule is built,
+//     and for every family x D x N x W x K-FAC x K by
+//     TestScheduleOwnershipGenerated — so one device goroutine drives each
+//     module set's stage and no lock guards a module: Chimera's two
+//     directions run at the same time
+//     (TestChimeraDirectionsRunConcurrently deadlocks under any per-stage
+//     lock). Weights are written only while every device is parked at the
+//     step-commit barrier, in place, so both directions see an update, a
+//     checkpoint restore or a resync (TestChimeraAliasSurvivesRestore,
+//     TestReconfigureIntoChimeraBuildsAliasedSets). Gradients leave a
+//     module set only as the per-micro-batch deltas of the next bullet.
+//     ShardParams keeps its gather state per module set for the same
+//     reason. The race detector runs the identity suites in CI.
 //   - Reduction order is fixed at micro-batch granularity: each backward
 //     snapshots its micro-batch's gradient contribution into pooled delta
 //     buffers, and the stage's SyncGrad folds carried state plus every
@@ -199,11 +219,14 @@
 //     curvature partials fold the same way, so factors, inverses, and
 //     preconditioned gradients inherit the guarantee.
 //   - Buffer ownership: the run state owns the carried and delta buffers.
-//     The reduction consumes the deltas (reduceGrads Puts each and nils
-//     its slot); the carried pre-step accumulators survive until the whole
-//     step commits, so an aborted step can roll every stage back — folded
-//     or not — to the caller's pre-step gradient state. The steady-state
-//     collective path is allocation-free.
+//     The reduction consumes the deltas (foldParams Puts each and nils
+//     its slot); a step's carried pre-step accumulators survive until that
+//     step commits — and no longer: the commit returns them to the pool —
+//     so an aborted step can roll every stage back — folded or not — to
+//     the caller's pre-step gradient state
+//     (TestPoolAuditNoLeakOnAbortAnywhere aborts after one, two and three
+//     committed steps of a K = 4 round). The steady-state collective path
+//     is allocation-free.
 //   - Any participant of a stage's collective may perform the reduction;
 //     the per-stage once-guard blocks latecomers until it completed (the
 //     rendezvous), and the reduced result lands in the primary replica's
@@ -385,10 +408,12 @@
 //     this; refreshEvery must be a multiple of K either way).
 //   - Step commits: every step's OptStep ops rendezvous at a barrier; the
 //     last arriver fires the caller's optimizer callback (SetOptimizer),
-//     zeroes the primary's accumulators, and re-broadcasts parameters to
-//     the replicas while every device is parked — so collectives and the
-//     update still happen exactly once per step, with the bit-identical
-//     fixed reduction order. On failure the round aborts at round
+//     zeroes the primary's accumulators, releases the step's carried
+//     rollback clones, and re-broadcasts parameters to the replicas while
+//     every device is parked — the one moment weights are written, which
+//     is what lets Chimera's two directions read one copy of them without
+//     a lock — so collectives and the update still happen exactly once per
+//     step, with the bit-identical fixed reduction order. On failure the round aborts at round
 //     granularity: committed steps stand, the failing step's gradient
 //     state rolls back, and the step counter advances only past the
 //     committed steps.

@@ -63,10 +63,13 @@ type Model struct {
 	pipePosIDs []int // scratch for EmbedForward's micro-batch shape
 
 	// Retained pipeline-adapter buffers (see pipeline.go): the summed
-	// token+position embeddings and the gathered [CLS] rows are reused
-	// across micro-batches instead of being freshly allocated.
-	pipeEmbBuf *tensor.Matrix
-	pipeClsBuf *tensor.Matrix
+	// token+position embeddings, the gathered [CLS] rows and the two heads'
+	// logits gradients are reused across micro-batches instead of being
+	// freshly allocated.
+	pipeEmbBuf     *tensor.Matrix
+	pipeClsBuf     *tensor.Matrix
+	pipeMLMGradBuf *tensor.Matrix
+	pipeNSPGradBuf *tensor.Matrix
 }
 
 // New builds a model with the given configuration and seed.

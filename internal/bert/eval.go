@@ -41,7 +41,7 @@ func (m *Model) Evaluate(batch *data.Batch) (*EvalResult, error) {
 		x = b.Forward(x)
 	}
 	mlmLogits := m.MLMHead.Forward(x)
-	mlmLoss, _, masked := nn.CrossEntropy(mlmLogits, batch.Targets)
+	mlmLoss, masked := nn.CrossEntropyLoss(mlmLogits, batch.Targets)
 
 	var mlmCorrect int
 	for i, tgt := range batch.Targets {
@@ -68,7 +68,7 @@ func (m *Model) Evaluate(batch *data.Batch) (*EvalResult, error) {
 			nspCorrect++
 		}
 	}
-	nspLoss, _, _ := nn.CrossEntropy(nspLogits, nspTargets)
+	nspLoss, _ := nn.CrossEntropyLoss(nspLogits, nspTargets)
 
 	res := &EvalResult{
 		Loss: LossBreakdown{

@@ -96,10 +96,10 @@ func (m *Model) HeadLoss(mb *data.Batch, y *tensor.Matrix, t pipemodel.Totals) (
 		return pipemodel.Loss{}, err
 	}
 	mlmLogits := m.MLMHead.Forward(y)
-	mlmLoss, _, masked := nn.CrossEntropy(mlmLogits, mb.Targets)
+	mlmLoss, masked := nn.CrossEntropyLoss(mlmLogits, mb.Targets)
 	cls := m.clsRows(y, mb.BatchSize, mb.SeqLen)
 	nspLogits := m.NSPHead.Forward(cls)
-	nspLoss, _, _ := nn.CrossEntropy(nspLogits, nspTargets(mb))
+	nspLoss, _ := nn.CrossEntropyLoss(nspLogits, nspTargets(mb))
 
 	var mlm float64
 	if t.Tokens > 0 {
@@ -122,7 +122,9 @@ func (m *Model) HeadGradient(mb *data.Batch, y *tensor.Matrix, t pipemodel.Total
 		return nil, err
 	}
 	mlmLogits := m.MLMHead.Forward(y)
-	_, mlmGrad, masked := nn.CrossEntropy(mlmLogits, mb.Targets)
+	mlmGrad := tensor.Reuse(m.pipeMLMGradBuf, mlmLogits.Rows, mlmLogits.Cols)
+	m.pipeMLMGradBuf = mlmGrad
+	_, masked := nn.CrossEntropyInto(mlmGrad, mlmLogits, mb.Targets)
 	if t.Tokens > 0 && masked > 0 {
 		mlmGrad.ScaleInPlace(float64(masked) / float64(t.Tokens))
 	}
@@ -130,7 +132,9 @@ func (m *Model) HeadGradient(mb *data.Batch, y *tensor.Matrix, t pipemodel.Total
 
 	cls := m.clsRows(y, mb.BatchSize, mb.SeqLen)
 	nspLogits := m.NSPHead.Forward(cls)
-	_, nspGrad, _ := nn.CrossEntropy(nspLogits, nspTargets(mb))
+	nspGrad := tensor.Reuse(m.pipeNSPGradBuf, nspLogits.Rows, nspLogits.Cols)
+	m.pipeNSPGradBuf = nspGrad
+	nn.CrossEntropyInto(nspGrad, nspLogits, nspTargets(mb))
 	nspGrad.ScaleInPlace(float64(mb.BatchSize) / float64(t.Seqs))
 	dCls := m.NSPHead.Backward(nspGrad)
 	for i := 0; i < mb.BatchSize; i++ {

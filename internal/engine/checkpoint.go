@@ -60,7 +60,7 @@ type roundCheckpoint struct {
 // from the previous save.
 func (e *Engine) saveCheckpoint() {
 	c := &e.ckpt
-	ps := e.reps[0].params
+	ps := e.sets[0].params
 	if len(c.params) != len(ps) {
 		c.params = make([]*tensor.Matrix, len(ps))
 		c.grads = make([]*tensor.Matrix, len(ps))
@@ -113,7 +113,7 @@ func (e *Engine) RestoreCheckpoint() (int, error) {
 	if !c.valid {
 		return 0, fmt.Errorf("engine: no round checkpoint saved yet (TrainRound saves one at every round start)")
 	}
-	for i, p := range e.reps[0].params {
+	for i, p := range e.sets[0].params {
 		p.Value.CopyFrom(c.params[i])
 		p.Grad.CopyFrom(c.grads[i])
 	}

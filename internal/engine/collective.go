@@ -48,7 +48,7 @@ func (e *Engine) initCollectives() {
 	e.multiRank = e.group.Size() > 1
 	perStep := e.cfg.MicroBatches * e.cfg.Replicas
 	e.foldOps = make([][]transport.Reduction, e.cfg.Stages)
-	for s, params := range e.reps[0].stageParams {
+	for s, params := range e.sets[0].stageParams {
 		e.foldOps[s] = newFoldOps(fmt.Sprintf("g/%d", s), len(params), perStep)
 	}
 }
@@ -76,7 +76,7 @@ func (e *Engine) syncInitialParams() error { return e.syncParamsFrom(0) }
 // re-broadcast: every rank folds identical gradients and runs the
 // optimizer in lockstep, so parameters stay bit-identical by induction.
 func (e *Engine) syncParamsFrom(root int) error {
-	params := e.reps[0].params
+	params := e.sets[0].params
 	desc := make([]float64, 1+len(params))
 	if e.group.Rank() == root {
 		desc[0] = float64(len(params))
@@ -163,8 +163,9 @@ func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.P
 // snapshotGradDeltas moves one micro-batch's accumulated gradients out of
 // the stage's parameters into pooled delta buffers (zeroing the
 // accumulators for the next micro-batch) — the per-participant send buffer
-// of the gradient collective. Must run under the (replica, stage) lock,
-// immediately after the micro-batch's backward finished accumulating.
+// of the gradient collective. Runs on the device that owns the module
+// set's stage, immediately after the micro-batch's backward finished
+// accumulating.
 func snapshotGradDeltas(params []*nn.Param, dst []*tensor.Matrix) {
 	for k, p := range params {
 		dst[k] = tensor.GetClone(p.Grad)
@@ -196,7 +197,7 @@ type kfacFoldScratch struct {
 func (e *Engine) initKFACFold() {
 	perStep := e.cfg.MicroBatches * e.cfg.Replicas
 	e.kfacFold = make([][]*kfacFoldScratch, e.cfg.Stages)
-	for s, st := range e.reps[0].stages {
+	for s, st := range e.sets[0].stages {
 		e.kfacFold[s] = make([]*kfacFoldScratch, len(st.layers))
 		for li := range st.layers {
 			fs := &kfacFoldScratch{

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/kfac"
+	"repro/internal/nn"
 	"repro/internal/transport"
 )
 
@@ -166,13 +167,11 @@ func (e *Engine) resyncFrom(root int) error {
 	e.stepIndex, e.roundIndex, e.kfacGen = int(ctr[0]), int(ctr[1]), int(ctr[2])
 	// Gradient accumulators restart clean on every rank (a rejoiner has
 	// none; survivors' pre-abort accumulators are stale).
-	for _, rep := range e.reps {
-		for _, p := range rep.params {
-			p.Grad.Zero()
-		}
+	for _, set := range e.sets {
+		nn.ZeroGrads(set.params)
 	}
 	if e.kfacPre != nil {
-		for s, st := range e.reps[0].stages {
+		for s, st := range e.sets[0].stages {
 			e.kfacPre[s] = kfac.NewPreconditioner(st.layers, e.kfacOpts)
 		}
 		for _, p := range e.kfacPools {

@@ -51,7 +51,7 @@ type engState struct {
 
 func captureEngState(e *Engine) *engState {
 	s := &engState{step: e.stepIndex, round: e.roundIndex, gen: e.kfacGen, refreshPending: e.refreshPending}
-	for _, p := range e.reps[0].params {
+	for _, p := range e.sets[0].params {
 		s.params = append(s.params, append([]float64(nil), p.Value.Data...))
 	}
 	if e.optState != nil {
@@ -67,7 +67,7 @@ func captureEngState(e *Engine) *engState {
 }
 
 func implantEngState(e *Engine, s *engState) error {
-	for i, p := range e.reps[0].params {
+	for i, p := range e.sets[0].params {
 		copy(p.Value.Data, s.params[i])
 		p.Grad.Zero()
 	}

@@ -34,6 +34,22 @@
 // the stage's replica group (each replica inverts its shard; the shared
 // per-stage preconditioner makes the broadcast implicit).
 //
+// # Module sets and ownership
+//
+// A module set is one full copy of the model's modules (embedding, blocks,
+// head) with its own layer workspace and gradient accumulators. Every
+// replica has one; under Chimera every replica has two, one per pipeline
+// direction — the real system's second weight copy — and the up-pipeline
+// set's parameter values are not a copy at all: its Value.Data aliases the
+// down set's storage, so the two directions read the same weights and
+// nothing is broadcast between them. Ownership contract: every (replica,
+// pipeline, stage) of the schedule maps to exactly one device (checked
+// when the schedule is built), so one device goroutine drives each module
+// set's stage and no lock guards the modules. Weights are only written
+// while every device is parked at the step-commit barrier; gradients leave
+// a module set only as per-micro-batch deltas, folded into the primary in
+// the fixed collective order above.
+//
 // Because the simulator and this executor share one schedule
 // representation, any schedule the simulator can lay out — GPipe, 1F1B,
 // Chimera, their data-parallel W > 1 forms, or their PipeFisher-augmented
@@ -260,10 +276,12 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
-// replica is one data-parallel copy of the model, partitioned into stages.
-// Replica 0 wraps the caller's model (the primary — the copy the caller's
-// optimizer updates); the others are engine-owned clones.
-type replica struct {
+// moduleSet is one copy of the model's modules, partitioned into stages:
+// a data-parallel replica, or the second (up-pipeline) set a Chimera
+// replica runs beside its first. Set 0 wraps the caller's model (the
+// primary — the copy the caller's optimizer updates); the others are
+// engine-owned clones.
+type moduleSet struct {
 	model  pipemodel.Model
 	stages []*stage
 	// params caches model.Params() in the model's canonical order, for the
@@ -271,21 +289,24 @@ type replica struct {
 	params []*nn.Param
 	// stageParams[s] lists the parameters stage s's ops touch — embedding
 	// params first (stage 0 only), then the stage's block params, then
-	// head params (last stage only) — in an order shared by all replicas,
-	// so per-micro-batch gradient deltas align across the group.
+	// head params (last stage only) — in an order shared by all sets, so
+	// per-micro-batch gradient deltas align across the group.
 	stageParams [][]*nn.Param
 }
 
 // Engine drives pipeline-parallel training steps of a stageable model.
 type Engine struct {
-	cfg  Config
-	reps []*replica
-	// stageMu[r][s] serializes all access to replica r's stage-s modules.
-	// For gpipe/1f1b each (replica, stage) belongs to exactly one device
-	// goroutine; for Chimera two devices (one per pipeline direction)
-	// share each replica's stage parameters, and the lock is what stands
-	// in for the per-direction weights sharing of the real system.
-	stageMu [][]sync.Mutex
+	cfg Config
+	// sets holds the module sets. sets[r], r < Replicas, is data-parallel
+	// replica r (sets[0] the primary), with its own parameter copy,
+	// re-broadcast from the primary at every step. Under chimera Replicas
+	// more follow: sets[Replicas+r] is replica r's up-pipeline set, whose
+	// parameter values alias sets[r]'s storage (buildUpSets) while its
+	// gradient accumulators and layer workspace are its own. An op finds
+	// its set with setIndex; the schedule gives every (replica, pipeline,
+	// stage) one device (checkOwnership), so a set's stage is only ever
+	// touched by one device goroutine and needs no lock.
+	sets []*moduleSet
 	// layerMu[s][li] guards the primary preconditioner's per-layer factor
 	// state — the curvature fold (SetFactors) and inversion refreshes — so
 	// different devices of a stage's replica group can invert different
@@ -426,29 +447,17 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 	if cfg.RefreshSteps == AdaptiveRefreshSteps {
 		e.roundLen = 1 // resolved from measured work at EnableKFAC
 	}
-	prim, err := buildReplica(model, cfg)
+	prim, err := buildModuleSet(model, cfg)
 	if err != nil {
 		return nil, err
 	}
-	e.reps = append(e.reps, prim)
+	e.sets = append(e.sets, prim)
 	for r := 1; r < cfg.Replicas; r++ {
-		clone, err := model.Replicate()
-		if err != nil {
-			return nil, fmt.Errorf("engine: replicating model for replica %d: %w", r, err)
-		}
-		rep, err := buildReplica(clone, cfg)
+		rep, err := e.cloneSet()
 		if err != nil {
 			return nil, fmt.Errorf("engine: replica %d: %w", r, err)
 		}
-		if len(rep.params) != len(prim.params) {
-			return nil, fmt.Errorf("engine: replica %d has %d params, primary has %d (Replicate must preserve structure)",
-				r, len(rep.params), len(prim.params))
-		}
-		e.reps = append(e.reps, rep)
-	}
-	e.stageMu = make([][]sync.Mutex, cfg.Replicas)
-	for r := range e.stageMu {
-		e.stageMu[r] = make([]sync.Mutex, cfg.Stages)
+		e.sets = append(e.sets, rep)
 	}
 	e.initCollectives()
 	// The fault plan is projected onto this member's transport rank, so a
@@ -463,20 +472,95 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 	if cfg.ShardParams {
 		e.initShards()
 	}
+	if cfg.Method == "chimera" {
+		up, err := e.buildUpSets()
+		if err != nil {
+			return nil, err
+		}
+		e.sets = append(e.sets, up...)
+	}
 	if err := e.rebuildSchedule(); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-// buildReplica partitions one model copy into stages and derives the
+// cloneSet builds an engine-owned module set from a fresh Replicate() of
+// the primary's model.
+func (e *Engine) cloneSet() (*moduleSet, error) {
+	prim := e.sets[0]
+	clone, err := prim.model.Replicate()
+	if err != nil {
+		return nil, fmt.Errorf("replicating model: %w", err)
+	}
+	set, err := buildModuleSet(clone, e.cfg)
+	if err != nil {
+		return nil, err
+	}
+	if len(set.params) != len(prim.params) {
+		return nil, fmt.Errorf("clone has %d params, primary has %d (Replicate must preserve structure)",
+			len(set.params), len(prim.params))
+	}
+	return set, nil
+}
+
+// buildUpSets builds Chimera's second module set for every replica: the
+// modules the replica's up pipeline runs while its down pipeline runs the
+// first set, on another device, at the same time. Its parameter Value.Data
+// aliases the down set's storage (the attach idiom of shard.go: the modules
+// hold the *Matrix headers mutated here), so an optimizer update or a
+// checkpoint restore written in place reaches both directions; what it
+// owns is what two running devices must not share — gradient accumulators
+// and the layers' retained workspace. Where a sharded replica detached a
+// parameter (ShardParams), the up set is detached too and gathers its own
+// pooled copy on use. The caller appends the result to e.sets.
+func (e *Engine) buildUpSets() ([]*moduleSet, error) {
+	up := make([]*moduleSet, e.cfg.Replicas)
+	for r := range up {
+		set, err := e.cloneSet()
+		if err != nil {
+			return nil, fmt.Errorf("engine: up-pipeline module set of replica %d: %w", r, err)
+		}
+		down := e.sets[r]
+		if err := nn.ShareParamValues(set.params, down.params); err != nil {
+			return nil, fmt.Errorf("engine: up-pipeline module set of replica %d: %w", r, err)
+		}
+		for i, p := range down.params {
+			if p.Grad.Data == nil {
+				set.params[i].Grad.Data = nil
+			}
+		}
+		if e.kfacPre != nil {
+			set.captureKFAC()
+		}
+		up[r] = set
+	}
+	return up, nil
+}
+
+// setIndex locates the module set a forward or backward op runs on:
+// replica op.Replica's down set, or — op.Pipeline 1, Chimera only — its up
+// set.
+func (e *Engine) setIndex(op *pipeline.Op) int { return op.Pipeline*e.cfg.Replicas + op.Replica }
+
+// captureKFAC switches K-FAC statistics capture on for every stage layer of
+// the set (the primary's layers are switched by their preconditioner).
+func (ms *moduleSet) captureKFAC() {
+	for _, st := range ms.stages {
+		for _, l := range st.layers {
+			l.CaptureKFAC = true
+		}
+	}
+}
+
+// buildModuleSet partitions one model copy into stages and derives the
 // per-stage parameter lists the gradient collective reduces over.
-func buildReplica(model pipemodel.Model, cfg Config) (*replica, error) {
+func buildModuleSet(model pipemodel.Model, cfg Config) (*moduleSet, error) {
 	blocks := model.PipelineBlocks()
 	if len(blocks)%cfg.Stages != 0 {
 		return nil, fmt.Errorf("engine: %d blocks not divisible by %d stages", len(blocks), cfg.Stages)
 	}
-	rep := &replica{model: model, params: model.Params()}
+	rep := &moduleSet{model: model, params: model.Params()}
 	per := len(blocks) / cfg.Stages
 	for s := 0; s < cfg.Stages; s++ {
 		st := &stage{
@@ -554,6 +638,9 @@ func (e *Engine) rebuildSchedule() error {
 	if _, err := pipeline.Run(sched); err != nil {
 		return fmt.Errorf("engine: schedule not executable: %w", err)
 	}
+	if err := checkOwnership(sched, e.cfg); err != nil {
+		return err
+	}
 	if e.kfacPre != nil {
 		// The degradation ladder treats a failed refresh op as a success
 		// (stale inverses serve instead); that is only sound when no
@@ -564,6 +651,35 @@ func (e *Engine) rebuildSchedule() error {
 		}
 	}
 	e.sched = sched
+	return nil
+}
+
+// checkOwnership proves the ownership contract the executor runs without
+// locks on: all forwards and backwards of one (replica, pipeline, stage) —
+// one stage of one module set — sit on one device, so one goroutine drives
+// those modules for the whole round. Only Chimera has a second pipeline.
+func checkOwnership(s *pipeline.Schedule, cfg Config) error {
+	pipes := 1
+	if cfg.Method == "chimera" {
+		pipes = 2
+	}
+	owner := make(map[[3]int]int)
+	for _, op := range s.Ops {
+		if op.Kind != pipeline.Forward && op.Kind != pipeline.Backward {
+			continue
+		}
+		if op.Replica < 0 || op.Replica >= cfg.Replicas || op.Pipeline < 0 || op.Pipeline >= pipes ||
+			op.Stage < 0 || op.Stage >= cfg.Stages {
+			return fmt.Errorf("engine: op %s names module set (replica %d, pipeline %d) stage %d, outside %d replicas x %d pipelines x %d stages",
+				op.Label(), op.Replica, op.Pipeline, op.Stage, cfg.Replicas, pipes, cfg.Stages)
+		}
+		key := [3]int{op.Replica, op.Pipeline, op.Stage}
+		if d, ok := owner[key]; ok && d != op.Device {
+			return fmt.Errorf("engine: stage %d of module set (replica %d, pipeline %d) is scheduled on devices %d and %d; the executor needs one owner per module set",
+				op.Stage, op.Replica, op.Pipeline, d, op.Device)
+		}
+		owner[key] = op.Device
+	}
 	return nil
 }
 
@@ -594,7 +710,7 @@ func (e *Engine) execCosts() pipeline.StageCosts {
 	if e.costModel != nil {
 		return *e.costModel
 	}
-	nFactors := 2 * len(e.reps[0].stages[0].layers)
+	nFactors := 2 * len(e.sets[0].stages[0].layers)
 	c := pipeline.StageCosts{
 		Forward:      100,
 		Backward:     200,
@@ -608,7 +724,7 @@ func (e *Engine) execCosts() pipeline.StageCosts {
 			// stage's all-reduce with the chunked-chain cost (floored at the
 			// in-process estimate) so the packer sees the real proportions.
 			var maxFloats int
-			for _, params := range e.reps[0].stageParams {
+			for _, params := range e.sets[0].stageParams {
 				var n int
 				for _, p := range params {
 					n += p.NumElements()
@@ -673,7 +789,7 @@ func (e *Engine) Schedule() *pipeline.Schedule { return e.sched }
 
 // StageLayers returns the K-FAC-eligible dense layers of one stage (the
 // primary replica's copy — the one the preconditioners are attached to).
-func (e *Engine) StageLayers(s int) []*nn.Dense { return e.reps[0].stages[s].layers }
+func (e *Engine) StageLayers(s int) []*nn.Dense { return e.sets[0].stages[s].layers }
 
 // LastTimeline returns the executed timeline of the most recent round
 // (wall-clock microseconds, one event per executed op with its step index,
@@ -739,19 +855,15 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 	e.roundLen = k
 	e.kfacPre = make([]*kfac.Preconditioner, e.cfg.Stages)
 	e.layerMu = make([][]sync.Mutex, e.cfg.Stages)
-	for s, st := range e.reps[0].stages {
+	for s, st := range e.sets[0].stages {
 		e.kfacPre[s] = kfac.NewPreconditioner(st.layers, opts)
 		e.layerMu[s] = make([]sync.Mutex, len(st.layers))
 	}
 	e.initKFACFold()
-	// Replica layers capture the same statistics as the primary's: their
-	// micro-batches contribute to the shared per-stage factors.
-	for _, rep := range e.reps[1:] {
-		for _, st := range rep.stages {
-			for _, l := range st.layers {
-				l.CaptureKFAC = true
-			}
-		}
+	// Every other module set captures the same statistics as the primary's:
+	// their micro-batches contribute to the shared per-stage factors.
+	for _, set := range e.sets[1:] {
+		set.captureKFAC()
 	}
 	e.kfacOpts = opts
 	e.refreshEvery = refreshEvery
@@ -799,7 +911,7 @@ func (e *Engine) ensureGenPools() {
 		n = 2
 	}
 	perStep := e.cfg.MicroBatches * e.cfg.Replicas
-	nLayers := len(e.reps[0].stages[0].layers)
+	nLayers := len(e.sets[0].stages[0].layers)
 	for len(e.kfacPools) < n {
 		e.kfacPools = append(e.kfacPools, newKFACGenPool(e.cfg.Stages, perStep, nLayers))
 	}
@@ -917,8 +1029,8 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 			return nil, fmt.Errorf("engine: batch size %d not divisible by %d micro-batches (%d per replica x %d replicas x %d ranks)",
 				batch.BatchSize, n, e.cfg.MicroBatches, e.cfg.Replicas, e.group.Size())
 		}
-		if batch.SeqLen != e.reps[0].model.SeqLen() {
-			return nil, fmt.Errorf("engine: batch seq len %d != model %d", batch.SeqLen, e.reps[0].model.SeqLen())
+		if batch.SeqLen != e.sets[0].model.SeqLen() {
+			return nil, fmt.Errorf("engine: batch seq len %d != model %d", batch.SeqLen, e.sets[0].model.SeqLen())
 		}
 		all := splitBatch(batch, n)
 		// Each step's global loss denominators must be known before any of
@@ -926,7 +1038,7 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 		// is part of the batch).
 		totals[j] = pipemodel.Totals{Seqs: batch.BatchSize}
 		for _, mb := range all {
-			totals[j].Tokens += e.reps[0].model.BatchTokenCount(mb)
+			totals[j].Tokens += e.sets[0].model.BatchTokenCount(mb)
 		}
 		micro[j] = all[rank*nLocal : (rank+1)*nLocal]
 	}
@@ -1057,8 +1169,9 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 
 // broadcastParams copies the primary's parameters to every replica — the
 // start-of-step weight broadcast of the data-parallel group, used by the
-// round prologue and the step-commit barrier alike. Under ShardParams only
-// a secondary replica's resident (owned) parameters are copied; the rest
+// round prologue and the step-commit barrier alike. Up-pipeline sets alias
+// their replica's storage and need no copy. Under ShardParams only a
+// secondary replica's resident (owned) parameters are copied; the rest
 // have no storage until gathered on use, and the gather reads the primary
 // directly, which this broadcast keeps authoritative.
 func (e *Engine) broadcastParams() error {
@@ -1066,8 +1179,8 @@ func (e *Engine) broadcastParams() error {
 	if e.shard != nil {
 		cp = nn.CopyParamsResident
 	}
-	for rep := 1; rep < len(e.reps); rep++ {
-		if err := cp(e.reps[rep].params, e.reps[0].params); err != nil {
+	for rep := 1; rep < e.cfg.Replicas; rep++ {
+		if err := cp(e.sets[rep].params, e.sets[0].params); err != nil {
 			return fmt.Errorf("broadcasting params to replica %d: %w", rep, err)
 		}
 	}

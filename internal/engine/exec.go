@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/hardware"
+	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/pipemodel"
 	"repro/internal/tensor"
@@ -59,10 +60,11 @@ type runState struct {
 	lossParts [][]pipemodel.Loss // [step][gmicro], written by the last stage
 
 	// Gradient-collective state, per step of the round: carried holds the
-	// step's pre-step accumulators (restored as the base of the reduction;
-	// step 0's captured in the round prologue, later steps' at the previous
-	// step's commit barrier), deltas the per-micro-batch contributions
-	// snapshotted by each backward, foldDone the per-(step, stage)
+	// step's pre-step accumulators (restored as the base of the reduction
+	// and, on an abort, as the rollback state; step 0's captured in the
+	// round prologue, later steps' at the previous step's commit barrier,
+	// each released at its own step's commit), deltas the per-micro-batch
+	// contributions snapshotted by each backward, foldDone the per-(step, stage)
 	// once-guards of the reduction (any participant of the stage's
 	// collective may perform it; latecomers block until it finished), and
 	// foldErr a reduction failure to surface.
@@ -205,7 +207,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		st.foldErr[j] = make([]error, nStages)
 		st.optDone[j] = make(chan struct{})
 		for s := 0; s < nStages; s++ {
-			params := e.reps[0].stageParams[s]
+			params := e.sets[0].stageParams[s]
 			st.carried[j][s] = make([]*tensor.Matrix, len(params))
 			st.deltas[j][s] = make([][]*tensor.Matrix, perStep)
 			for m := 0; m < perStep; m++ {
@@ -298,8 +300,8 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		// loss curve must not silently skip steps it can never re-run.
 		return st.results(st.committed), st.committed, root
 	}
-	// The round committed: release the carried rollback state of every step.
-	st.releaseCarried()
+	// The round committed, and every step's commit released its carried
+	// rollback state on the way.
 	e.lastTimeline = st.timeline()
 	return st.results(r), st.committed, nil
 }
@@ -335,28 +337,32 @@ func (st *runState) results(upTo int) []*StepResult {
 // the commit barrier for each following step, so the preparation sequence
 // exists once.
 func (st *runState) captureStepBase(j int) {
-	for s := range st.e.reps[0].stageParams {
-		for k, p := range st.e.reps[0].stageParams[s] {
+	for s := range st.e.sets[0].stageParams {
+		for k, p := range st.e.sets[0].stageParams[s] {
 			st.carried[j][s][k] = tensor.GetClone(p.Grad)
 			p.Grad.Zero()
 		}
-		for _, rep := range st.e.reps[1:] {
-			for _, p := range rep.stageParams[s] {
-				p.Grad.Zero()
-			}
-		}
+	}
+	st.zeroSecondaryGrads()
+}
+
+// zeroSecondaryGrads clears the accumulators of every module set but the
+// primary: the state each backward's delta snapshot starts from.
+func (st *runState) zeroSecondaryGrads() {
+	for _, set := range st.e.sets[1:] {
+		nn.ZeroGrads(set.params)
 	}
 }
 
-// releaseCarried returns every captured carried buffer to the pool.
-func (st *runState) releaseCarried() {
-	for j := range st.carried {
-		for s := range st.carried[j] {
-			for k, c := range st.carried[j][s] {
-				if c != nil {
-					tensor.Put(c)
-					st.carried[j][s][k] = nil
-				}
+// releaseCarried returns step j's captured carried buffers to the pool.
+// rollback only ever reads the first uncommitted step's, so a step's base
+// is dead once the step committed.
+func (st *runState) releaseCarried(j int) {
+	for s := range st.carried[j] {
+		for k, c := range st.carried[j][s] {
+			if c != nil {
+				tensor.Put(c)
+				st.carried[j][s][k] = nil
 			}
 		}
 	}
@@ -366,15 +372,15 @@ func (st *runState) releaseCarried() {
 // steps stand — their optimizer updates already happened and cannot be
 // undone without parameter snapshots — so the restore target is the first
 // *uncommitted* step: every stage gets that step's carried accumulators
-// back (including stages whose reduction already committed, since the
-// carried buffers live until the whole round succeeded), partial per-micro
-// deltas of every step are released, and every replica's accumulators are
+// back (including stages whose reduction already ran, since a step's
+// carried buffers live until the step commits), partial per-micro deltas of
+// every step are released, and every other module set's accumulators are
 // re-zeroed so the snapshot discipline of the next round starts clean.
 func (st *runState) rollback() {
 	j := st.committed // the step that failed to commit
 	if j < len(st.carried) {
 		for s := range st.carried[j] {
-			params := st.e.reps[0].stageParams[s]
+			params := st.e.sets[0].stageParams[s]
 			for k, p := range params {
 				if st.carried[j][s][k] != nil {
 					p.Grad.CopyFrom(st.carried[j][s][k])
@@ -382,7 +388,9 @@ func (st *runState) rollback() {
 			}
 		}
 	}
-	st.releaseCarried()
+	for j := st.committed; j < len(st.carried); j++ {
+		st.releaseCarried(j)
+	}
 	for j := range st.deltas {
 		for s := range st.deltas[j] {
 			for m := range st.deltas[j][s] {
@@ -416,13 +424,7 @@ func (st *runState) rollback() {
 	putOnce(st.stageIn)
 	putOnce(st.stageOut)
 	putOnce(st.gradOut)
-	for _, rep := range st.e.reps[1:] {
-		for s := range rep.stageParams {
-			for _, p := range rep.stageParams[s] {
-				p.Grad.Zero()
-			}
-		}
-	}
+	st.zeroSecondaryGrads()
 }
 
 // foldStages performs the gradient collective of every stage the op's
@@ -447,7 +449,7 @@ func (st *runState) foldStages(op *pipeline.Op) (int64, error) {
 		st.foldDone[j][s].Do(func() {
 			var nb int64
 			nb, st.foldErr[j][s] = foldParams(st.e.group, st.e.foldOps[s],
-				st.e.reps[0].stageParams[s], st.carried[j][s], st.deltas[j][s])
+				st.e.sets[0].stageParams[s], st.carried[j][s], st.deltas[j][s])
 			bytes += nb
 		})
 		if st.foldErr[j][s] != nil {
@@ -523,13 +525,14 @@ func (st *runState) commitStep(j int) error {
 		// of the classic ZeroGrads / TrainStep / Step loop — after every
 		// step, including the round's last, so the next round starts from
 		// clean accumulators exactly like the manual loop would.
-		for _, p := range e.reps[0].params {
+		for _, p := range e.sets[0].params {
 			p.Grad.Zero()
 		}
 	}
 	st.committed = j + 1
+	st.releaseCarried(j)
 	if j == len(st.micro)-1 {
-		return nil // round over; post-round cleanup happens after the join
+		return nil // round over
 	}
 	st.captureStepBase(j + 1)
 	return e.broadcastParams()
@@ -611,16 +614,15 @@ func (st *runState) exec(d int, op *pipeline.Op) error {
 // whole window.
 func (st *runState) forward(d int, op *pipeline.Op) error {
 	s, m := op.Stage, st.flat(op)
-	rep := st.e.reps[op.Replica]
+	si := st.e.setIndex(op)
+	rep := st.e.sets[si]
 	stg := rep.stages[s]
 	mb := st.micro[op.Step][st.gmicro(op)]
-	st.e.stageMu[op.Replica][s].Lock()
-	defer st.e.stageMu[op.Replica][s].Unlock()
 	if st.e.shard != nil {
 		// ZeRO gather-on-use: attach the stage's non-owned parameter values
-		// for the duration of this op (released before the lock drops).
-		st.e.gatherStage(op.Replica, s, false)
-		defer st.e.releaseStage(op.Replica, s)
+		// for the duration of this op.
+		st.e.gatherStage(si, s, false)
+		defer st.e.releaseStage(si, s)
 	}
 	t0 := time.Since(st.start)
 
@@ -676,18 +678,17 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 // buffers (zeroing the replica's accumulators for the next micro-batch).
 func (st *runState) backward(d int, op *pipeline.Op) error {
 	s, m := op.Stage, st.flat(op)
-	rep := st.e.reps[op.Replica]
+	si := st.e.setIndex(op)
+	rep := st.e.sets[si]
 	stg := rep.stages[s]
 	mb := st.micro[op.Step][st.gmicro(op)]
-	st.e.stageMu[op.Replica][s].Lock()
-	defer st.e.stageMu[op.Replica][s].Unlock()
 	if st.e.shard != nil {
 		// ZeRO gather-on-use, backward form: values for the recompute plus
 		// zeroed gradient accumulators — the delta snapshot below moves the
 		// accumulated contribution out before the release returns the
 		// buffers to the pool.
-		st.e.gatherStage(op.Replica, s, true)
-		defer st.e.releaseStage(op.Replica, s)
+		st.e.gatherStage(si, s, true)
+		defer st.e.releaseStage(si, s)
 	}
 	t0 := time.Since(st.start)
 
@@ -734,7 +735,7 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 		// module-retained buffer; publish a pooled copy.
 		st.gradOut[s][m] = tensor.GetClone(grad)
 	}
-	// The micro-batch finished accumulating on this (replica, stage):
+	// The micro-batch finished accumulating on this module set's stage:
 	// move its gradient contribution into the collective's delta slot.
 	snapshotGradDeltas(rep.stageParams[s], st.deltas[op.Step][s][st.gmicro(op)])
 	// Recycle the pooled buffers the micro-batch consumed — the
@@ -760,16 +761,16 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 // runs one window later, against the previous generation's pool). Partials
 // land in global micro-batch slots, so the later factor fold reduces every
 // replica's contributions in the same fixed order as the gradient
-// collective.
+// collective. It touches no module: the snapshot and partial slots of one
+// (stage, micro-batch, layer) belong to this op alone, by the dependency
+// edges.
 func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	s, m := op.Stage, st.gmicro(op)
-	stg := st.e.reps[op.Replica].stages[s]
+	stg := st.e.sets[op.Replica].stages[s]
 	li, factorB, err := stg.layerOf(op.Factor)
 	if err != nil {
 		return err
 	}
-	st.e.stageMu[op.Replica][s].Lock()
-	defer st.e.stageMu[op.Replica][s].Unlock()
 	t0 := time.Since(st.start)
 	var stat tensor.Snap
 	if factorB {
@@ -818,7 +819,7 @@ func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 // layer's carried fold before the newer generation folds on top.
 func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	s := op.Stage
-	stg := st.e.reps[op.Replica].stages[s]
+	stg := st.e.sets[op.Replica].stages[s]
 	li, factorB, err := stg.layerOf(op.Factor)
 	if err != nil {
 		return err
@@ -836,7 +837,7 @@ func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 		// The statistics — and therefore the loss scale — come from the
 		// generation's own statistics batch (its collect round's first
 		// step), not the folding round's.
-		scale := st.e.reps[0].model.KFACLossScale(pool.totals)
+		scale := st.e.sets[0].model.KFACLossScale(pool.totals)
 		newB, nbB, err := st.e.foldFactor(fs.nameB, fs.nameRB, fs, pool.curvB[s][li], pool.rowsB[s][li], scale*scale)
 		if err != nil {
 			tensor.Put(newA)
@@ -903,10 +904,10 @@ func (st *runState) precondition(d int, op *pipeline.Op) error {
 	if st.e.kfacPre == nil || op.Replica != 0 {
 		return nil
 	}
-	s := op.Stage
-	st.e.stageMu[0][s].Lock()
-	defer st.e.stageMu[0][s].Unlock()
-	st.e.kfacPre[s].Precondition()
+	// The primary's stage-s gradients are this op's alone: its dependency
+	// edges follow every fold into them, and the step's OptStep barrier
+	// precedes any next-step op.
+	st.e.kfacPre[op.Stage].Precondition()
 	st.recordComm(d, op, t0, bytes)
 	return nil
 }

@@ -604,23 +604,34 @@ func TestCheckpointPreconditions(t *testing.T) {
 // with the audit on, the live-buffer count between rounds returns to its
 // steady-state baseline after an abort at every (step, op kind) present in
 // the schedule. W = 2 + inversion-parallel + K-FAC puts every op kind and
-// both rollback paths (clones, carried generations, partial folds) in play.
+// both rollback paths (clones, carried generations, partial folds) in play;
+// the K = 4 Chimera round aborts after one, two and three committed steps —
+// whose carried rollback clones went back to the pool at their commits, not
+// at the round's end — across both directions' module sets.
 func TestPoolAuditNoLeakOnAbortAnywhere(t *testing.T) {
+	for _, cfg := range []Config{
+		{Method: "gpipe", Stages: 2, MicroBatches: 2, Replicas: 2, InversionParallel: true, RefreshSteps: 2},
+		{Method: "chimera", Stages: 2, MicroBatches: 2, Replicas: 2, ShardParams: true, RefreshSteps: 4},
+	} {
+		t.Run(fmt.Sprintf("%s/K%d", cfg.Method, cfg.RefreshSteps), func(t *testing.T) {
+			testPoolAuditNoLeakOnAbortAnywhere(t, cfg)
+		})
+	}
+}
+
+func testPoolAuditNoLeakOnAbortAnywhere(t *testing.T, cfg Config) {
 	m, c := newModelAndCorpus(t)
-	e, err := NewWithConfig(m, Config{
-		Method: "gpipe", Stages: 2, MicroBatches: 2, Replicas: 2,
-		InversionParallel: true, RefreshSteps: 2,
-	})
+	e, err := NewWithConfig(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EnableKFAC(faultKFACOpts(), 2); err != nil {
+	if err := e.EnableKFAC(faultKFACOpts(), cfg.RefreshSteps); err != nil {
 		t.Fatal(err)
 	}
 	opt := optim.NewLAMB(m.Params(), 0.01)
 	e.SetOptimizer(func(step int) error { opt.Step(5e-3); return nil })
 	mk := func() []*data.Batch {
-		out := make([]*data.Batch, 2)
+		out := make([]*data.Batch, cfg.RefreshSteps)
 		for j := range out {
 			out[j] = c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
 		}
@@ -638,6 +649,9 @@ func TestPoolAuditNoLeakOnAbortAnywhere(t *testing.T) {
 		}
 	}
 	base := tensor.PoolLive()
+	if base != 0 {
+		t.Fatalf("%d pooled buffers live between clean serialized rounds, want 0", base)
+	}
 	if _, err := e.TrainRound(mk()); err != nil {
 		t.Fatal(err)
 	}
@@ -673,8 +687,12 @@ func TestPoolAuditNoLeakOnAbortAnywhere(t *testing.T) {
 			}
 			return nil
 		}
-		if _, err := e.TrainRound(mk()); err == nil {
+		res, err := e.TrainRound(mk())
+		if err == nil {
 			t.Fatalf("abort at step %d kind %s did not surface", p.step, p.kind)
+		}
+		if len(res) != p.step {
+			t.Fatalf("abort at step %d kind %s: %d steps committed before it, want %d", p.step, p.kind, len(res), p.step)
 		}
 		if live := tensor.PoolLive(); live != base {
 			t.Fatalf("pool leak after abort at step %d kind %s: %d live buffers, baseline %d",

@@ -183,7 +183,7 @@ func (st *runState) corruptOutput(op *pipeline.Op) {
 		if pool == nil {
 			return
 		}
-		stg := st.e.reps[op.Replica].stages[op.Stage]
+		stg := st.e.sets[op.Replica].stages[op.Stage]
 		li, factorB, err := stg.layerOf(op.Factor)
 		if err != nil {
 			return
@@ -199,7 +199,7 @@ func (st *runState) corruptOutput(op *pipeline.Op) {
 		if st.e.kfacPre == nil {
 			return
 		}
-		stg := st.e.reps[op.Replica].stages[op.Stage]
+		stg := st.e.sets[op.Replica].stages[op.Stage]
 		li, factorB, err := stg.layerOf(op.Factor)
 		if err != nil {
 			return
@@ -217,7 +217,7 @@ func (st *runState) corruptOutput(op *pipeline.Op) {
 	default:
 		// Collectives, preconditions, optimizer anchors: poison the
 		// primary's reduced gradient accumulators of the op's stage.
-		if ps := st.e.reps[0].stageParams[op.Stage]; len(ps) > 0 && len(ps[0].Grad.Data) > 0 {
+		if ps := st.e.sets[0].stageParams[op.Stage]; len(ps) > 0 && len(ps[0].Grad.Data) > 0 {
 			ps[0].Grad.Data[0] = nan
 		}
 	}
@@ -233,7 +233,7 @@ func (st *runState) scanStepHealth(j int) error {
 			return fmt.Errorf("NaN/Inf loss in micro-batch %d of step %d: corrupted step must not commit", m, j)
 		}
 	}
-	for s, params := range st.e.reps[0].stageParams {
+	for s, params := range st.e.sets[0].stageParams {
 		for _, p := range params {
 			if p.Grad.HasNaN() {
 				return fmt.Errorf("NaN/Inf in reduced gradients of stage %d at step %d: corrupted step must not commit", s, j)

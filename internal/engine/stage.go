@@ -7,11 +7,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// stage owns a contiguous slice of the model's blocks. Stage 0 additionally
-// drives the model's embedding path, the last stage its head and loss. All
-// model state a stage touches is guarded by the engine's per-stage lock,
-// which is what lets two devices host one stage (Chimera's bidirectional
-// pairs) against a single shared set of parameters.
+// stage owns a contiguous slice of one module set's blocks. Stage 0
+// additionally drives the set's embedding path, the last stage its head and
+// loss. Everything a stage touches belongs to the one device the schedule
+// assigns its (replica, pipeline, stage) to, so nothing here is locked;
+// where two devices host one pipeline stage (Chimera's bidirectional
+// pairs) each drives the stage of its own module set, and the two sets
+// share only their parameter values, which no op writes.
 type stage struct {
 	index       int
 	first, last bool

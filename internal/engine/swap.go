@@ -47,6 +47,9 @@ type SwapConfig struct {
 // synchronization). Parameters, gradient accumulators, attached optimizer
 // state, the per-stage K-FAC preconditioners and the step/round counters
 // all survive the swap — it is as safe as a restart without the teardown.
+// A swap to chimera builds the up-pipeline module sets the first time (they
+// alias the replicas' weights, see buildUpSets) and a swap away keeps them,
+// idle, for the next one.
 //
 // A swap to the *identical* configuration is a no-op by construction (the
 // rebuilt schedule is deterministic and equal, and no refresh state is
@@ -110,6 +113,12 @@ func (e *Engine) Reconfigure(sc SwapConfig) error {
 		re == e.refreshEvery &&
 		(sc.Costs == nil || (e.costModel != nil && costsEqual(*sc.Costs, *e.costModel)))
 
+	var up []*moduleSet
+	if nc.Method == "chimera" && len(e.sets) == nc.Replicas {
+		if up, err = e.buildUpSets(); err != nil {
+			return fmt.Errorf("engine: Reconfigure: %w", err)
+		}
+	}
 	oldCfg, oldLen, oldCosts := e.cfg, e.roundLen, e.costModel
 	e.cfg = nc
 	e.roundLen = k
@@ -121,6 +130,7 @@ func (e *Engine) Reconfigure(sc SwapConfig) error {
 		e.cfg, e.roundLen, e.costModel = oldCfg, oldLen, oldCosts
 		return fmt.Errorf("engine: Reconfigure: %w", err)
 	}
+	e.sets = append(e.sets, up...)
 	if e.kfacPre == nil {
 		return nil
 	}

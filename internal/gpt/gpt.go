@@ -60,9 +60,11 @@ type Model struct {
 	posIDs     []int
 	pipePosIDs []int // scratch for EmbedForward's micro-batch shape
 
-	// pipeEmbBuf is the retained token+position embedding sum of the
-	// pipeline adapter (see pipeline.go), reused across micro-batches.
-	pipeEmbBuf *tensor.Matrix
+	// Retained pipeline-adapter buffers (see pipeline.go), reused across
+	// micro-batches: the token+position embedding sum and the LM head's
+	// logits gradient.
+	pipeEmbBuf  *tensor.Matrix
+	pipeGradBuf *tensor.Matrix
 }
 
 // New builds a decoder model; every block's attention is causal.
@@ -141,7 +143,7 @@ func (m *Model) Perplexity(tokens []int, batchSize int) (float64, error) {
 	}
 	x := m.forwardTrunk(tokens, batchSize)
 	logits := m.LMHead.Forward(x)
-	loss, _, _ := nn.CrossEntropy(logits, nextTokenTargets(tokens, batchSize, sl))
+	loss, _ := nn.CrossEntropyLoss(logits, nextTokenTargets(tokens, batchSize, sl))
 	return math.Exp(loss), nil
 }
 

@@ -114,7 +114,7 @@ func (m *Model) HeadLoss(mb *data.Batch, y *tensor.Matrix, t pipemodel.Totals) (
 		return pipemodel.Loss{}, err
 	}
 	logits := m.LMHead.Forward(m.FinalNorm.Forward(y))
-	loss, _, count := nn.CrossEntropy(logits, mb.Targets)
+	loss, count := nn.CrossEntropyLoss(logits, mb.Targets)
 	var lm float64
 	if t.Tokens > 0 {
 		lm = loss * float64(count) / float64(t.Tokens)
@@ -133,7 +133,9 @@ func (m *Model) HeadGradient(mb *data.Batch, y *tensor.Matrix, t pipemodel.Total
 		return nil, err
 	}
 	logits := m.LMHead.Forward(m.FinalNorm.Forward(y))
-	_, grad, count := nn.CrossEntropy(logits, mb.Targets)
+	grad := tensor.Reuse(m.pipeGradBuf, logits.Rows, logits.Cols)
+	m.pipeGradBuf = grad
+	_, count := nn.CrossEntropyInto(grad, logits, mb.Targets)
 	if t.Tokens > 0 && count > 0 {
 		grad.ScaleInPlace(float64(count) / float64(t.Tokens))
 	}

@@ -141,8 +141,23 @@ func BenchmarkCrossEntropy(b *testing.B) {
 			targets[i] = IgnoreIndex
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CrossEntropy(logits, targets)
-	}
+	b.Run("alloc", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			CrossEntropy(logits, targets)
+		}
+	})
+	grad := tensor.Zeros(512, 96)
+	b.Run("into", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			CrossEntropyInto(grad, logits, targets)
+		}
+	})
+	b.Run("loss", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			CrossEntropyLoss(logits, targets)
+		}
+	})
 }

@@ -97,6 +97,28 @@ func CopyParamsResident(dst, src []*Param) error {
 	return nil
 }
 
+// ShareParamValues makes dst compute with src's parameter values: every
+// dst Value keeps its header (the one dst's modules hold) but its Data
+// becomes src's slice, matched by position over congruent lists, so a write
+// through either list is seen by both and dst holds no second copy. A src
+// Value without storage (detached by a sharded replica) leaves dst detached
+// too. Gradients stay separate. This is how Chimera's up-pipeline module
+// set runs on its replica's weights.
+func ShareParamValues(dst, src []*Param) error {
+	if len(dst) != len(src) {
+		return fmt.Errorf("nn: ShareParamValues length mismatch: %d vs %d params", len(dst), len(src))
+	}
+	for i, d := range dst {
+		s := src[i]
+		if d.Value.Rows != s.Value.Rows || d.Value.Cols != s.Value.Cols {
+			return fmt.Errorf("nn: ShareParamValues shape mismatch at %q: %dx%d vs %dx%d",
+				d.Name, d.Value.Rows, d.Value.Cols, s.Value.Rows, s.Value.Cols)
+		}
+		d.Value.Data = s.Value.Data
+	}
+	return nil
+}
+
 // NumParameters sums the element counts of params.
 func NumParameters(params []*Param) int {
 	var n int

@@ -152,6 +152,39 @@ func TestCrossEntropyTargetRangePanic(t *testing.T) {
 	CrossEntropy(tensor.Zeros(1, 4), []int{7})
 }
 
+// The three cross-entropy entry points are one loop: the loss-only and the
+// into-buffer forms return CrossEntropy's bits, and the into form
+// overwrites whatever the retained buffer held — ignored rows included.
+func TestCrossEntropyFormsBitIdentical(t *testing.T) {
+	rng := tensor.NewRNG(11)
+	logits := tensor.RandN(rng, 9, 13, 3)
+	targets := []int{4, IgnoreIndex, 0, 12, IgnoreIndex, IgnoreIndex, 7, 7, 1}
+	for _, tg := range [][]int{targets, make([]int, 9), {-1, -1, -1, -1, -1, -1, -1, -1, -1}} {
+		loss, grad, count := CrossEntropy(logits, tg)
+		lossOnly, countOnly := CrossEntropyLoss(logits, tg)
+		dirty := tensor.RandN(rng, 9, 13, 1)
+		lossInto, countInto := CrossEntropyInto(dirty, logits, tg)
+		if lossOnly != loss || lossInto != loss || countOnly != count || countInto != count {
+			t.Fatalf("loss/count differ: %v/%d, loss-only %v/%d, into %v/%d",
+				loss, count, lossOnly, countOnly, lossInto, countInto)
+		}
+		for i, v := range grad.Data {
+			if dirty.Data[i] != v {
+				t.Fatalf("into-buffer gradient differs at %d: %v vs %v", i, dirty.Data[i], v)
+			}
+		}
+	}
+}
+
+func TestCrossEntropyIntoShapePanic(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic for a mis-shaped gradient buffer")
+		}
+	}()
+	CrossEntropyInto(tensor.Zeros(2, 4), tensor.Zeros(1, 4), []int{0})
+}
+
 func TestEmbeddingLookupAndBackward(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	e := NewEmbedding("emb", 10, 4, rng)

@@ -96,12 +96,40 @@ const IgnoreIndex = -1
 // respect to the logits. Rows whose target is IgnoreIndex contribute
 // nothing. The mean is taken over the contributing rows, as in BERT's MLM
 // loss. It returns the loss, the logits gradient, and the number of rows
-// that contributed.
+// that contributed. The gradient is freshly allocated; hot paths keep a
+// buffer and call CrossEntropyInto, and callers that only want the loss
+// call CrossEntropyLoss.
 func CrossEntropy(logits *tensor.Matrix, targets []int) (float64, *tensor.Matrix, int) {
+	grad := tensor.Zeros(logits.Rows, logits.Cols)
+	loss, count := CrossEntropyInto(grad, logits, targets)
+	return loss, grad, count
+}
+
+// CrossEntropyInto is CrossEntropy with the logits gradient written into
+// grad (same shape as logits, fully overwritten; must not alias logits).
+func CrossEntropyInto(grad, logits *tensor.Matrix, targets []int) (float64, int) {
+	if grad.Rows != logits.Rows || grad.Cols != logits.Cols {
+		panic(fmt.Sprintf("nn: CrossEntropyInto got a %dx%d gradient buffer for %dx%d logits",
+			grad.Rows, grad.Cols, logits.Rows, logits.Cols))
+	}
+	return crossEntropy(grad, logits, targets)
+}
+
+// CrossEntropyLoss returns CrossEntropy's loss and row count without
+// forming the gradient: one exp per logit instead of two and no
+// logits-sized buffer — for evaluation and for pipeline forwards, whose
+// backward recomputes the head anyway.
+func CrossEntropyLoss(logits *tensor.Matrix, targets []int) (float64, int) {
+	return crossEntropy(nil, logits, targets)
+}
+
+// crossEntropy is the one loop behind the three entry points; a nil grad
+// skips the gradient pass. The loss arithmetic does not depend on grad, so
+// all three return the same bits.
+func crossEntropy(grad, logits *tensor.Matrix, targets []int) (float64, int) {
 	if logits.Rows != len(targets) {
 		panic(fmt.Sprintf("nn: CrossEntropy got %d logit rows for %d targets", logits.Rows, len(targets)))
 	}
-	grad := tensor.Zeros(logits.Rows, logits.Cols)
 	var count int
 	for _, t := range targets {
 		if t != IgnoreIndex {
@@ -109,12 +137,18 @@ func CrossEntropy(logits *tensor.Matrix, targets []int) (float64, *tensor.Matrix
 		}
 	}
 	if count == 0 {
-		return 0, grad, 0
+		if grad != nil {
+			grad.Zero()
+		}
+		return 0, 0
 	}
 	var loss float64
 	invCount := 1 / float64(count)
 	for i, t := range targets {
 		if t == IgnoreIndex {
+			if grad != nil {
+				clear(grad.Row(i))
+			}
 			continue
 		}
 		if t < 0 || t >= logits.Cols {
@@ -133,6 +167,9 @@ func CrossEntropy(logits *tensor.Matrix, targets []int) (float64, *tensor.Matrix
 		}
 		logZ := mx + math.Log(sum)
 		loss += logZ - row[t]
+		if grad == nil {
+			continue
+		}
 		grow := grad.Row(i)
 		for j, v := range row {
 			p := math.Exp(v - logZ)
@@ -140,5 +177,5 @@ func CrossEntropy(logits *tensor.Matrix, targets []int) (float64, *tensor.Matrix
 		}
 		grow[t] -= invCount
 	}
-	return loss * invCount, grad, count
+	return loss * invCount, count
 }

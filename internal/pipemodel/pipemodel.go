@@ -59,11 +59,18 @@ func (l *Loss) Add(o Loss) {
 // Model is a stageable network: embedding on stage 0, a partitionable block
 // stack in the middle, and head+loss on the last stage.
 //
-// Implementations need not be safe for concurrent use; the engine
-// serializes all access to a stage's modules (including the embedding and
-// head paths) with a per-stage lock, which is what makes bidirectional
-// schedules like Chimera — where two devices host the same stage — execute
-// correctly against one shared set of parameters.
+// Implementations need not be safe for concurrent use, with one
+// qualification: the engine gives every pipeline stage of a model instance
+// to exactly one device goroutine, but different stages of one instance run
+// on different goroutines at the same time — the embedding path (stage 0),
+// each block, and the head path (last stage) must therefore share no
+// mutable state with one another. Bidirectional schedules like Chimera,
+// where two devices host the same stage, run each direction on its own
+// instance (Replicate), and the engine points the second instance's
+// parameter values at the first one's storage: Params must hand out the
+// *tensor.Matrix headers the modules compute with, parameter values must be
+// read-only inside the forward/backward/head methods, and an update written
+// into a parameter's Data in place is seen by both instances.
 //
 // Buffer ownership: matrices returned by EmbedForward and HeadGradient may
 // be model-retained buffers that the next call to the same method
@@ -111,8 +118,9 @@ type Model interface {
 	HeadParams() []*nn.Param
 	// Replicate builds an independent copy of the model — same
 	// configuration, parameter values copied, no shared mutable state —
-	// for one data-parallel replica. Replicas are stepped by the engine
-	// only; their gradients are engine-owned and their parameters are
-	// re-broadcast from the primary model at every step.
+	// for one data-parallel replica or one Chimera direction. Copies are
+	// stepped by the engine only; their gradients are engine-owned and
+	// their parameters are re-broadcast from (or, for a direction, aliased
+	// to) the primary model's.
 	Replicate() (Model, error)
 }
