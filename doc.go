@@ -52,8 +52,9 @@
 //
 // # Kernel layer
 //
-// The matmul family dispatches at runtime across three kernel variants
-// (tensor.SetKernel / ActiveKernel, the -kernel flag on both CLIs):
+// The matmul family and the element-wise exp/erf family dispatch at
+// runtime across three kernel variants (tensor.SetKernel / ActiveKernel,
+// the -kernel flag on both CLIs):
 //
 //   - scalar — the cache-blocked scalar loops, kept as the parity
 //     reference every other variant is tested against.
@@ -68,9 +69,35 @@
 //     multiply-add, selected only when CPUID reports AVX2+FMA with OS
 //     XSAVE support (never under the purego build tag). Fusing collapses
 //     the two roundings into one, so fma results differ from scalar/tiled
-//     by the fused-rounding delta — but within the variant every
-//     bit-identity contract below still holds, because the per-element
-//     reduction order stays fixed ascending k.
+//     by the fused-rounding delta, and by at most 2 ULP in every exp and
+//     erf (next paragraph) — but within the variant every bit-identity
+//     contract below still holds, because the per-element reduction order
+//     stays fixed ascending k and an exp or erf depends on its argument
+//     alone.
+//
+// The element-wise family is the transcendental half of a step — GELU's erf
+// and exp, softmax's and cross-entropy's exps — as three fused forms over
+// []float64: tensor.GELUForward (Φ(x) = (1 + erf(x/√2))/2 retained, y =
+// x·Φ), tensor.GELUBackward (dy·(Φ + x·φ(x))) and tensor.ExpShift
+// (exp(src − shift): softmaxRows' inner pass, both passes of
+// nn.crossEntropy; the sums around it stay ascending scalar sums in nn).
+// scalar and tiled run the math.Erf / math.Exp loops, bit for bit what nn
+// computed before the family existed. fma runs AVX2 assembly, four lanes a
+// step: exp by round-to-nearest range reduction with a two-part ln 2, a
+// degree-13 polynomial and a two-factor exponent insert; erf by the msun
+// piecewise rationals math.Erf itself uses, every range evaluated
+// branch-free and skipped only when no lane of the vector is in it. Two
+// contracts (tensor/vecmath.go): accuracy — within 2 ULP of math.Exp and
+// math.Erf (observed over 2e9 points: exp 2, erf 1), NaN, ±Inf, ±0,
+// overflow to +Inf above 709.78 and erf's ±1 from |x| = 6 exact, math.Exp's
+// gradual underflow below -708.39 reproduced (TestVecMathAccuracy,
+// TestVecMathSpecials, FuzzVecMath; TestGELUMatchesTwoErfFormulas,
+// TestSoftmaxRowPassesMatchUnfused and TestCrossEntropyFormsBitIdentical
+// hold nn's formulas exact under scalar and tiled and bounded under fma) —
+// and position independence — a result depends on the element's value
+// only, not its index, the slice length, alignment or its neighbours; a
+// slice's last 1–3 elements run the same instructions on a zero-padded
+// register (TestVecMathPositionIndependent).
 //
 // The default is the best available variant. Float32 compute mode
 // (tensor.SetF32, the -f32 flag) is orthogonal: float64 stays the API
@@ -133,7 +160,8 @@
 // blocked inverse) and tiled the outputs, probabilities, input gradient
 // and all eight parameter gradients equal the scalar dot-product loops
 // this replaced, kept as the test oracle, bit for bit; fma differs from
-// them by fused rounding (<= 1e-12 of the matrix scale). The batch's
+// them by fused rounding and its softmax exps (<= 1e-12 of the matrix
+// scale). The batch's
 // products — not the rows of a 64 x 64 x 16 product that sits below the
 // serial limit — are the unit of worker fan-out, each computed whole by
 // one worker on a tile grid that depends on its shape alone, so results

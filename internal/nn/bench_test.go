@@ -43,15 +43,28 @@ func BenchmarkLayerNorm(b *testing.B) {
 	}
 }
 
+// BenchmarkGELU is the FFN activation over 256 x 256 N(0,1) values: fwd is
+// one erf per element (tensor.GELUForward), bwd one exp (GELUBackward).
 func BenchmarkGELU(b *testing.B) {
 	rng := tensor.NewRNG(4)
 	act := NewGELU()
 	x := tensor.RandN(rng, 256, 256, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		y := act.Forward(x)
-		act.Backward(y)
+	y := act.Forward(x).Clone()
+	perElem := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(x.Data)), "ns/elem")
 	}
+	b.Run("fwd", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			act.Forward(x)
+		}
+		perElem(b)
+	})
+	b.Run("bwd", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			act.Backward(y)
+		}
+		perElem(b)
+	})
 }
 
 // attnBenchShapes are the micro-batch shapes of the repository benchmark's

@@ -99,40 +99,6 @@ func TestGELUGradients(t *testing.T) {
 	checkInputGradient(t, x, run, inGrad, 1e-5)
 }
 
-func TestReLUGradients(t *testing.T) {
-	rng := tensor.NewRNG(3)
-	act := NewReLU()
-	// Keep inputs away from the kink at 0.
-	x := tensor.RandN(rng, 4, 5, 1)
-	for i := range x.Data {
-		if math.Abs(x.Data[i]) < 0.05 {
-			x.Data[i] = 0.1
-		}
-	}
-	run := func() float64 {
-		loss, _ := scalarLoss(act.Forward(x))
-		return loss
-	}
-	y := act.Forward(x)
-	_, g := scalarLoss(y)
-	inGrad := act.Backward(g)
-	checkInputGradient(t, x, run, inGrad, 1e-6)
-}
-
-func TestTanhGradients(t *testing.T) {
-	rng := tensor.NewRNG(4)
-	act := NewTanh()
-	x := tensor.RandN(rng, 3, 4, 1)
-	run := func() float64 {
-		loss, _ := scalarLoss(act.Forward(x))
-		return loss
-	}
-	y := act.Forward(x)
-	_, g := scalarLoss(y)
-	inGrad := act.Backward(g)
-	checkInputGradient(t, x, run, inGrad, 1e-6)
-}
-
 func TestLayerNormGradients(t *testing.T) {
 	rng := tensor.NewRNG(5)
 	ln := NewLayerNorm("ln", 7)

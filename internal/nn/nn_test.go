@@ -7,6 +7,40 @@ import (
 	"repro/internal/tensor"
 )
 
+// withKernels runs f once under every available tensor kernel; exact says
+// whether the variant's exp and erf are math.Exp and math.Erf themselves
+// (scalar, tiled) or the AVX2 kernels within 2 ULP of them (fma).
+func withKernels(t *testing.T, f func(t *testing.T, exact bool)) {
+	t.Helper()
+	def := tensor.ActiveKernel()
+	defer tensor.SetKernel(def)
+	for _, k := range tensor.AvailableKernels() {
+		if err := tensor.SetKernel(k); err != nil {
+			t.Fatal(err)
+		}
+		t.Run("kernel="+k.String(), func(t *testing.T) { f(t, k != tensor.KernelFMA) })
+	}
+}
+
+// near reports whether got is want: bit for bit when exact, otherwise
+// within rel of want's magnitude.
+func near(got, want float64, exact bool, rel float64) bool {
+	if exact {
+		return got == want
+	}
+	return math.Abs(got-want) <= rel*math.Abs(want)
+}
+
+// matches is near, entry by entry.
+func matches(got, want *tensor.Matrix, exact bool, rel float64) bool {
+	for i, w := range want.Data {
+		if !near(got.Data[i], w, exact, rel) {
+			return false
+		}
+	}
+	return got.Rows == want.Rows && got.Cols == want.Cols
+}
+
 func TestDenseForwardKnown(t *testing.T) {
 	d := &Dense{
 		Name: "fc",
@@ -152,28 +186,74 @@ func TestCrossEntropyTargetRangePanic(t *testing.T) {
 	CrossEntropy(tensor.Zeros(1, 4), []int{7})
 }
 
-// The three cross-entropy entry points are one loop: the loss-only and the
-// into-buffer forms return CrossEntropy's bits, and the into form
-// overwrites whatever the retained buffer held — ignored rows included.
+// The three cross-entropy entry points are one loop: under every kernel the
+// loss-only and the into-buffer forms return CrossEntropy's bits, and the
+// into form overwrites whatever the retained buffer held — ignored rows
+// included. The loss and gradient are log-sum-exp and softmax written out
+// with math.Exp: bit for bit under scalar and tiled, within a few ULP under
+// fma. 300 columns take the loss's exps through more than one chunk.
 func TestCrossEntropyFormsBitIdentical(t *testing.T) {
-	rng := tensor.NewRNG(11)
-	logits := tensor.RandN(rng, 9, 13, 3)
-	targets := []int{4, IgnoreIndex, 0, 12, IgnoreIndex, IgnoreIndex, 7, 7, 1}
-	for _, tg := range [][]int{targets, make([]int, 9), {-1, -1, -1, -1, -1, -1, -1, -1, -1}} {
-		loss, grad, count := CrossEntropy(logits, tg)
-		lossOnly, countOnly := CrossEntropyLoss(logits, tg)
-		dirty := tensor.RandN(rng, 9, 13, 1)
-		lossInto, countInto := CrossEntropyInto(dirty, logits, tg)
-		if lossOnly != loss || lossInto != loss || countOnly != count || countInto != count {
-			t.Fatalf("loss/count differ: %v/%d, loss-only %v/%d, into %v/%d",
-				loss, count, lossOnly, countOnly, lossInto, countInto)
-		}
-		for i, v := range grad.Data {
-			if dirty.Data[i] != v {
-				t.Fatalf("into-buffer gradient differs at %d: %v vs %v", i, dirty.Data[i], v)
+	withKernels(t, func(t *testing.T, exact bool) {
+		rng := tensor.NewRNG(11)
+		for _, cols := range []int{13, 300} {
+			logits := tensor.RandN(rng, 9, cols, 3)
+			targets := []int{4, IgnoreIndex, 0, 12, IgnoreIndex, IgnoreIndex, 7, 7, 1}
+			for _, tg := range [][]int{targets, make([]int, 9), {-1, -1, -1, -1, -1, -1, -1, -1, -1}} {
+				loss, grad, count := CrossEntropy(logits, tg)
+				lossOnly, countOnly := CrossEntropyLoss(logits, tg)
+				dirty := tensor.RandN(rng, 9, cols, 1)
+				lossInto, countInto := CrossEntropyInto(dirty, logits, tg)
+				if lossOnly != loss || lossInto != loss || countOnly != count || countInto != count {
+					t.Fatalf("loss/count differ: %v/%d, loss-only %v/%d, into %v/%d",
+						loss, count, lossOnly, countOnly, lossInto, countInto)
+				}
+				if !dirty.Equal(grad) {
+					t.Fatal("into-buffer gradient differs from CrossEntropy's")
+				}
+				wantLoss, wantGrad := oracleCrossEntropy(logits, tg)
+				if !matches(grad, wantGrad, exact, 1e-13) || !near(loss, wantLoss, exact, 1e-13) {
+					t.Fatalf("loss %v and gradient differ from the math.Exp formulas (loss %v)", loss, wantLoss)
+				}
 			}
 		}
+	})
+}
+
+// oracleCrossEntropy is crossEntropy's arithmetic on math.Exp.
+func oracleCrossEntropy(logits *tensor.Matrix, targets []int) (float64, *tensor.Matrix) {
+	grad := tensor.Zeros(logits.Rows, logits.Cols)
+	var count int
+	for _, t := range targets {
+		if t != IgnoreIndex {
+			count++
+		}
 	}
+	if count == 0 {
+		return 0, grad
+	}
+	var loss float64
+	invCount := 1 / float64(count)
+	for i, t := range targets {
+		if t == IgnoreIndex {
+			continue
+		}
+		row := logits.Row(i)
+		mx := math.Inf(-1)
+		for _, v := range row {
+			mx = math.Max(mx, v)
+		}
+		var sum float64
+		for _, v := range row {
+			sum += math.Exp(v - mx)
+		}
+		logZ := mx + math.Log(sum)
+		loss += logZ - row[t]
+		for j, v := range row {
+			grad.Set(i, j, math.Exp(v-logZ)*invCount)
+		}
+		grad.Set(i, t, grad.At(i, t)-invCount)
+	}
+	return loss * invCount, grad
 }
 
 func TestCrossEntropyIntoShapePanic(t *testing.T) {

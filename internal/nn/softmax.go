@@ -23,7 +23,9 @@ func SoftmaxRowsInto(dst, x *tensor.Matrix) { softmaxRows(dst, x, 1, false) }
 // x) — attention's fused scale + mask + max + exp + normalise pass. With
 // causal, x is a stack of square Cols x Cols score blocks: row i of a block
 // sees columns <= i only and the rest get probability exactly 0, as if
-// their scores were -Inf.
+// their scores were -Inf. The exps are tensor.ExpShift's (math.Exp itself
+// under the scalar and tiled kernels, within 2 ULP of it under fma); the
+// row sum is an ascending scalar sum under every kernel.
 func softmaxRows(dst, x *tensor.Matrix, scale float64, causal bool) {
 	for i := 0; i < x.Rows; i++ {
 		n := x.Cols
@@ -42,10 +44,9 @@ func softmaxRows(dst, x *tensor.Matrix, scale float64, causal bool) {
 				mx = v
 			}
 		}
+		tensor.ExpShift(orow, orow, mx)
 		var sum float64
-		for j, v := range orow {
-			e := math.Exp(v - mx)
-			orow[j] = e
+		for _, e := range orow {
 			sum += e
 		}
 		inv := 1 / sum
@@ -125,7 +126,8 @@ func CrossEntropyLoss(logits *tensor.Matrix, targets []int) (float64, int) {
 
 // crossEntropy is the one loop behind the three entry points; a nil grad
 // skips the gradient pass. The loss arithmetic does not depend on grad, so
-// all three return the same bits.
+// all three return the same bits. Both passes take their exps from
+// tensor.ExpShift, like softmaxRows.
 func crossEntropy(grad, logits *tensor.Matrix, targets []int) (float64, int) {
 	if logits.Rows != len(targets) {
 		panic(fmt.Sprintf("nn: CrossEntropy got %d logit rows for %d targets", logits.Rows, len(targets)))
@@ -161,9 +163,17 @@ func crossEntropy(grad, logits *tensor.Matrix, targets []int) (float64, int) {
 				mx = v
 			}
 		}
+		// Σ exp(v - mx), summed in ascending order; the exps pass through a
+		// stack buffer a chunk at a time, so the loss-only form needs no
+		// row-sized one.
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(v - mx)
+		var exps [256]float64
+		for lo := 0; lo < len(row); lo += len(exps) {
+			chunk := row[lo:min(lo+len(exps), len(row))]
+			tensor.ExpShift(exps[:], chunk, mx)
+			for _, e := range exps[:len(chunk)] {
+				sum += e
+			}
 		}
 		logZ := mx + math.Log(sum)
 		loss += logZ - row[t]
@@ -171,9 +181,9 @@ func crossEntropy(grad, logits *tensor.Matrix, targets []int) (float64, int) {
 			continue
 		}
 		grow := grad.Row(i)
-		for j, v := range row {
-			p := math.Exp(v - logZ)
-			grow[j] = p * invCount
+		tensor.ExpShift(grow, row, logZ)
+		for j := range grow {
+			grow[j] *= invCount
 		}
 		grow[t] -= invCount
 	}

@@ -6,8 +6,9 @@ import (
 )
 
 // This file is the kernel-dispatch layer: a process-wide selection of which
-// matmul implementation the MatMul*/TMatMul* entry points run, plus the
-// float32 compute-mode switch.
+// implementation the MatMul*/TMatMul* entry points and the element-wise
+// exp/erf entry points (vecmath.go) run, plus the float32 compute-mode
+// switch.
 //
 // Three kernel variants exist:
 //
@@ -28,7 +29,13 @@ import (
 //     scalar/tiled variants by at most the fused-rounding delta — but the
 //     reduction order per element is still fixed ascending k, so the
 //     worker-count / replica-count / schedule bit-identity contracts hold
-//     within the variant.
+//     within the variant. Its element-wise kernels are AVX2 code too
+//     (vecmath_amd64.s) where the other two variants loop over math.Exp and
+//     math.Erf: a second, stated difference — every exp and erf within
+//     2 ULP of math's, special values exact (TestVecMathAccuracy,
+//     TestVecMathSpecials, FuzzVecMath) — and again none within the
+//     variant, because a result depends on the element's value alone
+//     (TestVecMathPositionIndependent).
 //
 // The default is the best available variant (FMA where supported, tiled
 // otherwise). SetKernel must not be called while kernels are executing —
@@ -44,7 +51,8 @@ import (
 // through GEMM, and the blocked SPD inverse (cholesky.go) pins the driver's
 // float64 micro-kernels.
 
-// Kernel identifies one matmul implementation variant.
+// Kernel identifies one implementation variant of the matmul and
+// element-wise families.
 type Kernel int32
 
 const (
@@ -86,7 +94,8 @@ func init() {
 // ActiveKernel returns the currently selected kernel variant.
 func ActiveKernel() Kernel { return Kernel(activeKernel.Load()) }
 
-// SetKernel selects the kernel variant used by every subsequent matmul. It
+// SetKernel selects the kernel variant used by every subsequent matmul and
+// element-wise call. It
 // returns an error if the variant is not available on this CPU or build
 // (KernelFMA requires amd64 with AVX2+FMA and a non-purego build). Like
 // SetParallelism, it must not be called while kernels are executing.

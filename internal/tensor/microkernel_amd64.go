@@ -19,3 +19,19 @@ func fma8x4f64(c []float64, ldc int, ap, bp []float64, kc int)
 //
 //go:noescape
 func fma8x8f32(c []float32, ldc int, ap, bp []float32, kc int)
+
+// Element-wise exp / erf kernels (vecmath_amd64.s), 4 float64 lanes per
+// step; vecmath.go states their accuracy and position-independence
+// contract. All slices of one call have the length of the input slice.
+
+//go:noescape
+func expShiftFMA(dst, src []float64, shift float64)
+
+//go:noescape
+func erfFMA(dst, src []float64)
+
+//go:noescape
+func geluForwardFMA(y, cdf, x []float64)
+
+//go:noescape
+func geluBackwardFMA(dx, dy, x, cdf []float64)

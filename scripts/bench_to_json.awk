@@ -3,8 +3,9 @@
 # ns_per_op/bytes_per_op/allocs_per_op; the custom metrics in use (MB/s
 # from the kernel benchmarks, seqs/s from the engine benchmarks,
 # poolchunks/op — effective per-op fan-out — from the worker-scaling
-# benchmark, GFLOP/s from the SPD-inverse benchmark) are each keyed
-# independently, so any mix of columns parses.
+# benchmark, GFLOP/s from the SPD-inverse benchmark, ns/elem from the
+# element-wise exp/erf/GELU benchmarks) are each keyed independently, so any
+# mix of columns parses.
 BEGIN { print "["; first=1 }
 /^Benchmark/ {
   if (!first) printf ",\n"; first=0
@@ -17,6 +18,7 @@ BEGIN { print "["; first=1 }
     if ($i == "seqs/s") printf ",\"seqs_per_s\":%s", $(i-1)
     if ($i == "poolchunks/op") printf ",\"poolchunks_per_op\":%s", $(i-1)
     if ($i == "GFLOP/s") printf ",\"gflops\":%s", $(i-1)
+    if ($i == "ns/elem") printf ",\"ns_per_elem\":%s", $(i-1)
   }
   printf "}"
 }
