@@ -10,9 +10,10 @@
 //
 // With -execute it additionally *runs* the schedule for real: a small BERT
 // (one block per stage) trains through the schedule-driven engine with
-// K-FAC work executing in the bubbles, and the executed timeline is
-// rendered (and written as SVG next to -svg) for comparison against the
-// simulated one — the sim/exec round trip the shared schedule form enables.
+// K-FAC work executing in the bubbles, and the executed timeline of the last
+// round is rendered (and written as SVG next to -svg) beside the same round
+// simulated with the op durations it measured — the sim/exec round trip the
+// shared schedule form enables.
 package main
 
 import (
@@ -665,5 +666,34 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 			log.Fatal(err)
 		}
 		fmt.Printf("executed-timeline SVG written to %s\n", execPath)
+	}
+	// Real vs simulated: the round just executed, rebuilt from the op
+	// durations it measured and timed by the simulator — the comparison the
+	// shared op-list form exists for. The simulated side mirrors the
+	// engine's *final* configuration, which under -autotune can differ from
+	// the flags the run started with.
+	simSched, err := schedule.Executable(schedule.Config{
+		Method: eng.Method(), Stages: stages, MicroBatches: nmicro,
+		Costs:             engine.MeasuredCosts(real, 2*len(eng.StageLayers(0))),
+		DataParallelWidth: eng.Replicas(), InversionParallel: eng.InversionParallel(),
+		RefreshSteps: eng.RoundSteps(), Overlap: eng.Overlapped(), CarryDepth: eng.CarryDepth(),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	sim, err := pipeline.Run(simSched)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sim.Name = simSched.Name + " (simulated, measured costs)"
+	fmt.Println()
+	if err := trace.RenderASCII(os.Stdout, sim, width); err != nil {
+		log.Fatal(err)
+	}
+	if eng.Replicas() > 1 {
+		rs, ss := trace.Summarize(real), trace.Summarize(sim)
+		fmt.Printf("\ncollectives (total device-time): sync-grad %.2f ms executed vs %.2f ms simulated, sync-curvature %.2f ms vs %.2f ms\n",
+			float64(rs.PerKind[pipeline.SyncGrad])/1000, float64(ss.PerKind[pipeline.SyncGrad])/1000,
+			float64(rs.PerKind[pipeline.SyncCurvature])/1000, float64(ss.PerKind[pipeline.SyncCurvature])/1000)
 	}
 }

@@ -182,8 +182,8 @@
 //
 // The kernels are goroutine-parallel behind a shared worker pool:
 // tensor.SetParallelism sizes the process-wide intra-op worker budget
-// (default GOMAXPROCS, the -workers flag on cmd/pipefisher and
-// examples/pipelinetrain), and the engine caps each device goroutine's
+// (default GOMAXPROCS, the -workers flag on cmd/pipefisher), and the
+// engine caps each device goroutine's
 // kernels to its fair share of that budget (engine.Config.Workers /
 // devices) via tensor.SetOpParallelism, so concurrent stages split the
 // cores instead of oversubscribing them. The packed driver splits work at
@@ -411,7 +411,10 @@
 // K emits ONE op list spanning K steps — each op carries its step index,
 // curvature ops (fed by the window's first-step statistics) land in the
 // bubbles of steps 0..K-1 wherever the PipeFisher packer placed them,
-// inversions follow in later steps' bubbles, and the engine executes the
+// inversions follow in later steps' bubbles — each once its layer pair's
+// curvature is placed on every owner and the stage's sync-curvature has
+// run, the one rule schedule.Assign's analysis and the executable share
+// (package schedule, rule 2) — and the engine executes the
 // whole round without goroutine teardown: cross-step dependency edges
 // (optimizer-step to next forward, curvature fold to a later step's
 // inversion) use the same completion channels as intra-step ones. Round
@@ -462,7 +465,10 @@
 //     Carried ops are ready the moment the round starts and pack FIRST,
 //     into the early bubbles; the window's own curvature collection fills
 //     what is left. When everything fits, the overlap schedule — and the
-//     executed math — is identical to the serialized one.
+//     executed math — is identical to the serialized one, which is the
+//     same fixed point at depth 1: one packing pass (schedule's
+//     packGeneration) runs once per generation, deepest first, for every
+//     depth.
 //   - The engine double-buffers generation-tagged statistics pools
 //     (kfacGenPool): a collect round snapshots and reduces into one pool
 //     while the carried generation folds and inverts out of the other, so
@@ -481,7 +487,10 @@
 // Adaptive round length: engine.Config.RefreshSteps =
 // engine.AdaptiveRefreshSteps derives K at EnableKFAC time from measured
 // work (schedule.AdaptiveRoundLength = Assign's refresh window) instead of
-// a hand-picked flag. trace.BubbleUtilization / RenderBubbleSummary /
+// a hand-picked flag. Assign places the refresh with the pass Executable
+// emits its op list from, so the window it reports is by construction one
+// the executed round fits (TestAdaptiveRoundLengthFitsExecutable).
+// trace.BubbleUtilization / RenderBubbleSummary /
 // WriteBubbleCSV quantify the result: per-device busy, refresh-filled and
 // idle fractions (per step of the round in the CSV), with the
 // refresh-filled share of the bubble budget as the headline number.

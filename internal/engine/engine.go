@@ -59,6 +59,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -215,10 +216,8 @@ func (c Config) normalize() (Config, error) {
 	if c.Method == "" {
 		c.Method = "gpipe"
 	}
-	switch c.Method {
-	case "gpipe", "1f1b", "chimera":
-	default:
-		return c, fmt.Errorf("engine: unknown method %q (want gpipe, 1f1b or chimera)", c.Method)
+	if !slices.Contains(pipeline.Methods(), c.Method) {
+		return c, fmt.Errorf("engine: unknown method %q (want one of %v)", c.Method, pipeline.Methods())
 	}
 	if c.Stages <= 0 {
 		return c, fmt.Errorf("engine: Stages must be positive, got %d", c.Stages)
@@ -615,22 +614,14 @@ func (e *Engine) rebuildSchedule() error {
 			CarryDepth:        e.cfg.CarryDepth,
 		})
 	} else {
-		bc := pipeline.BuildConfig{
+		sched, err = pipeline.Build(e.cfg.Method, pipeline.BuildConfig{
 			Stages:               e.cfg.Stages,
 			MicroBatches:         e.cfg.MicroBatches,
 			Steps:                e.roundLen,
 			Costs:                costs,
 			DataParallelWidth:    e.cfg.Replicas,
 			IncludeOptimizerWork: true,
-		}
-		switch e.cfg.Method {
-		case "gpipe":
-			sched, err = pipeline.BuildGPipe(bc)
-		case "1f1b":
-			sched, err = pipeline.Build1F1B(bc)
-		case "chimera":
-			sched, err = pipeline.BuildChimera(bc)
-		}
+		})
 	}
 	if err != nil {
 		return err

@@ -3,8 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/hardware"
 )
 
 // BuildConfig configures a schedule builder.
@@ -50,6 +48,37 @@ func (c BuildConfig) normalize() (BuildConfig, error) {
 		return c, fmt.Errorf("pipeline: Costs.Forward/Backward must be positive")
 	}
 	return c, nil
+}
+
+// builders names the synchronous schedule families — the one place that
+// knows the method names the engine, the PipeFisher packer and the
+// auto-tuner's candidate space accept.
+var builders = []struct {
+	method string
+	build  func(BuildConfig) (*Schedule, error)
+}{
+	{"gpipe", BuildGPipe},
+	{"1f1b", Build1F1B},
+	{"chimera", BuildChimera},
+}
+
+// Methods lists the schedule families Build accepts.
+func Methods() []string {
+	names := make([]string, len(builders))
+	for i, b := range builders {
+		names[i] = b.method
+	}
+	return names
+}
+
+// Build lays out the named schedule family.
+func Build(method string, cfg BuildConfig) (*Schedule, error) {
+	for _, b := range builders {
+		if b.method == method {
+			return b.build(cfg)
+		}
+	}
+	return nil, fmt.Errorf("pipeline: unknown method %q (want one of %v)", method, Methods())
 }
 
 // BuildGPipe lays out the GPipe schedule (Huang et al., 2019): all forwards
@@ -187,7 +216,7 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 						}
 						sync := &Op{
 							Kind: SyncGrad, Device: dev, Stage: stage, Replica: r, MicroBatch: -1,
-							Factor: -1, Step: step, Duration: maxDur(cfg.Costs.SyncGrad, 1), Deps: deps,
+							Factor: -1, Step: step, Duration: max(cfg.Costs.SyncGrad, 1), Deps: deps,
 						}
 						s.addOpDeferred(sync)
 						tailIDs[key] = append(tailIDs[key], sync.ID)
@@ -200,7 +229,7 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 					if cfg.IncludePrecondition {
 						prec := &Op{
 							Kind: Precondition, Device: dev, Stage: stage, Replica: r, MicroBatch: -1,
-							Factor: -1, Step: step, Duration: maxDur(cfg.Costs.Precondition, 1), Deps: deps,
+							Factor: -1, Step: step, Duration: max(cfg.Costs.Precondition, 1), Deps: deps,
 						}
 						s.addOpDeferred(prec)
 						tailIDs[key] = append(tailIDs[key], prec.ID)
@@ -208,7 +237,7 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 					}
 					opt := &Op{
 						Kind: OptStep, Device: dev, Stage: stage, Replica: r, MicroBatch: -1,
-						Factor: -1, Step: step, Duration: maxDur(cfg.Costs.OptStep, 1), Deps: deps,
+						Factor: -1, Step: step, Duration: max(cfg.Costs.OptStep, 1), Deps: deps,
 					}
 					s.addOpDeferred(opt)
 					tailIDs[key] = append(tailIDs[key], opt.ID)
@@ -365,7 +394,7 @@ func chimeraDeviceTail(s *Schedule, cfg BuildConfig, step, dev int, bid map[[5]i
 			}
 		}
 	}
-	deps = dedup(deps)
+	deps = Dedup(deps)
 	if !cfg.IncludeOptimizerWork {
 		// The next step still flushes: wait on this device's own stages'
 		// backwards. Return a marker using the last of them.
@@ -379,7 +408,7 @@ func chimeraDeviceTail(s *Schedule, cfg BuildConfig, step, dev int, bid map[[5]i
 	}
 	sync := &Op{
 		Kind: SyncGrad, Device: dev, Stage: downStage, Replica: replica, MicroBatch: -1,
-		Factor: -1, Step: step, Duration: maxDur(2*cfg.Costs.SyncGrad, 1), Deps: deps,
+		Factor: -1, Step: step, Duration: max(2*cfg.Costs.SyncGrad, 1), Deps: deps,
 	}
 	s.addOpDeferred(sync)
 	optDeps := []int{sync.ID}
@@ -387,14 +416,14 @@ func chimeraDeviceTail(s *Schedule, cfg BuildConfig, step, dev int, bid map[[5]i
 		// The device preconditions both stages it hosts.
 		prec := &Op{
 			Kind: Precondition, Device: dev, Stage: downStage, Replica: replica, MicroBatch: -1,
-			Factor: -1, Step: step, Duration: maxDur(2*cfg.Costs.Precondition, 1), Deps: optDeps,
+			Factor: -1, Step: step, Duration: max(2*cfg.Costs.Precondition, 1), Deps: optDeps,
 		}
 		s.addOpDeferred(prec)
 		optDeps = []int{prec.ID}
 	}
 	opt := &Op{
 		Kind: OptStep, Device: dev, Stage: downStage, Replica: replica, MicroBatch: -1,
-		Factor: -1, Step: step, Duration: maxDur(2*cfg.Costs.OptStep, 1), Deps: optDeps,
+		Factor: -1, Step: step, Duration: max(2*cfg.Costs.OptStep, 1), Deps: optDeps,
 	}
 	s.addOpDeferred(opt)
 	return opt.ID
@@ -409,7 +438,7 @@ func (s *Schedule) finalizeOrders() error {
 	succ := make([][]int, nOps)
 	indeg := make([]int, nOps)
 	for _, op := range s.Ops {
-		op.Deps = dedup(op.Deps)
+		op.Deps = Dedup(op.Deps)
 		for _, dep := range op.Deps {
 			succ[dep] = append(succ[dep], op.ID)
 			indeg[op.ID]++
@@ -449,8 +478,8 @@ func (s *Schedule) finalizeOrders() error {
 			}
 			sort.SliceStable(ready[dev], func(i, j int) bool {
 				a, b := ready[dev][i], ready[dev][j]
-				sa := max64(depsEnd(s.Ops[a], endTime), devFree[dev])
-				sb := max64(depsEnd(s.Ops[b], endTime), devFree[dev])
+				sa := max(depsEnd(s.Ops[a], endTime), devFree[dev])
+				sb := max(depsEnd(s.Ops[b], endTime), devFree[dev])
 				if sa != sb {
 					return sa < sb
 				}
@@ -462,7 +491,7 @@ func (s *Schedule) finalizeOrders() error {
 			id := ready[dev][0]
 			ready[dev] = ready[dev][1:]
 			op := s.Ops[id]
-			start := max64(devFree[dev], depsEnd(op, endTime))
+			start := max(devFree[dev], depsEnd(op, endTime))
 			endTime[id] = start + int64(op.Duration)
 			devFree[dev] = endTime[id]
 			s.Order[dev] = append(s.Order[dev], id)
@@ -525,7 +554,8 @@ func topoOrder(ops []*Op, succ [][]int, indeg []int) []int {
 	return order
 }
 
-func dedup(ids []int) []int {
+// Dedup drops repeated ids, keeping first occurrences in order.
+func Dedup(ids []int) []int {
 	seen := make(map[int]bool, len(ids))
 	var out []int
 	for _, id := range ids {
@@ -535,18 +565,4 @@ func dedup(ids []int) []int {
 		}
 	}
 	return out
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b hardware.Microseconds) hardware.Microseconds {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -193,7 +193,7 @@ func (t *Timeline) Gaps(device int, from, to hardware.Microseconds) []Gap {
 			break
 		}
 		if e.Start > cursor {
-			gaps = append(gaps, Gap{Device: device, Start: cursor, End: minUS(e.Start, to)})
+			gaps = append(gaps, Gap{Device: device, Start: cursor, End: min(e.Start, to)})
 		}
 		if e.End > cursor {
 			cursor = e.End
@@ -257,11 +257,4 @@ func (t *Timeline) FindEvent(match func(*Op) bool) (Event, bool) {
 		}
 	}
 	return Event{}, false
-}
-
-func minUS(a, b hardware.Microseconds) hardware.Microseconds {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,35 +1,19 @@
 package schedule
 
 // AdaptiveRoundLength derives the executable round length K from measured
-// work instead of a hand-picked flag: it runs Assign — the timing-analysis
-// entry point — on the configuration and returns the number of pipeline
-// steps one curvature/inversion refresh actually needs, i.e. the smallest
-// window whose bubbles hold the refresh under the paper's packing rules
-// (§3.1 reports 1-4 steps for its configurations). The engine calls this at
-// EnableKFAC time when Config.RefreshSteps asks for adaptive sizing, so the
-// round length tracks the measured refresh-work-to-bubble ratio of the
-// actual schedule, model shape, and replica topology.
-//
-// RefreshSteps and FrontLoadRefresh are ignored (Assign measures the window
-// rather than taking it as given); the result is clamped to [1, MaxSteps].
+// work instead of a hand-picked flag: it is Assign's refresh window — the
+// number of pipeline steps whose bubbles hold one curvature/inversion
+// refresh (§3.1 reports 1-4 steps for its configurations), at most MaxSteps.
+// Assign packs with the pass Executable emits op lists from, so a serialized
+// round of this length is one the executable form fits too. The engine calls
+// this at EnableKFAC time when Config.RefreshSteps asks for adaptive sizing,
+// so the round length tracks the refresh-work-to-bubble ratio of the actual
+// schedule, model shape, and replica topology. Like Assign, it ignores the
+// round-shape fields of cfg (RefreshSteps, FrontLoadRefresh, Overlap).
 func AdaptiveRoundLength(cfg Config) (int, error) {
-	cfg.RefreshSteps = 0
-	cfg.FrontLoadRefresh = false
-	cfg.Overlap = false
 	res, err := Assign(cfg)
 	if err != nil {
 		return 0, err
 	}
-	k := res.RefreshSteps
-	if k < 1 {
-		k = 1
-	}
-	norm, err := cfg.normalize()
-	if err != nil {
-		return 0, err
-	}
-	if k > norm.MaxSteps {
-		k = norm.MaxSteps
-	}
-	return k, nil
+	return res.RefreshSteps, nil
 }

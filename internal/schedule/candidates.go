@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hardware"
@@ -42,8 +43,8 @@ func (c Candidate) String() string {
 
 // Space bounds the candidate enumeration.
 type Space struct {
-	// Methods lists the schedule families to consider (default: gpipe,
-	// 1f1b, chimera — chimera is dropped automatically when the fixed
+	// Methods lists the schedule families to consider (default: all of
+	// pipeline.Methods — chimera is dropped automatically when the fixed
 	// topology violates its evenness constraints).
 	Methods []string
 	// MaxRefreshSteps bounds the round length K; candidates run K =
@@ -69,7 +70,7 @@ type Space struct {
 func Enumerate(sp Space) []Candidate {
 	methods := sp.Methods
 	if len(methods) == 0 {
-		methods = []string{"gpipe", "1f1b", "chimera"}
+		methods = pipeline.Methods()
 	}
 	maxK := sp.MaxRefreshSteps
 	if maxK <= 0 {
@@ -81,9 +82,7 @@ func Enumerate(sp Space) []Candidate {
 	}
 	var out []Candidate
 	for _, m := range methods {
-		switch m {
-		case "gpipe", "1f1b", "chimera":
-		default:
+		if !slices.Contains(pipeline.Methods(), m) {
 			continue
 		}
 		if m == "chimera" && (sp.Stages%2 != 0 || sp.MicroBatches%2 != 0) {

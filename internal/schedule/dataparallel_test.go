@@ -123,27 +123,21 @@ func TestAssignDataParallelInversionParallel(t *testing.T) {
 	}
 }
 
-// Regression: the executable packer must actually *place* sync-curvature
-// items (and therefore the inversions gated on them) into the bubbles when
-// the stage's curvature packed. The placement check used to include the
-// sync items themselves, so the item under consideration always reported
-// itself unplaced, every sync was refused, and all inversion work silently
-// spilled out of the bubbles to the end of the pre-tail order.
-func TestPackForExecPlacesSyncAndInversions(t *testing.T) {
+// Regression: the packing pass must actually *place* sync-curvature items
+// (and therefore the inversions gated on them) into the bubbles when the
+// stage's curvature packed. The placement check used to include the sync
+// items themselves, so the item under consideration always reported itself
+// unplaced, every sync was refused, and all inversion work silently spilled
+// out of the bubbles to the end of the pre-tail order.
+func TestPackPlacesSyncAndInversions(t *testing.T) {
 	cfg, err := dataParallelConfig("1f1b", 2, true).normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := buildBase(cfg, 1, true)
+	_, _, items, err := packRound(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl, err := pipeline.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	items := buildWorkQueue(cfg, base, tl)
-	packForExec(items, tl, cfg)
 
 	placedByKind := map[pipeline.WorkKind][2]int{} // kind -> {placed, total}
 	for _, it := range items {

@@ -20,20 +20,18 @@ import (
 // and the execution engine share; RefreshSteps = 1 is the degenerate
 // one-step round (the historical form).
 //
-// Dependency edges follow the paper's rules, tightened where real math
-// needs it:
+// Dependency edges are the package doc's rules, which the packing pass
+// gates placement on too — so the packed per-device positions can never
+// contradict the edges:
 //
 //   - Curvature of (stage, micro, factor) depends on the forward (A
 //     factors) or backward (B factors) of that micro-batch on the owning
 //     device in the round's FIRST step (rule 1): a round folds the
 //     statistics of the window's first batch, and spills the compute into
 //     whichever later bubbles the packer found.
-//   - Inversion of a factor depends on every curvature op of its *layer
-//     pair* (A and B of the same layer, across all owning devices): the
-//     factored Tikhonov damping couples the pair through their traces, so
-//     real inversion needs both factors final (a strict superset of rule 2).
-//   - Sync-curvature (when present) depends on all curvature of its stage;
-//     inversions additionally depend on their stage's sync ops.
+//   - Sync-curvature (when present) depends on all curvature of its stage.
+//   - Inversion of a factor depends on every curvature op of its layer
+//     pair across all owning devices and on its stage's sync ops (rule 2).
 //   - The Precondition op of step j additionally depends on the inversion
 //     ops of its stage that the packer assigned to steps <= j, so each step
 //     deterministically preconditions with the freshest inverses that have
@@ -49,38 +47,24 @@ import (
 // the same way so cross-device waits can never cycle.
 //
 // With Config.Overlap the spill is not serialized but *carried*: the
-// schedule describes the steady state of overlapping windows, in which the
-// refresh work that cannot fit its own window executes in FOLLOWING
-// windows' early bubbles as generation-lagged ops (Op.Generation = g means
-// the op runs g windows after its statistics were collected, g up to
-// Config.CarryDepth-1) operating on a previous window's statistics pool.
-// Carried ops are packed FIRST, deepest lag leading (they are ready the
-// moment the window starts — their inputs completed in earlier windows),
-// then the window's own curvature collection fills what is left — so the
-// early bubbles that a serialized round must leave idle (the window's own
-// statistics do not exist yet) absorb the queued refresh work instead.
-// A generation's inversions of a layer additionally depend on that layer's
-// deeper-lagged inversions, keeping the per-layer EMA fold order sequential
-// across generations.
+// schedule describes the steady state of overlapping windows (packWindow),
+// in which the refresh work that cannot fit its own window executes in
+// FOLLOWING windows' early bubbles as generation-lagged ops (Op.Generation
+// = g means the op runs g windows after its statistics were collected, g up
+// to Config.CarryDepth-1) operating on a previous window's statistics pool.
+// Edges only bind ops of one generation, except that a generation's
+// inversions of a layer additionally depend on that layer's deeper-lagged
+// inversions, keeping the per-layer EMA fold order sequential across
+// generations. A serialized round is the same steady state at depth 1.
 func Executable(cfg Config) (*pipeline.Schedule, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
 	k := cfg.RefreshSteps
-	base, err := buildBase(cfg, k, true)
+	base, tl, items, err := packRound(cfg, k)
 	if err != nil {
 		return nil, err
-	}
-	tl, err := pipeline.Run(base)
-	if err != nil {
-		return nil, err
-	}
-	items := buildWorkQueue(cfg, base, tl)
-	if cfg.Overlap {
-		packOverlapped(items, tl, cfg)
-	} else {
-		packForExec(items, tl, cfg)
 	}
 	assignWindowSteps(items, tl, cfg)
 
@@ -118,7 +102,7 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 		op := &pipeline.Op{
 			ID: len(s.Ops), Kind: it.kind, Device: it.device, Stage: it.stage,
 			Replica: it.replica, MicroBatch: it.micro, Factor: it.factor, Step: it.wstep,
-			Generation: it.gen, Duration: maxDur(it.duration, 1),
+			Generation: it.gen, Duration: max(it.duration, 1),
 		}
 		s.Ops = append(s.Ops, op)
 		itemOp[it] = op
@@ -182,7 +166,7 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 					}
 				}
 			}
-			op.Deps = dedup(op.Deps)
+			op.Deps = pipeline.Dedup(op.Deps)
 			invOps[op.Stage] = append(invOps[op.Stage], op)
 			invGenOps[[3]int{gen, it.stage, it.factor}] = append(invGenOps[[3]int{gen, it.stage, it.factor}], op)
 		}
@@ -211,429 +195,6 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 // pairFactor returns the other Kronecker factor of the same layer
 // (A at 2l, B at 2l+1).
 func pairFactor(f int) int { return f ^ 1 }
-
-func maxDur(a, b hardware.Microseconds) hardware.Microseconds {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func dedup(ids []int) []int {
-	seen := make(map[int]bool, len(ids))
-	var out []int
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// packForExec places the work items into the base timeline's bubbles the
-// same way Assign's packer does — the round's bubbles span all
-// RefreshSteps steps of the window — but with execution-consistent
-// readiness: an inversion is ready only once *both* factors of its layer
-// have complete curvature on every owning device (and the stage's
-// sync-curvature, when present, has run) — matching the dependency edges
-// Executable wires, so the packed per-device positions can never contradict
-// the deps.
-func packForExec(items []*workItem, base *pipeline.Timeline, cfg Config) {
-	packOwnWindow(items, freshFree(base), cfg, nil, nil, nil)
-}
-
-// freshFree builds per-device free lists over the base timeline's bubbles.
-func freshFree(base *pipeline.Timeline) []*freeList {
-	free := make([]*freeList, base.Devices)
-	for d := 0; d < base.Devices; d++ {
-		free[d] = &freeList{gaps: base.Gaps(d, 0, base.Makespan)}
-	}
-	return free
-}
-
-// packOwnWindow packs the window's own-generation work items into the free
-// bubbles. carried items (nil-safe) are skipped — the overlap path placed
-// them already — and carryInvEnd/carryInvBlocked feed the cross-generation
-// inversion constraint: an own-generation inversion must start after (or,
-// when the carried one found no bubble at all, be deferred behind) the
-// carried inversions of its layer pair, so the per-layer fold order the
-// dependency edges prescribe is realizable on every device order.
-func packOwnWindow(items []*workItem, free []*freeList, cfg Config,
-	carried map[*workItem]bool, carryInvEnd map[[2]int]hardware.Microseconds, carryInvBlocked map[[2]int]bool) {
-	var curv, syncs, invs []*workItem
-	for _, it := range items {
-		if carried[it] {
-			continue
-		}
-		switch it.kind {
-		case pipeline.Curvature:
-			curv = append(curv, it)
-		case pipeline.SyncCurvature:
-			syncs = append(syncs, it)
-		default:
-			invs = append(invs, it)
-		}
-	}
-	sort.SliceStable(curv, func(i, j int) bool { return curv[i].readyAt < curv[j].readyAt })
-
-	curvDone := make(map[[3]int]hardware.Microseconds)      // (device, stage, factor)
-	stageCurvDone := make(map[[2]int]hardware.Microseconds) // (device, stage)
-	place := func(it *workItem) {
-		pieces, end, ok := free[it.device].place(it.readyAt, it.duration)
-		if !ok {
-			it.placed = false
-			return
-		}
-		it.placed = true
-		it.placedStart = pieces[0].Start
-		it.placedEnd = end
-	}
-	allCurvPlaced := func(stage int) bool {
-		for _, it := range curv {
-			if it.stage == stage && !it.placed {
-				return false
-			}
-		}
-		return true
-	}
-	// allPlaced gates inversions: they additionally depend on the stage's
-	// sync-curvature ops, so those must have found slots too.
-	allPlaced := func(stage int) bool {
-		if !allCurvPlaced(stage) {
-			return false
-		}
-		for _, it := range syncs {
-			if it.stage == stage && !it.placed {
-				return false
-			}
-		}
-		return true
-	}
-	for _, it := range curv {
-		place(it)
-		if !it.placed {
-			continue
-		}
-		key := [3]int{it.device, it.stage, it.factor}
-		if it.placedEnd > curvDone[key] {
-			curvDone[key] = it.placedEnd
-		}
-		skey := [2]int{it.device, it.stage}
-		if it.placedEnd > stageCurvDone[skey] {
-			stageCurvDone[skey] = it.placedEnd
-		}
-	}
-	syncStageDone := make(map[int]hardware.Microseconds)
-	for _, it := range syncs {
-		// A sync is placeable once the stage's *curvature* is placed —
-		// checking the sync items themselves here would see the item
-		// under consideration (still unplaced) and refuse every sync,
-		// deferring all of the stage's inversions out of the bubbles.
-		if !allCurvPlaced(it.stage) {
-			it.placed = false
-			continue
-		}
-		for _, ow := range stageOwners(cfg, it.stage) {
-			if t := stageCurvDone[[2]int{ow.device, it.stage}]; t > it.readyAt {
-				it.readyAt = t
-			}
-		}
-		place(it)
-		if it.placed && it.placedEnd > syncStageDone[it.stage] {
-			syncStageDone[it.stage] = it.placedEnd
-		}
-	}
-	for _, it := range invs {
-		if !allPlaced(it.stage) {
-			// Curvature spilled out of the bubbles: defer the inversion to
-			// the end-of-round position too, so waits can't cycle.
-			it.placed = false
-			continue
-		}
-		if carryInvBlocked[[2]int{it.stage, it.factor}] || carryInvBlocked[[2]int{it.stage, pairFactor(it.factor)}] {
-			// A carried inversion of the layer pair found no bubble: this
-			// inversion must order after it, i.e. in the end-of-round
-			// deferred block too.
-			it.placed = false
-			continue
-		}
-		for _, ow := range stageOwners(cfg, it.stage) {
-			for _, f := range []int{it.factor, pairFactor(it.factor)} {
-				if t := curvDone[[3]int{ow.device, it.stage, f}]; t > it.readyAt {
-					it.readyAt = t
-				}
-			}
-		}
-		if t := syncStageDone[it.stage]; t > it.readyAt {
-			it.readyAt = t
-		}
-		for _, f := range []int{it.factor, pairFactor(it.factor)} {
-			if t := carryInvEnd[[2]int{it.stage, f}]; t > it.readyAt {
-				it.readyAt = t
-			}
-		}
-		place(it)
-	}
-}
-
-// packOverlapped computes the overlapped-window steady state: the carry set
-// — the refresh work that executes lagged, in the following windows' early
-// bubbles — is grown to a fixed point so the schedule is self-consistent
-// (what spills out of the window is exactly what the window absorbs as
-// carried work from its predecessors; every window of the steady state is
-// identical). Each iteration places the current generation assignment
-// (deepest generations first — they have been queued longest and gate the
-// fold order) and promotes one generation deeper, up to
-// Config.CarryDepth-1, closed over the lag-monotonicity constraints of
-// carryClosure. Promotion is targeted:
-//
-//   - Every unplaced generation-0 item promotes (classic depth-2 carry:
-//     lagging makes it ready at window start instead of after its
-//     statistics sources, which is what lets it use the early bubbles).
-//   - A carried item promotes only when it was BLOCKED — deferred behind
-//     its generation's spilled curvature/sync or a spilled deeper
-//     inversion of its layer pair — because one more lag decouples it
-//     from the spilled gate (the gate's pool work completes in an earlier
-//     window) and it becomes bubble-placeable. A carried item that merely
-//     found no free bubble stays: it is already ready at window start, so
-//     deeper lag cannot improve its placement, only its staleness.
-//
-// Items that hit the depth cap and still do not fit stay at the deepest
-// generation and serialize before that window's tail, exactly like the
-// serialized packer's spill. The loop terminates because generations only
-// grow and are bounded by the depth; when nothing spills on the first
-// iteration, the result is identical to the serialized packing, and at
-// CarryDepth 2 the targeted rule degenerates to promoting every unplaced
-// generation-0 item — the committed depth-2 behavior, unchanged.
-func packOverlapped(items []*workItem, base *pipeline.Timeline, cfg Config) {
-	depth := cfg.CarryDepth
-	if depth < 2 {
-		depth = 2
-	}
-	for {
-		placeOverlapRound(items, base, cfg)
-		grew := false
-		for _, it := range items {
-			if it.placed || it.gen >= depth-1 {
-				continue
-			}
-			if it.gen == 0 || it.blocked {
-				it.gen++
-				grew = true
-			}
-		}
-		if !grew {
-			break
-		}
-		carryClosure(items)
-	}
-}
-
-// carryClosure restores lag-monotonicity within one statistics generation
-// after promotions: a sync-curvature depends on ALL the stage's curvature,
-// so its lag must be at least the stage's deepest curvature lag; an
-// inversion depends on its layer pair's curvature and the stage's syncs, so
-// its lag must cover both. (Ops at lag g execute g windows after the
-// statistics were collected; a consumer at a lag below its producer would
-// run in an earlier window than its inputs.) Curvature carries individually
-// — each micro-batch term folds into the generation's pooled partials
-// independently — and deeper-lag work of OTHER statistics generations never
-// constrains this one: cross-generation order is enforced by round
-// sequencing, not edges.
-func carryClosure(items []*workItem) {
-	curvGen := make(map[[2]int]int) // (stage, factor) -> max curvature gen
-	stageCurvGen := make(map[int]int)
-	for _, it := range items {
-		if it.kind != pipeline.Curvature {
-			continue
-		}
-		key := [2]int{it.stage, it.factor}
-		if it.gen > curvGen[key] {
-			curvGen[key] = it.gen
-		}
-		if it.gen > stageCurvGen[it.stage] {
-			stageCurvGen[it.stage] = it.gen
-		}
-	}
-	syncGen := make(map[int]int) // stage -> max sync gen
-	for _, it := range items {
-		if it.kind != pipeline.SyncCurvature {
-			continue
-		}
-		if g := stageCurvGen[it.stage]; g > it.gen {
-			it.gen = g
-		}
-		if it.gen > syncGen[it.stage] {
-			syncGen[it.stage] = it.gen
-		}
-	}
-	for _, it := range items {
-		if it.kind != pipeline.Inversion {
-			continue
-		}
-		for _, f := range []int{it.factor, pairFactor(it.factor)} {
-			if g := curvGen[[2]int{it.stage, f}]; g > it.gen {
-				it.gen = g
-			}
-		}
-		if g := syncGen[it.stage]; g > it.gen {
-			it.gen = g
-		}
-	}
-}
-
-// placeOverlapRound performs one placement pass of the overlapped steady
-// state: carried generations first, deepest lag first — each generation's
-// curvature is ready at window start (its statistics are a previous
-// window's pooled snapshots, complete before this window began) and its
-// syncs and inversions chain off same-generation placements only, exactly
-// mirroring the dependency edges (same-generation edges bind ops of the
-// same statistics pool within the window; shallower lags of that pool ran
-// in earlier windows). Then the window's own generation fills the remaining
-// bubbles. Inversion ends/blocks accumulate across generations so that a
-// shallower inversion of the same layer pair always orders after the deeper
-// ones — the per-layer EMA fold order.
-func placeOverlapRound(items []*workItem, base *pipeline.Timeline, cfg Config) {
-	free := freshFree(base)
-	maxGen := 0
-	for _, it := range items {
-		it.placed = false
-		it.placedStart = 0
-		it.placedEnd = 0
-		it.blocked = false
-		// Sync and inversion readiness is derived during packing; carried
-		// curvature is ready at window start. Own-window curvature keeps
-		// its buildWorkQueue readiness. An item's generation never
-		// decreases, so overwriting its readiness is safe across
-		// fixed-point iterations.
-		if it.kind != pipeline.Curvature || it.gen > 0 {
-			it.readyAt = 0
-		}
-		if it.gen > maxGen {
-			maxGen = it.gen
-		}
-	}
-	place := func(it *workItem) {
-		pieces, end, ok := free[it.device].place(it.readyAt, it.duration)
-		if !ok {
-			it.placed = false
-			return
-		}
-		it.placed = true
-		it.placedStart = pieces[0].Start
-		it.placedEnd = end
-	}
-	carried := make(map[*workItem]bool)
-	for _, it := range items {
-		if it.gen > 0 {
-			carried[it] = true
-		}
-	}
-	// carryInvEnd/carryInvBlocked see only strictly DEEPER generations than
-	// the one being placed (genInvEnd/genInvBlocked buffer the current one):
-	// the fold-order constraint is cross-generation; same-generation
-	// inversions of a layer pair share one statistics pool and carry no
-	// ordering edges.
-	carryInvEnd := make(map[[2]int]hardware.Microseconds) // (stage, factor)
-	carryInvBlocked := make(map[[2]int]bool)
-	for gen := maxGen; gen >= 1; gen-- {
-		genInvEnd := make(map[[2]int]hardware.Microseconds)
-		genInvBlocked := make(map[[2]int]bool)
-		curvDone := make(map[[2]int]hardware.Microseconds) // (device, stage)
-		pairDone := make(map[[3]int]hardware.Microseconds) // (device, stage, factor)
-		curvUnplaced := make(map[int]bool)                 // stage
-		for _, it := range items {
-			if it.gen != gen || it.kind != pipeline.Curvature {
-				continue
-			}
-			place(it)
-			if !it.placed {
-				curvUnplaced[it.stage] = true
-				continue
-			}
-			key := [3]int{it.device, it.stage, it.factor}
-			if it.placedEnd > pairDone[key] {
-				pairDone[key] = it.placedEnd
-			}
-			skey := [2]int{it.device, it.stage}
-			if it.placedEnd > curvDone[skey] {
-				curvDone[skey] = it.placedEnd
-			}
-		}
-		syncDone := make(map[int]hardware.Microseconds)
-		syncUnplaced := make(map[int]bool)
-		for _, it := range items {
-			if it.gen != gen || it.kind != pipeline.SyncCurvature {
-				continue
-			}
-			if curvUnplaced[it.stage] {
-				it.placed = false
-				it.blocked = true
-				syncUnplaced[it.stage] = true
-				continue
-			}
-			for _, ow := range stageOwners(cfg, it.stage) {
-				if t := curvDone[[2]int{ow.device, it.stage}]; t > it.readyAt {
-					it.readyAt = t
-				}
-			}
-			place(it)
-			if !it.placed {
-				syncUnplaced[it.stage] = true
-				continue
-			}
-			if it.placedEnd > syncDone[it.stage] {
-				syncDone[it.stage] = it.placedEnd
-			}
-		}
-		for _, it := range items {
-			if it.gen != gen || it.kind != pipeline.Inversion {
-				continue
-			}
-			key := [2]int{it.stage, it.factor}
-			if curvUnplaced[it.stage] || syncUnplaced[it.stage] ||
-				carryInvBlocked[key] || carryInvBlocked[[2]int{it.stage, pairFactor(it.factor)}] {
-				it.placed = false
-				it.blocked = true
-				genInvBlocked[key] = true
-				continue
-			}
-			for _, ow := range stageOwners(cfg, it.stage) {
-				for _, f := range []int{it.factor, pairFactor(it.factor)} {
-					if t := pairDone[[3]int{ow.device, it.stage, f}]; t > it.readyAt {
-						it.readyAt = t
-					}
-				}
-			}
-			if t := syncDone[it.stage]; t > it.readyAt {
-				it.readyAt = t
-			}
-			for _, f := range []int{it.factor, pairFactor(it.factor)} {
-				if t := carryInvEnd[[2]int{it.stage, f}]; t > it.readyAt {
-					it.readyAt = t
-				}
-			}
-			place(it)
-			if !it.placed {
-				genInvBlocked[key] = true
-				continue
-			}
-			if it.placedEnd > genInvEnd[key] {
-				genInvEnd[key] = it.placedEnd
-			}
-		}
-		for key, end := range genInvEnd {
-			if end > carryInvEnd[key] {
-				carryInvEnd[key] = end
-			}
-		}
-		for key := range genInvBlocked {
-			carryInvBlocked[key] = true
-		}
-	}
-	packOwnWindow(items, free, cfg, carried, carryInvEnd, carryInvBlocked)
-}
 
 // assignWindowSteps maps every packed work item to the step of the refresh
 // window it executes in (workItem.wstep): the step era its placed start
@@ -680,7 +241,7 @@ func assignWindowSteps(items []*workItem, base *pipeline.Timeline, cfg Config) {
 		}
 		era := 0
 		for j := 0; j < last; j++ {
-			if it.placedStart >= tailStart[it.device][j] {
+			if it.start() >= tailStart[it.device][j] {
 				era = j + 1
 			}
 		}
@@ -815,7 +376,7 @@ func assembleExecOrders(s *pipeline.Schedule, tl *pipeline.Timeline, items []*wo
 				}
 				start := never
 				if it.placed {
-					start = it.placedStart
+					start = it.start()
 				}
 				j := clamp(it.wstep)
 				heads[j] = append(heads[j], entry{start: start, seq: seq, opID: op.ID})

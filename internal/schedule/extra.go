@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hardware"
 	"repro/internal/pipeline"
@@ -82,21 +81,8 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 		return nil, err
 	}
 
-	out := &pipeline.Timeline{
-		Name:     base.Name + "+SAM",
-		Devices:  base.Devices,
-		Steps:    base.Steps,
-		Events:   make([][]pipeline.Event, base.Devices),
-		Makespan: base.Makespan,
-		StepEnd:  append([]hardware.Microseconds(nil), base.StepEnd...),
-	}
-	for d := 0; d < base.Devices; d++ {
-		out.Events[d] = append([]pipeline.Event(nil), base.Events[d]...)
-	}
-	free := make([]*freeList, base.Devices)
-	for d := 0; d < base.Devices; d++ {
-		free[d] = &freeList{gaps: base.Gaps(d, 0, base.Makespan)}
-	}
+	out := overlay(base, "+SAM")
+	free := freshFree(base)
 
 	w := cfg.DataParallelWidth
 	// The second pass runs after the first pass's gradient exists: extra
@@ -107,21 +93,14 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 	placedEnd := make(map[key]hardware.Microseconds)  // extra forward ends
 	placedBEnd := make(map[key]hardware.Microseconds) // extra backward ends
 	unassigned := 0
-	var extraTotal hardware.Microseconds
 	place := func(dev int, kind pipeline.WorkKind, stage, m int, ready, dur hardware.Microseconds) (hardware.Microseconds, bool) {
-		pieces, end, ok := free[dev].place(ready, dur)
+		pieces, ok := free[dev].place(ready, dur, false)
 		if !ok {
 			unassigned++
 			return 0, false
 		}
-		for _, p := range pieces {
-			op := &pipeline.Op{
-				Kind: kind, Device: dev, Stage: stage, MicroBatch: m,
-				Step: -1, Duration: p.End - p.Start,
-			}
-			out.Events[dev] = append(out.Events[dev], pipeline.Event{Op: op, Start: p.Start, End: p.End})
-		}
-		return end, true
+		addPieces(out, pieces, pipeline.Op{Kind: kind, Device: dev, Stage: stage, MicroBatch: m, Step: -1})
+		return pieces[len(pieces)-1].End, true
 	}
 	// Forwards in stage order, then backwards in reverse stage order.
 	for r := 0; r < w; r++ {
@@ -140,7 +119,6 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 				}
 				if end, ok := place(dev, pipeline.Forward, stage, m, ready, cfg.Costs.Forward); ok {
 					placedEnd[key{r, stage, m}] = end
-					extraTotal += cfg.Costs.Forward
 				}
 			}
 		}
@@ -159,14 +137,11 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 				}
 				if end, ok := place(dev, pipeline.Backward, stage, m, ready, cfg.Costs.Backward); ok {
 					placedBEnd[key{r, stage, m}] = end
-					extraTotal += cfg.Costs.Backward
 				}
 			}
 		}
 	}
-	for d := range out.Events {
-		sort.Slice(out.Events[d], func(i, j int) bool { return out.Events[d][i].Start < out.Events[d][j].Start })
-	}
+	sortEvents(out)
 
 	res := &SAMResult{
 		Timeline:        out,
@@ -189,11 +164,7 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 	for d := 0; d < out.Devices; d++ {
 		for _, e := range out.Events[d] {
 			if e.Op.Step == -1 && e.Start < window {
-				end := e.End
-				if end > window {
-					end = window
-				}
-				hiddenInWindow += end - e.Start
+				hiddenInWindow += min(e.End, window) - e.Start
 			}
 		}
 	}

@@ -1,17 +1,25 @@
 // Package schedule implements PipeFisher's automatic work assignment
 // (§3.1 of the paper): given a profiled timeline of a standard pipeline
 // schedule, it packs the K-FAC curvature and inversion work into the
-// pipeline bubbles according to the paper's dependency rules, measures how
-// many pipeline steps one curvature/inverse refresh takes, and reports the
-// resulting accelerator utilization.
+// pipeline bubbles according to the paper's dependency rules. One pass does
+// the packing (packGeneration, pack.go) and two entry points read it: Assign
+// reports the timing — how many pipeline steps one curvature/inverse refresh
+// takes, the resulting accelerator utilization — and Executable emits the
+// round as an op list the simulator and the training engine both run.
 //
-// The three assignment rules (§3.1):
+// The three assignment rules (§3.1), as implemented — by the analysis and
+// the executable alike, so what Assign models is what the engine executes:
 //
 //  1. Curvature work for A_l (resp. B_l) of a micro-batch is assigned to a
 //     bubble after the forward (resp. backward) of that micro-batch on the
 //     layer's stage.
 //  2. Inversion work for a factor is assigned after the curvature work of
-//     that factor for all micro-batches.
+//     its *layer pair* — A_l and B_l — for all micro-batches on every
+//     device that owns the stage, and after the stage's sync-curvature
+//     collectives when factors are sharded across owners. The paper states
+//     the rule per factor; real inversion needs the pair, because the
+//     factored Tikhonov damping couples A_l and B_l through their traces,
+//     and the sync is what makes a sharded factor final.
 //  3. Precondition work runs after the backward of all layers in a stage
 //     and before the next pipeline step (inserted into the schedule itself
 //     via pipeline.BuildConfig.IncludePrecondition — it is the only
@@ -24,6 +32,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/hardware"
@@ -117,10 +126,8 @@ type Config struct {
 }
 
 func (c Config) normalize() (Config, error) {
-	switch c.Method {
-	case "gpipe", "1f1b", "chimera":
-	default:
-		return c, fmt.Errorf("schedule: unknown method %q (want gpipe, 1f1b or chimera)", c.Method)
+	if !slices.Contains(pipeline.Methods(), c.Method) {
+		return c, fmt.Errorf("schedule: unknown method %q (want one of %v)", c.Method, pipeline.Methods())
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = 32
@@ -202,15 +209,14 @@ type workItem struct {
 	micro    int // micro-batch for curvature, -1 otherwise
 	duration hardware.Microseconds
 	readyAt  hardware.Microseconds
-	// placedEnd records the end of the item's last placed piece; placed
-	// marks whether placement succeeded, and placedStart records the start
-	// of the first piece (used by Executable to order real execution).
-	placedEnd   hardware.Microseconds
-	placedStart hardware.Microseconds
-	placed      bool
-	// blocked distinguishes WHY an overlap placement pass left the item
-	// unplaced: true means a scheduling gate (the generation's curvature or
-	// sync spilled, or a deeper inversion of the layer pair did) deferred
+	// pieces are the bubble intervals the packer booked for the item, in
+	// time order (one unless the item spilled across bubbles); placed marks
+	// whether it found room at all. Reset every placement pass.
+	pieces []pipeline.Gap
+	placed bool
+	// blocked distinguishes WHY a placement pass left the item unplaced:
+	// true means a scheduling gate (the generation's curvature or sync
+	// spilled, or a deeper inversion of the layer pair did) deferred
 	// it, false means it simply found no bubble. Deep-carry promotion only
 	// moves blocked items past generation 1 — lagging a capacity-starved
 	// item deeper buys nothing (it is already ready at window start), but a
@@ -228,16 +234,47 @@ type workItem struct {
 	gen int
 }
 
-// Assign builds the base schedule, inserts the per-step precondition work,
-// simulates enough steps for one refresh round, and packs the curvature and
-// inversion work into the bubbles according to the paper's rules.
+// start and end bound a placed item: the start of its first piece (what
+// orders real execution) and the end of its last.
+func (it *workItem) start() hardware.Microseconds { return it.pieces[0].Start }
+func (it *workItem) end() hardware.Microseconds   { return it.pieces[len(it.pieces)-1].End }
+
+// packRound lays the base schedule (per-step precondition included) out
+// over the given number of steps, times it, and packs one refresh's work
+// items into its bubbles — the front half Assign and Executable share.
+func packRound(cfg Config, steps int) (*pipeline.Schedule, *pipeline.Timeline, []*workItem, error) {
+	base, err := buildBase(cfg, steps, true)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tl, err := pipeline.Run(base)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	items := buildWorkQueue(cfg, tl)
+	packWindow(items, tl, cfg)
+	return base, tl, items, nil
+}
+
+// Assign is the timing analysis of the packing: it simulates enough steps
+// of the base schedule (per-step precondition work included) for one
+// refresh, packs the refresh into the bubbles with the same pass Executable
+// emits op lists from, and reports where the pieces landed — the augmented
+// timeline, how many steps the refresh spans, the utilization. It measures
+// the window of ONE serialized refresh rather than taking a round shape as
+// given: RefreshSteps, FrontLoadRefresh, Overlap and CarryDepth are ignored.
 func Assign(cfg Config) (*Result, error) {
+	cfg.RefreshSteps, cfg.FrontLoadRefresh = 0, false
+	cfg.Overlap, cfg.CarryDepth = false, 0
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
 	// Estimate the number of steps a refresh round needs from the
-	// (curvature+inversion)/bubble ratio, then simulate a couple extra.
+	// (curvature+inversion)/bubble ratio and simulate a couple extra — and
+	// more, up to MaxSteps, when the estimate proves short (the ratio knows
+	// nothing of readiness and gate waits), so the window reported is one
+	// the refresh fits.
 	oneStep, err := buildBase(cfg, 1, false)
 	if err != nil {
 		return nil, err
@@ -246,12 +283,20 @@ func Assign(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ratio := estimateRatio(cfg, oneTL)
-	steps := int(ratio) + 2
-	if steps > cfg.MaxSteps {
-		steps = cfg.MaxSteps
+	steps := min(int(estimateRatio(cfg, oneTL))+2, cfg.MaxSteps)
+	var baseTL *pipeline.Timeline
+	var items []*workItem
+	for {
+		_, baseTL, items, err = packRound(cfg, steps)
+		if err != nil {
+			return nil, err
+		}
+		spilled := slices.ContainsFunc(items, func(it *workItem) bool { return !it.placed })
+		if !spilled || steps == cfg.MaxSteps {
+			break
+		}
+		steps = min(2*steps, cfg.MaxSteps)
 	}
-
 	vanillaSched, err := buildBase(cfg, steps, false)
 	if err != nil {
 		return nil, err
@@ -260,49 +305,73 @@ func Assign(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseSched, err := buildBase(cfg, steps, true)
-	if err != nil {
-		return nil, err
-	}
-	baseTL, err := pipeline.Run(baseSched)
-	if err != nil {
-		return nil, err
-	}
-
-	items := buildWorkQueue(cfg, baseSched, baseTL)
-	packed, unassigned := pack(items, baseTL, cfg)
 
 	res := &Result{
-		Timeline:        packed,
-		VanillaTimeline: vanillaTL,
-		Unassigned:      unassigned,
+		Timeline:             overlay(baseTL, "+PipeFisher"),
+		VanillaTimeline:      vanillaTL,
+		RefreshSteps:         1,
+		RefreshStepsPerStage: make([]int, cfg.Stages),
+		StepTime:             steadyStepTime(baseTL),
+		VanillaStepTime:      steadyStepTime(vanillaTL),
+		VanillaUtilization:   vanillaTL.Utilization(),
 	}
-	res.VanillaStepTime = steadyStepTime(vanillaTL)
-	res.StepTime = steadyStepTime(baseTL)
-	res.VanillaUtilization = vanillaTL.Utilization()
-	res.refreshFromItems(items, baseTL, cfg)
 	for _, it := range items {
 		res.KFACWorkTime += it.duration
+		if !it.placed {
+			res.Unassigned++
+			continue
+		}
+		addPieces(res.Timeline, it.pieces, pipeline.Op{
+			Kind: it.kind, Device: it.device, Stage: it.stage, Replica: it.replica, MicroBatch: it.micro, Step: -1,
+		})
+		// The stage's refresh spans the steps until its last item completes.
+		span := stepOf(it.end(), baseTL.StepEnd) + 1
+		res.RefreshStepsPerStage[it.stage] = max(res.RefreshStepsPerStage[it.stage], span)
+		res.RefreshSteps = max(res.RefreshSteps, span)
 	}
-	res.Utilization = packed.UtilizationOver(0, windowEnd(res, baseTL))
+	sortEvents(res.Timeline)
+	// Utilization over the refresh round (whole steps), so repeated rounds
+	// tile the timeline.
+	res.Utilization = res.Timeline.UtilizationOver(0, baseTL.StepEnd[min(res.RefreshSteps, len(baseTL.StepEnd))-1])
 	return res, nil
 }
 
-// windowEnd picks the utilization window: the end of the refresh round
-// (whole steps), so repeated rounds tile the timeline.
-func windowEnd(res *Result, tl *pipeline.Timeline) hardware.Microseconds {
-	k := res.RefreshSteps
-	if k < 1 {
-		k = 1
+// overlay copies a profiled timeline so extra work packed into its bubbles
+// can be drawn on top of it.
+func overlay(base *pipeline.Timeline, suffix string) *pipeline.Timeline {
+	out := &pipeline.Timeline{
+		Name:     base.Name + suffix,
+		Devices:  base.Devices,
+		Steps:    base.Steps,
+		Events:   make([][]pipeline.Event, base.Devices),
+		Makespan: base.Makespan,
+		StepEnd:  append([]hardware.Microseconds(nil), base.StepEnd...),
 	}
-	if k > len(tl.StepEnd) {
-		k = len(tl.StepEnd)
+	for d := range out.Events {
+		out.Events[d] = append([]pipeline.Event(nil), base.Events[d]...)
 	}
-	return tl.StepEnd[k-1]
+	return out
+}
+
+// addPieces draws one event per booked piece of an extra-work item; op
+// describes the item (its Device is the pieces' device).
+func addPieces(tl *pipeline.Timeline, pieces []pipeline.Gap, op pipeline.Op) {
+	for _, p := range pieces {
+		piece := op
+		piece.Duration = p.End - p.Start
+		tl.Events[op.Device] = append(tl.Events[op.Device], pipeline.Event{Op: &piece, Start: p.Start, End: p.End})
+	}
+}
+
+// sortEvents restores time order on every device after addPieces.
+func sortEvents(tl *pipeline.Timeline) {
+	for _, evs := range tl.Events {
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
+	}
 }
 
 func buildBase(cfg Config, steps int, precondition bool) (*pipeline.Schedule, error) {
-	bc := pipeline.BuildConfig{
+	return pipeline.Build(cfg.Method, pipeline.BuildConfig{
 		Stages:               cfg.Stages,
 		MicroBatches:         cfg.MicroBatches,
 		Steps:                steps,
@@ -310,16 +379,7 @@ func buildBase(cfg Config, steps int, precondition bool) (*pipeline.Schedule, er
 		DataParallelWidth:    cfg.DataParallelWidth,
 		IncludeOptimizerWork: true,
 		IncludePrecondition:  precondition,
-	}
-	switch cfg.Method {
-	case "gpipe":
-		return pipeline.BuildGPipe(bc)
-	case "1f1b":
-		return pipeline.Build1F1B(bc)
-	case "chimera":
-		return pipeline.BuildChimera(bc)
-	}
-	return nil, fmt.Errorf("schedule: unknown method %q", cfg.Method)
+	})
 }
 
 // estimateRatio computes (curvature+inversion)/bubble per step: the paper's
@@ -382,7 +442,7 @@ func stageOwners(cfg Config, stage int) []owner {
 
 // buildWorkQueue creates the K-FAC work items of one refresh round with
 // their ready times taken from the profiled timeline (rules 1 and 2).
-func buildWorkQueue(cfg Config, sched *pipeline.Schedule, tl *pipeline.Timeline) []*workItem {
+func buildWorkQueue(cfg Config, tl *pipeline.Timeline) []*workItem {
 	var items []*workItem
 	nFactors := len(cfg.Costs.InversionUnits)
 	for stage := 0; stage < cfg.Stages; stage++ {
@@ -390,7 +450,6 @@ func buildWorkQueue(cfg Config, sched *pipeline.Schedule, tl *pipeline.Timeline)
 		// Curvature: one item per (owner device, micro-batch, factor).
 		// Factor readiness: A factors (even index) after the forward of
 		// the micro-batch at this stage; B factors (odd) after backward.
-		curvEnd := make(map[[2]int]hardware.Microseconds) // (device, factor) -> latest curvature ready bound
 		for _, ow := range owners {
 			for m := ow.microLo; m < ow.microHi; m++ {
 				fEv, okF := findStepEvent(tl, pipeline.Forward, stage, m, ow.device)
@@ -409,10 +468,6 @@ func buildWorkQueue(cfg Config, sched *pipeline.Schedule, tl *pipeline.Timeline)
 						duration: cfg.Costs.CurvatureUnits[f],
 						readyAt:  ready,
 					})
-					key := [2]int{ow.device, f}
-					if ready > curvEnd[key] {
-						curvEnd[key] = ready
-					}
 				}
 			}
 		}
@@ -428,7 +483,7 @@ func buildWorkQueue(cfg Config, sched *pipeline.Schedule, tl *pipeline.Timeline)
 					kind: pipeline.SyncCurvature, stage: stage, device: ow.device,
 					replica: ow.replica, factor: -1, micro: -1,
 					duration: cfg.Costs.SyncCurvature,
-					readyAt:  0, // after the stage's curvature; set in pack
+					readyAt:  0, // after the stage's curvature; set by packGeneration
 				})
 			}
 		}
@@ -488,213 +543,6 @@ func findStepEvent(tl *pipeline.Timeline, kind pipeline.WorkKind, stage, micro, 
 		}
 	}
 	return pipeline.Event{}, false
-}
-
-// freeList tracks the remaining bubble intervals of one device.
-type freeList struct {
-	gaps []pipeline.Gap
-}
-
-// place books dur units of work at or after ready, possibly split across
-// gaps. It returns the placed pieces and the end of the last piece; ok is
-// false when the free list is exhausted first.
-func (fl *freeList) place(ready hardware.Microseconds, dur hardware.Microseconds) (pieces []pipeline.Gap, end hardware.Microseconds, ok bool) {
-	return fl.placeImpl(ready, dur, false)
-}
-
-// placeWhole books dur units into a single bubble that fits it entirely
-// (the NoSplit ablation).
-func (fl *freeList) placeWhole(ready hardware.Microseconds, dur hardware.Microseconds) (pieces []pipeline.Gap, end hardware.Microseconds, ok bool) {
-	return fl.placeImpl(ready, dur, true)
-}
-
-func (fl *freeList) placeImpl(ready hardware.Microseconds, dur hardware.Microseconds, whole bool) (pieces []pipeline.Gap, end hardware.Microseconds, ok bool) {
-	remaining := dur
-	for i := 0; i < len(fl.gaps) && remaining > 0; i++ {
-		g := fl.gaps[i]
-		start := g.Start
-		if ready > start {
-			start = ready
-		}
-		if start >= g.End {
-			continue
-		}
-		avail := g.End - start
-		if whole && avail < remaining {
-			continue
-		}
-		take := remaining
-		if take > avail {
-			take = avail
-		}
-		pieces = append(pieces, pipeline.Gap{Device: g.Device, Start: start, End: start + take})
-		remaining -= take
-		end = start + take
-		// Shrink the gap: [g.Start, start) stays free; [start+take, g.End)
-		// stays free.
-		var repl []pipeline.Gap
-		if start > g.Start {
-			repl = append(repl, pipeline.Gap{Device: g.Device, Start: g.Start, End: start})
-		}
-		if start+take < g.End {
-			repl = append(repl, pipeline.Gap{Device: g.Device, Start: start + take, End: g.End})
-		}
-		fl.gaps = append(fl.gaps[:i], append(repl, fl.gaps[i+1:]...)...)
-		i += len(repl) - 1
-	}
-	return pieces, end, remaining == 0
-}
-
-// pack assigns every work item to bubbles (rule order: curvature sorted by
-// readiness, then sync-curvature, then inversions once their factor's
-// curvature is fully placed). It returns the augmented timeline and the
-// number of items that did not fit.
-func pack(items []*workItem, base *pipeline.Timeline, cfg Config) (*pipeline.Timeline, int) {
-	out := &pipeline.Timeline{
-		Name:     base.Name + "+PipeFisher",
-		Devices:  base.Devices,
-		Steps:    base.Steps,
-		Events:   make([][]pipeline.Event, base.Devices),
-		Makespan: base.Makespan,
-		StepEnd:  append([]hardware.Microseconds(nil), base.StepEnd...),
-	}
-	for d := 0; d < base.Devices; d++ {
-		out.Events[d] = append([]pipeline.Event(nil), base.Events[d]...)
-	}
-	free := make([]*freeList, base.Devices)
-	for d := 0; d < base.Devices; d++ {
-		free[d] = &freeList{gaps: base.Gaps(d, 0, base.Makespan)}
-	}
-
-	var curv, syncs, invs []*workItem
-	for _, it := range items {
-		switch it.kind {
-		case pipeline.Curvature:
-			curv = append(curv, it)
-		case pipeline.SyncCurvature:
-			syncs = append(syncs, it)
-		default:
-			invs = append(invs, it)
-		}
-	}
-	sort.SliceStable(curv, func(i, j int) bool { return curv[i].readyAt < curv[j].readyAt })
-
-	unassigned := 0
-	// curvDone[(device, stage, factor)] tracks the latest end of placed
-	// curvature pieces, which gates inversion (rule 2).
-	curvDone := make(map[[3]int]hardware.Microseconds)
-	stageCurvDone := make(map[[2]int]hardware.Microseconds) // (device, stage)
-	placeItem := func(it *workItem) bool {
-		var pieces []pipeline.Gap
-		var end hardware.Microseconds
-		var ok bool
-		if cfg.NoSplit {
-			pieces, end, ok = free[it.device].placeWhole(it.readyAt, it.duration)
-		} else {
-			pieces, end, ok = free[it.device].place(it.readyAt, it.duration)
-		}
-		if !ok {
-			unassigned++
-			return false
-		}
-		for _, p := range pieces {
-			op := &pipeline.Op{
-				Kind: it.kind, Device: it.device, Stage: it.stage, Replica: it.replica,
-				MicroBatch: it.micro, Step: -1, Duration: p.End - p.Start,
-			}
-			out.Events[it.device] = append(out.Events[it.device], pipeline.Event{Op: op, Start: p.Start, End: p.End})
-		}
-		it.placedEnd = end
-		return true
-	}
-	for _, it := range curv {
-		if !placeItem(it) {
-			continue
-		}
-		key := [3]int{it.device, it.stage, it.factor}
-		if it.placedEnd > curvDone[key] {
-			curvDone[key] = it.placedEnd
-		}
-		skey := [2]int{it.device, it.stage}
-		if it.placedEnd > stageCurvDone[skey] {
-			stageCurvDone[skey] = it.placedEnd
-		}
-	}
-	// Sync-curvature: after all curvature of the stage on the owning
-	// devices.
-	for _, it := range syncs {
-		var ready hardware.Microseconds
-		for _, ow := range stageOwners(cfg, it.stage) {
-			if t := stageCurvDone[[2]int{ow.device, it.stage}]; t > ready {
-				ready = t
-			}
-		}
-		it.readyAt = ready
-		if placeItem(it) {
-			skey := [2]int{it.device, it.stage}
-			if it.placedEnd > stageCurvDone[skey] {
-				stageCurvDone[skey] = it.placedEnd
-			}
-		}
-	}
-	// Inversions: ready when the factor's curvature is done on all owners
-	// (plus sync when present).
-	sort.SliceStable(invs, func(i, j int) bool {
-		ri := invReady(invs[i], cfg, curvDone, stageCurvDone)
-		rj := invReady(invs[j], cfg, curvDone, stageCurvDone)
-		return ri < rj
-	})
-	for _, it := range invs {
-		it.readyAt = invReady(it, cfg, curvDone, stageCurvDone)
-		placeItem(it)
-	}
-	for d := range out.Events {
-		sort.Slice(out.Events[d], func(i, j int) bool { return out.Events[d][i].Start < out.Events[d][j].Start })
-	}
-	return out, unassigned
-}
-
-func invReady(it *workItem, cfg Config, curvDone map[[3]int]hardware.Microseconds, stageCurvDone map[[2]int]hardware.Microseconds) hardware.Microseconds {
-	var ready hardware.Microseconds
-	owners := stageOwners(cfg, it.stage)
-	split := cfg.InversionParallel && len(owners) > 1
-	for _, ow := range owners {
-		var t hardware.Microseconds
-		if split {
-			// With sync-curvature, the factor is available everywhere once
-			// the stage's curvature (and sync) completed on each owner.
-			t = stageCurvDone[[2]int{ow.device, it.stage}]
-		} else if ow.device == it.device {
-			t = curvDone[[3]int{ow.device, it.stage, it.factor}]
-		}
-		if t > ready {
-			ready = t
-		}
-	}
-	return ready
-}
-
-// refreshFromItems derives the per-stage refresh interval: the number of
-// pipeline steps spanned until the stage's last K-FAC item completes.
-func (r *Result) refreshFromItems(items []*workItem, tl *pipeline.Timeline, cfg Config) {
-	r.RefreshStepsPerStage = make([]int, cfg.Stages)
-	for _, it := range items {
-		if it.placedEnd == 0 {
-			continue
-		}
-		step := stepOf(it.placedEnd, tl.StepEnd)
-		if step+1 > r.RefreshStepsPerStage[it.stage] {
-			r.RefreshStepsPerStage[it.stage] = step + 1
-		}
-	}
-	for _, s := range r.RefreshStepsPerStage {
-		if s > r.RefreshSteps {
-			r.RefreshSteps = s
-		}
-	}
-	if r.RefreshSteps == 0 {
-		r.RefreshSteps = 1
-	}
 }
 
 func stepOf(t hardware.Microseconds, stepEnd []hardware.Microseconds) int {

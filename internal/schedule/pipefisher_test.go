@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -305,5 +306,54 @@ func TestAssignInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAssignFigureHeadlines pins Assign's headline numbers for the five
+// profile-figure configurations cmd/figures renders (BlocksPerStage and the
+// chimera W = 1 mapping as there). The values are the ones the pre-merge
+// Assign, with its own packer and inversion rule, reported at 484c28d:
+// rerouting Assign through the executable's pass must not move them (only
+// RefreshStepsPerStage moves, by one step on some stages).
+func TestAssignFigureHeadlines(t *testing.T) {
+	cases := []struct {
+		name           string
+		a              arch.Transformer
+		method         string
+		stages, blocks int
+		nmicro, dp     int
+		invPar         bool
+		vanillaUtil    float64
+		util           float64
+		vanillaStep    hardware.Microseconds
+		step           hardware.Microseconds
+		refresh        int
+	}{
+		{"figure1_gpipe_schematic", arch.BERTBase, "gpipe", 4, 1, 4, 1, false, 0.571789, 0.867012, 299978, 310429, 3},
+		{"figure3_gpipe_bertbase", arch.BERTBase, "gpipe", 4, 3, 4, 1, false, 0.571770, 0.867004, 899902, 931255, 3},
+		{"figure3_1f1b_bertbase", arch.BERTBase, "1f1b", 4, 3, 4, 1, false, 0.571770, 0.867004, 899902, 931255, 3},
+		{"figure3_gpipe_data_inv_parallel", arch.BERTBase, "gpipe", 4, 3, 4, 2, true, 0.575784, 0.842931, 908417, 939770, 3},
+		{"figure4_chimera_bertlarge", arch.BERTLarge, "chimera", 8, 3, 8, 2, true, 0.571317, 0.852001, 3205068, 3353210, 3},
+	}
+	for _, c := range cases {
+		dpSched := c.dp
+		if c.method == "chimera" {
+			dpSched = 1 // Chimera's pair replication is built in
+		}
+		res, err := Assign(Config{
+			Method: c.method, Stages: c.stages, MicroBatches: c.nmicro,
+			Costs:             paperCosts(t, c.blocks, 32, c.a, c.dp),
+			DataParallelWidth: dpSched, InversionParallel: c.invPar,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Unassigned != 0 || res.RefreshSteps != c.refresh ||
+			res.StepTime != c.step || res.VanillaStepTime != c.vanillaStep ||
+			math.Abs(res.Utilization-c.util) > 5e-7 || math.Abs(res.VanillaUtilization-c.vanillaUtil) > 5e-7 {
+			t.Errorf("%s: utilization %.6f -> %.6f, step %d -> %d us, refresh %d (%d unassigned); want %.6f -> %.6f, %d -> %d, %d",
+				c.name, res.VanillaUtilization, res.Utilization, res.VanillaStepTime, res.StepTime, res.RefreshSteps, res.Unassigned,
+				c.vanillaUtil, c.util, c.vanillaStep, c.step, c.refresh)
+		}
 	}
 }
