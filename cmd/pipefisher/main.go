@@ -58,7 +58,7 @@ func main() {
 		blocks       = flag.Int("blocks", 3, "transformer blocks per stage")
 		nmicro       = flag.Int("nmicro", 4, "micro-batches per device per step")
 		bmicro       = flag.Int("bmicro", 32, "micro-batch size")
-		dp           = flag.Int("dp", 1, "data-parallel width W (gpipe/1f1b)")
+		dp           = flag.Int("dp", 1, "data-parallel width W: replicas of every stage (of chimera's whole bidirectional pair)")
 		invParallel  = flag.Bool("invparallel", false, "split inversion work across the stage's devices")
 		recompute    = flag.Bool("recompute", false, "activation recomputation")
 		width        = flag.Int("width", 120, "ASCII timeline width")
@@ -672,12 +672,7 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 	// shared op-list form exists for. The simulated side mirrors the
 	// engine's *final* configuration, which under -autotune can differ from
 	// the flags the run started with.
-	simSched, err := schedule.Executable(schedule.Config{
-		Method: eng.Method(), Stages: stages, MicroBatches: nmicro,
-		Costs:             engine.MeasuredCosts(real, 2*len(eng.StageLayers(0))),
-		DataParallelWidth: eng.Replicas(), InversionParallel: eng.InversionParallel(),
-		RefreshSteps: eng.RoundSteps(), Overlap: eng.Overlapped(), CarryDepth: eng.CarryDepth(),
-	})
+	simSched, err := schedule.Executable(eng.ScheduleConfig(engine.MeasuredCosts(real, 2*len(eng.StageLayers(0)))))
 	if err != nil {
 		log.Fatal(err)
 	}

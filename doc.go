@@ -223,12 +223,20 @@
 //     two, one per pipeline direction, and the up-pipeline set holds no
 //     weights of its own: its parameter Value.Data aliases its replica's
 //     storage (the real system's second weight copy, without the copy or
-//     a broadcast to it). Every (replica, pipeline, stage) of a schedule
-//     maps to exactly one device — checked whenever a schedule is built,
-//     and for every family x D x N x W x K-FAC x K by
-//     TestScheduleOwnershipGenerated — so one device goroutine drives each
-//     module set's stage and no lock guards a module: Chimera's two
-//     directions run at the same time
+//     a broadcast to it). Placement — which device hosts which (replica,
+//     pipeline, stage), for which micro-batches — is read from the built
+//     schedule, never re-derived: every builder indexes its own forward
+//     and backward ops into pipeline.Schedule.Placement, the packer takes a
+//     stage's owners and the executor a device's hosted stages from it, and
+//     internal/pipeline's builders table is the only place a method name
+//     decides anything (CI greps for a comparison elsewhere). Building the
+//     index is the proof that every (replica, pipeline, stage) maps to
+//     exactly one device (TestCheckOwnershipRejects), and
+//     pipeline's TestPlacementGenerated holds it to what the ops say for
+//     every family x D x N x W x steps, as TestScheduleOwnershipGenerated
+//     does for the engine's schedules x K-FAC x K — so one device goroutine
+//     drives each module set's stage and no lock guards a module: Chimera's
+//     two directions run at the same time
 //     (TestChimeraDirectionsRunConcurrently deadlocks under any per-stage
 //     lock). Weights are written only while every device is parked at the
 //     step-commit barrier, in place, so both directions see an update, a

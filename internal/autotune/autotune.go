@@ -155,41 +155,9 @@ func (t *Tuner) CurrentCandidate() schedule.Candidate {
 // fit has observed replaced by its measured median: unobserved classes
 // keep their modeled values, so a cold fit changes nothing.
 func (t *Tuner) FittedCosts() pipeline.StageCosts {
-	c := t.eng.ModeledCosts()
-	est := func(k pipeline.WorkKind, cur hardware.Microseconds) hardware.Microseconds {
-		if m, ok := t.fit.Estimate(int(k)); ok {
-			return m
-		}
-		return cur
-	}
-	c.Forward = est(pipeline.Forward, c.Forward)
-	bw := est(pipeline.Backward, c.Backward)
-	if m, ok := t.fit.Estimate(int(pipeline.Recompute)); ok {
-		// The cost model folds recomputation into backward.
-		bw += m
-	}
-	c.Backward = bw
-	c.Precondition = est(pipeline.Precondition, c.Precondition)
-	c.OptStep = est(pipeline.OptStep, c.OptStep)
-	if c.SyncGrad > 0 {
-		c.SyncGrad = est(pipeline.SyncGrad, c.SyncGrad)
-	}
-	if c.SyncCurvature > 0 {
-		c.SyncCurvature = est(pipeline.SyncCurvature, c.SyncCurvature)
-	}
-	if m, ok := t.fit.Estimate(int(pipeline.Curvature)); ok {
-		c.CurvaturePerMicroBatch = 0
-		for i := range c.CurvatureUnits {
-			c.CurvatureUnits[i] = m
-			c.CurvaturePerMicroBatch += m
-		}
-	}
-	if m, ok := t.fit.Estimate(int(pipeline.Inversion)); ok {
-		for i := range c.InversionUnits {
-			c.InversionUnits[i] = m
-		}
-	}
-	return c
+	return t.eng.ModeledCosts().Refit(func(k pipeline.WorkKind) (hardware.Microseconds, bool) {
+		return t.fit.Estimate(int(k))
+	})
 }
 
 // ModelError reports the shape-normalized relative error between the

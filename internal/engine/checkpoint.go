@@ -132,14 +132,7 @@ func (e *Engine) RestoreCheckpoint() (int, error) {
 	e.kfacGen = c.kfacGen
 	e.refreshPending = c.refreshPending
 	// Whatever the aborted round left in the generation pools is stale now.
-	for _, p := range e.kfacPools {
-		if p != nil {
-			p.reset()
-		}
-	}
-	for i := range e.carryQ {
-		e.carryQ[i] = nil
-	}
+	e.dropGenerations()
 	// Replicas resync from the restored primary (TrainRound re-broadcasts
 	// anyway; doing it here leaves the engine consistent immediately).
 	if err := e.broadcastParams(); err != nil {

@@ -174,14 +174,7 @@ func (e *Engine) resyncFrom(root int) error {
 		for s, st := range e.sets[0].stages {
 			e.kfacPre[s] = kfac.NewPreconditioner(st.layers, e.kfacOpts)
 		}
-		for _, p := range e.kfacPools {
-			if p != nil {
-				p.reset()
-			}
-		}
-		for i := range e.carryQ {
-			e.carryQ[i] = nil
-		}
+		e.dropGenerations()
 		e.refreshPending = true
 	}
 	// The pre-resync round checkpoint described a state (and possibly a

@@ -59,7 +59,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -216,9 +215,6 @@ func (c Config) normalize() (Config, error) {
 	if c.Method == "" {
 		c.Method = "gpipe"
 	}
-	if !slices.Contains(pipeline.Methods(), c.Method) {
-		return c, fmt.Errorf("engine: unknown method %q (want one of %v)", c.Method, pipeline.Methods())
-	}
 	if c.Stages <= 0 {
 		return c, fmt.Errorf("engine: Stages must be positive, got %d", c.Stages)
 	}
@@ -264,13 +260,10 @@ func (c Config) normalize() (Config, error) {
 	if c.RetryBackoff < 0 {
 		return c, fmt.Errorf("engine: RetryBackoff must be non-negative, got %v", c.RetryBackoff)
 	}
-	if c.Method == "chimera" {
-		if c.Stages%2 != 0 {
-			return c, fmt.Errorf("engine: chimera requires an even number of stages, got %d", c.Stages)
-		}
-		if c.MicroBatches%2 != 0 {
-			return c, fmt.Errorf("engine: chimera requires an even number of micro-batches, got %d", c.MicroBatches)
-		}
+	// Whether the family exists and can lay this topology out is pipeline's
+	// to say; asked here, before any collective runs.
+	if err := pipeline.Feasible(c.Method, c.Stages, c.MicroBatches); err != nil {
+		return c, fmt.Errorf("engine: %w", err)
 	}
 	return c, nil
 }
@@ -298,13 +291,14 @@ type Engine struct {
 	cfg Config
 	// sets holds the module sets. sets[r], r < Replicas, is data-parallel
 	// replica r (sets[0] the primary), with its own parameter copy,
-	// re-broadcast from the primary at every step. Under chimera Replicas
-	// more follow: sets[Replicas+r] is replica r's up-pipeline set, whose
-	// parameter values alias sets[r]'s storage (buildUpSets) while its
-	// gradient accumulators and layer workspace are its own. An op finds
-	// its set with setIndex; the schedule gives every (replica, pipeline,
-	// stage) one device (checkOwnership), so a set's stage is only ever
-	// touched by one device goroutine and needs no lock.
+	// re-broadcast from the primary at every step. Under a family with a
+	// second pipeline (chimera) Replicas more follow: sets[Replicas+r] is
+	// replica r's up-pipeline set, whose parameter values alias sets[r]'s
+	// storage (buildUpSets) while its gradient accumulators and layer
+	// workspace are its own. An op finds its set with setIndex; the schedule
+	// gives every (replica, pipeline, stage) one device — building its
+	// pipeline.Placement proves it — so a set's stage is only ever touched by
+	// one device goroutine and needs no lock.
 	sets []*moduleSet
 	// layerMu[s][li] guards the primary preconditioner's per-layer factor
 	// state — the curvature fold (SetFactors) and inversion refreshes — so
@@ -376,8 +370,8 @@ type Engine struct {
 	kfacGen     int
 	maxCarryGen int
 
-	// costModel, when set (SetCostModel / Reconfigure with fitted costs),
-	// replaces the static execCosts shape the schedule builders pack with:
+	// costModel, when set (Reconfigure with SwapConfig.Costs), replaces the
+	// static execCosts shape the schedule builders pack with:
 	// the auto-tuner feeds measured per-kind durations back so the packer
 	// lays bubbles out against the hardware's real proportions. Execution
 	// follows the resulting order only, so swapping cost models never
@@ -471,13 +465,11 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 	if cfg.ShardParams {
 		e.initShards()
 	}
-	if cfg.Method == "chimera" {
-		up, err := e.buildUpSets()
-		if err != nil {
-			return nil, err
-		}
-		e.sets = append(e.sets, up...)
+	up, err := e.missingSets(cfg.Method)
+	if err != nil {
+		return nil, err
 	}
+	e.sets = append(e.sets, up...)
 	if err := e.rebuildSchedule(); err != nil {
 		return nil, err
 	}
@@ -535,6 +527,17 @@ func (e *Engine) buildUpSets() ([]*moduleSet, error) {
 		up[r] = set
 	}
 	return up, nil
+}
+
+// missingSets builds the module sets the method needs beyond those the
+// engine holds — Replicas x the family's pipelines in all — for the caller to
+// append to e.sets: nothing for a single-pipeline family or once a second
+// pipeline's sets exist, else buildUpSets.
+func (e *Engine) missingSets(method string) ([]*moduleSet, error) {
+	if len(e.sets) >= e.cfg.Replicas*pipeline.Pipelines(method) {
+		return nil, nil
+	}
+	return e.buildUpSets()
 }
 
 // setIndex locates the module set a forward or backward op runs on:
@@ -601,18 +604,7 @@ func (e *Engine) rebuildSchedule() error {
 	var sched *pipeline.Schedule
 	var err error
 	if e.kfacPre != nil {
-		sched, err = schedule.Executable(schedule.Config{
-			Method:            e.cfg.Method,
-			Stages:            e.cfg.Stages,
-			MicroBatches:      e.cfg.MicroBatches,
-			Costs:             costs,
-			DataParallelWidth: e.cfg.Replicas,
-			InversionParallel: e.cfg.InversionParallel,
-			RefreshSteps:      e.roundLen,
-			FrontLoadRefresh:  e.cfg.FrontLoadRefresh,
-			Overlap:           e.cfg.OverlapRounds,
-			CarryDepth:        e.cfg.CarryDepth,
-		})
+		sched, err = schedule.Executable(e.ScheduleConfig(costs))
 	} else {
 		sched, err = pipeline.Build(e.cfg.Method, pipeline.BuildConfig{
 			Stages:               e.cfg.Stages,
@@ -629,9 +621,6 @@ func (e *Engine) rebuildSchedule() error {
 	if _, err := pipeline.Run(sched); err != nil {
 		return fmt.Errorf("engine: schedule not executable: %w", err)
 	}
-	if err := checkOwnership(sched, e.cfg); err != nil {
-		return err
-	}
 	if e.kfacPre != nil {
 		// The degradation ladder treats a failed refresh op as a success
 		// (stale inverses serve instead); that is only sound when no
@@ -645,33 +634,24 @@ func (e *Engine) rebuildSchedule() error {
 	return nil
 }
 
-// checkOwnership proves the ownership contract the executor runs without
-// locks on: all forwards and backwards of one (replica, pipeline, stage) —
-// one stage of one module set — sit on one device, so one goroutine drives
-// those modules for the whole round. Only Chimera has a second pipeline.
-func checkOwnership(s *pipeline.Schedule, cfg Config) error {
-	pipes := 1
-	if cfg.Method == "chimera" {
-		pipes = 2
+// ScheduleConfig returns the PipeFisher configuration the engine runs —
+// family, topology, round shape — priced with the given costs: what
+// rebuildSchedule packs with the engine's own cost shape, and what a caller
+// re-simulating the engine's rounds (measured costs, say) must pass to
+// schedule.Executable to get the same round.
+func (e *Engine) ScheduleConfig(costs pipeline.StageCosts) schedule.Config {
+	return schedule.Config{
+		Method:            e.cfg.Method,
+		Stages:            e.cfg.Stages,
+		MicroBatches:      e.cfg.MicroBatches,
+		Costs:             costs,
+		DataParallelWidth: e.cfg.Replicas,
+		InversionParallel: e.cfg.InversionParallel,
+		RefreshSteps:      e.roundLen,
+		FrontLoadRefresh:  e.cfg.FrontLoadRefresh,
+		Overlap:           e.cfg.OverlapRounds,
+		CarryDepth:        e.cfg.CarryDepth,
 	}
-	owner := make(map[[3]int]int)
-	for _, op := range s.Ops {
-		if op.Kind != pipeline.Forward && op.Kind != pipeline.Backward {
-			continue
-		}
-		if op.Replica < 0 || op.Replica >= cfg.Replicas || op.Pipeline < 0 || op.Pipeline >= pipes ||
-			op.Stage < 0 || op.Stage >= cfg.Stages {
-			return fmt.Errorf("engine: op %s names module set (replica %d, pipeline %d) stage %d, outside %d replicas x %d pipelines x %d stages",
-				op.Label(), op.Replica, op.Pipeline, op.Stage, cfg.Replicas, pipes, cfg.Stages)
-		}
-		key := [3]int{op.Replica, op.Pipeline, op.Stage}
-		if d, ok := owner[key]; ok && d != op.Device {
-			return fmt.Errorf("engine: stage %d of module set (replica %d, pipeline %d) is scheduled on devices %d and %d; the executor needs one owner per module set",
-				op.Stage, op.Replica, op.Pipeline, d, op.Device)
-		}
-		owner[key] = op.Device
-	}
-	return nil
 }
 
 // resolveParallelism fixes the step's intra-op budget against the worker
@@ -819,14 +799,7 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 	adaptive := k == AdaptiveRefreshSteps
 	if adaptive {
 		var err error
-		k, err = schedule.AdaptiveRoundLength(schedule.Config{
-			Method:            e.cfg.Method,
-			Stages:            e.cfg.Stages,
-			MicroBatches:      e.cfg.MicroBatches,
-			Costs:             e.execCosts(),
-			DataParallelWidth: e.cfg.Replicas,
-			InversionParallel: e.cfg.InversionParallel,
-		})
+		k, err = schedule.AdaptiveRoundLength(e.ScheduleConfig(e.execCosts()))
 		if err != nil {
 			return fmt.Errorf("engine: deriving adaptive round length: %w", err)
 		}
@@ -870,11 +843,8 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 	// so overlapped rounds can collect a generation while the carried ops
 	// of older ones drain.
 	e.maxCarryGen = maxScheduleGen(e.sched)
-	for _, p := range e.kfacPools {
-		p.reset() // re-enabling K-FAC must not inherit stale pool state
-	}
+	e.dropGenerations() // re-enabling K-FAC must not inherit stale pool state
 	e.ensureGenPools()
-	e.carryQ = make([]*kfacGenPool, e.maxCarryGen)
 	e.kfacGen = 0
 	e.refreshPending = false
 	return nil
@@ -906,6 +876,16 @@ func (e *Engine) ensureGenPools() {
 	for len(e.kfacPools) < n {
 		e.kfacPools = append(e.kfacPools, newKFACGenPool(e.cfg.Stages, perStep, nLayers))
 	}
+}
+
+// dropGenerations discards every statistics generation in flight: each pool
+// is scrubbed (what it still holds goes back to the workspace pool) and the
+// carry queue starts over empty, one slot per lag of the current schedule.
+func (e *Engine) dropGenerations() {
+	for _, p := range e.kfacPools {
+		p.reset()
+	}
+	e.carryQ = make([]*kfacGenPool, e.maxCarryGen)
 }
 
 // carryPending reports whether any collected generation still has carried
@@ -1108,14 +1088,7 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 		if refresh || e.carryPending() {
 			e.refreshPending = true
 		}
-		for _, p := range e.kfacPools {
-			if p != nil {
-				p.reset()
-			}
-		}
-		for i := range e.carryQ {
-			e.carryQ[i] = nil
-		}
+		e.dropGenerations()
 		return res, err
 	}
 	// Advance the carry queue: the oldest pending generation's deepest-
@@ -1211,32 +1184,23 @@ func MeasuredCosts(tl *pipeline.Timeline, nFactors int) pipeline.StageCosts {
 			cnt[ev.Op.Kind]++
 		}
 	}
-	avg := func(k pipeline.WorkKind) hardware.Microseconds {
-		if cnt[k] == 0 {
-			return 1
-		}
-		v := sum[k] / cnt[k]
-		if v < 1 {
-			v = 1
-		}
-		return hardware.Microseconds(v)
+	base := pipeline.StageCosts{
+		CurvatureUnits: make([]hardware.Microseconds, nFactors),
+		InversionUnits: make([]hardware.Microseconds, nFactors),
 	}
-	c := pipeline.StageCosts{
-		Forward:      avg(pipeline.Forward),
-		Backward:     avg(pipeline.Backward) + avg(pipeline.Recompute),
-		Precondition: avg(pipeline.Precondition),
-		OptStep:      1,
-	}
+	// Refit prices the collectives its receiver has: the ones that ran.
 	if cnt[pipeline.SyncGrad] > 0 {
-		c.SyncGrad = avg(pipeline.SyncGrad)
+		base.SyncGrad = 1
 	}
 	if cnt[pipeline.SyncCurvature] > 0 {
-		c.SyncCurvature = avg(pipeline.SyncCurvature)
+		base.SyncCurvature = 1
 	}
-	for i := 0; i < nFactors; i++ {
-		c.CurvatureUnits = append(c.CurvatureUnits, avg(pipeline.Curvature))
-		c.CurvaturePerMicroBatch += avg(pipeline.Curvature)
-		c.InversionUnits = append(c.InversionUnits, avg(pipeline.Inversion))
-	}
-	return c
+	// A kind that never ran costs the 1 µs floor, and so does the optimizer
+	// update, whose executed event is mostly step-commit barrier wait.
+	return base.Refit(func(k pipeline.WorkKind) (hardware.Microseconds, bool) {
+		if cnt[k] == 0 || k == pipeline.OptStep {
+			return 1, true
+		}
+		return hardware.Microseconds(max(sum[k]/cnt[k], 1)), true
+	})
 }

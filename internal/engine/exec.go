@@ -431,21 +431,15 @@ func (st *runState) rollback() {
 // device participates in — for the op's step — exactly once per (step,
 // stage) (Once.Do blocks the other participants until the reduction
 // finished — the rendezvous of the all-reduce), routed through the
-// engine's transport group. A chimera device hosts two stages and syncs
-// both; every other topology syncs the op's own stage. Returns the bytes
-// this call actually put on the wire (zero for a latecomer that only
-// waited on another participant's fold).
+// engine's transport group. The stages are the ones the schedule's
+// placement says the device hosts: a chimera device syncs two, every other
+// topology the op's own. Returns the bytes this call actually put on the
+// wire (zero for a latecomer that only waited on another participant's
+// fold).
 func (st *runState) foldStages(op *pipeline.Op) (int64, error) {
-	stages := []int{op.Stage}
-	if st.e.cfg.Method == "chimera" {
-		if up := st.e.cfg.Stages - 1 - op.Stage; up != op.Stage {
-			stages = append(stages, up)
-		}
-	}
 	j := op.Step
 	var bytes int64
-	for _, s := range stages {
-		s := s
+	for _, s := range st.e.sched.Placement.Hosted[op.Device] {
 		st.foldDone[j][s].Do(func() {
 			var nb int64
 			nb, st.foldErr[j][s] = foldParams(st.e.group, st.e.foldOps[s],

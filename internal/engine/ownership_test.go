@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,40 +151,6 @@ func TestScheduleOwnershipGenerated(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// The construction-time check refuses a schedule that would put two devices
-// on one module set's stage, or that names a pipeline the method has no
-// module set for.
-func TestCheckOwnershipRejects(t *testing.T) {
-	build := func() *pipeline.Schedule {
-		s, err := pipeline.BuildChimera(pipeline.BuildConfig{
-			Stages: 2, MicroBatches: 4, Steps: 1, IncludeOptimizerWork: true,
-			Costs: pipeline.StageCosts{Forward: 100, Backward: 200, OptStep: 10},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	cfg := Config{Method: "chimera", Stages: 2, MicroBatches: 4, Replicas: 1}
-	if err := checkOwnership(build(), cfg); err != nil {
-		t.Fatalf("a built chimera schedule fails its own check: %v", err)
-	}
-	split := build()
-	for _, op := range split.Ops {
-		if op.Kind == pipeline.Backward && op.Pipeline == 1 && op.Stage == 0 {
-			op.Device = 1 - op.Device
-			break
-		}
-	}
-	if err := checkOwnership(split, cfg); err == nil || !strings.Contains(err.Error(), "one owner per module set") {
-		t.Fatalf("a stage split across two devices passed the check: %v", err)
-	}
-	cfg.Method = "1f1b"
-	if err := checkOwnership(build(), cfg); err == nil || !strings.Contains(err.Error(), "pipeline 1") {
-		t.Fatalf("an up-pipeline op passed the check of a single-pipeline method: %v", err)
 	}
 }
 

@@ -35,9 +35,10 @@ type SwapConfig struct {
 	// when the round length changes (a refresh window cannot straddle a
 	// round boundary).
 	RefreshEvery int
-	// Costs, when non-nil, replaces the engine's packing cost model with a
-	// fitted one (see SetCostModel) for the rebuild. Execution follows the
-	// packed order only, so this never changes the math.
+	// Costs, when non-nil, replaces the engine's packing cost model — the
+	// static execCosts shape, or an earlier swap's — with a fitted one for
+	// this rebuild and every later one. Execution follows the packed order
+	// only, so this never changes the math.
 	Costs *pipeline.StageCosts
 }
 
@@ -111,13 +112,11 @@ func (e *Engine) Reconfigure(sc SwapConfig) error {
 		nc.FrontLoadRefresh == e.cfg.FrontLoadRefresh &&
 		effectiveCarryDepth(nc) == effectiveCarryDepth(e.cfg) &&
 		re == e.refreshEvery &&
-		(sc.Costs == nil || (e.costModel != nil && costsEqual(*sc.Costs, *e.costModel)))
+		(sc.Costs == nil || (e.costModel != nil && sc.Costs.Equal(*e.costModel)))
 
-	var up []*moduleSet
-	if nc.Method == "chimera" && len(e.sets) == nc.Replicas {
-		if up, err = e.buildUpSets(); err != nil {
-			return fmt.Errorf("engine: Reconfigure: %w", err)
-		}
+	up, err := e.missingSets(nc.Method)
+	if err != nil {
+		return fmt.Errorf("engine: Reconfigure: %w", err)
 	}
 	oldCfg, oldLen, oldCosts := e.cfg, e.roundLen, e.costModel
 	e.cfg = nc
@@ -142,13 +141,8 @@ func (e *Engine) Reconfigure(sc SwapConfig) error {
 		// untouched — the bit-identity guarantee of a no-op swap.
 		return nil
 	}
-	for _, p := range e.kfacPools {
-		if p != nil {
-			p.reset()
-		}
-	}
+	e.dropGenerations()
 	e.ensureGenPools()
-	e.carryQ = make([]*kfacGenPool, e.maxCarryGen)
 	e.refreshPending = true
 	return nil
 }
@@ -163,42 +157,6 @@ func effectiveCarryDepth(c Config) int {
 		return 2
 	}
 	return c.CarryDepth
-}
-
-// SetCostModel replaces the static packing cost shape (execCosts) with a
-// fitted one and rebuilds the executable schedule against it. Passing nil
-// restores the static shape. Like Reconfigure, call it only between rounds;
-// unlike Reconfigure it preserves the refresh pipeline only when the
-// repacked schedule's carry structure is unchanged — the auto-tuner
-// therefore always swaps costs through Reconfigure, which settles that
-// question explicitly.
-func (e *Engine) SetCostModel(c *pipeline.StageCosts) error {
-	old := e.costModel
-	if c != nil {
-		cc := *c
-		e.costModel = &cc
-	} else {
-		e.costModel = nil
-	}
-	if err := e.rebuildSchedule(); err != nil {
-		e.costModel = old
-		return err
-	}
-	if e.kfacPre != nil {
-		oldMax := e.maxCarryGen
-		e.maxCarryGen = maxScheduleGen(e.sched)
-		if e.maxCarryGen != oldMax || e.carryPending() {
-			for _, p := range e.kfacPools {
-				if p != nil {
-					p.reset()
-				}
-			}
-			e.ensureGenPools()
-			e.carryQ = make([]*kfacGenPool, e.maxCarryGen)
-			e.refreshPending = true
-		}
-	}
-	return nil
 }
 
 // ModeledCosts returns the cost shape the engine currently packs schedules
@@ -223,27 +181,3 @@ func (e *Engine) RefreshEvery() int { return e.refreshEvery }
 // overlapped, the resolved default of 2 when overlapped without an explicit
 // depth).
 func (e *Engine) CarryDepth() int { return effectiveCarryDepth(e.cfg) }
-
-// costsEqual compares two StageCosts value-wise.
-func costsEqual(a, b pipeline.StageCosts) bool {
-	if a.Forward != b.Forward || a.Backward != b.Backward ||
-		a.Precondition != b.Precondition || a.OptStep != b.OptStep ||
-		a.SyncGrad != b.SyncGrad || a.SyncCurvature != b.SyncCurvature ||
-		a.CurvaturePerMicroBatch != b.CurvaturePerMicroBatch {
-		return false
-	}
-	if len(a.CurvatureUnits) != len(b.CurvatureUnits) || len(a.InversionUnits) != len(b.InversionUnits) {
-		return false
-	}
-	for i := range a.CurvatureUnits {
-		if a.CurvatureUnits[i] != b.CurvatureUnits[i] {
-			return false
-		}
-	}
-	for i := range a.InversionUnits {
-		if a.InversionUnits[i] != b.InversionUnits[i] {
-			return false
-		}
-	}
-	return true
-}

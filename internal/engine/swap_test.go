@@ -247,7 +247,7 @@ func TestEngineDeepCarryTrains(t *testing.T) {
 		costs.CurvaturePerMicroBatch += costs.CurvatureUnits[i]
 		costs.InversionUnits[i] *= 10
 	}
-	if err := e.SetCostModel(&costs); err != nil {
+	if err := e.Reconfigure(SwapConfig{Overlap: true, CarryDepth: 3, Costs: &costs}); err != nil {
 		t.Fatal(err)
 	}
 	maxGen := 0

@@ -84,10 +84,7 @@ func BuildPipeDream(cfg BuildConfig) (*Schedule, error) {
 			}
 		}
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s.seal()
 }
 
 // WeightStaleness returns, for an asynchronous schedule, the maximum number

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/hardware"
 )
 
 // BuildConfig configures a schedule builder.
@@ -50,16 +52,33 @@ func (c BuildConfig) normalize() (BuildConfig, error) {
 	return c, nil
 }
 
-// builders names the synchronous schedule families — the one place that
-// knows the method names the engine, the PipeFisher packer and the
-// auto-tuner's candidate space accept.
-var builders = []struct {
+// family is one row of the builders table.
+type family struct {
 	method string
 	build  func(BuildConfig) (*Schedule, error)
-}{
-	{"gpipe", BuildGPipe},
-	{"1f1b", Build1F1B},
-	{"chimera", BuildChimera},
+	// pipelines is how many pipelines the family runs per replica.
+	pipelines int
+	// fits rejects a (stages, micro-batches) topology the family cannot lay
+	// out; nil accepts every one. The builder applies it too.
+	fits func(stages, microBatches int) error
+}
+
+// builders names the synchronous schedule families — the one place that
+// knows the method names the engine, the PipeFisher packer and the
+// auto-tuner's candidate space accept. A new family is a builder plus a row.
+var builders = []family{
+	{"gpipe", BuildGPipe, 1, nil},
+	{"1f1b", Build1F1B, 1, nil},
+	{"chimera", BuildChimera, 2, chimeraFits},
+}
+
+func lookup(method string) (family, error) {
+	for _, b := range builders {
+		if b.method == method {
+			return b, nil
+		}
+	}
+	return family{}, fmt.Errorf("pipeline: unknown method %q (want one of %v)", method, Methods())
 }
 
 // Methods lists the schedule families Build accepts.
@@ -71,14 +90,42 @@ func Methods() []string {
 	return names
 }
 
-// Build lays out the named schedule family.
-func Build(method string, cfg BuildConfig) (*Schedule, error) {
-	for _, b := range builders {
-		if b.method == method {
-			return b.build(cfg)
-		}
+// Pipelines reports how many pipelines the family runs per replica — the
+// module sets a replica needs and, times the replica count, the width of a
+// stage's device group. 0 for an unknown method.
+func Pipelines(method string) int {
+	b, _ := lookup(method)
+	return b.pipelines
+}
+
+// Feasible reports whether Build can lay the family out over the topology:
+// nil, or the error Build would refuse it with.
+func Feasible(method string, stages, microBatches int) error {
+	b, err := lookup(method)
+	if err != nil || b.fits == nil {
+		return err
 	}
-	return nil, fmt.Errorf("pipeline: unknown method %q (want one of %v)", method, Methods())
+	return b.fits(stages, microBatches)
+}
+
+// Build lays out the named schedule family. The placement the ops came out
+// with is checked against what was asked for — DataParallelWidth replicas of
+// the family's pipelines — so no op names a module set the executor did not
+// build.
+func Build(method string, cfg BuildConfig) (*Schedule, error) {
+	b, err := lookup(method)
+	if err != nil {
+		return nil, err
+	}
+	s, err := b.build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if p, w := s.Placement, max(cfg.DataParallelWidth, 1); p.Replicas != w || p.Pipelines != b.pipelines {
+		return nil, fmt.Errorf("pipeline: %s placed %d replicas x %d pipelines, want %d x %d",
+			method, p.Replicas, p.Pipelines, w, b.pipelines)
+	}
+	return s, nil
 }
 
 // BuildGPipe lays out the GPipe schedule (Huang et al., 2019): all forwards
@@ -158,10 +205,9 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 		Steps:        cfg.Steps,
 		Order:        make([][]int, d*w),
 	}
-	fid := make(map[[4]int]int) // (step, replica, stage, micro)
-	bid := make(map[[4]int]int)
-	optID := make(map[[2]int]int)     // (step, device) -> optimizer op
-	tailIDs := make(map[[2]int][]int) // (step, device) -> ordered tail ops
+	fid := make(map[[4]int]int)       // (step, replica, stage, micro)
+	bid := make(map[[5]int]int)       // (step, replica, pipeline 0, stage, micro)
+	tailIDs := make(map[[2]int][]int) // (step, device) -> ordered tail ops, the optimizer update last
 
 	for step := 0; step < cfg.Steps; step++ {
 		// Pass 1: forwards, ascending stages (deps already exist).
@@ -175,8 +221,8 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 					if stage > 0 {
 						op.Deps = append(op.Deps, fid[[4]int{step, r, stage - 1, m}])
 					}
-					if prev, ok := optID[[2]int{step - 1, stage*w + r}]; ok {
-						op.Deps = append(op.Deps, prev)
+					if prev := tailIDs[[2]int{step - 1, stage*w + r}]; len(prev) > 0 {
+						op.Deps = append(op.Deps, prev[len(prev)-1])
 					}
 					s.addOpDeferred(op)
 					fid[[4]int{step, r, stage, m}] = op.ID
@@ -192,56 +238,20 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 						MicroBatch: m, Factor: -1, Step: step, Duration: cfg.Costs.Backward,
 					}
 					if stage < d-1 {
-						op.Deps = append(op.Deps, bid[[4]int{step, r, stage + 1, m}])
+						op.Deps = append(op.Deps, bid[[5]int{step, r, 0, stage + 1, m}])
 					} else {
 						op.Deps = append(op.Deps, fid[[4]int{step, r, stage, m}])
 					}
 					s.addOpDeferred(op)
-					bid[[4]int{step, r, stage, m}] = op.ID
+					bid[[5]int{step, r, 0, stage, m}] = op.ID
 				}
 			}
 		}
-		// Pass 3: step tail (sync-grad for W > 1, optimizer update).
+		// Pass 3: step tail.
 		if cfg.IncludeOptimizerWork {
 			for r := 0; r < w; r++ {
 				for stage := 0; stage < d; stage++ {
-					dev := stage*w + r
-					key := [2]int{step, dev}
-					var deps []int
-					if w > 1 {
-						for rr := 0; rr < w; rr++ {
-							for m := 0; m < n; m++ {
-								deps = append(deps, bid[[4]int{step, rr, stage, m}])
-							}
-						}
-						sync := &Op{
-							Kind: SyncGrad, Device: dev, Stage: stage, Replica: r, MicroBatch: -1,
-							Factor: -1, Step: step, Duration: max(cfg.Costs.SyncGrad, 1), Deps: deps,
-						}
-						s.addOpDeferred(sync)
-						tailIDs[key] = append(tailIDs[key], sync.ID)
-						deps = []int{sync.ID}
-					} else {
-						for m := 0; m < n; m++ {
-							deps = append(deps, bid[[4]int{step, r, stage, m}])
-						}
-					}
-					if cfg.IncludePrecondition {
-						prec := &Op{
-							Kind: Precondition, Device: dev, Stage: stage, Replica: r, MicroBatch: -1,
-							Factor: -1, Step: step, Duration: max(cfg.Costs.Precondition, 1), Deps: deps,
-						}
-						s.addOpDeferred(prec)
-						tailIDs[key] = append(tailIDs[key], prec.ID)
-						deps = []int{prec.ID}
-					}
-					opt := &Op{
-						Kind: OptStep, Device: dev, Stage: stage, Replica: r, MicroBatch: -1,
-						Factor: -1, Step: step, Duration: max(cfg.Costs.OptStep, 1), Deps: deps,
-					}
-					s.addOpDeferred(opt)
-					tailIDs[key] = append(tailIDs[key], opt.ID)
-					optID[key] = opt.ID
+					tailIDs[[2]int{step, stage*w + r}] = s.stepTail(cfg, 1, step, stage*w+r, r, []int{stage}, bid)
 				}
 			}
 		}
@@ -252,23 +262,57 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 			for stage := 0; stage < d; stage++ {
 				dev := stage*w + r
 				for _, ph := range order(stage, d, n) {
-					key := [4]int{step, r, stage, ph.micro}
 					if ph.kind == Forward {
-						s.Order[dev] = append(s.Order[dev], fid[key])
+						s.Order[dev] = append(s.Order[dev], fid[[4]int{step, r, stage, ph.micro}])
 					} else {
-						s.Order[dev] = append(s.Order[dev], bid[key])
+						s.Order[dev] = append(s.Order[dev], bid[[5]int{step, r, 0, stage, ph.micro}])
 					}
 				}
-				if cfg.IncludeOptimizerWork {
-					s.Order[dev] = append(s.Order[dev], tailIDs[[2]int{step, dev}]...)
+				s.Order[dev] = append(s.Order[dev], tailIDs[[2]int{step, dev}]...)
+			}
+		}
+	}
+	return s.seal()
+}
+
+// stepTail appends the end-of-step ops of one device and returns their IDs
+// in execution order, the optimizer update last: a sync-grad all-reduce iff
+// the group holding a stage — W replicas x the family's pipelines — is wider
+// than one device (§3.2: Chimera couples each stage's device pair even at
+// W = 1), the K-FAC precondition when asked for, then the update. hosted
+// lists the stages the device hosts, in pipeline order: the tail carries the
+// first as its Stage, costs the per-stage durations once per hosted stage,
+// and waits for the backwards of every hosted stage on every owner (bid is
+// keyed step, replica, pipeline, stage, micro-batch index within the
+// pipeline). Both callers emit tails in (replica, pipeline-0 stage) order.
+func (s *Schedule) stepTail(cfg BuildConfig, pipelines, step, dev, replica int, hosted []int, bid map[[5]int]int) []int {
+	var deps, ids []int
+	for r := 0; r < cfg.DataParallelWidth; r++ {
+		for pipe := 0; pipe < pipelines; pipe++ {
+			for _, stage := range hosted {
+				for m := 0; m < cfg.MicroBatches/pipelines; m++ {
+					deps = append(deps, bid[[5]int{step, r, pipe, stage, m}])
 				}
 			}
 		}
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
+	add := func(kind WorkKind, perStage hardware.Microseconds) {
+		op := &Op{
+			Kind: kind, Device: dev, Stage: hosted[0], Replica: replica, MicroBatch: -1, Factor: -1,
+			Step: step, Duration: max(hardware.Microseconds(len(hosted))*perStage, 1), Deps: deps,
+		}
+		s.addOpDeferred(op)
+		ids = append(ids, op.ID)
+		deps = []int{op.ID}
 	}
-	return s, nil
+	if cfg.DataParallelWidth*pipelines > 1 {
+		add(SyncGrad, cfg.Costs.SyncGrad)
+	}
+	if cfg.IncludePrecondition {
+		add(Precondition, cfg.Costs.Precondition)
+	}
+	add(OptStep, cfg.Costs.OptStep)
+	return ids
 }
 
 // BuildChimera lays out the Chimera schedule (Li & Hoefler, 2021) with two
@@ -286,11 +330,8 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 		return nil, err
 	}
 	d, n, w := cfg.Stages, cfg.MicroBatches, cfg.DataParallelWidth
-	if d%2 != 0 {
-		return nil, fmt.Errorf("pipeline: Chimera requires an even number of stages, got %d", d)
-	}
-	if n%2 != 0 {
-		return nil, fmt.Errorf("pipeline: Chimera requires an even number of micro-batches, got %d", n)
+	if err := chimeraFits(d, n); err != nil {
+		return nil, err
 	}
 	half := n / 2
 	s := &Schedule{
@@ -357,76 +398,37 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 				}
 			}
 		}
-		for dev := 0; dev < d*w; dev++ {
-			tailID := chimeraDeviceTail(s, cfg, step, dev, bid)
-			prevTail[dev] = tailID
+		// Step tail, per device: it hosts its down stage and that stage's
+		// mirror. Without optimizer work the next step still flushes behind
+		// the device's last backward, the up pipeline's final micro-batch.
+		for r := 0; r < w; r++ {
+			for stage := 0; stage < d; stage++ {
+				dev, mirror := deviceOf(r, 0, stage), d-1-stage
+				if cfg.IncludeOptimizerWork {
+					tail := s.stepTail(cfg, 2, step, dev, r, []int{stage, mirror}, bid)
+					prevTail[dev] = tail[len(tail)-1]
+				} else {
+					prevTail[dev] = bid[[5]int{step, r, 1, mirror, half - 1}]
+				}
+			}
 		}
 	}
 	if err := s.finalizeOrders(); err != nil {
 		return nil, err
 	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return s.seal()
 }
 
-// chimeraDeviceTail appends the end-of-step work for one device and returns
-// the op ID the next step must wait for. Each stage of Chimera is held by a
-// device pair (one per direction) in every replica, so with optimizer work
-// enabled a sync-grad all-reduce couples the whole group — the pair, times
-// the W replicas — before the update (§3.2).
-func chimeraDeviceTail(s *Schedule, cfg BuildConfig, step, dev int, bid map[[5]int]int) int {
-	d, n, w := cfg.Stages, cfg.MicroBatches, cfg.DataParallelWidth
-	half := n / 2
-	replica := dev / d
-	downStage := dev % d
-	upStage := d - 1 - dev%d
-	var deps []int
-	for r := 0; r < w; r++ {
-		for pipe := 0; pipe < 2; pipe++ {
-			for _, stage := range []int{downStage, upStage} {
-				for m := 0; m < half; m++ {
-					if id, ok := bid[[5]int{step, r, pipe, stage, m}]; ok {
-						deps = append(deps, id)
-					}
-				}
-			}
-		}
+// chimeraFits is Chimera's feasibility rule: the two directions split the
+// micro-batches in half and pair stage s with stage D-1-s on one device.
+func chimeraFits(stages, microBatches int) error {
+	if stages%2 != 0 {
+		return fmt.Errorf("pipeline: Chimera requires an even number of stages, got %d", stages)
 	}
-	deps = Dedup(deps)
-	if !cfg.IncludeOptimizerWork {
-		// The next step still flushes: wait on this device's own stages'
-		// backwards. Return a marker using the last of them.
-		last := -1
-		for _, id := range deps {
-			if s.Ops[id].Device == dev && id > last {
-				last = id
-			}
-		}
-		return last
+	if microBatches%2 != 0 {
+		return fmt.Errorf("pipeline: Chimera requires an even number of micro-batches, got %d", microBatches)
 	}
-	sync := &Op{
-		Kind: SyncGrad, Device: dev, Stage: downStage, Replica: replica, MicroBatch: -1,
-		Factor: -1, Step: step, Duration: max(2*cfg.Costs.SyncGrad, 1), Deps: deps,
-	}
-	s.addOpDeferred(sync)
-	optDeps := []int{sync.ID}
-	if cfg.IncludePrecondition {
-		// The device preconditions both stages it hosts.
-		prec := &Op{
-			Kind: Precondition, Device: dev, Stage: downStage, Replica: replica, MicroBatch: -1,
-			Factor: -1, Step: step, Duration: max(2*cfg.Costs.Precondition, 1), Deps: optDeps,
-		}
-		s.addOpDeferred(prec)
-		optDeps = []int{prec.ID}
-	}
-	opt := &Op{
-		Kind: OptStep, Device: dev, Stage: downStage, Replica: replica, MicroBatch: -1,
-		Factor: -1, Step: step, Duration: max(2*cfg.Costs.OptStep, 1), Deps: optDeps,
-	}
-	s.addOpDeferred(opt)
-	return opt.ID
+	return nil
 }
 
 // finalizeOrders assigns per-device op orders for schedules built with

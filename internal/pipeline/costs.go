@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/hardware"
@@ -42,6 +43,54 @@ func (c StageCosts) InversionTotal() hardware.Microseconds {
 		t += u
 	}
 	return t
+}
+
+// Equal compares two StageCosts value-wise.
+func (c StageCosts) Equal(o StageCosts) bool {
+	return c.Forward == o.Forward && c.Backward == o.Backward &&
+		c.CurvaturePerMicroBatch == o.CurvaturePerMicroBatch &&
+		c.Precondition == o.Precondition && c.OptStep == o.OptStep &&
+		c.SyncGrad == o.SyncGrad && c.SyncCurvature == o.SyncCurvature &&
+		slices.Equal(c.CurvatureUnits, o.CurvatureUnits) &&
+		slices.Equal(c.InversionUnits, o.InversionUnits)
+}
+
+// Refit returns the costs with every work kind the estimator knows replaced
+// by its estimate — how durations observed per op kind (an executed
+// timeline's means, the auto-tuner's running medians) map back onto the
+// fields the builders price ops with. Recompute is the re-run forward inside
+// a backward and folds into Backward; curvature and inversion are observed
+// per kind, not per factor, so one estimate prices every unit (the units are
+// fresh slices, the receiver's are left alone) and CurvaturePerMicroBatch is
+// re-summed; a collective the receiver prices at zero is one its topology
+// does not run, and stays unpriced.
+func (c StageCosts) Refit(estimate func(WorkKind) (hardware.Microseconds, bool)) StageCosts {
+	set := func(field *hardware.Microseconds, kind WorkKind) {
+		if m, ok := estimate(kind); ok {
+			*field = m
+		}
+	}
+	set(&c.Forward, Forward)
+	set(&c.Backward, Backward)
+	if m, ok := estimate(Recompute); ok {
+		c.Backward += m
+	}
+	set(&c.Precondition, Precondition)
+	set(&c.OptStep, OptStep)
+	if c.SyncGrad > 0 {
+		set(&c.SyncGrad, SyncGrad)
+	}
+	if c.SyncCurvature > 0 {
+		set(&c.SyncCurvature, SyncCurvature)
+	}
+	if m, ok := estimate(Curvature); ok {
+		c.CurvatureUnits = slices.Repeat([]hardware.Microseconds{m}, len(c.CurvatureUnits))
+		c.CurvaturePerMicroBatch = m * hardware.Microseconds(len(c.CurvatureUnits))
+	}
+	if m, ok := estimate(Inversion); ok {
+		c.InversionUnits = slices.Repeat([]hardware.Microseconds{m}, len(c.InversionUnits))
+	}
+	return c
 }
 
 // CostConfig selects the workload whose stage costs are being modeled.

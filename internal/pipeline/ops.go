@@ -171,6 +171,11 @@ type Schedule struct {
 	Ops []*Op
 	// Order[d] is the execution order (op IDs) for device d.
 	Order [][]int
+	// Placement indexes which device hosts which (replica, pipeline, stage)
+	// and which micro-batches it owns. Every builder sets it from the ops it
+	// laid out (schedule.Executable carries its base schedule's over); it is
+	// nil only on schedules assembled by hand.
+	Placement *Placement
 }
 
 // addOp appends an op, assigns its ID, and registers it in the device

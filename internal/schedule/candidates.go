@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"repro/internal/hardware"
@@ -62,11 +61,11 @@ type Space struct {
 }
 
 // Enumerate lists the valid candidates of a search space. Invalid
-// combinations are filtered here, not at prediction time: chimera needs
-// even stages and micro-batches, inversion sharding needs a stage device
-// group wider than one (the data-parallel group for gpipe/1f1b, the
-// bidirectional pair for chimera), and carry depth only applies to
-// overlapped candidates.
+// combinations are filtered here, not at prediction time: a family must be
+// able to lay the topology out (pipeline.Feasible — chimera needs even
+// stages and micro-batches), inversion sharding needs a stage device group
+// — W replicas x the family's pipelines — wider than one, and carry depth
+// only applies to overlapped candidates.
 func Enumerate(sp Space) []Candidate {
 	methods := sp.Methods
 	if len(methods) == 0 {
@@ -82,14 +81,11 @@ func Enumerate(sp Space) []Candidate {
 	}
 	var out []Candidate
 	for _, m := range methods {
-		if !slices.Contains(pipeline.Methods(), m) {
-			continue
-		}
-		if m == "chimera" && (sp.Stages%2 != 0 || sp.MicroBatches%2 != 0) {
+		if pipeline.Feasible(m, sp.Stages, sp.MicroBatches) != nil {
 			continue
 		}
 		invpars := []bool{false}
-		if w > 1 || m == "chimera" {
+		if w*pipeline.Pipelines(m) > 1 {
 			invpars = append(invpars, true)
 		}
 		for k := 1; k <= maxK; k++ {

@@ -76,6 +76,9 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 		Steps:        k,
 		Ops:          append([]*pipeline.Op(nil), base.Ops...),
 		Order:        make([][]int, base.Devices),
+		// The K-FAC ops sit on their stage's owners; forwards and backwards
+		// are the base's own ops, so its placement is this schedule's.
+		Placement: base.Placement,
 	}
 
 	// Lookup of the FIRST step's forward/backward ops by (kind, stage,

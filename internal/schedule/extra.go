@@ -68,13 +68,16 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Method == "chimera" {
-		return nil, fmt.Errorf("schedule: AssignSAM currently supports gpipe and 1f1b only")
-	}
 	const steps = 3
 	vanillaSched, err := buildBase(cfg, steps, false)
 	if err != nil {
 		return nil, err
+	}
+	// The second pass below chains stage s-1 -> s -> s+1 within one replica
+	// stream: one owner per (stage, replica).
+	owners := vanillaSched.Placement.Owners
+	if p := vanillaSched.Placement.Pipelines; p != 1 {
+		return nil, fmt.Errorf("schedule: AssignSAM needs a single-pipeline schedule, %s runs %d", cfg.Method, p)
 	}
 	base, err := pipeline.Run(vanillaSched)
 	if err != nil {
@@ -105,7 +108,7 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 	// Forwards in stage order, then backwards in reverse stage order.
 	for r := 0; r < w; r++ {
 		for stage := 0; stage < cfg.Stages; stage++ {
-			dev := stage*w + r
+			dev := owners[stage][r].Device
 			for m := 0; m < cfg.MicroBatches; m++ {
 				bEv, ok := findStepEvent(base, pipeline.Backward, stage, m, dev)
 				if !ok {
@@ -123,7 +126,7 @@ func AssignSAM(cfg Config) (*SAMResult, error) {
 			}
 		}
 		for stage := cfg.Stages - 1; stage >= 0; stage-- {
-			dev := stage*w + r
+			dev := owners[stage][r].Device
 			for m := 0; m < cfg.MicroBatches; m++ {
 				fEnd, ok := placedEnd[key{r, stage, m}]
 				if !ok {

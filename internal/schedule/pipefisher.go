@@ -251,7 +251,7 @@ func packRound(cfg Config, steps int) (*pipeline.Schedule, *pipeline.Timeline, [
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	items := buildWorkQueue(cfg, tl)
+	items := buildWorkQueue(cfg, tl, base.Placement)
 	packWindow(items, tl, cfg)
 	return base, tl, items, nil
 }
@@ -404,56 +404,23 @@ func estimateRatio(cfg Config, oneStep *pipeline.Timeline) float64 {
 	return kfacWork / bubble
 }
 
-func devicesFor(cfg Config) int {
-	return cfg.Stages * cfg.DataParallelWidth
-}
-
-// stageOwners returns the devices that hold a stage's parameters and their
-// local micro-batch ranges, replica-major. For gpipe/1f1b, each of the W
-// replicas owns all N micro-batches of its own replica stream; for chimera,
-// each replica contributes a device pair — the down device owning local
-// micro-batches [0, N/2) and the up device [N/2, N).
-type owner struct {
-	device  int
-	replica int
-	microLo int
-	microHi int // exclusive
-}
-
-func stageOwners(cfg Config, stage int) []owner {
-	w := cfg.DataParallelWidth
-	if cfg.Method == "chimera" {
-		half := cfg.MicroBatches / 2
-		owners := make([]owner, 0, 2*w)
-		for r := 0; r < w; r++ {
-			owners = append(owners,
-				owner{device: r*cfg.Stages + stage, replica: r, microLo: 0, microHi: half},
-				owner{device: r*cfg.Stages + cfg.Stages - 1 - stage, replica: r, microLo: half, microHi: cfg.MicroBatches},
-			)
-		}
-		return owners
-	}
-	owners := make([]owner, w)
-	for r := 0; r < w; r++ {
-		owners[r] = owner{device: stage*w + r, replica: r, microLo: 0, microHi: cfg.MicroBatches}
-	}
-	return owners
-}
-
 // buildWorkQueue creates the K-FAC work items of one refresh round with
-// their ready times taken from the profiled timeline (rules 1 and 2).
-func buildWorkQueue(cfg Config, tl *pipeline.Timeline) []*workItem {
+// their ready times taken from the profiled timeline (rules 1 and 2). Who
+// holds a stage's parameters, and for which micro-batches, is the base
+// schedule's placement: each of the W replicas of gpipe/1f1b owns all N
+// micro-batches of its stream; a chimera replica contributes a device pair,
+// the down device owning [0, N/2) and the up device [N/2, N).
+func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement) []*workItem {
 	var items []*workItem
 	nFactors := len(cfg.Costs.InversionUnits)
-	for stage := 0; stage < cfg.Stages; stage++ {
-		owners := stageOwners(cfg, stage)
+	for stage, owners := range place.Owners {
 		// Curvature: one item per (owner device, micro-batch, factor).
 		// Factor readiness: A factors (even index) after the forward of
 		// the micro-batch at this stage; B factors (odd) after backward.
 		for _, ow := range owners {
-			for m := ow.microLo; m < ow.microHi; m++ {
-				fEv, okF := findStepEvent(tl, pipeline.Forward, stage, m, ow.device)
-				bEv, okB := findStepEvent(tl, pipeline.Backward, stage, m, ow.device)
+			for m := ow.MicroLo; m < ow.MicroHi; m++ {
+				fEv, okF := findStepEvent(tl, pipeline.Forward, stage, m, ow.Device)
+				bEv, okB := findStepEvent(tl, pipeline.Backward, stage, m, ow.Device)
 				if !okF || !okB {
 					continue
 				}
@@ -463,8 +430,8 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline) []*workItem {
 						ready = bEv.End
 					}
 					items = append(items, &workItem{
-						kind: pipeline.Curvature, stage: stage, device: ow.device,
-						replica: ow.replica, factor: f, micro: m,
+						kind: pipeline.Curvature, stage: stage, device: ow.Device,
+						replica: ow.Replica, factor: f, micro: m,
 						duration: cfg.Costs.CurvatureUnits[f],
 						readyAt:  ready,
 					})
@@ -480,8 +447,8 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline) []*workItem {
 		if cfg.InversionParallel && len(owners) > 1 && cfg.Costs.SyncCurvature > 0 {
 			for _, ow := range owners {
 				items = append(items, &workItem{
-					kind: pipeline.SyncCurvature, stage: stage, device: ow.device,
-					replica: ow.replica, factor: -1, micro: -1,
+					kind: pipeline.SyncCurvature, stage: stage, device: ow.Device,
+					replica: ow.Replica, factor: -1, micro: -1,
 					duration: cfg.Costs.SyncCurvature,
 					readyAt:  0, // after the stage's curvature; set by packGeneration
 				})
@@ -491,12 +458,12 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline) []*workItem {
 		// stage's owner group (the replica group for gpipe/1f1b, the W
 		// bidirectional pairs for chimera) when inversion parallelism is
 		// on — each owner inverts its shard, then broadcasts; otherwise
-		// every replica duplicates the whole stage's inversion work
-		// (chimera puts each replica's units on its down device).
-		addInv := func(ow owner, f int) {
+		// every replica duplicates the whole stage's inversion work, on its
+		// first owner (chimera's down device).
+		addInv := func(ow pipeline.Owner, f int) {
 			items = append(items, &workItem{
-				kind: pipeline.Inversion, stage: stage, device: ow.device,
-				replica: ow.replica, factor: f, micro: -1,
+				kind: pipeline.Inversion, stage: stage, device: ow.Device,
+				replica: ow.Replica, factor: f, micro: -1,
 				duration: cfg.Costs.InversionUnits[f],
 				// Actual readiness (after all curvature for this factor is
 				// *placed*) is enforced during packing; this is the lower
@@ -508,14 +475,11 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline) []*workItem {
 			for f := 0; f < nFactors; f++ {
 				addInv(owners[f%len(owners)], f)
 			}
-		} else if cfg.Method == "chimera" {
-			for r := 0; r < cfg.DataParallelWidth; r++ {
-				for f := 0; f < nFactors; f++ {
-					addInv(owners[2*r], f)
-				}
-			}
 		} else {
-			for _, ow := range owners {
+			for i, ow := range owners {
+				if i > 0 && owners[i-1].Replica == ow.Replica {
+					continue
+				}
 				for f := 0; f < nFactors; f++ {
 					addInv(ow, f)
 				}
