@@ -30,6 +30,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/schedule"
+	"repro/internal/tensor"
 	"repro/internal/transport"
 )
 
@@ -556,6 +557,22 @@ func BenchmarkEngineStep(b *testing.B) {
 // regime, where forward/backward/recompute do most of a step's work.
 var chimeraBenchModel = bert.Config{VocabSize: 512, DModel: 64, DFF: 256, Heads: 4, Blocks: 2, SeqLen: 64}
 
+// benchEngine builds the engine of an executor bench row and logs, once
+// per run, which micro-kernel tiles the rows were measured on: seqs/s from
+// the 256-bit and the 512-bit tiles of the fma variant are not comparable,
+// and the row names only say "fma".
+func benchEngine(b *testing.B, m *bert.Model, cfg engine.Config) *engine.Engine {
+	b.Helper()
+	logKernel.Do(func() { b.Logf("kernel: %s", tensor.KernelDetail()) })
+	e, err := engine.NewWithConfig(m, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return e
+}
+
+var logKernel sync.Once
+
 func benchEngineStep(b *testing.B, mc bert.Config, ec engine.Config) {
 	m, err := bert.New(mc, 5)
 	if err != nil {
@@ -565,10 +582,7 @@ func benchEngineStep(b *testing.B, mc bert.Config, ec engine.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.NewWithConfig(m, ec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := benchEngine(b, m, ec)
 	const batchSize = 8
 	batch := c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
 	params := m.Params()
@@ -648,10 +662,7 @@ func benchEngineRoundKFAC(b *testing.B, mc bert.Config, ec engine.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e, err := engine.NewWithConfig(m, ec)
-	if err != nil {
-		b.Fatal(err)
-	}
+	e := benchEngine(b, m, ec)
 	if err := e.EnableKFAC(kfac.DefaultOptions(), 4); err != nil {
 		b.Fatal(err)
 	}
@@ -764,13 +775,10 @@ func BenchmarkEngineTransport(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := engine.NewWithConfig(m, engine.Config{
+		e := benchEngine(b, m, engine.Config{
 			Method: "1f1b", Stages: 2, MicroBatches: 4 / globalW, Replicas: replicas,
 			Transport: g,
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
 		batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
 		return e, batch, m.Params()
 	}
@@ -846,13 +854,10 @@ func BenchmarkEngineStepKFAC(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := engine.NewWithConfig(m, engine.Config{
+			e := benchEngine(b, m, engine.Config{
 				Method: "1f1b", Stages: 2, MicroBatches: 4 / w,
 				Replicas: w, InversionParallel: w > 1,
 			})
-			if err != nil {
-				b.Fatal(err)
-			}
 			if err := e.EnableKFAC(kfac.DefaultOptions(), 2); err != nil {
 				b.Fatal(err)
 			}
@@ -892,10 +897,7 @@ func BenchmarkEngineAutotune(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := engine.NewWithConfig(m, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
+		e := benchEngine(b, m, cfg)
 		if err := e.EnableKFAC(kfac.DefaultOptions(), cfg.RefreshSteps); err != nil {
 			b.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func main() {
 		kDesc = "adaptive"
 	}
 	fmt.Printf("%s on %s: %d stages x %d micro-batches, simulated W=%d, executed replicas=%d, refresh round K=%s, overlap=%v, intra-op workers %d, kernel %s, f32=%v\n",
-		*archName, *gpuName, *stages, *nmicro, *dp, *replicas, kDesc, *overlap, tensor.Parallelism(), tensor.ActiveKernel(), tensor.F32())
+		*archName, *gpuName, *stages, *nmicro, *dp, *replicas, kDesc, *overlap, tensor.Parallelism(), tensor.KernelDetail(), tensor.F32())
 
 	a, err := arch.ByName(*archName)
 	if err != nil {

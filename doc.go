@@ -64,16 +64,39 @@
 //     bit-identical to scalar on float64: both reduce each output element
 //     with one multiply-rounding and one add-rounding per k step,
 //     ascending k.
-//   - fma — the same packed driver calling hand-written amd64 AVX2
-//     assembly micro-kernels (8x4 float64, 8x8 float32) with fused
-//     multiply-add, selected only when CPUID reports AVX2+FMA with OS
-//     XSAVE support (never under the purego build tag). Fusing collapses
-//     the two roundings into one, so fma results differ from scalar/tiled
-//     by the fused-rounding delta, and by at most 2 ULP in every exp and
-//     erf (next paragraph) — but within the variant every bit-identity
-//     contract below still holds, because the per-element reduction order
-//     stays fixed ascending k and an exp or erf depends on its argument
-//     alone.
+//   - fma — the same packed driver calling hand-written amd64 assembly
+//     micro-kernels with fused multiply-add, selected only when CPUID
+//     reports AVX2+FMA with OS XSAVE support (never under the purego build
+//     tag). Fusing collapses the two roundings into one, so fma results
+//     differ from scalar/tiled by the fused-rounding delta, and by at most
+//     2 ULP in every exp and erf (next paragraph) — but within the variant
+//     every bit-identity contract below still holds, because the
+//     per-element reduction order stays fixed ascending k and an exp or
+//     erf depends on its argument alone. The variant runs at the host's
+//     vector width, resolved once at init from CPUID and XCR0 (a pure
+//     function of the registers, TestDetectFMA): 256-bit AVX2 tiles (8x4
+//     float64, 8x8 float32), or 512-bit tiles (8x16 float64, 8x32 float32;
+//     mr stays 8, only the B panels widen) where the CPU reports AVX512F
+//     and the OS saves the opmask and ZMM state — except that a product
+//     with fewer columns than one wide panel (attention's n = d_k = 8)
+//     keeps the 256-bit tile, a choice its shape alone makes. The width is
+//     not a fourth variant and nothing names it — no Kernel value, flag or
+//     Config field; tensor.KernelDetail reports it in run headers — because
+//     it cannot change a result: at either width every C element is one
+//     FMA per k in ascending k from the stored C. Two tests flip the
+//     resolved width on a host that has both and demand equal bits:
+//     tensor's TestFMAWidthIdentity (every driver entry point — MatMulInto,
+//     MatMulTInto, TMatMulInto, TMatMulAddInto, Snap.GramInto, MulViews
+//     over strided windows, SPDInverseInto — over generated shapes with
+//     edge tiles in both dimensions and KC boundaries on both sides,
+//     float64 and float32 mode, 1 and 2 workers; FuzzMulViews compares the
+//     widths on every input too) and engine's TestFMAWidthEngineIdentity
+//     (losses, every parameter gradient, every K-FAC factor and cached
+//     inverse of real 1F1B and overlapped Chimera rounds). On a host
+//     without AVX-512 both skip with "fma width: avx512 absent", which CI
+//     copies into the job summary. The element-wise kernels below stay
+//     256-bit at either width: exp and erf are about 3 % of a training
+//     step — measured, not forgotten.
 //
 // The element-wise family is the transcendental half of a step — GELU's erf
 // and exp, softmax's and cross-entropy's exps — as three fused forms over
@@ -135,7 +158,8 @@
 // SetF32; TestSPDInverseIgnoresF32) and runs the scalar variant on the
 // tiled Go micro-kernel, so scalar and tiled inverses agree bit for bit
 // and fma differs by fused rounding only. Determinism: split points, tile
-// grids and per-panel k ranges are functions of n alone, workers own
+// grids and per-panel k ranges are functions of n alone (and of the fma
+// variant's tile width, which cannot change a bit — above), workers own
 // disjoint row panels, the base case and the mirror are serial — the
 // inverse is bit-identical across SetParallelism/SetOpParallelism within
 // a variant (TestSPDInverseVariantAndParallelismIdentity), and exactly

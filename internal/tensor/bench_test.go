@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// reportGFLOPS adds the GFLOP/s column of a benchmark whose op is an
+// m x n x k product, counted at the nominal 2mnk (the Gram forms compute
+// about half of it).
+func reportGFLOPS(b *testing.B, m, n, k int) {
+	b.ReportMetric(2*float64(m)*float64(n)*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
 func BenchmarkMatMul(b *testing.B) {
 	for _, n := range []int{32, 128, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -17,19 +24,48 @@ func BenchmarkMatMul(b *testing.B) {
 				MatMulInto(out, x, y)
 			}
 			b.SetBytes(int64(8 * n * n))
+			reportGFLOPS(b, n, n, n)
 		})
 	}
+}
+
+// BenchmarkMicroKernel is the bottom rung of the ladder: one register tile
+// updated from packed panels that stay in L1 (kc = 256), so its GFLOP/s is
+// the peak the packed driver can reach on one core and driver efficiency is
+// a BenchmarkMatMul row's gflops over the matching row here. Rows for
+// instruction sets the host lacks are skipped.
+func BenchmarkMicroKernel(b *testing.B) {
+	const kc = 256
+	run := func(name string, have bool, mr, nr int, kernel func()) {
+		b.Run(name, func(b *testing.B) {
+			if !have {
+				b.Skip("instruction set absent on this host")
+			}
+			for i := 0; i < b.N; i++ {
+				kernel()
+			}
+			reportGFLOPS(b, mr, nr, kc)
+		})
+	}
+	// Zero panels keep the tile finite however long the row runs.
+	a64, b64, c64 := make([]float64, 8*kc), make([]float64, 16*kc), make([]float64, 8*16)
+	a32, b32, c32 := make([]float32, 8*kc), make([]float32, 32*kc), make([]float32, 8*32)
+	run("avx2_8x4f64", haveFMAKernels, 8, 4, func() { fma8x4f64(c64, 4, a64, b64, kc) })
+	run("avx512_8x16f64", haveAVX512Kernels, 8, 16, func() { fma8x16f64(c64, 16, a64, b64, kc) })
+	run("avx2_8x8f32", haveFMAKernels, 8, 8, func() { fma8x8f32(c32, 8, a32, b32, kc) })
+	run("avx512_8x32f32", haveAVX512Kernels, 8, 32, func() { fma8x32f32(c32, 32, a32, b32, kc) })
 }
 
 // BenchmarkPack is the panel-packing rung under the GEMM driver at the
 // operand shapes of one attention item (S = 64, dk = 16, the fma kernels'
 // mr = 8, nr = 4): lanes from source rows (A as stored, B transposed) and
-// lanes from source columns (A transposed, B as stored).
+// lanes from source columns (A transposed, B as stored). The nr16 / nr32f32
+// rows pack the same windows into the 512-bit tiles' panels.
 func BenchmarkPack(b *testing.B) {
 	rng := NewRNG(1)
 	head := RandN(rng, 128, 64, 1).View(64, 16, 64, 16) // one head's S x dk window
 	probs := RandN(rng, 64, 64, 1).View(0, 0, 64, 64)
-	buf := make([]float64, 64*64)
+	buf, buf32 := make([]float64, 64*64), make([]float32, 64*64)
 	for _, c := range []struct {
 		name string
 		pack func()
@@ -40,6 +76,12 @@ func BenchmarkPack(b *testing.B) {
 		{"A_cols_64x64", func() { packA(buf, probs, true, 0, 64, 0, 64, 8) }, 64 * 64},
 		{"B_rows_64x16", func() { packB(buf, head, true, 64, 16, 4) }, 64 * 16},
 		{"B_cols_64x16", func() { packB(buf, head, false, 16, 64, 4) }, 64 * 16},
+		{"B_rows_64x16_nr16", func() { packB(buf, head, true, 64, 16, 16) }, 64 * 16},
+		{"B_cols_64x16_nr16", func() { packB(buf, head, false, 16, 64, 16) }, 64 * 16},
+		{"B_rows_64x64_nr16", func() { packB(buf, probs, true, 64, 64, 16) }, 64 * 64},
+		{"B_cols_64x64_nr16", func() { packB(buf, probs, false, 64, 64, 16) }, 64 * 64},
+		{"B_rows_64x64_nr32f32", func() { packB(buf32, probs, true, 64, 64, 32) }, 64 * 64},
+		{"B_cols_64x64_nr32f32", func() { packB(buf32, probs, false, 64, 64, 32) }, 64 * 64},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -72,6 +114,7 @@ func BenchmarkMatMulWorkers(b *testing.B) {
 				MatMulInto(out, x, y)
 			}
 			b.SetBytes(int64(8 * 256 * 256))
+			reportGFLOPS(b, 256, 256, 256)
 			b.ReportMetric(float64(PoolTasksExecuted()-start)/float64(b.N), "poolchunks/op")
 		})
 	}
@@ -100,6 +143,7 @@ func BenchmarkMatMulKernels(b *testing.B) {
 				MatMulInto(out, x, y)
 			}
 			b.SetBytes(int64(8 * 256 * 256))
+			reportGFLOPS(b, 256, 256, 256)
 		})
 	}
 }
@@ -120,6 +164,7 @@ func BenchmarkMatMulF32(b *testing.B) {
 				MatMulInto(out, x, y)
 			}
 			b.SetBytes(int64(8 * n * n))
+			reportGFLOPS(b, n, n, n)
 		})
 	}
 }
@@ -132,6 +177,7 @@ func BenchmarkMatMulT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Put(MatMulT(x, y)) // pooled result: steady state allocates nothing
 	}
+	reportGFLOPS(b, 128, 128, 256)
 }
 
 func BenchmarkMatMulTInto(b *testing.B) {
@@ -143,6 +189,7 @@ func BenchmarkMatMulTInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		MatMulTInto(out, x, y)
 	}
+	reportGFLOPS(b, 128, 128, 256)
 }
 
 func BenchmarkTMatMul(b *testing.B) {
@@ -153,6 +200,7 @@ func BenchmarkTMatMul(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Put(TMatMul(u, u)) // pooled result: steady state allocates nothing
 	}
+	reportGFLOPS(b, 64, 64, 512)
 }
 
 func BenchmarkTMatMulAddInto(b *testing.B) {
@@ -164,6 +212,7 @@ func BenchmarkTMatMulAddInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		TMatMulAddInto(acc, u, u)
 	}
+	reportGFLOPS(b, 64, 64, 512)
 }
 
 // BenchmarkSPDInverse tracks the K-FAC inversion unit at the factor sizes

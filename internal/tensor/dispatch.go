@@ -21,16 +21,29 @@ import (
 //     Portable to every GOARCH. Bit-identical to KernelScalar on float64:
 //     both reduce each output element with one multiply-rounding and one
 //     add-rounding per k step, in ascending k order.
-//   - KernelFMA — the same packed driver calling hand-written amd64 AVX2
-//     assembly micro-kernels (8x4 float64, 8x8 float32) that use fused
-//     multiply-add. Selected only when CPUID reports AVX2+FMA with OS
-//     XSAVE support, and never under the purego tag. FMA fuses the
-//     multiply and add into a single rounding, so results differ from the
-//     scalar/tiled variants by at most the fused-rounding delta — but the
-//     reduction order per element is still fixed ascending k, so the
-//     worker-count / replica-count / schedule bit-identity contracts hold
-//     within the variant. Its element-wise kernels are AVX2 code too
-//     (vecmath_amd64.s) where the other two variants loop over math.Exp and
+//   - KernelFMA — the same packed driver calling hand-written amd64
+//     assembly micro-kernels that use fused multiply-add. Selected only
+//     when CPUID reports AVX2+FMA with OS XSAVE support, and never under
+//     the purego tag. FMA fuses the multiply and add into a single
+//     rounding, so results differ from the scalar/tiled variants by at
+//     most the fused-rounding delta — but the reduction order per element
+//     is still fixed ascending k, so the worker-count / replica-count /
+//     schedule bit-identity contracts hold within the variant. The variant
+//     resolves once at init, from CPUID and XCR0 (detectFMA,
+//     TestDetectFMA), to one of two tile widths: 256-bit AVX2 tiles (8x4
+//     float64, 8x8 float32) or, where the CPU has AVX512F and the OS saves
+//     the opmask and ZMM state, 512-bit tiles (8x16 float64, 8x32 float32;
+//     a product too narrow to fill one 16- / 32-column panel keeps the
+//     256-bit tile). The widths are one variant, not two: every C element
+//     is one FMA per k in ascending k at either, so they are bit-identical
+//     — TestFMAWidthIdentity (every driver entry point over a generated
+//     shape matrix) and engine's TestFMAWidthEngineIdentity (losses,
+//     gradients, K-FAC factors and inverses of real training rounds) flip
+//     the width on a host that has both — and no API names a width;
+//     KernelDetail reports the one in use. Its element-wise kernels are
+//     AVX2 code (vecmath_amd64.s) at either width — exp and erf are about
+//     3 % of a training step, measured, so 512-bit forms would buy nothing
+//     yet — where the other two variants loop over math.Exp and
 //     math.Erf: a second, stated difference — every exp and erf within
 //     2 ULP of math's, special values exact (TestVecMathAccuracy,
 //     TestVecMathSpecials, FuzzVecMath) — and again none within the
@@ -60,7 +73,8 @@ const (
 	KernelScalar Kernel = iota
 	// KernelTiled is the packed-panel pure-Go register-tiled implementation.
 	KernelTiled
-	// KernelFMA is the packed-panel amd64 AVX2+FMA assembly implementation.
+	// KernelFMA is the packed-panel amd64 FMA assembly implementation, at
+	// the host's vector width (AVX2 or AVX-512 tiles; see KernelDetail).
 	KernelFMA
 )
 
@@ -81,6 +95,9 @@ func (k Kernel) String() string {
 var (
 	activeKernel atomic.Int32
 	f32Mode      atomic.Bool
+	// fmaWide makes KernelFMA's products run the 512-bit tiles. Resolved
+	// once at init; only the width-identity tests flip it afterwards.
+	fmaWide atomic.Bool
 )
 
 func init() {
@@ -89,10 +106,27 @@ func init() {
 		k = KernelFMA
 	}
 	activeKernel.Store(int32(k))
+	fmaWide.Store(haveAVX512Kernels)
 }
 
 // ActiveKernel returns the currently selected kernel variant.
 func ActiveKernel() Kernel { return Kernel(activeKernel.Load()) }
+
+// KernelDetail names the active variant together with the micro-kernel
+// tiles it resolved to on this host, e.g. "fma avx512 8x16f64/8x32f32" —
+// for run headers and bench logs. Kernel.String stays the variant's name.
+func KernelDetail() string {
+	switch k := ActiveKernel(); {
+	case k == KernelFMA && fmaWide.Load():
+		return "fma avx512 8x16f64/8x32f32"
+	case k == KernelFMA:
+		return "fma avx2 8x4f64/8x8f32"
+	case k == KernelTiled:
+		return "tiled 4x2f64/4x2f32"
+	default:
+		return k.String()
+	}
+}
 
 // SetKernel selects the kernel variant used by every subsequent matmul and
 // element-wise call. It

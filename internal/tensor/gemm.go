@@ -31,9 +31,18 @@ const (
 	// be a multiple of every kernel's mr so worker-chunk row panels stay
 	// aligned with the shape-global panel grid.
 	gemmMC = 128
-	// gemmKC is the contraction-block depth: one packed B panel slice is
-	// gemmKC x nr (8 KiB float64 at nr=4), sized for L1 residency.
+	// gemmKC is the contraction-block depth of the Go and 256-bit tiles:
+	// one packed B panel slice is gemmKC x nr (8 KiB at the fma tiles'
+	// nr = 4 float64 / nr = 8 float32), sized for L1 residency.
 	gemmKC = 256
+	// gemmKCWide is the depth under the 512-bit tiles, whose B slice is
+	// four times as wide: 256 x 16 float64 is 32 KiB, which no longer fits
+	// a 48 KiB L1d beside the 16 KiB A panel streaming past it; at 128 the
+	// pair is 16 + 8 KiB. Measured on the bench host (one core, float64,
+	// kc 128 vs 256): 128x512x128 +4 %, 256^3 +3 %, 512x512x128 +2 %,
+	// k <= 128 and float32 flat. KC blocking is bit-transparent, so the
+	// depth is a tuning value, not a contract.
+	gemmKCWide = 128
 )
 
 type microF64 func(c []float64, ldc int, ap, bp []float64, kc int)
@@ -116,6 +125,7 @@ type gemmCtx struct {
 	fl        gemmFlags
 	f32       bool
 	mr, nr    int
+	kc        int // contraction-block depth
 	nPanB     int
 	bp        *Matrix   // packed B, float64 path
 	bp32      *Matrix32 // packed B, float32 path
@@ -164,16 +174,29 @@ func (g *gemmCtx) setup(dst, a, b View, fl gemmFlags, kern Kernel) bool {
 	g.m, g.n, g.k = m, n, k
 	g.fl = fl
 	g.f32 = fl&gemmF64 == 0 && F32()
+	g.kc = gemmKC
+	// A product that cannot fill one 512-bit panel keeps the 256-bit tile:
+	// attention's n = d_k = 8 would run every tile half empty through the
+	// edge path (measured 1.3-1.6x slower at n = 8, 1.05-1.5x at n = 12;
+	// from one full panel on the wide tile wins). Shape alone decides, so
+	// the choice cannot differ between workers or runs.
+	wide := kern == KernelFMA && fmaWide.Load()
 	if g.f32 {
-		if kern == KernelFMA {
+		switch {
+		case wide && n >= 32:
+			g.mr, g.nr, g.kc, g.k32 = 8, 32, gemmKCWide, fma8x32f32
+		case kern == KernelFMA:
 			g.mr, g.nr, g.k32 = 8, 8, fma8x8f32
-		} else {
+		default:
 			g.mr, g.nr, g.k32 = 4, 2, mk4x2f32
 		}
 	} else {
-		if kern == KernelFMA {
+		switch {
+		case wide && n >= 16:
+			g.mr, g.nr, g.kc, g.k64 = 8, 16, gemmKCWide, fma8x16f64
+		case kern == KernelFMA:
 			g.mr, g.nr, g.k64 = 8, 4, fma8x4f64
-		} else {
+		default:
 			g.mr, g.nr, g.k64 = 4, 2, mk4x2f64
 		}
 	}
@@ -372,10 +395,7 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 	if iEnd > g.m {
 		iEnd = g.m
 	}
-	kcMax := g.k
-	if kcMax > gemmKC {
-		kcMax = gemmKC
-	}
+	kcMax := min(g.k, g.kc)
 	mcMax := iEnd - i0
 	if mcMax > gemmMC {
 		mcMax = gemmMC
@@ -401,11 +421,8 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 			g.dst.sub(ib, 0, ic, zc).zero()
 		}
 		nPanA := (ic + mr - 1) / mr
-		for kk := 0; kk < g.k; kk += gemmKC {
-			kc := g.k - kk
-			if kc > gemmKC {
-				kc = gemmKC
-			}
+		for kk := 0; kk < g.k; kk += g.kc {
+			kc := min(g.k-kk, g.kc)
 			// Triangular op(a): k blocks wholly past the block's last row
 			// (lower) or before its first (upper) hold only zeros.
 			if fl&gemmALower != 0 && kk >= ib+ic {
@@ -486,10 +503,7 @@ func gemmRange32(g *gemmCtx, p0, p1 int) {
 	if iEnd > g.m {
 		iEnd = g.m
 	}
-	kcMax := g.k
-	if kcMax > gemmKC {
-		kcMax = gemmKC
-	}
+	kcMax := min(g.k, g.kc)
 	mcMax := iEnd - i0
 	if mcMax > gemmMC {
 		mcMax = gemmMC
@@ -508,11 +522,8 @@ func gemmRange32(g *gemmCtx, p0, p1 int) {
 		for i := range sd {
 			sd[i] = 0
 		}
-		for kk := 0; kk < g.k; kk += gemmKC {
-			kc := g.k - kk
-			if kc > gemmKC {
-				kc = gemmKC
-			}
+		for kk := 0; kk < g.k; kk += g.kc {
+			kc := min(g.k-kk, g.kc)
 			packA(ap.Data, g.a, aT, ib, ic, kk, kc, mr)
 			nPanA := icPad / mr
 			for jp := 0; jp < g.nPanB; jp++ {

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -251,6 +252,9 @@ func TestKernelDispatch(t *testing.T) {
 		}
 		if ActiveKernel() != k {
 			t.Fatalf("ActiveKernel() = %s after SetKernel(%s)", ActiveKernel(), k)
+		}
+		if d := KernelDetail(); !strings.HasPrefix(d, k.String()) {
+			t.Fatalf("KernelDetail() = %q under SetKernel(%s), want the variant's name first", d, k)
 		}
 	}
 	if err := SetKernel(Kernel(99)); err == nil {

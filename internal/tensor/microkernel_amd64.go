@@ -20,6 +20,17 @@ func fma8x4f64(c []float64, ldc int, ap, bp []float64, kc int)
 //go:noescape
 func fma8x8f32(c []float32, ldc int, ap, bp []float32, kc int)
 
+// fma8x16f64 and fma8x32f32 are the same tiles at 512 bits — sixteen ZMM
+// accumulators, two B-panel vectors per step. Each element's reduction is
+// fma8x4f64's / fma8x8f32's, so the results are bit-identical
+// (TestFMAWidthIdentity). Only called when haveAVX512Kernels is true.
+//
+//go:noescape
+func fma8x16f64(c []float64, ldc int, ap, bp []float64, kc int)
+
+//go:noescape
+func fma8x32f32(c []float32, ldc int, ap, bp []float32, kc int)
+
 // Element-wise exp / erf kernels (vecmath_amd64.s), 4 float64 lanes per
 // step; vecmath.go states their accuracy and position-independence
 // contract. All slices of one call have the length of the input slice.

@@ -14,6 +14,14 @@ func fma8x8f32(c []float32, ldc int, ap, bp []float32, kc int) {
 	panic("tensor: FMA micro-kernel unavailable in this build")
 }
 
+func fma8x16f64(c []float64, ldc int, ap, bp []float64, kc int) {
+	panic("tensor: FMA micro-kernel unavailable in this build")
+}
+
+func fma8x32f32(c []float32, ldc int, ap, bp []float32, kc int) {
+	panic("tensor: FMA micro-kernel unavailable in this build")
+}
+
 func expShiftFMA(dst, src []float64, shift float64) {
 	panic("tensor: FMA exp kernel unavailable in this build")
 }

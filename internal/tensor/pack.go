@@ -49,8 +49,9 @@ func packB[T real](buf []T, b View, bT bool, n, k, nr int) {
 
 // packRows fills one width-lane panel whose lane l is source row r0+l,
 // steps [k0, k0+kc) running along the row; lanes past the last are zero.
-// Four rows are interleaved per pass so the panel is written in runs, not
-// one element per width.
+// Four rows are interleaved per pass (eight for the assembly kernels' 8-,
+// 16- and 32-lane panels) so the panel is written in runs, not one element
+// per width.
 func packRows[T real](dst []T, width int, data []float64, ld, r0, lanes, k0, kc int) {
 	l := 0
 	if lanes == 8 && width == 8 {
@@ -62,6 +63,20 @@ func packRows[T real](dst []T, width int, data []float64, ld, r0, lanes, k0, kc 
 			q[4], q[5], q[6], q[7] = T(s4[t]), T(s5[t]), T(s6[t]), T(s7[t])
 		}
 		return
+	}
+	if width >= 16 {
+		// The 512-bit tiles' 16- and 32-lane panels, full or partial.
+		for ; l+8 <= lanes; l += 8 {
+			r := r0 + l
+			s0, s1, s2, s3 := data[r*ld+k0:][:kc], data[(r+1)*ld+k0:][:kc], data[(r+2)*ld+k0:][:kc], data[(r+3)*ld+k0:][:kc]
+			s4, s5, s6, s7 := data[(r+4)*ld+k0:][:kc], data[(r+5)*ld+k0:][:kc], data[(r+6)*ld+k0:][:kc], data[(r+7)*ld+k0:][:kc]
+			d := dst[l:]
+			for t, v := range s0 {
+				q := d[t*width:][:8:8]
+				q[0], q[1], q[2], q[3] = T(v), T(s1[t]), T(s2[t]), T(s3[t])
+				q[4], q[5], q[6], q[7] = T(s4[t]), T(s5[t]), T(s6[t]), T(s7[t])
+			}
+		}
 	}
 	for ; l+4 <= lanes; l += 4 {
 		s0 := data[(r0+l)*ld+k0:][:kc]
@@ -88,7 +103,8 @@ func packRows[T real](dst []T, width int, data []float64, ld, r0, lanes, k0, kc 
 
 // packCols fills one width-lane panel whose lane l is source column c0+l,
 // step t being source row k0+t; lanes past the last are zero. Full panels
-// of the assembly kernels' widths copy each step's run unrolled.
+// of the assembly kernels' widths (4, 8; 16 and 32 in runs of 16) copy each
+// step's run unrolled.
 func packCols[T real](dst []T, width int, data []float64, ld, c0, lanes, k0, kc int) {
 	src := data[k0*ld+c0:]
 	switch {
@@ -102,6 +118,16 @@ func packCols[T real](dst []T, width int, data []float64, ld, c0, lanes, k0, kc 
 			s, d := src[t*ld:][:8:8], dst[t*8:][:8:8]
 			d[0], d[1], d[2], d[3] = T(s[0]), T(s[1]), T(s[2]), T(s[3])
 			d[4], d[5], d[6], d[7] = T(s[4]), T(s[5]), T(s[6]), T(s[7])
+		}
+	case lanes == width && width%16 == 0:
+		for t := 0; t < kc; t++ {
+			for l := 0; l < width; l += 16 {
+				s, d := src[t*ld+l:][:16:16], dst[t*width+l:][:16:16]
+				d[0], d[1], d[2], d[3] = T(s[0]), T(s[1]), T(s[2]), T(s[3])
+				d[4], d[5], d[6], d[7] = T(s[4]), T(s[5]), T(s[6]), T(s[7])
+				d[8], d[9], d[10], d[11] = T(s[8]), T(s[9]), T(s[10]), T(s[11])
+				d[12], d[13], d[14], d[15] = T(s[12]), T(s[13]), T(s[14]), T(s[15])
+			}
 		}
 	default:
 		for t := 0; t < kc; t++ {

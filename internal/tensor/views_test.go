@@ -249,7 +249,8 @@ func TestMulViewsRejectsBadShapes(t *testing.T) {
 // FuzzMulViews drives the entry point with seeded batches of random
 // shapes, window placements and transposes. Whatever the draw, the tiled
 // kernel must match the scalar reference bit for bit, the default kernel
-// within fmaTol, and nothing outside a Dst window may change.
+// within fmaTol — at both tile widths where the host has AVX-512, the two
+// bit-equal to each other — and nothing outside a Dst window may change.
 func FuzzMulViews(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(0))
 	f.Add(uint64(2), uint8(3), uint8(64), uint8(64), uint8(16), uint8(2))
@@ -259,8 +260,17 @@ func FuzzMulViews(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, count, ms, ns, ks, trans uint8) {
 		def := ActiveKernel()
 		defer SetKernel(def)
-		for _, kern := range []Kernel{KernelTiled, def} {
-			if err := SetKernel(kern); err != nil {
+		type variant struct {
+			kern Kernel
+			wide bool
+		}
+		variants := []variant{{KernelTiled, false}, {def, false}}
+		if def == KernelFMA && haveAVX512Kernels {
+			variants = append(variants, variant{def, true})
+		}
+		var narrow []viewProduct // the default kernel's batch at the 256-bit tiles
+		for _, v := range variants {
+			if err := SetKernel(v.kern); err != nil {
 				t.Fatal(err)
 			}
 			rng := NewRNG(seed)
@@ -273,10 +283,14 @@ func FuzzMulViews(f *testing.F) {
 				batch[i] = genProduct(rng, m, n, k, tr&1 != 0, tr&2 != 0, spec(), spec(), spec())
 				ps[i] = batch[i].p
 			}
-			MulViews(ps)
+			atFMAWidth(v.wide, func() { MulViews(ps) })
 			for i := range batch {
-				batch[i].check(t, fmt.Sprintf("product %d of %d", i, len(batch)), refMatMul, kern != KernelFMA, fmaTol)
+				batch[i].check(t, fmt.Sprintf("product %d of %d", i, len(batch)), refMatMul, v.kern != KernelFMA, fmaTol)
+				if v.wide && !sameBits(batch[i].dstMat, narrow[i].dstMat) {
+					t.Fatalf("product %d of %d: 512-bit tiles differ from 256-bit tiles", i, len(batch))
+				}
 			}
+			narrow = batch
 		}
 	})
 }
