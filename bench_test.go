@@ -15,6 +15,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -837,6 +838,76 @@ func BenchmarkEngineTransport(b *testing.B) {
 		}
 		b.ReportMetric(8*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 	})
+}
+
+// BenchmarkEngineSlotBytes is the first measured rung of the memory ladder:
+// what one activation slot and one device's backward scratch cost, for one
+// transformer block at the three block shapes of the paired benchmark
+// (tiny_1f1b / tiny_ring2, base_chimera_k4, wide_1f1b_k8: d, dff, tokens per
+// micro-batch). slot-B is the block's forward-retained bytes — what each
+// extra micro-batch in flight at a stage costs (pipeline.InFlightDepth of
+// them per stage) — scratch-B the bytes only a backward writes, held once
+// per device whatever it hosts. It also proves the split: a Twin run through
+// a full forward + backward on the first block's scratch grows the live
+// heap by its forward-retained share and nothing else. ns/op is that
+// forward + backward.
+func BenchmarkEngineSlotBytes(b *testing.B) {
+	for _, c := range []struct {
+		name          string
+		d, dff, heads int
+		seqs, seqLen  int
+	}{
+		{name: "tiny", d: 32, dff: 64, heads: 4, seqs: 2, seqLen: 16},
+		{name: "base", d: 64, dff: 256, heads: 4, seqs: 2, seqLen: 64},
+		{name: "wide", d: 128, dff: 512, heads: 4, seqs: 2, seqLen: 32},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := tensor.NewRNG(7)
+			blk := nn.NewTransformerBlock("block", c.d, c.dff, c.heads, rng)
+			for _, l := range blk.DenseLayers() {
+				l.CaptureKFAC = true
+			}
+			scratch := new(nn.BlockScratch)
+			x := tensor.RandN(rng, c.seqs*c.seqLen, c.d, 1)
+			grad := tensor.RandN(rng, c.seqs*c.seqLen, c.d, 1)
+			step := func(blk *nn.TransformerBlock) {
+				blk.SetShape(c.seqs, c.seqLen)
+				blk.Forward(x)
+				blk.AttachScratch(scratch)
+				blk.Backward(grad)
+			}
+			step(blk)
+			slot, scr := blk.RetainedBytes(), scratch.Bytes()
+
+			heap := func() int64 {
+				runtime.GC() // twice: the second cycle empties the workspace and pack-buffer pools
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				return int64(ms.HeapAlloc)
+			}
+			before := heap()
+			twin := blk.Twin()
+			step(twin)
+			grew := heap() - before
+			if twin.RetainedBytes() != slot || scratch.Bytes() != scr {
+				b.Fatalf("twin retains %d B (block %d), scratch grew %d -> %d B", twin.RetainedBytes(), slot, scr, scratch.Bytes())
+			}
+			// Matrix headers and the attention's per-item views are the slack;
+			// a duplicated scratch would double the growth.
+			if slack := slot/20 + 16<<10; grew < slot-slack || grew > slot+slack {
+				b.Fatalf("a twin's forward + backward grew the heap by %d B; its forward-retained buffers are %d B, the shared scratch %d B", grew, slot, scr)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step(twin)
+			}
+			b.ReportMetric(float64(slot), "slot-B")
+			b.ReportMetric(float64(scr), "scratch-B")
+			runtime.KeepAlive(blk)
+		})
+	}
 }
 
 // BenchmarkEngineStepKFAC is the same comparison with the PipeFisher

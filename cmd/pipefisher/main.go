@@ -60,7 +60,7 @@ func main() {
 		bmicro       = flag.Int("bmicro", 32, "micro-batch size")
 		dp           = flag.Int("dp", 1, "data-parallel width W: replicas of every stage (of chimera's whole bidirectional pair)")
 		invParallel  = flag.Bool("invparallel", false, "split inversion work across the stage's devices")
-		recompute    = flag.Bool("recompute", false, "activation recomputation")
+		recompute    = flag.Bool("recompute", false, "price activation recomputation in the simulated costs (the executor stashes)")
 		width        = flag.Int("width", 120, "ASCII timeline width")
 		csvPath      = flag.String("csv", "", "write the augmented timeline as CSV to this file")
 		svgPath      = flag.String("svg", "", "write the augmented timeline as SVG to this file")

@@ -242,8 +242,8 @@
 // strict contract:
 //
 //   - Ownership: the unit of execution is a module set — one copy of the
-//     model's modules with its own layer workspace and gradient
-//     accumulators. A replica is one module set; a Chimera replica is
+//     model's modules with its own gradient accumulators and, per stage,
+//     the activation slots of the next section. A replica is one module set; a Chimera replica is
 //     two, one per pipeline direction, and the up-pipeline set holds no
 //     weights of its own: its parameter Value.Data aliases its replica's
 //     storage (the real system's second weight copy, without the copy or
@@ -296,6 +296,49 @@
 //     preconditioner makes the post-inversion broadcast implicit, and
 //     per-layer locks let different factors invert concurrently.
 //
+// # Activation slots
+//
+// No backward re-runs a forward. Every (module set, stage) holds as many
+// activation slots as the built schedule keeps micro-batches in flight
+// there — pipeline.Schedule.InFlightDepth, read off the device orders at
+// every schedule rebuild: N under GPipe, min(N, D-s) under 1F1B, the
+// owner's share under Chimera (TestInFlightDepthGenerated). It is the
+// executed counterpart of perfmodel.MemoryModel's Act = N·Mact, and the
+// paper's configuration without "R"; the simulator still prices R through
+// pipeline.CostConfig.Recompute.
+//
+//   - A slot is the stage's blocks (slot 0) or nn.TransformerBlock.Twin
+//     copies of them: the same parameter and gradient *tensor.Matrix
+//     headers — so a ShardParams gather, Chimera's aliased up set, a
+//     checkpoint restore and the optimizer reach every slot with no code of
+//     their own — with their own forward-retained buffers and nothing else.
+//   - The one device goroutine that owns the (replica, pipeline, stage)
+//     owns its slots: a forward takes a free one and leaves the
+//     micro-batch's activations (and the stage output) in it, the
+//     micro-batch's backward runs on it and frees it. Stage 0 keeps a pooled
+//     clone of its input like every later stage and re-runs only the
+//     embedding before EmbedBackward, whose caches the model holds for one
+//     micro-batch. A round's high-water slot use per stage is exactly the
+//     schedule's depth and every slot is free when it ends
+//     (TestSlotHighWaterMatchesInFlightDepth); an aborted round's rollback
+//     frees them all and strands no pooled buffer (TestSlotsFreeAfterAbort).
+//   - The slots of a stage share their set's gradient accumulators. That is
+//     exact because gradients leave a set only as per-micro-batch deltas:
+//     each backward accumulates from zero and its contribution is moved out
+//     (snapshotGradDeltas) before the device starts anything else.
+//   - What only a backward writes — input gradients, the K-FAC capture of
+//     output gradients, attention's projection gradients — is not slot
+//     memory: it is a scratch the device goroutine owns (nn.BlockScratch,
+//     one per block position of a stage), attached to the slot about to be
+//     back-propagated. A device's ops are serial and each backward's
+//     results are copied out inside the op, so every slot of every stage a
+//     device hosts shares it; a block used outside the engine lazily owns
+//     one. BenchmarkEngineSlotBytes reports both sizes and asserts a twin's
+//     forward + backward grows the heap by the forward-retained share only.
+//   - Only which buffer holds an activation changed, never an arithmetic
+//     order: TestSlotsBitIdenticalToRecompute pins losses, gradients,
+//     factors and inverses to digests recorded on the recomputing executor.
+//
 // # Collective transport contract
 //
 // internal/transport generalizes those in-process reductions across OS
@@ -340,7 +383,8 @@
 //     the fixed per-frame cost makes chunked ~= unchunked; the model is
 //     the acceptance bar, the bench is the honest measurement).
 //   - Batching: a stage's per-parameter gradient reductions, and a K-FAC
-//     factor with its row count, go to the group as one
+//     layer's two factors with their row counts (one batch of four per
+//     layer refresh, not one per factor), go to the group as one
 //     transport.AllReduceBatch. A Ring (a transport.BatchReducer) runs
 //     every reduce pass before the first distribution pass: the same
 //     frames, bytes and arithmetic as one AllReduce each

@@ -22,8 +22,8 @@ func (m *Model) SeqLen() int { return m.Config.SeqLen }
 // EmbedForward runs the stage-0 path for a micro-batch: token + position
 // embeddings (summed in a retained buffer, no per-micro-batch allocation)
 // followed by the embedding LayerNorm. The returned matrix is owned by the
-// model and valid until the next EmbedForward; the engine recomputes the
-// embedding before the micro-batch's backward, so nothing else retains it.
+// model and valid until the next EmbedForward; the engine hands the blocks a
+// pooled copy and re-runs the embedding before the micro-batch's backward.
 func (m *Model) EmbedForward(mb *data.Batch) *tensor.Matrix {
 	n := mb.BatchSize * mb.SeqLen
 	if len(m.pipePosIDs) != n {

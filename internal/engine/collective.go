@@ -173,89 +173,108 @@ func snapshotGradDeltas(params []*nn.Param, dst []*tensor.Matrix) {
 	}
 }
 
+// factorFold is the reusable state of one Kronecker factor's collective: part
+// views over the per-micro-batch Gram partials, the 1-element row-count
+// collective's buffers, and the precomputed collective names. A layer's
+// names are reused across generations; the schedule's cross-generation
+// dependency edges order a carried fold before the newer generation's on
+// every rank, so same-name calls are issued in one global order.
+type factorFold struct {
+	parts         [][]float64 // len = local micro-batches per step
+	rowVals       []float64   // per-micro row counts as float64
+	rowParts      [][]float64 // rowParts[m] = rowVals[m : m+1]
+	rowDst        [1]float64
+	name, rowName string
+}
+
 // kfacFoldScratch is the reusable per-(stage, layer) state of the K-FAC
-// factor collective: part views over the per-micro-batch Gram partials,
-// the 1-element row-count collective's buffers, and the precomputed
-// collective names. Allocated once at EnableKFAC so the factor fold — part
-// of the gated zero-alloc round path — reuses it every generation.
+// factor collective: one factorFold per factor and the batch their four
+// reductions travel in. Allocated once at EnableKFAC so the factor fold —
+// part of the gated zero-alloc round path — reuses it every generation; a
+// layer's folds run under layerMu[s][li].
 type kfacFoldScratch struct {
-	parts    [][]float64 // len = local micro-batches per step
-	rowVals  []float64   // per-micro row counts as float64
-	rowParts [][]float64 // rowParts[m] = rowVals[m : m+1]
-	rowDst   [1]float64
-	ops      [2]transport.Reduction // the payload fold and its row count, one batch
-	// Collective names: factor A/B payload folds and their row-count
-	// companions. A layer's names are reused across generations; the
-	// schedule's cross-generation dependency edges order a carried fold
-	// before the newer generation's on every rank, so same-name calls are
-	// issued in one global order.
-	nameA, nameB, nameRA, nameRB string
+	a, b factorFold
+	ops  [4]transport.Reduction // A's payload and row count, then B's
 }
 
 // initKFACFold (re)builds the per-(stage, layer) factor-fold scratch for
 // the current stage partition. Called from EnableKFAC.
 func (e *Engine) initKFACFold() {
 	perStep := e.cfg.MicroBatches * e.cfg.Replicas
+	newFold := func(factor string, s, li int) factorFold {
+		f := factorFold{
+			parts:    make([][]float64, perStep),
+			rowVals:  make([]float64, perStep),
+			rowParts: make([][]float64, perStep),
+			name:     fmt.Sprintf("f%s/%d/%d", factor, s, li),
+			rowName:  fmt.Sprintf("r%s/%d/%d", factor, s, li),
+		}
+		for m := range f.rowParts {
+			f.rowParts[m] = f.rowVals[m : m+1]
+		}
+		return f
+	}
 	e.kfacFold = make([][]*kfacFoldScratch, e.cfg.Stages)
 	for s, st := range e.sets[0].stages {
 		e.kfacFold[s] = make([]*kfacFoldScratch, len(st.layers))
 		for li := range st.layers {
-			fs := &kfacFoldScratch{
-				parts:    make([][]float64, perStep),
-				rowVals:  make([]float64, perStep),
-				rowParts: make([][]float64, perStep),
-				nameA:    fmt.Sprintf("fA/%d/%d", s, li),
-				nameB:    fmt.Sprintf("fB/%d/%d", s, li),
-				nameRA:   fmt.Sprintf("rA/%d/%d", s, li),
-				nameRB:   fmt.Sprintf("rB/%d/%d", s, li),
-			}
-			for m := range fs.rowParts {
-				fs.rowParts[m] = fs.rowVals[m : m+1]
-			}
-			e.kfacFold[s][li] = fs
+			e.kfacFold[s][li] = &kfacFoldScratch{a: newFold("A", s, li), b: newFold("B", s, li)}
 		}
 	}
 }
 
-// foldFactor reduces one Kronecker factor over the transport group:
-// scale/N · Σ_m U_m^T U_m with the per-micro-batch partials as collective
-// parts — summed in the fixed ascending global micro-batch order, N the
-// group-wide row count (its own 1-element collective: integer counts sum
-// exactly in float64). The returned matrix is pooled; the caller Puts it
-// after SetFactors copies it out. Partial buffers stay with the caller.
-func (e *Engine) foldFactor(name, rowName string, fs *kfacFoldScratch, parts []*tensor.Matrix, rows []int, scale float64) (*tensor.Matrix, int64, error) {
-	var sum *tensor.Matrix
+// stage points the factor's two reductions — the payload fold into a pooled
+// sum and its row count — at one generation's partials.
+func (f *factorFold) stage(ops []transport.Reduction, parts []*tensor.Matrix, rows []int) (*tensor.Matrix, error) {
 	for m, p := range parts {
 		if p == nil {
-			return nil, 0, fmt.Errorf("missing curvature contribution of micro-batch %d", m)
+			return nil, fmt.Errorf("missing curvature contribution of micro-batch %d", m)
 		}
-		if sum == nil {
-			sum = tensor.Get(p.Rows, p.Cols)
-		}
-		fs.parts[m] = p.Data
-		fs.rowVals[m] = float64(rows[m])
+		f.parts[m] = p.Data
+		f.rowVals[m] = float64(rows[m])
 	}
-	if sum == nil {
-		return nil, 0, fmt.Errorf("no curvature contributions")
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("no curvature contributions")
 	}
-	fs.ops[0] = transport.Reduction{Name: name, Dst: sum.Data, Parts: fs.parts}
-	fs.ops[1] = transport.Reduction{Name: rowName, Dst: fs.rowDst[:], Parts: fs.rowParts}
-	bytes, err := transport.AllReduceBatch(e.group, fs.ops[:])
-	fs.ops[0].Dst = nil
-	for m := range fs.parts {
-		fs.parts[m] = nil
+	sum := tensor.Get(parts[0].Rows, parts[0].Cols)
+	ops[0] = transport.Reduction{Name: f.name, Dst: sum.Data, Parts: f.parts}
+	ops[1] = transport.Reduction{Name: f.rowName, Dst: f.rowDst[:], Parts: f.rowParts}
+	return sum, nil
+}
+
+// foldFactors reduces a layer's two Kronecker factors over the transport
+// group in ONE batch of four reductions — one round trip on a wire, where
+// a fold per factor waited for the peers twice: each factor is
+// scale/N · Σ_m U_m^T U_m with the per-micro-batch partials as collective
+// parts — every reduction still summed alone, in the fixed ascending global
+// micro-batch order — N the group-wide row count (its own 1-element
+// collective: integer counts sum exactly in float64), scale 1 for A and
+// scaleB for B. The returned matrices are pooled; the caller Puts them
+// after SetFactors copies them out. Partial buffers stay with the caller.
+func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
+	if newA, err = fs.a.stage(fs.ops[0:2], pool.curvA[s][li], pool.rowsA[s][li]); err != nil {
+		return nil, nil, 0, fmt.Errorf("factor A: %w", err)
+	}
+	if newB, err = fs.b.stage(fs.ops[2:4], pool.curvB[s][li], pool.rowsB[s][li]); err != nil {
+		tensor.Put(newA)
+		return nil, nil, 0, fmt.Errorf("factor B: %w", err)
+	}
+	bytes, err = transport.AllReduceBatch(e.group, fs.ops[:])
+	fs.ops[0].Dst, fs.ops[2].Dst = nil, nil
+	clear(fs.a.parts)
+	clear(fs.b.parts)
+	nA, nB := fs.a.rowDst[0], fs.b.rowDst[0]
+	if err == nil && (nA == 0 || nB == 0) {
+		err = fmt.Errorf("no curvature rows")
 	}
 	if err != nil {
-		tensor.Put(sum)
-		return nil, bytes, err
+		tensor.Put(newA)
+		tensor.Put(newB)
+		return nil, nil, bytes, err
 	}
-	n := fs.rowDst[0]
-	if n == 0 {
-		tensor.Put(sum)
-		return nil, bytes, fmt.Errorf("no curvature rows")
-	}
-	sum.ScaleInPlace(scale / n)
-	return sum, bytes, nil
+	newA.ScaleInPlace(1 / nA)
+	newB.ScaleInPlace(scaleB / nB)
+	return newA, newB, bytes, nil
 }
 
 // syncLoss reduces step j's per-micro-batch losses across the group so

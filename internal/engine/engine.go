@@ -7,7 +7,8 @@
 // op order; op dependency edges are realized as completion signals,
 // micro-batch activations and error signals flow between stages exactly
 // along the Forward/Backward edges (the P2P sends/recvs of Figure 2(iii)),
-// backward uses activation recomputation (the paper's "R" configuration),
+// every stage keeps the activations of the micro-batches it holds in flight
+// (the paper's configuration without "R": no backward re-runs a forward),
 // and — with K-FAC enabled — the curvature and inversion work runs in the
 // very slots the PipeFisher packer placed it: inside the pipeline bubbles
 // (§3.1), with per-stage factor storage (§3(i)) and factor-granular
@@ -37,7 +38,9 @@
 // # Module sets and ownership
 //
 // A module set is one full copy of the model's modules (embedding, blocks,
-// head) with its own layer workspace and gradient accumulators. Every
+// head) with its own gradient accumulators and, per stage, one activation
+// slot for each micro-batch the schedule keeps in flight there (stage.go;
+// the backward-only scratch belongs to the device, not the set). Every
 // replica has one; under Chimera every replica has two, one per pipeline
 // direction — the real system's second weight copy — and the up-pipeline
 // set's parameter values are not a copy at all: its Value.Data aliases the
@@ -294,8 +297,8 @@ type Engine struct {
 	// re-broadcast from the primary at every step. Under a family with a
 	// second pipeline (chimera) Replicas more follow: sets[Replicas+r] is
 	// replica r's up-pipeline set, whose parameter values alias sets[r]'s
-	// storage (buildUpSets) while its gradient accumulators and layer
-	// workspace are its own. An op finds its set with setIndex; the schedule
+	// storage (buildUpSets) while its gradient accumulators and activation
+	// slots are its own. An op finds its set with setIndex; the schedule
 	// gives every (replica, pipeline, stage) one device — building its
 	// pipeline.Placement proves it — so a set's stage is only ever touched by
 	// one device goroutine and needs no lock.
@@ -322,14 +325,19 @@ type Engine struct {
 	// stage, different stages) use different batches.
 	foldOps [][]transport.Reduction
 	// kfacFold[s][li] is the factor collective's reusable scratch
-	// (collective.go), allocated at EnableKFAC. A-then-B folds of one
-	// layer run sequentially under layerMu[s][li] and share the scratch.
+	// (collective.go), allocated at EnableKFAC: a layer's A and B fold in
+	// one batch, under layerMu[s][li].
 	kfacFold [][]*kfacFoldScratch
 	// shard is the ZeRO-style parameter-sharding state (shard.go), nil
 	// unless Config.ShardParams.
 	shard *shardState
 
 	sched *pipeline.Schedule
+	// scratch[d] is device d's backward scratch, one per block position of a
+	// stage: what only a backward writes lives here, not in the activation
+	// slots, and is attached to whichever slot the device back-propagates
+	// next (sizeSlots).
+	scratch [][]*nn.BlockScratch
 
 	// workers is the resolved intra-op kernel worker budget and opShare
 	// each device goroutine's per-kernel cap (workers / devices, min 1) —
@@ -502,7 +510,7 @@ func (e *Engine) cloneSet() (*moduleSet, error) {
 // hold the *Matrix headers mutated here), so an optimizer update or a
 // checkpoint restore written in place reaches both directions; what it
 // owns is what two running devices must not share — gradient accumulators
-// and the layers' retained workspace. Where a sharded replica detached a
+// and the activation slots of its stages. Where a sharded replica detached a
 // parameter (ShardParams), the up set is detached too and gathers its own
 // pooled copy on use. The caller appends the result to e.sets.
 func (e *Engine) buildUpSets() ([]*moduleSet, error) {
@@ -543,14 +551,20 @@ func (e *Engine) missingSets(method string) ([]*moduleSet, error) {
 // setIndex locates the module set a forward or backward op runs on:
 // replica op.Replica's down set, or — op.Pipeline 1, Chimera only — its up
 // set.
-func (e *Engine) setIndex(op *pipeline.Op) int { return op.Pipeline*e.cfg.Replicas + op.Replica }
+func (e *Engine) setIndex(op *pipeline.Op) int { return e.setOf(op.Replica, op.Pipeline) }
+
+// setOf is the index in e.sets of a replica's module set for one pipeline.
+func (e *Engine) setOf(replica, pipe int) int { return pipe*e.cfg.Replicas + replica }
 
 // captureKFAC switches K-FAC statistics capture on for every stage layer of
-// the set (the primary's layers are switched by their preconditioner).
+// the set, in every activation slot (the preconditioner switches only the
+// primary's own layers; slots added later copy the flag from those).
 func (ms *moduleSet) captureKFAC() {
 	for _, st := range ms.stages {
-		for _, l := range st.layers {
-			l.CaptureKFAC = true
+		for _, sl := range st.slots {
+			for _, l := range sl.layers {
+				l.CaptureKFAC = true
+			}
 		}
 	}
 }
@@ -571,9 +585,9 @@ func buildModuleSet(model pipemodel.Model, cfg Config) (*moduleSet, error) {
 			last:   s == cfg.Stages-1,
 			blocks: blocks[s*per : (s+1)*per],
 		}
-		for _, b := range st.blocks {
-			st.layers = append(st.layers, b.DenseLayers()...)
-		}
+		st.slots = []*actSlot{newActSlot(st.blocks)}
+		st.layers = st.slots[0].layers
+		st.freeAll()
 		rep.stages = append(rep.stages, st)
 
 		var params []*nn.Param
@@ -631,7 +645,38 @@ func (e *Engine) rebuildSchedule() error {
 		}
 	}
 	e.sched = sched
+	e.sizeSlots()
 	return nil
+}
+
+// sizeSlots fits the executor's activation memory to the schedule just
+// built: every (module set, stage) gets as many activation slots as its
+// owner keeps micro-batches in flight (a set the schedule does not run — an
+// up set after a swap away from chimera — shrinks to its own blocks), and
+// every device one backward scratch per block position of a stage. A
+// device's ops are serial and each backward's results are copied out inside
+// the op, so all slots of all stages a device hosts share that scratch.
+func (e *Engine) sizeSlots() {
+	depth := e.sched.InFlightDepth()
+	want := make(map[*stage]int)
+	for s, owners := range e.sched.Placement.Owners {
+		for i, o := range owners {
+			want[e.sets[e.setOf(o.Replica, o.Pipeline)].stages[s]] = depth[s][i]
+		}
+	}
+	for _, set := range e.sets {
+		for _, st := range set.stages {
+			st.resize(want[st])
+		}
+	}
+	for len(e.scratch) < e.sched.Devices {
+		blocks := make([]*nn.BlockScratch, len(e.sets[0].stages[0].blocks))
+		for i := range blocks {
+			blocks[i] = new(nn.BlockScratch)
+		}
+		e.scratch = append(e.scratch, blocks)
+	}
+	e.scratch = e.scratch[:e.sched.Devices]
 }
 
 // ScheduleConfig returns the PipeFisher configuration the engine runs —
@@ -764,10 +809,9 @@ func (e *Engine) StageLayers(s int) []*nn.Dense { return e.sets[0].stages[s].lay
 
 // LastTimeline returns the executed timeline of the most recent round
 // (wall-clock microseconds, one event per executed op with its step index,
-// per-step boundaries in StepEnd, recomputation shown separately), or nil
-// before the first step. Render it with the trace package next to a
-// simulated timeline of the same schedule to compare real execution
-// against the model.
+// per-step boundaries in StepEnd), or nil before the first step. Render it
+// with the trace package next to a simulated timeline of the same schedule
+// to compare real execution against the model.
 func (e *Engine) LastTimeline() *pipeline.Timeline { return e.lastTimeline }
 
 // EnableKFAC attaches one K-FAC preconditioner per stage, covering exactly
@@ -824,9 +868,10 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 		e.layerMu[s] = make([]sync.Mutex, len(st.layers))
 	}
 	e.initKFACFold()
-	// Every other module set captures the same statistics as the primary's:
-	// their micro-batches contribute to the shared per-stage factors.
-	for _, set := range e.sets[1:] {
+	// Every module set captures the same statistics as the primary's own
+	// layers, in every activation slot: their micro-batches contribute to
+	// the shared per-stage factors.
+	for _, set := range e.sets {
 		set.captureKFAC()
 	}
 	e.kfacOpts = opts
@@ -1169,8 +1214,7 @@ func splitBatch(b *data.Batch, n int) []*data.Batch {
 }
 
 // MeasuredCosts derives StageCosts from an executed timeline (mean measured
-// duration per work kind, recomputation folded into backward the way the
-// cost model folds it; measured collective times fill SyncGrad and
+// duration per work kind; measured collective times fill SyncGrad and
 // SyncCurvature when the timeline contains those events). Feeding these
 // into the builders yields a simulated timeline calibrated to the real
 // execution, for side-by-side rendering — including real-vs-modeled

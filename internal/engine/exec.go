@@ -53,9 +53,10 @@ type runState struct {
 
 	done []chan struct{} // per op, closed on completion (or skip)
 
-	stageIn  [][]*tensor.Matrix // [stage][flat] stage inputs saved for recomputation
+	stageIn  [][]*tensor.Matrix // [stage][flat] stage inputs, alive until the micro-batch's backward
 	stageOut [][]*tensor.Matrix // [stage][flat] activations leaving a stage
 	gradOut  [][]*tensor.Matrix // [stage][flat] error signals leaving a stage
+	slot     [][]*actSlot       // [stage][flat] the activation slot holding the micro-batch between forward and backward
 
 	lossParts [][]pipemodel.Loss // [step][gmicro], written by the last stage
 
@@ -183,6 +184,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		stageIn:   mat2(nStages, nFlat),
 		stageOut:  mat2(nStages, nFlat),
 		gradOut:   mat2(nStages, nFlat),
+		slot:      make([][]*actSlot, nStages),
 		lossParts: make([][]pipemodel.Loss, r),
 		carried:   make([][][]*tensor.Matrix, r),
 		deltas:    make([][][][]*tensor.Matrix, r),
@@ -198,6 +200,9 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	}
 	for i := range st.done {
 		st.done[i] = make(chan struct{})
+	}
+	for s := range st.slot {
+		st.slot[s] = make([]*actSlot, nFlat)
 	}
 	for j := 0; j < r; j++ {
 		st.lossParts[j] = make([]pipemodel.Loss, perStep)
@@ -407,8 +412,10 @@ func (st *runState) rollback() {
 	// (published by forward/backward, normally recycled by their consumer's
 	// backward); an abort strands whichever ones were never consumed.
 	// stageIn[s] aliases stageOut[s-1] for the same slot — a consumer stage
-	// saves the producer's published clone as its recomputation input — so
-	// the sweep dedupes by pointer before returning buffers to the pool.
+	// keeps the producer's published clone as its input until its backward
+	// (stage 0 keeps a clone of the embedding output) — so the sweep dedupes
+	// by pointer before returning buffers to the pool. The activation slots
+	// the stranded micro-batches held are simply all free again.
 	seen := make(map[*tensor.Matrix]bool)
 	putOnce := func(arr [][]*tensor.Matrix) {
 		for s := range arr {
@@ -424,6 +431,11 @@ func (st *runState) rollback() {
 	putOnce(st.stageIn)
 	putOnce(st.stageOut)
 	putOnce(st.gradOut)
+	for _, set := range st.e.sets {
+		for _, stg := range set.stages {
+			stg.freeAll()
+		}
+	}
 	st.zeroSecondaryGrads()
 }
 
@@ -601,11 +613,12 @@ func (st *runState) exec(d int, op *pipeline.Op) error {
 }
 
 // forward embeds (stage 0) or receives the upstream activation, runs the
-// replica's stage blocks, evaluates the loss on the last stage, and
-// publishes the output for the next stage. On the first step of a refresh
-// round it snapshots each dense layer's input activations — the A-factor
-// statistics that rule 1 makes schedulable from this point on, for the
-// whole window.
+// stage's blocks on a free activation slot — which then holds the
+// micro-batch's activations until its backward — evaluates the loss on the
+// last stage, and publishes the output for the next stage. On the first step
+// of a refresh round it snapshots each dense layer's input activations — the
+// A-factor statistics that rule 1 makes schedulable from this point on, for
+// the whole window.
 func (st *runState) forward(d int, op *pipeline.Op) error {
 	s, m := op.Stage, st.flat(op)
 	si := st.e.setIndex(op)
@@ -622,15 +635,21 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 
 	var x *tensor.Matrix
 	if stg.first {
-		x = rep.model.EmbedForward(mb)
-	} else {
-		x = st.stageOut[s-1][m]
-		if x == nil {
-			return fmt.Errorf("no activation from stage %d for micro-batch slot %d", s-1, m)
-		}
-		st.stageIn[s][m] = x
+		// The embedding output is a model-retained buffer the next
+		// micro-batch's embedding overwrites, and the slot's first layers
+		// read their input again in backward: keep a pooled copy, like the
+		// hand-off clone every later stage receives.
+		x = tensor.GetClone(rep.model.EmbedForward(mb))
+	} else if x = st.stageOut[s-1][m]; x == nil {
+		return fmt.Errorf("no activation from stage %d for micro-batch slot %d", s-1, m)
 	}
-	y := stg.runBlocks(x, mb.BatchSize, mb.SeqLen)
+	st.stageIn[s][m] = x
+	sl, err := stg.take()
+	if err != nil {
+		return err
+	}
+	st.slot[s][m] = sl
+	y := sl.forward(x, mb.BatchSize, mb.SeqLen)
 	if stg.last {
 		loss, err := rep.model.HeadLoss(mb, y, st.totals[op.Step])
 		if err != nil {
@@ -638,9 +657,9 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 		}
 		st.lossParts[op.Step][st.gmicro(op)] = loss
 	} else {
-		// The stage output is a module-retained buffer that the next
-		// forward through this stage will overwrite; hand the consumer
-		// stage a pooled copy (returned to the pool after its backward).
+		// The stage output stays in the slot for this stage's backward; the
+		// consumer stage gets a pooled copy it keeps as its own input
+		// (returned to the pool after its backward).
 		st.stageOut[s][m] = tensor.GetClone(y)
 	}
 	if st.refresh && op.Step == 0 {
@@ -653,7 +672,7 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 		// SnapClone narrows to float32 when the compute mode asks for it:
 		// the snapshots dominate Msave_err, and the Gram reduction widens
 		// exactly, so narrowing here is the float32 mode's memory win.
-		for li, l := range stg.layers {
+		for li, l := range sl.layers {
 			st.cur.actsSnap[s][st.gmicro(op)][li] = tensor.SnapClone(l.CapturedInput())
 		}
 	}
@@ -661,15 +680,18 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 	return nil
 }
 
-// backward recomputes the stage's forward from the saved input (the
-// paper's "R" configuration — recorded as its own Recompute event), then
-// backpropagates: the last stage seeds the chain with the head's
-// globally-scaled loss gradient, other stages consume the error signal of
-// the stage after them, and stage 0 finishes into the embedding tables. On
-// the first step of a refresh round it snapshots each dense layer's output
-// gradients — the B-factor statistics of rule 1. Finally the micro-batch's
-// accumulated parameter gradients move into their pooled collective delta
-// buffers (zeroing the replica's accumulators for the next micro-batch).
+// backward backpropagates the micro-batch through the activation slot its
+// forward left it in — nothing is recomputed but stage 0's embedding, whose
+// caches the model keeps for one micro-batch only — and frees the slot: the
+// last stage seeds the chain with the head's globally-scaled loss gradient,
+// other stages consume the error signal of the stage after them, and stage
+// 0 finishes into the embedding tables. Everything only a backward writes
+// goes to the device's scratch. On the first step of a refresh round it
+// snapshots each dense layer's output gradients — the B-factor statistics
+// of rule 1. Finally the micro-batch's accumulated parameter gradients move
+// into their pooled collective delta buffers (zeroing the set's
+// accumulators — shared by the stage's slots, exact because each backward's
+// contribution leaves before the next one starts).
 func (st *runState) backward(d int, op *pipeline.Op) error {
 	s, m := op.Stage, st.flat(op)
 	si := st.e.setIndex(op)
@@ -677,32 +699,23 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 	stg := rep.stages[s]
 	mb := st.micro[op.Step][st.gmicro(op)]
 	if st.e.shard != nil {
-		// ZeRO gather-on-use, backward form: values for the recompute plus
-		// zeroed gradient accumulators — the delta snapshot below moves the
-		// accumulated contribution out before the release returns the
+		// ZeRO gather-on-use, backward form: values for the input gradients
+		// plus zeroed gradient accumulators — the delta snapshot below moves
+		// the accumulated contribution out before the release returns the
 		// buffers to the pool.
 		st.e.gatherStage(si, s, true)
 		defer st.e.releaseStage(si, s)
 	}
 	t0 := time.Since(st.start)
 
-	var x *tensor.Matrix
-	if stg.first {
-		x = rep.model.EmbedForward(mb)
-	} else {
-		x = st.stageIn[s][m]
-		if x == nil {
-			return fmt.Errorf("no saved input for micro-batch slot %d", m)
-		}
+	sl := st.slot[s][m]
+	if sl == nil {
+		return fmt.Errorf("no activations held for micro-batch slot %d", m)
 	}
-	y := stg.runBlocks(x, mb.BatchSize, mb.SeqLen)
-	tRec := time.Since(st.start)
-	st.recordKind(d, pipeline.Recompute, op, t0, tRec)
-
 	var grad *tensor.Matrix
 	if stg.last {
 		var err error
-		grad, err = rep.model.HeadGradient(mb, y, st.totals[op.Step])
+		grad, err = rep.model.HeadGradient(mb, sl.out, st.totals[op.Step])
 		if err != nil {
 			return err
 		}
@@ -712,17 +725,18 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 			return fmt.Errorf("no error signal from stage %d for micro-batch slot %d", s+1, m)
 		}
 	}
-	grad = stg.backBlocks(grad)
+	grad = sl.backward(grad, st.e.scratch[d])
 	if st.refresh && op.Step == 0 {
 		// Snapshot the B-factor statistics into the collecting
 		// generation's pool (see the A-factor snapshot in forward).
 		// In float32 mode the layer's capture already lives in a narrow
 		// buffer; Snap.Clone copies it without a widen/narrow round trip.
-		for li, l := range stg.layers {
+		for li, l := range sl.layers {
 			st.cur.gradsSnap[s][st.gmicro(op)][li] = l.CapturedOutputGradSnap().Clone()
 		}
 	}
 	if stg.first {
+		rep.model.EmbedForward(mb) // EmbedBackward reads the caches of the embedding it directly follows
 		rep.model.EmbedBackward(grad)
 	} else {
 		// Like forward activations, the outgoing error signal is a
@@ -732,19 +746,21 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 	// The micro-batch finished accumulating on this module set's stage:
 	// move its gradient contribution into the collective's delta slot.
 	snapshotGradDeltas(rep.stageParams[s], st.deltas[op.Step][s][st.gmicro(op)])
-	// Recycle the pooled buffers the micro-batch consumed — the
-	// activation received from the previous stage (kept for
-	// recomputation) and the error signal from the next stage.
+	// Recycle what the micro-batch held: its activation slot, the pooled
+	// stage input (the previous stage's hand-off, or stage 0's embedding
+	// clone) and the error signal from the next stage.
+	stg.release(sl)
+	st.slot[s][m] = nil
+	tensor.Put(st.stageIn[s][m])
+	st.stageIn[s][m] = nil
 	if !stg.first {
-		tensor.Put(st.stageIn[s][m])
-		st.stageIn[s][m] = nil
 		st.stageOut[s-1][m] = nil
 	}
 	if !stg.last {
 		tensor.Put(st.gradOut[s+1][m])
 		st.gradOut[s+1][m] = nil
 	}
-	st.recordKind(d, pipeline.Backward, op, tRec, time.Since(st.start))
+	st.record(d, op, t0)
 	return nil
 }
 
@@ -823,21 +839,15 @@ func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	t0 := time.Since(st.start)
 	var bytes int64
 	if !pool.folded[s][li] {
-		fs := st.e.kfacFold[s][li]
-		newA, nbA, err := st.e.foldFactor(fs.nameA, fs.nameRA, fs, pool.curvA[s][li], pool.rowsA[s][li], 1)
-		if err != nil {
-			return fmt.Errorf("factor A of layer %d: %w", li, err)
-		}
 		// The statistics — and therefore the loss scale — come from the
 		// generation's own statistics batch (its collect round's first
 		// step), not the folding round's.
 		scale := st.e.sets[0].model.KFACLossScale(pool.totals)
-		newB, nbB, err := st.e.foldFactor(fs.nameB, fs.nameRB, fs, pool.curvB[s][li], pool.rowsB[s][li], scale*scale)
+		newA, newB, nb, err := st.e.foldFactors(st.e.kfacFold[s][li], pool, s, li, scale*scale)
 		if err != nil {
-			tensor.Put(newA)
-			return fmt.Errorf("factor B of layer %d: %w", li, err)
+			return fmt.Errorf("factors of layer %d: %w", li, err)
 		}
-		bytes = nbA + nbB
+		bytes = nb
 		if st.e.inj != nil && (newA.HasNaN() || newB.HasNaN()) {
 			// Corrupted partials must not poison the preconditioner's EMA —
 			// SetFactors folds into long-lived state no retry could repair.
@@ -921,7 +931,7 @@ func (st *runState) recordComm(d int, op *pipeline.Op, t0 time.Duration, bytes i
 }
 
 // recordKind appends a measured event, possibly under a different kind
-// than the schedule op (Recompute segments of Backward ops).
+// than the schedule op (the Degraded span of a refresh op that gave up).
 func (st *runState) recordKind(d int, kind pipeline.WorkKind, op *pipeline.Op, t0, t1 time.Duration) {
 	ev := op
 	if kind != op.Kind {

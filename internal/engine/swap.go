@@ -118,7 +118,8 @@ func (e *Engine) Reconfigure(sc SwapConfig) error {
 	if err != nil {
 		return fmt.Errorf("engine: Reconfigure: %w", err)
 	}
-	oldCfg, oldLen, oldCosts := e.cfg, e.roundLen, e.costModel
+	oldCfg, oldLen, oldCosts, oldSets := e.cfg, e.roundLen, e.costModel, e.sets
+	e.sets = append(e.sets, up...) // before the rebuild, which sizes every set's activation slots
 	e.cfg = nc
 	e.roundLen = k
 	if sc.Costs != nil {
@@ -126,10 +127,9 @@ func (e *Engine) Reconfigure(sc SwapConfig) error {
 		e.costModel = &c
 	}
 	if err := e.rebuildSchedule(); err != nil {
-		e.cfg, e.roundLen, e.costModel = oldCfg, oldLen, oldCosts
+		e.cfg, e.roundLen, e.costModel, e.sets = oldCfg, oldLen, oldCosts, oldSets
 		return fmt.Errorf("engine: Reconfigure: %w", err)
 	}
-	e.sets = append(e.sets, up...)
 	if e.kfacPre == nil {
 		return nil
 	}

@@ -264,12 +264,13 @@ func (in *Injector) Fired(i int) int64 {
 	return in.fired[i].Load()
 }
 
-// opKinds maps spec names to WorkKinds; it must cover every kind the
-// schedule can emit (pipeline.WorkKind.String values).
+// opKinds maps spec names to WorkKinds: exactly the kinds a schedule can
+// emit (pipeline.WorkKind.String values). Recompute, Degraded and Membership
+// only ever label timeline events, so a fault naming one could never fire.
 var opKinds = map[string]pipeline.WorkKind{}
 
 func init() {
-	for k := pipeline.Forward; k <= pipeline.Recompute; k++ {
+	for k := pipeline.Forward; k <= pipeline.OptStep; k++ {
 		opKinds[k.String()] = k
 	}
 }
@@ -385,7 +386,7 @@ func Random(seed int64, n, maxStep, devices int) *Plan {
 	ops := []pipeline.WorkKind{
 		pipeline.Forward, pipeline.Backward, pipeline.Curvature,
 		pipeline.Inversion, pipeline.Precondition, pipeline.SyncGrad,
-		pipeline.SyncCurvature, pipeline.OptStep, pipeline.Recompute,
+		pipeline.SyncCurvature, pipeline.OptStep,
 	}
 	for i := 0; i < n; i++ {
 		// Kill is deliberately absent from the pool: a random rank death

@@ -67,6 +67,21 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// Only kinds a schedule can emit are fault targets: a label-only kind is
+// rejected with the list of the valid ones, and Random never spends a draw
+// on one.
+func TestOpKindsAreScheduleOps(t *testing.T) {
+	_, err := Parse("fail:op=recompute")
+	if err == nil || !strings.Contains(err.Error(), "backward, curvature, forward") {
+		t.Fatalf("Parse(fail:op=recompute) = %v, want an unknown-op error listing the valid ops", err)
+	}
+	for _, f := range Random(1, 200, 4, 2).Faults {
+		if f.Op > pipeline.OptStep {
+			t.Fatalf("Random drew op %s, which no schedule contains", f.Op)
+		}
+	}
+}
+
 func TestInjectorMatching(t *testing.T) {
 	plan := &Plan{Faults: []Fault{
 		{Kind: Fail, Step: 2, Device: 1, Op: pipeline.Curvature, Micro: Any},

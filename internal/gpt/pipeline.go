@@ -38,8 +38,8 @@ func (m *Model) SeqLen() int { return m.Config.SeqLen }
 // EmbedForward runs the stage-0 path: token + position embeddings summed in
 // a retained buffer (the decoder has no embedding norm; the final norm
 // lives in the head). The returned matrix is owned by the model and valid
-// until the next EmbedForward; the engine recomputes the embedding before
-// each micro-batch's backward, so nothing else retains it.
+// until the next EmbedForward; the engine hands the blocks a pooled copy and
+// re-runs the embedding before each micro-batch's backward.
 func (m *Model) EmbedForward(mb *data.Batch) *tensor.Matrix {
 	n := mb.BatchSize * mb.SeqLen
 	if len(m.pipePosIDs) != n {

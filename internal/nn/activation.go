@@ -15,7 +15,7 @@ type GELU struct {
 	lastInput *tensor.Matrix
 	cdfBuf    *tensor.Matrix // Φ of lastInput, element-wise
 	outBuf    *tensor.Matrix
-	dxBuf     *tensor.Matrix
+	bw        *dxScratch // backward scratch (scratch.go), its own unless attached
 }
 
 // NewGELU returns a GELU activation module.
@@ -40,11 +40,14 @@ func (g *GELU) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if g.lastInput == nil {
 		panic("nn: GELU Backward before Forward")
 	}
-	if grad == g.dxBuf {
-		g.dxBuf = nil
+	if g.bw == nil {
+		g.bw = new(dxScratch)
 	}
-	out := tensor.Reuse(g.dxBuf, grad.Rows, grad.Cols)
-	g.dxBuf = out
+	if grad == g.bw.dx {
+		g.bw.dx = nil
+	}
+	out := tensor.Reuse(g.bw.dx, grad.Rows, grad.Cols)
+	g.bw.dx = out
 	tensor.GELUBackward(out.Data, grad.Data, g.lastInput.Data, g.cdfBuf.Data)
 	return out
 }

@@ -38,12 +38,14 @@ type MultiHeadAttention struct {
 	probs     *tensor.Matrix
 	lastProbs []*tensor.Matrix
 
-	// Retained scratch buffers so the steady-state hot path allocates
-	// nothing: probs is reused across calls, the rest are transient within
-	// one Forward/Backward.
-	concatBuf           *tensor.Matrix   // (B·S) x d head concatenation
-	dqBuf, dkBuf, dvBuf *tensor.Matrix   // (B·S) x d projection gradients
-	prods               []tensor.Product // the batch handed to tensor.MulViews
+	// Retained buffers so the steady-state hot path allocates nothing:
+	// probs and concatBuf are reused across calls, prods is transient within
+	// one Forward/Backward, and bw — the projection gradients — is the
+	// backward scratch (scratch.go), the module's own unless a BlockScratch
+	// was attached.
+	concatBuf *tensor.Matrix   // (B·S) x d head concatenation
+	prods     []tensor.Product // the batch handed to tensor.MulViews
+	bw        *attnScratch
 }
 
 // NewMultiHeadAttention builds the sublayer; d must be divisible by heads.
@@ -160,10 +162,13 @@ func (m *MultiHeadAttention) Backward(grad *tensor.Matrix) *tensor.Matrix {
 func (m *MultiHeadAttention) attendBackward(dConcat *tensor.Matrix) (dQ, dK, dV *tensor.Matrix) {
 	n := m.batch * m.Heads
 	scale := 1 / math.Sqrt(float64(m.DModel/m.Heads))
-	dQ = tensor.Reuse(m.dqBuf, dConcat.Rows, m.DModel)
-	dK = tensor.Reuse(m.dkBuf, dConcat.Rows, m.DModel)
-	dV = tensor.Reuse(m.dvBuf, dConcat.Rows, m.DModel)
-	m.dqBuf, m.dkBuf, m.dvBuf = dQ, dK, dV
+	if m.bw == nil {
+		m.bw = new(attnScratch)
+	}
+	dQ = tensor.Reuse(m.bw.dq, dConcat.Rows, m.DModel)
+	dK = tensor.Reuse(m.bw.dk, dConcat.Rows, m.DModel)
+	dV = tensor.Reuse(m.bw.dv, dConcat.Rows, m.DModel)
+	m.bw.dq, m.bw.dk, m.bw.dv = dQ, dK, dV
 
 	// dP = dOh Vh^T, stacked like probs, then the softmax backward in place
 	// with the score scale folded in: dS = P∘(dP - rowsum(dP∘P)) * scale.
@@ -182,6 +187,9 @@ func (m *MultiHeadAttention) attendBackward(dConcat *tensor.Matrix) (dQ, dK, dV 
 		ps[3*i+2] = tensor.Product{Dst: m.head(dK, i), A: m.square(ds, i), B: m.head(m.lastQ, i), TransA: true}
 	}
 	tensor.MulViews(ps)
+	// ds goes back to the pool: drop the windows into it, so the retained
+	// batch never pins a buffer this module no longer owns.
+	clear(ps)
 	return dQ, dK, dV
 }
 

@@ -23,23 +23,27 @@ type Dense struct {
 	// CaptureKFAC enables recording of activations and errors.
 	CaptureKFAC bool
 
-	lastInput      *tensor.Matrix // N x din, retained for backward + A_l
-	lastOutputGrad *tensor.Matrix // N x dout, retained for B_l
+	lastInput *tensor.Matrix // N x din, retained for backward + A_l
 
-	// Retained output/gradient buffers: in steady state (stable batch
+	// outBuf is the retained Forward result: in steady state (stable batch
 	// shape) Forward and Backward allocate nothing. The returned matrices
-	// are owned by the layer and valid only until its next
-	// Forward/Backward — callers that need them longer must clone.
-	outBuf *tensor.Matrix // Forward result, N x dout
-	dxBuf  *tensor.Matrix // Backward result, N x din
-	// capBuf holds the float64 capture of the output gradient; in float32
-	// storage mode Backward fills capBuf32 instead (half the resident
-	// bytes) and capBuf doubles as the widen-on-demand scratch of
-	// KFACStats/CapturedOutputGrad. cap32 records which one the latest
-	// Backward filled.
-	capBuf   *tensor.Matrix
-	capBuf32 *tensor.Matrix32
-	cap32    bool
+	// are owned by the layer — Backward's by its scratch — and valid only
+	// until the next Forward/Backward; callers that need them longer must
+	// clone.
+	outBuf *tensor.Matrix // N x dout
+	// bw is the backward scratch (scratch.go): the input gradient and the
+	// output-gradient capture. Nil until the first Backward, which gives the
+	// layer one of its own unless a BlockScratch was attached.
+	bw *denseScratch
+}
+
+// scratch returns the layer's backward scratch, its own when nothing was
+// attached.
+func (d *Dense) scratch() *denseScratch {
+	if d.bw == nil {
+		d.bw = new(denseScratch)
+	}
+	return d.bw
 }
 
 // NewDense builds a Dense layer with Xavier-initialized weights and zero
@@ -95,17 +99,18 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: Dense %q Backward got %dx%d grad, want %dx%d",
 			d.Name, grad.Rows, grad.Cols, d.lastInput.Rows, d.W.Rows))
 	}
+	bw := d.scratch()
 	if d.CaptureKFAC {
 		if tensor.F32() {
-			d.capBuf32 = tensor.Reuse32(d.capBuf32, grad.Rows, grad.Cols)
-			d.capBuf32.NarrowFrom(grad)
-			d.cap32 = true
-			d.lastOutputGrad = nil
+			bw.capture32 = tensor.Reuse32(bw.capture32, grad.Rows, grad.Cols)
+			bw.capture32.NarrowFrom(grad)
+			bw.is32 = true
+			bw.outputGrad = nil
 		} else {
-			d.capBuf = tensor.Reuse(d.capBuf, grad.Rows, grad.Cols)
-			d.capBuf.CopyFrom(grad)
-			d.cap32 = false
-			d.lastOutputGrad = d.capBuf
+			bw.capture = tensor.Reuse(bw.capture, grad.Rows, grad.Cols)
+			bw.capture.CopyFrom(grad)
+			bw.is32 = false
+			bw.outputGrad = bw.capture
 		}
 	}
 	tensor.TMatMulAddInto(d.GW, grad, d.lastInput)
@@ -116,11 +121,11 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 			gb[j] += v
 		}
 	}
-	if grad == d.dxBuf {
-		d.dxBuf = nil
+	if grad == bw.dx {
+		bw.dx = nil
 	}
-	dx := tensor.Reuse(d.dxBuf, grad.Rows, d.W.Cols)
-	d.dxBuf = dx
+	dx := tensor.Reuse(bw.dx, grad.Rows, d.W.Cols)
+	bw.dx = dx
 	tensor.MatMulInto(dx, grad, d.W)
 	return dx
 }
@@ -142,19 +147,10 @@ func (d *Dense) KFACStats() (acts, grads *tensor.Matrix, ok bool) {
 	if !d.CaptureKFAC || d.lastInput == nil {
 		return nil, nil, false
 	}
-	if d.cap32 {
-		if d.capBuf32 == nil {
-			return nil, nil, false
-		}
-		// Float32 storage mode: widen into the float64 scratch on demand.
-		d.capBuf = tensor.Reuse(d.capBuf, d.capBuf32.Rows, d.capBuf32.Cols)
-		d.capBuf32.WidenInto(d.capBuf)
-		return d.lastInput, d.capBuf, true
-	}
-	if d.lastOutputGrad == nil {
+	if grads = d.CapturedOutputGrad(); grads == nil {
 		return nil, nil, false
 	}
-	return d.lastInput, d.lastOutputGrad, true
+	return d.lastInput, grads, true
 }
 
 // CapturedInput returns the input activations cached by the most recent
@@ -171,38 +167,42 @@ func (d *Dense) CapturedInput() *tensor.Matrix { return d.lastInput }
 // on demand; snapshot consumers should prefer CapturedOutputGradSnap,
 // which hands out the narrow buffer without conversion.
 func (d *Dense) CapturedOutputGrad() *tensor.Matrix {
-	if d.cap32 {
-		if d.capBuf32 == nil {
+	bw := d.scratch()
+	if bw.is32 {
+		if bw.capture32 == nil {
 			return nil
 		}
-		d.capBuf = tensor.Reuse(d.capBuf, d.capBuf32.Rows, d.capBuf32.Cols)
-		d.capBuf32.WidenInto(d.capBuf)
-		return d.capBuf
+		bw.capture = tensor.Reuse(bw.capture, bw.capture32.Rows, bw.capture32.Cols)
+		bw.capture32.WidenInto(bw.capture)
+		return bw.capture
 	}
-	return d.lastOutputGrad
+	return bw.outputGrad
 }
 
 // CapturedOutputGradSnap returns the latest output-gradient capture as a
-// precision-tagged Snap borrowing the layer's buffer (invalid Snap when
+// precision-tagged Snap borrowing the scratch's buffer (invalid Snap when
 // nothing is captured). Like the matrix accessors, the underlying buffer
-// is only valid until the layer's next Backward — clone to retain.
+// is only valid until the next Backward through the same scratch — clone to
+// retain.
 func (d *Dense) CapturedOutputGradSnap() tensor.Snap {
-	if d.cap32 {
-		if d.capBuf32 == nil {
+	bw := d.scratch()
+	if bw.is32 {
+		if bw.capture32 == nil {
 			return tensor.Snap{}
 		}
-		return tensor.SnapOf32(d.capBuf32)
+		return tensor.SnapOf32(bw.capture32)
 	}
-	if d.lastOutputGrad == nil {
+	if bw.outputGrad == nil {
 		return tensor.Snap{}
 	}
-	return tensor.SnapOf(d.lastOutputGrad)
+	return tensor.SnapOf(bw.outputGrad)
 }
 
 // ClearCapture drops the cached K-FAC statistics (e.g. between curvature
 // refreshes, to release memory — the Msave_err term in the paper's memory
 // model exists precisely because these buffers are retained).
 func (d *Dense) ClearCapture() {
-	d.lastOutputGrad = nil
-	d.cap32 = false
+	bw := d.scratch()
+	bw.outputGrad = nil
+	bw.is32 = false
 }

@@ -23,10 +23,12 @@ type LayerNorm struct {
 	lastNormed *tensor.Matrix // x-hat, N x d
 	lastInvStd []float64      // per-row 1/sqrt(var+eps)
 
-	// Retained output/gradient buffers (valid until the next call), so
-	// the steady-state hot path allocates nothing.
+	// outBuf is the retained output (valid until the next Forward) and bw
+	// the backward scratch holding the input gradient (scratch.go; the
+	// layer's own unless a BlockScratch was attached), so the steady-state
+	// hot path allocates nothing.
 	outBuf *tensor.Matrix
-	dxBuf  *tensor.Matrix
+	bw     *dxScratch
 }
 
 // NewLayerNorm builds a LayerNorm over d features with gain 1 and bias 0.
@@ -89,11 +91,14 @@ func (l *LayerNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		panic(fmt.Sprintf("nn: LayerNorm %q Backward before Forward", l.Name))
 	}
 	n, d := grad.Rows, grad.Cols
-	if grad == l.dxBuf {
-		l.dxBuf = nil
+	if l.bw == nil {
+		l.bw = new(dxScratch)
 	}
-	out := tensor.Reuse(l.dxBuf, n, d)
-	l.dxBuf = out
+	if grad == l.bw.dx {
+		l.bw.dx = nil
+	}
+	out := tensor.Reuse(l.bw.dx, n, d)
+	l.bw.dx = out
 	df := float64(d)
 	for i := 0; i < n; i++ {
 		grow := grad.Row(i)

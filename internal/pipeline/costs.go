@@ -58,8 +58,7 @@ func (c StageCosts) Equal(o StageCosts) bool {
 // Refit returns the costs with every work kind the estimator knows replaced
 // by its estimate — how durations observed per op kind (an executed
 // timeline's means, the auto-tuner's running medians) map back onto the
-// fields the builders price ops with. Recompute is the re-run forward inside
-// a backward and folds into Backward; curvature and inversion are observed
+// fields the builders price ops with. Curvature and inversion are observed
 // per kind, not per factor, so one estimate prices every unit (the units are
 // fresh slices, the receiver's are left alone) and CurvaturePerMicroBatch is
 // re-summed; a collective the receiver prices at zero is one its topology
@@ -72,9 +71,6 @@ func (c StageCosts) Refit(estimate func(WorkKind) (hardware.Microseconds, bool))
 	}
 	set(&c.Forward, Forward)
 	set(&c.Backward, Backward)
-	if m, ok := estimate(Recompute); ok {
-		c.Backward += m
-	}
 	set(&c.Precondition, Precondition)
 	set(&c.OptStep, OptStep)
 	if c.SyncGrad > 0 {

@@ -28,9 +28,12 @@ const (
 	SyncCurvature
 	OptStep
 	// Recompute is the activation-recomputation portion of a backward pass
-	// (the paper's "R" configuration). The timing builders fold it into
-	// Backward durations; the real execution engine records it as its own
-	// events so executed timelines show where recomputation time goes.
+	// (the paper's "R" configuration). Nothing emits it any more: it was
+	// never a schedule op (the simulator prices R inside Backward,
+	// CostConfig.Recompute), and the executor, which used to record its
+	// re-run forwards under it, now keeps activations in slots instead. The
+	// constant, its label, glyph and colour stay because benchmark/ names it
+	// and timelines written by older builds still render.
 	Recompute
 	// Degraded is a zero-duration marker event the execution engine emits
 	// when a refresh round's K-FAC work fails past its retry budget and the

@@ -94,3 +94,44 @@ func (s *Schedule) seal() (*Schedule, error) {
 	s.Placement = p
 	return s, nil
 }
+
+// InFlightDepth reports, parallel to Placement.Owners, how many micro-batches
+// each owner keeps in flight at its stage: the most forwards without their
+// backward at any point of the device's order. It is the number of
+// activation sets the stage must hold when backward does not recompute —
+// N under GPipe, min(N, D-s) under 1F1B — the executed counterpart of the
+// memory model's Act = N·Mact term. The count returns to zero at every step
+// boundary (a step's backwards all precede its optimizer tail), so it does
+// not depend on the round length.
+func (s *Schedule) InFlightDepth() [][]int { return s.inFlightDepth(-1) }
+
+// inFlightDepth is InFlightDepth restricted to the ops of one step (every
+// step when step < 0).
+func (s *Schedule) inFlightDepth(step int) [][]int {
+	type set struct{ replica, pipeline, stage int }
+	held, peak := make(map[set]int), make(map[set]int)
+	for _, order := range s.Order {
+		for _, id := range order {
+			op := s.Ops[id]
+			if step >= 0 && op.Step != step {
+				continue
+			}
+			k := set{op.Replica, op.Pipeline, op.Stage}
+			switch op.Kind {
+			case Forward:
+				held[k]++
+				peak[k] = max(peak[k], held[k])
+			case Backward:
+				held[k]--
+			}
+		}
+	}
+	depth := make([][]int, len(s.Placement.Owners))
+	for stage, owners := range s.Placement.Owners {
+		depth[stage] = make([]int, len(owners))
+		for i, o := range owners {
+			depth[stage][i] = peak[set{o.Replica, o.Pipeline, stage}]
+		}
+	}
+	return depth
+}

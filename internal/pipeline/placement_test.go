@@ -190,3 +190,68 @@ func TestCheckOwnershipRejects(t *testing.T) {
 		t.Fatalf("an up-pipeline schedule passed the check of a single-pipeline family: %v", err)
 	}
 }
+
+// TestInFlightDepthGenerated holds InFlightDepth — how many micro-batches a
+// stage keeps between forward and backward, i.e. the activation sets an
+// executor that does not recompute must hold — to the paper's shapes over
+// methods × D × N × W × round length: GPipe holds all N at every stage, 1F1B
+// min(N, D-s) (never more than GPipe, fewer in total: the memory 1F1B
+// exists to save), no owner more than the micro-batches it runs, every
+// step of a round the same — except under Chimera, whose greedy builder may
+// lay a round's first step out with less in flight than the steady state,
+// so there each step is only bounded by the round's depth. The executed half
+// is engine.TestSlotHighWaterMatchesInFlightDepth.
+func TestInFlightDepthGenerated(t *testing.T) {
+	for _, method := range Methods() {
+		for _, d := range []int{2, 4, 8} {
+			for _, n := range []int{2, 4, 8} {
+				for _, w := range []int{1, 2} {
+					for _, steps := range []int{1, 3} {
+						if Feasible(method, d, n) != nil {
+							continue
+						}
+						name := fmt.Sprintf("%s/D%d/N%d/W%d/K%d", method, d, n, w, steps)
+						s, err := Build(method, BuildConfig{
+							Stages: d, MicroBatches: n, Steps: steps, DataParallelWidth: w,
+							Costs:                StageCosts{Forward: 100, Backward: 200, OptStep: 10, SyncGrad: 60},
+							IncludeOptimizerWork: true,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						depth := s.InFlightDepth()
+						total := 0
+						for stage, owners := range s.Placement.Owners {
+							for i, o := range owners {
+								got := depth[stage][i]
+								total += got
+								switch {
+								case method == "gpipe" && got != n:
+									t.Errorf("%s: GPipe stage %d holds %d micro-batches, want N = %d", name, stage, got, n)
+								case method == "1f1b" && got != min(n, d-stage):
+									t.Errorf("%s: 1F1B stage %d holds %d micro-batches, want min(N, D-s) = %d", name, stage, got, min(n, d-stage))
+								case got < 1 || got > o.MicroHi-o.MicroLo:
+									t.Errorf("%s: stage %d owner %+v holds %d micro-batches in flight", name, stage, o, got)
+								}
+							}
+						}
+						if method == "1f1b" && total >= n*d*w {
+							t.Errorf("%s: 1F1B keeps %d activation sets in flight, GPipe %d", name, total, n*d*w)
+						}
+						for j := 0; j < steps; j++ {
+							step := s.inFlightDepth(j)
+							for stage := range step {
+								for i, got := range step[stage] {
+									if got > depth[stage][i] || (s.Placement.Pipelines == 1 && got != depth[stage][i]) {
+										t.Errorf("%s: step %d keeps %d in flight at stage %d owner %d, the round %d",
+											name, j, got, stage, i, depth[stage][i])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

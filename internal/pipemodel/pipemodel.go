@@ -76,8 +76,13 @@ func (l *Loss) Add(o Loss) {
 // be model-retained buffers that the next call to the same method
 // overwrites (the zero-alloc hot-path contract). The engine therefore
 // copies anything that must outlive the producing op — cross-stage
-// activations and error signals go through pooled clones — and recomputes
-// the embedding immediately before each micro-batch's backward.
+// activations and error signals, and stage 0's own input, go through pooled
+// clones. The blocks are different: the engine runs each in-flight
+// micro-batch on its own twin of a stage's blocks
+// (nn.TransformerBlock.Twin), so block activations survive to the backward
+// and only the embedding — whose caches the model holds for one micro-batch
+// — is recomputed, immediately before EmbedBackward. HeadGradient receives
+// the same y its HeadLoss saw.
 type Model interface {
 	// PipelineBlocks returns the transformer blocks, in forward order, that
 	// the engine partitions into contiguous pipeline stages.

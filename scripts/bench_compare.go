@@ -9,8 +9,9 @@
 //	go run ./scripts -baseline BENCH_engine.json -current /tmp/new.json \
 //	    [-threshold 10] [-gate seqs_per_s] [-gate-rows '^BenchmarkMatMul']
 //
-// Metrics are compared by direction: ns_per_op, bytes_per_op and
-// allocs_per_op regress when they grow; seqs_per_s, mb_per_s, gflops
+// Metrics are compared by direction: ns_per_op, bytes_per_op,
+// allocs_per_op and the slot_bytes / scratch_bytes of the activation-slot
+// rows regress when they grow; seqs_per_s, mb_per_s, gflops
 // (throughput) and poolchunks_per_op (effective per-op worker fan-out)
 // regress when they shrink. Only the metrics named by -gate (comma list, or
 // "all") cause a non-zero exit, and only on rows whose benchmark name
@@ -46,6 +47,8 @@ var metrics = []metric{
 	{"seqs_per_s", "seqs/s", true},
 	{"poolchunks_per_op", "poolchunks/op", true},
 	{"gflops", "GFLOP/s", true},
+	{"slot_bytes", "slot-B", false},
+	{"scratch_bytes", "scratch-B", false},
 }
 
 func loadBench(path string) (map[string]map[string]float64, []string, error) {

@@ -4,8 +4,9 @@
 # from the kernel benchmarks, seqs/s from the engine benchmarks,
 # poolchunks/op — effective per-op fan-out — from the worker-scaling
 # benchmark, GFLOP/s from the SPD-inverse benchmark, ns/elem from the
-# element-wise exp/erf/GELU benchmarks) are each keyed independently, so any
-# mix of columns parses.
+# element-wise exp/erf/GELU benchmarks, slot-B / scratch-B — bytes per
+# activation slot and per device's backward scratch — from the slot-bytes
+# benchmark) are each keyed independently, so any mix of columns parses.
 BEGIN { print "["; first=1 }
 /^Benchmark/ {
   if (!first) printf ",\n"; first=0
@@ -19,6 +20,8 @@ BEGIN { print "["; first=1 }
     if ($i == "poolchunks/op") printf ",\"poolchunks_per_op\":%s", $(i-1)
     if ($i == "GFLOP/s") printf ",\"gflops\":%s", $(i-1)
     if ($i == "ns/elem") printf ",\"ns_per_elem\":%s", $(i-1)
+    if ($i == "slot-B") printf ",\"slot_bytes\":%s", $(i-1)
+    if ($i == "scratch-B") printf ",\"scratch_bytes\":%s", $(i-1)
   }
   printf "}"
 }
