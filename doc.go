@@ -50,6 +50,27 @@
 // consume the same pipeline.Schedule, so a schedule validated by one is
 // valid for the other.
 //
+// # Work-kind vocabulary
+//
+// Each pipeline.WorkKind is one row of a table in internal/pipeline/ops.go:
+// its name (String), its Op.Label letter, its ASCII glyph and SVG colour,
+// and three flags — refresh work (curvature, inversion, sync-curvature:
+// the K-FAC side path that fills bubbles, may run stale and may degrade),
+// step tail (sync-grad, precondition, optimizer update: ordered after the
+// step's other work) and emitted (Recompute, Degraded and Membership only
+// label timeline events, so they are no fault target). The trace
+// renderers, the bubble accounting, the degraded-safety proof, the
+// executable's step-tail ordering, the engine's retry/degrade ladder, the
+// fault targets and the auto-tuner's cost classes all read the row;
+// switches on a kind remain only where a kind decides what code runs (the
+// executor's dispatch, corruptOutput). String names are a stable
+// interface: timeline CSVs write them in the kind column and faults specs
+// parse them (op=curvature); benchmark/layers.go keys its frozen per-kind
+// metrics on the constants. TestWorkKindTable pins every row and requires
+// the table to be total with distinct names, glyphs and colours;
+// TestRefreshAndTailSetsAgree checks over generated executables that the
+// readers of the refresh and tail sets agree.
+//
 // # Kernel layer
 //
 // The matmul family and the element-wise exp/erf family dispatch at

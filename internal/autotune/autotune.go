@@ -174,30 +174,19 @@ func (t *Tuner) ModelError() (float64, bool) {
 	if !ok || mFwd <= 0 {
 		return 0, false
 	}
-	classes := []struct {
-		kind pipeline.WorkKind
-		cost hardware.Microseconds
-	}{
-		{pipeline.Backward, modeled.Backward},
-		{pipeline.Precondition, modeled.Precondition},
-		{pipeline.OptStep, modeled.OptStep},
-		{pipeline.SyncGrad, modeled.SyncGrad},
-		{pipeline.SyncCurvature, modeled.SyncCurvature},
-		{pipeline.Curvature, meanUnits(modeled.CurvatureUnits)},
-		{pipeline.Inversion, meanUnits(modeled.InversionUnits)},
-	}
 	var sum float64
 	var n int
-	for _, cl := range classes {
-		if cl.cost <= 0 {
+	for _, k := range pipeline.Kinds() {
+		cost := modeled.Cost(k)
+		if k == pipeline.Forward || cost <= 0 {
 			continue
 		}
-		m, ok := t.fit.Estimate(int(cl.kind))
+		m, ok := t.fit.Estimate(int(k))
 		if !ok {
 			continue
 		}
 		want := float64(m) / float64(eFwd)
-		got := float64(cl.cost) / mFwd
+		got := float64(cost) / mFwd
 		diff := got - want
 		if diff < 0 {
 			diff = -diff
@@ -209,17 +198,6 @@ func (t *Tuner) ModelError() (float64, bool) {
 		return 0, false
 	}
 	return sum / float64(n), true
-}
-
-func meanUnits(us []hardware.Microseconds) hardware.Microseconds {
-	if len(us) == 0 {
-		return 0
-	}
-	var s hardware.Microseconds
-	for _, u := range us {
-		s += u
-	}
-	return s / hardware.Microseconds(len(us))
 }
 
 // decide ranks the candidate space under the fitted costs and swaps the

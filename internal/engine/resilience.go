@@ -30,19 +30,9 @@ import (
 //  3. base-path failures (forward, backward, collectives, optimizer) abort
 //     the round with the root cause attributed — the case round
 //     checkpoint/replay (checkpoint.go) recovers from.
-
-// sidePath reports whether a failed op of this kind may degrade instead of
-// aborting: exactly the K-FAC refresh work, whose absence the §3.1
-// staleness discipline absorbs. Precondition is deliberately base-path —
-// it anchors the step's gradient collective, so its failure is a gradient
-// failure.
-func sidePath(k pipeline.WorkKind) bool {
-	switch k {
-	case pipeline.Curvature, pipeline.Inversion, pipeline.SyncCurvature:
-		return true
-	}
-	return false
-}
+//
+// The side path is exactly the refresh work (pipeline.WorkKind.IsRefresh),
+// whose absence the §3.1 staleness discipline absorbs.
 
 // execResilient runs one op under the fault layer: watchdog-armed,
 // injector-consulted, retried within the side-path budget, degraded past
@@ -52,7 +42,7 @@ func (st *runState) execResilient(d int, op *pipeline.Op) error {
 	e := st.e
 	t0 := time.Since(st.start)
 	retries := 0
-	if sidePath(op.Kind) {
+	if op.Kind.IsRefresh() {
 		retries = e.cfg.OpRetries
 	}
 	var err error
@@ -79,7 +69,7 @@ func (st *runState) execResilient(d int, op *pipeline.Op) error {
 			}
 		}
 	}
-	if sidePath(op.Kind) && !errors.Is(err, errRoundAborted) && !st.failed.Load() {
+	if op.Kind.IsRefresh() && !errors.Is(err, errRoundAborted) && !st.failed.Load() {
 		st.noteDegraded(d, op, t0, err)
 		return nil
 	}

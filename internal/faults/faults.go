@@ -18,6 +18,7 @@ package faults
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -264,16 +265,19 @@ func (in *Injector) Fired(i int) int64 {
 	return in.fired[i].Load()
 }
 
-// opKinds maps spec names to WorkKinds: exactly the kinds a schedule can
-// emit (pipeline.WorkKind.String values). Recompute, Degraded and Membership
-// only ever label timeline events, so a fault naming one could never fire.
-var opKinds = map[string]pipeline.WorkKind{}
-
-func init() {
-	for k := pipeline.Forward; k <= pipeline.OptStep; k++ {
-		opKinds[k.String()] = k
+// opKinds are the fault targets, in declaration order: exactly the kinds a
+// schedule can emit (a fault naming a label-only kind could never fire).
+// Specs name them by String; Random indexes this list, so its order fixes
+// the plan a seed draws.
+var opKinds = func() []pipeline.WorkKind {
+	var ks []pipeline.WorkKind
+	for _, k := range pipeline.Kinds() {
+		if k.IsEmitted() {
+			ks = append(ks, k)
+		}
 	}
-}
+	return ks
+}()
 
 // Parse decodes a CLI fault spec: semicolon-separated faults, each
 // "kind:field=value,field=value". Kinds: fail, stall, drop, corrupt, kill.
@@ -338,16 +342,16 @@ func Parse(spec string) (*Plan, error) {
 						f.Count = n
 					}
 				case "op":
-					wk, ok := opKinds[val]
-					if !ok {
-						names := make([]string, 0, len(opKinds))
-						for name := range opKinds {
-							names = append(names, name)
+					i := slices.IndexFunc(opKinds, func(k pipeline.WorkKind) bool { return k.String() == val })
+					if i < 0 {
+						names := make([]string, len(opKinds))
+						for j, k := range opKinds {
+							names[j] = k.String()
 						}
 						sort.Strings(names)
 						return nil, fmt.Errorf("faults: unknown op kind %q in %q (want one of %s)", val, part, strings.Join(names, ", "))
 					}
-					f.Op = wk
+					f.Op = opKinds[i]
 				case "delay":
 					d, err := time.ParseDuration(val)
 					if err != nil {
@@ -382,12 +386,6 @@ func Random(seed int64, n, maxStep, devices int) *Plan {
 	rng := rand.New(rand.NewSource(seed))
 	plan := &Plan{Seed: seed}
 	kinds := []Kind{Fail, Stall, Drop, Corrupt}
-	// Every op kind the executor runs, including collectives.
-	ops := []pipeline.WorkKind{
-		pipeline.Forward, pipeline.Backward, pipeline.Curvature,
-		pipeline.Inversion, pipeline.Precondition, pipeline.SyncGrad,
-		pipeline.SyncCurvature, pipeline.OptStep,
-	}
 	for i := 0; i < n; i++ {
 		// Kill is deliberately absent from the pool: a random rank death
 		// ends the soak run instead of exercising recovery.
@@ -396,7 +394,7 @@ func Random(seed int64, n, maxStep, devices int) *Plan {
 			Rank:   Any,
 			Step:   rng.Intn(maxStep),
 			Device: Any,
-			Op:     ops[rng.Intn(len(ops))],
+			Op:     opKinds[rng.Intn(len(opKinds))],
 			Micro:  Any,
 			Count:  1 + rng.Intn(2),
 		}

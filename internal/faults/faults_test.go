@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -67,10 +68,23 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-// Only kinds a schedule can emit are fault targets: a label-only kind is
-// rejected with the list of the valid ones, and Random never spends a draw
-// on one.
+// Only kinds a schedule can emit are fault targets — exactly the kinds the
+// vocabulary marks emitted, in declaration order Forward..OptStep, the order
+// Random's draws index: a label-only kind is rejected with the list of the
+// valid ones, and Random never spends a draw on one.
 func TestOpKindsAreScheduleOps(t *testing.T) {
+	want := []pipeline.WorkKind{
+		pipeline.Forward, pipeline.Backward, pipeline.Curvature, pipeline.Inversion,
+		pipeline.Precondition, pipeline.SyncGrad, pipeline.SyncCurvature, pipeline.OptStep,
+	}
+	if !slices.Equal(opKinds, want) {
+		t.Fatalf("opKinds = %v, want %v", opKinds, want)
+	}
+	for _, k := range pipeline.Kinds() {
+		if k.IsEmitted() != slices.Contains(opKinds, k) {
+			t.Errorf("%s: emitted %v but fault target %v", k, k.IsEmitted(), !k.IsEmitted())
+		}
+	}
 	_, err := Parse("fail:op=recompute")
 	if err == nil || !strings.Contains(err.Error(), "backward, curvature, forward") {
 		t.Fatalf("Parse(fail:op=recompute) = %v, want an unknown-op error listing the valid ops", err)
@@ -78,6 +92,20 @@ func TestOpKindsAreScheduleOps(t *testing.T) {
 	for _, f := range Random(1, 200, 4, 2).Faults {
 		if f.Op > pipeline.OptStep {
 			t.Fatalf("Random drew op %s, which no schedule contains", f.Op)
+		}
+	}
+}
+
+// Random draws the plans it drew when its op list was written out by hand:
+// soak runs keyed by seed keep reproducing the same faults.
+func TestRandomRecordedPlans(t *testing.T) {
+	for seed, want := range map[int64]string{
+		1:  "stall:step=3,op=opt-step,count=2,delay=3ms;stall:step=0,dev=1,op=forward,count=1,delay=3ms;stall:step=0,op=curvature,count=2,delay=2ms;drop:step=3,dev=0,op=curvature,count=1;corrupt:step=3,op=forward,count=1",
+		7:  "drop:step=2,dev=2,op=sync-grad,count=2;fail:step=2,dev=1,op=forward,count=1;drop:step=2,dev=0,op=opt-step,count=1;stall:step=2,op=precondition,count=1,delay=4ms;stall:step=1,op=opt-step,count=2,delay=4ms",
+		42: "stall:step=3,op=precondition,count=1,delay=2ms;stall:step=0,op=forward,count=2,delay=4ms;corrupt:step=0,dev=2,op=precondition,count=2;corrupt:step=0,dev=0,op=curvature,count=1;fail:step=1,op=curvature,count=2",
+	} {
+		if got := Random(seed, 5, 4, 3).String(); got != want {
+			t.Errorf("Random(%d, 5, 4, 3) = %q, want %q", seed, got, want)
 		}
 	}
 }

@@ -99,8 +99,8 @@ func TestDataParallelKFACMatchesSingleDevice(t *testing.T) {
 func TestInversionParallelismIsExact(t *testing.T) {
 	// Splitting inversion work across devices (§2.3.2) is a pure
 	// parallelization: every layer's inverse is computed somewhere, then
-	// broadcast, so preconditioning all layers after UpdateInversesFor on
-	// complementary subsets equals UpdateInverses on everything.
+	// broadcast, so preconditioning all layers after per-layer InvertFactor
+	// calls on complementary devices equals UpdateInverses on everything.
 	rng := tensor.NewRNG(7)
 	mk := func() (*Preconditioner, []*nn.Dense) {
 		r := tensor.NewRNG(7) // identical init
@@ -127,11 +127,12 @@ func TestInversionParallelismIsExact(t *testing.T) {
 	pAll.Precondition()
 
 	pSplit, layersSplit := mk()
-	if err := pSplit.UpdateInversesFor([]int{0}); err != nil { // device 1 inverts layer 0
-		t.Fatal(err)
-	}
-	if err := pSplit.UpdateInversesFor([]int{1}); err != nil { // device 2 inverts layer 1
-		t.Fatal(err)
+	for i := range layersSplit { // device i+1 inverts layer i
+		for _, factorB := range []bool{false, true} {
+			if err := pSplit.InvertFactor(i, factorB); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	pSplit.Precondition()
 

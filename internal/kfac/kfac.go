@@ -121,15 +121,6 @@ func (p *Preconditioner) UpdateCurvature(lossScale float64) error {
 	return nil
 }
 
-// UpdateCurvatureLayer refreshes the factors of a single registered layer
-// (identified by index), used by schedules that spread curvature work.
-func (p *Preconditioner) UpdateCurvatureLayer(index int, lossScale float64) error {
-	if index < 0 || index >= len(p.states) {
-		return fmt.Errorf("kfac: layer index %d out of range [0,%d)", index, len(p.states))
-	}
-	return p.updateLayerCurvature(p.states[index], lossScale)
-}
-
 func (p *Preconditioner) updateLayerCurvature(s *LayerState, lossScale float64) error {
 	acts, grads, ok := s.Layer.KFACStats()
 	if !ok {
@@ -240,47 +231,17 @@ func invertIntoSpare(spare **tensor.Matrix, m *tensor.Matrix, damp float64) erro
 	return tensor.SPDInverseInto(*spare, m, damp)
 }
 
-// UpdateInverses refreshes the cached inverses of every registered layer.
+// UpdateInverses refreshes the cached inverses of every registered layer,
+// one InvertFactor per factor, A before B — the path the engine's Inversion
+// ops take.
 func (p *Preconditioner) UpdateInverses() error {
-	return p.UpdateInversesFor(nil)
-}
-
-// UpdateInversesFor refreshes the inverses of the layers with the given
-// indices (nil means all). This is the unit of "inversion parallelism"
-// (§2.3.2, Figure 2(ii,b)): different devices invert different layers.
-func (p *Preconditioner) UpdateInversesFor(indices []int) error {
-	if indices == nil {
-		indices = make([]int, len(p.states))
-		for i := range indices {
-			indices[i] = i
+	for i := range p.states {
+		for _, factorB := range []bool{false, true} {
+			if err := p.InvertFactor(i, factorB); err != nil {
+				return err
+			}
 		}
 	}
-	for _, i := range indices {
-		if i < 0 || i >= len(p.states) {
-			return fmt.Errorf("kfac: layer index %d out of range [0,%d)", i, len(p.states))
-		}
-		if err := p.invertLayer(p.states[i]); err != nil {
-			return fmt.Errorf("layer %q: %w", p.states[i].Layer.Name, err)
-		}
-	}
-	return nil
-}
-
-func (p *Preconditioner) invertLayer(s *LayerState) error {
-	if s.A == nil || s.B == nil {
-		return fmt.Errorf("kfac: no curvature for layer %q yet", s.Layer.Name)
-	}
-	dampA, dampB := p.factoredDamping(s)
-	if err := invertIntoSpare(&s.spareA, s.A, dampA); err != nil {
-		return fmt.Errorf("inverting A: %w", err)
-	}
-	if err := invertIntoSpare(&s.spareB, s.B, dampB); err != nil {
-		return fmt.Errorf("inverting B: %w", err)
-	}
-	s.AInv, s.spareA = s.spareA, s.AInv
-	s.BInv, s.spareB = s.spareB, s.BInv
-	s.InverseUpdates++
-	s.InverseAge = 0
 	return nil
 }
 

@@ -211,9 +211,12 @@ func TestInversionParallelSubsets(t *testing.T) {
 	if err := p.UpdateCurvature(16); err != nil {
 		t.Fatal(err)
 	}
-	// Invert only layer 0 (as a device in inversion parallelism would).
-	if err := p.UpdateInversesFor([]int{0}); err != nil {
-		t.Fatal(err)
+	// Invert only layer 0's factors (as a device in inversion parallelism
+	// would).
+	for _, factorB := range []bool{false, true} {
+		if err := p.InvertFactor(0, factorB); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if !p.States()[0].HasInverses() || p.States()[1].HasInverses() {
 		t.Fatal("only layer 0 should have inverses")
@@ -221,7 +224,7 @@ func TestInversionParallelSubsets(t *testing.T) {
 	if n := p.Precondition(); n != 1 {
 		t.Fatalf("expected exactly the inverted layer preconditioned, got %d", n)
 	}
-	if err := p.UpdateInversesFor([]int{5}); err == nil {
+	if err := p.InvertFactor(5, false); err == nil {
 		t.Fatal("expected error for out-of-range index")
 	}
 }
@@ -275,18 +278,6 @@ func TestMaxInverseAge(t *testing.T) {
 	}
 	if got := p.MaxInverseAge(); got != 0 {
 		t.Fatalf("refresh must reset age, got %d", got)
-	}
-}
-
-func TestUpdateCurvatureLayerIndexValidation(t *testing.T) {
-	rng := tensor.NewRNG(14)
-	layer := buildLayer(t, rng, 8, 3, 3)
-	p := NewPreconditioner([]*nn.Dense{layer}, Options{})
-	if err := p.UpdateCurvatureLayer(1, 8); err == nil {
-		t.Fatal("expected error for bad index")
-	}
-	if err := p.UpdateCurvatureLayer(0, 8); err != nil {
-		t.Fatal(err)
 	}
 }
 

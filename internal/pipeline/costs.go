@@ -64,20 +64,14 @@ func (c StageCosts) Equal(o StageCosts) bool {
 // re-summed; a collective the receiver prices at zero is one its topology
 // does not run, and stays unpriced.
 func (c StageCosts) Refit(estimate func(WorkKind) (hardware.Microseconds, bool)) StageCosts {
-	set := func(field *hardware.Microseconds, kind WorkKind) {
-		if m, ok := estimate(kind); ok {
-			*field = m
+	for _, k := range Kinds() {
+		f := c.field(k)
+		if f == nil || *f <= 0 && (k == SyncGrad || k == SyncCurvature) {
+			continue
 		}
-	}
-	set(&c.Forward, Forward)
-	set(&c.Backward, Backward)
-	set(&c.Precondition, Precondition)
-	set(&c.OptStep, OptStep)
-	if c.SyncGrad > 0 {
-		set(&c.SyncGrad, SyncGrad)
-	}
-	if c.SyncCurvature > 0 {
-		set(&c.SyncCurvature, SyncCurvature)
+		if m, ok := estimate(k); ok {
+			*f = m
+		}
 	}
 	if m, ok := estimate(Curvature); ok {
 		c.CurvatureUnits = slices.Repeat([]hardware.Microseconds{m}, len(c.CurvatureUnits))
@@ -87,6 +81,53 @@ func (c StageCosts) Refit(estimate func(WorkKind) (hardware.Microseconds, bool))
 		c.InversionUnits = slices.Repeat([]hardware.Microseconds{m}, len(c.InversionUnits))
 	}
 	return c
+}
+
+// field returns the field that prices one op of kind k, or nil for the
+// per-factor kinds (curvature, inversion) and the kinds nothing prices.
+func (c *StageCosts) field(k WorkKind) *hardware.Microseconds {
+	switch k {
+	case Forward:
+		return &c.Forward
+	case Backward:
+		return &c.Backward
+	case Precondition:
+		return &c.Precondition
+	case OptStep:
+		return &c.OptStep
+	case SyncGrad:
+		return &c.SyncGrad
+	case SyncCurvature:
+		return &c.SyncCurvature
+	}
+	return nil
+}
+
+// Cost returns the modeled duration of one op of kind k, read where Refit
+// writes it: the kind's field, or the mean unit for curvature and
+// inversion. Kinds nothing prices cost 0.
+func (c StageCosts) Cost(k WorkKind) hardware.Microseconds {
+	switch k {
+	case Curvature:
+		return meanUnit(c.CurvatureUnits)
+	case Inversion:
+		return meanUnit(c.InversionUnits)
+	}
+	if f := c.field(k); f != nil {
+		return *f
+	}
+	return 0
+}
+
+func meanUnit(us []hardware.Microseconds) hardware.Microseconds {
+	if len(us) == 0 {
+		return 0
+	}
+	var s hardware.Microseconds
+	for _, u := range us {
+		s += u
+	}
+	return s / hardware.Microseconds(len(us))
 }
 
 // CostConfig selects the workload whose stage costs are being modeled.

@@ -48,34 +48,86 @@ const (
 	Membership
 )
 
+// kindRow is one row of the work-kind vocabulary: everything about a kind
+// that is a name or a classification. What a kind *does* stays with its
+// interpreters (the simulator's durations, the executor's dispatch).
+type kindRow struct {
+	name   string // String: legend label, CSV kind column, fault-spec op
+	letter byte   // Op.Label's letter
+	glyph  byte   // ASCII timeline cell (differs from letter on g, c, o)
+	color  string // SVG fill, after the paper's profile figures
+	// refresh marks K-FAC refresh work: what fills the bubbles, may serve
+	// stale (§3.1), and may degrade instead of aborting once its retries are
+	// spent. Precondition is deliberately not refresh work — it anchors the
+	// step's gradient collective, so its failure is a gradient failure.
+	refresh bool
+	// tail marks the step tail: ordered after all of the step's
+	// forward/backward and packed refresh work on its device.
+	tail bool
+	// emitted marks kinds schedules contain; the others only label
+	// timeline events.
+	emitted bool
+}
+
+// kinds declares every WorkKind, indexed by the constant.
+var kinds = [...]kindRow{
+	Forward:       {"forward", 'F', 'F', "#4c8bf5", false, false, true},       // blue
+	Backward:      {"backward", 'B', 'B', "#8ab4f8", false, false, true},      // light blue
+	Curvature:     {"curvature", 'C', 'C', "#f5a623", true, false, true},      // orange
+	Inversion:     {"inverse", 'I', 'I', "#d0021b", true, false, true},        // red
+	Precondition:  {"precondition", 'P', 'P', "#7ed321", false, true, true},   // green
+	SyncGrad:      {"sync-grad", 'G', 'g', "#9b9b9b", false, true, true},      // grey
+	SyncCurvature: {"sync-curvature", 'S', 'c', "#b8860b", true, false, true}, // dark gold
+	OptStep:       {"opt-step", 'O', 'o', "#4a4a4a", false, true, true},       // dark grey
+	Recompute:     {"recompute", 'R', 'R', "#bcd4fb", false, false, false},    // pale blue, between forward and backward
+	Degraded:      {"degraded", 'D', 'D', "#c71585", false, false, false},     // magenta
+	Membership:    {"membership", 'M', 'M', "#ff8c00", false, false, false},   // orange
+}
+
+// row returns the kind's row; a value outside the table gets '?' letters,
+// black and no flags.
+func (k WorkKind) row() kindRow {
+	if k < 0 || int(k) >= len(kinds) {
+		return kindRow{letter: '?', glyph: '?', color: "#000000"}
+	}
+	return kinds[k]
+}
+
+// Kinds returns every work kind in declaration (legend) order.
+func Kinds() []WorkKind {
+	ks := make([]WorkKind, len(kinds))
+	for i := range ks {
+		ks[i] = WorkKind(i)
+	}
+	return ks
+}
+
 // String returns the legend label of the kind.
 func (k WorkKind) String() string {
-	switch k {
-	case Forward:
-		return "forward"
-	case Backward:
-		return "backward"
-	case Curvature:
-		return "curvature"
-	case Inversion:
-		return "inverse"
-	case Precondition:
-		return "precondition"
-	case SyncGrad:
-		return "sync-grad"
-	case SyncCurvature:
-		return "sync-curvature"
-	case OptStep:
-		return "opt-step"
-	case Recompute:
-		return "recompute"
-	case Degraded:
-		return "degraded"
-	case Membership:
-		return "membership"
+	if r := k.row(); r.name != "" {
+		return r.name
 	}
 	return fmt.Sprintf("WorkKind(%d)", int(k))
 }
+
+// Glyph returns the kind's cell in ASCII timelines.
+func (k WorkKind) Glyph() byte { return k.row().glyph }
+
+// Color returns the kind's SVG fill colour.
+func (k WorkKind) Color() string { return k.row().color }
+
+// IsRefresh reports whether the kind is K-FAC refresh work (curvature,
+// inversion, sync-curvature): the side path that fills bubbles, may run
+// stale and may degrade.
+func (k WorkKind) IsRefresh() bool { return k.row().refresh }
+
+// IsTail reports whether the kind belongs to the step tail (sync-grad,
+// precondition, optimizer update).
+func (k WorkKind) IsTail() bool { return k.row().tail }
+
+// IsEmitted reports whether schedules contain ops of the kind; Recompute,
+// Degraded and Membership only label timeline events.
+func (k WorkKind) IsEmitted() bool { return k.row().emitted }
 
 // Op is one unit of device work in a schedule.
 type Op struct {
@@ -129,32 +181,7 @@ type Op struct {
 
 // Label renders a compact identifier like "F[s2,m1]".
 func (o *Op) Label() string {
-	letter := "?"
-	switch o.Kind {
-	case Forward:
-		letter = "F"
-	case Backward:
-		letter = "B"
-	case Curvature:
-		letter = "C"
-	case Inversion:
-		letter = "I"
-	case Precondition:
-		letter = "P"
-	case SyncGrad:
-		letter = "G"
-	case SyncCurvature:
-		letter = "S"
-	case OptStep:
-		letter = "O"
-	case Recompute:
-		letter = "R"
-	case Degraded:
-		letter = "D"
-	case Membership:
-		letter = "M"
-	}
-	return fmt.Sprintf("%s[s%d,m%d]", letter, o.Stage, o.MicroBatch)
+	return fmt.Sprintf("%c[s%d,m%d]", o.Kind.row().letter, o.Stage, o.MicroBatch)
 }
 
 // Schedule is a set of ops with a fixed per-device execution order, as a

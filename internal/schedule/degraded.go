@@ -6,23 +6,11 @@ import (
 	"repro/internal/pipeline"
 )
 
-// refreshKind reports whether the kind is K-FAC refresh work — the
-// side-path ops the engine's degradation ladder may treat as succeeded
-// after their retries are exhausted (the paper's §3.1 staleness rule
-// extended across failures: serving an older generation's inverses is
-// by-design acceptable).
-func refreshKind(k pipeline.WorkKind) bool {
-	switch k {
-	case pipeline.Curvature, pipeline.Inversion, pipeline.SyncCurvature:
-		return true
-	}
-	return false
-}
-
 // ValidateDegradedSafety proves a schedule is safe to execute under the
-// engine's degraded mode: a refresh op that failed past its retry budget is
-// treated as complete (its dependents proceed), which is only sound when no
-// base-path op consumes a refresh op's *output*. Concretely, no
+// engine's degraded mode: a refresh op (WorkKind.IsRefresh) that failed
+// past its retry budget is treated as complete (its dependents proceed —
+// §3.1's staleness rule extended across failures), which is only sound
+// when no base-path op consumes a refresh op's *output*. Concretely, no
 // non-refresh op may depend on a refresh op — with one deliberate
 // exception: Precondition may depend on Inversion, because preconditioning
 // tolerates absent or stale inverses by construction (layers without usable
@@ -34,12 +22,12 @@ func refreshKind(k pipeline.WorkKind) bool {
 // wrong math under faults.
 func ValidateDegradedSafety(s *pipeline.Schedule) error {
 	for _, op := range s.Ops {
-		if refreshKind(op.Kind) {
+		if op.Kind.IsRefresh() {
 			continue
 		}
 		for _, dep := range op.Deps {
 			dk := s.Ops[dep].Kind
-			if !refreshKind(dk) {
+			if !dk.IsRefresh() {
 				continue
 			}
 			if op.Kind == pipeline.Precondition && dk == pipeline.Inversion {

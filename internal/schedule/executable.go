@@ -230,11 +230,8 @@ func assignWindowSteps(items []*workItem, base *pipeline.Timeline, cfg Config) {
 			tailStart[d][j] = never
 		}
 		for _, e := range base.Events[d] {
-			switch e.Op.Kind {
-			case pipeline.SyncGrad, pipeline.Precondition, pipeline.OptStep:
-				if j := e.Op.Step; j >= 0 && j < k && e.Start < tailStart[d][j] {
-					tailStart[d][j] = e.Start
-				}
+			if j := e.Op.Step; e.Op.Kind.IsTail() && j >= 0 && j < k && e.Start < tailStart[d][j] {
+				tailStart[d][j] = e.Start
 			}
 		}
 	}
@@ -350,13 +347,12 @@ func assembleExecOrders(s *pipeline.Schedule, tl *pipeline.Timeline, items []*wo
 		}
 		for _, e := range tl.Events[d] {
 			j := clamp(e.Op.Step)
-			switch e.Op.Kind {
-			case pipeline.SyncGrad, pipeline.Precondition, pipeline.OptStep:
+			if e.Op.Kind.IsTail() {
 				tails[j] = append(tails[j], e.Op.ID)
-			default:
-				heads[j] = append(heads[j], entry{start: e.Start, seq: seq, opID: e.Op.ID})
-				seq++
+				continue
 			}
+			heads[j] = append(heads[j], entry{start: e.Start, seq: seq, opID: e.Op.ID})
+			seq++
 		}
 		// Carried items take earlier sequence numbers than the window's
 		// own, deepest generation first: among deferred items sharing the

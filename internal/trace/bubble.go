@@ -16,16 +16,6 @@ import (
 // (refresh rounds, overlapped windows) can be judged by utilization
 // numbers instead of vibes.
 
-// refreshKind reports whether a work kind is K-FAC refresh work — the work
-// that occupies time a vanilla schedule would idle through.
-func refreshKind(k pipeline.WorkKind) bool {
-	switch k {
-	case pipeline.Curvature, pipeline.Inversion, pipeline.SyncCurvature:
-		return true
-	}
-	return false
-}
-
 // BubbleUtil reports one device's time accounting over a window: Busy is
 // the base training work (forward/backward/recompute, collectives, tails),
 // RefreshFilled the K-FAC refresh work (curvature / inversion /
@@ -68,7 +58,7 @@ func bubbleOver(tl *pipeline.Timeline, d int, from, to hardware.Microseconds) Bu
 		if en <= s {
 			continue
 		}
-		if refreshKind(e.Op.Kind) {
+		if e.Op.Kind.IsRefresh() {
 			refresh += en - s
 		} else {
 			busy += en - s

@@ -7,36 +7,6 @@ import (
 	"repro/internal/pipeline"
 )
 
-// kindColor maps work kinds to the approximate colors of the paper's
-// profile figures.
-func kindColor(k pipeline.WorkKind) string {
-	switch k {
-	case pipeline.Forward:
-		return "#4c8bf5" // blue
-	case pipeline.Backward:
-		return "#8ab4f8" // light blue
-	case pipeline.Curvature:
-		return "#f5a623" // orange
-	case pipeline.Inversion:
-		return "#d0021b" // red
-	case pipeline.Precondition:
-		return "#7ed321" // green
-	case pipeline.SyncGrad:
-		return "#9b9b9b" // grey
-	case pipeline.SyncCurvature:
-		return "#b8860b" // dark gold
-	case pipeline.OptStep:
-		return "#4a4a4a" // dark grey
-	case pipeline.Recompute:
-		return "#bcd4fb" // pale blue, between forward and backward
-	case pipeline.Degraded:
-		return "#c71585" // magenta: degraded-mode marker spans
-	case pipeline.Membership:
-		return "#ff8c00" // orange: elastic membership-change marker spans
-	}
-	return "#000000"
-}
-
 // RenderSVG writes the timeline as a standalone SVG Gantt chart: one row
 // per device, one colored rectangle per event — a vector version of the
 // paper's Figures 3 and 4 suitable for embedding in reports.
@@ -75,7 +45,7 @@ func RenderSVG(w io.Writer, tl *pipeline.Timeline, width int) error {
 				wPx = 1
 			}
 			fmt.Fprintf(w, `<rect x="%d" y="%d" width="%d" height="%d" fill="%s"><title>%s [%d,%d)us</title></rect>`,
-				x, y, wPx, rowHeight, kindColor(e.Op.Kind), e.Op.Kind, e.Start, e.End)
+				x, y, wPx, rowHeight, e.Op.Kind.Color(), e.Op.Kind, e.Start, e.End)
 		}
 	}
 	// Step boundaries: one dashed vertical marker per step end, so the
@@ -93,13 +63,8 @@ func RenderSVG(w io.Writer, tl *pipeline.Timeline, width int) error {
 	// Legend.
 	lx := leftPad
 	ly := topPad + tl.Devices*(rowHeight+rowGap) + 6
-	for _, k := range []pipeline.WorkKind{
-		pipeline.Forward, pipeline.Backward, pipeline.Recompute, pipeline.Curvature,
-		pipeline.Inversion, pipeline.Precondition, pipeline.SyncGrad,
-		pipeline.SyncCurvature, pipeline.OptStep, pipeline.Degraded,
-		pipeline.Membership,
-	} {
-		fmt.Fprintf(w, `<rect x="%d" y="%d" width="12" height="12" fill="%s"/>`, lx, ly, kindColor(k))
+	for _, k := range pipeline.Kinds() {
+		fmt.Fprintf(w, `<rect x="%d" y="%d" width="12" height="12" fill="%s"/>`, lx, ly, k.Color())
 		fmt.Fprintf(w, `<text x="%d" y="%d">%s</text>`, lx+16, ly+11, k)
 		lx += 16 + 9*len(k.String()) + 14
 	}

@@ -27,8 +27,8 @@ func TestRenderSVG(t *testing.T) {
 		t.Fatal("missing utilization header")
 	}
 	// Forward and backward rectangles with their legend colors.
-	if !strings.Contains(out, kindColor(pipeline.Forward)) ||
-		!strings.Contains(out, kindColor(pipeline.Backward)) {
+	if !strings.Contains(out, pipeline.Forward.Color()) ||
+		!strings.Contains(out, pipeline.Backward.Color()) {
 		t.Fatal("missing work rectangles")
 	}
 	// Tooltips carry timing metadata.
@@ -44,20 +44,5 @@ func TestRenderSVGEmpty(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "empty timeline") {
 		t.Fatal("empty timeline not handled")
-	}
-}
-
-func TestKindColorsDistinct(t *testing.T) {
-	kinds := []pipeline.WorkKind{
-		pipeline.Forward, pipeline.Backward, pipeline.Curvature, pipeline.Inversion,
-		pipeline.Precondition, pipeline.SyncGrad, pipeline.SyncCurvature, pipeline.OptStep,
-	}
-	seen := map[string]pipeline.WorkKind{}
-	for _, k := range kinds {
-		c := kindColor(k)
-		if other, dup := seen[c]; dup {
-			t.Fatalf("kinds %s and %s share color %s", k, other, c)
-		}
-		seen[c] = k
 	}
 }

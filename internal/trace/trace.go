@@ -14,37 +14,8 @@ import (
 	"repro/internal/pipeline"
 )
 
-// kindRune maps work kinds to single-character cells for ASCII rendering.
-func kindRune(k pipeline.WorkKind) byte {
-	switch k {
-	case pipeline.Forward:
-		return 'F'
-	case pipeline.Backward:
-		return 'B'
-	case pipeline.Curvature:
-		return 'C'
-	case pipeline.Inversion:
-		return 'I'
-	case pipeline.Precondition:
-		return 'P'
-	case pipeline.SyncGrad:
-		return 'g'
-	case pipeline.SyncCurvature:
-		return 'c'
-	case pipeline.OptStep:
-		return 'o'
-	case pipeline.Recompute:
-		return 'R'
-	case pipeline.Degraded:
-		return 'D'
-	case pipeline.Membership:
-		return 'M'
-	}
-	return '?'
-}
-
 // RenderASCII draws the timeline as one text row per device, width columns
-// wide. Idle time renders as '.', work as the kind's letter. Multi-step
+// wide. Idle time renders as '.', work as the kind's glyph. Multi-step
 // timelines (refresh rounds, multi-step simulations) get a ruler row with a
 // vertical marker at every step boundary, so the round's internal step
 // structure — and which step's bubbles hold which refresh work — reads off
@@ -121,7 +92,7 @@ func RenderASCII(w io.Writer, tl *pipeline.Timeline, width int) error {
 			if hi > width {
 				hi = width
 			}
-			ch := kindRune(e.Op.Kind)
+			ch := e.Op.Kind.Glyph()
 			for i := lo; i < hi; i++ {
 				row[i] = ch
 			}
