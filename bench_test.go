@@ -413,74 +413,6 @@ func BenchmarkAblationRefreshCadence(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendixC1_AsyncPipeline compares synchronous 1F1B against the
-// asynchronous PipeDream-style schedule of Appendix C.1: asynchronous
-// pipelines fill bubbles with stale-weight forward/backward work instead
-// of K-FAC work, achieving near-perfect utilization at the cost of
-// gradient staleness up to D-1 steps.
-func BenchmarkAppendixC1_AsyncPipeline(b *testing.B) {
-	costs := costsFor(b, arch.BERTBase, 3, 32, 1)
-	var asyncUtil, syncUtil float64
-	for i := 0; i < b.N; i++ {
-		async, err := pipeline.BuildPipeDream(pipeline.BuildConfig{
-			Stages: 4, MicroBatches: 32, Costs: costs,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		asyncTL, err := pipeline.Run(async)
-		if err != nil {
-			b.Fatal(err)
-		}
-		asyncUtil = asyncTL.UtilizationOver(asyncTL.Makespan/4, 3*asyncTL.Makespan/4)
-		sync, err := pipeline.Build1F1B(pipeline.BuildConfig{
-			Stages: 4, MicroBatches: 4, Steps: 8, Costs: costs,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		syncTL, err := pipeline.Run(sync)
-		if err != nil {
-			b.Fatal(err)
-		}
-		syncUtil = syncTL.Utilization()
-	}
-	b.ReportMetric(100*asyncUtil, "async-steady-util-%")
-	b.ReportMetric(100*syncUtil, "sync-util-%")
-	b.ReportMetric(float64(pipeline.WeightStaleness(0, 4)), "max-weight-staleness")
-}
-
-// BenchmarkSection5_ExtraWorkGeneralization packs Shampoo and SAM work
-// into the same bubbles (§5's proposed extensions).
-func BenchmarkSection5_ExtraWorkGeneralization(b *testing.B) {
-	costs := costsFor(b, arch.BERTBase, 3, 32, 1)
-	base := schedule.Config{Method: "gpipe", Stages: 4, MicroBatches: 4, Costs: costs}
-	b.Run("shampoo", func(b *testing.B) {
-		var res *schedule.Result
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = schedule.AssignShampoo(base)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(res.RefreshSteps), "refresh-steps")
-		b.ReportMetric(100*res.Utilization, "util-%")
-	})
-	b.Run("sam", func(b *testing.B) {
-		var res *schedule.SAMResult
-		for i := 0; i < b.N; i++ {
-			var err error
-			res, err = schedule.AssignSAM(base)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(100*res.HiddenFraction, "hidden-%")
-		b.ReportMetric(100*res.Utilization, "util-%")
-	})
-}
-
 // BenchmarkAblationNoSplit quantifies the paper's bubble-spilling rule:
 // forbidding work items to span multiple bubbles slows the refresh or
 // strands work.

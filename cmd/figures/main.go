@@ -136,7 +136,9 @@ func modelFigures(dir string) {
 		f.Close()
 		fmt.Printf("%-36s %d sweep points\n", s.name, len(pts))
 	}
-	// Figure 5/9/10 grids.
+	// Figure 5/9/10 grids: per (BMicro, D) the time terms, the four
+	// throughputs, the ratio and the memory split, with and without
+	// activation recomputation; N_micro = D on a P100.
 	for _, g := range []struct {
 		name   string
 		a      arch.Transformer
@@ -151,7 +153,9 @@ func modelFigures(dir string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintln(f, "bmicro,d,recompute,tbubble_ms,throughput_pipefisher,ratio,mem_total_gb")
+		fmt.Fprintln(f, "bmicro,d,recompute,tf_ms,tb_ms,tprec_ms,tbubble_ms,tcurv_ms,tinv_ms,"+
+			"throughput_vanilla,throughput_pipefisher,throughput_kfac_skip,throughput_kfac,ratio,"+
+			"mem_act_gb,mem_peak_err_gb,mem_save_err_gb,mem_curv_inv_gb,mem_param_grad_gb,mem_total_gb")
 		for _, bm := range []int{8, 16, 32} {
 			for _, d := range []int{4, 8, 16} {
 				for _, rec := range []bool{false, true} {
@@ -162,9 +166,13 @@ func modelFigures(dir string) {
 					if err != nil {
 						log.Fatal(err)
 					}
-					fmt.Fprintf(f, "%d,%d,%t,%.2f,%.1f,%.2f,%.3f\n",
-						bm, d, rec, float64(m.TBubble)/1000,
-						m.ThroughputPipeFisher, m.Ratio, m.Memory.Total()/1e9)
+					mem := m.Memory
+					fmt.Fprintf(f, "%d,%d,%t,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
+						bm, d, rec,
+						ms(m.Tf), ms(m.Tb), ms(m.Tprec), ms(m.TBubble), ms(m.Tcurv), ms(m.Tinv),
+						m.ThroughputVanilla, m.ThroughputPipeFisher, m.ThroughputKFACSkip, m.ThroughputKFACNaive,
+						m.Ratio,
+						gb(mem.Act), gb(mem.PeakErr), gb(mem.SaveErr), gb(mem.CurvInv), gb(mem.ParamGrad), gb(mem.Total()))
 				}
 			}
 		}
@@ -172,3 +180,6 @@ func modelFigures(dir string) {
 		fmt.Printf("%-36s grid written\n", g.name)
 	}
 }
+
+func ms(us hardware.Microseconds) float64 { return float64(us) / 1000 }
+func gb(bytes float64) float64            { return bytes / 1e9 }

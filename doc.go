@@ -10,7 +10,7 @@
 //
 //	tensor    dense float64 matrices: packed-panel matmul kernels with
 //	          runtime CPU dispatch and a float32 compute mode, Cholesky,
-//	          eigen, RNG
+//	          RNG
 //	nn        layers and autograd: Dense (with K-FAC stat capture),
 //	          LayerNorm, attention, TransformerBlock, losses
 //	models    internal/bert (encoder, MLM+NSP) and internal/gpt
@@ -39,9 +39,17 @@
 //	          measured (executed) timelines out
 //	trace     ASCII/SVG/CSV rendering of timelines, simulated or
 //	          executed, in the style of the paper's profile figures
-//	optim     Adam, LAMB, Shampoo-style extra work; LR schedules
+//	transport collectives across OS processes: the in-process loopback
+//	          and a chunked Unix/TCP socket ring with heartbeats, typed
+//	          rank failures and regrouping
+//	faults    seeded, reproducible fault plans (fail, stall, drop,
+//	          corrupt) the engine injects at named points
+//	autotune  refits packing costs from executed timelines and hot-swaps
+//	          the engine to the predicted-best executable
+//	optim     SGD, Adam, LAMB; LR schedules
 //	data      synthetic Zipf corpus with BERT masking
-//	perfmodel fitted step-time models and configuration search
+//	perfmodel the closed-form model of §3.3 (Table 1's step time and
+//	          memory), read by cmd/figures for Figures 5, 6 and 9-16
 //
 // Simulation answers "how long would this schedule take on that
 // hardware" (Figures 1, 3, 4); execution answers "does this schedule
@@ -151,7 +159,7 @@
 // (tensor.Snap), halving the paper's Msave_err resident cost. Accumulating
 // entry points (TMatMulAddInto) add the widened float32 product to the
 // float64 accumulator rather than narrowing it, and
-// factorization-sensitive code (Cholesky inversion, eigen, damping) stays
+// factorization-sensitive code (Cholesky inversion, damping) stays
 // float64 in either mode.
 //
 // The K-FAC inversion unit (tensor.SPDInverseInto: Cholesky, then
@@ -244,7 +252,7 @@
 // output/gradient buffers (tensor.Reuse), gradient accumulation is fused
 // (tensor.TMatMulAddInto), and per-micro-batch temporaries — cross-stage
 // activation hand-offs, K-FAC statistics snapshots and partial curvature
-// products, Cholesky/eigen work buffers — cycle through a pooled workspace
+// products, Cholesky work buffers — cycle through a pooled workspace
 // (tensor.Get / tensor.Put). Pooling contract: whoever Gets a matrix owns
 // it until Put, and must drop every reference afterwards; matrices returned
 // by layer Forward/Backward are owned by the layer and valid only until its

@@ -66,19 +66,6 @@ func BenchmarkUpdateInverses(b *testing.B) {
 	})
 }
 
-func BenchmarkUpdateInversesBlockDiagonal(b *testing.B) {
-	p := benchPreconditioner(b)
-	if err := p.UpdateCurvature(512); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.UpdateInversesBlockDiagonal(4); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPrecondition(b *testing.B) {
 	p := benchPreconditioner(b)
 	if err := p.UpdateCurvature(512); err != nil {

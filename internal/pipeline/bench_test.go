@@ -11,20 +11,15 @@ import (
 func BenchmarkBuildAndRun(b *testing.B) {
 	costs := unitCosts()
 	builders := map[string]func(BuildConfig) (*Schedule, error){
-		"gpipe":     BuildGPipe,
-		"1f1b":      Build1F1B,
-		"chimera":   BuildChimera,
-		"pipedream": BuildPipeDream,
+		"gpipe":   BuildGPipe,
+		"1f1b":    Build1F1B,
+		"chimera": BuildChimera,
 	}
 	for name, build := range builders {
 		for _, d := range []int{4, 16} {
-			n := d
-			if name == "pipedream" {
-				n = 4 * d
-			}
 			b.Run(fmt.Sprintf("%s/D=%d", name, d), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s, err := build(BuildConfig{Stages: d, MicroBatches: n, Steps: 2, Costs: costs})
+					s, err := build(BuildConfig{Stages: d, MicroBatches: d, Steps: 2, Costs: costs})
 					if err != nil {
 						b.Fatal(err)
 					}

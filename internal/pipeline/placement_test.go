@@ -141,13 +141,6 @@ func TestPlacementGenerated(t *testing.T) {
 			}
 		}
 	}
-	s, err := BuildPipeDream(BuildConfig{Stages: 4, MicroBatches: 8, Costs: unitCosts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := placementError(s); err != nil {
-		t.Fatalf("PipeDream: %v", err)
-	}
 }
 
 // Indexing the placement is the ownership proof: it refuses a schedule that

@@ -40,12 +40,3 @@ func BenchmarkAssignChimeraLarge(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkAssignSAM(b *testing.B) {
-	costs := benchCosts(b, arch.BERTBase, 3, 32, 1)
-	for i := 0; i < b.N; i++ {
-		if _, err := AssignSAM(Config{Method: "gpipe", Stages: 4, MicroBatches: 4, Costs: costs}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -224,7 +224,7 @@ func TestExecutableDigestMatrix(t *testing.T) {
 // TestAdaptiveRoundLengthFitsExecutable: the K AdaptiveRoundLength derives is
 // a K the executable's packing agrees with — packing a serialized K-step
 // round leaves no refresh item outside the window's bubbles. Skipped where
-// the question has no answer: no bubbles at all, or K clamped at MaxSteps.
+// the question has no answer: no bubbles at all, or K clamped at maxSteps.
 // Two things made this fail before the packers were merged: Assign let an
 // inversion start on its own factor's curvature on its own device while the
 // executable waits for the layer pair on every owner (K one short on e.g.
@@ -248,7 +248,7 @@ func TestAdaptiveRoundLengthFitsExecutable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if k >= cfg.MaxSteps {
+				if k >= maxSteps {
 					return
 				}
 				cfg.RefreshSteps = k

@@ -66,12 +66,6 @@ type Config struct {
 	// devices holding that stage (the replica group for gpipe/1f1b, the
 	// bidirectional pair for chimera) and adds sync-curvature collectives.
 	InversionParallel bool
-	// InversionCostMultiplier scales the per-factor inversion durations
-	// (default 1). Shampoo-style extra work (§5) uses this to model
-	// eigendecompositions, which cost an order of magnitude more than a
-	// Cholesky inversion of the same matrix; the packer splits such long
-	// items across multiple bubbles automatically.
-	InversionCostMultiplier float64
 	// RefreshSteps is the round length K of the *executable* form: Executable
 	// lays out K consecutive pipeline steps and packs one curvature/inversion
 	// refresh into the bubbles of the whole window, the paper's multi-step
@@ -115,9 +109,6 @@ type Config struct {
 	// per-window work is unchanged — deeper carry only adds placement
 	// freedom. Ignored without Overlap.
 	CarryDepth int
-	// MaxSteps bounds the number of pipeline steps one refresh round may
-	// span (a safety net; realistic configurations need 1-10).
-	MaxSteps int
 	// NoSplit disables spilling a work item across multiple bubbles
 	// (every item must fit one bubble whole). The paper's rule —
 	// "otherwise, subsequent bubbles are utilized" — corresponds to
@@ -125,18 +116,19 @@ type Config struct {
 	NoSplit bool
 }
 
+// maxSteps bounds the number of pipeline steps one refresh round may span
+// (a safety net; realistic configurations need 1-10).
+const maxSteps = 32
+
 func (c Config) normalize() (Config, error) {
 	if !slices.Contains(pipeline.Methods(), c.Method) {
 		return c, fmt.Errorf("schedule: unknown method %q (want one of %v)", c.Method, pipeline.Methods())
 	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 32
-	}
 	if c.RefreshSteps <= 0 {
 		c.RefreshSteps = 1
 	}
-	if c.RefreshSteps > c.MaxSteps {
-		return c, fmt.Errorf("schedule: RefreshSteps %d exceeds MaxSteps %d", c.RefreshSteps, c.MaxSteps)
+	if c.RefreshSteps > maxSteps {
+		return c, fmt.Errorf("schedule: RefreshSteps %d exceeds the %d-step round limit", c.RefreshSteps, maxSteps)
 	}
 	if c.Overlap && c.FrontLoadRefresh {
 		return c, fmt.Errorf("schedule: Overlap and FrontLoadRefresh are mutually exclusive (front-loading pins the whole refresh to the window's first step; overlap carries spill into the next window)")
@@ -155,16 +147,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.DataParallelWidth <= 0 {
 		c.DataParallelWidth = 1
-	}
-	if c.InversionCostMultiplier <= 0 {
-		c.InversionCostMultiplier = 1
-	}
-	if c.InversionCostMultiplier != 1 {
-		scaled := make([]hardware.Microseconds, len(c.Costs.InversionUnits))
-		for i, u := range c.Costs.InversionUnits {
-			scaled[i] = hardware.Microseconds(float64(u) * c.InversionCostMultiplier)
-		}
-		c.Costs.InversionUnits = scaled
 	}
 	return c, nil
 }
@@ -194,7 +176,7 @@ type Result struct {
 	VanillaUtilization float64
 	// KFACWorkTime is the total curvature+inversion(+sync) time packed.
 	KFACWorkTime hardware.Microseconds
-	// Unassigned counts work items that did not fit within MaxSteps
+	// Unassigned counts work items that did not fit within the 32-step limit
 	// (0 for all realistic configurations).
 	Unassigned int
 }
@@ -280,7 +262,7 @@ func Assign(cfg Config) (*Result, error) {
 	}
 	// Estimate the number of steps a refresh round needs from the
 	// (curvature+inversion)/bubble ratio and simulate a couple extra — and
-	// more, up to MaxSteps, when the estimate proves short (the ratio knows
+	// more, up to maxSteps, when the estimate proves short (the ratio knows
 	// nothing of readiness and gate waits), so the window reported is one
 	// the refresh fits.
 	oneStep, err := buildBase(cfg, 1, false)
@@ -291,7 +273,7 @@ func Assign(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	steps := min(int(estimateRatio(cfg, oneTL))+2, cfg.MaxSteps)
+	steps := min(int(estimateRatio(cfg, oneTL))+2, maxSteps)
 	var baseTL *pipeline.Timeline
 	var items []*workItem
 	for {
@@ -300,10 +282,10 @@ func Assign(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		spilled := slices.ContainsFunc(items, func(it *workItem) bool { return !it.placed })
-		if !spilled || steps == cfg.MaxSteps {
+		if !spilled || steps == maxSteps {
 			break
 		}
-		steps = min(2*steps, cfg.MaxSteps)
+		steps = min(2*steps, maxSteps)
 	}
 	vanillaSched, err := buildBase(cfg, steps, false)
 	if err != nil {
@@ -315,7 +297,7 @@ func Assign(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{
-		Timeline:             overlay(baseTL, "+PipeFisher"),
+		Timeline:             overlay(baseTL),
 		VanillaTimeline:      vanillaTL,
 		RefreshSteps:         1,
 		RefreshStepsPerStage: make([]int, cfg.Stages),
@@ -329,26 +311,32 @@ func Assign(cfg Config) (*Result, error) {
 			res.Unassigned++
 			continue
 		}
-		addPieces(res.Timeline, it.pieces, pipeline.Op{
-			Kind: it.kind, Device: it.device, Stage: it.stage, Replica: it.replica, MicroBatch: it.micro, Step: -1,
-		})
+		for _, p := range it.pieces {
+			op := pipeline.Op{
+				Kind: it.kind, Device: it.device, Stage: it.stage, Replica: it.replica, MicroBatch: it.micro, Step: -1,
+				Duration: p.End - p.Start,
+			}
+			res.Timeline.Events[it.device] = append(res.Timeline.Events[it.device], pipeline.Event{Op: &op, Start: p.Start, End: p.End})
+		}
 		// The stage's refresh spans the steps until its last item completes.
 		span := stepOf(it.end(), baseTL.StepEnd) + 1
 		res.RefreshStepsPerStage[it.stage] = max(res.RefreshStepsPerStage[it.stage], span)
 		res.RefreshSteps = max(res.RefreshSteps, span)
 	}
-	sortEvents(res.Timeline)
+	for _, evs := range res.Timeline.Events {
+		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
+	}
 	// Utilization over the refresh round (whole steps), so repeated rounds
 	// tile the timeline.
 	res.Utilization = res.Timeline.UtilizationOver(0, baseTL.StepEnd[min(res.RefreshSteps, len(baseTL.StepEnd))-1])
 	return res, nil
 }
 
-// overlay copies a profiled timeline so extra work packed into its bubbles
-// can be drawn on top of it.
-func overlay(base *pipeline.Timeline, suffix string) *pipeline.Timeline {
+// overlay copies a profiled timeline so the K-FAC work packed into its
+// bubbles can be drawn on top of it.
+func overlay(base *pipeline.Timeline) *pipeline.Timeline {
 	out := &pipeline.Timeline{
-		Name:     base.Name + suffix,
+		Name:     base.Name + "+PipeFisher",
 		Devices:  base.Devices,
 		Steps:    base.Steps,
 		Events:   make([][]pipeline.Event, base.Devices),
@@ -359,23 +347,6 @@ func overlay(base *pipeline.Timeline, suffix string) *pipeline.Timeline {
 		out.Events[d] = append([]pipeline.Event(nil), base.Events[d]...)
 	}
 	return out
-}
-
-// addPieces draws one event per booked piece of an extra-work item; op
-// describes the item (its Device is the pieces' device).
-func addPieces(tl *pipeline.Timeline, pieces []pipeline.Gap, op pipeline.Op) {
-	for _, p := range pieces {
-		piece := op
-		piece.Duration = p.End - p.Start
-		tl.Events[op.Device] = append(tl.Events[op.Device], pipeline.Event{Op: &piece, Start: p.Start, End: p.End})
-	}
-}
-
-// sortEvents restores time order on every device after addPieces.
-func sortEvents(tl *pipeline.Timeline) {
-	for _, evs := range tl.Events {
-		sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
-	}
 }
 
 func buildBase(cfg Config, steps int, precondition bool) (*pipeline.Schedule, error) {
@@ -407,7 +378,7 @@ func estimateRatio(cfg Config, oneStep *pipeline.Timeline) float64 {
 	}
 	bubble := float64(oneStep.TotalBubble())
 	if bubble <= 0 {
-		return float64(cfg.MaxSteps)
+		return float64(maxSteps)
 	}
 	return kfacWork / bubble
 }

@@ -60,8 +60,8 @@ import (
 // separate float32 loop; in float32 mode it shares the tiled Go
 // micro-kernels, which are themselves bit-identical to a naive ascending-k
 // float32 reduction. Factorization-sensitive code stays float64
-// regardless of the mode: eigen decomposition and damping never route
-// through GEMM, and the blocked SPD inverse (cholesky.go) pins the driver's
+// regardless of the mode: damping never routes through GEMM, and the
+// blocked SPD inverse (cholesky.go) pins the driver's
 // float64 micro-kernels.
 
 // Kernel identifies one implementation variant of the matmul and

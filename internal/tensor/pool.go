@@ -8,8 +8,8 @@ import (
 
 // This file provides the pooled matrix workspace used by the zero-alloc hot
 // paths: per-micro-batch temporaries (engine activation hand-offs, K-FAC
-// statistics snapshots and partial curvature products, Cholesky and eigen
-// work buffers) are recycled through size-class buckets instead of being
+// statistics snapshots and partial curvature products, Cholesky work
+// buffers) are recycled through size-class buckets instead of being
 // freshly allocated every step.
 //
 // Pooling contract: a matrix obtained from Get is owned by the caller until

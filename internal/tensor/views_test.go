@@ -2,7 +2,9 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // Tests of the strided-window entry point (Matrix.View + MulViews): every
@@ -174,9 +176,13 @@ func TestMulViewsBatchParallelismIdentity(t *testing.T) {
 	SetParallelism(4)
 	defer SetParallelism(0)
 	ps, _ := attentionBatch(NewRNG(3), 3, 64, 4, 16)
+	// A worker wins a product only by taking a non-blocking send while it is
+	// idle, so on a loaded host it can lose many calls in a row: keep calling,
+	// yielding between calls, until one wins or the deadline passes.
 	before := PoolTasksExecuted()
-	for i := 0; i < 50 && PoolTasksExecuted() == before; i++ {
+	for deadline := time.Now().Add(5 * time.Second); PoolTasksExecuted() == before && time.Now().Before(deadline); {
 		MulViews(ps)
+		runtime.Gosched()
 	}
 	if PoolTasksExecuted() == before {
 		t.Fatal("no product of a 12 x (64x64x16) batch was ever run by a pool worker")
