@@ -78,7 +78,6 @@ func main() {
 		opRetries    = flag.Int("op-retries", 0, "retry budget for failed side-path ops (curvature, inversion, sync-curvature) before degrading, with -execute")
 		retryBackoff = flag.Duration("retry-backoff", 2*time.Millisecond, "base backoff between retries (doubles per attempt)")
 		checkpoint   = flag.Bool("checkpoint", false, "round checkpoint/replay with -execute: snapshot state at every round start and replay aborted rounds (up to 3 attempts)")
-		carryDepth   = flag.Int("carry-depth", 0, "overlap carry depth for real execution with -execute: refresh work may lag up to carry-depth-1 rounds behind its statistics (0 = the overlap default of 2; >2 needs -overlap)")
 		autotuneOn   = flag.Bool("autotune", false, "closed-loop tuning with -execute: refit packing costs from the executed rounds, re-rank the schedule candidate space, and hot-swap the engine at round boundaries")
 		tuneInterval = flag.Int("autotune-interval", 4, "rounds between tuner decisions with -autotune (observation continues every round)")
 		tuneCSV      = flag.String("tune-csv", "", "write the tuner's per-round model-error and decision records as CSV to this file, with -autotune")
@@ -243,7 +242,7 @@ func main() {
 				tr.group.Close()
 			}
 		}()
-		executeSchedule(*method, *stages, *nmicro, *replicas, *invParallel, *execSteps, *refreshSteps, *carryDepth, *width, *workers, *overlap, *svgPath, ft, tn, &tr)
+		executeSchedule(*method, *stages, *nmicro, *replicas, *invParallel, *execSteps, *refreshSteps, *width, *overlap, *svgPath, ft, tn, &tr)
 	}
 }
 
@@ -431,7 +430,7 @@ type transportConfig struct {
 // observes every executed round and may hot-swap the engine to a
 // predicted-faster configuration at a round boundary; its decision log and
 // final choice are printed after training.
-func executeSchedule(method string, stages, nmicro, replicas int, invParallel bool, steps, refreshSteps, carryDepth, width, workers int, overlap bool, svgPath string, ft faultConfig, tc tuneConfig, tr *transportConfig) {
+func executeSchedule(method string, stages, nmicro, replicas int, invParallel bool, steps, refreshSteps, width int, overlap bool, svgPath string, ft faultConfig, tc tuneConfig, tr *transportConfig) {
 	cfg := bert.TinyConfig()
 	cfg.Blocks = stages
 	model, err := bert.New(cfg, 7)
@@ -457,8 +456,8 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 	}
 	eng, err := engine.NewWithConfig(model, engine.Config{
 		Method: method, Stages: stages, MicroBatches: nmicro,
-		Replicas: replicas, InversionParallel: invParallel, Workers: workers,
-		RefreshSteps: refreshSteps, OverlapRounds: overlap, CarryDepth: carryDepth,
+		Replicas: replicas, InversionParallel: invParallel,
+		RefreshSteps: refreshSteps, OverlapRounds: overlap,
 		FaultPlan: ft.plan, OpTimeout: ft.opTimeout,
 		OpRetries: ft.opRetries, RetryBackoff: ft.retryBackoff,
 		Checkpoint: ft.checkpoint,
@@ -503,7 +502,7 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 		if err != nil {
 			log.Fatal(err)
 		}
-		startCand = tn.CurrentCandidate()
+		startCand = eng.Shape()
 	}
 	fmt.Printf("\n--- real execution: %s, %d stages, %d micro-batches, %d replica(s), refresh round %s, overlap=%v, %d intra-op workers ---\n",
 		method, stages, nmicro, replicas, kDesc, overlap, tensor.Parallelism())
@@ -626,7 +625,7 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 		if err := trace.RenderTuneLog(os.Stdout, tn.Records()); err != nil {
 			log.Fatal(err)
 		}
-		final := tn.CurrentCandidate()
+		final := eng.Shape()
 		if final == startCand {
 			fmt.Printf("autotune: held starting configuration %s\n", startCand)
 		} else {

@@ -237,7 +237,7 @@
 // tensor.SetParallelism sizes the process-wide intra-op worker budget
 // (default GOMAXPROCS, the -workers flag on cmd/pipefisher), and the
 // engine caps each device goroutine's
-// kernels to its fair share of that budget (engine.Config.Workers /
+// kernels to its fair share of that budget (tensor.Parallelism() /
 // devices) via tensor.SetOpParallelism, so concurrent stages split the
 // cores instead of oversubscribing them. The packed driver splits work at
 // micro-panel granularity on a grid that depends only on the operand
@@ -588,9 +588,11 @@
 //     into the early bubbles; the window's own curvature collection fills
 //     what is left. When everything fits, the overlap schedule — and the
 //     executed math — is identical to the serialized one, which is the
-//     same fixed point at depth 1: one packing pass (schedule's
-//     packGeneration) runs once per generation, deepest first, for every
-//     depth.
+//     same fixed point with nothing carried: one packing pass (schedule's
+//     packGeneration) runs once per generation, the carried one first.
+//     Carry is one round (schedule.Config.CarryDepth is 2 under Overlap):
+//     work that does not fit the next window either serializes before its
+//     tail.
 //   - The engine double-buffers generation-tagged statistics pools
 //     (kfacGenPool): a collect round snapshots and reduces into one pool
 //     while the carried generation folds and inverts out of the other, so
@@ -640,7 +642,7 @@
 // configuration and shapes, so engines built alike pack alike (the paired
 // benchmark replays an arm on a twin and needs identical packing), and a
 // measured refit stays an explicit choice — the auto-tuner's, through
-// Reconfigure's SwapConfig.Costs. Vanilla op lists are what they were at
+// Reconfigure's costs argument. Vanilla op lists are what they were at
 // the benchmark's shapes (TestShapePricedVanillaSchedulesUnchanged);
 // BenchmarkEngineRoundShape reports modeled against measured cost per kind
 // (model_err/<kind>), and MeasuredCosts prices the optimizer update as each
@@ -763,21 +765,23 @@
 //     OptStep event), and aborted rounds are never observed (their
 //     timelines are partial).
 //   - Candidate space: schedule.Enumerate covers schedule family x round
-//     length K x serialized/overlapped (x carry depth > 2) x inversion
-//     sharding on the engine's fixed topology — the knobs a running
-//     engine can swap at a round boundary. Stages, micro-batches and
+//     length K x serialized/overlapped x inversion sharding on the
+//     engine's fixed topology — the knobs a running engine can swap at a
+//     round boundary, one schedule.Candidate (engine.Shape reports the
+//     running one, engine.Reconfigure swaps to another). Stages, micro-batches and
 //     data-parallel width are the machine; they are not searched.
 //   - Ranking: schedule.Predict builds each candidate's executable
 //     against the fitted costs and simulates one full refresh round; the
 //     key is StepTime = RoundMakespan / K, which makes different round
-//     lengths comparable. Ties break toward the serialized, shallower,
-//     smaller configuration, so measurement noise can only ever flip a
+//     lengths comparable. Ties break toward the serialized, smaller
+//     configuration, so measurement noise can only ever flip a
 //     decision toward simplicity (the committed K2 overlap-vs-serialized
 //     benchmark gap is exactly such noise — the op lists are identical).
 //   - Swap safety: engine.Reconfigure rebuilds the executable in place
 //     between rounds. Parameters, optimizer state and step counters are
-//     never touched. A swap whose packing tuple is unchanged preserves
-//     in-flight carried generations and is bit-identical to not swapping
+//     never touched. A swap whose packing tuple is unchanged
+//     (Reconfigure(e.Shape(), nil)) preserves the in-flight carried
+//     generation and is bit-identical to not swapping
 //     (identity-tested across schedules, models and W); a changed shape
 //     scrubs pending generations and forces the next refresh from
 //     scratch — the same discipline as an abort. Config.MinRelGain exists

@@ -1,8 +1,7 @@
 // Package autotune closes the loop between the execution engine and the
 // schedule packer: it refits the packing cost model from the engine's
 // *executed* timelines, re-runs the schedule search over a candidate space
-// (schedule family x round length K x overlap/carry depth x inversion
-// sharding), and hot-swaps the engine to the predicted-best executable at
+// (schedule family x round length K x overlap x inversion sharding), and hot-swaps the engine to the predicted-best executable at
 // a round boundary. The predictions and the execution share one schedule
 // form (internal/schedule's Executable), so a ranking is a statement about
 // exactly the op lists the engine would run — and because the engine's
@@ -32,11 +31,10 @@ type Config struct {
 	// must clear (default 0.02): below it the tuner holds — re-packing
 	// discards in-flight refresh state, so marginal predictions don't pay.
 	MinRelGain float64
-	// Methods/MaxRefreshSteps/MaxCarryDepth bound the candidate space
-	// (see schedule.Space; the topology dimensions come from the engine).
+	// Methods/MaxRefreshSteps bound the candidate space (see
+	// schedule.Space; the topology dimensions come from the engine).
 	Methods         []string
 	MaxRefreshSteps int
-	MaxCarryDepth   int
 }
 
 // Decision is one ranking of the candidate space.
@@ -104,7 +102,7 @@ func (t *Tuner) Observe() (*Decision, error) {
 	slow := t.eng.RankSlowness()
 	t.fit.SetScale(int(pipeline.SyncGrad), slow)
 	t.fit.SetScale(int(pipeline.SyncCurvature), slow)
-	rec := trace.TuneRecord{Round: t.fit.Rounds(), ModelError: -1, Current: t.CurrentCandidate().String()}
+	rec := trace.TuneRecord{Round: t.fit.Rounds(), ModelError: -1, Current: t.eng.Shape().String()}
 	if me, ok := t.ModelError(); ok {
 		rec.ModelError = me
 	}
@@ -138,21 +136,6 @@ func (t *Tuner) ingestTimeline() {
 	for _, c := range engine.CommitDurations(tl) {
 		t.fit.Observe(int(pipeline.OptStep), c)
 	}
-}
-
-// CurrentCandidate renders the engine's running configuration as a point
-// of the candidate space.
-func (t *Tuner) CurrentCandidate() schedule.Candidate {
-	c := schedule.Candidate{
-		Method:            t.eng.Method(),
-		RefreshSteps:      t.eng.RoundSteps(),
-		Overlap:           t.eng.Overlapped(),
-		InversionParallel: t.eng.InversionParallel(),
-	}
-	if d := t.eng.CarryDepth(); c.Overlap && d > 2 {
-		c.CarryDepth = d
-	}
-	return c
 }
 
 // FittedCosts returns the engine's modeled cost shape with every class the
@@ -217,12 +200,11 @@ func (t *Tuner) decide(rec *trace.TuneRecord) (*Decision, error) {
 	space := schedule.Space{
 		Methods:           t.cfg.Methods,
 		MaxRefreshSteps:   t.cfg.MaxRefreshSteps,
-		MaxCarryDepth:     t.cfg.MaxCarryDepth,
 		Stages:            t.eng.Stages(),
 		MicroBatches:      t.eng.MicroBatches(),
 		DataParallelWidth: t.eng.Replicas(),
 	}
-	cur := t.CurrentCandidate()
+	cur := t.eng.Shape()
 	d := &Decision{Round: t.fit.Rounds(), Current: cur, Choice: cur}
 	if me, ok := t.ModelError(); ok {
 		d.ModelError = me
@@ -258,15 +240,7 @@ func (t *Tuner) decide(rec *trace.TuneRecord) (*Decision, error) {
 		t.fillRecord(rec, d)
 		return d, nil
 	}
-	sc := engine.SwapConfig{
-		Method:            best.Candidate.Method,
-		RefreshSteps:      best.Candidate.RefreshSteps,
-		Overlap:           best.Candidate.Overlap,
-		InversionParallel: best.Candidate.InversionParallel,
-		CarryDepth:        best.Candidate.CarryDepth,
-		Costs:             &fitted,
-	}
-	if err := t.eng.Reconfigure(sc); err != nil {
+	if err := t.eng.Reconfigure(best.Candidate, &fitted); err != nil {
 		d.Choice = cur
 		d.ChoiceStep = curPred.StepTime
 		d.Reason = fmt.Sprintf("swap to %s failed: %v", best.Candidate, err)

@@ -105,7 +105,7 @@ func TestTunerConvergesFromBadStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := tn.CurrentCandidate()
+	start := e.Shape()
 	var swapped *Decision
 	for r := 0; r < 12 && swapped == nil; r++ {
 		drive(1)
@@ -127,7 +127,7 @@ func TestTunerConvergesFromBadStart(t *testing.T) {
 		t.Fatalf("swap without predicted gain: %d -> %d us/step",
 			swapped.CurrentStep, swapped.ChoiceStep)
 	}
-	if got := tn.CurrentCandidate(); got != swapped.Choice {
+	if got := e.Shape(); got != swapped.Choice {
 		t.Fatalf("engine runs %s after swapping to %s", got, swapped.Choice)
 	}
 	// The engine keeps training through the swap, and parameters stay
@@ -142,7 +142,7 @@ func TestTunerConvergesFromBadStart(t *testing.T) {
 	}
 	// Subsequent decisions hold: the adopted configuration predicts best
 	// under its own fitted costs, so the tuner must not churn back.
-	adopted := tn.CurrentCandidate()
+	adopted := e.Shape()
 	for r := 0; r < 4; r++ {
 		drive(1)
 		d, err := tn.Observe()

@@ -73,7 +73,7 @@ func TestChainedInversionsBitIdenticalToWhole(t *testing.T) {
 					if !chains {
 						costs := e.ModeledCosts()
 						costs.InversionChains = nil
-						if err := e.Reconfigure(SwapConfig{Costs: &costs}); err != nil {
+						if err := e.Reconfigure(e.Shape(), &costs); err != nil {
 							t.Fatal(err)
 						}
 					}

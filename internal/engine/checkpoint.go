@@ -91,10 +91,10 @@ func (e *Engine) saveCheckpoint() {
 	c.stepIndex = e.stepIndex
 	c.roundIndex = e.roundIndex
 	c.kfacGen = e.kfacGen
-	// Pending carried generations (overlapped rounds) are live pooled state
+	// A pending carried generation (overlapped rounds) is live pooled state
 	// the checkpoint does not deep-copy; restoring forces a full refresh
 	// instead, which re-derives everything the carried ops would have.
-	c.refreshPending = e.refreshPending || e.carryPending()
+	c.refreshPending = e.refreshPending || e.carried != nil
 	c.valid = true
 }
 
@@ -130,9 +130,10 @@ func (e *Engine) RestoreCheckpoint() (int, error) {
 	e.stepIndex = c.stepIndex
 	e.roundIndex = c.roundIndex
 	e.kfacGen = c.kfacGen
+	// Whatever the aborted round left in the generation pools is stale now;
+	// the refresh phase is the checkpoint's, exactly.
+	e.dropGenerations(false)
 	e.refreshPending = c.refreshPending
-	// Whatever the aborted round left in the generation pools is stale now.
-	e.dropGenerations()
 	// Replicas resync from the restored primary (TrainRound re-broadcasts
 	// anyway; doing it here leaves the engine consistent immediately).
 	if err := e.broadcastParams(); err != nil {

@@ -26,7 +26,7 @@ func parentCosts(e *Engine) pipeline.StageCosts {
 	if e.Replicas() > 1 {
 		c.SyncGrad = 60
 	}
-	if e.Replicas() > 1 || e.InversionParallel() {
+	if e.Replicas() > 1 || e.Shape().InversionParallel {
 		c.SyncCurvature = 20
 	}
 	for i := 0; i < 2*len(e.StageLayers(0)); i++ {
@@ -42,10 +42,7 @@ func parentCosts(e *Engine) pipeline.StageCosts {
 func pinParentCosts(t *testing.T, e *Engine) {
 	t.Helper()
 	c := parentCosts(e)
-	if err := e.Reconfigure(SwapConfig{
-		Overlap: e.Overlapped(), InversionParallel: e.InversionParallel(),
-		CarryDepth: e.CarryDepth(), Costs: &c,
-	}); err != nil {
+	if err := e.Reconfigure(e.Shape(), &c); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -139,12 +139,7 @@ func (e *Engine) reprice(seqs int) error {
 		return err
 	}
 	if e.kfacPre != nil {
-		if e.carryPending() {
-			e.refreshPending = true
-		}
-		e.maxCarryGen = maxScheduleGen(e.sched)
-		e.dropGenerations()
-		e.ensureGenPools()
+		e.dropGenerations(false)
 	}
 	return nil
 }
@@ -172,12 +167,7 @@ func (e *Engine) adaptRoundLength() error {
 		e.roundLen, e.refreshEvery, e.adaptPending = oldLen, oldEvery, true
 		return err
 	}
-	if e.carryPending() {
-		e.refreshPending = true
-	}
-	e.maxCarryGen = maxScheduleGen(e.sched)
-	e.dropGenerations()
-	e.ensureGenPools()
+	e.dropGenerations(false)
 	return nil
 }
 

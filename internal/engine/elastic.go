@@ -178,8 +178,7 @@ func (e *Engine) resyncFrom(root int) error {
 		for s, st := range e.sets[0].stages {
 			e.kfacPre[s] = kfac.NewPreconditioner(st.layers, e.kfacOpts)
 		}
-		e.dropGenerations()
-		e.refreshPending = true
+		e.dropGenerations(true)
 	}
 	// The pre-resync round checkpoint described a state (and possibly a
 	// width) that no longer exists; the next TrainRound saves a fresh one.

@@ -63,6 +63,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -157,15 +158,6 @@ type Config struct {
 	// execution is bit-identical to serialized rounds. Incompatible with
 	// FrontLoadRefresh.
 	OverlapRounds bool
-	// CarryDepth bounds how many consecutive rounds one refresh may
-	// pipeline across under OverlapRounds (schedule.Config.CarryDepth):
-	// generation-lagged ops run up to CarryDepth-1 rounds after their
-	// statistics were collected, against a queue of generation-tagged
-	// pools. 0 defaults to 2 (the classic overlap: own round plus one
-	// carried round); deeper values keep refreshes larger than two
-	// windows' bubbles pipelined instead of serializing the spill before
-	// the round's tail. Ignored without OverlapRounds.
-	CarryDepth int
 	// FrontLoadRefresh pins the refresh work of a RefreshSteps > 1 round to
 	// the window's first step instead of spreading it across the window's
 	// bubbles: the skip-cadence semantics expressed as a round, bit-identical
@@ -175,14 +167,6 @@ type Config struct {
 	// shape — with each step preconditioning on the freshest completed
 	// inverses.
 	FrontLoadRefresh bool
-	// Workers is the intra-op kernel worker budget shared by all device
-	// goroutines (0 = tensor.Parallelism(); values above the pool size
-	// are capped at it, since the pool is all kernels can recruit). Each
-	// device's kernels are capped to a fair share, Workers / devices, so
-	// concurrent stages split the cores instead of each oversubscribing
-	// the whole pool. The budget is re-resolved against the pool at every
-	// TrainStep and recorded in the executed Timeline.
-	Workers int
 	// FaultPlan, when non-nil, injects the plan's deterministic faults —
 	// op failures, stalls, collective drops, NaN corruption — at their
 	// named (step, device, op-kind) points (package faults). The whole
@@ -238,9 +222,6 @@ func (c Config) normalize() (Config, error) {
 	if c.ShardParams && c.Replicas < 2 {
 		return c, fmt.Errorf("engine: ShardParams shards across the replica axis and needs Replicas >= 2, got %d", c.Replicas)
 	}
-	if c.Workers < 0 {
-		return c, fmt.Errorf("engine: Workers must be non-negative, got %d", c.Workers)
-	}
 	if c.RefreshSteps < 0 && c.RefreshSteps != AdaptiveRefreshSteps {
 		return c, fmt.Errorf("engine: RefreshSteps must be non-negative or AdaptiveRefreshSteps, got %d", c.RefreshSteps)
 	}
@@ -249,15 +230,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.OverlapRounds && c.FrontLoadRefresh {
 		return c, fmt.Errorf("engine: OverlapRounds and FrontLoadRefresh are mutually exclusive")
-	}
-	if c.CarryDepth < 0 {
-		return c, fmt.Errorf("engine: CarryDepth must be non-negative, got %d", c.CarryDepth)
-	}
-	if c.CarryDepth == 1 {
-		return c, fmt.Errorf("engine: CarryDepth 1 means no carry — use OverlapRounds=false, or CarryDepth >= 2")
-	}
-	if c.CarryDepth > 1 && !c.OverlapRounds {
-		return c, fmt.Errorf("engine: CarryDepth needs OverlapRounds")
 	}
 	if c.OpTimeout < 0 {
 		return c, fmt.Errorf("engine: OpTimeout must be non-negative, got %v", c.OpTimeout)
@@ -344,9 +316,9 @@ type Engine struct {
 	// next (sizeSlots).
 	scratch [][]*nn.BlockScratch
 
-	// workers is the resolved intra-op kernel worker budget and opShare
-	// each device goroutine's per-kernel cap (workers / devices, min 1) —
-	// fair sharing of the tensor worker pool across concurrent stages.
+	// workers is the intra-op kernel worker budget (the tensor pool's size)
+	// and opShare each device goroutine's per-kernel cap (workers /
+	// devices, min 1) — fair sharing of the pool across concurrent stages.
 	workers int
 	opShare int
 
@@ -370,21 +342,20 @@ type Engine struct {
 	// the cadence comes around again.
 	refreshPending bool
 
-	// kfacPools buffers the statistics generations of the refresh pipeline
-	// (allocated at EnableKFAC, maxCarryGen+1 pools, minimum two): a
-	// collect round writes pool kfacGen%len(kfacPools) while carried ops
-	// of older generations — overlapped rounds only — drain the others.
-	// carryQ is the pending-generation queue: slot i points at the pool of
-	// the generation collected i+1 rounds ago whose carried ops have not
-	// all executed yet (nil when that round did not collect, or carried
-	// nothing). Its length is maxCarryGen, the deepest Op.Generation in
-	// the executable schedule (0 when the schedule carries nothing): a
-	// pool retires — is scrubbed and becomes reusable — after its deepest
-	// lag has run.
-	kfacPools   []*kfacGenPool
-	carryQ      []*kfacGenPool
-	kfacGen     int
-	maxCarryGen int
+	// kfacPools double-buffers the statistics generations of the refresh
+	// pipeline (allocated at EnableKFAC): a collect round writes pool
+	// kfacGen%2 while the carried ops of the previous generation —
+	// overlapped rounds only — drain the other. carried is that previous
+	// generation's pool while its carried ops have not executed yet (nil
+	// when the last round did not collect, or the schedule carries
+	// nothing): carry is one round, so it retires — is scrubbed and becomes
+	// reusable — at the end of the round after its collection. carries
+	// reports whether the executable schedule has carried
+	// (Generation 1) ops at all.
+	kfacPools [2]*kfacGenPool
+	carried   *kfacGenPool
+	carries   bool
+	kfacGen   int
 
 	// shape is the transformer shape of the model the engine holds, and
 	// priced the stage costs shapeCosts derives from it at microSeqs
@@ -393,7 +364,7 @@ type Engine struct {
 	shape     arch.Transformer
 	microSeqs int
 	priced    pipeline.StageCosts
-	// costModel, when set (Reconfigure with SwapConfig.Costs), replaces the
+	// costModel, when set (Reconfigure with costs), replaces the
 	// shape-priced costs the schedule builders pack with: the auto-tuner
 	// feeds measured per-kind durations back so the packer lays bubbles out
 	// against the hardware's measured proportions. Execution follows the
@@ -670,6 +641,7 @@ func (e *Engine) rebuildSchedule() error {
 		}
 	}
 	e.sched = sched
+	e.carries = slices.ContainsFunc(sched.Ops, func(op *pipeline.Op) bool { return op.Generation > 0 })
 	e.sizeSlots()
 	return nil
 }
@@ -720,22 +692,16 @@ func (e *Engine) ScheduleConfig(costs pipeline.StageCosts) schedule.Config {
 		RefreshSteps:      e.roundLen,
 		FrontLoadRefresh:  e.cfg.FrontLoadRefresh,
 		Overlap:           e.cfg.OverlapRounds,
-		CarryDepth:        e.cfg.CarryDepth,
 	}
 }
 
-// resolveParallelism fixes the step's intra-op budget against the worker
-// pool as it is sized right now: the configured Workers (capped at the
-// pool, which is all the kernels can actually recruit — the recorded
-// Timeline values must reflect reality), split evenly across the device
-// goroutines so no device oversubscribes the shared pool.
+// resolveParallelism fixes the step's intra-op budget to the worker pool as
+// it is sized right now (tensor.Parallelism — all the kernels can recruit,
+// so the recorded Timeline values reflect reality), split evenly across the
+// device goroutines so no device oversubscribes the shared pool.
 func (e *Engine) resolveParallelism() {
-	w := e.cfg.Workers
-	if p := tensor.Parallelism(); w == 0 || w > p {
-		w = p
-	}
-	e.workers = w
-	e.opShare = w / e.sched.Devices
+	e.workers = tensor.Parallelism()
+	e.opShare = e.workers / e.sched.Devices
 	if e.opShare < 1 {
 		e.opShare = 1
 	}
@@ -862,66 +828,40 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 		e.roundLen = prevLen
 		return err
 	}
-	// Generation pools for the refresh pipeline (see kfacGenPool): one per
-	// concurrent generation (the collecting one plus every carried lag),
-	// so overlapped rounds can collect a generation while the carried ops
-	// of older ones drain.
-	e.maxCarryGen = maxScheduleGen(e.sched)
-	e.dropGenerations() // re-enabling K-FAC must not inherit stale pool state
-	e.ensureGenPools()
+	// Generation pools for the refresh pipeline (see kfacGenPool): the
+	// collecting generation and the carried one, so overlapped rounds can
+	// collect a generation while the previous one's carried ops drain.
+	// Their buffers are shape-stable across schedule swaps, which keep
+	// Stages/MicroBatches/Replicas fixed.
+	perStep, nLayers := e.cfg.MicroBatches*e.cfg.Replicas, len(e.sets[0].stages[0].layers)
+	for i, p := range e.kfacPools {
+		if p == nil {
+			e.kfacPools[i] = newKFACGenPool(e.cfg.Stages, perStep, nLayers, e.cfg.Replicas)
+		}
+	}
+	e.dropGenerations(false) // re-enabling K-FAC must not inherit stale pool state
 	e.kfacGen = 0
 	e.refreshPending = false
 	e.adaptPending = false
 	return nil
 }
 
-// maxScheduleGen reports the deepest Op.Generation in the schedule: 0 for
-// serialized rounds, up to CarryDepth-1 for overlapped ones with carry.
-func maxScheduleGen(s *pipeline.Schedule) int {
-	m := 0
-	for _, op := range s.Ops {
-		if op.Generation > m {
-			m = op.Generation
-		}
+// dropGenerations restarts the refresh pipeline: every statistics
+// generation in flight is discarded — each pool scrubbed, what it still
+// holds going back to the workspace pool — and the next round refreshes if
+// force is set or a carried generation was dropped, since its factors were
+// only half delivered. Every path that aborts a round, changes the schedule
+// or resets the preconditioners goes through here.
+func (e *Engine) dropGenerations(force bool) {
+	if force || e.carried != nil {
+		e.refreshPending = true
 	}
-	return m
-}
-
-// ensureGenPools grows kfacPools to cover every concurrent generation of
-// the current schedule (maxCarryGen carried lags plus the collecting one,
-// minimum two), reusing existing pools — their buffers are shape-stable
-// across schedule swaps, which keep Stages/MicroBatches/Replicas fixed.
-func (e *Engine) ensureGenPools() {
-	n := e.maxCarryGen + 1
-	if n < 2 {
-		n = 2
-	}
-	perStep := e.cfg.MicroBatches * e.cfg.Replicas
-	nLayers := len(e.sets[0].stages[0].layers)
-	for len(e.kfacPools) < n {
-		e.kfacPools = append(e.kfacPools, newKFACGenPool(e.cfg.Stages, perStep, nLayers, e.cfg.Replicas))
-	}
-}
-
-// dropGenerations discards every statistics generation in flight: each pool
-// is scrubbed (what it still holds goes back to the workspace pool) and the
-// carry queue starts over empty, one slot per lag of the current schedule.
-func (e *Engine) dropGenerations() {
 	for _, p := range e.kfacPools {
-		p.reset()
-	}
-	e.carryQ = make([]*kfacGenPool, e.maxCarryGen)
-}
-
-// carryPending reports whether any collected generation still has carried
-// refresh ops waiting to execute in a later round.
-func (e *Engine) carryPending() bool {
-	for _, p := range e.carryQ {
 		if p != nil {
-			return true
+			p.reset()
 		}
 	}
-	return false
+	e.carried = nil
 }
 
 // KFACStates exposes the per-stage preconditioner (nil-safe; used by tests
@@ -1060,19 +1000,14 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 	// half-delivered factor state must not serve as a stale generation.
 	refresh := e.kfacPre != nil && (e.refreshPending || e.roundIndex%(e.refreshEvery/r) == 0)
 	// Generation pools: a collect round writes kfacGen's rotation buffer;
-	// pending carried generations (overlapped rounds) drain out of the
-	// others, each Generation-g op reading the pool collected g rounds ago
-	// (carryQ slot g-1). All can be live in the same round — that is the
-	// overlap.
+	// the carried generation (overlapped rounds) drains out of the other,
+	// every Generation-1 op reading the pool collected last round. Both can
+	// be live in the same round — that is the overlap.
 	var cur *kfacGenPool
-	var pending []*kfacGenPool
 	if refresh {
-		cur = e.kfacPools[e.kfacGen%len(e.kfacPools)]
+		cur = e.kfacPools[e.kfacGen%2]
 		cur.reset()
 		cur.totals = totals[0]
-	}
-	if e.kfacPre != nil {
-		pending = e.carryQ
 	}
 
 	// Open a fresh transport epoch: clears any abort of a previous failed
@@ -1098,7 +1033,7 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 	tensor.SetOpParallelism(e.opShare)
 	defer tensor.SetOpParallelism(prevCap)
 	roundStart := time.Now()
-	res, committed, err := e.runRound(micro, totals, refresh, cur, pending)
+	res, committed, err := e.runRound(micro, totals, refresh, cur, e.carried)
 	if err == nil {
 		// Feed the round's wall time to the transport's liveness layer:
 		// heartbeats carry it to every peer, where it surfaces as the
@@ -1113,28 +1048,21 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 		e.roundIndex++
 	}
 	if err != nil {
-		// A half-collected generation (this round's) or half-delivered
-		// ones (the carried) must not survive the abort: scrub every pool
+		// A half-collected generation (this round's) or a half-delivered
+		// one (the carried) must not survive the abort: scrub every pool
 		// and force the next round to run a full refresh.
-		if refresh || e.carryPending() {
-			e.refreshPending = true
-		}
-		e.dropGenerations()
+		e.dropGenerations(refresh)
 		return res, err
 	}
-	// Advance the carry queue: the oldest pending generation's deepest-
-	// lagged ops ran this round, so its pool retires (reset makes it
-	// reusable) — unless it degraded, in which case the preconditioner may
-	// hold a mix of its factors and older ones: force a full refresh next
-	// round. Shallower pending generations age one lag.
+	// The carried generation's ops ran this round, so its pool retires
+	// (reset makes it reusable) — unless it degraded, in which case the
+	// preconditioner may hold a mix of its factors and older ones: force a
+	// full refresh next round.
 	oldDegraded := false
-	if n := len(e.carryQ); n > 0 {
-		if old := e.carryQ[n-1]; old != nil {
-			oldDegraded = old.failed.Load()
-			old.reset()
-		}
-		copy(e.carryQ[1:], e.carryQ[:n-1])
-		e.carryQ[0] = nil
+	if old := e.carried; old != nil {
+		oldDegraded = old.failed.Load()
+		old.reset()
+		e.carried = nil
 	}
 	if refresh {
 		if cur.failed.Load() {
@@ -1147,11 +1075,10 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 		} else {
 			e.refreshPending = oldDegraded
 			e.kfacGen++
-			if e.maxCarryGen > 0 {
-				// The spilled part of this generation executes over the next
-				// maxCarryGen rounds as the carried ops: keep its
-				// snapshots/partials pending.
-				e.carryQ[0] = cur
+			if e.carries {
+				// The spilled part of this generation executes next round as
+				// the carried ops: keep its snapshots/partials pending.
+				e.carried = cur
 			} else {
 				cur.reset()
 			}

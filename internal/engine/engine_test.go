@@ -532,7 +532,7 @@ func TestSchedulesMatchSingleDeviceWithParallelKernels(t *testing.T) {
 
 	tensor.SetParallelism(4)
 	for _, method := range []string{"gpipe", "1f1b", "chimera"} {
-		e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4, Workers: 4})
+		e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -559,7 +559,7 @@ func TestSchedulesMatchSingleDeviceWithParallelKernels(t *testing.T) {
 			t.Fatalf("%s: executed timeline records per-op share %d, want 2", method, tl.OpParallelism)
 		}
 
-		plain, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4, Workers: 4})
+		plain, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4})
 		if err != nil {
 			t.Fatal(err)
 		}

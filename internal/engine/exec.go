@@ -37,19 +37,17 @@ var errRoundAborted = errors.New("round aborted by another device's failure")
 // round's K-FAC statistics come from the window's FIRST step (the batch
 // whose curvature the round folds) and live in engine-owned generation
 // pools (kfacGenPool), one step wide regardless of K: cur is the
-// generation this round collects, pending the queue of generations
-// carried from earlier rounds whose Generation = g ops — overlapped
-// rounds — fold and invert here, slot g-1 holding the pool collected g
-// rounds ago. cur may be nil (stale round) and pending slots may be nil
-// (nothing pending at that lag); serialized rounds never have pending
-// generations.
+// generation this round collects, pending the generation collected last
+// round whose Generation = 1 ops — overlapped rounds — fold and invert
+// here. cur may be nil (stale round) and pending may be nil (nothing
+// carried); serialized rounds never have a pending generation.
 type runState struct {
 	e       *Engine
 	micro   [][]*data.Batch    // [step][gmicro], perStep = Replicas*MicroBatches each
 	totals  []pipemodel.Totals // per step: that step's loss denominators
 	refresh bool               // whether this round collects its packed refresh generation
 	cur     *kfacGenPool       // the generation being collected (nil unless refresh)
-	pending []*kfacGenPool     // carried generations by lag (slot g-1 = collected g rounds ago)
+	pending *kfacGenPool       // the carried generation, collected last round (nil when none)
 
 	done []chan struct{} // per op, closed on completion (or skip)
 
@@ -130,15 +128,12 @@ func (st *runState) flat(op *pipeline.Op) int {
 // genPool resolves the statistics pool a refresh op works on: the round's
 // own collection pool for Generation-0 ops (nil when this round does not
 // refresh — the op no-ops, the stale-round discipline), the pool collected
-// g rounds ago for Generation-g carried ops (nil when no generation is
-// pending at that lag). The pool-per-generation buffering is what keeps a
-// new window's snapshots from clobbering factors still being folded.
+// last round for carried ops (nil when no generation is pending). The
+// pool-per-generation buffering is what keeps a new window's snapshots
+// from clobbering factors still being folded.
 func (st *runState) genPool(op *pipeline.Op) *kfacGenPool {
-	if g := op.Generation; g > 0 {
-		if g-1 < len(st.pending) {
-			return st.pending[g-1]
-		}
-		return nil
+	if op.Generation > 0 {
+		return st.pending
 	}
 	if st.refresh {
 		return st.cur
@@ -180,7 +175,7 @@ func (st *runState) fail(d int, err error) {
 // arrive, the gradient state is rolled back to the first uncommitted
 // step's pre-step accumulators, and the error is surfaced after all
 // devices joined, along with how many steps had already committed.
-func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refresh bool, cur *kfacGenPool, pending []*kfacGenPool) ([]*StepResult, int, error) {
+func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refresh bool, cur, pending *kfacGenPool) ([]*StepResult, int, error) {
 	nStages := e.cfg.Stages
 	r := len(micro)
 	perStep := len(micro[0])

@@ -12,13 +12,14 @@ import (
 // pipeline: the per-micro-batch activation/gradient snapshots taken in the
 // generation's collect round, the partial Kronecker-factor products the
 // scheduled Curvature ops derive from them, and the per-layer fold markers.
-// The engine double-buffers two pools so overlapped refresh windows
-// (Config.OverlapRounds) can have two generations in flight at once — the
-// round's own collection writing one pool while the previous generation's
-// carried ops (pipeline.Op.Generation = 1) fold and invert out of the
-// other — without a new window's snapshots ever clobbering factors still
-// being folded. Serialized rounds use the same pools with at most one live
-// generation, so the two modes share one execution path.
+// Carry is one round, so the engine double-buffers exactly two pools:
+// overlapped refresh windows (Config.OverlapRounds) have at most two
+// generations in flight — the round's own collection writing one pool while
+// the previous generation's carried ops (pipeline.Op.Generation = 1) fold
+// and invert out of the other — without a new window's snapshots ever
+// clobbering factors still being folded. A pool retires at the end of the
+// round after its collection. Serialized rounds use the same pools with at
+// most one live generation, so the two modes share one execution path.
 //
 // All matrices cycle through the tensor workspace pools: snapshots are
 // consumed (Release) by the curvature op that reduces them, partials (Put)

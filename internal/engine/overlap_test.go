@@ -509,7 +509,7 @@ func TestOverlapAbortDiscardsCarriedGeneration(t *testing.T) {
 	if _, err := e.TrainRound(mk()); err == nil || !strings.Contains(err.Error(), "injected carry fault") {
 		t.Fatalf("expected the injected carry fault, got %v", err)
 	}
-	if e.carryPending() {
+	if e.carried != nil {
 		t.Fatal("aborted round left a carried generation pending")
 	}
 	e.failOp = nil

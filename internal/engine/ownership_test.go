@@ -275,7 +275,9 @@ func TestReconfigureIntoChimeraBuildsAliasedSets(t *testing.T) {
 				e.SetOptimizer(func(int) error { opt.Step(5e-3); return nil })
 				for i, b := range batches {
 					if methods[i] != e.Method() {
-						if err := e.Reconfigure(SwapConfig{Method: methods[i]}); err != nil {
+						shape := e.Shape()
+						shape.Method = methods[i]
+						if err := e.Reconfigure(shape, nil); err != nil {
 							t.Fatalf("swap to %s: %v", methods[i], err)
 						}
 					}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/bert"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/kfac"
 	"repro/internal/optim"
 	"repro/internal/pipemodel"
+	"repro/internal/schedule"
 )
 
 // newSwapEngine builds an engine with K-FAC and an owned optimizer, the
@@ -34,8 +34,9 @@ func newSwapEngine(t *testing.T, m pipemodel.Model, cfg Config, kfacEvery int) *
 // the rebuilt schedule is deterministic and identical, no refresh state is
 // touched, and training after the swap is bit-identical to never swapping
 // — for BERT and GPT, all three schedule families, W in {1, 2}, through
-// an overlapped refresh round (so generation pools and the carry queue
-// are live across the swap point).
+// an overlapped refresh round (so generation pools and the carried
+// generation are live across the swap point). The configuration is given
+// twice: spelled out, and as the engine's own Shape.
 func TestReconfigureSameConfigBitIdentity(t *testing.T) {
 	type modelCase struct {
 		name    string
@@ -83,14 +84,16 @@ func TestReconfigureSameConfigBitIdentity(t *testing.T) {
 					if _, err := e.TrainRound(batches[:2]); err != nil {
 						t.Fatal(err)
 					}
-					if err := e.Reconfigure(SwapConfig{
-						Overlap:           true,
-						InversionParallel: cfg.InversionParallel,
-					}); err != nil {
-						t.Fatalf("same-config swap failed: %v", err)
-					}
-					if e.refreshPending {
-						t.Fatal("same-config swap forced a refresh")
+					for _, shape := range []schedule.Candidate{
+						{Method: method, RefreshSteps: 2, Overlap: true, InversionParallel: cfg.InversionParallel},
+						e.Shape(),
+					} {
+						if err := e.Reconfigure(shape, nil); err != nil {
+							t.Fatalf("same-config swap to %s failed: %v", shape, err)
+						}
+						if e.refreshPending {
+							t.Fatalf("same-config swap to %s forced a refresh", shape)
+						}
 					}
 					if _, err := e.TrainRound(batches[2:]); err != nil {
 						t.Fatal(err)
@@ -117,7 +120,7 @@ func TestReconfigureChangedSwapForcesRefresh(t *testing.T) {
 	if _, err := e.TrainRound(batches[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reconfigure(SwapConfig{RefreshSteps: 1}); err != nil {
+	if err := e.Reconfigure(schedule.Candidate{Method: "1f1b", RefreshSteps: 1}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if e.RoundSteps() != 1 {
@@ -126,8 +129,8 @@ func TestReconfigureChangedSwapForcesRefresh(t *testing.T) {
 	if !e.refreshPending {
 		t.Fatal("changed swap did not force a refresh")
 	}
-	if e.carryPending() {
-		t.Fatal("changed swap kept carried generations of the old schedule")
+	if e.carried != nil {
+		t.Fatal("changed swap kept the carried generation of the old schedule")
 	}
 	// The cadence rounds up to a multiple of the new K and the engine
 	// keeps training.
@@ -153,12 +156,11 @@ func TestReconfigureInvalidLeavesEngineIntact(t *testing.T) {
 	if _, err := e.TrainRound(batches[:2]); err != nil {
 		t.Fatal(err)
 	}
-	for name, sc := range map[string]SwapConfig{
-		"negative K":            {RefreshSteps: -1},
-		"carry without overlap": {CarryDepth: 3},
-		"unknown method":        {Method: "bogus"},
+	for name, shape := range map[string]schedule.Candidate{
+		"negative K":     {Method: "1f1b", RefreshSteps: -1},
+		"unknown method": {Method: "bogus", RefreshSteps: 2},
 	} {
-		if err := e.Reconfigure(sc); err == nil {
+		if err := e.Reconfigure(shape, nil); err == nil {
 			t.Fatalf("%s accepted", name)
 		}
 	}
@@ -176,7 +178,7 @@ func TestReconfigureInvalidLeavesEngineIntact(t *testing.T) {
 // fault-free run that swapped at the same boundary.
 func TestReconfigureAbortedRoundRollsBack(t *testing.T) {
 	batches := bertBatches(t, 4, 8)
-	swap := SwapConfig{Overlap: true} // serialized -> overlapped at the boundary
+	swap := schedule.Candidate{Method: "1f1b", RefreshSteps: 2, Overlap: true} // serialized -> overlapped at the boundary
 
 	mRef, err := bert.New(bert.TinyConfig(), 123)
 	if err != nil {
@@ -187,7 +189,7 @@ func TestReconfigureAbortedRoundRollsBack(t *testing.T) {
 	if _, err := ref.TrainRound(batches[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Reconfigure(swap); err != nil {
+	if err := ref.Reconfigure(swap, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ref.TrainRound(batches[2:]); err != nil {
@@ -206,7 +208,7 @@ func TestReconfigureAbortedRoundRollsBack(t *testing.T) {
 	if _, err := e.TrainRound(batches[:2]); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reconfigure(swap); err != nil {
+	if err := e.Reconfigure(swap, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.TrainRound(batches[2:]); err == nil {
@@ -223,81 +225,4 @@ func TestReconfigureAbortedRoundRollsBack(t *testing.T) {
 		t.Fatalf("replay failed: %v", err)
 	}
 	requireParamsBitEqual(t, mF.Params(), mRef.Params(), "aborted swap round replay vs fault-free swap")
-}
-
-// Deep carry end to end: with a cost model that starves the carried
-// generation's curvature, CarryDepth 3 produces generation-2 ops, the
-// engine sizes its pool set and carry queue for them, trains through
-// several refresh rounds, and drains carried generations without leaking.
-func TestEngineDeepCarryTrains(t *testing.T) {
-	m, err := bert.New(bert.TinyConfig(), 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batches := bertBatches(t, 8, 8)
-	cfg := Config{
-		Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: 1,
-		OverlapRounds: true, CarryDepth: 3,
-	}
-	e := newSwapEngine(t, m, cfg, 1)
-	costs := e.ModeledCosts()
-	costs.CurvaturePerMicroBatch = 0
-	for i := range costs.CurvatureUnits {
-		costs.CurvatureUnits[i] *= 40
-		costs.CurvaturePerMicroBatch += costs.CurvatureUnits[i]
-		costs.InversionUnits[i] *= 10
-	}
-	if err := e.Reconfigure(SwapConfig{Overlap: true, CarryDepth: 3, Costs: &costs}); err != nil {
-		t.Fatal(err)
-	}
-	maxGen := 0
-	for _, op := range e.Schedule().Ops {
-		if op.Generation > maxGen {
-			maxGen = op.Generation
-		}
-	}
-	if maxGen != 2 {
-		t.Fatalf("max generation = %d, want 2 (deep carry engaged)", maxGen)
-	}
-	if e.maxCarryGen != 2 || len(e.carryQ) != 2 || len(e.kfacPools) < 3 {
-		t.Fatalf("carry bookkeeping wrong: maxCarryGen=%d len(carryQ)=%d pools=%d",
-			e.maxCarryGen, len(e.carryQ), len(e.kfacPools))
-	}
-	var sawCarry bool
-	for i := range batches {
-		res, err := e.TrainRound(batches[i : i+1])
-		if err != nil {
-			t.Fatalf("round %d: %v", i, err)
-		}
-		for _, r := range res {
-			if r.Loss.Total != r.Loss.Total {
-				t.Fatalf("round %d: loss went NaN", i)
-			}
-		}
-		if e.carryPending() {
-			sawCarry = true
-		}
-	}
-	if !sawCarry {
-		t.Fatal("no generation was ever carried across rounds")
-	}
-	for _, p := range m.Params() {
-		if v := p.Value.MaxAbs(); v != v {
-			t.Fatalf("parameter %s went NaN under deep carry", p.Name)
-		}
-	}
-}
-
-// The swap surface rejects front-load/overlap contradictions through the
-// normalize path with a readable error.
-func TestReconfigureErrorText(t *testing.T) {
-	m, err := bert.New(bert.TinyConfig(), 123)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := newSwapEngine(t, m, Config{Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: 1}, 1)
-	if err := e.Reconfigure(SwapConfig{Overlap: true, CarryDepth: 1}); err == nil ||
-		!strings.Contains(err.Error(), "CarryDepth") {
-		t.Fatalf("CarryDepth 1 not rejected usefully: %v", err)
-	}
 }

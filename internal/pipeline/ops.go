@@ -164,12 +164,12 @@ type Op struct {
 	// Generation is the refresh op's statistics-generation lag relative to
 	// the window executing it: 0 means the op works on the generation whose
 	// statistics the window itself collects (the only value serialized
-	// rounds use); g >= 1 marks an op *carried* across g refresh windows
-	// under overlapped rounds (schedule.Config.Overlap, depth bounded by
-	// schedule.Config.CarryDepth) — refresh work that did not fit its own
-	// window's bubbles and executes in a later window's early bubbles
-	// instead, reading the pooled statistics of the generation collected g
-	// windows earlier. Non-refresh ops always carry 0.
+	// rounds use); 1 marks an op *carried* one refresh window under
+	// overlapped rounds (schedule.Config.Overlap) — refresh work that did
+	// not fit its own window's bubbles and executes in the next window's
+	// early bubbles instead, reading the pooled statistics of the
+	// generation collected one window earlier. Non-refresh ops always
+	// carry 0.
 	Generation int
 	// Pipeline is 0 for the down pipeline, 1 for Chimera's up pipeline.
 	Pipeline int

@@ -11,7 +11,8 @@ import (
 // Candidate is one point of the auto-tuner's schedule search space: the
 // knobs that change how one refresh packs into pipeline bubbles without
 // changing the math — schedule family, round length K, overlapped vs
-// serialized rounds (with carry depth), and inversion sharding. The fixed
+// serialized rounds, and inversion sharding. It is also the shape a running
+// engine reports (engine.Shape) and swaps to (engine.Reconfigure). The fixed
 // dimensions (stage count, micro-batches, data-parallel width) are the
 // machine topology; a running engine cannot swap those at a round boundary.
 type Candidate struct {
@@ -19,20 +20,14 @@ type Candidate struct {
 	RefreshSteps      int
 	Overlap           bool
 	InversionParallel bool
-	// CarryDepth is the overlap carry depth (0 = the default of 2);
-	// meaningful only with Overlap.
-	CarryDepth int
 }
 
 // String renders the candidate the way run headers and tuner decisions
-// print it, e.g. "1f1b/K2+overlap" or "chimera/K4+overlap@3+invpar".
+// print it, e.g. "1f1b/K2+overlap" or "chimera/K4+overlap+invpar".
 func (c Candidate) String() string {
 	s := fmt.Sprintf("%s/K%d", c.Method, c.RefreshSteps)
 	if c.Overlap {
 		s += "+overlap"
-		if c.CarryDepth > 2 {
-			s += fmt.Sprintf("@%d", c.CarryDepth)
-		}
 	}
 	if c.InversionParallel {
 		s += "+invpar"
@@ -49,10 +44,6 @@ type Space struct {
 	// MaxRefreshSteps bounds the round length K; candidates run K =
 	// 1..MaxRefreshSteps (default 4, the paper's largest refresh window).
 	MaxRefreshSteps int
-	// MaxCarryDepth bounds the overlap carry depth. Depths 3..MaxCarryDepth
-	// are enumerated as extra overlap variants; values below 3 (default)
-	// enumerate only the classic depth-2 overlap.
-	MaxCarryDepth int
 	// Stages, MicroBatches, DataParallelWidth fix the machine topology the
 	// candidates must run on.
 	Stages            int
@@ -63,9 +54,8 @@ type Space struct {
 // Enumerate lists the valid candidates of a search space. Invalid
 // combinations are filtered here, not at prediction time: a family must be
 // able to lay the topology out (pipeline.Feasible — chimera needs even
-// stages and micro-batches), inversion sharding needs a stage device group
-// — W replicas x the family's pipelines — wider than one, and carry depth
-// only applies to overlapped candidates.
+// stages and micro-batches), and inversion sharding needs a stage device
+// group — W replicas x the family's pipelines — wider than one.
 func Enumerate(sp Space) []Candidate {
 	methods := sp.Methods
 	if len(methods) == 0 {
@@ -92,9 +82,6 @@ func Enumerate(sp Space) []Candidate {
 			for _, inv := range invpars {
 				out = append(out, Candidate{Method: m, RefreshSteps: k, InversionParallel: inv})
 				out = append(out, Candidate{Method: m, RefreshSteps: k, InversionParallel: inv, Overlap: true})
-				for d := 3; d <= sp.MaxCarryDepth; d++ {
-					out = append(out, Candidate{Method: m, RefreshSteps: k, InversionParallel: inv, Overlap: true, CarryDepth: d})
-				}
 			}
 		}
 	}
@@ -124,7 +111,7 @@ func Predict(base Config, c Candidate) (Prediction, error) {
 	cfg.Method = c.Method
 	cfg.RefreshSteps = c.RefreshSteps
 	cfg.Overlap = c.Overlap
-	cfg.CarryDepth = c.CarryDepth
+	cfg.CarryDepth = 0
 	cfg.InversionParallel = c.InversionParallel
 	cfg.FrontLoadRefresh = false
 	s, err := Executable(cfg)
@@ -149,8 +136,7 @@ func Predict(base Config, c Candidate) (Prediction, error) {
 // RankCandidates predicts every candidate and returns them sorted by
 // ascending per-step time. Candidates whose schedule fails to build are
 // skipped (an empty result means none built). Ties break toward the
-// simpler configuration — serialized before overlapped, shallower carry,
-// smaller K, no inversion sharding, then method name — so the tuner never
+// simpler configuration — serialized before overlapped, smaller K, no inversion sharding, then method name — so the tuner never
 // trades determinism-equivalent complexity for nothing: a measured-cost
 // regime where overlap stops paying (the K=2 crossover in the committed
 // engine baseline) ranks the serialized round first on equal predictions.
@@ -170,9 +156,6 @@ func RankCandidates(base Config, cands []Candidate) []Prediction {
 		}
 		if a.Candidate.Overlap != b.Candidate.Overlap {
 			return !a.Candidate.Overlap
-		}
-		if a.Candidate.CarryDepth != b.Candidate.CarryDepth {
-			return a.Candidate.CarryDepth < b.Candidate.CarryDepth
 		}
 		if a.Candidate.RefreshSteps != b.Candidate.RefreshSteps {
 			return a.Candidate.RefreshSteps < b.Candidate.RefreshSteps

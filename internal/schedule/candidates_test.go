@@ -32,9 +32,6 @@ func TestEnumerateFiltersInvalidCandidates(t *testing.T) {
 		if c.RefreshSteps < 1 || c.RefreshSteps > 2 {
 			t.Fatalf("K out of range: %v", c)
 		}
-		if !c.Overlap && c.CarryDepth != 0 {
-			t.Fatalf("carry depth on serialized candidate: %v", c)
-		}
 	}
 	// gpipe + 1f1b, K in {1,2}, overlap in {false,true} = 8.
 	if len(cands) != 8 {
@@ -43,8 +40,8 @@ func TestEnumerateFiltersInvalidCandidates(t *testing.T) {
 }
 
 func TestEnumerateChimeraAndInvparAndDepth(t *testing.T) {
-	cands := Enumerate(Space{Stages: 4, MicroBatches: 4, DataParallelWidth: 2, MaxRefreshSteps: 1, MaxCarryDepth: 3})
-	var sawChimera, sawInvpar, sawDeep bool
+	cands := Enumerate(Space{Stages: 4, MicroBatches: 4, DataParallelWidth: 2, MaxRefreshSteps: 1})
+	var sawChimera, sawInvpar, sawOverlap bool
 	for _, c := range cands {
 		if c.Method == "chimera" {
 			sawChimera = true
@@ -52,15 +49,12 @@ func TestEnumerateChimeraAndInvparAndDepth(t *testing.T) {
 		if c.InversionParallel {
 			sawInvpar = true
 		}
-		if c.CarryDepth == 3 {
-			if !c.Overlap {
-				t.Fatalf("deep carry without overlap: %v", c)
-			}
-			sawDeep = true
+		if c.Overlap {
+			sawOverlap = true
 		}
 	}
-	if !sawChimera || !sawInvpar || !sawDeep {
-		t.Fatalf("missing variants (chimera=%v invpar=%v deep=%v): %v", sawChimera, sawInvpar, sawDeep, cands)
+	if !sawChimera || !sawInvpar || !sawOverlap {
+		t.Fatalf("missing variants (chimera=%v invpar=%v overlap=%v): %v", sawChimera, sawInvpar, sawOverlap, cands)
 	}
 }
 

@@ -20,7 +20,7 @@ func chainCosts(w int, invParallel bool) pipeline.StageCosts {
 }
 
 // TestInversionChainsInExecutable: over methods x D x N x W x inversion
-// sharding x K x {serialized, overlap depth 2, 3}, a factor with an
+// sharding x K x {serialized, overlap depth 2}, a factor with an
 // inversion chain becomes one op per step on one device — Chain 1..n in
 // order, each after the step before it and only that, one generation, never
 // an earlier window step than its predecessor, each packed whole into one
@@ -34,7 +34,7 @@ func TestInversionChainsInExecutable(t *testing.T) {
 				for _, w := range []int{1, 2} {
 					for _, invPar := range []bool{false, true} {
 						for _, k := range []int{1, 2, 4} {
-							for _, depth := range []int{1, 2, 3} {
+							for _, depth := range []int{1, 2} {
 								cfg := Config{
 									Method: method, Stages: d, MicroBatches: n, Costs: chainCosts(w, invPar),
 									DataParallelWidth: w, InversionParallel: invPar, RefreshSteps: k,

@@ -58,13 +58,13 @@ import (
 // With Config.Overlap the spill is not serialized but *carried*: the
 // schedule describes the steady state of overlapping windows (packWindow),
 // in which the refresh work that cannot fit its own window executes in
-// FOLLOWING windows' early bubbles as generation-lagged ops (Op.Generation
-// = g means the op runs g windows after its statistics were collected, g up
-// to Config.CarryDepth-1) operating on a previous window's statistics pool.
-// Edges only bind ops of one generation, except that a generation's
-// inversions of a layer additionally depend on that layer's deeper-lagged
-// inversions, keeping the per-layer EMA fold order sequential across
-// generations. A serialized round is the same steady state at depth 1.
+// NEXT window's early bubbles as generation-lagged ops (Op.Generation = 1:
+// the op runs one window after its statistics were collected) operating on
+// the previous window's statistics pool. Edges only bind ops of one
+// generation, except that the window's own inversions of a layer
+// additionally depend on that layer's carried inversions, keeping the
+// per-layer EMA fold order sequential across generations. A serialized
+// round is the same steady state with nothing carried.
 func Executable(cfg Config) (*pipeline.Schedule, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -151,18 +151,11 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 		op.Deps = append(op.Deps, stageCurvIDs[[2]int{it.gen, it.stage}]...)
 		syncIDs[[2]int{it.gen, it.stage}] = append(syncIDs[[2]int{it.gen, it.stage}], op.ID)
 	}
-	// Carried inversions first, deepest generation leading: shallower
-	// inversions of a layer pair take cross-generation edges on every
-	// deeper one (per-layer EMA fold order: an older generation folds and
-	// swaps before a newer one folds on top — §3.1's freshest-completed
-	// rule stays monotone in generations).
-	maxGen := 0
-	for _, it := range items {
-		if it.gen > maxGen {
-			maxGen = it.gen
-		}
-	}
-	for gen := maxGen; gen >= 0; gen-- {
+	// Carried inversions first: the window's own inversions of a layer pair
+	// take cross-generation edges on the carried ones (per-layer EMA fold
+	// order: the older generation folds and swaps before the newer one folds
+	// on top — §3.1's freshest-completed rule stays monotone in generations).
+	for gen := 1; gen >= 0; gen-- {
 		for _, it := range items {
 			if it.kind != pipeline.Inversion || it.gen != gen {
 				continue
@@ -177,9 +170,9 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 				op.Deps = append(op.Deps, curvIDs[[3]int{gen, it.stage, it.factor}]...)
 				op.Deps = append(op.Deps, curvIDs[[3]int{gen, it.stage, pairFactor(it.factor)}]...)
 				op.Deps = append(op.Deps, syncIDs[[2]int{gen, it.stage}]...)
-				for g2 := gen + 1; g2 <= maxGen; g2++ {
+				if gen == 0 {
 					for _, f := range []int{it.factor, pairFactor(it.factor)} {
-						for _, prev := range invGenOps[[3]int{g2, it.stage, f}] {
+						for _, prev := range invGenOps[[3]int{1, it.stage, f}] {
 							op.Deps = append(op.Deps, prev.ID)
 						}
 					}
@@ -318,14 +311,8 @@ func assignWindowSteps(items []*workItem, base *pipeline.Timeline, cfg Config) {
 			syncStep[[2]int{it.gen, it.stage}] = it.wstep
 		}
 	}
-	maxGen := 0
-	for _, it := range items {
-		if it.gen > maxGen {
-			maxGen = it.gen
-		}
-	}
 	invStep := make(map[[3]int]int) // (gen, stage, factor) -> max inversion wstep
-	for gen := maxGen; gen >= 0; gen-- {
+	for gen := 1; gen >= 0; gen-- {
 		for _, it := range items {
 			if it.kind != pipeline.Inversion || it.gen != gen {
 				continue
@@ -341,12 +328,10 @@ func assignWindowSteps(items []*workItem, base *pipeline.Timeline, cfg Config) {
 				if w := curvStep[[3]int{gen, it.stage, f}]; w > it.wstep {
 					it.wstep = w
 				}
-				// Fold order: a generation's inversion of a layer runs after
-				// the layer's deeper-lagged (older) inversions.
-				for g2 := gen + 1; g2 <= maxGen; g2++ {
-					if w := invStep[[3]int{g2, it.stage, f}]; w > it.wstep {
-						it.wstep = w
-					}
+				// Fold order: the window's own inversion of a layer runs
+				// after the layer's carried (older) inversions.
+				if w := invStep[[3]int{1, it.stage, f}]; gen == 0 && w > it.wstep {
+					it.wstep = w
 				}
 			}
 			if w := syncStep[[2]int{gen, it.stage}]; w > it.wstep {
@@ -398,16 +383,10 @@ func assembleExecOrders(s *pipeline.Schedule, tl *pipeline.Timeline, items []*wo
 			seq++
 		}
 		// Carried items take earlier sequence numbers than the window's
-		// own, deepest generation first: among deferred items sharing the
-		// end-of-round position, a layer's deeper-lagged inversion must
-		// order before the shallower inversion that depends on it.
-		maxGen := 0
-		for _, it := range items {
-			if it.gen > maxGen {
-				maxGen = it.gen
-			}
-		}
-		for gen := maxGen; gen >= 0; gen-- {
+		// own: among deferred items sharing the end-of-round position, a
+		// layer's carried inversion must order before the window's own
+		// inversion that depends on it.
+		for gen := 1; gen >= 0; gen-- {
 			for _, it := range items {
 				if it.device != d || it.gen != gen {
 					continue

@@ -211,3 +211,67 @@ func TestAdaptiveRoundLength(t *testing.T) {
 		t.Fatalf("adaptive K not monotone in refresh work: heavy %d < light %d", kBig, k)
 	}
 }
+
+// A zero CarryDepth must resolve to the depth-2 overlap: byte-level schedule
+// equality between the default and an explicit CarryDepth 2, so callers
+// that spell the depth out (the paired benchmark does) run the same rounds.
+func TestDeepCarryDefaultDepthTwoIdentical(t *testing.T) {
+	for _, method := range []string{"gpipe", "1f1b", "chimera"} {
+		for _, k := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/K%d", method, k), func(t *testing.T) {
+				cfg := spillConfig(method, k)
+				cfg.Overlap = true
+				def, err := Executable(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.CarryDepth = 2
+				expl, err := Executable(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(def.Ops) != len(expl.Ops) {
+					t.Fatalf("op counts differ: default %d, explicit 2 %d", len(def.Ops), len(expl.Ops))
+				}
+				for i := range def.Ops {
+					a, b := def.Ops[i], expl.Ops[i]
+					if a.Kind != b.Kind || a.Device != b.Device || a.Stage != b.Stage ||
+						a.MicroBatch != b.MicroBatch || a.Factor != b.Factor ||
+						a.Step != b.Step || a.Generation != b.Generation {
+						t.Fatalf("op %d differs: default %+v, explicit %+v", i, a, b)
+					}
+				}
+				for d := range def.Order {
+					for i := range def.Order[d] {
+						if def.Order[d][i] != expl.Order[d][i] {
+							t.Fatalf("device %d order differs at %d", d, i)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// CarryDepth validation: carried work lags one round, so only 0 and 2 are
+// accepted — negative, 1 and deeper carries are rejected, as is any carry
+// depth without Overlap.
+func TestDeepCarryConfigValidation(t *testing.T) {
+	base := execTestConfig("1f1b")
+	for _, tc := range []struct {
+		depth   int
+		overlap bool
+	}{
+		{depth: -1, overlap: true},
+		{depth: 1, overlap: true},
+		{depth: 3, overlap: false},
+		{depth: 3, overlap: true},
+	} {
+		cfg := base
+		cfg.Overlap = tc.overlap
+		cfg.CarryDepth = tc.depth
+		if _, err := Executable(cfg); err == nil {
+			t.Fatalf("CarryDepth %d overlap=%v accepted", tc.depth, tc.overlap)
+		}
+	}
+}

@@ -56,12 +56,12 @@ func (fl *freeList) place(ready, dur hardware.Microseconds, whole bool) (pieces 
 	return pieces, remaining == 0
 }
 
-// foldFrontier carries what the generations packed so far — all strictly
-// deeper than the one being packed — did to each (stage, layer): the latest
-// end of the pair's placed inversions, and whether one of them found no
-// bubble. A shallower inversion of the pair must start after the former and
-// is deferred behind the latter, which keeps the per-layer EMA fold order
-// sequential across generations on every device order.
+// foldFrontier carries what the carried generation, packed before the
+// window's own, did to each (stage, layer): the latest end of the pair's
+// placed inversions, and whether one of them found no bubble. The window's
+// own inversion of the pair must start after the former and is deferred
+// behind the latter, which keeps the per-layer EMA fold order sequential
+// across generations on every device order.
 type foldFrontier struct {
 	layers  int // layer pairs per stage
 	end     []hardware.Microseconds
@@ -88,16 +88,15 @@ func (f *foldFrontier) of(it *workItem) int { return it.stage*f.layers + it.fact
 //  2. each stage's sync-curvature, once ALL of the stage's curvature found a
 //     slot, after the latest of it;
 //  3. each inversion, once the stage's curvature and syncs all found slots
-//     and no deeper generation's inversion of the layer pair is stranded,
-//     after the layer pair's curvature on every owner, the stage's syncs and
-//     the deeper generations' inversions of the pair; the steps of an
+//     and no carried inversion of the layer pair is stranded, after the
+//     layer pair's curvature on every owner, the stage's syncs and the
+//     carried generation's inversions of the pair; the steps of an
 //     inversion chain follow one another, each whole in one bubble.
 //
-// An item whose gate did not place is left unplaced and marked blocked; it
-// then executes before the round's tail, so a wait can never cycle. The
-// generation's own inversions join the frontier only once the pass is over:
-// inversions of one generation share a statistics pool and do not order
-// among themselves.
+// An item whose gate did not place is left unplaced; it then executes
+// before the round's tail, so a wait can never cycle. The generation's own
+// inversions join the frontier only once the pass is over: inversions of
+// one generation share a statistics pool and do not order among themselves.
 func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config, deeper *foldFrontier) {
 	var curv []*workItem
 	for _, it := range items {
@@ -131,7 +130,6 @@ func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config, de
 			continue
 		}
 		if curvSpilled[it.stage] {
-			it.blocked = true
 			syncSpilled[it.stage] = true
 			continue
 		}
@@ -153,7 +151,6 @@ func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config, de
 		switch {
 		case it.chain > 1 && !it.prev.placed,
 			it.chain <= 1 && (curvSpilled[it.stage] || syncSpilled[it.stage] || deeper.blocked[l]):
-			it.blocked = true
 			genBlocked[l] = true
 			continue
 		case it.chain > 1:
@@ -174,40 +171,29 @@ func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config, de
 	}
 }
 
-// packWindow packs one refresh into the bubbles of the timeline as the
-// steady state of windows that overlap to depth Config.CarryDepth: refresh
-// work that does not fit its own window executes lagged, in the FOLLOWING
-// windows' early bubbles (workItem.gen windows after its statistics were
-// collected), and the carry set is grown to a fixed point so the schedule is
+// packWindow packs one refresh into the bubbles of the timeline. Under
+// Config.Overlap it packs the steady state of overlapping windows, where
+// carry is one round: refresh work that does not fit its own window
+// executes lagged, in the NEXT window's early bubbles (generation 1), and
+// the carry set is grown to a fixed point so the schedule is
 // self-consistent — what spills out of the window is exactly what the
-// window absorbs as carried work from its predecessors. Each iteration
-// places the current generation assignment, deepest generation first (it
-// has been queued longest and gates the fold order; carried curvature is
-// ready the moment the window starts, so it takes the early bubbles a
-// window's own statistics cannot use yet), then promotes one generation
-// deeper, closed over carryClosure's lag-monotonicity. Promotion is targeted:
-//
-//   - Every unplaced generation-0 item promotes (lagging makes it ready at
-//     window start instead of after its statistics sources).
-//   - A carried item promotes only when it was BLOCKED — deferred behind
-//     its generation's spilled curvature/sync or a stranded deeper
-//     inversion of its layer pair — because one more lag decouples it from
-//     the spilled gate. A carried item that merely found no free bubble
-//     stays: it is already ready at window start, so deeper lag cannot
-//     improve its placement, only its staleness.
-//
-// Items at the depth cap that still do not fit stay unplaced and serialize
-// before the window's tail. The serialized round (no Overlap: CarryDepth 0)
-// is depth 1 — nothing may promote, so the fixed point is its first
-// iteration, generation 0 packed into the whole window. Generations only grow and are bounded by the depth,
-// so the loop terminates; when nothing spills on the first iteration every
-// depth yields the same packing.
+// window absorbs as carried work from its predecessor. Each iteration
+// places the current generation assignment, the carried generation first
+// (it has been queued longest and gates the fold order; carried curvature
+// is ready the moment the window starts, so it takes the early bubbles a
+// window's own statistics cannot use yet), then promotes every unplaced
+// generation-0 item to generation 1, closed over carryClosure's
+// lag-monotonicity. Carried items that still do not fit stay unplaced and
+// serialize before the window's tail. The serialized round promotes
+// nothing, so its fixed point is the first iteration: generation 0 packed
+// into the whole window. Generations only grow and are at most 1, so the
+// loop terminates; when nothing spills on the first iteration both forms
+// yield the same packing.
 func packWindow(items []*workItem, tl *pipeline.Timeline, cfg Config) {
 	for {
 		free := freshFree(tl)
-		maxGen := 0
 		for _, it := range items {
-			it.pieces, it.placed, it.blocked = nil, false, false
+			it.pieces, it.placed = nil, false
 			// Sync and inversion readiness is derived during packing, and
 			// carried curvature reads a previous window's pooled snapshots:
 			// ready at window start. Own-window curvature keeps its
@@ -216,17 +202,16 @@ func packWindow(items []*workItem, tl *pipeline.Timeline, cfg Config) {
 			if it.gen > 0 {
 				it.readyAt = 0
 			}
-			maxGen = max(maxGen, it.gen)
 		}
 		frontier := newFoldFrontier(cfg)
-		for gen := maxGen; gen >= 0; gen-- {
+		for gen := 1; gen >= 0; gen-- {
 			packGeneration(items, gen, free, cfg, frontier)
 		}
 
 		grew := false
 		for _, it := range items {
-			if !it.placed && it.gen < cfg.CarryDepth-1 && (it.gen == 0 || it.blocked) {
-				it.gen++
+			if cfg.Overlap && !it.placed && it.gen == 0 {
+				it.gen = 1
 				grew = true
 			}
 		}

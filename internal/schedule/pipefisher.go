@@ -98,16 +98,10 @@ type Config struct {
 	// schedule is identical to the serialized one. Incompatible with
 	// FrontLoadRefresh.
 	Overlap bool
-	// CarryDepth bounds how many consecutive windows one refresh may
-	// pipeline across under Overlap: Op.Generation values run
-	// 0..CarryDepth-1, where generation g ops execute g windows after
-	// their statistics were collected. 0 defaults to 2 — the classic
-	// overlap shape (own window plus one carried window). Depths > 2 give
-	// the packer headroom when a refresh exceeds two windows' bubbles:
-	// work that would otherwise serialize before the round's tail keeps
-	// pipelining into the following windows' early bubbles instead. The
-	// per-window work is unchanged — deeper carry only adds placement
-	// freedom. Ignored without Overlap.
+	// CarryDepth is the number of windows one refresh spans: carried work
+	// lags one round, so it is 2 under Overlap (generation 0, the window's
+	// own statistics, plus generation 1, carried from the previous window)
+	// and 0 without. 0 resolves to that; any other value is an error.
 	CarryDepth int
 	// NoSplit disables spilling a work item across multiple bubbles
 	// (every item must fit one bubble whole). The paper's rule —
@@ -133,16 +127,13 @@ func (c Config) normalize() (Config, error) {
 	if c.Overlap && c.FrontLoadRefresh {
 		return c, fmt.Errorf("schedule: Overlap and FrontLoadRefresh are mutually exclusive (front-loading pins the whole refresh to the window's first step; overlap carries spill into the next window)")
 	}
-	if c.CarryDepth < 0 {
-		return c, fmt.Errorf("schedule: CarryDepth %d is negative", c.CarryDepth)
+	if c.CarryDepth != 0 && c.CarryDepth != 2 {
+		return c, fmt.Errorf("schedule: CarryDepth %d: carried work lags one round, so the depth is 2 under Overlap (0 resolves it)", c.CarryDepth)
 	}
-	if c.CarryDepth == 1 {
-		return c, fmt.Errorf("schedule: CarryDepth 1 means no carry — use Overlap=false, or CarryDepth >= 2")
-	}
-	if c.CarryDepth > 1 && !c.Overlap {
+	if c.CarryDepth == 2 && !c.Overlap {
 		return c, fmt.Errorf("schedule: CarryDepth needs Overlap")
 	}
-	if c.Overlap && c.CarryDepth == 0 {
+	if c.Overlap {
 		c.CarryDepth = 2
 	}
 	if c.DataParallelWidth <= 0 {
@@ -196,15 +187,6 @@ type workItem struct {
 	// whether it found room at all. Reset every placement pass.
 	pieces []pipeline.Gap
 	placed bool
-	// blocked distinguishes WHY a placement pass left the item unplaced:
-	// true means a scheduling gate (the generation's curvature or sync
-	// spilled, or a deeper inversion of the layer pair did) deferred
-	// it, false means it simply found no bubble. Deep-carry promotion only
-	// moves blocked items past generation 1 — lagging a capacity-starved
-	// item deeper buys nothing (it is already ready at window start), but a
-	// gated item one lag deeper decouples from the spilled gate and becomes
-	// placeable. Reset every placement pass.
-	blocked bool
 	// wstep is the step of the refresh window the item executes in
 	// (0-based; set by assignWindowSteps for the executable form).
 	wstep int
