@@ -555,8 +555,12 @@ func benchEngineStep(b *testing.B, mc bert.Config, ec engine.Config) {
 // the wall-clock win appears when device goroutines have real dependency
 // stalls to fill (multi-core runs), while the modeled-level win (makespan,
 // refresh-filled bubble fraction) is asserted by the schedule and trace
-// tests. CI distills the rows into BENCH_engine.json next to the per-step
-// W series, and scripts/bench_compare gates regressions.
+// tests. Every row also reports refresh_tail_ms: per round, each device's
+// span from its last forward/backward of the round's last step to that
+// step's first tail op — the refresh work that found no bubble, run before
+// the tail — the largest over devices, median over rounds. CI distills the
+// rows into BENCH_engine.json next to the per-step W series, and
+// scripts/bench_compare gates regressions.
 func BenchmarkEngineRoundKFAC(b *testing.B) {
 	for _, k := range []int{1, 2, 4} {
 		for _, overlap := range []bool{false, true} {
@@ -615,14 +619,43 @@ func benchEngineRoundKFAC(b *testing.B, mc bert.Config, ec engine.Config) {
 	if _, err := e.TrainRound(batches); err != nil {
 		b.Fatal(err)
 	}
+	tails := make([]float64, 0, b.N)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.TrainRound(batches); err != nil {
 			b.Fatal(err)
 		}
+		tails = append(tails, refreshTail(e.LastTimeline()))
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(batchSize*k)*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
+	b.ReportMetric(medianOf(tails), "refresh_tail_ms")
+}
+
+// refreshTail returns, in ms, the largest span over devices from a device's
+// last forward/backward of the round's last step to its first tail op of
+// that step.
+func refreshTail(tl *pipeline.Timeline) float64 {
+	last := tl.Steps - 1
+	var span hardware.Microseconds
+	for d := range tl.Events {
+		var fbEnd hardware.Microseconds
+		tailStart := hardware.Microseconds(-1)
+		for _, ev := range tl.Events[d] {
+			if ev.Op.Step != last {
+				continue
+			}
+			switch {
+			case ev.Op.Kind == pipeline.Forward || ev.Op.Kind == pipeline.Backward:
+				fbEnd = max(fbEnd, ev.End)
+			case ev.Op.Kind.IsTail() && (tailStart < 0 || ev.Start < tailStart):
+				tailStart = ev.Start
+			}
+		}
+		span = max(span, tailStart-fbEnd)
+	}
+	return float64(span) / 1e3
 }
 
 // BenchmarkEngineRoundShape shows where a round's time goes at the paired

@@ -163,38 +163,46 @@
 // float64 in either mode.
 //
 // The K-FAC inversion unit (tensor.SPDInverseInto: Cholesky, then
-// cholesky_inverse) runs on the same driver. Above nb = 64 (tensor's
-// invNB, a compile-time constant like the driver's MC/KC blocking) a
+// cholesky_inverse) runs on the same driver. Above the variant's base
+// block nb — 64 under scalar and tiled (tensor's invNB), 16 under fma
+// (fmaNB), compile-time constants like the driver's MC/KC blocking — a
 // recursive blocked form splits A = [A11 A21^T; A21 A22] at a multiple of
-// nb and turns it in place into M = L⁻¹ (A = L L^T): M11 by recursion,
-// L21^T = M11 A21^T, the Schur update A22 -= L21 L21^T, M22 by recursion,
-// M21 = -M22 L21 M11; then A⁻¹ = M^T M. Every one of those O(n³) products
-// is a call into the packed driver on strided sub-block views — there is
-// one GEMM driver, with flags for a negated product, for a triangular
-// left operand (each row panel runs only the k range that can hold
-// nonzeros) and for the symmetric rank-k update that computes only the
-// tiles touching the lower triangle and mirrors them. The same rank-k
-// form builds the Kronecker factors (TMatMulInto with both operands the
-// same matrix, hence Snap.GramInto), bit-identical to the full product at
-// half the flops. The scalar loops survive as the base case: a factor of
-// dimension <= nb runs the scalar pipeline end to end, each element one
-// ascending-k reduction, so its inverse does not depend on the kernel
-// variant or on this blocking at all; above nb only the <= nb diagonal
-// blocks use them, and ErrNotSPD still means a non-positive pivot — of a
-// trailing block's Schur complement if not of the leading one — with the
-// damping-escalation rescue unchanged around both regimes. The blocked
-// path pins the float64 micro-kernels (inverses stay float64 under
-// SetF32; TestSPDInverseIgnoresF32) and runs the scalar variant on the
-// tiled Go micro-kernel, so scalar and tiled inverses agree bit for bit
-// and fma differs by fused rounding only. Determinism: split points, tile
-// grids and per-panel k ranges are functions of n alone (and of the fma
-// variant's tile width, which cannot change a bit — above), workers own
-// disjoint row panels, the base case and the mirror are serial — the
-// inverse is bit-identical across SetParallelism/SetOpParallelism within
-// a variant (TestSPDInverseVariantAndParallelismIdentity), and exactly
-// symmetric by construction. kfac ping-pongs two retained buffers per
-// factor (write the spare, then swap the pointer), so a refresh allocates
-// nothing and a reader never sees a half-written inverse.
+// 64 (of nb once a block is at most 64 rows) and turns it in place into
+// M = L⁻¹ (A = L L^T): M11 by recursion, L21^T = M11 A21^T, the Schur
+// update A22 -= L21 L21^T, M22 by recursion, M21 = -M22 L21 M11; then
+// A⁻¹ = M^T M. Every one of those O(n³) products is a call into the packed
+// driver on strided sub-block views — there is one GEMM driver, with flags
+// for a negated product, for a triangular left operand (each row panel
+// runs only the k range that can hold nonzeros) and for the symmetric
+// rank-k update that computes only the tiles touching the lower triangle
+// and mirrors them. The same rank-k form builds the Kronecker factors
+// (TMatMulInto with both operands the same matrix, hence Snap.GramInto),
+// bit-identical to the full product at half the flops. The scalar loops
+// survive as the base case: a factor of dimension <= nb runs the scalar
+// pipeline end to end, each element one ascending-k reduction, and above
+// nb only the <= nb diagonal blocks use them. So under scalar and tiled a
+// factor of at most 64 rows does not depend on the variant or on this
+// blocking at all, while under fma every factor wider than 16 runs its
+// Cholesky, triangular inverse and M^T M on the FMA micro-kernels (the
+// base model's 64-wide factors invert about 4x faster than in the scalar
+// loops). ErrNotSPD still means a non-positive pivot — of a trailing
+// block's Schur complement if not of the leading one — with the
+// damping-escalation rescue unchanged around both regimes. The top-level
+// split is keyed to 64 under every variant, so inversion chains (below)
+// and their pricing do not depend on the variant. The blocked path pins
+// the float64 micro-kernels (inverses stay float64 under SetF32;
+// TestSPDInverseIgnoresF32) and runs the scalar variant on the tiled Go
+// micro-kernel, so scalar and tiled inverses agree bit for bit and fma
+// differs by fused rounding only. Determinism: split points, tile grids
+// and per-panel k ranges are functions of n and the variant alone (and of
+// the fma variant's tile width, which cannot change a bit — above),
+// workers own disjoint row panels, the base case and the mirror are
+// serial — the inverse is bit-identical across
+// SetParallelism/SetOpParallelism within a variant
+// (TestSPDInverseVariantAndParallelismIdentity), and exactly symmetric by
+// construction. kfac ping-pongs two retained buffers per factor (write the
+// spare, then swap the pointer), so a refresh allocates nothing and a
+// reader never sees a half-written inverse.
 //
 // Attention's per-(sequence, head) core runs on the same driver too,
 // through its one strided-window entry point: tensor.MulViews takes a
@@ -593,6 +601,15 @@
 //     Carry is one round (schedule.Config.CarryDepth is 2 under Overlap):
 //     work that does not fit the next window either serializes before its
 //     tail.
+//   - Work that serializes — a serialized round's spill, or carried work
+//     that found no bubble either — runs right before the last step's tail
+//     in one dependency rank on every device (schedule's spillRank):
+//     curvature, sync-curvature, the carried generation's inversions (a
+//     chain's steps in sequence), the window's own inversions. No owner
+//     inverts while a peer owner waits on curvature it has yet to run
+//     (Chimera's two owners of a stage), and since every edge among such
+//     work points down the rank, the device orders cannot wait in a cycle
+//     (TestExecutableDigestMatrix checks the order on every schedule).
 //   - The engine double-buffers generation-tagged statistics pools
 //     (kfacGenPool): a collect round snapshots and reduces into one pool
 //     while the carried generation folds and inverts out of the other, so

@@ -53,7 +53,11 @@ import (
 // Work that does not fit the round's bubbles is appended at the end of the
 // last step's pre-tail order (execution can always complete; only the
 // timing degrades), and inversion work whose curvature spilled is deferred
-// the same way so cross-device waits can never cycle.
+// the same way. Every device appends it in one global dependency rank
+// (spillRank): curvature, sync-curvature, the carried generation's
+// inversions (a chain's steps in sequence), the window's own inversions —
+// so cross-device waits can never cycle, and no owner inverts while a peer
+// owner waits on curvature it has yet to run.
 //
 // With Config.Overlap the spill is not serialized but *carried*: the
 // schedule describes the steady state of overlapping windows (packWindow),
@@ -345,16 +349,37 @@ func assignWindowSteps(items []*workItem, base *pipeline.Timeline, cfg Config) {
 	}
 }
 
+// spillRank is the dependency rank the refresh work that found no bubble
+// executes in: curvature, then sync-curvature, then the carried
+// generation's inversions, then the window's own — each kind's carried
+// generation ahead of the window's own. Every dependency edge among such
+// work points to a lower rank, or within a rank to an earlier item of the
+// same device (a chain's previous step), so device orders that all follow
+// the rank cannot wait on one another in a cycle — and an owner never runs
+// its inversions while a peer owner waits on its curvature.
+func spillRank(it *workItem) int {
+	var kind int
+	switch it.kind {
+	case pipeline.SyncCurvature:
+		kind = 1
+	case pipeline.Inversion:
+		kind = 2
+	}
+	return 2*kind + 1 - it.gen
+}
+
 // assembleExecOrders builds each device's execution order, step by step of
 // the round: the step's base forward/backward ops merged with the K-FAC
 // items the packer assigned to that step by start time, followed by the
 // step's tail (sync-grad, precondition, optimizer). K-FAC work that did not
-// pack goes right before the last step's tail, preserving every dependency
-// edge — and items assigned to step j always order before step j's tail,
-// which is exactly what the per-step precondition edges assume.
+// pack goes right before the last step's tail in spillRank order, item
+// order within a rank, preserving every dependency edge — and items
+// assigned to step j always order before step j's tail, which is exactly
+// what the per-step precondition edges assume.
 func assembleExecOrders(s *pipeline.Schedule, tl *pipeline.Timeline, items []*workItem, itemOp map[*workItem]*pipeline.Op) {
 	type entry struct {
 		start hardware.Microseconds
+		rank  int // spillRank of unplaced items; 0 for the rest
 		seq   int
 		opID  int
 	}
@@ -382,33 +407,27 @@ func assembleExecOrders(s *pipeline.Schedule, tl *pipeline.Timeline, items []*wo
 			heads[j] = append(heads[j], entry{start: e.Start, seq: seq, opID: e.Op.ID})
 			seq++
 		}
-		// Carried items take earlier sequence numbers than the window's
-		// own: among deferred items sharing the end-of-round position, a
-		// layer's carried inversion must order before the window's own
-		// inversion that depends on it.
-		for gen := 1; gen >= 0; gen-- {
-			for _, it := range items {
-				if it.device != d || it.gen != gen {
-					continue
-				}
-				op := itemOp[it]
-				if op == nil {
-					continue
-				}
-				start := never
-				if it.placed {
-					start = it.start()
-				}
-				j := clamp(it.wstep)
-				heads[j] = append(heads[j], entry{start: start, seq: seq, opID: op.ID})
-				seq++
+		for _, it := range items {
+			op := itemOp[it]
+			if it.device != d || op == nil {
+				continue
 			}
+			start, rank := never, spillRank(it)
+			if it.placed {
+				start, rank = it.start(), 0
+			}
+			j := clamp(it.wstep)
+			heads[j] = append(heads[j], entry{start: start, rank: rank, seq: seq, opID: op.ID})
+			seq++
 		}
 		for j := 0; j < k; j++ {
 			h := heads[j]
 			sort.SliceStable(h, func(a, b int) bool {
 				if h[a].start != h[b].start {
 					return h[a].start < h[b].start
+				}
+				if h[a].rank != h[b].rank {
+					return h[a].rank < h[b].rank
 				}
 				return h[a].seq < h[b].seq
 			})

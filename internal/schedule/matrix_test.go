@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/arch"
@@ -121,7 +122,7 @@ func hashSchedule(h io.Writer, s *pipeline.Schedule, skip func(op, dep *pipeline
 // TestExecutableDigestMatrix pins schedule.Executable's output op for op over
 // a generated matrix: methods × D {2,4,8} × N {2,4,8} × W {1,2} × K {1,2,4} ×
 // {serialized, overlap depth 2} × InversionParallel × four cost shapes
-// (2 592 schedules), two SHA-256 per cost shape and depth. The first leaves
+// (2 592 schedules), three SHA-256 per cost shape and depth. The first leaves
 // out the edges from an inversion to a precondition — the edges that keep an
 // inversion running during a pending step commit off an inverse a
 // precondition still reads, the only ones a multi-owner stage gained since
@@ -129,36 +130,56 @@ func hashSchedule(h io.Writer, s *pipeline.Schedule, skip func(op, dep *pipeline
 // every edge; schedules whose stages each have one owner must have none of
 // them. Both were recorded by running this matrix at fc66a26, the commit
 // before carry was fixed at one round (whose own digests, depth 3 included,
-// reproduced 484c28d's), so a green run proves the serialized and depth-2
-// schedules did not change.
+// reproduced 484c28d's), and re-recorded where unplaced refresh work moved
+// to dependency-rank order (spillRank): exec/D2, spill/D2/D4/D8, uneven/D2
+// and bert-base/D2/D4/D8, the groups with work that found no bubble. The
+// third hashes ops and every edge with the device orders left out; it was
+// recorded at dd6427f, the commit before the rank order, so a green run
+// proves the rank order moved ops within device orders and nothing else.
+// Every schedule's unplaced refresh ops must sit in rank order
+// (checkSpillRank).
 func TestExecutableDigestMatrix(t *testing.T) {
 	want := map[string]string{
-		"exec/D2":      "02c3fed07bb76c8904db17d8c7adfc60e3a2bd94ac78a7869efbe6173d4590a7",
+		"exec/D2":      "8a42024e6712a87e7af3b924cefcc18a2415646e26e7eb81b859803be0f9c532",
 		"exec/D4":      "62749459705452846f91bc20e199ebbe4509851ca0393655686fe787371548aa",
 		"exec/D8":      "69871445ea7d1870276b1720271d113176856960a895298a64c04e4a18f01cc8",
-		"spill/D2":     "e1dbd2b3b790e88d59ad3923c1fb0d6cb8054999aee5dcd362642aac4dcdeb60",
-		"spill/D4":     "8eb34741f540ff29bb1e7b4de8e230b99ddf1ba075fd14c659ab73f80e1cf1d4",
-		"spill/D8":     "2cc34d295c2309f1849e4d61c605bd829a51bf8467b084c34cfeeb8e2c998ca0",
-		"uneven/D2":    "39fd0c5b91361e8d14fbc7360da898a68315161d8890cdc1a46b717eafc52f4d",
+		"spill/D2":     "1f81982d02c8881acc144c3aafd7d084c6ab41086c89c7a58e6d311c0002ba1a",
+		"spill/D4":     "56f4bd016e7092a8e1b244273695e416faf387db39b947f5141f8e7ab05f690c",
+		"spill/D8":     "42b3082e44a4283454b86052620cbe5c80a9c656b15dca51a5e4ebcb3ff9e375",
+		"uneven/D2":    "af5eb59b0a1f4600983bb6be390ebe6ace4c73b53ab266572dabc7574019cd6c",
 		"uneven/D4":    "b24aa138bc0eba2afb9e6f4c85ed602fac3eb13e2533a5a343f1aef099fe74e4",
 		"uneven/D8":    "afe77fbfd94de90a41caebaa9cc84cfba9430885ade11ff5a096908569ac9175",
-		"bert-base/D2": "228b5efba4761330fc63e8dc88e8e0d325cf415b8bc3298ed97473cf78b216a1",
-		"bert-base/D4": "6613adfe1c2693bb9fdc79bb3c12aea6f956519a3c7d266ab5d058452cddb32d",
-		"bert-base/D8": "7c1487a847c85857a302905dd0d0e34ffe5dbe7ec200d561c2c4474d26466d6a",
+		"bert-base/D2": "911bdfa09884a816e1a553184afc2a340146010b902a1987d27b0110a2b21ccc",
+		"bert-base/D4": "c99a7ba2a7339a978d6885ff98053dd6870c7930d88b2ff94c6fb06aa4a1d55e",
+		"bert-base/D8": "523c1db0c0771302fbe82d59df937572ad5306e6e303d4a3b9da65552a2fe24d",
 	}
 	wantAll := map[string]string{
-		"exec/D2":      "eefe277bd6b482789112780e6c4cb3af2212dc2d4db898034ba57cd24659382a",
+		"exec/D2":      "a5fcfbbcba4b0ce1dff7c53e229e4ea9941be042fc290ea7b19ba5024ddf0f69",
 		"exec/D4":      "6c0f7155e9c6697a102bf6eb32ab2f8df95a7bf633411f60e4b1872ddd005d99",
 		"exec/D8":      "5e58f962a06cae422462b03a84b97f629e9ddb9893f4231bf07c227e34b6ca0d",
-		"spill/D2":     "7402d7555ad7c8ac1c5ecd9da6096ba4f44fcb047a40b99cbdc2d34b9101742c",
-		"spill/D4":     "f7eff407f693ee0d90331f287051eaab7e9aac51b5709a14e6c736d0813a93b4",
-		"spill/D8":     "81777031e89156acda381ea980e980377efcec800aec9b5447f38fd5ac50f6b0",
-		"uneven/D2":    "d542453819f950b112bc8ad00639c9a3fcb683413a48829ec43dfa1650a572ec",
+		"spill/D2":     "2817e93164f11031a8d3bf31d8e86388b4a95a8171c5b9b9c93a8ac59cdd1b37",
+		"spill/D4":     "3f3f4b2c30bb4d1c9c5506060c497c1fb9b4e1c2766ea43179bd746d0305a882",
+		"spill/D8":     "7859450d2bd5bf2dd0d65a6bb89c1b62e642372d2af50fb313d70361b2f92f48",
+		"uneven/D2":    "a18b6388dda4738a9c9554d57cb1c69ebf1d68e35f1473843ab623de03d27ecf",
 		"uneven/D4":    "c6b5ad7e1bc83aedb679a701ca4a4924c873f8636636677376d3836e21e3756b",
 		"uneven/D8":    "06755d183e87a46646a5001888ae1a08f29e5eb63b98ee4461c5ed2a06f3d3c4",
-		"bert-base/D2": "a12cb5060eaa3849635b26132ec8cf64893724e1a0727b5c88a2e8806642c9df",
-		"bert-base/D4": "b413de472ca17756ca4aebbf36132c2cd66c84c9da5d24ad629a55ed2a7e8061",
-		"bert-base/D8": "f46ac9a6f03d7007ec00c13c0992ccd9f97461a12c0f7a36437e05cf4dac6138",
+		"bert-base/D2": "40a966694e699a236775e7a578ee83f332a418b5c14b736532b008a20c3c29e0",
+		"bert-base/D4": "aa4c3a57e46d57f15fdf59bee13d1c0eada1cef0a5d015a57e04ec9740e52a68",
+		"bert-base/D8": "31d3437e375937cc2bf791f99302340400d58da9904639c78e61d9be3ac3b298",
+	}
+	wantOps := map[string]string{
+		"exec/D2":      "6936c11e9a6191803ac9fcaae5243ac9e2a0f898ec4f044c79791e734aca10c7",
+		"exec/D4":      "0d95f6c744c5fda3e857d3516438a0979c7a582961103ff976fa489b48dd7417",
+		"exec/D8":      "83c137206c6dc6f15403e2f75c281f45e3cb7e15da242768509d3a02536f86c0",
+		"spill/D2":     "db98d0114ff3ea0b38365c43c56ddc741df95d30f63332cf516c17c6f89d9def",
+		"spill/D4":     "017dfd081059cdcb0dca9b1ee31c2d792202372de67a6a321ca99da486e760b5",
+		"spill/D8":     "88fd603b93561926ac778608a17810e771bcbc08f0197574e85af1bb817bd307",
+		"uneven/D2":    "cd9106e27b60c7d0d3b38988c89234b6fe9568fd8c595d18c01437d4a46b4621",
+		"uneven/D4":    "5d2c8ef9ae50677fba16e0bb013e1f25b749225a70ab23244e4d11e9f10be911",
+		"uneven/D8":    "bbe3231df4c8e3619e0ad28da80202f3a0a369a5fd243d334948e0424f0c0bf8",
+		"bert-base/D2": "33cfe50f09ab9484cd9092ef4ee688f87da1626ef485c4c8ebf3f43401381193",
+		"bert-base/D4": "111a3bf04d107dd07ffd6d9f6101a07481f662e3bffb75c845b4cf56786bd209",
+		"bert-base/D8": "d691d049eaf0888070bd6b8d6235014c296197e121bea30b1feafc573ecfb23c",
 	}
 	commitEdge := func(op, dep *pipeline.Op) bool {
 		return op.Kind == pipeline.Inversion && dep.Kind == pipeline.Precondition
@@ -167,7 +188,7 @@ func TestExecutableDigestMatrix(t *testing.T) {
 	commitEdges := 0
 	for _, shape := range matrixShapes {
 		for _, d := range matrixDepths() {
-			h, hAll := sha256.New(), sha256.New()
+			h, hAll, hOps := sha256.New(), sha256.New(), sha256.New()
 			n := 0
 			forEachMatrixTopology(t, shape, d, func(cfg Config) {
 				for _, k := range []int{1, 2, 4} {
@@ -182,9 +203,15 @@ func TestExecutableDigestMatrix(t *testing.T) {
 							t.Fatalf("%s %s D%d N%d W%d K%d depth %d invpar=%v: %v", shape.name, cfg.Method,
 								d, cfg.MicroBatches, cfg.DataParallelWidth, k, depth, cfg.InversionParallel, err)
 						}
+						name := fmt.Sprintf("%s %s D%d N%d W%d K%d depth %d invpar=%v", shape.name, cfg.Method,
+							d, cfg.MicroBatches, cfg.DataParallelWidth, k, depth, cfg.InversionParallel)
 						hashSchedule(h, s, commitEdge)
 						hashSchedule(hAll, s, func(_, _ *pipeline.Op) bool { return false })
-						checkCommitEdges(t, fmt.Sprintf("%s %s D%d N%d W%d K%d", shape.name, cfg.Method, d, cfg.MicroBatches, cfg.DataParallelWidth, k), s)
+						opsOnly := *s
+						opsOnly.Order = nil
+						hashSchedule(hOps, &opsOnly, func(_, _ *pipeline.Op) bool { return false })
+						checkCommitEdges(t, name, s)
+						checkSpillRank(t, name, cfg, s)
 						n++
 						oneOwner := true
 						for _, owners := range s.Placement.Owners {
@@ -212,6 +239,9 @@ func TestExecutableDigestMatrix(t *testing.T) {
 			if got := hex.EncodeToString(hAll.Sum(nil)); wantAll[key] != got {
 				t.Errorf("%s: digest over %d schedules = %s, want %s", key, n, got, wantAll[key])
 			}
+			if got := hex.EncodeToString(hOps.Sum(nil)); wantOps[key] != got {
+				t.Errorf("%s: ops-and-edges digest over %d schedules = %s, want %s", key, n, got, wantOps[key])
+			}
 		}
 	}
 	if carried[1] == 0 {
@@ -219,6 +249,55 @@ func TestExecutableDigestMatrix(t *testing.T) {
 	}
 	if commitEdges == 0 {
 		t.Error("the matrix no longer exercises an inversion waiting for another device's precondition")
+	}
+}
+
+// checkSpillRank asserts that on every device the refresh ops that found no
+// bubble — the last ones before the last step's tail — run in dependency
+// rank: curvature, sync-curvature, carried inversions, the window's own
+// inversions, the carried generation first within each kind, op order
+// within a rank.
+func checkSpillRank(t *testing.T, name string, cfg Config, s *pipeline.Schedule) {
+	t.Helper()
+	cfg, err := cfg.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, items, err := packRound(cfg, cfg.RefreshSteps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unplaced := make([]int, s.Devices)
+	for _, it := range items {
+		if !it.placed {
+			unplaced[it.device]++
+		}
+	}
+	// (rank, op ID) as one key.
+	key := func(op *pipeline.Op) int {
+		kind := slices.Index([]pipeline.WorkKind{pipeline.Curvature, pipeline.SyncCurvature, pipeline.Inversion}, op.Kind)
+		return (2*kind+1-op.Generation)*len(s.Ops) + op.ID
+	}
+	last := s.Steps - 1
+	for d, order := range s.Order {
+		tail := slices.IndexFunc(order, func(id int) bool { return s.Ops[id].Kind.IsTail() && s.Ops[id].Step == last })
+		if tail < unplaced[d] {
+			t.Fatalf("%s: device %d has %d unplaced refresh items but its last tail starts at %d", name, d, unplaced[d], tail)
+		}
+		spilled := order[tail-unplaced[d] : tail]
+		for i, id := range spilled {
+			op := s.Ops[id]
+			if !op.Kind.IsRefresh() || op.Step != last {
+				t.Fatalf("%s: device %d: op %d (%s step %d) sits among the last step's unplaced refresh work", name, d, id, op.Kind, op.Step)
+			}
+			if i == 0 {
+				continue
+			}
+			if prev := s.Ops[spilled[i-1]]; key(prev) >= key(op) {
+				t.Fatalf("%s: device %d: unplaced %s gen %d (op %d) runs after %s gen %d (op %d)",
+					name, d, op.Kind, op.Generation, id, prev.Kind, prev.Generation, prev.ID)
+			}
+		}
 	}
 }
 

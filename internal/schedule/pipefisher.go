@@ -400,11 +400,9 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 			}
 		}
 		// Sync-curvature collectives when factors are split across owners.
-		// Created before the inversion items: inversions depend on their
-		// stage's sync ops, and work that does not fit the bubbles keeps
-		// its creation order at the end of the device's pre-tail op list —
-		// a sync created after the inversions would be ordered after ops
-		// that wait on it, deadlocking the executable form.
+		// Created before the inversion items, which depend on their
+		// stage's sync ops (work that does not fit the bubbles is ordered
+		// by spillRank, not by creation).
 		if cfg.InversionParallel && len(owners) > 1 && cfg.Costs.SyncCurvature > 0 {
 			for _, ow := range owners {
 				items = append(items, &workItem{

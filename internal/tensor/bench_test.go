@@ -216,11 +216,12 @@ func BenchmarkTMatMulAddInto(b *testing.B) {
 }
 
 // BenchmarkSPDInverse tracks the K-FAC inversion unit at the factor sizes
-// the benchmark workloads use. GFLOP/s counts the n^3 flops of Cholesky
-// (n^3/3) plus cholesky_inverse (2n^3/3); the Into form must not allocate
-// in steady state.
+// the benchmark workloads use: 32 and 64 (tiny), 64 and 256 (base), 128
+// and 512 (wide). GFLOP/s counts the n^3 flops of Cholesky (n^3/3) plus
+// cholesky_inverse (2n^3/3); the Into form must not allocate in steady
+// state.
 func BenchmarkSPDInverse(b *testing.B) {
-	for _, n := range []int{64, 128, 256, 512} {
+	for _, n := range []int{32, 64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := NewRNG(6)
 			m := RandSPD(r, n, 1)

@@ -6,23 +6,11 @@ import (
 	"testing"
 )
 
-// invertBlocked is the blocked inverse in one call, exactly as SPDInverseInto
-// ran it before InverseChain cut it into steps: the reference the chain is
-// held to.
-func invertBlocked(dst, work *Matrix) error {
-	kern := ActiveKernel()
-	w := viewOf(work)
-	if err := cholInverseFactor(w, kern); err != nil {
-		return err
-	}
-	gemmPacked(viewOf(dst), w, w, gemmAT|gemmAUpper|gemmLower|gemmF64, kern)
-	mirrorLower(dst)
-	return nil
-}
-
-// spdInverseOneShot is SPDInverseInto's body before the chain, returning the
-// damping its result was computed with.
+// spdInverseOneShot is SPDInverseInto's body before the chain — the scalar
+// pipeline up to the variant's base block, the blocked form in one call
+// above it — returning the damping its result was computed with.
 func spdInverseOneShot(dst, m *Matrix, damping float64) (float64, error) {
+	kern := ActiveKernel()
 	work := Get(m.Rows, m.Rows)
 	defer Put(work)
 	d := damping
@@ -32,10 +20,10 @@ func spdInverseOneShot(dst, m *Matrix, damping float64) (float64, error) {
 			work.AddDiagonalInPlace(d)
 		}
 		var err error
-		if m.Rows <= invNB {
+		if m.Rows <= baseBlock(kern) {
 			err = invertScalar(dst, work)
 		} else {
-			err = invertBlocked(dst, work)
+			err = invertBlocked(dst, work, kern)
 		}
 		if err == nil {
 			return d, nil
@@ -55,7 +43,7 @@ func spdInverseOneShot(dst, m *Matrix, damping float64) (float64, error) {
 // zero, so M22 — the chain's fourth step — is the first to find a
 // non-positive pivot and escalate.
 func schurSingular(n int) *Matrix {
-	n1 := blockedSplit(n)
+	n1 := blockedSplit(n, invNB)
 	x := Zeros(n1, n)
 	r := NewRNG(uint64(n))
 	for i := 0; i < n1; i++ {
@@ -70,11 +58,11 @@ func schurSingular(n int) *Matrix {
 // TestInversionChainBitIdentical: an InverseChain run step by step — with
 // unrelated pooled GEMM work between the steps, as an engine's device does
 // between two bubbles — returns exactly SPDInverseInto's bits and the one-shot
-// reference's, at every size that takes the scalar or the blocked path, under
-// every kernel variant, with SetF32 on and off (inverses stay float64) and at
-// parallelism 1 and 2. A rank-deficient input at damping 0 escalates from
-// inside the chain's M22 step and still lands on the reference's result and
-// final damping.
+// reference's, at every size that takes the scalar, the one-step blocked or
+// the chained path, under every kernel variant, with SetF32 on and off
+// (inverses stay float64) and at parallelism 1 and 2. A rank-deficient
+// input at damping 0 escalates from inside the chain's M22 step and still
+// lands on the reference's result and final damping.
 func TestInversionChainBitIdentical(t *testing.T) {
 	defer SetParallelism(0)
 	noise := RandN(NewRNG(11), 96, 80, 1)
@@ -129,22 +117,25 @@ func TestInversionChainBitIdentical(t *testing.T) {
 			t.Fatalf("chain finished at damping %g, reference at %g", c.damping, wantDamping)
 		}
 	}
-	for _, n := range []int{65, 100, 128, 200, 256, 300, 512} {
-		m := spdCase(uint64(n), n, n/4+1, 1e-2)
-		withKernels(t, func(t *testing.T, _ bool) {
-			for _, f32 := range []bool{false, true} {
-				for _, par := range []int{1, 2} {
-					t.Run(fmt.Sprintf("n=%d/f32=%v/par=%d", n, f32, par), func(t *testing.T) {
-						SetF32(f32)
-						defer SetF32(false)
-						SetParallelism(par)
-						check(t, m, 0, false)
-						check(t, m, 1e-3, false)
-					})
+	sizes := func(ns ...int) {
+		for _, n := range ns {
+			m := spdCase(uint64(n), n, n/4+1, 1e-2)
+			withKernels(t, func(t *testing.T, _ bool) {
+				for _, f32 := range []bool{false, true} {
+					for _, par := range []int{1, 2} {
+						t.Run(fmt.Sprintf("n=%d/f32=%v/par=%d", n, f32, par), func(t *testing.T) {
+							SetF32(f32)
+							defer SetF32(false)
+							SetParallelism(par)
+							check(t, m, 0, false)
+							check(t, m, 1e-3, false)
+						})
+					}
 				}
-			}
-		})
+			})
+		}
 	}
+	sizes(65, 100, 128, 200, 256, 300, 512)
 	withKernels(t, func(t *testing.T, _ bool) {
 		for _, n := range []int{128, 200} {
 			t.Run(fmt.Sprintf("escalation/n=%d", n), func(t *testing.T) {
@@ -152,6 +143,9 @@ func TestInversionChainBitIdentical(t *testing.T) {
 			})
 		}
 	})
+	// One-step chains: the scalar pipeline under every variant at 16, the
+	// blocked form in one call under fma above it.
+	sizes(16, 17, 48, 64)
 }
 
 // A chain abandoned part way (the engine's abort or degrade) returns every

@@ -8,13 +8,16 @@ import (
 
 // SPD inversion, the K-FAC inversion unit (§2.3.1: torch.linalg.cholesky
 // then cholesky_inverse per Kronecker factor). A⁻¹ is assembled as M^T M
-// with M = L⁻¹ and A = L L^T, in two regimes:
+// with M = L⁻¹ and A = L L^T, in two regimes around the variant's base
+// block nb (baseBlock: invNB = 64 under KernelScalar and KernelTiled,
+// fmaNB = 16 under KernelFMA):
 //
-//   - n <= invNB: the scalar loops below (dot-product Cholesky, triangular
+//   - n <= nb: the scalar loops below (dot-product Cholesky, triangular
 //     inverse, M^T M), each element one ascending-k reduction.
-//   - n > invNB: a recursive blocked form whose every O(n³) term is a call
+//   - n > nb: a recursive blocked form whose every O(n³) term is a call
 //     into the packed GEMM driver (gemm.go) on sub-block views. Splitting
-//     A = [A11 A21^T; A21 A22] at a multiple of invNB,
+//     A = [A11 A21^T; A21 A22] at a multiple of invNB (of nb once the
+//     block is at most invNB rows),
 //
 //	M11 = chol-inverse(A11)                  (recursion)
 //	Y   = M11 A21^T            (= L21^T)     op(a) lower triangular
@@ -25,20 +28,26 @@ import (
 //
 //     turns the block in place into M, and A⁻¹ = M^T M is one more
 //     lower-tiles-only product, mirrored. The scalar loops survive as the
-//     base case on the <= invNB diagonal blocks (Cholesky and triangular
+//     base case on the <= nb diagonal blocks (Cholesky and triangular
 //     inverse only), so ErrNotSPD still comes from a non-positive pivot —
 //     now possibly of a trailing block's Schur complement.
 //
+// Under scalar and tiled a factor of at most 64 rows therefore never
+// leaves the scalar loops; under fma every factor wider than 16 runs its
+// Cholesky, triangular inverse and M^T M on the FMA micro-kernels.
+//
 // InverseChain exposes the top-level steps of the blocked form (the six
 // lines above, then M^T M) as separate calls; SPDInverseInto is the chain
-// run to its end in one.
+// run to its end in one. The top-level split, and with it the chain's step
+// count and InverseChainFLOPs, is keyed to invNB under every variant.
 //
 // The blocked path pins the float64 micro-kernels (inverses stay float64
 // under SetF32) and runs KernelScalar on the tiled Go micro-kernel, which
 // is bit-identical to the scalar reference; KernelFMA differs by fused
-// rounding only. Split points, tile grids and k ranges depend on n alone,
-// so results are bit-identical across SetParallelism/SetOpParallelism per
-// variant, and the result is exactly symmetric by construction.
+// rounding only. Split points, tile grids and k ranges depend on n and the
+// variant alone, so results are bit-identical across
+// SetParallelism/SetOpParallelism per variant, and the result is exactly
+// symmetric by construction.
 
 // ErrNotSPD is returned when a Cholesky factorization encounters a
 // non-positive pivot, i.e. the input is not symmetric positive definite
@@ -46,9 +55,21 @@ import (
 var ErrNotSPD = errors.New("tensor: matrix is not symmetric positive definite")
 
 // invNB is the blocked inverse's block size: the recursion splits at
-// multiples of it and hands blocks of at most invNB rows to the scalar
-// base case. Matrices of dimension <= invNB never enter the blocked path.
+// multiples of it, and under scalar and tiled hands blocks of at most invNB
+// rows to the scalar base case. It alone places the top-level split.
 const invNB = 64
+
+// fmaNB is KernelFMA's base block: a block of at most invNB rows splits at
+// multiples of fmaNB, down to diagonal blocks of at most fmaNB rows.
+const fmaNB = 16
+
+// baseBlock is the largest block the variant inverts in the scalar loops.
+func baseBlock(kern Kernel) int {
+	if kern == KernelFMA {
+		return fmaNB
+	}
+	return invNB
+}
 
 // Cholesky computes the lower-triangular factor L such that m = L L^T.
 // m must be square and symmetric positive definite; otherwise ErrNotSPD is
@@ -111,7 +132,7 @@ func triInvInto(linv, l *Matrix) {
 }
 
 // invertScalar overwrites dst with work⁻¹ using the scalar loops alone —
-// the whole pipeline for n <= invNB, and the oracle the blocked path is
+// the whole pipeline for n <= baseBlock, and the oracle the blocked path is
 // tested against. Only work's lower triangle is read; it is destroyed.
 func invertScalar(dst, work *Matrix) error {
 	n := work.Rows
@@ -143,10 +164,13 @@ func invertScalar(dst, work *Matrix) error {
 // triangular GEMM variants read.
 func cholInverseFactor(w View, kern Kernel) error {
 	n := w.rows
-	if n <= invNB {
+	n1 := blockedSplit(n, invNB)
+	if n1 == 0 {
+		n1 = blockedSplit(n, baseBlock(kern))
+	}
+	if n1 == 0 {
 		return cholInverseFactorBase(w)
 	}
-	n1 := blockedSplit(n)
 	n2 := n - n1
 	w11, w21, w22 := w.sub(0, 0, n1, n1), w.sub(n1, 0, n2, n1), w.sub(n1, n1, n2, n2)
 	if err := cholInverseFactor(w11, kern); err != nil {
@@ -167,7 +191,7 @@ func cholInverseFactor(w View, kern Kernel) error {
 }
 
 // cholInverseFactorBase is cholInverseFactor on one diagonal block of at
-// most invNB rows: the scalar Cholesky and triangular inverse, run on a
+// most baseBlock rows: the scalar Cholesky and triangular inverse, run on a
 // contiguous pooled copy (rows of w are a full matrix row apart, which
 // aliases in L1), then stored back with the strict upper triangle zeroed.
 func cholInverseFactorBase(w View) error {
@@ -187,6 +211,19 @@ func cholInverseFactorBase(w View) error {
 		copy(row, a.Data[i*n:i*n+i+1])
 		clear(row[i+1:])
 	}
+	return nil
+}
+
+// invertBlocked overwrites dst with work⁻¹ by the blocked form in one call:
+// cholInverseFactor on the whole of work, then M^T M. Only work's lower
+// triangle is read; it is destroyed.
+func invertBlocked(dst, work *Matrix, kern Kernel) error {
+	w := viewOf(work)
+	if err := cholInverseFactor(w, kern); err != nil {
+		return err
+	}
+	gemmPacked(viewOf(dst), w, w, gemmAT|gemmAUpper|gemmLower|gemmF64, kern)
+	mirrorLower(dst)
 	return nil
 }
 
@@ -223,15 +260,17 @@ const spdAttempts = 12
 // inverse, so each step can run as its own unit of work (the engine packs
 // them into separate pipeline bubbles). Above invNB the steps are
 // cholInverseFactor's M11 (which first loads the damped copy), Y, Schur,
-// M22, Z and M21, then M^T M into dst; at or below it the scalar pipeline
-// is the one step. Run in order, the steps execute exactly the operations
-// SPDInverseInto does — bit-identical by construction — including the
-// damping escalation: a step whose Cholesky finds a non-positive pivot
-// reloads the copy at the next damping and re-runs every step up to and
-// including itself before returning. Between steps the chain holds its
-// damped work copy and the blocked path's two n1 x n2 intermediates, all
-// pooled, and it re-reads m on an escalation, so m must not change until
-// the chain is done. The zero value is an idle chain.
+// M22, Z and M21, then M^T M into dst, under every kernel variant; at or
+// below it the whole inverse is the one step — the scalar pipeline up to
+// the variant's base block, the blocked form in one call above it. Run in
+// order, the steps execute exactly the operations SPDInverseInto does —
+// bit-identical by construction — including the damping escalation: a step
+// whose Cholesky finds a non-positive pivot reloads the copy at the next
+// damping and re-runs every step up to and including itself before
+// returning. Between steps the chain holds its damped work copy and the
+// blocked path's two n1 x n2 intermediates, all pooled, and it re-reads m
+// on an escalation, so m must not change until the chain is done. The zero
+// value is an idle chain.
 type InverseChain struct {
 	m       *Matrix
 	damping float64 // the damping of the current attempt
@@ -239,7 +278,7 @@ type InverseChain struct {
 	kern    Kernel
 	work    *Matrix // the damped copy, turned in place into M = L⁻¹
 	y, z    *Matrix // Y = M11 A21^T and Z = M11^T Y (blocked path)
-	n1      int     // the top-level split; 0 on the scalar path
+	n1      int     // the top-level split; 0 for a one-step chain
 	next    int     // the step Step runs next
 }
 
@@ -253,14 +292,15 @@ func InverseChainFLOPs(n int) []float64 {
 	if n <= invNB {
 		return nil
 	}
-	a := float64(blockedSplit(n))
+	a := float64(blockedSplit(n, invNB))
 	b := float64(n) - a
 	return []float64{2 * a * a * a / 3, a * a * b, a * b * b, 2 * b * b * b / 3, a * a * b, a * b * b, float64(n) * float64(n) * float64(n) / 3}
 }
 
 // blockedSplit is the size of the leading block the blocked inverse splits
-// an n x n matrix at: half of it, rounded to a multiple of invNB.
-func blockedSplit(n int) int { return (n + invNB - 1) / invNB / 2 * invNB }
+// an n x n block at: half of it, rounded to a multiple of nb — 0 when
+// n <= nb.
+func blockedSplit(n, nb int) int { return (n + nb - 1) / nb / 2 * nb }
 
 // Start begins inverting m + damping*I, releasing whatever c held before.
 // The kernel variant is the one active now, for every step of the chain.
@@ -273,9 +313,7 @@ func (c *InverseChain) Start(m *Matrix, damping float64) error {
 	}
 	c.Release()
 	*c = InverseChain{m: m, damping: damping, kern: ActiveKernel(), work: Get(m.Rows, m.Rows)}
-	if m.Rows > invNB {
-		c.n1 = blockedSplit(m.Rows)
-	}
+	c.n1 = blockedSplit(m.Rows, invNB)
 	return nil
 }
 
@@ -336,8 +374,11 @@ func (c *InverseChain) run(k int, dst *Matrix) error {
 			c.work.AddDiagonalInPlace(c.damping)
 		}
 		c.tries++
-		if c.n1 == 0 {
+		switch {
+		case c.work.Rows <= baseBlock(c.kern):
 			return invertScalar(dst, c.work)
+		case c.n1 == 0:
+			return invertBlocked(dst, c.work, c.kern)
 		}
 	}
 	w := viewOf(c.work)

@@ -1,6 +1,9 @@
 package tensor
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -91,7 +94,7 @@ func TestSPDInverseRejectsBadArguments(t *testing.T) {
 
 // The generated inverse suite: every size around the block boundaries times
 // a conditioning ladder, checked against the scalar pipeline (invertScalar:
-// the production path for n <= invNB, the oracle above it).
+// the production path up to the variant's base block, the oracle above it).
 
 var inverseSizes = []int{1, 2, 63, 64, 65, 127, 128, 200, 256, 511, 512, 513}
 
@@ -156,10 +159,10 @@ func TestSPDInverseGenerated(t *testing.T) {
 					if res, bound := residual(m, got), 1e-13*float64(n)*cond; res > bound {
 						t.Fatalf("|m*inv - I| = %g exceeds %g", res, bound)
 					}
-					if n <= invNB {
+					if nb := baseBlock(ActiveKernel()); n <= nb {
 						if !got.Equal(want) {
 							t.Fatalf("n <= %d must be bit-identical to the scalar pipeline (max diff %g)",
-								invNB, got.Sub(want).MaxAbs())
+								nb, got.Sub(want).MaxAbs())
 						}
 						return
 					}
@@ -178,11 +181,22 @@ func TestSPDInverseGenerated(t *testing.T) {
 
 // Scalar and tiled run the same float64 sequence per element and must
 // agree bit for bit; every variant must be bit-identical across worker
-// counts and per-op caps.
+// counts and per-op caps. The sizes up to 64 straddle fma's 16-row base
+// block; there scalar and tiled never leave the scalar loops. Scalar's
+// inverses, every size, hash to the digest recorded at dd6427f, the commit
+// before fma's base block shrank, so a green run proves scalar and tiled
+// did not move.
 func TestSPDInverseVariantAndParallelismIdentity(t *testing.T) {
+	const wantScalar = "aed50b3d6abdc1a72db3bc60498ce4a7662a7e7c7b184983106a7d51a321d3fb"
 	def := ActiveKernel()
 	defer SetKernel(def)
-	for _, n := range []int{65, 200, 256, 513} {
+	h := sha256.New()
+	for _, n := range []int{1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200, 256, 513} {
+		// Built under scalar: the inputs, and so the digest, must not
+		// depend on the build's default variant.
+		if err := SetKernel(KernelScalar); err != nil {
+			t.Fatal(err)
+		}
 		m := spdCase(uint64(n), n, n/4+1, 1e-2)
 		ref := map[Kernel]*Matrix{}
 		for _, k := range AvailableKernels() {
@@ -206,11 +220,17 @@ func TestSPDInverseVariantAndParallelismIdentity(t *testing.T) {
 			t.Fatalf("n=%d: scalar and tiled inverses differ (max %g)",
 				n, ref[KernelScalar].Sub(ref[KernelTiled]).MaxAbs())
 		}
+		for _, v := range ref[KernelScalar].Data {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
+		}
 		if fma := ref[KernelFMA]; fma != nil {
 			if rel := fma.Sub(ref[KernelScalar]).MaxAbs() / fma.MaxAbs(); rel > 1e-9 {
 				t.Fatalf("n=%d: fma inverse outside fused-rounding tolerance (rel %g)", n, rel)
 			}
 		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantScalar {
+		t.Fatalf("scalar inverses hash to %s, want %s", got, wantScalar)
 	}
 }
 
@@ -256,7 +276,7 @@ func TestSPDInverseBlockedRescueAndRejection(t *testing.T) {
 	bad := Eye(n)
 	bad.Set(n-1, n-1, -1) // indefinite only in the last diagonal block
 	work := bad.Clone()
-	if err := invertBlocked(Zeros(n, n), work); !errors.Is(err, ErrNotSPD) {
+	if err := invertBlocked(Zeros(n, n), work, ActiveKernel()); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("blocked path: expected ErrNotSPD, got %v", err)
 	}
 	// Escalating damping rescues any finite input in the end; a NaN in the
@@ -266,6 +286,39 @@ func TestSPDInverseBlockedRescueAndRejection(t *testing.T) {
 	if _, err := SPDInverse(nan, 0); !errors.Is(err, ErrNotSPD) {
 		t.Fatalf("NaN input: expected ErrNotSPD, got %v", err)
 	}
+}
+
+// A 48-wide factor whose leading rows are well conditioned but whose
+// trailing block is indefinite: under fma it takes the blocked form (16 + 32
+// rows) and the non-positive pivot is a trailing Schur complement's, under
+// scalar and tiled it is the scalar pipeline's last pivot. Every variant
+// must escalate the damping until the factorization succeeds and return a
+// finite inverse of the damped input — never a NaN.
+func TestSPDInverseSmallBlockedRescue(t *testing.T) {
+	const n = 48
+	m := spdCase(48, n, 2*n+3, 1)
+	m.Set(n-1, n-1, -1)
+	withKernels(t, func(t *testing.T, _ bool) {
+		dst := Zeros(n, n)
+		var c InverseChain
+		if err := c.Start(m, 0); err != nil {
+			t.Fatal(err)
+		}
+		for c.Active() {
+			if err := c.Step(dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.damping == 0 {
+			t.Fatal("the indefinite trailing block did not escalate the damping")
+		}
+		if dst.HasNaN() || !dst.IsSymmetric(0) {
+			t.Fatal("rescued inverse has NaN or is asymmetric")
+		}
+		if res := residual(m.AddDiagonal(c.damping), dst); res > 1e-10 {
+			t.Fatalf("|(m + %g I) inv - I| = %g", c.damping, res)
+		}
+	})
 }
 
 // All blocked-path temporaries are pooled and returned, on success and on
@@ -365,7 +418,7 @@ func FuzzSPDInverse(f *testing.F) {
 		if mx := inv.MaxAbs(); mx > 1.001/damping {
 			t.Fatalf("inverse entry %g exceeds 1/damping = %g", mx, 1/damping)
 		}
-		if n > invNB {
+		if n > baseBlock(ActiveKernel()) {
 			want := oracleInverse(t, m.AddDiagonal(damping))
 			if rel := inv.Sub(want).MaxAbs() / want.MaxAbs(); rel > 1e-6 {
 				t.Fatalf("n=%d: blocked vs scalar oracle relative diff %g", n, rel)

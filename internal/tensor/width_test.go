@@ -144,9 +144,10 @@ func TestFMAWidthIdentity(t *testing.T) {
 				}
 			}
 			// The blocked inverse: triangular and lower-only driver
-			// variants on sub-block views, split points at 64.
-			for _, n := range []int{65, 128, 200, 512} {
-				spd := spdCase(uint64(n), n, n/2, 1e-2)
+			// variants on sub-block views, split points at 64 and, at
+			// most 64 rows, at 16.
+			for _, n := range []int{1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 200, 512} {
+				spd := spdCase(uint64(n), n, max(n/2, 1), 1e-2)
 				compare(fmt.Sprintf("SPDInverseInto n=%d %s", n, cfg), func() []*Matrix {
 					dst := Full(n, n, 42)
 					if err := SPDInverseInto(dst, spd, 1e-3); err != nil {

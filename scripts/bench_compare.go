@@ -11,13 +11,15 @@
 //
 // Metrics are compared by direction: ns_per_op, bytes_per_op,
 // allocs_per_op, the slot_bytes / scratch_bytes of the activation-slot
-// rows and the round-shape row's step_spread regress when they grow; seqs_per_s, mb_per_s, gflops
+// rows, the round-shape row's step_spread and the round rows'
+// refresh_tail_ms regress when they grow; seqs_per_s, mb_per_s, gflops
 // (throughput) and poolchunks_per_op (effective per-op worker fan-out)
 // regress when they shrink. Only the metrics named by -gate (comma list, or
 // "all") cause a non-zero exit, and only on rows whose benchmark name
-// matches -gate-rows
-// (a regexp; default every row); everything else is reported
-// informationally. The default gate is seqs_per_s — steady-state executor
+// matches -gate-rows (a regexp; default every row); everything else is
+// reported informationally. refresh_tail_ms is informational under any
+// -gate: it is the wall-clock residue of refresh work that found no bubble,
+// a few milliseconds that move with the host's scheduling. The default gate is seqs_per_s — steady-state executor
 // throughput — because wall-clock nanoseconds on shared CI runners are too
 // noisy to gate on by default.
 package main
@@ -37,19 +39,21 @@ type metric struct {
 	key          string
 	label        string
 	higherBetter bool
+	info         bool // reported, never gated
 }
 
 var metrics = []metric{
-	{"ns_per_op", "ns/op", false},
-	{"bytes_per_op", "B/op", false},
-	{"allocs_per_op", "allocs/op", false},
-	{"mb_per_s", "MB/s", true},
-	{"seqs_per_s", "seqs/s", true},
-	{"poolchunks_per_op", "poolchunks/op", true},
-	{"gflops", "GFLOP/s", true},
-	{"slot_bytes", "slot-B", false},
-	{"scratch_bytes", "scratch-B", false},
-	{"step_spread", "step_spread", false},
+	{"ns_per_op", "ns/op", false, false},
+	{"bytes_per_op", "B/op", false, false},
+	{"allocs_per_op", "allocs/op", false, false},
+	{"mb_per_s", "MB/s", true, false},
+	{"seqs_per_s", "seqs/s", true, false},
+	{"poolchunks_per_op", "poolchunks/op", true, false},
+	{"gflops", "GFLOP/s", true, false},
+	{"slot_bytes", "slot-B", false, false},
+	{"scratch_bytes", "scratch-B", false, false},
+	{"step_spread", "step_spread", false, false},
+	{"refresh_tail_ms", "tail-ms", false, true},
 }
 
 func loadBench(path string) (map[string]map[string]float64, []string, error) {
@@ -109,6 +113,7 @@ func main() {
 			gated[g] = true
 		}
 	}
+	isGated := func(m metric) bool { return !m.info && (gated["all"] || gated[m.key]) }
 	rowRe := regexp.MustCompile("")
 	if *gateRows != "" {
 		rowRe, err = regexp.Compile(*gateRows)
@@ -147,7 +152,7 @@ func main() {
 				// it is a gated regression, not a silent skip.
 				if nv != 0 && !m.higherBetter {
 					mark := ""
-					if (gated["all"] || gated[m.key]) && rowRe.MatchString(name) {
+					if isGated(m) && rowRe.MatchString(name) {
 						mark = "  REGRESSION"
 						regressions = append(regressions, fmt.Sprintf("%s %s grew from a zero baseline to %.2f", name, m.label, nv))
 					}
@@ -158,7 +163,7 @@ func main() {
 			delta := 100 * (nv - ov) / ov
 			mark := ""
 			regressed := (m.higherBetter && delta < -*threshold) || (!m.higherBetter && delta > *threshold)
-			if regressed && (gated["all"] || gated[m.key]) && rowRe.MatchString(name) {
+			if regressed && isGated(m) && rowRe.MatchString(name) {
 				mark = "  REGRESSION"
 				regressions = append(regressions, fmt.Sprintf("%s %s %+.1f%% (threshold %.0f%%)", name, m.label, delta, *threshold))
 			}
@@ -185,7 +190,7 @@ func main() {
 			continue
 		}
 		for _, m := range metrics {
-			if _, ok := base[name][m.key]; ok && (gated["all"] || gated[m.key]) {
+			if _, ok := base[name][m.key]; ok && isGated(m) {
 				regressions = append(regressions, fmt.Sprintf("%s %s missing from current run (baseline row has a gated metric)", name, m.label))
 			}
 		}

@@ -7,8 +7,8 @@
 # element-wise exp/erf/GELU benchmarks, slot-B / scratch-B — bytes per
 # activation slot and per device's backward scratch — from the slot-bytes
 # benchmark; step_spread, refresh_pending_ms and model_err/<kind> from the
-# round-shape benchmark) are each keyed independently, so any mix of
-# columns parses.
+# round-shape benchmark; refresh_tail_ms from the round benchmarks) are
+# each keyed independently, so any mix of columns parses.
 BEGIN { print "["; first=1 }
 /^Benchmark/ {
   if (!first) printf ",\n"; first=0
@@ -26,6 +26,7 @@ BEGIN { print "["; first=1 }
     if ($i == "scratch-B") printf ",\"scratch_bytes\":%s", $(i-1)
     if ($i == "step_spread") printf ",\"step_spread\":%s", $(i-1)
     if ($i == "refresh_pending_ms") printf ",\"refresh_pending_ms\":%s", $(i-1)
+    if ($i == "refresh_tail_ms") printf ",\"refresh_tail_ms\":%s", $(i-1)
     if ($i ~ /^model_err\//) { key=$i; gsub(/[\/-]/, "_", key); printf ",\"%s\":%s", key, $(i-1) }
   }
   printf "}"
