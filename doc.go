@@ -151,6 +151,24 @@
 // slice's last 1–3 elements run the same instructions on a zero-padded
 // register (TestVecMathPositionIndependent).
 //
+// The family's fourth form is the optimizer's: tensor.AdamUpdate (one
+// tensor's Adam moments and update u = (m/bc1)/(√(v/bc2)+ε) + wd·w, the
+// gradient pre-scaled first — NVLAMB's global-norm division) and
+// tensor.SubScaled (w −= scale·u), which optim.LAMB.Step and optim.Adam.Step
+// call once per tensor, so the step commit of both benchmark arms runs on
+// them. Their contract is stronger than exp/erf's: under every variant the
+// result equals the Go loop bit for bit — fma runs the same IEEE
+// operations four lanes at a time (separate VMULPD / VADDPD / VSUBPD /
+// VDIVPD / VSQRTPD, nothing fused; the Go loop's products are converted
+// explicitly so no GOAMD64 level fuses them either), and AdamUpdate's two
+// norms, Σw² and Σu² for LAMB's trust ratio, are in-kernel ascending
+// scalar sums, lane by lane, continued in Go over the last len%4 elements.
+// So turning the kernel on changed no bit of any training run
+// (TestAdamUpdateBitIdentical, TestSubScaledBitIdentical, FuzzAdamUpdate;
+// TestLAMBStepMatchesAllocatingReference and TestAdamStepMatchesLoop under
+// every variant). The global gradient norm (nn.GradNorm) stays one serial
+// sum.
+//
 // The default is the best available variant. Float32 compute mode
 // (tensor.SetF32, the -f32 flag) is orthogonal: float64 stays the API
 // currency, but the packed driver narrows its panels to float32,
@@ -555,8 +573,11 @@
 //   - Step commits: every step's OptStep ops arrive at a barrier; once all
 //     have, one device fires the caller's optimizer callback
 //     (SetOptimizer), zeroes the primary's accumulators, releases the
-//     step's carried rollback clones, and re-broadcasts parameters to the
-//     replicas — so collectives and the update happen exactly once per
+//     step's carried rollback clones (step 0's alone: a later step's base
+//     is the +0 the previous commit left, which the fold reads as the
+//     transport's nil base and a rollback restores by zeroing), and
+//     re-broadcasts parameters to the replicas — so collectives and the
+//     update happen exactly once per
 //     step, with the bit-identical fixed reduction order. The commit holds
 //     base work only: a device that arrived keeps running the refresh ops
 //     next in its order (curvature, sync-curvature, inversion) and holds

@@ -14,9 +14,9 @@ import (
 // collective of the executor — the per-stage gradient all-reduce, the
 // K-FAC factor fold, the per-step loss reduction of multi-process groups —
 // routes through the engine's transport.Group. With the default Loopback
-// group the routed fold is instruction-for-instruction the historical
-// in-process collective (copy the carried base, add each micro-batch delta
-// in ascending order), allocation-free on the steady-state path; with a
+// group the routed fold is bit for bit the historical in-process
+// collective (the carried base plus each micro-batch delta in ascending
+// order), allocation-free on the steady-state path; with a
 // Ring group the same calls put the partials on a wire, and the chain fold
 // order keeps the results bit-identical.
 //
@@ -120,20 +120,26 @@ func (e *Engine) syncParamsFrom(root int) error {
 // group: for each parameter, dst = the pre-step carried value (the
 // accumulate-semantics base) plus every rank's micro-batch deltas in
 // ascending global micro-batch order. carried[k] and deltas[m][k] align
-// with params[k]; delta buffers are returned to the pool and their slots
-// nilled, carried buffers stay with the caller (rollback state). ops is the
-// stage's retained batch (newFoldOps: one reduction per parameter, one part
-// slot per micro-batch), so the loopback steady state allocates nothing.
+// with params[k]; a nil carried is an all +0 base, folded as the
+// transport's nil base (bit-identical: the chain starts from +0 either
+// way). Delta buffers are returned to the pool and their slots nilled,
+// carried buffers stay with the caller (rollback state). ops is the
+// stage's retained batch (newFoldOps: one reduction per parameter, one
+// part slot per micro-batch), so the loopback steady state allocates
+// nothing.
 // The parameters go to the group as one batch: on a ring their waits
 // overlap (transport.AllReduceBatch). Returns the bytes the group put on
 // the wire.
 func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.Param, carried []*tensor.Matrix, deltas [][]*tensor.Matrix) (int64, error) {
 	for k, p := range params {
-		if carried[k] == nil {
-			return 0, fmt.Errorf("missing carried gradient state for %s", p.Name)
-		}
 		op := &ops[k]
-		op.Dst, op.Base = p.Grad.Data, carried[k].Data
+		op.Dst, op.Base = p.Grad.Data, nil
+		if carried != nil {
+			if carried[k] == nil {
+				return 0, fmt.Errorf("missing carried gradient state for %s", p.Name)
+			}
+			op.Base = carried[k].Data
+		}
 		for m := range deltas {
 			d := deltas[m][k]
 			if d == nil {

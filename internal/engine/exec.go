@@ -61,8 +61,9 @@ type runState struct {
 	// Gradient-collective state, per step of the round: carried holds the
 	// step's pre-step accumulators (restored as the base of the reduction
 	// and, on an abort, as the rollback state; step 0's captured in the
-	// round prologue, later steps' at the previous step's commit barrier,
-	// each released at its own step's commit), deltas the per-micro-batch
+	// round prologue and released at its commit; a later step's stages
+	// stay nil, because the previous step's commit zeroed the accumulators
+	// and a nil stage is an all +0 base), deltas the per-micro-batch
 	// contributions snapshotted by each backward, foldDone the per-(step, stage)
 	// once-guards of the reduction (any participant of the stage's
 	// collective may perform it; latecomers block until it finished), and
@@ -213,7 +214,6 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		st.commits[j].done = make(chan struct{})
 		for s := 0; s < nStages; s++ {
 			params := e.sets[0].stageParams[s]
-			st.carried[j][s] = make([]*tensor.Matrix, len(params))
 			st.deltas[j][s] = make([][]*tensor.Matrix, perStep)
 			for m := 0; m < perStep; m++ {
 				st.deltas[j][s][m] = make([]*tensor.Matrix, len(params))
@@ -228,9 +228,9 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	// Move the primary's pre-round gradient state aside (accumulate
 	// semantics: step 0's reduction re-adds it as its base) and start every
 	// replica's accumulators from zero, so each backward's snapshot is
-	// exactly its micro-batch's contribution. Later steps get the same
-	// treatment at the previous step's commit barrier.
-	st.captureStepBase(0)
+	// exactly its micro-batch's contribution. Later steps start from the
+	// previous step's commit, which zeroed every accumulator.
+	st.captureRoundBase()
 
 	// The resilience layer (injector, watchdog, retry/degrade) engages only
 	// when something configured it; the default engine takes the branch-free
@@ -355,17 +355,16 @@ func (st *runState) results(upTo int) []*StepResult {
 	return res
 }
 
-// captureStepBase prepares step j's gradient-collective state: it
+// captureRoundBase prepares step 0's gradient-collective state: it
 // snapshots the primary's accumulators as the step's carried reduction
 // base (accumulate semantics — the fold re-adds it), zeroes them so each
 // backward's delta is exactly its micro-batch's contribution, and zeroes
-// every replica's accumulators. The round prologue uses it for step 0 and
-// the commit barrier for each following step, so the preparation sequence
-// exists once.
-func (st *runState) captureStepBase(j int) {
-	for s := range st.e.sets[0].stageParams {
-		for k, p := range st.e.sets[0].stageParams[s] {
-			st.carried[j][s][k] = tensor.GetClone(p.Grad)
+// every replica's accumulators.
+func (st *runState) captureRoundBase() {
+	for s, params := range st.e.sets[0].stageParams {
+		st.carried[0][s] = make([]*tensor.Matrix, len(params))
+		for k, p := range params {
+			st.carried[0][s][k] = tensor.GetClone(p.Grad)
 			p.Grad.Zero()
 		}
 	}
@@ -405,11 +404,13 @@ func (st *runState) releaseCarried(j int) {
 func (st *runState) rollback() {
 	j := st.committed // the step that failed to commit
 	if j < len(st.carried) {
-		for s := range st.carried[j] {
-			params := st.e.sets[0].stageParams[s]
-			for k, p := range params {
-				if st.carried[j][s][k] != nil {
-					p.Grad.CopyFrom(st.carried[j][s][k])
+		for s, carried := range st.carried[j] {
+			for k, p := range st.e.sets[0].stageParams[s] {
+				switch {
+				case carried == nil: // an all +0 base (commitStep)
+					p.Grad.Zero()
+				case carried[k] != nil:
+					p.Grad.CopyFrom(carried[k])
 				}
 			}
 		}
@@ -534,10 +535,9 @@ func (st *runState) awaitCommit(d, j int) error {
 // commitStep finishes step j inside the round: it fires the caller's
 // optimizer callback (the real parameter update — all folds and
 // preconditions of the step are complete, because every device's OptStep
-// has arrived), then prepares step j+1 exactly the way the round prologue
-// prepared step 0 — primary gradient accumulators zeroed and captured as
-// the next carried base, replica accumulators zeroed, and the updated
-// primary parameters re-broadcast to every replica.
+// has arrived) and zeroes the primary's gradient accumulators, then
+// prepares step j+1: replica accumulators zeroed, and the updated primary
+// parameters re-broadcast to every replica.
 func (st *runState) commitStep(j int) error {
 	e := st.e
 	if e.multiRank {
@@ -578,7 +578,10 @@ func (st *runState) commitStep(j int) error {
 	if j == len(st.micro)-1 {
 		return nil // round over
 	}
-	st.captureStepBase(j + 1)
+	// A round of more than one step has an optimizer (TrainRound), so the
+	// primary's accumulators were just zeroed: step j+1's carried base is
+	// all +0, which its nil stages stand for.
+	st.zeroSecondaryGrads()
 	return e.broadcastParams()
 }
 

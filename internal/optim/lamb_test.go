@@ -66,26 +66,87 @@ func referenceLAMBStep(params []*nn.Param, m, v [][]float64, step int, lr, wd fl
 	}
 }
 
-// Retaining the update scratch must not change a bit: three steps over
-// parameters of very different sizes (so the scratch is resliced both ways)
-// equal the allocating formula exactly.
-func TestLAMBStepMatchesAllocatingReference(t *testing.T) {
-	got, want := wideParams(t), wideParams(t)
-	opt := optim.NewLAMB(got, 0.01)
-	m, v := make([][]float64, len(want)), make([][]float64, len(want))
-	for i, p := range want {
-		m[i], v[i] = make([]float64, len(p.Value.Data)), make([]float64, len(p.Value.Data))
+// eachKernel runs f once under every available tensor kernel variant.
+func eachKernel(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	def := tensor.ActiveKernel()
+	defer func() {
+		if err := tensor.SetKernel(def); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for _, k := range tensor.AvailableKernels() {
+		if err := tensor.SetKernel(k); err != nil {
+			t.Fatal(err)
+		}
+		t.Run("kernel="+k.String(), f)
 	}
-	for step := 1; step <= 3; step++ {
-		opt.Step(1e-3)
-		referenceLAMBStep(want, m, v, step, 1e-3, 0.01)
-		for i, p := range got {
-			if !p.Value.Equal(want[i].Value) {
-				t.Fatalf("step %d: %s differs from the allocating reference (max %g)",
-					step, p.Name, p.Value.Sub(want[i].Value).MaxAbs())
+}
+
+// Neither the retained update scratch nor tensor's optimizer kernel may
+// change a bit, under any kernel variant: three steps over parameters of
+// very different sizes (so the scratch is resliced both ways, and the
+// 2-element head bias runs in the kernel's Go tail alone) equal the
+// allocating formula exactly.
+func TestLAMBStepMatchesAllocatingReference(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		got, want := wideParams(t), wideParams(t)
+		opt := optim.NewLAMB(got, 0.01)
+		m, v := make([][]float64, len(want)), make([][]float64, len(want))
+		for i, p := range want {
+			m[i], v[i] = make([]float64, len(p.Value.Data)), make([]float64, len(p.Value.Data))
+		}
+		for step := 1; step <= 3; step++ {
+			opt.Step(1e-3)
+			referenceLAMBStep(want, m, v, step, 1e-3, 0.01)
+			for i, p := range got {
+				if !p.Value.Equal(want[i].Value) {
+					t.Fatalf("step %d: %s differs from the allocating reference (max %g)",
+						step, p.Name, p.Value.Sub(want[i].Value).MaxAbs())
+				}
 			}
 		}
+	})
+}
+
+// referenceAdamStep is Adam.Step's loop before it ran on tensor's kernel:
+// one pass per parameter, the update applied as it is computed.
+func referenceAdamStep(params []*nn.Param, m, v [][]float64, step int, lr, wd float64) {
+	beta1, beta2, eps := 0.9, 0.999, 1e-8
+	bc1 := 1 - math.Pow(beta1, float64(step))
+	bc2 := 1 - math.Pow(beta2, float64(step))
+	for i, p := range params {
+		for j := range p.Value.Data {
+			g := p.Grad.Data[j]
+			m[i][j] = beta1*m[i][j] + (1-beta1)*g
+			v[i][j] = beta2*v[i][j] + (1-beta2)*g*g
+			upd := (m[i][j]/bc1)/(math.Sqrt(v[i][j]/bc2)+eps) + wd*p.Value.Data[j]
+			p.Value.Data[j] -= lr * upd
+		}
 	}
+}
+
+// Adam on the kernel equals its former loop bit for bit, under every
+// variant, over three steps of the wide model.
+func TestAdamStepMatchesLoop(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		got, want := wideParams(t), wideParams(t)
+		opt := optim.NewAdam(got, 0.01)
+		m, v := make([][]float64, len(want)), make([][]float64, len(want))
+		for i, p := range want {
+			m[i], v[i] = make([]float64, len(p.Value.Data)), make([]float64, len(p.Value.Data))
+		}
+		for step := 1; step <= 3; step++ {
+			opt.Step(1e-3)
+			referenceAdamStep(want, m, v, step, 1e-3, 0.01)
+			for i, p := range got {
+				if !p.Value.Equal(want[i].Value) {
+					t.Fatalf("step %d: %s differs from the loop (max %g)",
+						step, p.Name, p.Value.Sub(want[i].Value).MaxAbs())
+				}
+			}
+		}
+	})
 }
 
 func TestLAMBStepZeroAlloc(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"math"
 
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // Optimizer updates parameters from their accumulated gradients.
@@ -66,45 +67,61 @@ type Adam struct {
 	Eps         float64
 	WeightDecay float64
 
-	step int
-	m    [][]float64
-	v    [][]float64
+	moments
 }
 
 // NewAdam builds an Adam optimizer with the usual defaults
 // (β1=0.9, β2=0.999, eps=1e-8).
 func NewAdam(params []*nn.Param, weightDecay float64) *Adam {
-	a := &Adam{params: params, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay}
-	a.m = make([][]float64, len(params))
-	a.v = make([][]float64, len(params))
-	for i, p := range params {
-		a.m[i] = make([]float64, len(p.Value.Data))
-		a.v[i] = make([]float64, len(p.Value.Data))
-	}
-	return a
+	return &Adam{params: params, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay,
+		moments: newMoments(params)}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update. It allocates nothing.
 func (a *Adam) Step(lr float64) {
-	a.step++
-	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
+	s := a.advance(a.Beta1, a.Beta2, a.Eps, a.WeightDecay, 1)
 	for i, p := range a.params {
-		m, v := a.m[i], a.v[i]
-		for j := range p.Value.Data {
-			g := p.Grad.Data[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mHat := m[j] / bc1
-			vHat := v[j] / bc2
-			upd := mHat/(math.Sqrt(vHat)+a.Eps) + a.WeightDecay*p.Value.Data[j]
-			p.Value.Data[j] -= lr * upd
-		}
+		update := a.update[:len(p.Value.Data)]
+		tensor.AdamUpdate(update, a.m[i], a.v[i], p.Grad.Data, p.Value.Data, s)
+		tensor.SubScaled(p.Value.Data, update, lr)
 	}
 }
 
 // Params returns the managed parameters.
 func (a *Adam) Params() []*nn.Param { return a.params }
+
+// moments is the state Adam and LAMB share: the bias-correction step
+// counter, first and second moments per parameter, and the update scratch
+// between the pass that computes a parameter's update (and, for LAMB, its
+// norm) and the pass that applies it, sized to the largest parameter.
+type moments struct {
+	step   int
+	m, v   [][]float64
+	update []float64
+}
+
+func newMoments(params []*nn.Param) moments {
+	mo := moments{m: make([][]float64, len(params)), v: make([][]float64, len(params))}
+	largest := 0
+	for i, p := range params {
+		mo.m[i] = make([]float64, len(p.Value.Data))
+		mo.v[i] = make([]float64, len(p.Value.Data))
+		largest = max(largest, len(p.Value.Data))
+	}
+	mo.update = make([]float64, largest)
+	return mo
+}
+
+// advance counts one more step and returns its scalars for
+// tensor.AdamUpdate.
+func (mo *moments) advance(beta1, beta2, eps, weightDecay, preScale float64) tensor.AdamStep {
+	mo.step++
+	return tensor.AdamStep{
+		Beta1: beta1, Beta2: beta2, Eps: eps, WeightDecay: weightDecay, PreScale: preScale,
+		BC1: 1 - math.Pow(beta1, float64(mo.step)),
+		BC2: 1 - math.Pow(beta2, float64(mo.step)),
+	}
+}
 
 // LAMB implements the layer-wise adaptive large-batch optimizer of You et
 // al. (2020) in NVIDIA's NVLAMB flavor, the paper's baseline: global
@@ -122,59 +139,31 @@ type LAMB struct {
 	// it exceeds 1 (the "NV" part of NVLAMB).
 	PreNormalize bool
 
-	step int
-	m    [][]float64
-	v    [][]float64
-	// update holds one parameter's update between the pass that computes
-	// its norm and the pass that applies it; sized to the largest parameter.
-	update []float64
+	moments
 }
 
 // NewLAMB builds an NVLAMB optimizer with the paper's hyperparameters
 // (β1=0.9, β2=0.999, eps=1e-6, trust ratio clip 10, pre-normalization on).
 func NewLAMB(params []*nn.Param, weightDecay float64) *LAMB {
-	l := &LAMB{
+	return &LAMB{
 		params: params, Beta1: 0.9, Beta2: 0.999, Eps: 1e-6,
 		WeightDecay: weightDecay, MaxTrustRatio: 10, PreNormalize: true,
+		moments: newMoments(params),
 	}
-	l.m = make([][]float64, len(params))
-	l.v = make([][]float64, len(params))
-	largest := 0
-	for i, p := range params {
-		l.m[i] = make([]float64, len(p.Value.Data))
-		l.v[i] = make([]float64, len(p.Value.Data))
-		largest = max(largest, len(p.Value.Data))
-	}
-	l.update = make([]float64, largest)
-	return l
 }
 
 // Step applies one NVLAMB update. It allocates nothing.
 func (l *LAMB) Step(lr float64) {
-	l.step++
 	preScale := 1.0
 	if l.PreNormalize {
 		if gn := nn.GradNorm(l.params); gn > 1 {
 			preScale = 1 / gn
 		}
 	}
-	bc1 := 1 - math.Pow(l.Beta1, float64(l.step))
-	bc2 := 1 - math.Pow(l.Beta2, float64(l.step))
+	s := l.advance(l.Beta1, l.Beta2, l.Eps, l.WeightDecay, preScale)
 	for i, p := range l.params {
-		m, v := l.m[i], l.v[i]
-		var wNorm, uNorm float64
 		update := l.update[:len(p.Value.Data)]
-		for j := range p.Value.Data {
-			g := p.Grad.Data[j] * preScale
-			m[j] = l.Beta1*m[j] + (1-l.Beta1)*g
-			v[j] = l.Beta2*v[j] + (1-l.Beta2)*g*g
-			mHat := m[j] / bc1
-			vHat := v[j] / bc2
-			u := mHat/(math.Sqrt(vHat)+l.Eps) + l.WeightDecay*p.Value.Data[j]
-			update[j] = u
-			wNorm += p.Value.Data[j] * p.Value.Data[j]
-			uNorm += u * u
-		}
+		wNorm, uNorm := tensor.AdamUpdate(update, l.m[i], l.v[i], p.Grad.Data, p.Value.Data, s)
 		wNorm = math.Sqrt(wNorm)
 		uNorm = math.Sqrt(uNorm)
 		trust := 1.0
@@ -184,10 +173,7 @@ func (l *LAMB) Step(lr float64) {
 				trust = l.MaxTrustRatio
 			}
 		}
-		scale := lr * trust
-		for j := range p.Value.Data {
-			p.Value.Data[j] -= scale * update[j]
-		}
+		tensor.SubScaled(p.Value.Data, update, lr*trust)
 	}
 }
 

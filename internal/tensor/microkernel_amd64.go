@@ -46,3 +46,12 @@ func geluForwardFMA(y, cdf, x []float64)
 
 //go:noescape
 func geluBackwardFMA(dx, dy, x, cdf []float64)
+
+// The optimizer kernels (vecmath_amd64.s), bit-identical to vecmath.go's
+// Go loops. Every slice has the length of g (of src), a multiple of 4.
+
+//go:noescape
+func adamUpdateFMA(u, m, v, g, w []float64, beta1, c1, beta2, c2, bc1, bc2, eps, wd, pre float64) (wSq, uSq float64)
+
+//go:noescape
+func subScaledFMA(dst, src []float64, scale float64)

@@ -37,3 +37,11 @@ func geluForwardFMA(y, cdf, x []float64) {
 func geluBackwardFMA(dx, dy, x, cdf []float64) {
 	panic("tensor: FMA GELU kernel unavailable in this build")
 }
+
+func adamUpdateFMA(u, m, v, g, w []float64, beta1, c1, beta2, c2, bc1, bc2, eps, wd, pre float64) (wSq, uSq float64) {
+	panic("tensor: FMA optimizer kernel unavailable in this build")
+}
+
+func subScaledFMA(dst, src []float64, scale float64) {
+	panic("tensor: FMA optimizer kernel unavailable in this build")
+}

@@ -2,11 +2,12 @@ package tensor
 
 import "math"
 
-// Element-wise transcendental kernels, dispatched on ActiveKernel like the
-// GEMM family: the three fused forms internal/nn needs of exp and erf.
+// Element-wise kernels, dispatched on ActiveKernel like the GEMM family:
+// the three fused forms internal/nn needs of exp and erf, and the
+// per-element Adam / NVLAMB update internal/optim runs at every step commit.
 //
-// KernelScalar and KernelTiled run the math.Exp / math.Erf loops below and
-// are bit-identical to them. KernelFMA runs AVX2 assembly
+// KernelScalar and KernelTiled run the Go loops below and are
+// bit-identical to them. For exp and erf, KernelFMA runs AVX2 assembly
 // (vecmath_amd64.s) under two contracts:
 //
 //   - Accuracy: exp and erf are within 2 ULP of math.Exp and math.Erf
@@ -28,8 +29,19 @@ import "math"
 //     keeps this repo's bit-identity contracts within the variant. Pinned
 //     by TestVecMathPositionIndependent.
 //
-// Reductions are not part of the family: softmax and cross-entropy sum the
-// exps in ascending scalar order themselves.
+// The optimizer kernels AdamUpdate and SubScaled hold a stronger contract:
+// under every variant they equal the Go loops below bit for bit (a NaN
+// matching a NaN; payloads are the hardware's). Their KernelFMA form runs
+// the same IEEE operations four lanes at a time — separate VMULPD, VADDPD,
+// VSUBPD, VDIVPD, VSQRTPD, no fused multiply-add — and the Go loops convert
+// every product explicitly, which the spec says prevents fusion on any
+// GOAMD64 level. AdamUpdate's two norms are the one reduction in the family: Σw² and
+// Σu² are in-kernel ascending scalar sums, lane by lane, continued in Go
+// over a slice's last len%4 elements. Pinned by TestAdamUpdateBitIdentical,
+// TestSubScaledBitIdentical and FuzzAdamUpdate.
+//
+// Other reductions are not part of the family: softmax and cross-entropy
+// sum the exps in ascending scalar order themselves.
 
 // ExpShift writes exp(src[i] - shift) to dst[i]. dst may be src.
 func ExpShift(dst, src []float64, shift float64) {
@@ -73,5 +85,53 @@ func GELUBackward(dx, dy, x, cdf []float64) {
 	for i, v := range x {
 		pdf := invSqrt2Pi * math.Exp(-0.5*v*v)
 		dx[i] = dy[i] * (cdf[i] + v*pdf)
+	}
+}
+
+// AdamStep is one step's scalars of the Adam update: the moment decays,
+// the bias corrections BC1 = 1−β1ᵗ and BC2 = 1−β2ᵗ, ε, the decoupled
+// weight decay, and PreScale, which multiplies every gradient first
+// (NVLAMB's pre-normalization; 1 for plain Adam).
+type AdamStep struct {
+	Beta1, Beta2, BC1, BC2, Eps, WeightDecay, PreScale float64
+}
+
+// AdamUpdate runs one tensor's per-element Adam update: with g' =
+// g[i]·PreScale it writes m[i] = β1·m[i] + (1−β1)·g', v[i] = β2·v[i] +
+// ((1−β2)·g')·g' and u[i] = (m[i]/BC1)/(√(v[i]/BC2) + ε) +
+// WeightDecay·w[i], and returns Σw[i]² and Σu[i]², each summed in
+// ascending i. m, v, u and w have len(g). It allocates nothing.
+func AdamUpdate(u, m, v, g, w []float64, s AdamStep) (wSq, uSq float64) {
+	n := len(g)
+	u, m, v, w = u[:n], m[:n], v[:n], w[:n]
+	c1, c2 := 1-s.Beta1, 1-s.Beta2
+	i := 0
+	if ActiveKernel() == KernelFMA {
+		i = n &^ 3
+		wSq, uSq = adamUpdateFMA(u[:i], m[:i], v[:i], g[:i], w[:i],
+			s.Beta1, c1, s.Beta2, c2, s.BC1, s.BC2, s.Eps, s.WeightDecay, s.PreScale)
+	}
+	for ; i < n; i++ {
+		gi := g[i] * s.PreScale
+		m[i] = float64(s.Beta1*m[i]) + float64(c1*gi)
+		v[i] = float64(s.Beta2*v[i]) + float64(float64(c2*gi)*gi)
+		ui := m[i]/s.BC1/(math.Sqrt(v[i]/s.BC2)+s.Eps) + float64(s.WeightDecay*w[i])
+		u[i] = ui
+		wSq += float64(w[i] * w[i])
+		uSq += float64(ui * ui)
+	}
+	return wSq, uSq
+}
+
+// SubScaled writes dst[i] − scale·src[i] to dst[i]; dst has len(src).
+func SubScaled(dst, src []float64, scale float64) {
+	dst = dst[:len(src)]
+	i := 0
+	if ActiveKernel() == KernelFMA {
+		i = len(src) &^ 3
+		subScaledFMA(dst[:i], src[:i], scale)
+	}
+	for ; i < len(src); i++ {
+		dst[i] -= float64(scale * src[i])
 	}
 }

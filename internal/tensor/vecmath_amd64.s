@@ -2,11 +2,13 @@
 
 #include "textflag.h"
 
-// Element-wise exp / erf kernels for KernelFMA: 4 float64 lanes per step.
-// The contract (vecmath.go) is position independence: a lane's result is a
-// function of its value alone. The branches below test all four lanes at
-// once and only ever skip work whose result no lane would keep, and a
-// slice's last 1-3 elements run the same code on a zero-padded register.
+// Element-wise kernels for KernelFMA: 4 float64 lanes per step. Exp / erf
+// first; the optimizer kernels, under a contract of their own, at the end.
+// The exp / erf contract (vecmath.go) is position independence: a lane's
+// result is a function of its value alone. The branches below test all
+// four lanes at once and only ever skip work whose result no lane would
+// keep, and a slice's last 1-3 elements run the same code on a zero-padded
+// register.
 //
 // vexp4<> and verf4<> are file-local subroutines with a register
 // convention of their own: argument and result in Y0; vexp4 clobbers
@@ -467,5 +469,108 @@ gelubwdtail:
 	VMASKMOVPD Y0, Y9, (DI)
 
 gelubwddone:
+	VZEROUPPER
+	RET
+
+// The optimizer kernels below hold vecmath.go's stronger contract: each
+// lane runs the Go loop's IEEE operations in its order — one VMULPD,
+// VADDPD, VSUBPD, VDIVPD or VSQRTPD per Go operator, never a fused
+// multiply-add — so every stored value equals the Go loop's bit for bit.
+// Both take a multiple-of-4 length; vecmath.go runs the last len%4
+// elements in Go.
+
+// SUM4 adds the four lanes of ysrc (whose low half is xsrc) to the scalar
+// in acc in lane order, one VADDSD each, as the Go loop's running sum does.
+// Clobbers xsrc and tmp.
+#define SUM4(ysrc, xsrc, acc, tmp) \
+	VADDSD       xsrc, acc, acc; \
+	VUNPCKHPD    xsrc, xsrc, tmp; \
+	VADDSD       tmp, acc, acc; \
+	VEXTRACTF128 $1, ysrc, xsrc; \
+	VADDSD       xsrc, acc, acc; \
+	VUNPCKHPD    xsrc, xsrc, tmp; \
+	VADDSD       tmp, acc, acc
+
+// func adamUpdateFMA(u, m, v, g, w []float64, beta1, c1, beta2, c2, bc1, bc2, eps, wd, pre float64) (wSq, uSq float64)
+TEXT ·adamUpdateFMA(SB), NOSPLIT, $0-208
+	MOVQ         u_base+0(FP), DI
+	MOVQ         m_base+24(FP), R8
+	MOVQ         v_base+48(FP), R9
+	MOVQ         g_base+72(FP), SI
+	MOVQ         g_len+80(FP), CX
+	MOVQ         w_base+96(FP), R10
+	VBROADCASTSD beta1+120(FP), Y14
+	VBROADCASTSD c1+128(FP), Y13
+	VBROADCASTSD beta2+136(FP), Y12
+	VBROADCASTSD c2+144(FP), Y11
+	VBROADCASTSD bc1+152(FP), Y10
+	VBROADCASTSD bc2+160(FP), Y9
+	VBROADCASTSD eps+168(FP), Y8
+	VBROADCASTSD wd+176(FP), Y7
+	VBROADCASTSD pre+184(FP), Y15
+	VXORPD       X6, X6, X6 // Σw²
+	VXORPD       X5, X5, X5 // Σu²
+
+adamloop:
+	CMPQ    CX, $4
+	JLT     adamdone
+	VMOVUPD (SI), Y0
+	VMULPD  Y15, Y0, Y0   // g' = g*pre
+	VMULPD  (R8), Y14, Y1 // β1*m
+	VMULPD  Y13, Y0, Y2   // (1-β1)*g'
+	VADDPD  Y2, Y1, Y1    // m
+	VMOVUPD Y1, (R8)
+	VMULPD  (R9), Y12, Y2 // β2*v
+	VMULPD  Y11, Y0, Y3   // (1-β2)*g'
+	VMULPD  Y0, Y3, Y3    // ((1-β2)*g')*g'
+	VADDPD  Y3, Y2, Y2    // v
+	VMOVUPD Y2, (R9)
+	VDIVPD  Y10, Y1, Y1   // m/bc1
+	VDIVPD  Y9, Y2, Y2    // v/bc2
+	VSQRTPD Y2, Y2
+	VADDPD  Y8, Y2, Y2    // √(v/bc2) + ε
+	VDIVPD  Y2, Y1, Y1
+	VMOVUPD (R10), Y3     // w
+	VMULPD  Y7, Y3, Y4    // wd*w
+	VADDPD  Y4, Y1, Y1    // u
+	VMOVUPD Y1, (DI)
+	VMULPD  Y3, Y3, Y3    // w*w
+	VMULPD  Y1, Y1, Y1    // u*u
+	SUM4(Y3, X3, X6, X4)
+	SUM4(Y1, X1, X5, X4)
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     adamloop
+
+adamdone:
+	VMOVSD     X6, wSq+192(FP)
+	VMOVSD     X5, uSq+200(FP)
+	VZEROUPPER
+	RET
+
+// func subScaledFMA(dst, src []float64, scale float64)
+TEXT ·subScaledFMA(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         src_base+24(FP), SI
+	MOVQ         src_len+32(FP), CX
+	VBROADCASTSD scale+48(FP), Y2
+
+subloop:
+	CMPQ    CX, $4
+	JLT     subdone
+	VMULPD  (SI), Y2, Y0 // scale*src
+	VMOVUPD (DI), Y1
+	VSUBPD  Y0, Y1, Y1   // dst - scale*src
+	VMOVUPD Y1, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	SUBQ    $4, CX
+	JMP     subloop
+
+subdone:
 	VZEROUPPER
 	RET

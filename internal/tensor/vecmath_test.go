@@ -371,3 +371,159 @@ func benchVec(b *testing.B, kernel func(dst, src []float64)) {
 		})
 	}
 }
+
+// adamUpdateRef is the per-element NVLAMB update as optim.LAMB.Step wrote
+// it inline, a running sum per norm: the reference AdamUpdate must equal.
+func adamUpdateRef(u, m, v, g, w []float64, s AdamStep) (wSq, uSq float64) {
+	for i := range g {
+		gi := g[i] * s.PreScale
+		m[i] = float64(s.Beta1*m[i]) + float64((1-s.Beta1)*gi)
+		v[i] = float64(s.Beta2*v[i]) + float64(float64((1-s.Beta2)*gi)*gi)
+		mHat := m[i] / s.BC1
+		vHat := v[i] / s.BC2
+		ui := mHat/(math.Sqrt(vHat)+s.Eps) + float64(s.WeightDecay*w[i])
+		u[i] = ui
+		wSq += float64(w[i] * w[i])
+		uSq += float64(ui * ui)
+	}
+	return wSq, uSq
+}
+
+// optSpecials are the values every optimizer-kernel operand is drawn from
+// besides N(0,1): NaN, ±Inf, ±0, subnormals, the normal extremes and huge
+// gradients.
+var optSpecials = []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+	5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, 2.2250738585072014e-308,
+	1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, 1e154, 1e-160}
+
+// optOperands returns n values for one operand: N(0,1) scaled by scale,
+// with every fifth (from an offset that differs per seed) a special.
+func optOperands(rng *RNG, n int, scale float64, specials bool) []float64 {
+	x := make([]float64, n)
+	off := rng.Intn(5)
+	for i := range x {
+		x[i] = scale * rng.NormFloat64()
+		if specials && i%5 == off {
+			x[i] = optSpecials[rng.Intn(len(optSpecials))]
+		}
+	}
+	return x
+}
+
+// checkAdamUpdate runs AdamUpdate and the reference on copies of the same
+// operands and demands equal bits in u, m, v and both norms (a NaN
+// matching any NaN).
+func checkAdamUpdate(t *testing.T, g, m, v, w []float64, s AdamStep) {
+	t.Helper()
+	n := len(g)
+	gotM, gotV, gotU := append([]float64(nil), m...), append([]float64(nil), v...), make([]float64, n)
+	wantM, wantV, wantU := append([]float64(nil), m...), append([]float64(nil), v...), make([]float64, n)
+	gotW, gotUU := AdamUpdate(gotU, gotM, gotV, g, w, s)
+	wantW, wantUU := adamUpdateRef(wantU, wantM, wantV, g, w, s)
+	if !sameFloat(gotW, wantW) || !sameFloat(gotUU, wantUU) {
+		t.Fatalf("n=%d %+v: norms Σw² %v Σu² %v, want %v %v", n, s, gotW, gotUU, wantW, wantUU)
+	}
+	for i := 0; i < n; i++ {
+		if !sameFloat(gotM[i], wantM[i]) || !sameFloat(gotV[i], wantV[i]) || !sameFloat(gotU[i], wantU[i]) {
+			t.Fatalf("n=%d %+v, element %d (g %v m %v v %v w %v): m %v v %v u %v, want %v %v %v",
+				n, s, i, g[i], m[i], v[i], w[i], gotM[i], gotV[i], gotU[i], wantM[i], wantV[i], wantU[i])
+		}
+	}
+}
+
+// checkSubScaled runs SubScaled against dst[i] -= scale*src[i].
+func checkSubScaled(t *testing.T, dst, src []float64, scale float64) {
+	t.Helper()
+	got, want := append([]float64(nil), dst...), append([]float64(nil), dst...)
+	SubScaled(got, src, scale)
+	for i := range want {
+		want[i] -= float64(scale * src[i])
+	}
+	for i := range want {
+		if !sameFloat(got[i], want[i]) {
+			t.Fatalf("n=%d scale %v, element %d (dst %v src %v) = %v, want %v",
+				len(src), scale, i, dst[i], src[i], got[i], want[i])
+		}
+	}
+}
+
+// optSteps are the scalar sets the optimizer kernels are checked at:
+// LAMB's and Adam's defaults at steps 1 and 1000, and bias corrections at
+// 1 and near 0.
+func optSteps() []AdamStep {
+	lamb := AdamStep{Beta1: 0.9, Beta2: 0.999, Eps: 1e-6, WeightDecay: 0.01, PreScale: 0.37}
+	var out []AdamStep
+	for _, bc := range [][2]float64{{1 - 0.9, 1 - 0.999}, {1 - math.Pow(0.9, 1000), 1 - math.Pow(0.999, 1000)},
+		{1, 1}, {1e-300, 5e-324}, {5e-324, 1}, {1, 1e-300}} {
+		s := lamb
+		s.BC1, s.BC2 = bc[0], bc[1]
+		out = append(out, s)
+		adam := s
+		adam.Eps, adam.WeightDecay, adam.PreScale = 1e-8, 0, 1
+		out = append(out, adam)
+	}
+	return out
+}
+
+// The optimizer kernels equal the Go loop bit for bit under every variant:
+// every length 0-9 (no vector, one, and each tail), 4k±1 and 65 537,
+// specials in every operand, bias corrections at 1 and near 0.
+func TestAdamUpdateBitIdentical(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4095, 4096, 4097, 65537}
+	withKernels(t, func(t *testing.T, _ bool) {
+		rng := NewRNG(31)
+		for _, n := range lengths {
+			for _, s := range optSteps() {
+				for _, specials := range []bool{false, true} {
+					g := optOperands(rng, n, 1e3, specials)
+					m := optOperands(rng, n, 1, specials)
+					v := optOperands(rng, n, 1, specials)
+					for i := range v {
+						if !specials || i%3 != 0 {
+							v[i] = math.Abs(v[i]) // a second moment; every third stays signed
+						}
+					}
+					w := optOperands(rng, n, 0.1, specials)
+					checkAdamUpdate(t, g, m, v, w, s)
+				}
+			}
+		}
+	})
+}
+
+func TestSubScaledBitIdentical(t *testing.T) {
+	withKernels(t, func(t *testing.T, _ bool) {
+		rng := NewRNG(32)
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4095, 4097, 65537} {
+			for _, scale := range []float64{1e-3, 0, math.Copysign(0, -1), 1e300, 5e-324, math.Inf(1), math.NaN()} {
+				checkSubScaled(t, optOperands(rng, n, 1, true), optOperands(rng, n, 1, true), scale)
+			}
+		}
+	})
+}
+
+// FuzzAdamUpdate compares AdamUpdate and SubScaled with the Go loop on
+// arbitrary bit patterns under every variant: the four operands rotated
+// through a seven-element slice (one full vector and a three-element Go
+// tail), with arbitrary bias corrections and pre-scale.
+func FuzzAdamUpdate(f *testing.F) {
+	bits := math.Float64bits
+	for i, s := range optSteps() {
+		x := optSpecials[i%len(optSpecials)]
+		f.Add(bits(x), bits(0.5), bits(0.25), bits(-1.5), bits(s.BC1), bits(s.BC2), bits(s.PreScale))
+	}
+	f.Fuzz(func(t *testing.T, gb, mb, vb, wb, bc1b, bc2b, preb uint64) {
+		ops := []float64{math.Float64frombits(gb), math.Float64frombits(mb), math.Float64frombits(vb), math.Float64frombits(wb)}
+		const n = 7
+		g, m, v, w := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := 0; i < n; i++ {
+			g[i], m[i], v[i], w[i] = ops[i%4], ops[(i+1)%4], ops[(i+2)%4], ops[(i+3)%4]
+		}
+		s := AdamStep{Beta1: 0.9, Beta2: 0.999, Eps: 1e-6, WeightDecay: 0.01,
+			BC1: math.Float64frombits(bc1b), BC2: math.Float64frombits(bc2b), PreScale: math.Float64frombits(preb)}
+		withKernels(t, func(t *testing.T, _ bool) {
+			checkAdamUpdate(t, g, m, v, w, s)
+			checkSubScaled(t, w, g, s.PreScale)
+		})
+	})
+}

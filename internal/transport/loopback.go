@@ -5,10 +5,11 @@ import "fmt"
 // Loopback is the degenerate single-rank group: the refactor of the
 // engine's original in-process pooled-buffer collective into the Group
 // interface, and the parity reference every wire transport is tested
-// against. AllReduce is exactly the historical reduceGrads fold — copy the
-// base, add each part in ascending order — so routing the engine's
-// collectives through a Loopback group is bit-identical to (and as
-// allocation-free as) the pre-transport code path.
+// against. AllReduce is bit for bit the historical reduceGrads fold — the
+// base plus each part in ascending order, now summed element by element
+// (sumParts) — so routing the engine's collectives through a Loopback
+// group is bit-identical to (and as allocation-free as) the pre-transport
+// code path.
 type Loopback struct{}
 
 // Rank returns 0 — a loopback group has one member.

@@ -186,27 +186,52 @@ func checkReduceArgs(dst, base []float64, parts [][]float64) error {
 // foldInto performs the local share of the fold on one chunk: dst = base
 // (or zeros) + every part in ascending order, all restricted to [lo, hi).
 func foldInto(dst, base []float64, parts [][]float64, lo, hi int) {
-	d := dst[lo:hi]
 	if base == nil {
-		for i := range d {
-			d[i] = 0
-		}
-	} else {
-		copy(d, base[lo:hi])
+		// The chain starts from +0 (so a sum of −0s is +0), as it always has.
+		clear(dst[lo:hi])
+		base = dst
 	}
-	for _, p := range parts {
-		for i, v := range p[lo:hi] {
-			d[i] += v
-		}
-	}
+	sumParts(dst[lo:hi], base[lo:hi], parts, lo, hi)
 }
 
 // addParts adds every part (ascending) into dst over [lo, hi).
 func addParts(dst []float64, parts [][]float64, lo, hi int) {
-	d := dst[lo:hi]
-	for _, p := range parts {
-		for i, v := range p[lo:hi] {
-			d[i] += v
+	sumParts(dst[lo:hi], dst[lo:hi], parts, lo, hi)
+}
+
+// sumParts writes d[i] = a[i] + parts[0][lo+i] + parts[1][lo+i] + …, the
+// additions in ascending part order. It runs element-major, up to four
+// parts per pass over d (the common counts 1, 2 and 4 in one), where a
+// pass per part would read and write d once per part. a may be d.
+func sumParts(d, a []float64, parts [][]float64, lo, hi int) {
+	if len(parts) == 0 {
+		copy(d, a)
+		return
+	}
+	for len(parts) > 0 {
+		a = a[:len(d)]
+		switch p0 := parts[0][lo:hi]; {
+		case len(parts) >= 4:
+			p1, p2, p3 := parts[1][lo:hi], parts[2][lo:hi], parts[3][lo:hi]
+			p0, p1, p2, p3 = p0[:len(d)], p1[:len(d)], p2[:len(d)], p3[:len(d)]
+			for i := range d {
+				d[i] = a[i] + p0[i] + p1[i] + p2[i] + p3[i]
+			}
+			parts = parts[4:]
+		case len(parts) >= 2:
+			p1 := parts[1][lo:hi]
+			p0, p1 = p0[:len(d)], p1[:len(d)]
+			for i := range d {
+				d[i] = a[i] + p0[i] + p1[i]
+			}
+			parts = parts[2:]
+		default:
+			p0 = p0[:len(d)]
+			for i := range d {
+				d[i] = a[i] + p0[i]
+			}
+			parts = parts[1:]
 		}
+		a = d
 	}
 }

@@ -538,3 +538,117 @@ func TestPayloadPoolSizeClasses(t *testing.T) {
 		}
 	}
 }
+
+// foldPartMajor is the fold as it ran before sumParts: copy the base (or
+// clear), then one sweep over the chunk per part. The reference foldInto
+// and addParts must equal bit for bit.
+func foldPartMajor(dst, base []float64, parts [][]float64, lo, hi int) {
+	d := dst[lo:hi]
+	if base == nil {
+		for i := range d {
+			d[i] = 0
+		}
+	} else {
+		copy(d, base[lo:hi])
+	}
+	for _, p := range parts {
+		for i, v := range p[lo:hi] {
+			d[i] += v
+		}
+	}
+}
+
+// foldValues returns n addition-order-sensitive values with every seventh
+// a special: −0 (whole parts of it check the +0 start), ±Inf, NaN, a
+// subnormal or a huge value.
+func foldValues(n int, seed float64, allNegZero bool) []float64 {
+	v := fill(n, seed)
+	specials := []float64{math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, 1e308, -1e308}
+	for i := range v {
+		switch {
+		case allNegZero:
+			v[i] = math.Copysign(0, -1)
+		case (i+int(seed))%7 == 0:
+			v[i] = specials[(i/7+int(seed))%len(specials)]
+		}
+	}
+	return v
+}
+
+// sameFold compares two folds bit for bit, a NaN matching any NaN.
+func sameFold(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// The element-major fold equals the part-major loop bit for bit: part
+// counts 0-5 (each unrolled width, and the passes after the first), with
+// and without a base, with the base aliasing dst, parts that are all −0,
+// and lengths and [lo, hi) bounds on both sides of every multiple of 4.
+func TestFoldMatchesPartMajor(t *testing.T) {
+	for _, n := range []int{0, 1, 3, 4, 5, 8, 9, 17} {
+		for nParts := 0; nParts <= 5; nParts++ {
+			for _, negZero := range []bool{false, true} {
+				parts := make([][]float64, nParts)
+				for k := range parts {
+					parts[k] = foldValues(n, float64(k+2), negZero)
+				}
+				for _, baseKind := range []string{"nil", "own", "dst"} {
+					for lo := 0; lo <= n && lo <= 5; lo++ {
+						for hi := lo; hi <= n; hi++ {
+							if hi > lo+5 && hi < n-1 {
+								continue // the middle adds no boundary
+							}
+							init := foldValues(n, 1, false)
+							got, want := append([]float64(nil), init...), append([]float64(nil), init...)
+							var gotBase, wantBase []float64
+							switch baseKind {
+							case "own":
+								gotBase, wantBase = foldValues(n, 9, negZero), foldValues(n, 9, negZero)
+							case "dst":
+								gotBase, wantBase = got, want
+							}
+							foldInto(got, gotBase, parts, lo, hi)
+							foldPartMajor(want, wantBase, parts, lo, hi)
+							if !sameFold(got, want) {
+								t.Fatalf("foldInto n=%d parts=%d base=%s negZero=%v [%d,%d): %v, want %v",
+									n, nParts, baseKind, negZero, lo, hi, got, want)
+							}
+							got, want = append([]float64(nil), init...), append([]float64(nil), init...)
+							addParts(got, parts, lo, hi)
+							foldPartMajor(want, want, parts, lo, hi)
+							if !sameFold(got, want) {
+								t.Fatalf("addParts n=%d parts=%d negZero=%v [%d,%d): %v, want %v",
+									n, nParts, negZero, lo, hi, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFold is one rank's local fold of four parts onto a base —
+// a stage's gradient fold on the loopback group — at a 128-wide block
+// matrix (16 384), a 128×512 FFN matrix (65 536) and ≈ half of the wide
+// benchmark model (266 000). Reported, not gated.
+func BenchmarkFold(b *testing.B) {
+	for _, n := range []int{16384, 65536, 266000} {
+		b.Run(fmt.Sprintf("parts=4/n=%d", n), func(b *testing.B) {
+			dst, base := make([]float64, n), fill(n, 1)
+			parts := make([][]float64, 4)
+			for k := range parts {
+				parts[k] = fill(n, float64(k+2))
+			}
+			b.SetBytes(int64(8 * n * (len(parts) + 2)))
+			for b.Loop() {
+				foldInto(dst, base, parts, 0, n)
+			}
+		})
+	}
+}
