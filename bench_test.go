@@ -542,7 +542,7 @@ func benchEngineStep(b *testing.B, mc bert.Config, ec engine.Config) {
 // overlapped windows (the -overlap rows): refresh work that spills out of
 // its window carries into the next round's bubbles as generation-lagged
 // ops instead of serializing before the tail. At K = 4 nothing spills
-// (TestOverlapVsSerializedBitIdentityShapePriced runs this model at K = 4
+// (TestOverlapVsSerializedBitIdentity runs this model at K = 4
 // with nothing carried), so the K4 overlap row executes the identical
 // schedule and should match the serialized row to within measurement
 // noise; at K = 2 the tiny model's refresh, priced from its shapes, spills

@@ -392,8 +392,10 @@
 //     one. BenchmarkEngineSlotBytes reports both sizes and asserts a twin's
 //     forward + backward grows the heap by the forward-retained share only.
 //   - Only which buffer holds an activation changed, never an arithmetic
-//     order: TestSlotsBitIdenticalToRecompute pins losses, gradients,
-//     factors and inverses to digests recorded on the recomputing executor.
+//     order: TestSlotsBitIdenticalToRecompute holds losses, gradients,
+//     factors and inverses to the reference (Refresh rounds, "Staleness
+//     semantics"), which runs each micro-batch's forward straight into its
+//     backward on one set of blocks.
 //
 // # Collective transport contract
 //
@@ -565,11 +567,20 @@
 //     on the inversions the packer assigned to steps <= j, so each step
 //     preconditions with the freshest completed inverses — and with the
 //     previous refresh's inverses for factors still in flight, the
-//     stale-but-cheap discipline of §3.1. FrontLoadRefresh pins the whole
-//     refresh to the window's first step instead: the legacy skip cadence
-//     expressed as a round, bit-identical to a RefreshSteps = 1 engine at
-//     the same refresh interval (the round-vs-skip identity tests run on
-//     this; refreshEvery must be a multiple of K either way).
+//     stale-but-cheap discipline of §3.1; refreshEvery is a multiple of K.
+//     This contract's test is a reference (internal/engine/reference_test.go):
+//     the engine's semantics as one loop on one goroutine, no pipelines,
+//     pools or module sets — each global micro-batch forward and backward
+//     in ascending order, gradient deltas and K-FAC partials folded through
+//     the transport's fold in that order, a refresh fed by its window's
+//     first-step statistics, each factor's new inverse first serving at the
+//     step of its inversion op (or its chain's last op) in the engine's own
+//     Schedule, a carried generation folding and inverting before the
+//     window's own. TestEngineMatchesReference holds every loss, every
+//     gradient the optimizer sees and every factor and inverse after every
+//     round to it bit for bit over a generated matrix of models, families,
+//     W, K, overlap, InversionParallel, ShardParams, refresh intervals and
+//     kernel variants.
 //   - Step commits: every step's OptStep ops arrive at a barrier; once all
 //     have, one device fires the caller's optimizer callback
 //     (SetOptimizer), zeroes the primary's accumulators, releases the
@@ -591,8 +602,8 @@
 //     schedule edge (schedule.Executable), and an error from an op that ran
 //     while a commit was pending surfaces only once the commit resolved, so
 //     which steps commit never depends on timing. TestCommitPendingIdentity
-//     pins losses, gradients, factors and inverses of fixed op lists to
-//     digests recorded when every device parked at the barrier;
+//     holds losses, gradients, factors and inverses of rounds that ran
+//     refresh work while a commit was pending to the reference;
 //     TestCommitPendingErrorSurfacesAfterCommit,
 //     TestWatchdogIdleWhileAwaitingCommit and the schedule tests'
 //     checkCommitEdges hold the rest. On failure the round aborts at round

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/bert"
 	"repro/internal/data"
+	"repro/internal/hardware"
 	"repro/internal/optim"
 	"repro/internal/pipeline"
 	"repro/internal/tensor"
@@ -22,17 +23,15 @@ import (
 // as chains.
 func chainBERT(t *testing.T) (*bert.Model, *data.Corpus) {
 	t.Helper()
-	cfg := bert.TinyConfig()
-	cfg.DFF = 128
-	m, err := bert.New(cfg, 123)
+	m, err := refModels["bert-ffn128"].make(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := data.NewCorpus(cfg.VocabSize, 1.0, 321)
+	c, err := data.NewCorpus(m.(*bert.Model).Config.VocabSize, 1.0, 321)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, c
+	return m.(*bert.Model), c
 }
 
 // roundBatches draws one round of batches of the given size.
@@ -58,50 +57,43 @@ func chainEvents(tl *pipeline.Timeline) int {
 }
 
 // An engine whose wide factors invert as chains computes what one inverting
-// every factor in one op does: with the refresh front-loaded, every step
-// preconditions with the inverses of its own window whatever the packing,
+// every factor in one op does. In one-step rounds every inversion swaps its
+// inverse in before its own step's precondition, however the packing cuts it,
 // so losses, parameters and inverses must match bit for bit — gpipe, 1f1b
-// and chimera, W 1 and 2.
+// and chimera, W 1 and 2, a refresh every other step — and each run must
+// equal the reference.
 func TestChainedInversionsBitIdenticalToWhole(t *testing.T) {
 	for _, method := range pipeline.Methods() {
 		for _, w := range []int{1, 2} {
 			t.Run(fmt.Sprintf("%s/W%d", method, w), func(t *testing.T) {
-				cfg := Config{Method: method, Stages: 2, MicroBatches: 4 / w, Replicas: w, RefreshSteps: 2, FrontLoadRefresh: true}
-				train := func(chains bool) (*bert.Model, []float64, *Engine) {
-					m, c := chainBERT(t)
-					e := newSwapEngine(t, m, cfg, 2)
+				c := refCase{model: "bert-ffn128", every: 2, batch: 8, kernel: tensor.ActiveKernel(),
+					cfg: Config{Method: method, Stages: 2, MicroBatches: 4 / w, Replicas: w, RefreshSteps: 1}}
+				train := func(chains bool) (*Engine, []float64) {
+					var whole func(*Engine)
 					if !chains {
-						costs := e.ModeledCosts()
-						costs.InversionChains = nil
-						if err := e.Reconfigure(e.Shape(), &costs); err != nil {
-							t.Fatal(err)
+						whole = func(e *Engine) {
+							costs := e.ModeledCosts()
+							costs.InversionChains = nil
+							if err := e.Reconfigure(e.Shape(), &costs); err != nil {
+								t.Fatal(err)
+							}
 						}
 					}
-					opt := optim.NewLAMB(m.Params(), 0.01)
-					e.SetOptimizer(func(int) error { opt.Step(5e-3); return nil })
-					var losses []float64
-					for r := 0; r < 3; r++ {
-						res, err := e.TrainRound(roundBatches(c, 2, 8, m.Config.SeqLen))
-						if err != nil {
-							t.Fatal(err)
-						}
-						for _, sr := range res {
-							losses = append(losses, sr.Loss.Total)
-						}
-						if got := chainEvents(e.LastTimeline()); chains != (got > 0) {
-							t.Fatalf("chains=%v engine executed %d chain steps", chains, got)
-						}
+					steps := 0
+					e, losses := requireMatchesReference(t, c, 4, whole, func(e *Engine) { steps += chainEvents(e.LastTimeline()) })
+					if chains != (steps > 0) {
+						t.Fatalf("chains=%v engine executed %d chain steps", chains, steps)
 					}
-					return m, losses, e
+					return e, losses
 				}
-				mc, lc, ec := train(true)
-				mw, lw, ew := train(false)
+				ec, lc := train(true)
+				ew, lw := train(false)
 				for i := range lc {
 					if math.Float64bits(lc[i]) != math.Float64bits(lw[i]) {
 						t.Fatalf("step %d: chained loss %.17g, whole %.17g", i, lc[i], lw[i])
 					}
 				}
-				requireParamsBitEqual(t, mc.Params(), mw.Params(), "chained vs whole inversions")
+				requireParamsBitEqual(t, ec.sets[0].params, ew.sets[0].params, "chained vs whole inversions")
 				for s := 0; s < ec.Stages(); s++ {
 					for i, ls := range ec.KFACStates(s).States() {
 						other := ew.KFACStates(s).States()[i]
@@ -229,19 +221,19 @@ func TestCommitPendingErrorSurfacesAfterCommit(t *testing.T) {
 }
 
 // A device waiting for a pending commit is not stalled: its watchdog slot
-// is disarmed while it waits. With the refresh front-loaded, device 0 (stage
-// 0) reaches step 0's commit first and holds its next forward, which waits on
-// nothing else, until the commit resolved; device 1 arrives late — its
-// precondition stalled by injection — and commits slowly. Device 0 waits well
-// past the op deadline in total while every op, the commit included, stays
-// inside it.
+// is disarmed while it waits. In a two-step 1F1B K-FAC round, device 0
+// (stage 0) reaches step 0's commit first and holds its next forward, which
+// waits on nothing else, until device 1 arrives — its precondition stalled
+// by injection — and commits, slowly. Device 0 waits well past the op
+// deadline in total while every op, the commit included, stays inside it.
 func TestWatchdogIdleWhileAwaitingCommit(t *testing.T) {
-	m, c := chainBERT(t)
+	m, c := newModelAndCorpus(t)
 	const stall = 200 * time.Millisecond
+	const timeout = 300 * time.Millisecond
 	e, err := NewWithConfig(m, Config{
-		Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: 2, FrontLoadRefresh: true,
+		Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: 2,
 		FaultPlan: mustParsePlan(t, fmt.Sprintf("stall:step=0,dev=1,op=precondition,delay=%v", stall)),
-		OpTimeout: 300 * time.Millisecond,
+		OpTimeout: timeout,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,5 +251,28 @@ func TestWatchdogIdleWhileAwaitingCommit(t *testing.T) {
 	})
 	if _, err := e.TrainRound(roundBatches(c, 2, 8, m.Config.SeqLen)); err != nil {
 		t.Fatalf("a device waiting for a pending commit was treated as stalled: %v", err)
+	}
+	// Device 0 arrived at step 0's commit before device 1 did, and its next
+	// base op started past the op deadline after that.
+	tl := e.LastTimeline()
+	var arrived, committing, next hardware.Microseconds = -1, -1, -1
+	for _, ev := range tl.Events[0] {
+		switch {
+		case ev.Op.Kind == pipeline.OptStep && ev.Op.Step == 0:
+			arrived = ev.End
+		case arrived >= 0 && next < 0 && !ev.Op.Kind.IsRefresh():
+			next = ev.Start
+		}
+	}
+	for _, ev := range tl.Events[1] {
+		if ev.Op.Kind == pipeline.OptStep && ev.Op.Step == 0 {
+			committing = ev.Start
+		}
+	}
+	if arrived < 0 || next < 0 || arrived > committing {
+		t.Fatalf("device 0 did not reach step 0's commit first (arrived %d µs, device 1 at %d µs)", arrived, committing)
+	}
+	if wait := time.Duration(next-arrived) * time.Microsecond; wait <= timeout {
+		t.Fatalf("device 0 waited %v for the commit, not past the %v op deadline: the test does not exercise the wait", wait, timeout)
 	}
 }

@@ -155,18 +155,8 @@ type Config struct {
 	// of the previous generation still being folded or inverted; each
 	// step's precondition keeps the §3.1 freshest-completed rule across the
 	// window boundary. When the refresh fits its window, overlapped
-	// execution is bit-identical to serialized rounds. Incompatible with
-	// FrontLoadRefresh.
+	// execution is bit-identical to serialized rounds.
 	OverlapRounds bool
-	// FrontLoadRefresh pins the refresh work of a RefreshSteps > 1 round to
-	// the window's first step instead of spreading it across the window's
-	// bubbles: the skip-cadence semantics expressed as a round, bit-identical
-	// to a RefreshSteps = 1 engine at the same refresh interval (the
-	// round-vs-skip identity tests run on this). The default spreads the
-	// refresh across the whole window — the paper's multi-step schedule
-	// shape — with each step preconditioning on the freshest completed
-	// inverses.
-	FrontLoadRefresh bool
 	// FaultPlan, when non-nil, injects the plan's deterministic faults —
 	// op failures, stalls, collective drops, NaN corruption — at their
 	// named (step, device, op-kind) points (package faults). The whole
@@ -227,9 +217,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.RefreshSteps == 0 {
 		c.RefreshSteps = 1
-	}
-	if c.OverlapRounds && c.FrontLoadRefresh {
-		return c, fmt.Errorf("engine: OverlapRounds and FrontLoadRefresh are mutually exclusive")
 	}
 	if c.OpTimeout < 0 {
 		return c, fmt.Errorf("engine: OpTimeout must be non-negative, got %v", c.OpTimeout)
@@ -407,13 +394,6 @@ type Engine struct {
 	// are reused across saves so steady-state checkpointing allocates
 	// nothing.
 	ckpt roundCheckpoint
-}
-
-// New partitions the model's blocks into nStages contiguous stages and
-// prepares a GPipe schedule — the legacy constructor, equivalent to
-// NewWithConfig with Method "gpipe".
-func New(model pipemodel.Model, nStages, microBatches int) (*Engine, error) {
-	return NewWithConfig(model, Config{Stages: nStages, MicroBatches: microBatches})
 }
 
 // NewWithConfig builds an engine executing the configured schedule. The
@@ -690,7 +670,6 @@ func (e *Engine) ScheduleConfig(costs pipeline.StageCosts) schedule.Config {
 		DataParallelWidth: e.cfg.Replicas,
 		InversionParallel: e.cfg.InversionParallel,
 		RefreshSteps:      e.roundLen,
-		FrontLoadRefresh:  e.cfg.FrontLoadRefresh,
 		Overlap:           e.cfg.OverlapRounds,
 	}
 }

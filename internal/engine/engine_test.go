@@ -77,7 +77,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestTrainStepBatchValidation(t *testing.T) {
 	m, c := newModelAndCorpus(t)
-	e, err := New(m, 2, 4)
+	e, err := NewWithConfig(m, Config{Stages: 2, MicroBatches: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPipelineMatchesAcrossMicroBatchCounts(t *testing.T) {
 	params := m.Params()
 	var ref []*tensor.Matrix
 	for _, micro := range []int{1, 2, 4} {
-		e, err := New(m, 2, micro)
+		e, err := NewWithConfig(m, Config{Stages: 2, MicroBatches: micro})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func TestPipelineMatchesAcrossMicroBatchCounts(t *testing.T) {
 
 func TestDeviceBusyReported(t *testing.T) {
 	m, c := newModelAndCorpus(t)
-	e, err := New(m, 2, 2)
+	e, err := NewWithConfig(m, Config{Stages: 2, MicroBatches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestErrorPathDrainsWithoutPanic(t *testing.T) {
 	batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
 
 	// Reference gradients from a healthy engine.
-	ref, err := New(m, 2, 4)
+	ref, err := NewWithConfig(m, Config{Stages: 2, MicroBatches: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestErrorPathDrainsWithoutPanic(t *testing.T) {
 		{"fail backward stage 1", pipeline.Backward, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := New(m, 2, 4)
+			e, err := NewWithConfig(m, Config{Stages: 2, MicroBatches: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -573,7 +573,7 @@ func TestSchedulesMatchSingleDeviceWithParallelKernels(t *testing.T) {
 
 func TestStageLayers(t *testing.T) {
 	m, _ := newModelAndCorpus(t)
-	e, err := New(m, 2, 2)
+	e, err := NewWithConfig(m, Config{Stages: 2, MicroBatches: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,135 +1,40 @@
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"math"
 	"testing"
 
 	"repro/internal/bert"
-	"repro/internal/data"
-	"repro/internal/gpt"
-	"repro/internal/kfac"
-	"repro/internal/optim"
 	"repro/internal/pipeline"
-	"repro/internal/pipemodel"
 	"repro/internal/tensor"
 )
 
-func hashFloats(h hash.Hash, vs ...float64) {
-	var b [8]byte
-	for _, v := range vs {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		h.Write(b[:])
-	}
-}
-
-func hashMatrix(h hash.Hash, m *tensor.Matrix) {
-	hashFloats(h, float64(m.Rows), float64(m.Cols))
-	hashFloats(h, m.Data...)
-}
-
-// TestSlotsBitIdenticalToRecompute pins the executor's numbers against the
-// executor that re-ran every forward before its backward: one SHA-256 per
-// (model, schedule, W) over every step's loss, every parameter gradient the
-// optimizer sees, and every K-FAC factor and cached inverse after every
-// round — serialized K = 1 rounds, overlapped K = 2 rounds, and both again
-// under ShardParams where W = 2 — under the portable tiled kernel. The
-// digests were recorded by running this test body at the commit before the
-// activation slots (0666974, backward = recompute + backward), so a green
-// run proves that stashing changed which buffer holds an activation and
-// nothing else. (GPipe and 1F1B share a digest: same packing cost shape,
-// schedule-independent numbers.) The digests were recorded under the
-// packing costs of that time, so the test pins them (parentCosts): which
-// step an inverse arrives in is the packing's choice.
+// TestSlotsBitIdenticalToRecompute: no backward re-runs a forward — each
+// in-flight micro-batch keeps its activations in a slot of its stage — and
+// that changes which buffer holds an activation and nothing else. Over
+// (model, schedule, W), serialized K = 1 rounds and overlapped K = 2 rounds,
+// both again under ShardParams where W = 2, three rounds train exactly what
+// the reference computes: one model running each micro-batch's forward
+// straight into its backward.
 func TestSlotsBitIdenticalToRecompute(t *testing.T) {
-	want := map[string]string{
-		"bert/gpipe/W1":   "bf7815ebcd89602fb6791669a01933027d567b3d0389d150e6953c34b9cfdab8",
-		"bert/gpipe/W2":   "eaa14ddaf5a8937ede74a75757caa2ba7dabce2304070012b7678273935b9ba8",
-		"bert/1f1b/W1":    "bf7815ebcd89602fb6791669a01933027d567b3d0389d150e6953c34b9cfdab8",
-		"bert/1f1b/W2":    "eaa14ddaf5a8937ede74a75757caa2ba7dabce2304070012b7678273935b9ba8",
-		"bert/chimera/W1": "2326df392ed6ce67949fcda90f559bc5675648db5a400c06456fcc695a015b36",
-		"bert/chimera/W2": "c0c28d335d5b8c3a778fc109023c59bfa8ea32d9f309a0abc5b101116f098514",
-		"gpt/gpipe/W1":    "b5955e3cf895a9a54e606f63e04d5397b377eedb0069de5afa59d752789af680",
-		"gpt/gpipe/W2":    "44ffe155e74b6c26d2f288437e0143a5301382971cb4d9d157b86e2e183cf0ee",
-		"gpt/1f1b/W1":     "b5955e3cf895a9a54e606f63e04d5397b377eedb0069de5afa59d752789af680",
-		"gpt/1f1b/W2":     "44ffe155e74b6c26d2f288437e0143a5301382971cb4d9d157b86e2e183cf0ee",
-		"gpt/chimera/W1":  "d1d4b756b5b615a9c7a1c9298b917288beec962fd7d49eb8497eaa4dd69556af",
-		"gpt/chimera/W2":  "65f3be4cc38ac74edd719a05ca268f0366daa90d28d1465622fdf30b5b6828bd",
-	}
-	def := tensor.ActiveKernel()
-	defer tensor.SetKernel(def)
-	if err := tensor.SetKernel(tensor.KernelTiled); err != nil {
-		t.Fatal(err)
-	}
-	models := []struct {
-		name    string
-		make    func() (pipemodel.Model, error)
-		batches func(t *testing.T, n, size int) []*data.Batch
-	}{
-		{"bert", func() (pipemodel.Model, error) { return bert.New(bert.TinyConfig(), 123) }, bertBatches},
-		{"gpt", func() (pipemodel.Model, error) { return gpt.New(gpt.TinyConfig(), 99) }, gptBatches},
-	}
-	for _, mc := range models {
+	var cases []refCase
+	for _, model := range []string{"bert", "gpt"} {
 		for _, method := range pipeline.Methods() {
 			for _, w := range []int{1, 2} {
-				key := fmt.Sprintf("%s/%s/W%d", mc.name, method, w)
-				h := sha256.New()
 				for _, shard := range []bool{false, true}[:w] { // ShardParams needs W = 2
 					for _, k := range []int{1, 2} {
-						m, err := mc.make()
-						if err != nil {
-							t.Fatal(err)
-						}
-						e, err := NewWithConfig(m, Config{
+						cases = append(cases, refCase{model: model, every: k, batch: 16, kernel: tensor.ActiveKernel(), cfg: Config{
 							Method: method, Stages: 2, MicroBatches: 4, Replicas: w,
 							RefreshSteps: k, OverlapRounds: k > 1, ShardParams: shard,
-						})
-						if err != nil {
-							t.Fatalf("%s shard=%v K%d: %v", key, shard, k, err)
-						}
-						if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.9, UsePiDamping: true}, k); err != nil {
-							t.Fatal(err)
-						}
-						pinParentCosts(t, e)
-						opt := optim.NewLAMB(m.Params(), 0.01)
-						e.SetOptimizer(func(step int) error {
-							for _, p := range m.Params() {
-								hashMatrix(h, p.Grad)
-							}
-							opt.Step(5e-3)
-							return nil
-						})
-						const rounds = 3
-						batches := mc.batches(t, rounds*k, 16)
-						for i := 0; i < rounds; i++ {
-							res, err := e.TrainRound(batches[i*k : (i+1)*k])
-							if err != nil {
-								t.Fatalf("%s shard=%v K%d round %d: %v", key, shard, k, i, err)
-							}
-							for _, sr := range res {
-								hashFloats(h, sr.Loss.Total)
-							}
-							for s := 0; s < e.Stages(); s++ {
-								for _, ls := range e.KFACStates(s).States() {
-									for _, f := range []*tensor.Matrix{ls.A, ls.B, ls.AInv, ls.BInv} {
-										if f != nil {
-											hashMatrix(h, f)
-										}
-									}
-								}
-							}
-						}
+						}})
 					}
-				}
-				if got := hex.EncodeToString(h.Sum(nil)); got != want[key] {
-					t.Errorf("%s: digest %s, want %s", key, got, want[key])
 				}
 			}
 		}
+	}
+	for _, c := range cases {
+		requireMatchesReference(t, c, 3, nil, nil)
 	}
 }
 
@@ -259,90 +164,4 @@ func requireExecutedDepth(t *testing.T, cfg Config) {
 		}
 	}
 	requireSlotsFree(t, e, name)
-}
-
-// TestSlotsBitIdenticalToRecomputeShapePriced is the same pin on the
-// engine's default path: costs priced from the model's shapes, the first
-// round re-pricing at its micro-batch shape (four sequences per micro-batch
-// at W = 1, two at W = 2). The digests were recorded by running this body at
-// 0666974 with each configuration's shape-priced costs installed through
-// Reconfigure. They are the chimera rows above: priced from shapes, every
-// family's inverses arrive in the same steps.
-func TestSlotsBitIdenticalToRecomputeShapePriced(t *testing.T) {
-	want := map[string]string{
-		"bert/W1": "2326df392ed6ce67949fcda90f559bc5675648db5a400c06456fcc695a015b36",
-		"bert/W2": "c0c28d335d5b8c3a778fc109023c59bfa8ea32d9f309a0abc5b101116f098514",
-		"gpt/W1":  "d1d4b756b5b615a9c7a1c9298b917288beec962fd7d49eb8497eaa4dd69556af",
-		"gpt/W2":  "65f3be4cc38ac74edd719a05ca268f0366daa90d28d1465622fdf30b5b6828bd",
-	}
-	def := tensor.ActiveKernel()
-	defer tensor.SetKernel(def)
-	if err := tensor.SetKernel(tensor.KernelTiled); err != nil {
-		t.Fatal(err)
-	}
-	models := []struct {
-		name    string
-		make    func() (pipemodel.Model, error)
-		batches func(t *testing.T, n, size int) []*data.Batch
-	}{
-		{"bert", func() (pipemodel.Model, error) { return bert.New(bert.TinyConfig(), 123) }, bertBatches},
-		{"gpt", func() (pipemodel.Model, error) { return gpt.New(gpt.TinyConfig(), 99) }, gptBatches},
-	}
-	for _, mc := range models {
-		for _, method := range pipeline.Methods() {
-			for _, w := range []int{1, 2} {
-				h := sha256.New()
-				for _, shard := range []bool{false, true}[:w] {
-					for _, k := range []int{1, 2} {
-						m, err := mc.make()
-						if err != nil {
-							t.Fatal(err)
-						}
-						e, err := NewWithConfig(m, Config{
-							Method: method, Stages: 2, MicroBatches: 4, Replicas: w,
-							RefreshSteps: k, OverlapRounds: k > 1, ShardParams: shard,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.9, UsePiDamping: true}, k); err != nil {
-							t.Fatal(err)
-						}
-						opt := optim.NewLAMB(m.Params(), 0.01)
-						e.SetOptimizer(func(step int) error {
-							for _, p := range m.Params() {
-								hashMatrix(h, p.Grad)
-							}
-							opt.Step(5e-3)
-							return nil
-						})
-						const rounds = 3
-						batches := mc.batches(t, rounds*k, 16)
-						for i := 0; i < rounds; i++ {
-							res, err := e.TrainRound(batches[i*k : (i+1)*k])
-							if err != nil {
-								t.Fatal(err)
-							}
-							for _, sr := range res {
-								hashFloats(h, sr.Loss.Total)
-							}
-							for s := 0; s < e.Stages(); s++ {
-								for _, ls := range e.KFACStates(s).States() {
-									for _, f := range []*tensor.Matrix{ls.A, ls.B, ls.AInv, ls.BInv} {
-										if f != nil {
-											hashMatrix(h, f)
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-				key := fmt.Sprintf("%s/W%d", mc.name, w)
-				if got := hex.EncodeToString(h.Sum(nil)); got != want[key] {
-					t.Errorf("%s/%s/W%d: digest %s, want %s", mc.name, method, w, got, want[key])
-				}
-			}
-		}
-	}
 }

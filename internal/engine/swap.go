@@ -30,7 +30,6 @@ func (e *Engine) Shape() schedule.Candidate {
 // RoundSteps after a successful swap: TrainRound consumes K batches. The
 // refresh cadence is kept, rounded UP to a multiple of the new K when the
 // round length changes (a refresh window cannot straddle a round boundary).
-// An overlapped shape drops FrontLoadRefresh pinning.
 //
 // costs, when non-nil, replaces the engine's packing cost model — the costs
 // priced from the model's shapes, or an earlier swap's — with a fitted one
@@ -66,11 +65,6 @@ func (e *Engine) Reconfigure(shape schedule.Candidate, costs *pipeline.StageCost
 	nc.RefreshSteps = k
 	nc.OverlapRounds = shape.Overlap
 	nc.InversionParallel = shape.InversionParallel
-	if shape.Overlap {
-		// Overlap spreads the refresh by construction; a front-loaded
-		// engine swapping to overlap drops the front-load pinning.
-		nc.FrontLoadRefresh = false
-	}
 	nc, err := nc.normalize()
 	if err != nil {
 		return err
@@ -88,7 +82,6 @@ func (e *Engine) Reconfigure(shape schedule.Candidate, costs *pipeline.StageCost
 		k == e.roundLen &&
 		nc.OverlapRounds == e.cfg.OverlapRounds &&
 		nc.InversionParallel == e.cfg.InversionParallel &&
-		nc.FrontLoadRefresh == e.cfg.FrontLoadRefresh &&
 		re == e.refreshEvery &&
 		(costs == nil || (e.costModel != nil && costs.Equal(*e.costModel)))
 

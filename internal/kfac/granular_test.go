@@ -103,8 +103,9 @@ func TestSetFactorsValidation(t *testing.T) {
 func TestInvertFactorResetsAge(t *testing.T) {
 	l := nn.NewDense("probe", 3, 2, tensor.NewRNG(1))
 	p := NewPreconditioner([]*nn.Dense{l}, Options{Damping: 1e-2})
-	a := tensor.Zeros(3, 3).AddDiagonal(1)
-	b := tensor.Zeros(2, 2).AddDiagonal(1)
+	a, b := tensor.Zeros(3, 3), tensor.Zeros(2, 2)
+	a.AddDiagonalInPlace(1)
+	b.AddDiagonalInPlace(1)
 	if err := p.SetFactors(0, a, b); err != nil {
 		t.Fatal(err)
 	}

@@ -170,9 +170,6 @@ type CostConfig struct {
 	GPU hardware.GPU
 	// DataParallelWidth is W (replicas per stage); 1 disables collectives.
 	DataParallelWidth int
-	// Interconnect models the collective fabric; zero value uses
-	// hardware.DefaultInterconnect.
-	Interconnect hardware.Interconnect
 	// Transport selects the collective cost model: "" or "loopback" prices
 	// sync-grad/sync-curvature with the flat alpha-beta all-reduce, "ring"
 	// with the chunked chain model of the socket transport
@@ -194,10 +191,7 @@ func CostsFor(cfg CostConfig) (StageCosts, error) {
 	}
 	a, g := cfg.Arch, cfg.GPU
 	blocks := float64(cfg.BlocksPerStage)
-	ic := cfg.Interconnect
-	if ic.Bandwidth == 0 {
-		ic = hardware.DefaultInterconnect
-	}
+	ic := hardware.DefaultInterconnect
 
 	fwdOp := hardware.Op{
 		FLOPs:    a.BlockForwardFLOPs(cfg.MicroBatch) * blocks,

@@ -9,7 +9,7 @@ package schedule
 // this at EnableKFAC time when Config.RefreshSteps asks for adaptive sizing,
 // so the round length tracks the refresh-work-to-bubble ratio of the actual
 // schedule, model shape, and replica topology. Like Assign, it ignores the
-// round-shape fields of cfg (RefreshSteps, FrontLoadRefresh, Overlap).
+// round-shape fields of cfg (RefreshSteps, Overlap).
 func AdaptiveRoundLength(cfg Config) (int, error) {
 	res, err := Assign(cfg)
 	if err != nil {

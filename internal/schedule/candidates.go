@@ -113,7 +113,6 @@ func Predict(base Config, c Candidate) (Prediction, error) {
 	cfg.Overlap = c.Overlap
 	cfg.CarryDepth = 0
 	cfg.InversionParallel = c.InversionParallel
-	cfg.FrontLoadRefresh = false
 	s, err := Executable(cfg)
 	if err != nil {
 		return Prediction{}, err

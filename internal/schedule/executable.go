@@ -79,7 +79,7 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	assignWindowSteps(items, tl, cfg)
+	assignWindowSteps(items, tl, k)
 
 	s := &pipeline.Schedule{
 		Name:         base.Name + "+PipeFisher",
@@ -244,16 +244,7 @@ func pairFactor(f int) int { return f ^ 1 }
 // step than its dependencies, which is what makes the per-step precondition
 // edges acyclic): sync-curvature is clamped to its stage's curvature,
 // inversion to its factor pair's curvature and its stage's syncs.
-func assignWindowSteps(items []*workItem, base *pipeline.Timeline, cfg Config) {
-	if cfg.FrontLoadRefresh {
-		// Skip-cadence placement: the whole refresh belongs to the window's
-		// first step (ordered ahead of its tail), steps 1..K-1 run stale.
-		for _, it := range items {
-			it.wstep = 0
-		}
-		return
-	}
-	k := cfg.RefreshSteps
+func assignWindowSteps(items []*workItem, base *pipeline.Timeline, k int) {
 	last := k - 1
 	// tailStart[d][j]: start of device d's earliest step-j tail op.
 	const never = hardware.Microseconds(1) << 62

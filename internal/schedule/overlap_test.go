@@ -173,16 +173,6 @@ func TestOverlapCarriesSpillAndStaysRunnable(t *testing.T) {
 	}
 }
 
-// Overlap and FrontLoadRefresh are mutually exclusive.
-func TestOverlapRejectsFrontLoad(t *testing.T) {
-	cfg := execTestConfig("gpipe")
-	cfg.Overlap = true
-	cfg.FrontLoadRefresh = true
-	if _, err := Executable(cfg); err == nil {
-		t.Fatal("Overlap + FrontLoadRefresh must be rejected")
-	}
-}
-
 // AdaptiveRoundLength returns Assign's measured refresh window: at least 1,
 // larger for configurations whose refresh work overflows one step's
 // bubbles, and consistent with Assign's own report.

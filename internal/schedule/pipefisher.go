@@ -74,17 +74,6 @@ type Config struct {
 	// many steps a refresh needs, Executable *takes* the round length as
 	// given.
 	RefreshSteps int
-	// FrontLoadRefresh pins every item of the refresh to the window's first
-	// step: packed into that step's bubbles where they fit, spilled right
-	// before its tail otherwise — the legacy skip-cadence placement
-	// expressed as a round (steps 1..K-1 of the window run fully stale with
-	// the just-refreshed inverses). The default (false) spreads the refresh
-	// across the whole window's bubbles, the paper's multi-step schedule
-	// shape, in which each step preconditions with the freshest inverses
-	// completed by that step. Front-loaded rounds are bit-identical to the
-	// skip cadence at the same refresh interval, which the engine's
-	// round-vs-skip identity tests exploit.
-	FrontLoadRefresh bool
 	// Overlap lets consecutive refresh windows overlap (Executable only):
 	// refresh work that does not fit its own window's bubbles is not
 	// serialized before the window's tail but *carried* — emitted as
@@ -95,8 +84,7 @@ type Config struct {
 	// exist). The carry set is computed as a fixed point so the steady-state
 	// window is self-consistent: what spills out of this window is what the
 	// next window's early bubbles absorb. When everything fits, the overlap
-	// schedule is identical to the serialized one. Incompatible with
-	// FrontLoadRefresh.
+	// schedule is identical to the serialized one.
 	Overlap bool
 	// CarryDepth is the number of windows one refresh spans: carried work
 	// lags one round, so it is 2 under Overlap (generation 0, the window's
@@ -123,9 +111,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.RefreshSteps > maxSteps {
 		return c, fmt.Errorf("schedule: RefreshSteps %d exceeds the %d-step round limit", c.RefreshSteps, maxSteps)
-	}
-	if c.Overlap && c.FrontLoadRefresh {
-		return c, fmt.Errorf("schedule: Overlap and FrontLoadRefresh are mutually exclusive (front-loading pins the whole refresh to the window's first step; overlap carries spill into the next window)")
 	}
 	if c.CarryDepth != 0 && c.CarryDepth != 2 {
 		return c, fmt.Errorf("schedule: CarryDepth %d: carried work lags one round, so the depth is 2 under Overlap (0 resolves it)", c.CarryDepth)
@@ -234,9 +219,9 @@ func packRound(cfg Config, steps int) (*pipeline.Schedule, *pipeline.Timeline, [
 // emits op lists from, and reports where the pieces landed — the augmented
 // timeline, how many steps the refresh spans, the utilization. It measures
 // the window of ONE serialized refresh rather than taking a round shape as
-// given: RefreshSteps, FrontLoadRefresh, Overlap and CarryDepth are ignored.
+// given: RefreshSteps, Overlap and CarryDepth are ignored.
 func Assign(cfg Config) (*Result, error) {
-	cfg.RefreshSteps, cfg.FrontLoadRefresh = 0, false
+	cfg.RefreshSteps = 0
 	cfg.Overlap, cfg.CarryDepth = false, 0
 	cfg, err := cfg.normalize()
 	if err != nil {

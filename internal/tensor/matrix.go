@@ -219,16 +219,6 @@ func (m *Matrix) Hadamard(other *Matrix) *Matrix {
 	return out
 }
 
-// AddDiagonal returns m + d*I. m must be square.
-func (m *Matrix) AddDiagonal(d float64) *Matrix {
-	m.mustSquare("AddDiagonal")
-	out := m.Clone()
-	for i := 0; i < m.Rows; i++ {
-		out.Data[i*m.Cols+i] += d
-	}
-	return out
-}
-
 // AddDiagonalInPlace sets m += d*I. m must be square.
 func (m *Matrix) AddDiagonalInPlace(d float64) {
 	m.mustSquare("AddDiagonalInPlace")

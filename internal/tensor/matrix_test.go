@@ -144,12 +144,13 @@ func TestHadamard(t *testing.T) {
 
 func TestAddDiagonalAndTrace(t *testing.T) {
 	m := Zeros(3, 3)
-	d := m.AddDiagonal(2.5)
+	d := m.Clone()
+	d.AddDiagonalInPlace(2.5)
 	if got := d.Trace(); got != 7.5 {
-		t.Fatalf("Trace after AddDiagonal: got %g, want 7.5", got)
+		t.Fatalf("Trace after AddDiagonalInPlace: got %g, want 7.5", got)
 	}
 	if m.Trace() != 0 {
-		t.Fatal("AddDiagonal must not mutate the receiver")
+		t.Fatal("AddDiagonalInPlace on a clone must not mutate the original")
 	}
 	m.AddDiagonalInPlace(1)
 	if m.Trace() != 3 {
