@@ -189,26 +189,9 @@ func BenchmarkFigure7_ConvergenceBERTBase(b *testing.B) {
 	const steps = 300
 	var fracSteps, fracTime float64
 	for i := 0; i < b.N; i++ {
-		run := func(kind bert.OptimizerKind) *bert.TrainResult {
-			m, err := bert.New(bert.TinyConfig(), 100)
-			if err != nil {
-				b.Fatal(err)
-			}
-			c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 200)
-			if err != nil {
-				b.Fatal(err)
-			}
-			res, err := bert.Pretrain(m, c, bert.TrainConfig{
-				Optimizer: kind, Steps: steps, BatchSize: 16,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			return res
-		}
-		nv := run(bert.OptNVLAMB)
-		kf := run(bert.OptKFAC)
-		at := kf.StepsToReach(nv.FinalLoss)
+		nv := trainTinyBERT(b, steps, 16, kfac.Options{}, 0)
+		kf := trainTinyBERT(b, steps, 16, kfac.DefaultOptions(), 2)
+		at := optim.StepsToReach(kf, optim.FinalLoss(nv))
 		if at < 0 {
 			at = steps
 		}
@@ -221,6 +204,51 @@ func BenchmarkFigure7_ConvergenceBERTBase(b *testing.B) {
 	}
 	b.ReportMetric(100*fracSteps, "kfac-steps-%-of-nvlamb") // paper: 42.0
 	b.ReportMetric(100*fracTime, "kfac-time-%-of-nvlamb")   // paper: 48.7
+}
+
+// trainTinyBERT pretrains a tiny BERT (model seed 100, corpus seed 200)
+// through the engine at one stage — GPipe, one stage, one micro-batch —
+// with LAMB over the paper's poly-decay schedule, its warm-up scaled to
+// steps, and returns the per-step losses. With kfacEvery > 0 it trains
+// K-FAC under opts, refreshing every kfacEvery steps; with 0, NVLAMB.
+func trainTinyBERT(b *testing.B, steps, batch int, opts kfac.Options, kfacEvery int) []float64 {
+	b.Helper()
+	m, err := bert.New(bert.TinyConfig(), 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 200)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	paper := optim.NewNVLAMBSchedule()
+	if kfacEvery > 0 {
+		if err := e.EnableKFAC(opts, kfacEvery); err != nil {
+			b.Fatal(err)
+		}
+		paper = optim.NewKFACSchedule()
+	}
+	lamb := optim.NewLAMB(m.Params(), 0.01)
+	lr := optim.PolyDecaySchedule{
+		BaseLR: 1e-2, WarmupSteps: paper.WarmupSteps * steps / paper.TotalSteps, TotalSteps: steps, Power: 0.5,
+	}
+	e.SetOptimizer(func(step int) error {
+		lamb.Step(lr.LR(step))
+		return nil
+	})
+	losses := make([]float64, steps)
+	for t := range losses {
+		res, err := e.TrainStep(c.MakeBatch(batch, data.DefaultBatchConfig(m.Config.SeqLen)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		losses[t] = res.Loss.Total
+	}
+	return losses
 }
 
 // BenchmarkFigure8_LRSchedule evaluates the two Phase-1 learning-rate
@@ -391,22 +419,7 @@ func BenchmarkAblationRefreshCadence(b *testing.B) {
 		b.Run(map[int]string{2: "fresh-every-2", 16: "stale-every-16"}[every], func(b *testing.B) {
 			var final float64
 			for i := 0; i < b.N; i++ {
-				m, err := bert.New(bert.TinyConfig(), 100)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 200)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := bert.Pretrain(m, c, bert.TrainConfig{
-					Optimizer: bert.OptKFAC, Steps: 80, BatchSize: 8,
-					CurvatureEvery: every, InversionEvery: every,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				final = res.FinalLoss
+				final = optim.FinalLoss(trainTinyBERT(b, 80, 8, kfac.DefaultOptions(), every))
 			}
 			b.ReportMetric(final, "final-loss")
 		})
@@ -444,21 +457,9 @@ func BenchmarkAblationDamping(b *testing.B) {
 		b.Run(map[float64]string{1e-3: "damping-1e-3", 1e-1: "damping-1e-1"}[damping], func(b *testing.B) {
 			var final float64
 			for i := 0; i < b.N; i++ {
-				m, err := bert.New(bert.TinyConfig(), 100)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 200)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := bert.Pretrain(m, c, bert.TrainConfig{
-					Optimizer: bert.OptKFAC, Steps: 80, BatchSize: 8, Damping: damping,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				final = res.FinalLoss
+				opts := kfac.DefaultOptions()
+				opts.Damping = damping
+				final = optim.FinalLoss(trainTinyBERT(b, 80, 8, opts, 2))
 			}
 			b.ReportMetric(final, "final-loss")
 		})

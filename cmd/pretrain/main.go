@@ -6,6 +6,12 @@
 // ("we simulate the time by multiplying the measured time per step by the
 // total number of steps", §5).
 //
+// Both arms train through the engine at one stage: GPipe, one stage, one
+// micro-batch, one-step rounds, with LAMB (weight decay 0.01) over the
+// paper's poly-decay schedule, its warm-up scaled to -steps. The K-FAC arm
+// refreshes curvature and inverses every 2 steps (kfac.DefaultOptions) and
+// preconditions every step.
+//
 // Examples:
 //
 //	pretrain -steps 300 -batch 16            # run both optimizers, print Figure 7 summary
@@ -20,7 +26,10 @@ import (
 	"repro/internal/arch"
 	"repro/internal/bert"
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/hardware"
+	"repro/internal/kfac"
+	"repro/internal/optim"
 	"repro/internal/pipeline"
 	"repro/internal/schedule"
 	"repro/internal/transport"
@@ -51,19 +60,18 @@ func main() {
 
 	switch *optName {
 	case "both":
-		nv := run(bert.OptNVLAMB, *steps, *batch, *seed, *dataSd, *curve)
-		kf := run(bert.OptKFAC, *steps, *batch, *seed, *dataSd, *curve)
+		nv := run("nvlamb", *steps, *batch, *seed, *dataSd, *curve)
+		kf := run("kfac", *steps, *batch, *seed, *dataSd, *curve)
 		summarize(nv, kf, *steps, *trans, *dp)
-	case "nvlamb":
-		run(bert.OptNVLAMB, *steps, *batch, *seed, *dataSd, true)
-	case "kfac":
-		run(bert.OptKFAC, *steps, *batch, *seed, *dataSd, true)
+	case "nvlamb", "kfac":
+		run(*optName, *steps, *batch, *seed, *dataSd, true)
 	default:
 		log.Fatalf("unknown optimizer %q", *optName)
 	}
 }
 
-func run(kind bert.OptimizerKind, steps, batch int, seed, dataSeed uint64, curve bool) *bert.TrainResult {
+// run trains one arm, "nvlamb" or "kfac", and returns its per-step losses.
+func run(opt string, steps, batch int, seed, dataSeed uint64, curve bool) []float64 {
 	model, err := bert.New(bert.TinyConfig(), seed)
 	if err != nil {
 		log.Fatal(err)
@@ -72,30 +80,57 @@ func run(kind bert.OptimizerKind, steps, batch int, seed, dataSeed uint64, curve
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := bert.Pretrain(model, corpus, bert.TrainConfig{
-		Optimizer: kind, Steps: steps, BatchSize: batch,
-	})
+	e, err := engine.NewWithConfig(model, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
+	paper := optim.NewNVLAMBSchedule()
+	if opt == "kfac" {
+		if err := e.EnableKFAC(kfac.DefaultOptions(), 2); err != nil {
+			log.Fatal(err)
+		}
+		paper = optim.NewKFACSchedule()
+	}
+	lamb := optim.NewLAMB(model.Params(), 0.01)
+	lr := optim.PolyDecaySchedule{
+		BaseLR: 1e-2, WarmupSteps: paper.WarmupSteps * steps / paper.TotalSteps, TotalSteps: steps, Power: 0.5,
+	}
+	e.SetOptimizer(func(step int) error {
+		lamb.Step(lr.LR(step))
+		return nil
+	})
+	batchCfg := data.DefaultBatchConfig(model.Config.SeqLen)
+	losses := make([]float64, steps)
+	for t := range losses {
+		res, err := e.TrainStep(corpus.MakeBatch(batch, batchCfg))
+		if err != nil {
+			log.Fatal(err)
+		}
+		losses[t] = res.Loss.Total
+	}
+	var curv, inv int
+	if pre := e.KFACStates(0); pre != nil {
+		curv, inv = pre.States()[0].CurvatureUpdates, pre.States()[0].InverseUpdates
+	}
 	fmt.Printf("%s: final loss %.4f (%d curvature, %d inverse refreshes)\n",
-		kind, res.FinalLoss, res.CurvatureRefreshes, res.InverseRefreshes)
+		opt, optim.FinalLoss(losses), curv, inv)
 	if curve {
-		for t := 0; t < len(res.Losses); t += 10 {
-			fmt.Printf("  step %4d  loss %.4f\n", t, res.Losses[t])
+		for t := 0; t < len(losses); t += 10 {
+			fmt.Printf("  step %4d  loss %.4f\n", t, losses[t])
 		}
 	}
-	return res
+	return losses
 }
 
 // summarize prints the Figure 7-style comparison: steps-to-target plus the
 // simulated wall-clock times using Chimera step times from the simulator
 // (BERT-Base, 4 stages, the §4 setup). The transport and data-parallel
 // width select the collective cost model the step times are priced with.
-func summarize(nv, kf *bert.TrainResult, steps int, trans string, dp int) {
-	kSteps := kf.StepsToReach(nv.FinalLoss)
+func summarize(nv, kf []float64, steps int, trans string, dp int) {
+	nvFinal := optim.FinalLoss(nv)
+	kSteps := optim.StepsToReach(kf, nvFinal)
 	fmt.Println()
-	fmt.Printf("NVLAMB final loss:  %.4f after %d steps\n", nv.FinalLoss, steps)
+	fmt.Printf("NVLAMB final loss:  %.4f after %d steps\n", nvFinal, steps)
 	if kSteps < 0 {
 		fmt.Println("K-FAC did not reach the NVLAMB final loss")
 		return

@@ -14,7 +14,9 @@
 //	nn        layers and autograd: Dense (with K-FAC stat capture),
 //	          LayerNorm, attention, TransformerBlock, losses
 //	models    internal/bert (encoder, MLM+NSP) and internal/gpt
-//	          (decoder, next-token); both implement pipemodel.Model
+//	          (decoder, next-token); each has one forward/backward, its
+//	          pipemodel.Model adapter, and trains through the engine —
+//	          cmd/pretrain runs Figure 7's comparison at one stage
 //	pipemodel the stageable-model contract: embedding / blocks / head,
 //	          with globally-scaled micro-batch losses
 //	kfac      Kronecker-factored curvature: EMA factors, factored
@@ -46,7 +48,8 @@
 //	          corrupt) the engine injects at named points
 //	autotune  refits packing costs from executed timelines and hot-swaps
 //	          the engine to the predicted-best executable
-//	optim     SGD, Adam, LAMB; LR schedules
+//	optim     SGD, Adam, LAMB; LR schedules; steps-to-target and the
+//	          smoothed final loss of a loss curve
 //	data      synthetic Zipf corpus with BERT masking
 //	perfmodel the closed-form model of §3.3 (Table 1's step time and
 //	          memory), read by cmd/figures for Figures 5, 6 and 9-16
@@ -54,7 +57,8 @@
 // Simulation answers "how long would this schedule take on that
 // hardware" (Figures 1, 3, 4); execution answers "does this schedule
 // compute the right thing" — the engine's tests assert that every
-// schedule produces gradients identical to a single-device step. Both
+// schedule produces gradients identical to a single-device step of the
+// engine's reference (internal/engine/reference_test.go). Both
 // consume the same pipeline.Schedule, so a schedule validated by one is
 // valid for the other.
 //

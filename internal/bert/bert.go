@@ -1,7 +1,9 @@
 // Package bert assembles a trainable BERT-style masked-language model from
-// the nn substrate and provides the pretraining loop used to reproduce the
-// paper's convergence comparison (Figure 7): NVLAMB versus K-FAC on the
-// joint masked-LM + next-sentence-prediction objective.
+// the nn substrate: the model the paper's convergence comparison (Figure 7,
+// NVLAMB versus K-FAC on the joint masked-LM + next-sentence-prediction
+// objective) pretrains. It trains through the engine: its one forward and
+// backward is the pipemodel.Model adapter in pipeline.go, which the engine
+// runs at any stage count — cmd/pretrain runs it at one stage.
 //
 // The model here is a faithful but scaled-down BERT: token + position
 // embeddings, post-LN encoder blocks, an MLM head over the vocabulary and
@@ -59,7 +61,6 @@ type Model struct {
 	MLMHead *nn.Dense // d -> vocab; excluded from K-FAC (§4)
 	NSPHead *nn.Dense // d -> 2 on [CLS]
 
-	posIDs     []int // scratch: position ids for the current batch shape
 	pipePosIDs []int // scratch for EmbedForward's micro-batch shape
 
 	// Retained pipeline-adapter buffers (see pipeline.go): the summed
@@ -104,97 +105,4 @@ func (m *Model) Params() []*nn.Param {
 	out = append(out, m.MLMHead.Params()...)
 	out = append(out, m.NSPHead.Params()...)
 	return out
-}
-
-// KFACLayers returns the fully-connected layers K-FAC preconditions: the
-// six layers of every block, excluding the classification heads.
-func (m *Model) KFACLayers() []*nn.Dense {
-	var out []*nn.Dense
-	for _, b := range m.Blocks {
-		out = append(out, b.DenseLayers()...)
-	}
-	return out
-}
-
-// LossBreakdown carries the components of one forward/backward pass.
-type LossBreakdown struct {
-	// Total = MLM + NSP (the paper's Phase-1 objective).
-	Total float64
-	// MLM is the masked-LM loss; MaskedCount its averaging denominator.
-	MLM         float64
-	MaskedCount int
-	// NSP is the next-sentence loss over the batch.
-	NSP float64
-}
-
-// Step runs one forward+backward over the batch, accumulating gradients
-// into the model parameters. Callers zero gradients, then invoke Step, then
-// apply an optimizer.
-func (m *Model) Step(batch *data.Batch) (LossBreakdown, error) {
-	if batch.SeqLen != m.Config.SeqLen {
-		return LossBreakdown{}, fmt.Errorf("bert: batch seq len %d != model %d", batch.SeqLen, m.Config.SeqLen)
-	}
-	bs, sl := batch.BatchSize, batch.SeqLen
-	n := bs * sl
-	if len(batch.Tokens) != n {
-		return LossBreakdown{}, fmt.Errorf("bert: batch has %d tokens, want %d", len(batch.Tokens), n)
-	}
-
-	// Embedding: token + position, then LayerNorm.
-	if len(m.posIDs) != n {
-		m.posIDs = make([]int, n)
-		for i := 0; i < n; i++ {
-			m.posIDs[i] = i % sl
-		}
-	}
-	tok := m.TokEmb.Lookup(batch.Tokens)
-	pos := m.PosEmb.Lookup(m.posIDs)
-	x := m.EmbNorm.Forward(tok.Add(pos))
-
-	for _, b := range m.Blocks {
-		b.SetShape(bs, sl)
-		x = b.Forward(x)
-	}
-
-	// MLM loss over all positions (ignored where target = -1).
-	mlmLogits := m.MLMHead.Forward(x)
-	mlmLoss, mlmGrad, maskedCount := nn.CrossEntropy(mlmLogits, batch.Targets)
-
-	// NSP loss on the [CLS] rows.
-	cls := tensor.Zeros(bs, m.Config.DModel)
-	for i := 0; i < bs; i++ {
-		copy(cls.Row(i), x.Row(i*sl))
-	}
-	nspLogits := m.NSPHead.Forward(cls)
-	nspTargets := make([]int, bs)
-	for i, isNext := range batch.IsNext {
-		if isNext {
-			nspTargets[i] = 1
-		}
-	}
-	nspLoss, nspGrad, _ := nn.CrossEntropy(nspLogits, nspTargets)
-
-	// Backward: both heads contribute to dX.
-	dx := m.MLMHead.Backward(mlmGrad)
-	dCls := m.NSPHead.Backward(nspGrad)
-	for i := 0; i < bs; i++ {
-		row := dx.Row(i * sl)
-		add := dCls.Row(i)
-		for j := range row {
-			row[j] += add[j]
-		}
-	}
-	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		dx = m.Blocks[i].Backward(dx)
-	}
-	dEmb := m.EmbNorm.Backward(dx)
-	m.TokEmb.BackwardIDs(dEmb)
-	m.PosEmb.BackwardIDs(dEmb)
-
-	return LossBreakdown{
-		Total:       mlmLoss + nspLoss,
-		MLM:         mlmLoss,
-		MaskedCount: maskedCount,
-		NSP:         nspLoss,
-	}, nil
 }

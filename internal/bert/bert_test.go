@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/nn"
+	"repro/internal/optim"
+	"repro/internal/pipemodel"
+	"repro/internal/tensor"
 )
 
 func tinyModel(t *testing.T, seed uint64) *Model {
@@ -44,8 +48,13 @@ func TestModelStructure(t *testing.T) {
 	if len(m.Blocks) != 2 {
 		t.Fatalf("expected 2 blocks, got %d", len(m.Blocks))
 	}
-	// 6 K-FAC layers per block; heads excluded.
-	layers := m.KFACLayers()
+	// The engine preconditions the 6 layers of every block; the heads are
+	// excluded (§4).
+	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := e.StageLayers(0)
 	if len(layers) != 12 {
 		t.Fatalf("expected 12 K-FAC layers, got %d", len(layers))
 	}
@@ -59,126 +68,88 @@ func TestModelStructure(t *testing.T) {
 	}
 }
 
-func TestStepProducesFiniteLossAndGrads(t *testing.T) {
-	m := tinyModel(t, 2)
-	c := tinyCorpus(t, 3)
-	batch := c.MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen))
-	nn.ZeroGrads(m.Params())
-	loss, err := m.Step(batch)
+// pretrain trains m on batches of c through the engine at one stage — GPipe,
+// one stage, one micro-batch — with LAMB over the paper's NVLAMB
+// poly-decay schedule, its warm-up scaled to steps, and returns the
+// per-step losses.
+func pretrain(t *testing.T, m *Model, c *data.Corpus, steps, batch int) []float64 {
+	t.Helper()
+	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	paper := optim.NewNVLAMBSchedule()
+	lr := optim.PolyDecaySchedule{
+		BaseLR: 1e-2, WarmupSteps: paper.WarmupSteps * steps / paper.TotalSteps, TotalSteps: steps, Power: 0.5,
+	}
+	lamb := optim.NewLAMB(m.Params(), 0.01)
+	e.SetOptimizer(func(step int) error {
+		lamb.Step(lr.LR(step))
+		return nil
+	})
+	losses := make([]float64, steps)
+	for i := range losses {
+		res, err := e.TrainStep(c.MakeBatch(batch, data.DefaultBatchConfig(m.Config.SeqLen)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		losses[i] = res.Loss.Total
+	}
+	return losses
+}
+
+// headLoss runs the adapter's forward — embedding, blocks, heads — over a
+// whole batch.
+func headLoss(t *testing.T, m *Model, batch *data.Batch) pipemodel.Loss {
+	t.Helper()
+	x := m.EmbedForward(batch)
+	for _, b := range m.PipelineBlocks() {
+		b.SetShape(batch.BatchSize, batch.SeqLen)
+		x = b.Forward(x)
+	}
+	loss, err := m.HeadLoss(batch, x, pipemodel.Totals{Tokens: m.BatchTokenCount(batch), Seqs: batch.BatchSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loss
+}
+
+func TestInitialHeadLoss(t *testing.T) {
+	m := tinyModel(t, 2)
+	c := tinyCorpus(t, 3)
+	loss := headLoss(t, m, c.MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen)))
 	if math.IsNaN(loss.Total) || loss.Total <= 0 {
 		t.Fatalf("bad loss %v", loss)
 	}
 	// Initial MLM loss should be near log(vocab) for a random model.
 	wantMLM := math.Log(float64(m.Config.VocabSize))
-	if math.Abs(loss.MLM-wantMLM) > 1.0 {
-		t.Fatalf("initial MLM loss %.3f far from log V = %.3f", loss.MLM, wantMLM)
+	if mlm := loss.Components["mlm"]; math.Abs(mlm-wantMLM) > 1.0 {
+		t.Fatalf("initial MLM loss %.3f far from log V = %.3f", mlm, wantMLM)
 	}
 	// NSP loss near log 2.
-	if math.Abs(loss.NSP-math.Ln2) > 0.5 {
-		t.Fatalf("initial NSP loss %.3f far from ln 2", loss.NSP)
-	}
-	if gn := nn.GradNorm(m.Params()); gn <= 0 || math.IsNaN(gn) {
-		t.Fatalf("bad grad norm %g", gn)
+	if nsp := loss.Components["nsp"]; math.Abs(nsp-math.Ln2) > 0.5 {
+		t.Fatalf("initial NSP loss %.3f far from ln 2", nsp)
 	}
 }
 
-func TestStepShapeValidation(t *testing.T) {
+func TestHeadInputValidation(t *testing.T) {
 	m := tinyModel(t, 4)
-	c, _ := data.NewCorpus(m.Config.VocabSize, 1.0, 5)
-	batch := c.MakeBatch(2, data.DefaultBatchConfig(8)) // wrong seq len
-	if _, err := m.Step(batch); err == nil {
-		t.Fatal("expected error for mismatched sequence length")
+	batch := tinyCorpus(t, 5).MakeBatch(2, data.DefaultBatchConfig(m.Config.SeqLen))
+	totals := pipemodel.Totals{Tokens: m.BatchTokenCount(batch), Seqs: batch.BatchSize}
+	if _, err := m.HeadLoss(batch, tensor.Zeros(3, m.Config.DModel), totals); err == nil {
+		t.Fatal("expected error for a head input of the wrong shape")
 	}
-}
-
-func TestPretrainLossDecreases(t *testing.T) {
-	m := tinyModel(t, 6)
-	c := tinyCorpus(t, 7)
-	res, err := Pretrain(m, c, TrainConfig{Optimizer: OptNVLAMB, Steps: 60, BatchSize: 8, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Losses) != 60 {
-		t.Fatalf("expected 60 losses, got %d", len(res.Losses))
-	}
-	first := mean(res.Losses[:10])
-	last := mean(res.Losses[50:])
-	if last >= first-0.3 {
-		t.Fatalf("loss did not decrease: %.3f -> %.3f", first, last)
-	}
-}
-
-func TestPretrainKFACRuns(t *testing.T) {
-	m := tinyModel(t, 9)
-	c := tinyCorpus(t, 10)
-	res, err := Pretrain(m, c, TrainConfig{
-		Optimizer: OptKFAC, Steps: 40, BatchSize: 8,
-		CurvatureEvery: 2, InversionEvery: 4, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CurvatureRefreshes == 0 || res.InverseRefreshes == 0 {
-		t.Fatalf("K-FAC work not performed: %d curvature, %d inverse",
-			res.CurvatureRefreshes, res.InverseRefreshes)
-	}
-	// The refresh cadence must follow the configured interval.
-	if res.CurvatureRefreshes != 20 {
-		t.Fatalf("curvature refreshes %d, want 20 (every 2 of 40)", res.CurvatureRefreshes)
-	}
-	if math.IsNaN(res.FinalLoss) {
-		t.Fatal("NaN final loss")
-	}
-	first := mean(res.Losses[:5])
-	last := mean(res.Losses[35:])
-	if last >= first {
-		t.Fatalf("K-FAC loss did not decrease: %.3f -> %.3f", first, last)
-	}
-}
-
-func TestStepsToReach(t *testing.T) {
-	r := &TrainResult{Losses: []float64{5, 4, 3, 2, 1}}
-	if got := r.StepsToReach(10); got != 0 {
-		t.Fatalf("StepsToReach(10) = %d, want 0", got)
-	}
-	if got := r.StepsToReach(0.5); got != -1 {
-		t.Fatalf("StepsToReach(0.5) = %d, want -1", got)
-	}
-	if got := r.StepsToReach(3.0); got <= 0 {
-		t.Fatalf("StepsToReach(3.0) = %d, want positive", got)
-	}
-}
-
-func TestUnknownOptimizer(t *testing.T) {
-	m := tinyModel(t, 12)
-	c := tinyCorpus(t, 13)
-	if _, err := Pretrain(m, c, TrainConfig{Optimizer: "adamw", Steps: 2}); err == nil {
-		t.Fatal("expected error for unknown optimizer")
+	y := tensor.Zeros(batch.BatchSize*batch.SeqLen, m.Config.DModel)
+	if _, err := m.HeadGradient(batch, y, pipemodel.Totals{}); err == nil {
+		t.Fatal("expected error for a non-positive sequence total")
 	}
 }
 
 func TestDeterministicTraining(t *testing.T) {
 	run := func() float64 {
-		m := tinyModel(t, 20)
-		c := tinyCorpus(t, 21)
-		res, err := Pretrain(m, c, TrainConfig{Optimizer: OptNVLAMB, Steps: 10, BatchSize: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Losses[9]
+		return pretrain(t, tinyModel(t, 20), tinyCorpus(t, 21), 10, 4)[9]
 	}
 	if run() != run() {
 		t.Fatal("training must be bit-deterministic for fixed seeds")
 	}
-}
-
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

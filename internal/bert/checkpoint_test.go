@@ -11,9 +11,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	m := tinyModel(t, 50)
 	// Train a few steps so the parameters are non-trivial.
 	c := tinyCorpus(t, 51)
-	if _, err := Pretrain(m, c, TrainConfig{Optimizer: OptNVLAMB, Steps: 5, BatchSize: 4}); err != nil {
-		t.Fatal(err)
-	}
+	pretrain(t, m, c, 5, 4)
 	want := m.ParamsChecksum()
 
 	var buf bytes.Buffer
@@ -33,15 +31,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// The loaded model must produce identical losses.
 	batch := tinyCorpus(t, 52).MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen))
-	l1, err := m.Step(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l2, err := fresh.Step(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l1.Total != l2.Total {
+	if l1, l2 := headLoss(t, m, batch), headLoss(t, fresh, batch); l1.Total != l2.Total {
 		t.Fatalf("loaded model loss %g != original %g", l2.Total, l1.Total)
 	}
 }

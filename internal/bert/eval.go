@@ -9,6 +9,17 @@ import (
 	"repro/internal/tensor"
 )
 
+// LossBreakdown carries the components of one evaluation.
+type LossBreakdown struct {
+	// Total = MLM + NSP (the paper's Phase-1 objective).
+	Total float64
+	// MLM is the masked-LM loss; MaskedCount its averaging denominator.
+	MLM         float64
+	MaskedCount int
+	// NSP is the next-sentence loss over the batch.
+	NSP float64
+}
+
 // EvalResult summarizes forward-only evaluation on a batch.
 type EvalResult struct {
 	// Loss components as in training.
@@ -21,22 +32,16 @@ type EvalResult struct {
 	NSPAccuracy float64
 }
 
-// Evaluate runs a forward-only pass and computes accuracy metrics. It does
-// not touch gradients.
+// Evaluate runs a forward-only pass through the pipeline adapter's
+// embedding, blocks and heads, and computes accuracy metrics. It does not
+// touch gradients.
 func (m *Model) Evaluate(batch *data.Batch) (*EvalResult, error) {
 	if batch.SeqLen != m.Config.SeqLen {
 		return nil, fmt.Errorf("bert: batch seq len %d != model %d", batch.SeqLen, m.Config.SeqLen)
 	}
 	bs, sl := batch.BatchSize, batch.SeqLen
-	n := bs * sl
-	posIDs := make([]int, n)
-	for i := range posIDs {
-		posIDs[i] = i % sl
-	}
-	tok := m.TokEmb.Lookup(batch.Tokens)
-	pos := m.PosEmb.Lookup(posIDs)
-	x := m.EmbNorm.Forward(tok.Add(pos))
-	for _, b := range m.Blocks {
+	x := m.EmbedForward(batch)
+	for _, b := range m.PipelineBlocks() {
 		b.SetShape(bs, sl)
 		x = b.Forward(x)
 	}
@@ -53,22 +58,15 @@ func (m *Model) Evaluate(batch *data.Batch) (*EvalResult, error) {
 		}
 	}
 
-	cls := tensor.Zeros(bs, m.Config.DModel)
-	for i := 0; i < bs; i++ {
-		copy(cls.Row(i), x.Row(i*sl))
-	}
-	nspLogits := m.NSPHead.Forward(cls)
-	nspTargets := make([]int, bs)
+	nspLogits := m.NSPHead.Forward(m.clsRows(x, bs, sl))
+	targets := nspTargets(batch)
 	var nspCorrect int
-	for i, isNext := range batch.IsNext {
-		if isNext {
-			nspTargets[i] = 1
-		}
-		if argmaxRow(nspLogits, i) == nspTargets[i] {
+	for i, tgt := range targets {
+		if argmaxRow(nspLogits, i) == tgt {
 			nspCorrect++
 		}
 	}
-	nspLoss, _ := nn.CrossEntropyLoss(nspLogits, nspTargets)
+	nspLoss, _ := nn.CrossEntropyLoss(nspLogits, targets)
 
 	res := &EvalResult{
 		Loss: LossBreakdown{

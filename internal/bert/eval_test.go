@@ -39,9 +39,7 @@ func TestEvaluateImprovesWithTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Pretrain(m, c, TrainConfig{Optimizer: OptNVLAMB, Steps: 80, BatchSize: 16}); err != nil {
-		t.Fatal(err)
-	}
+	pretrain(t, m, c, 80, 16)
 	after, err := m.Evaluate(heldOut)
 	if err != nil {
 		t.Fatal(err)

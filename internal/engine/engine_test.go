@@ -13,6 +13,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/pipeline"
+	"repro/internal/pipemodel"
 	"repro/internal/tensor"
 )
 
@@ -45,6 +46,22 @@ func requireGradsClose(t *testing.T, params []*nn.Param, ref []*tensor.Matrix, c
 				context, p.Name, p.Grad.Sub(ref[i]).MaxAbs())
 		}
 	}
+}
+
+// referenceStep is a single-device full-batch step: batch through the
+// reference (reference_test.go) at one stage and one micro-batch, on a
+// replica of m. It returns the step's loss and gradients.
+func referenceStep(t *testing.T, m pipemodel.Model, batch *data.Batch) (pipemodel.Loss, []*tensor.Matrix) {
+	t.Helper()
+	rm, err := m.Replicate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, loss, err := newReference(rm, 1, 1, 1, kfac.DefaultOptions(), nil).step(batch, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return loss, cloneGrads(rm.Params())
 }
 
 func TestNewValidation(t *testing.T) {
@@ -152,14 +169,7 @@ func TestSchedulesMatchSingleDeviceBERT(t *testing.T) {
 	m, c := newModelAndCorpus(t)
 	batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
 	params := m.Params()
-
-	// Single-device reference.
-	nn.ZeroGrads(params)
-	refLoss, err := m.Step(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refGrads := cloneGrads(params)
+	refLoss, refGrads := referenceStep(t, m, batch)
 
 	for _, method := range []string{"gpipe", "1f1b", "chimera"} {
 		e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4})
@@ -174,12 +184,12 @@ func TestSchedulesMatchSingleDeviceBERT(t *testing.T) {
 		if math.Abs(res.Loss.Total-refLoss.Total) > 1e-9 {
 			t.Fatalf("%s: loss %.12f != single-device %.12f", method, res.Loss.Total, refLoss.Total)
 		}
-		if math.Abs(res.Loss.Components["mlm"]-refLoss.MLM) > 1e-9 ||
-			math.Abs(res.Loss.Components["nsp"]-refLoss.NSP) > 1e-9 {
-			t.Fatalf("%s: loss breakdown differs: %+v vs %+v", method, res.Loss.Components, refLoss)
+		if math.Abs(res.Loss.Components["mlm"]-refLoss.Components["mlm"]) > 1e-9 ||
+			math.Abs(res.Loss.Components["nsp"]-refLoss.Components["nsp"]) > 1e-9 {
+			t.Fatalf("%s: loss breakdown differs: %+v vs %+v", method, res.Loss.Components, refLoss.Components)
 		}
-		if res.Loss.Tokens != refLoss.MaskedCount {
-			t.Fatalf("%s: masked count %d != %d", method, res.Loss.Tokens, refLoss.MaskedCount)
+		if res.Loss.Tokens != refLoss.Tokens {
+			t.Fatalf("%s: masked count %d != %d", method, res.Loss.Tokens, refLoss.Tokens)
 		}
 		requireGradsClose(t, params, refGrads, method)
 		tl := e.LastTimeline()
@@ -207,13 +217,7 @@ func TestSchedulesMatchSingleDeviceGPT(t *testing.T) {
 	}
 	batch := gpt.MakeBatch(c, 8, m.Config.SeqLen)
 	params := m.Params()
-
-	nn.ZeroGrads(params)
-	refLoss, refCount, err := m.Step(batch.Tokens, batch.BatchSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refGrads := cloneGrads(params)
+	refLoss, refGrads := referenceStep(t, m, batch)
 
 	for _, method := range []string{"gpipe", "1f1b", "chimera"} {
 		e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4})
@@ -225,11 +229,11 @@ func TestSchedulesMatchSingleDeviceGPT(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
-		if math.Abs(res.Loss.Total-refLoss) > 1e-9 {
-			t.Fatalf("%s: loss %.12f != single-device %.12f", method, res.Loss.Total, refLoss)
+		if math.Abs(res.Loss.Total-refLoss.Total) > 1e-9 {
+			t.Fatalf("%s: loss %.12f != single-device %.12f", method, res.Loss.Total, refLoss.Total)
 		}
-		if res.Loss.Tokens != refCount {
-			t.Fatalf("%s: predicted count %d != %d", method, res.Loss.Tokens, refCount)
+		if res.Loss.Tokens != refLoss.Tokens {
+			t.Fatalf("%s: predicted count %d != %d", method, res.Loss.Tokens, refLoss.Tokens)
 		}
 		requireGradsClose(t, params, refGrads, "gpt "+method)
 	}
@@ -471,41 +475,47 @@ func TestEngineKFACScheduleExecution(t *testing.T) {
 
 func TestEngineKFACTrainingConverges(t *testing.T) {
 	// Full PipeFisher loop: bubble-packed curvature/inversion every 2
-	// steps, per-step preconditioning, LAMB update — across schedules.
-	for _, method := range []string{"gpipe", "chimera"} {
-		t.Run(method, func(t *testing.T) {
-			m, c := newModelAndCorpus(t)
-			e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.95, UsePiDamping: true}, 2); err != nil {
-				t.Fatal(err)
-			}
-			params := m.Params()
-			opt := optim.NewLAMB(params, 0.01)
-			sched := optim.PolyDecaySchedule{BaseLR: 5e-3, WarmupSteps: 3, TotalSteps: 30, Power: 0.5}
-			var first, last float64
-			const steps = 30
-			for step := 0; step < steps; step++ {
-				batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
-				nn.ZeroGrads(params)
-				res, err := e.TrainStep(batch)
+	// steps, per-step preconditioning, LAMB update — across schedules, on
+	// the encoder and on the decoder.
+	for _, model := range []string{"bert", "gpt"} {
+		for _, method := range []string{"gpipe", "chimera"} {
+			t.Run(model+"/"+method, func(t *testing.T) {
+				mc := refModels[model]
+				m, err := mc.make(2)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt.Step(sched.LR(step))
-				if step < 5 {
-					first += res.Loss.Total / 5
+				e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 2})
+				if err != nil {
+					t.Fatal(err)
 				}
-				if step >= steps-5 {
-					last += res.Loss.Total / 5
+				if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.95, UsePiDamping: true}, 2); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if last >= first-0.1 {
-				t.Fatalf("PipeFisher-style training did not converge: %.3f -> %.3f", first, last)
-			}
-		})
+				params := m.Params()
+				opt := optim.NewLAMB(params, 0.01)
+				sched := optim.PolyDecaySchedule{BaseLR: 5e-3, WarmupSteps: 3, TotalSteps: 30, Power: 0.5}
+				var first, last float64
+				const steps = 30
+				for step, batch := range mc.batches(t, steps, 8) {
+					nn.ZeroGrads(params)
+					res, err := e.TrainStep(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Step(sched.LR(step))
+					if step < 5 {
+						first += res.Loss.Total / 5
+					}
+					if step >= steps-5 {
+						last += res.Loss.Total / 5
+					}
+				}
+				if last >= first-0.1 {
+					t.Fatalf("PipeFisher-style training did not converge: %.3f -> %.3f", first, last)
+				}
+			})
+		}
 	}
 }
 
@@ -521,14 +531,7 @@ func TestSchedulesMatchSingleDeviceWithParallelKernels(t *testing.T) {
 	m, c := newModelAndCorpus(t)
 	batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
 	params := m.Params()
-
-	// Serial single-device reference.
-	nn.ZeroGrads(params)
-	refLoss, err := m.Step(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refGrads := cloneGrads(params)
+	refLoss, refGrads := referenceStep(t, m, batch) // serial
 
 	tensor.SetParallelism(4)
 	for _, method := range []string{"gpipe", "1f1b", "chimera"} {

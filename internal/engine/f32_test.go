@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -17,57 +18,57 @@ import (
 // factors, inverses, gradients and optimizer state all remain float64, so
 // only the per-matmul rounding differs.
 func TestFloat32ModeKFACCloseToFloat64(t *testing.T) {
-	run := func(f32 bool) ([]float64, bool) {
-		tensor.SetF32(f32)
-		defer tensor.SetF32(false)
-		m, c := newModelAndCorpus(t)
-		e, err := NewWithConfig(m, Config{Method: "gpipe", Stages: 2, MicroBatches: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.95, UsePiDamping: true}, 2); err != nil {
-			t.Fatal(err)
-		}
-		params := m.Params()
-		opt := optim.NewLAMB(params, 0.01)
-		var losses []float64
-		refreshed := false
-		for step := 0; step < 6; step++ {
-			batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
-			nn.ZeroGrads(params)
-			res, err := e.TrainStep(batch)
-			if err != nil {
-				t.Fatal(err)
+	for _, model := range []string{"bert", "gpt"} {
+		t.Run(model, func(t *testing.T) {
+			run := func(f32 bool) ([]float64, bool) {
+				tensor.SetF32(f32)
+				defer tensor.SetF32(false)
+				mc := refModels[model]
+				m, err := mc.make(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e, err := NewWithConfig(m, Config{Method: "gpipe", Stages: 2, MicroBatches: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.95, UsePiDamping: true}, 2); err != nil {
+					t.Fatal(err)
+				}
+				params := m.Params()
+				opt := optim.NewLAMB(params, 0.01)
+				var losses []float64
+				refreshed := false
+				for _, batch := range mc.batches(t, 6, 8) {
+					nn.ZeroGrads(params)
+					res, err := e.TrainStep(batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opt.Step(3e-3)
+					losses = append(losses, res.Loss.Total)
+					refreshed = refreshed || res.Refreshed
+				}
+				return losses, refreshed
 			}
-			opt.Step(3e-3)
-			losses = append(losses, res.Loss.Total)
-			refreshed = refreshed || res.Refreshed
-		}
-		return losses, refreshed
-	}
-	wide, wideRefreshed := run(false)
-	narrow, narrowRefreshed := run(true)
-	if !wideRefreshed || !narrowRefreshed {
-		t.Fatalf("K-FAC refresh did not fire (f64=%v f32=%v)", wideRefreshed, narrowRefreshed)
-	}
-	for i := range wide {
-		tol := 5e-2 * math.Max(1, math.Abs(wide[i]))
-		if math.Abs(wide[i]-narrow[i]) > tol {
-			t.Fatalf("step %d: float32-mode loss %.6f drifted from float64 loss %.6f (tol %.2g)",
-				i, narrow[i], wide[i], tol)
-		}
-	}
-	// The modes must actually differ: bit-identical trajectories would mean
-	// the narrow path silently never engaged.
-	identical := true
-	for i := range wide {
-		if wide[i] != narrow[i] {
-			identical = false
-			break
-		}
-	}
-	if identical {
-		t.Fatal("float32-mode losses bit-identical to float64 — narrowing never engaged")
+			wide, wideRefreshed := run(false)
+			narrow, narrowRefreshed := run(true)
+			if !wideRefreshed || !narrowRefreshed {
+				t.Fatalf("K-FAC refresh did not fire (f64=%v f32=%v)", wideRefreshed, narrowRefreshed)
+			}
+			for i := range wide {
+				tol := 5e-2 * math.Max(1, math.Abs(wide[i]))
+				if math.Abs(wide[i]-narrow[i]) > tol {
+					t.Fatalf("step %d: float32-mode loss %.6f drifted from float64 loss %.6f (tol %.2g)",
+						i, narrow[i], wide[i], tol)
+				}
+			}
+			// The modes must actually differ: bit-identical trajectories would
+			// mean the narrow path silently never engaged.
+			if slices.Equal(wide, narrow) {
+				t.Fatal("float32-mode losses bit-identical to float64 — narrowing never engaged")
+			}
+		})
 	}
 }
 

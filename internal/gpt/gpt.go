@@ -4,17 +4,16 @@
 // blocks, a final layer norm, and a next-token prediction head. It shares
 // the nn substrate with the BERT encoder, so K-FAC applies to its block
 // layers unchanged — demonstrating that the PipeFisher machinery is
-// architecture-agnostic across the families the paper evaluates.
+// architecture-agnostic across the families the paper evaluates. Like the
+// encoder, it trains through the engine: its one forward and backward is
+// the pipemodel.Model adapter in pipeline.go.
 package gpt
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/data"
-	"repro/internal/kfac"
 	"repro/internal/nn"
-	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
@@ -57,7 +56,6 @@ type Model struct {
 	FinalNorm *nn.LayerNorm
 	LMHead    *nn.Dense // excluded from K-FAC, like BERT's MLM head
 
-	posIDs     []int
 	pipePosIDs []int // scratch for EmbedForward's micro-batch shape
 
 	// Retained pipeline-adapter buffers (see pipeline.go), reused across
@@ -101,71 +99,6 @@ func (m *Model) Params() []*nn.Param {
 	return out
 }
 
-// KFACLayers returns the block layers eligible for K-FAC (heads excluded).
-func (m *Model) KFACLayers() []*nn.Dense {
-	var out []*nn.Dense
-	for _, b := range m.Blocks {
-		out = append(out, b.DenseLayers()...)
-	}
-	return out
-}
-
-// Step runs one forward+backward over a batch of token sequences (flattened
-// batch-major, batchSize*SeqLen ids) with the next-token objective: the
-// model predicts token t+1 at position t; the last position has no target.
-// It returns the mean loss and the number of predicted positions.
-func (m *Model) Step(tokens []int, batchSize int) (float64, int, error) {
-	sl := m.Config.SeqLen
-	if len(tokens) != batchSize*sl {
-		return 0, 0, fmt.Errorf("gpt: got %d tokens, want %d", len(tokens), batchSize*sl)
-	}
-	x := m.forwardTrunk(tokens, batchSize)
-	logits := m.LMHead.Forward(x)
-
-	targets := nextTokenTargets(tokens, batchSize, sl)
-	loss, grad, count := nn.CrossEntropy(logits, targets)
-
-	dx := m.LMHead.Backward(grad)
-	dx = m.FinalNorm.Backward(dx)
-	for i := len(m.Blocks) - 1; i >= 0; i-- {
-		dx = m.Blocks[i].Backward(dx)
-	}
-	m.TokEmb.BackwardIDs(dx)
-	m.PosEmb.BackwardIDs(dx)
-	return loss, count, nil
-}
-
-// Perplexity evaluates forward-only mean next-token perplexity.
-func (m *Model) Perplexity(tokens []int, batchSize int) (float64, error) {
-	sl := m.Config.SeqLen
-	if len(tokens) != batchSize*sl {
-		return 0, fmt.Errorf("gpt: got %d tokens, want %d", len(tokens), batchSize*sl)
-	}
-	x := m.forwardTrunk(tokens, batchSize)
-	logits := m.LMHead.Forward(x)
-	loss, _ := nn.CrossEntropyLoss(logits, nextTokenTargets(tokens, batchSize, sl))
-	return math.Exp(loss), nil
-}
-
-func (m *Model) forwardTrunk(tokens []int, batchSize int) *tensor.Matrix {
-	sl := m.Config.SeqLen
-	n := batchSize * sl
-	if len(m.posIDs) != n {
-		m.posIDs = make([]int, n)
-		for i := range m.posIDs {
-			m.posIDs[i] = i % sl
-		}
-	}
-	tok := m.TokEmb.Lookup(tokens)
-	pos := m.PosEmb.Lookup(m.posIDs)
-	x := tok.Add(pos)
-	for _, b := range m.Blocks {
-		b.SetShape(batchSize, sl)
-		x = b.Forward(x)
-	}
-	return m.FinalNorm.Forward(x)
-}
-
 // nextTokenTargets shifts tokens left by one within each sequence; the last
 // position of each sequence gets IgnoreIndex.
 func nextTokenTargets(tokens []int, batchSize, seqLen int) []int {
@@ -187,68 +120,4 @@ func SampleBatch(c *data.Corpus, batchSize, seqLen int) []int {
 		out = append(out, c.Sentence(seqLen)...)
 	}
 	return out
-}
-
-// TrainConfig drives Pretrain.
-type TrainConfig struct {
-	// UseKFAC preconditions the block layers with K-FAC.
-	UseKFAC bool
-	// Steps, BatchSize and LR control the loop.
-	Steps     int
-	BatchSize int
-	LR        float64
-	// Damping and RefreshEvery configure K-FAC.
-	Damping      float64
-	RefreshEvery int
-}
-
-// Pretrain trains the decoder with Adam (optionally K-FAC-preconditioned)
-// and returns the per-step losses.
-func Pretrain(m *Model, c *data.Corpus, cfg TrainConfig) ([]float64, error) {
-	if cfg.Steps <= 0 {
-		cfg.Steps = 100
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 3e-3
-	}
-	if cfg.Damping == 0 {
-		cfg.Damping = 1e-2
-	}
-	if cfg.RefreshEvery <= 0 {
-		cfg.RefreshEvery = 2
-	}
-	params := m.Params()
-	opt := optim.NewAdam(params, 0.01)
-	var pre *kfac.Preconditioner
-	if cfg.UseKFAC {
-		pre = kfac.NewPreconditioner(m.KFACLayers(), kfac.Options{
-			Damping: cfg.Damping, StatDecay: 0.95, UsePiDamping: true,
-		})
-	}
-	losses := make([]float64, 0, cfg.Steps)
-	for step := 0; step < cfg.Steps; step++ {
-		batch := SampleBatch(c, cfg.BatchSize, m.Config.SeqLen)
-		nn.ZeroGrads(params)
-		loss, count, err := m.Step(batch, cfg.BatchSize)
-		if err != nil {
-			return nil, err
-		}
-		if pre != nil {
-			if step%cfg.RefreshEvery == 0 {
-				if err := pre.UpdateCurvature(float64(count)); err != nil {
-					return nil, err
-				}
-				if err := pre.UpdateInverses(); err != nil {
-					return nil, err
-				}
-			}
-			pre.Precondition()
-		}
-		opt.Step(cfg.LR)
-		losses = append(losses, loss)
-	}
-	return losses, nil
 }

@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/data"
+	"repro/internal/engine"
 	"repro/internal/nn"
+	"repro/internal/optim"
+	"repro/internal/pipemodel"
+	"repro/internal/tensor"
 )
 
 func newModelAndCorpus(t *testing.T, seed uint64) (*Model, *data.Corpus) {
@@ -41,40 +45,57 @@ func TestAllBlocksAreCausal(t *testing.T) {
 			t.Fatalf("block %d is not causal", i)
 		}
 	}
-	// Heads excluded from K-FAC.
-	for _, l := range m.KFACLayers() {
+	// The engine preconditions the 6 layers of every block; the LM head is
+	// excluded.
+	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	layers := e.StageLayers(0)
+	for _, l := range layers {
 		if l == m.LMHead {
 			t.Fatal("LM head must be excluded from K-FAC")
 		}
 	}
-	if len(m.KFACLayers()) != 12 {
-		t.Fatalf("expected 12 K-FAC layers, got %d", len(m.KFACLayers()))
+	if len(layers) != 12 {
+		t.Fatalf("expected 12 K-FAC layers, got %d", len(layers))
 	}
 }
 
-func TestStepInitialLossNearLogVocab(t *testing.T) {
-	m, c := newModelAndCorpus(t, 2)
-	batch := SampleBatch(c, 8, m.Config.SeqLen)
-	nn.ZeroGrads(m.Params())
-	loss, count, err := m.Step(batch, 8)
+// headLoss runs the adapter's forward — embedding, blocks, final norm and
+// LM head — over a whole batch.
+func headLoss(t *testing.T, m *Model, batch *data.Batch) pipemodel.Loss {
+	t.Helper()
+	x := m.EmbedForward(batch)
+	for _, b := range m.PipelineBlocks() {
+		b.SetShape(batch.BatchSize, batch.SeqLen)
+		x = b.Forward(x)
+	}
+	loss, err := m.HeadLoss(batch, x, pipemodel.Totals{Tokens: m.BatchTokenCount(batch), Seqs: batch.BatchSize})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if count != 8*(m.Config.SeqLen-1) {
-		t.Fatalf("predicted positions %d, want %d", count, 8*(m.Config.SeqLen-1))
+	return loss
+}
+
+func TestInitialHeadLossNearLogVocab(t *testing.T) {
+	m, c := newModelAndCorpus(t, 2)
+	loss := headLoss(t, m, MakeBatch(c, 8, m.Config.SeqLen))
+	if loss.Tokens != 8*(m.Config.SeqLen-1) {
+		t.Fatalf("predicted positions %d, want %d", loss.Tokens, 8*(m.Config.SeqLen-1))
 	}
-	if math.Abs(loss-math.Log(float64(m.Config.VocabSize))) > 1.0 {
-		t.Fatalf("initial loss %.3f far from log V", loss)
-	}
-	if gn := nn.GradNorm(m.Params()); gn <= 0 || math.IsNaN(gn) {
-		t.Fatalf("bad grad norm %g", gn)
+	if math.Abs(loss.Total-math.Log(float64(m.Config.VocabSize))) > 1.0 {
+		t.Fatalf("initial loss %.3f far from log V", loss.Total)
 	}
 }
 
-func TestStepValidation(t *testing.T) {
-	m, _ := newModelAndCorpus(t, 3)
-	if _, _, err := m.Step(make([]int, 7), 2); err == nil {
-		t.Fatal("expected error for wrong token count")
+func TestHeadInputValidation(t *testing.T) {
+	m, c := newModelAndCorpus(t, 3)
+	batch := MakeBatch(c, 2, m.Config.SeqLen)
+	batch.Targets = batch.Targets[:7]
+	y := tensor.Zeros(2*m.Config.SeqLen, m.Config.DModel)
+	if _, err := m.HeadLoss(batch, y, pipemodel.Totals{Tokens: 7, Seqs: 2}); err == nil {
+		t.Fatal("expected error for a batch with the wrong number of targets")
 	}
 }
 
@@ -89,66 +110,25 @@ func TestNextTokenTargets(t *testing.T) {
 	}
 }
 
-func TestPretrainAdamConverges(t *testing.T) {
-	m, c := newModelAndCorpus(t, 4)
-	losses, err := Pretrain(m, c, TrainConfig{Steps: 80, BatchSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := mean(losses[:10])
-	last := mean(losses[70:])
-	if last >= first-0.3 {
-		t.Fatalf("decoder LM did not converge: %.3f -> %.3f", first, last)
-	}
-}
-
-func TestPretrainKFACConverges(t *testing.T) {
-	m, c := newModelAndCorpus(t, 5)
-	losses, err := Pretrain(m, c, TrainConfig{UseKFAC: true, Steps: 60, BatchSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := mean(losses[:10])
-	last := mean(losses[50:])
-	if last >= first-0.2 {
-		t.Fatalf("K-FAC decoder training did not converge: %.3f -> %.3f", first, last)
-	}
-}
-
-func TestPerplexityImprovesWithTraining(t *testing.T) {
+func TestHeldOutLossImprovesWithTraining(t *testing.T) {
 	m, c := newModelAndCorpus(t, 6)
-	heldOut := SampleBatch(c, 16, m.Config.SeqLen)
-	before, err := m.Perplexity(heldOut, 16)
+	heldOut := MakeBatch(c, 16, m.Config.SeqLen)
+	before := headLoss(t, m, heldOut).Total
+	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Pretrain(m, c, TrainConfig{Steps: 80, BatchSize: 8}); err != nil {
-		t.Fatal(err)
+	adam := optim.NewAdam(m.Params(), 0.01)
+	e.SetOptimizer(func(int) error {
+		adam.Step(3e-3)
+		return nil
+	})
+	for i := 0; i < 80; i++ {
+		if _, err := e.TrainStep(MakeBatch(c, 8, m.Config.SeqLen)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	after, err := m.Perplexity(heldOut, 16)
-	if err != nil {
-		t.Fatal(err)
+	if after := headLoss(t, m, heldOut).Total; after >= before-0.3 {
+		t.Fatalf("held-out loss did not improve: %.3f -> %.3f", before, after)
 	}
-	if after >= before {
-		t.Fatalf("perplexity did not improve: %.1f -> %.1f", before, after)
-	}
-	// Untrained perplexity should be near vocab size (~96).
-	if before < 30 || before > 300 {
-		t.Fatalf("untrained perplexity %.1f outside plausible range", before)
-	}
-}
-
-func TestPerplexityValidation(t *testing.T) {
-	m, _ := newModelAndCorpus(t, 7)
-	if _, err := m.Perplexity(make([]int, 5), 2); err == nil {
-		t.Fatal("expected error for wrong token count")
-	}
-}
-
-func mean(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }

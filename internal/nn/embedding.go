@@ -28,13 +28,6 @@ func NewEmbedding(name string, vocab, d int, rng *tensor.RNG) *Embedding {
 	}
 }
 
-// Lookup gathers the embedding rows for ids into a len(ids) x d matrix.
-func (e *Embedding) Lookup(ids []int) *tensor.Matrix {
-	out := tensor.Zeros(len(ids), e.Table.Cols)
-	e.LookupInto(out, ids)
-	return out
-}
-
 // LookupInto gathers the embedding rows for ids into dst (shape
 // len(ids) x d, fully overwritten) without allocating.
 func (e *Embedding) LookupInto(dst *tensor.Matrix, ids []int) {
@@ -46,7 +39,7 @@ func (e *Embedding) LookupInto(dst *tensor.Matrix, ids []int) {
 }
 
 // LookupAddInto adds the embedding rows for ids onto dst's rows — the
-// fused form of dst.AddInPlace(e.Lookup(ids)), used to sum token and
+// fused form of a LookupInto into a temporary followed by dst.AddInPlace, used to sum token and
 // position embeddings without a temporary.
 func (e *Embedding) LookupAddInto(dst *tensor.Matrix, ids []int) {
 	e.checkLookup(dst, ids)
@@ -73,10 +66,10 @@ func (e *Embedding) checkLookup(dst *tensor.Matrix, ids []int) {
 }
 
 // BackwardIDs scatters grad rows back into the table gradient using the ids
-// from the most recent Lookup.
+// from the most recent LookupInto or LookupAddInto.
 func (e *Embedding) BackwardIDs(grad *tensor.Matrix) {
 	if e.lastIDs == nil {
-		panic(fmt.Sprintf("nn: Embedding %q BackwardIDs before Lookup", e.Name))
+		panic(fmt.Sprintf("nn: Embedding %q BackwardIDs before LookupInto", e.Name))
 	}
 	if grad.Rows != len(e.lastIDs) || grad.Cols != e.Table.Cols {
 		panic(fmt.Sprintf("nn: Embedding %q grad shape %dx%d, want %dx%d",

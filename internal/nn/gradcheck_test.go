@@ -166,7 +166,8 @@ func TestCrossEntropyGradients(t *testing.T) {
 	rng := tensor.NewRNG(8)
 	logits := tensor.RandN(rng, 6, 9, 1)
 	targets := []int{0, 3, IgnoreIndex, 8, 2, IgnoreIndex}
-	_, grad, count := CrossEntropy(logits, targets)
+	grad := tensor.Zeros(6, 9)
+	_, count := CrossEntropyInto(grad, logits, targets)
 	if count != 4 {
 		t.Fatalf("count = %d, want 4", count)
 	}
@@ -174,9 +175,9 @@ func TestCrossEntropyGradients(t *testing.T) {
 	for idx := range logits.Data {
 		orig := logits.Data[idx]
 		logits.Data[idx] = orig + eps
-		up, _, _ := CrossEntropy(logits, targets)
+		up, _ := CrossEntropyLoss(logits, targets)
 		logits.Data[idx] = orig - eps
-		down, _, _ := CrossEntropy(logits, targets)
+		down, _ := CrossEntropyLoss(logits, targets)
 		logits.Data[idx] = orig
 		numeric := (up - down) / (2 * eps)
 		if math.Abs(numeric-grad.Data[idx]) > 1e-6 {

@@ -162,7 +162,8 @@ func TestSoftmaxStability(t *testing.T) {
 
 func TestCrossEntropyAllIgnored(t *testing.T) {
 	logits := tensor.Zeros(3, 4)
-	loss, grad, count := CrossEntropy(logits, []int{IgnoreIndex, IgnoreIndex, IgnoreIndex})
+	grad := tensor.Full(3, 4, 1)
+	loss, count := CrossEntropyInto(grad, logits, []int{IgnoreIndex, IgnoreIndex, IgnoreIndex})
 	if loss != 0 || count != 0 || grad.Sum() != 0 {
 		t.Fatal("all-ignored loss must be zero with zero grad")
 	}
@@ -171,7 +172,7 @@ func TestCrossEntropyAllIgnored(t *testing.T) {
 func TestCrossEntropyUniform(t *testing.T) {
 	// Uniform logits: loss = log(C).
 	logits := tensor.Zeros(2, 8)
-	loss, _, _ := CrossEntropy(logits, []int{3, 5})
+	loss, _ := CrossEntropyLoss(logits, []int{3, 5})
 	if math.Abs(loss-math.Log(8)) > 1e-12 {
 		t.Fatalf("uniform CE loss = %g, want log 8 = %g", loss, math.Log(8))
 	}
@@ -183,13 +184,12 @@ func TestCrossEntropyTargetRangePanic(t *testing.T) {
 			t.Fatal("expected panic for out-of-range target")
 		}
 	}()
-	CrossEntropy(tensor.Zeros(1, 4), []int{7})
+	CrossEntropyLoss(tensor.Zeros(1, 4), []int{7})
 }
 
-// The three cross-entropy entry points are one loop: under every kernel the
-// loss-only and the into-buffer forms return CrossEntropy's bits, and the
-// into form overwrites whatever the retained buffer held — ignored rows
-// included. The loss and gradient are log-sum-exp and softmax written out
+// The two cross-entropy entry points are one loop: under every kernel the
+// loss-only form returns the into-buffer form's bits, and the into form
+// overwrites whatever the retained buffer held — ignored rows included. The loss and gradient are log-sum-exp and softmax written out
 // with math.Exp: bit for bit under scalar and tiled, within a few ULP under
 // fma. 300 columns take the loss's exps through more than one chunk.
 func TestCrossEntropyFormsBitIdentical(t *testing.T) {
@@ -199,16 +199,17 @@ func TestCrossEntropyFormsBitIdentical(t *testing.T) {
 			logits := tensor.RandN(rng, 9, cols, 3)
 			targets := []int{4, IgnoreIndex, 0, 12, IgnoreIndex, IgnoreIndex, 7, 7, 1}
 			for _, tg := range [][]int{targets, make([]int, 9), {-1, -1, -1, -1, -1, -1, -1, -1, -1}} {
-				loss, grad, count := CrossEntropy(logits, tg)
+				grad := tensor.Zeros(9, cols)
+				loss, count := CrossEntropyInto(grad, logits, tg)
 				lossOnly, countOnly := CrossEntropyLoss(logits, tg)
 				dirty := tensor.RandN(rng, 9, cols, 1)
-				lossInto, countInto := CrossEntropyInto(dirty, logits, tg)
-				if lossOnly != loss || lossInto != loss || countOnly != count || countInto != count {
-					t.Fatalf("loss/count differ: %v/%d, loss-only %v/%d, into %v/%d",
-						loss, count, lossOnly, countOnly, lossInto, countInto)
+				lossDirty, countDirty := CrossEntropyInto(dirty, logits, tg)
+				if lossOnly != loss || lossDirty != loss || countOnly != count || countDirty != count {
+					t.Fatalf("loss/count differ: %v/%d, loss-only %v/%d, into a dirty buffer %v/%d",
+						loss, count, lossOnly, countOnly, lossDirty, countDirty)
 				}
 				if !dirty.Equal(grad) {
-					t.Fatal("into-buffer gradient differs from CrossEntropy's")
+					t.Fatal("gradient written into a dirty buffer differs from one written into zeros")
 				}
 				wantLoss, wantGrad := oracleCrossEntropy(logits, tg)
 				if !matches(grad, wantGrad, exact, 1e-13) || !near(loss, wantLoss, exact, 1e-13) {
@@ -269,13 +270,13 @@ func TestEmbeddingLookupAndBackward(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	e := NewEmbedding("emb", 10, 4, rng)
 	ids := []int{1, 3, 1}
-	out := e.Lookup(ids)
-	if out.Rows != 3 || out.Cols != 4 {
-		t.Fatalf("Lookup shape wrong: %dx%d", out.Rows, out.Cols)
-	}
+	out := tensor.Full(3, 4, 7)
+	e.LookupInto(out, ids)
 	for j := 0; j < 4; j++ {
-		if out.At(0, j) != out.At(2, j) {
-			t.Fatal("same id must produce identical rows")
+		for i, id := range ids {
+			if out.At(i, j) != e.Table.At(id, j) {
+				t.Fatalf("LookupInto row %d col %d = %g, want table row %d's %g", i, j, out.At(i, j), id, e.Table.At(id, j))
+			}
 		}
 	}
 	grad := tensor.Full(3, 4, 1)
@@ -303,12 +304,12 @@ func TestEmbeddingPanics(t *testing.T) {
 				t.Error("expected panic for out-of-range id")
 			}
 		}()
-		e.Lookup([]int{5})
+		e.LookupInto(tensor.Zeros(1, 2), []int{5})
 	}()
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("expected panic for BackwardIDs before Lookup")
+				t.Error("expected panic for BackwardIDs before LookupInto")
 			}
 		}()
 		NewEmbedding("e2", 4, 2, rng).BackwardIDs(tensor.Zeros(1, 2))

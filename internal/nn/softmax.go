@@ -92,22 +92,13 @@ func softmaxBackwardRows(dst, probs, grad *tensor.Matrix, scale float64) {
 // MLM, padding, etc.), mirroring PyTorch's ignore_index convention.
 const IgnoreIndex = -1
 
-// CrossEntropy computes the mean negative log-likelihood of targets under a
-// row-wise softmax of logits, and the gradient of that mean loss with
-// respect to the logits. Rows whose target is IgnoreIndex contribute
-// nothing. The mean is taken over the contributing rows, as in BERT's MLM
-// loss. It returns the loss, the logits gradient, and the number of rows
-// that contributed. The gradient is freshly allocated; hot paths keep a
-// buffer and call CrossEntropyInto, and callers that only want the loss
-// call CrossEntropyLoss.
-func CrossEntropy(logits *tensor.Matrix, targets []int) (float64, *tensor.Matrix, int) {
-	grad := tensor.Zeros(logits.Rows, logits.Cols)
-	loss, count := CrossEntropyInto(grad, logits, targets)
-	return loss, grad, count
-}
-
-// CrossEntropyInto is CrossEntropy with the logits gradient written into
-// grad (same shape as logits, fully overwritten; must not alias logits).
+// CrossEntropyInto computes the mean negative log-likelihood of targets
+// under a row-wise softmax of logits, and writes the gradient of that mean
+// loss with respect to the logits into grad (same shape as logits, fully
+// overwritten; must not alias logits). Rows whose target is IgnoreIndex
+// contribute nothing. The mean is taken over the contributing rows, as in
+// BERT's MLM loss. It returns the loss and the number of rows that
+// contributed; callers that only want the loss call CrossEntropyLoss.
 func CrossEntropyInto(grad, logits *tensor.Matrix, targets []int) (float64, int) {
 	if grad.Rows != logits.Rows || grad.Cols != logits.Cols {
 		panic(fmt.Sprintf("nn: CrossEntropyInto got a %dx%d gradient buffer for %dx%d logits",
@@ -116,7 +107,7 @@ func CrossEntropyInto(grad, logits *tensor.Matrix, targets []int) (float64, int)
 	return crossEntropy(grad, logits, targets)
 }
 
-// CrossEntropyLoss returns CrossEntropy's loss and row count without
+// CrossEntropyLoss returns CrossEntropyInto's loss and row count without
 // forming the gradient: one exp per logit instead of two and no
 // logits-sized buffer — for evaluation and for pipeline forwards, whose
 // backward recomputes the head anyway.
@@ -124,9 +115,9 @@ func CrossEntropyLoss(logits *tensor.Matrix, targets []int) (float64, int) {
 	return crossEntropy(nil, logits, targets)
 }
 
-// crossEntropy is the one loop behind the three entry points; a nil grad
-// skips the gradient pass. The loss arithmetic does not depend on grad, so
-// all three return the same bits. Both passes take their exps from
+// crossEntropy is the one loop behind both entry points; a nil grad skips
+// the gradient pass. The loss arithmetic does not depend on grad, so both
+// return the same bits. Both passes take their exps from
 // tensor.ExpShift, like softmaxRows.
 func crossEntropy(grad, logits *tensor.Matrix, targets []int) (float64, int) {
 	if logits.Rows != len(targets) {

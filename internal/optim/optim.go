@@ -229,3 +229,32 @@ type ConstantSchedule struct{ Value float64 }
 
 // LR implements Schedule.
 func (c ConstantSchedule) LR(int) float64 { return c.Value }
+
+// StepsToReach returns the first step whose smoothed loss is at or below
+// target, or -1 if never reached. Smoothing is a trailing 10-step mean,
+// standing in for the paper's Butterworth filtfilt.
+func StepsToReach(losses []float64, target float64) int {
+	const window = 10
+	for t := range losses {
+		lo := max(t-window+1, 0)
+		var s float64
+		for _, l := range losses[lo : t+1] {
+			s += l
+		}
+		if s/float64(t-lo+1) <= target {
+			return t
+		}
+	}
+	return -1
+}
+
+// FinalLoss is a run's smoothed final loss: the mean of its last 10% of
+// steps (at least one).
+func FinalLoss(losses []float64) float64 {
+	tail := max(len(losses)/10, 1)
+	var s float64
+	for _, l := range losses[len(losses)-tail:] {
+		s += l
+	}
+	return s / float64(tail)
+}

@@ -220,3 +220,30 @@ func TestOptimizersExposeParams(t *testing.T) {
 		}
 	}
 }
+
+func TestStepsToReach(t *testing.T) {
+	losses := []float64{5, 4, 3, 2, 1}
+	if got := StepsToReach(losses, 10); got != 0 {
+		t.Fatalf("StepsToReach(10) = %d, want 0", got)
+	}
+	if got := StepsToReach(losses, 0.5); got != -1 {
+		t.Fatalf("StepsToReach(0.5) = %d, want -1", got)
+	}
+	// Trailing means 5, 4.5, 4, 3.5, 3.
+	if got := StepsToReach(losses, 3.0); got != 4 {
+		t.Fatalf("StepsToReach(3.0) = %d, want 4", got)
+	}
+}
+
+func TestFinalLoss(t *testing.T) {
+	if got := FinalLoss([]float64{9, 1, 2}); got != 2 {
+		t.Fatalf("FinalLoss of 3 steps = %g, want the last loss 2", got)
+	}
+	losses := make([]float64, 20)
+	for i := range losses {
+		losses[i] = float64(i)
+	}
+	if got := FinalLoss(losses); got != 18.5 {
+		t.Fatalf("FinalLoss of 20 steps = %g, want the mean of the last two, 18.5", got)
+	}
+}
