@@ -11,7 +11,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	m := tinyModel(t, 50)
 	// Train a few steps so the parameters are non-trivial.
 	c := tinyCorpus(t, 51)
-	pretrain(t, m, c, 5, 4)
+	pretrain(t, m, c, 5, 4, 0)
 	want := m.ParamsChecksum()
 
 	var buf bytes.Buffer

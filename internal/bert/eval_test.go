@@ -39,7 +39,7 @@ func TestEvaluateImprovesWithTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pretrain(t, m, c, 80, 16)
+	pretrain(t, m, c, 80, 16, 0)
 	after, err := m.Evaluate(heldOut)
 	if err != nil {
 		t.Fatal(err)
@@ -77,5 +77,33 @@ func TestEvaluateShapeValidation(t *testing.T) {
 	c, _ := data.NewCorpus(m.Config.VocabSize, 1.0, 8)
 	if _, err := m.Evaluate(c.MakeBatch(2, data.DefaultBatchConfig(8))); err == nil {
 		t.Fatal("expected error for wrong sequence length")
+	}
+}
+
+// TestEvaluateMatchesHeadLoss pins Evaluate to the adapter's loss: on a whole
+// batch (the batch's own totals) the two forwards agree up to HeadLoss's
+// count rescale.
+func TestEvaluateMatchesHeadLoss(t *testing.T) {
+	m := tinyModel(t, 7)
+	batch := tinyCorpus(t, 8).MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
+	res, err := m.Evaluate(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loss := headLoss(t, m, batch)
+	if res.Loss.MaskedCount != loss.Tokens {
+		t.Fatalf("masked count %d, HeadLoss tokens %d", res.Loss.MaskedCount, loss.Tokens)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"mlm", res.Loss.MLM, loss.Components["mlm"]},
+		{"nsp", res.Loss.NSP, loss.Components["nsp"]},
+		{"total", res.Loss.Total, loss.Total},
+	} {
+		if math.Abs(c.got-c.want) > 1e-12*math.Abs(c.want) {
+			t.Fatalf("%s: Evaluate %.17g, HeadLoss %.17g", c.name, c.got, c.want)
+		}
 	}
 }

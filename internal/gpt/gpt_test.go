@@ -78,6 +78,52 @@ func headLoss(t *testing.T, m *Model, batch *data.Batch) pipemodel.Loss {
 	return loss
 }
 
+// backward runs the adapter's forward and backward — embedding, blocks,
+// head, and back through the blocks into the embedding tables — over a whole
+// batch, accumulating every parameter's gradient of headLoss's Total.
+func backward(t *testing.T, m *Model, batch *data.Batch) {
+	t.Helper()
+	blocks := m.PipelineBlocks()
+	x := m.EmbedForward(batch)
+	for _, b := range blocks {
+		b.SetShape(batch.BatchSize, batch.SeqLen)
+		x = b.Forward(x)
+	}
+	g, err := m.HeadGradient(batch, x, pipemodel.Totals{Tokens: m.BatchTokenCount(batch), Seqs: batch.BatchSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := len(blocks) - 1; i >= 0; i-- {
+		g = blocks[i].Backward(g)
+	}
+	m.EmbedBackward(g)
+}
+
+// train trains m on batches of c through the engine at one stage — GPipe,
+// one stage, one micro-batch — with Adam at 3e-3, and returns the per-step
+// losses.
+func train(t *testing.T, m *Model, c *data.Corpus, steps, batch int) []float64 {
+	t.Helper()
+	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adam := optim.NewAdam(m.Params(), 0.01)
+	e.SetOptimizer(func(int) error {
+		adam.Step(3e-3)
+		return nil
+	})
+	losses := make([]float64, steps)
+	for i := range losses {
+		res, err := e.TrainStep(MakeBatch(c, batch, m.Config.SeqLen))
+		if err != nil {
+			t.Fatal(err)
+		}
+		losses[i] = res.Loss.Total
+	}
+	return losses
+}
+
 func TestInitialHeadLossNearLogVocab(t *testing.T) {
 	m, c := newModelAndCorpus(t, 2)
 	loss := headLoss(t, m, MakeBatch(c, 8, m.Config.SeqLen))
@@ -114,21 +160,80 @@ func TestHeldOutLossImprovesWithTraining(t *testing.T) {
 	m, c := newModelAndCorpus(t, 6)
 	heldOut := MakeBatch(c, 16, m.Config.SeqLen)
 	before := headLoss(t, m, heldOut).Total
+	train(t, m, c, 80, 8)
+	if after := headLoss(t, m, heldOut).Total; after >= before-0.3 {
+		t.Fatalf("held-out loss did not improve: %.3f -> %.3f", before, after)
+	}
+}
+
+// TestAdapterGradientMatchesFiniteDifferences checks the adapter's whole
+// backward — head, causal blocks and embedding — against central
+// differences of its forward loss, for a sample of entries of every
+// parameter.
+func TestAdapterGradientMatchesFiniteDifferences(t *testing.T) {
+	m, c := newModelAndCorpus(t, 30)
+	batch := MakeBatch(c, 2, m.Config.SeqLen)
+	nn.ZeroGrads(m.Params())
+	backward(t, m, batch)
+	const eps = 1e-6
+	for _, p := range m.Params() {
+		for idx := 0; idx < len(p.Value.Data); idx += 1 + len(p.Value.Data)/7 {
+			orig := p.Value.Data[idx]
+			p.Value.Data[idx] = orig + eps
+			up := headLoss(t, m, batch).Total
+			p.Value.Data[idx] = orig - eps
+			down := headLoss(t, m, batch).Total
+			p.Value.Data[idx] = orig
+			numeric := (up - down) / (2 * eps)
+			if analytic := p.Grad.Data[idx]; math.Abs(numeric-analytic) > 1e-5*(1+math.Abs(numeric)) {
+				t.Fatalf("param %s[%d]: analytic %g vs numeric %g", p.Name, idx, analytic, numeric)
+			}
+		}
+	}
+}
+
+func TestStepProducesFiniteLossAndGrads(t *testing.T) {
+	m, c := newModelAndCorpus(t, 32)
 	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adam := optim.NewAdam(m.Params(), 0.01)
+	// The optimizer hook sees the step's reduced gradients before any update.
 	e.SetOptimizer(func(int) error {
-		adam.Step(3e-3)
+		for _, p := range m.Params() {
+			gn := nn.GradNorm([]*nn.Param{p})
+			if gn <= 0 || math.IsNaN(gn) || math.IsInf(gn, 0) {
+				t.Errorf("param %s: bad grad norm %g", p.Name, gn)
+			}
+		}
 		return nil
 	})
-	for i := 0; i < 80; i++ {
-		if _, err := e.TrainStep(MakeBatch(c, 8, m.Config.SeqLen)); err != nil {
-			t.Fatal(err)
-		}
+	res, err := e.TrainStep(MakeBatch(c, 4, m.Config.SeqLen))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after := headLoss(t, m, heldOut).Total; after >= before-0.3 {
-		t.Fatalf("held-out loss did not improve: %.3f -> %.3f", before, after)
+	if math.IsNaN(res.Loss.Total) || res.Loss.Total <= 0 {
+		t.Fatalf("bad loss %v", res.Loss)
+	}
+}
+
+func TestStepValidation(t *testing.T) {
+	m, c := newModelAndCorpus(t, 34)
+	e, err := engine.NewWithConfig(m, engine.Config{Method: "gpipe", Stages: 1, MicroBatches: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.TrainStep(MakeBatch(c, 2, m.Config.SeqLen/2)); err == nil {
+		t.Fatal("expected error for mismatched sequence length")
+	}
+}
+
+func TestDeterministicTraining(t *testing.T) {
+	run := func() float64 {
+		m, c := newModelAndCorpus(t, 20)
+		return train(t, m, c, 10, 4)[9]
+	}
+	if run() != run() {
+		t.Fatal("training must be bit-deterministic for fixed seeds")
 	}
 }

@@ -452,3 +452,86 @@ func testSoftmaxRowPasses(t *testing.T, exact bool) {
 		}
 	}
 }
+
+func TestCausalAttentionNoFutureLeak(t *testing.T) {
+	// Changing a future token must not change past outputs.
+	rng := tensor.NewRNG(7)
+	const batch, seq, d, heads = 1, 6, 8, 2
+	attn := NewMultiHeadAttention("attn", d, heads, rng)
+	attn.Causal = true
+	attn.SetShape(batch, seq)
+	x := tensor.RandN(rng, seq, d, 1)
+	y1 := attn.Forward(x).Clone()
+	x2 := x.Clone()
+	for j := 0; j < d; j++ {
+		x2.Set(seq-1, j, rng.NormFloat64()) // perturb the last token
+	}
+	y2 := attn.Forward(x2)
+	for i := 0; i < seq-1; i++ {
+		for j := 0; j < d; j++ {
+			if math.Abs(y1.At(i, j)-y2.At(i, j)) > 1e-12 {
+				t.Fatalf("causal attention leaked future information at position %d", i)
+			}
+		}
+	}
+	// Non-causal attention, by contrast, must leak.
+	attn.Causal = false
+	y3 := attn.Forward(x).Clone()
+	y4 := attn.Forward(x2)
+	var changed bool
+	for i := 0; i < seq-1 && !changed; i++ {
+		for j := 0; j < d; j++ {
+			if math.Abs(y3.At(i, j)-y4.At(i, j)) > 1e-12 {
+				changed = true
+				break
+			}
+		}
+	}
+	if !changed {
+		t.Fatal("bidirectional attention should propagate future changes")
+	}
+}
+
+func TestCausalAttentionGradients(t *testing.T) {
+	rng := tensor.NewRNG(8)
+	const batch, seq, d, heads = 2, 3, 8, 2
+	attn := NewMultiHeadAttention("attn", d, heads, rng)
+	attn.Causal = true
+	attn.SetShape(batch, seq)
+	x := tensor.RandN(rng, batch*seq, d, 1)
+	run := func() float64 {
+		loss, _ := scalarLoss(attn.Forward(x))
+		return loss
+	}
+	var inGrad *tensor.Matrix
+	backward := func() {
+		y := attn.Forward(x)
+		_, g := scalarLoss(y)
+		inGrad = attn.Backward(g)
+	}
+	checkParamGradients(t, attn.Params(), run, backward, 1e-5)
+	checkInputGradient(t, x, run, inGrad, 1e-5)
+}
+
+func TestCausalProbabilitiesZeroAboveDiagonal(t *testing.T) {
+	rng := tensor.NewRNG(9)
+	attn := NewMultiHeadAttention("attn", 8, 2, rng)
+	attn.Causal = true
+	attn.SetShape(1, 4)
+	attn.Forward(tensor.RandN(rng, 4, 8, 1))
+	for h := 0; h < 2; h++ {
+		probs := attn.lastProbs[h]
+		for i := 0; i < 4; i++ {
+			var rowSum float64
+			for j := 0; j < 4; j++ {
+				if j > i && probs.At(i, j) != 0 {
+					t.Fatalf("head %d: prob[%d][%d] = %g, want 0", h, i, j, probs.At(i, j))
+				}
+				rowSum += probs.At(i, j)
+			}
+			if math.Abs(rowSum-1) > 1e-12 {
+				t.Fatalf("head %d row %d sums to %g", h, i, rowSum)
+			}
+		}
+	}
+}
