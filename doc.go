@@ -131,6 +131,20 @@
 //     256-bit at either width: exp and erf are about 3 % of a training
 //     step — measured, not forgotten.
 //
+// The panels the fma tiles read are packed by amd64 assembly too
+// (tensor/pack_amd64.s): a panel whose lanes are source rows (A as stored,
+// B transposed) as an 8-row interleave built from 4x4 register transposes,
+// one whose lanes are source columns as contiguous vector copies, at mr 8
+// and nr 4 / 16 for float64, 8 / 32 for float32 — which narrows with
+// VCVTPD2PS, the rounding Go's float32 conversion compiles to. Edge panels
+// pad their missing lanes with +0. Packing is an exact copy, so it carries
+// no contract of its own to state: the assembly stores the bits
+// the Go packers do (tensor's TestPackVecMatchesGo over every panel width,
+// lane count 1..width, depths around both KC blocks and strided windows,
+// with NaNs, infinities, signed zeros, subnormals and narrowing ties in the
+// source; FuzzPack), and every identity contract here holds unchanged.
+// scalar, tiled and every purego build keep the Go packers.
+//
 // The element-wise family is the transcendental half of a step — GELU's erf
 // and exp, softmax's and cross-entropy's exps — as three fused forms over
 // []float64: tensor.GELUForward (Φ(x) = (1 + erf(x/√2))/2 retained, y =

@@ -7,9 +7,12 @@
 //
 // The model here is a faithful but scaled-down BERT: token + position
 // embeddings, post-LN encoder blocks, an MLM head over the vocabulary and
-// an NSP head over the [CLS] representation. K-FAC applies to every
-// fully-connected layer inside the blocks and not to the final
-// classification heads, exactly as §4 prescribes.
+// an NSP head over the [CLS] representation. Like BERT's reference
+// run_pretraining.py (gather_indexes over masked_lm_positions), the MLM
+// head scores only the masked positions — about 15 % of the B·S rows —
+// which gives bit for bit the loss and gradients of scoring them all.
+// K-FAC applies to every fully-connected layer inside the blocks and not
+// to the final classification heads, exactly as §4 prescribes.
 package bert
 
 import (
@@ -64,13 +67,19 @@ type Model struct {
 	pipePosIDs []int // scratch for EmbedForward's micro-batch shape
 
 	// Retained pipeline-adapter buffers (see pipeline.go): the summed
-	// token+position embeddings, the gathered [CLS] rows and the two heads'
-	// logits gradients are reused across micro-batches instead of being
-	// freshly allocated.
-	pipeEmbBuf     *tensor.Matrix
-	pipeClsBuf     *tensor.Matrix
-	pipeMLMGradBuf *tensor.Matrix
-	pipeNSPGradBuf *tensor.Matrix
+	// token+position embeddings, the gathered [CLS] rows and NSP labels, the
+	// gathered masked rows with their positions and targets, the two heads'
+	// logits gradients and the head's input gradient are reused across
+	// micro-batches instead of being freshly allocated.
+	pipeEmbBuf        *tensor.Matrix
+	pipeClsBuf        *tensor.Matrix
+	pipeNSPTargets    []int
+	pipeMaskedBuf     *tensor.Matrix
+	pipeMaskedPos     []int
+	pipeMaskedTargets []int
+	pipeMLMGradBuf    *tensor.Matrix
+	pipeNSPGradBuf    *tensor.Matrix
+	pipeDXBuf         *tensor.Matrix
 }
 
 // New builds a model with the given configuration and seed.

@@ -33,8 +33,8 @@ type EvalResult struct {
 }
 
 // Evaluate runs a forward-only pass through the pipeline adapter's
-// embedding, blocks and heads, and computes accuracy metrics. It does not
-// touch gradients.
+// embedding, blocks and heads — the MLM head on the masked rows, as in
+// training — and computes accuracy metrics. It does not touch gradients.
 func (m *Model) Evaluate(batch *data.Batch) (*EvalResult, error) {
 	if batch.SeqLen != m.Config.SeqLen {
 		return nil, fmt.Errorf("bert: batch seq len %d != model %d", batch.SeqLen, m.Config.SeqLen)
@@ -45,21 +45,19 @@ func (m *Model) Evaluate(batch *data.Batch) (*EvalResult, error) {
 		b.SetShape(bs, sl)
 		x = b.Forward(x)
 	}
-	mlmLogits := m.MLMHead.Forward(x)
-	mlmLoss, masked := nn.CrossEntropyLoss(mlmLogits, batch.Targets)
+	xm, mlmTargets := m.maskedRows(x, batch.Targets)
+	mlmLogits := m.MLMHead.Forward(xm)
+	mlmLoss, masked := nn.CrossEntropyLoss(mlmLogits, mlmTargets)
 
 	var mlmCorrect int
-	for i, tgt := range batch.Targets {
-		if tgt < 0 {
-			continue
-		}
-		if argmaxRow(mlmLogits, i) == tgt {
+	for r, tgt := range mlmTargets {
+		if argmaxRow(mlmLogits, r) == tgt {
 			mlmCorrect++
 		}
 	}
 
 	nspLogits := m.NSPHead.Forward(m.clsRows(x, bs, sl))
-	targets := nspTargets(batch)
+	targets := m.nspTargets(batch)
 	var nspCorrect int
 	for i, tgt := range targets {
 		if argmaxRow(nspLogits, i) == tgt {

@@ -90,16 +90,17 @@ func (m *Model) KFACLossScale(t pipemodel.Totals) float64 {
 
 // HeadLoss evaluates the MLM and NSP losses of one micro-batch with the same
 // weighting a full-batch step uses: MLM weighted by the micro-batch's share
-// of masked positions, NSP by its share of sequences.
+// of masked positions, NSP by its share of sequences. The MLM head scores
+// the masked positions only (maskedRows).
 func (m *Model) HeadLoss(mb *data.Batch, y *tensor.Matrix, t pipemodel.Totals) (pipemodel.Loss, error) {
 	if err := m.checkHeadInput(mb, y, t); err != nil {
 		return pipemodel.Loss{}, err
 	}
-	mlmLogits := m.MLMHead.Forward(y)
-	mlmLoss, masked := nn.CrossEntropyLoss(mlmLogits, mb.Targets)
+	x, targets := m.maskedRows(y, mb.Targets)
+	mlmLoss, masked := nn.CrossEntropyLoss(m.MLMHead.Forward(x), targets)
 	cls := m.clsRows(y, mb.BatchSize, mb.SeqLen)
 	nspLogits := m.NSPHead.Forward(cls)
-	nspLoss, _ := nn.CrossEntropyLoss(nspLogits, nspTargets(mb))
+	nspLoss, _ := nn.CrossEntropyLoss(nspLogits, m.nspTargets(mb))
 
 	var mlm float64
 	if t.Tokens > 0 {
@@ -116,25 +117,35 @@ func (m *Model) HeadLoss(mb *data.Batch, y *tensor.Matrix, t pipemodel.Totals) (
 // HeadGradient computes the globally-scaled loss gradient w.r.t. the last
 // stage's block output: micro-batch CE gradients are means over local
 // counts, so rescaling by local/global count reproduces the full-batch mean
-// exactly. Head-parameter gradients accumulate as a side effect.
+// exactly. Head-parameter gradients accumulate as a side effect. The MLM
+// head runs on the masked rows only, and their input gradients scatter
+// back into a zeroed (B·S) x d buffer, owned by the model and valid until
+// the next HeadGradient.
 func (m *Model) HeadGradient(mb *data.Batch, y *tensor.Matrix, t pipemodel.Totals) (*tensor.Matrix, error) {
 	if err := m.checkHeadInput(mb, y, t); err != nil {
 		return nil, err
 	}
-	mlmLogits := m.MLMHead.Forward(y)
-	mlmGrad := tensor.Reuse(m.pipeMLMGradBuf, mlmLogits.Rows, mlmLogits.Cols)
+	x, targets := m.maskedRows(y, mb.Targets)
+	mlmLogits := m.MLMHead.Forward(x)
+	mlmGrad := tensor.ReuseRows(m.pipeMLMGradBuf, mlmLogits.Rows, mlmLogits.Cols)
 	m.pipeMLMGradBuf = mlmGrad
-	_, masked := nn.CrossEntropyInto(mlmGrad, mlmLogits, mb.Targets)
+	_, masked := nn.CrossEntropyInto(mlmGrad, mlmLogits, targets)
 	if t.Tokens > 0 && masked > 0 {
 		mlmGrad.ScaleInPlace(float64(masked) / float64(t.Tokens))
 	}
-	dx := m.MLMHead.Backward(mlmGrad)
+	dMasked := m.MLMHead.Backward(mlmGrad)
+	dx := tensor.Reuse(m.pipeDXBuf, y.Rows, y.Cols)
+	m.pipeDXBuf = dx
+	dx.Zero()
+	for r, i := range m.pipeMaskedPos {
+		copy(dx.Row(i), dMasked.Row(r))
+	}
 
 	cls := m.clsRows(y, mb.BatchSize, mb.SeqLen)
 	nspLogits := m.NSPHead.Forward(cls)
 	nspGrad := tensor.Reuse(m.pipeNSPGradBuf, nspLogits.Rows, nspLogits.Cols)
 	m.pipeNSPGradBuf = nspGrad
-	nn.CrossEntropyInto(nspGrad, nspLogits, nspTargets(mb))
+	nn.CrossEntropyInto(nspGrad, nspLogits, m.nspTargets(mb))
 	nspGrad.ScaleInPlace(float64(mb.BatchSize) / float64(t.Seqs))
 	dCls := m.NSPHead.Backward(nspGrad)
 	for i := 0; i < mb.BatchSize; i++ {
@@ -172,12 +183,42 @@ func (m *Model) clsRows(y *tensor.Matrix, batch, seqLen int) *tensor.Matrix {
 	return cls
 }
 
-func nspTargets(mb *data.Batch) []int {
-	out := make([]int, mb.BatchSize)
-	for i, isNext := range mb.IsNext {
-		if isNext {
-			out[i] = 1
+// maskedRows gathers the rows of y at the loss-bearing positions (target
+// not nn.IgnoreIndex), in ascending position order, with their targets: the
+// MLM head's input, BERT's gather_indexes over masked_lm_positions. Scoring
+// only these rows is bit-identical to scoring all B·S: each logit is the
+// same ascending-k chain whatever rows share its product, cross-entropy
+// visits the same rows in the same order, and an unmasked row's zero
+// gradient only ever added +0 to the head's weight and bias gradients and
+// left +0 in its own input gradient. All three results are retained
+// buffers, valid until the next call.
+func (m *Model) maskedRows(y *tensor.Matrix, targets []int) (*tensor.Matrix, []int) {
+	m.pipeMaskedPos, m.pipeMaskedTargets = m.pipeMaskedPos[:0], m.pipeMaskedTargets[:0]
+	for i, tgt := range targets {
+		if tgt != nn.IgnoreIndex {
+			m.pipeMaskedPos = append(m.pipeMaskedPos, i)
+			m.pipeMaskedTargets = append(m.pipeMaskedTargets, tgt)
 		}
 	}
+	x := tensor.ReuseRows(m.pipeMaskedBuf, len(m.pipeMaskedPos), y.Cols)
+	m.pipeMaskedBuf = x
+	for r, i := range m.pipeMaskedPos {
+		copy(x.Row(r), y.Row(i))
+	}
+	return x, m.pipeMaskedTargets
+}
+
+// nspTargets writes the micro-batch's next-sentence labels into a retained
+// buffer (valid until the next call).
+func (m *Model) nspTargets(mb *data.Batch) []int {
+	out := m.pipeNSPTargets[:0]
+	for _, isNext := range mb.IsNext {
+		label := 0
+		if isNext {
+			label = 1
+		}
+		out = append(out, label)
+	}
+	m.pipeNSPTargets = out
 	return out
 }

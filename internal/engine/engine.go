@@ -502,9 +502,6 @@ func (e *Engine) buildUpSets() ([]*moduleSet, error) {
 				set.params[i].Grad.Data = nil
 			}
 		}
-		if e.kfacPre != nil {
-			set.captureKFAC()
-		}
 		up[r] = set
 	}
 	return up, nil
@@ -528,19 +525,6 @@ func (e *Engine) setIndex(op *pipeline.Op) int { return e.setOf(op.Replica, op.P
 
 // setOf is the index in e.sets of a replica's module set for one pipeline.
 func (e *Engine) setOf(replica, pipe int) int { return pipe*e.cfg.Replicas + replica }
-
-// captureKFAC switches K-FAC statistics capture on for every stage layer of
-// the set, in every activation slot (the preconditioner switches only the
-// primary's own layers; slots added later copy the flag from those).
-func (ms *moduleSet) captureKFAC() {
-	for _, st := range ms.stages {
-		for _, sl := range st.slots {
-			for _, l := range sl.layers {
-				l.CaptureKFAC = true
-			}
-		}
-	}
-}
 
 // buildModuleSet partitions one model copy into stages and derives the
 // per-stage parameter lists the gradient collective reduces over.
@@ -792,12 +776,6 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 		e.layerMu[s] = make([]sync.Mutex, len(st.layers))
 	}
 	e.initKFACFold()
-	// Every module set captures the same statistics as the primary's own
-	// layers, in every activation slot: their micro-batches contribute to
-	// the shared per-stage factors.
-	for _, set := range e.sets {
-		set.captureKFAC()
-	}
 	e.kfacOpts = opts
 	e.refreshEvery = refreshEvery
 	e.stepIndex = 0 // restart the refresh cadence: the next round refreshes

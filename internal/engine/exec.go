@@ -766,8 +766,9 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 			return fmt.Errorf("no error signal from stage %d for micro-batch slot %d", s+1, m)
 		}
 	}
-	grad = sl.backward(grad, st.e.scratch[d])
-	if st.refresh && op.Step == 0 {
+	capture := st.refresh && op.Step == 0
+	grad = sl.backward(grad, st.e.scratch[d], capture)
+	if capture {
 		// Snapshot the B-factor statistics into the collecting
 		// generation's pool (see the A-factor snapshot in forward).
 		// In float32 mode the layer's capture already lives in a narrow

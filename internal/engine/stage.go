@@ -51,9 +51,8 @@ func newActSlot(blocks []*nn.TransformerBlock) *actSlot {
 	return sl
 }
 
-// resize gives the stage n activation slots, all free: twins are added (K-FAC
-// capture flags as the stage's own layers have them) or dropped, never the
-// model's own blocks. Only called between rounds.
+// resize gives the stage n activation slots, all free: twins are added or
+// dropped, never the model's own blocks. Only called between rounds.
 func (st *stage) resize(n int) {
 	n = max(n, 1)
 	for len(st.slots) < n {
@@ -102,10 +101,16 @@ func (sl *actSlot) forward(x *tensor.Matrix, batch, seqLen int) *tensor.Matrix {
 
 // backward backpropagates grad through the slot's blocks in reverse, on the
 // caches its forward left, writing everything only a backward produces into
-// the calling device's scratch (one BlockScratch per block position). The
-// result and the layers' output-gradient captures live in that scratch,
-// valid until the device's next backward.
-func (sl *actSlot) backward(grad *tensor.Matrix, scratch []*nn.BlockScratch) *tensor.Matrix {
+// the calling device's scratch (one BlockScratch per block position). With
+// capture, the dense layers also copy their output gradients — the K-FAC
+// B-statistics — into that scratch; the engine asks for it on the one
+// backward per micro-batch whose statistics it snapshots, and no other pays
+// the copy. The result and the captures are valid until the device's next
+// backward.
+func (sl *actSlot) backward(grad *tensor.Matrix, scratch []*nn.BlockScratch, capture bool) *tensor.Matrix {
+	for _, l := range sl.layers {
+		l.CaptureKFAC = capture
+	}
 	for i := len(sl.blocks) - 1; i >= 0; i-- {
 		sl.blocks[i].AttachScratch(scratch[i])
 		grad = sl.blocks[i].Backward(grad)

@@ -47,6 +47,34 @@ func TestDenseSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// A Dense whose row count changes from call to call — BERT's MLM head over
+// each micro-batch's masked positions — keeps its output and input-gradient
+// storage: shrinking, then regrowing within what the buffers once held,
+// allocates nothing.
+func TestDenseZeroAllocAcrossRowCounts(t *testing.T) {
+	skipPooledAllocsUnderRace(t)
+	rng := tensor.NewRNG(4)
+	layer := NewDense("head", 64, 96, rng)
+	var xs, grads []*tensor.Matrix
+	for _, rows := range []int{256, 40, 200, 1, 0, 256, 97} {
+		xs = append(xs, tensor.RandN(rng, rows, 64, 1))
+		grads = append(grads, tensor.RandN(rng, rows, 96, 1))
+	}
+	step := func() {
+		for i, x := range xs {
+			y := layer.Forward(x)
+			dx := layer.Backward(grads[i])
+			if y.Rows != x.Rows || dx.Rows != x.Rows {
+				t.Fatalf("rows %d: output %d, input gradient %d", x.Rows, y.Rows, dx.Rows)
+			}
+		}
+	}
+	step()
+	if avg := testing.AllocsPerRun(20, step); avg > 0 {
+		t.Fatalf("Dense Forward+Backward over alternating row counts allocates %.1f times per pass, want 0", avg)
+	}
+}
+
 // The same property under parallel kernels: chunk dispatch through the
 // shared worker pool must not allocate either.
 func TestDenseZeroAllocWithParallelKernels(t *testing.T) {

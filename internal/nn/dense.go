@@ -25,11 +25,13 @@ type Dense struct {
 
 	lastInput *tensor.Matrix // N x din, retained for backward + A_l
 
-	// outBuf is the retained Forward result: in steady state (stable batch
-	// shape) Forward and Backward allocate nothing. The returned matrices
-	// are owned by the layer — Backward's by its scratch — and valid only
-	// until the next Forward/Backward; callers that need them longer must
-	// clone.
+	// outBuf is the retained Forward result: in steady state Forward and
+	// Backward allocate nothing — also when the row count changes between
+	// calls within what the buffers once held (tensor.ReuseRows), as it does
+	// for BERT's MLM head over each micro-batch's masked positions. The
+	// returned matrices are owned by the layer — Backward's by its scratch —
+	// and valid only until the next Forward/Backward; callers that need them
+	// longer must clone.
 	outBuf *tensor.Matrix // N x dout
 	// bw is the backward scratch (scratch.go): the input gradient and the
 	// output-gradient capture. Nil until the first Backward, which gives the
@@ -75,7 +77,7 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 		d.outBuf = nil
 	}
 	d.lastInput = x
-	y := tensor.Reuse(d.outBuf, x.Rows, d.W.Rows) // N x dout
+	y := tensor.ReuseRows(d.outBuf, x.Rows, d.W.Rows) // N x dout
 	d.outBuf = y
 	tensor.MatMulTInto(y, x, d.W)
 	bias := d.B.Data
@@ -124,7 +126,7 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	if grad == bw.dx {
 		bw.dx = nil
 	}
-	dx := tensor.Reuse(bw.dx, grad.Rows, d.W.Cols)
+	dx := tensor.ReuseRows(bw.dx, grad.Rows, d.W.Cols)
 	bw.dx = dx
 	tensor.MatMulInto(dx, grad, d.W)
 	return dx

@@ -66,22 +66,23 @@ func BenchmarkPack(b *testing.B) {
 	head := RandN(rng, 128, 64, 1).View(64, 16, 64, 16) // one head's S x dk window
 	probs := RandN(rng, 64, 64, 1).View(0, 0, 64, 64)
 	buf, buf32 := make([]float64, 64*64), make([]float32, 64*64)
+	vec := ActiveKernel() == KernelFMA
 	for _, c := range []struct {
 		name string
 		pack func()
 		n    int
 	}{
-		{"A_rows_64x16", func() { packA(buf, head, false, 0, 64, 0, 16, 8) }, 64 * 16},
-		{"A_rows_64x64", func() { packA(buf, probs, false, 0, 64, 0, 64, 8) }, 64 * 64},
-		{"A_cols_64x64", func() { packA(buf, probs, true, 0, 64, 0, 64, 8) }, 64 * 64},
-		{"B_rows_64x16", func() { packB(buf, head, true, 64, 16, 4) }, 64 * 16},
-		{"B_cols_64x16", func() { packB(buf, head, false, 16, 64, 4) }, 64 * 16},
-		{"B_rows_64x16_nr16", func() { packB(buf, head, true, 64, 16, 16) }, 64 * 16},
-		{"B_cols_64x16_nr16", func() { packB(buf, head, false, 16, 64, 16) }, 64 * 16},
-		{"B_rows_64x64_nr16", func() { packB(buf, probs, true, 64, 64, 16) }, 64 * 64},
-		{"B_cols_64x64_nr16", func() { packB(buf, probs, false, 64, 64, 16) }, 64 * 64},
-		{"B_rows_64x64_nr32f32", func() { packB(buf32, probs, true, 64, 64, 32) }, 64 * 64},
-		{"B_cols_64x64_nr32f32", func() { packB(buf32, probs, false, 64, 64, 32) }, 64 * 64},
+		{"A_rows_64x16", func() { packA(buf, head, false, 0, 64, 0, 16, 8, vec) }, 64 * 16},
+		{"A_rows_64x64", func() { packA(buf, probs, false, 0, 64, 0, 64, 8, vec) }, 64 * 64},
+		{"A_cols_64x64", func() { packA(buf, probs, true, 0, 64, 0, 64, 8, vec) }, 64 * 64},
+		{"B_rows_64x16", func() { packB(buf, head, true, 64, 16, 4, vec) }, 64 * 16},
+		{"B_cols_64x16", func() { packB(buf, head, false, 16, 64, 4, vec) }, 64 * 16},
+		{"B_rows_64x16_nr16", func() { packB(buf, head, true, 64, 16, 16, vec) }, 64 * 16},
+		{"B_cols_64x16_nr16", func() { packB(buf, head, false, 16, 64, 16, vec) }, 64 * 16},
+		{"B_rows_64x64_nr16", func() { packB(buf, probs, true, 64, 64, 16, vec) }, 64 * 64},
+		{"B_cols_64x64_nr16", func() { packB(buf, probs, false, 64, 64, 16, vec) }, 64 * 64},
+		{"B_rows_64x64_nr32f32", func() { packB(buf32, probs, true, 64, 64, 32, vec) }, 64 * 64},
+		{"B_cols_64x64_nr32f32", func() { packB(buf32, probs, false, 64, 64, 32, vec) }, 64 * 64},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -125,7 +125,8 @@ type gemmCtx struct {
 	fl        gemmFlags
 	f32       bool
 	mr, nr    int
-	kc        int // contraction-block depth
+	kc        int  // contraction-block depth
+	vec       bool // pack with the assembly packers (the fma variant)
 	nPanB     int
 	bp        *Matrix   // packed B, float64 path
 	bp32      *Matrix32 // packed B, float32 path
@@ -181,6 +182,7 @@ func (g *gemmCtx) setup(dst, a, b View, fl gemmFlags, kern Kernel) bool {
 	// from one full panel on the wide tile wins). Shape alone decides, so
 	// the choice cannot differ between workers or runs.
 	wide := kern == KernelFMA && fmaWide.Load()
+	g.vec = kern == KernelFMA
 	if g.f32 {
 		switch {
 		case wide && n >= 32:
@@ -207,13 +209,13 @@ func (g *gemmCtx) setup(dst, a, b View, fl gemmFlags, kern Kernel) bool {
 			Put32(g.bp32)
 			g.bp32 = Get32(1, need)
 		}
-		packB(g.bp32.Data, b, fl&gemmBT != 0, n, k, g.nr)
+		packB(g.bp32.Data, b, fl&gemmBT != 0, n, k, g.nr, g.vec)
 	} else {
 		if g.bp == nil || len(g.bp.Data) < need {
 			Put(g.bp)
 			g.bp = Get(1, need)
 		}
-		packB(g.bp.Data, b, fl&gemmBT != 0, n, k, g.nr)
+		packB(g.bp.Data, b, fl&gemmBT != 0, n, k, g.nr, g.vec)
 	}
 	return true
 }
@@ -431,7 +433,7 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 			if fl&gemmAUpper != 0 && kk+kc <= ib {
 				continue
 			}
-			packA(apData, g.a, fl&gemmAT != 0, ib, ic, kk, kc, mr)
+			packA(apData, g.a, fl&gemmAT != 0, ib, ic, kk, kc, mr, g.vec)
 			if fl&gemmNeg != 0 {
 				neg := apData[:nPanA*mr*kc]
 				for i, v := range neg {
@@ -524,7 +526,7 @@ func gemmRange32(g *gemmCtx, p0, p1 int) {
 		}
 		for kk := 0; kk < g.k; kk += g.kc {
 			kc := min(g.k-kk, g.kc)
-			packA(ap.Data, g.a, aT, ib, ic, kk, kc, mr)
+			packA(ap.Data, g.a, aT, ib, ic, kk, kc, mr, g.vec)
 			nPanA := icPad / mr
 			for jp := 0; jp < g.nPanB; jp++ {
 				bpan := g.bp32.Data[jp*nr*g.k+kk*nr : jp*nr*g.k+(kk+kc)*nr]

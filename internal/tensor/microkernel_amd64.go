@@ -31,6 +31,21 @@ func fma8x16f64(c []float64, ldc int, ap, bp []float64, kc int)
 //go:noescape
 func fma8x32f32(c []float32, ldc int, ap, bp []float32, kc int)
 
+// Panel packers (pack_amd64.s), exact copies of packRows / packCols for the
+// fma variant's panels; packRowsVec / packColsVec check their arguments.
+//
+//go:noescape
+func packRowsF64(dst []float64, width int, src []float64, ld, lanes, kc int)
+
+//go:noescape
+func packRowsF32(dst []float32, width int, src []float64, ld, lanes, kc int)
+
+//go:noescape
+func packColsF64(dst []float64, width int, src []float64, ld, lanes, kc int)
+
+//go:noescape
+func packColsF32(dst []float32, width int, src []float64, ld, lanes, kc int)
+
 // Element-wise exp / erf kernels (vecmath_amd64.s), 4 float64 lanes per
 // step; vecmath.go states their accuracy and position-independence
 // contract. All slices of one call have the length of the input slice.

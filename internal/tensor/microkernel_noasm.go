@@ -22,6 +22,22 @@ func fma8x32f32(c []float32, ldc int, ap, bp []float32, kc int) {
 	panic("tensor: FMA micro-kernel unavailable in this build")
 }
 
+func packRowsF64(dst []float64, width int, src []float64, ld, lanes, kc int) {
+	panic("tensor: vector packer unavailable in this build")
+}
+
+func packRowsF32(dst []float32, width int, src []float64, ld, lanes, kc int) {
+	panic("tensor: vector packer unavailable in this build")
+}
+
+func packColsF64(dst []float64, width int, src []float64, ld, lanes, kc int) {
+	panic("tensor: vector packer unavailable in this build")
+}
+
+func packColsF32(dst []float32, width int, src []float64, ld, lanes, kc int) {
+	panic("tensor: vector packer unavailable in this build")
+}
+
 func expShiftFMA(dst, src []float64, shift float64) {
 	panic("tensor: FMA exp kernel unavailable in this build")
 }

@@ -290,3 +290,29 @@ func TestReuse(t *testing.T) {
 		t.Fatal("Reuse(nil) must allocate")
 	}
 }
+
+func TestReuseRows(t *testing.T) {
+	a := Zeros(6, 4)
+	if b := ReuseRows(a, 2, 4); b != a || b.Rows != 2 || len(b.Data) != 8 {
+		t.Fatal("ReuseRows must keep the buffer when fewer rows fit")
+	}
+	if b := ReuseRows(a, 6, 4); b != a || b.Rows != 6 || len(b.Data) != 24 {
+		t.Fatal("ReuseRows must regrow within the storage it holds")
+	}
+	if b := ReuseRows(a, 0, 4); b != a || b.Rows != 0 {
+		t.Fatal("ReuseRows must keep the buffer at zero rows")
+	}
+	b := ReuseRows(a, 7, 4)
+	if b == a || b.Rows != 7 || len(b.Data) != 28 {
+		t.Fatal("ReuseRows must allocate past the storage it holds")
+	}
+	if c := ReuseRows(b, 14, 4); c != b || c.Rows != 14 {
+		t.Fatal("ReuseRows must leave room for twice the rows when it regrows")
+	}
+	if b := ReuseRows(a, 2, 3); b == a || b.Cols != 3 {
+		t.Fatal("ReuseRows must allocate on a column change")
+	}
+	if c := ReuseRows(nil, 1, 1); c == nil || c.Rows != 1 {
+		t.Fatal("ReuseRows(nil) must allocate")
+	}
+}

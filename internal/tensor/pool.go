@@ -99,3 +99,24 @@ func Reuse(buf *Matrix, rows, cols int) *Matrix {
 	}
 	return Zeros(rows, cols)
 }
+
+// ReuseRows is Reuse for a buffer whose row count varies between calls —
+// BERT's MLM head, which scores only a micro-batch's masked positions: a
+// buffer with cols columns and room for rows of them keeps its storage and
+// takes the new row count, so a count that shrinks and grows again within
+// what was once allocated costs nothing. A buffer that is too short is
+// replaced by one with room for twice the rows, so a count that keeps
+// setting new highs reallocates a logarithmic number of times; a first
+// allocation, or one for new columns, is exact. Rows past the new count are
+// not part of the result, and the kept rows' contents are stale, as with
+// Reuse.
+func ReuseRows(buf *Matrix, rows, cols int) *Matrix {
+	switch {
+	case buf == nil || buf.Cols != cols:
+		return Zeros(rows, cols)
+	case cap(buf.Data) < rows*cols:
+		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols, 2*rows*cols)}
+	}
+	buf.Rows, buf.Data = rows, buf.Data[:rows*cols]
+	return buf
+}
