@@ -58,9 +58,8 @@ func main() {
 		blocks       = flag.Int("blocks", 3, "transformer blocks per stage")
 		nmicro       = flag.Int("nmicro", 4, "micro-batches per device per step")
 		bmicro       = flag.Int("bmicro", 32, "micro-batch size")
-		dp           = flag.Int("dp", 1, "data-parallel width W: replicas of every stage (of chimera's whole bidirectional pair)")
+		dp           = flag.Int("dp", 1, "data-parallel replicas per process of every stage (of chimera's whole bidirectional pair); W = dp x the ranks in -group")
 		invParallel  = flag.Bool("invparallel", false, "split inversion work across the stage's devices")
-		recompute    = flag.Bool("recompute", false, "price activation recomputation in the simulated costs (the executor stashes)")
 		width        = flag.Int("width", 120, "ASCII timeline width")
 		csvPath      = flag.String("csv", "", "write the augmented timeline as CSV to this file")
 		svgPath      = flag.String("svg", "", "write the augmented timeline as SVG to this file")
@@ -68,7 +67,6 @@ func main() {
 		execute      = flag.Bool("execute", false, "really train a small model under this schedule and render the executed timeline")
 		execSteps    = flag.Int("execsteps", 5, "training steps to execute with -execute (rounded up to whole refresh rounds)")
 		workers      = flag.Int("workers", 0, "intra-op kernel worker budget for real execution (0 = GOMAXPROCS); device goroutines share it")
-		replicas     = flag.Int("replicas", 1, "data-parallel width W for real execution with -execute (replicated stage parameters, in-process sync-grad collectives)")
 		refreshSteps = flag.Int("refresh-steps", 1, "round length K for real execution with -execute: one K-FAC refresh spreads over the bubbles of K consecutive steps (1 = classic skip cadence, 0 = adaptive: derive K from the measured refresh work at EnableKFAC time)")
 		overlap      = flag.Bool("overlap", false, "overlap consecutive refresh windows with -execute: refresh work that spills out of its window carries into the next round's bubbles as generation-lagged ops")
 		kernelName   = flag.String("kernel", "", "matmul kernel variant: scalar, tiled, or fma (default: best available)")
@@ -76,7 +74,6 @@ func main() {
 		faultSpec    = flag.String("faults", "", "deterministic fault plan for -execute, e.g. 'fail:step=2,op=curvature;stall:op=forward,delay=5ms,count=1' (kinds: fail, stall, drop, corrupt)")
 		opTimeout    = flag.Duration("op-timeout", 0, "watchdog deadline per executed op with -execute; 0 disables the watchdog")
 		opRetries    = flag.Int("op-retries", 0, "retry budget for failed side-path ops (curvature, inversion, sync-curvature) before degrading, with -execute")
-		retryBackoff = flag.Duration("retry-backoff", 2*time.Millisecond, "base backoff between retries (doubles per attempt)")
 		checkpoint   = flag.Bool("checkpoint", false, "round checkpoint/replay with -execute: snapshot state at every round start and replay aborted rounds (up to 3 attempts)")
 		autotuneOn   = flag.Bool("autotune", false, "closed-loop tuning with -execute: refit packing costs from the executed rounds, re-rank the schedule candidate space, and hot-swap the engine at round boundaries")
 		tuneInterval = flag.Int("autotune-interval", 4, "rounds between tuner decisions with -autotune (observation continues every round)")
@@ -84,21 +81,21 @@ func main() {
 		transName    = flag.String("transport", "loopback", "collective transport: loopback (in-process) or ring (chunked socket chain) — prices the simulated collectives, and with -execute + -group really runs them")
 		groupSpec    = flag.String("group", "", "ring membership: comma-separated listen addresses (unix:PATH or tcp:HOST:PORT, one per rank), or spawn:N to launch N local ranks over unix sockets")
 		rankFlag     = flag.Int("rank", 0, "this process's rank within -group")
-		chunkFl      = flag.Int("chunk", 0, "ring all-reduce chunk size in float64 elements (0 = transport default)")
-		shardParams  = flag.Bool("shard-params", false, "ZeRO-style parameter sharding across the replica axis with -execute (needs -replicas >= 2)")
+		shardParams  = flag.Bool("shard-params", false, "ZeRO-style parameter sharding across the replica axis with -execute (needs -dp >= 2)")
 		heartbeat    = flag.Duration("heartbeat", 0, "ring heartbeat interval for liveness and straggler detection (0 = transport default, negative disables)")
 		supervise    = flag.Bool("supervise", false, "with -group spawn:N: restart ranks killed by a fault plan and rejoin them at the next round boundary")
 		rejoin       = flag.Bool("rejoin", false, "internal: this process is a restarted rank rejoining a running elastic group (set by the spawn supervisor)")
 	)
 	flag.Parse()
+	w, err := dataParallelWidth(*dp, *groupSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if n, ok := spawnCount(*groupSpec); ok {
 		os.Exit(spawnRanks(n, *supervise))
 	}
 	if *workers < 0 {
 		*workers = 0 // negative means "default", like 0
-	}
-	if *replicas < 1 {
-		*replicas = 1
 	}
 	if *refreshSteps < 0 {
 		*refreshSteps = 0 // negative means "adaptive", like 0
@@ -118,8 +115,8 @@ func main() {
 	if *refreshSteps == 0 {
 		kDesc = "adaptive"
 	}
-	fmt.Printf("%s on %s: %d stages x %d micro-batches, simulated W=%d, executed replicas=%d, refresh round K=%s, overlap=%v, intra-op workers %d, kernel %s, f32=%v\n",
-		*archName, *gpuName, *stages, *nmicro, *dp, *replicas, kDesc, *overlap, tensor.Parallelism(), tensor.KernelDetail(), tensor.F32())
+	fmt.Printf("%s on %s: %d stages x %d micro-batches, W=%d, refresh round K=%s, overlap=%v, intra-op workers %d, kernel %s, f32=%v\n",
+		*archName, *gpuName, *stages, *nmicro, w, kDesc, *overlap, tensor.Parallelism(), tensor.KernelDetail(), tensor.F32())
 
 	a, err := arch.ByName(*archName)
 	if err != nil {
@@ -131,14 +128,14 @@ func main() {
 	}
 	costs, err := pipeline.CostsFor(pipeline.CostConfig{
 		Arch: a, BlocksPerStage: *blocks, MicroBatch: *bmicro, GPU: g,
-		DataParallelWidth: *dp, Recompute: *recompute, Transport: *transName,
+		DataParallelWidth: w, Transport: *transName,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	res, err := schedule.Assign(schedule.Config{
 		Method: *method, Stages: *stages, MicroBatches: *nmicro, Costs: costs,
-		DataParallelWidth: *dp, InversionParallel: *invParallel,
+		DataParallelWidth: w, InversionParallel: *invParallel,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -197,8 +194,7 @@ func main() {
 			}
 		}
 		ft := faultConfig{
-			plan: plan, opTimeout: *opTimeout, opRetries: *opRetries,
-			retryBackoff: *retryBackoff, checkpoint: *checkpoint,
+			plan: plan, opTimeout: *opTimeout, opRetries: *opRetries, checkpoint: *checkpoint,
 		}
 		tn := tuneConfig{
 			enabled: *autotuneOn, interval: *tuneInterval, csvPath: *tuneCSV,
@@ -216,8 +212,7 @@ func main() {
 			}
 			tr.addrs, tr.self = addrs, *rankFlag
 			tr.opts = transport.RingOptions{
-				ChunkFloats: *chunkFl, DialTimeout: 30 * time.Second,
-				HeartbeatInterval: *heartbeat,
+				DialTimeout: 30 * time.Second, HeartbeatInterval: *heartbeat,
 			}
 			if *rejoin {
 				// A restarted rank builds its engine on the loopback first;
@@ -242,8 +237,24 @@ func main() {
 				tr.group.Close()
 			}
 		}()
-		executeSchedule(*method, *stages, *nmicro, *replicas, *invParallel, *execSteps, *refreshSteps, *width, *overlap, *svgPath, ft, tn, &tr)
+		executeSchedule(*method, *stages, *nmicro, *dp, *invParallel, *execSteps, *refreshSteps, *width, *overlap, *svgPath, ft, tn, &tr)
 	}
+}
+
+// dataParallelWidth derives the data-parallel width W from -dp, the
+// replicas of every stage in one process, and -group: W = dp x the ranks
+// the group names (N for spawn:N, one per address, 1 without a group).
+func dataParallelWidth(dp int, groupSpec string) (int, error) {
+	if dp < 1 {
+		return 0, fmt.Errorf("-dp must be at least 1, got %d", dp)
+	}
+	ranks := 1
+	if n, ok := spawnCount(groupSpec); ok {
+		ranks = n
+	} else if groupSpec != "" {
+		ranks = len(strings.Split(groupSpec, ","))
+	}
+	return dp * ranks, nil
 }
 
 // spawnCount parses a "spawn:N" -group spec.
@@ -396,11 +407,10 @@ type tuneConfig struct {
 
 // faultConfig bundles the fault-tolerance flags for real execution.
 type faultConfig struct {
-	plan         *faults.Plan
-	opTimeout    time.Duration
-	opRetries    int
-	retryBackoff time.Duration
-	checkpoint   bool
+	plan       *faults.Plan
+	opTimeout  time.Duration
+	opRetries  int
+	checkpoint bool
 }
 
 // transportConfig bundles the collective-transport flags for real
@@ -421,7 +431,7 @@ type transportConfig struct {
 
 // executeSchedule trains a small BERT (one block per stage) for real under
 // the selected schedule with K-FAC packed into the bubbles — replicated
-// W-fold when -replicas is set, with the in-process gradient and curvature
+// -dp-fold in this process, with the in-process gradient and curvature
 // collectives, in K-step refresh rounds when -refresh-steps asks for
 // multi-step windows (or sizes them adaptively with 0), and with
 // overlapped windows when -overlap is set — then renders the executed
@@ -459,9 +469,8 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 		Replicas: replicas, InversionParallel: invParallel,
 		RefreshSteps: refreshSteps, OverlapRounds: overlap,
 		FaultPlan: ft.plan, OpTimeout: ft.opTimeout,
-		OpRetries: ft.opRetries, RetryBackoff: ft.retryBackoff,
-		Checkpoint: ft.checkpoint,
-		Transport:  tr.group, ShardParams: tr.shard,
+		OpRetries: ft.opRetries, Checkpoint: ft.checkpoint,
+		Transport: tr.group, ShardParams: tr.shard,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -478,7 +487,7 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 	if refreshSteps == 1 {
 		every = 2
 	}
-	if err := eng.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.95, UsePiDamping: true}, every); err != nil {
+	if err := eng.EnableKFAC(kfac.DefaultOptions(), every); err != nil {
 		log.Fatal(err)
 	}
 	k := eng.RoundSteps()

@@ -32,7 +32,6 @@ import (
 	"repro/internal/optim"
 	"repro/internal/pipeline"
 	"repro/internal/schedule"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -45,24 +44,14 @@ func main() {
 		seed    = flag.Uint64("seed", 100, "model seed")
 		dataSd  = flag.Uint64("dataseed", 200, "corpus seed")
 		curve   = flag.Bool("curve", false, "print per-step losses")
-		trans   = flag.String("transport", "loopback", "collective transport priced into the simulated wall-clock conversion: loopback or ring")
-		dp      = flag.Int("dp", 1, "data-parallel width W priced into the simulated wall-clock conversion")
 	)
 	flag.Parse()
-	if *trans == "ring" {
-		// The convergence runs here are single-process; the ring is priced
-		// into the wall-clock conversion only. State the liveness contract a
-		// live ring of this width would run under (pipefisher -execute runs
-		// it for real, including rank-failure survival).
-		fmt.Printf("transport: ring priced at W=%d, heartbeat every %v on live groups (elastic membership view 0)\n",
-			*dp, transport.DefaultHeartbeatInterval)
-	}
 
 	switch *optName {
 	case "both":
 		nv := run("nvlamb", *steps, *batch, *seed, *dataSd, *curve)
 		kf := run("kfac", *steps, *batch, *seed, *dataSd, *curve)
-		summarize(nv, kf, *steps, *trans, *dp)
+		summarize(nv, kf, *steps)
 	case "nvlamb", "kfac":
 		run(*optName, *steps, *batch, *seed, *dataSd, true)
 	default:
@@ -124,9 +113,8 @@ func run(opt string, steps, batch int, seed, dataSeed uint64, curve bool) []floa
 
 // summarize prints the Figure 7-style comparison: steps-to-target plus the
 // simulated wall-clock times using Chimera step times from the simulator
-// (BERT-Base, 4 stages, the §4 setup). The transport and data-parallel
-// width select the collective cost model the step times are priced with.
-func summarize(nv, kf []float64, steps int, trans string, dp int) {
+// (BERT-Base, 4 stages, the §4 setup).
+func summarize(nv, kf []float64, steps int) {
 	nvFinal := optim.FinalLoss(nv)
 	kSteps := optim.StepsToReach(kf, nvFinal)
 	fmt.Println()
@@ -140,7 +128,6 @@ func summarize(nv, kf []float64, steps int, trans string, dp int) {
 
 	costs, err := pipeline.CostsFor(pipeline.CostConfig{
 		Arch: arch.BERTBase, BlocksPerStage: 3, MicroBatch: 32, GPU: hardware.P100,
-		DataParallelWidth: dp, Transport: trans,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -684,9 +684,8 @@
 // Assign places the refresh with the pass Executable
 // emits its op list from, so the window it reports is by construction one
 // the executed round fits (TestAdaptiveRoundLengthFitsExecutable).
-// trace.BubbleUtilization / RenderBubbleSummary /
-// WriteBubbleCSV quantify the result: per-device busy, refresh-filled and
-// idle fractions (per step of the round in the CSV), with the
+// trace.BubbleUtilization / RenderBubbleSummary quantify the result:
+// per-device busy, refresh-filled and idle fractions, with the
 // refresh-filled share of the bubble budget as the headline number.
 //
 // # Cost model
@@ -753,12 +752,14 @@
 // (step, device, op-kind, micro, generation) injection points, with
 // optional firing counts (faults.Parse for the CLI spec grammar on the
 // -faults flag, faults.Random for seeded soak plans). The plan hooks into
-// the engine via engine.Config.FaultPlan; together with Config.OpTimeout
-// and Config.OpRetries it switches the device loops onto the resilient
-// dispatch path. When all three are unset the loops branch straight to the
-// plain path — byte-identical behavior to an engine without the fault
-// layer, CI-gated at exactly zero extra allocations and <2% throughput on
-// the executor benchmarks.
+// the engine via engine.Config.FaultPlan. There is one device loop: every
+// op waits on its dependencies or the round's abort, whichever comes
+// first, and runs through one path that arms the watchdog, consults the
+// injector and retries. With FaultPlan, Config.OpTimeout and
+// Config.OpRetries unset those steps do nothing — CI-gated at exactly zero
+// extra allocations and <2% throughput on the executor benchmarks. Setting
+// any of the three decides one thing only: a refresh op that fails past
+// its retries degrades the round (below) instead of aborting it.
 //
 // Resilience is layered, in escalation order:
 //
@@ -768,10 +769,10 @@
 //     commit unpark on abort so a stalled collective cannot wedge the
 //     round, and their watchdog slots stay disarmed while they wait.
 //   - Retry with backoff: failed side-path ops (curvature, inversion,
-//     sync-curvature) retry up to Config.OpRetries times with doubling
-//     backoff from Config.RetryBackoff. The executed Timeline records the
-//     retry count on the succeeding attempt's event (CSV "retries"
-//     column).
+//     sync-curvature) retry up to Config.OpRetries times, the first retry
+//     after 2 ms and each further one after twice the previous delay. The
+//     executed Timeline records the retry count on the succeeding
+//     attempt's event (CSV "retries" column).
 //   - Degraded K-FAC: a side-path op that exhausts its retries does NOT
 //     abort the round. The refresh is marked failed, SetFactors is never
 //     reached, and every step preconditions with the previous
@@ -866,7 +867,8 @@
 // The benchmark harness in bench_test.go regenerates the paper's tables
 // and figures, and cmd/ plus examples/ provide runnable entry points
 // (cmd/pipefisher -execute runs the sim/exec comparison end to end;
-// -replicas executes the hybrid pipeline x data-parallel configuration,
+// -dp the hybrid pipeline x data-parallel configuration, -dp replicas of
+// every stage in each process for a width of -dp x the ranks of -group,
 // -refresh-steps the multi-step refresh rounds — 0 sizes them adaptively —
 // -overlap the overlapped windows, -autotune the closed-loop tuner,
 // with its per-round records written by -tune-csv, and -transport ring

@@ -93,7 +93,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := eng.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.95, UsePiDamping: true}, 2); err != nil {
+	if err := eng.EnableKFAC(kfac.DefaultOptions(), 2); err != nil {
 		log.Fatal(err)
 	}
 	params := model.Params()

@@ -565,8 +565,8 @@ func TestTimelineMembershipStamp(t *testing.T) {
 }
 
 // Kill faults are rank-projected: a plan targeting another rank costs this
-// rank nothing (nil injector, fault-free fast path), and a plan targeting
-// this rank fires the registered kill hook exactly once per matched op.
+// rank nothing (nil injector), and a plan targeting this rank fires the
+// registered kill hook exactly once per matched op.
 func TestKillHookAndRankProjection(t *testing.T) {
 	m, batches := newRankBERTBatches(t, 4, 1)
 	eng, err := NewWithConfig(m, Config{

@@ -159,10 +159,10 @@ type Config struct {
 	OverlapRounds bool
 	// FaultPlan, when non-nil, injects the plan's deterministic faults —
 	// op failures, stalls, collective drops, NaN corruption — at their
-	// named (step, device, op-kind) points (package faults). The whole
-	// fault/resilience layer is bypassed when FaultPlan is nil and
-	// OpTimeout/OpRetries are zero: the executor takes the exact pre-fault
-	// code path, with no extra allocations or per-op overhead.
+	// named (step, device, op-kind) points (package faults). Setting it,
+	// OpTimeout or OpRetries makes the engine fault tolerant: a refresh op
+	// that fails past its retries degrades the round instead of aborting
+	// it (resilience.go). Every op runs through the same path either way.
 	FaultPlan *faults.Plan
 	// OpTimeout, when positive, arms a watchdog over every executing op: an
 	// op that has not completed within the deadline is treated as a hung
@@ -175,14 +175,12 @@ type Config struct {
 	// OpRetries bounds retry-with-backoff for transient failures of
 	// side-path ops — curvature capture, inversion, sync-curvature: work
 	// whose failure the K-FAC staleness discipline (§3.1) can absorb. A
-	// side-path op is retried up to OpRetries times before the round
-	// degrades (stale inverses, then unpreconditioned SGD). Base-path ops
-	// (forward, backward, gradient collectives, optimizer steps) never
-	// retry: their failure aborts the round.
+	// side-path op is retried up to OpRetries times, 2 ms apart and the
+	// delay doubled per attempt, before the round degrades (stale inverses,
+	// then unpreconditioned SGD). Base-path ops (forward, backward,
+	// gradient collectives, optimizer steps) never retry: their failure
+	// aborts the round.
 	OpRetries int
-	// RetryBackoff is the base delay between retry attempts, doubled per
-	// attempt (0 = immediate retry). The backoff sleep is abort-aware.
-	RetryBackoff time.Duration
 	// Checkpoint enables round checkpoint/replay: TrainRound snapshots
 	// parameters, gradient accumulators, attached optimizer state
 	// (AttachOptimizerState), and the K-FAC refresh phase at every round
@@ -223,9 +221,6 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.OpRetries < 0 {
 		return c, fmt.Errorf("engine: OpRetries must be non-negative, got %d", c.OpRetries)
-	}
-	if c.RetryBackoff < 0 {
-		return c, fmt.Errorf("engine: RetryBackoff must be non-negative, got %v", c.RetryBackoff)
 	}
 	// Whether the family exists and can lay this topology out is pipeline's
 	// to say; asked here, before any collective runs.
@@ -373,9 +368,7 @@ type Engine struct {
 	// non-nil return aborts the step as if the op itself had failed.
 	failOp func(op *pipeline.Op) error
 
-	// inj evaluates Config.FaultPlan at every op when non-nil; the
-	// resilience layer (resilience.go) is active only when inj is set or
-	// OpTimeout/OpRetries are configured.
+	// inj evaluates Config.FaultPlan at every op when non-nil.
 	inj *faults.Injector
 	// memberView counts the elastic membership changes this engine has lived
 	// through (0 until the first Reconnect); executed timeline events are
@@ -429,7 +422,7 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 	e.initCollectives()
 	// The fault plan is projected onto this member's transport rank, so a
 	// rank-targeted fault (kill:rank=2) costs every other rank nothing —
-	// their injector stays nil and the fault-free fast path stays intact.
+	// their injector stays nil and is never consulted.
 	e.inj = faults.NewInjector(cfg.FaultPlan.ForRank(e.group.Rank()))
 	if e.multiRank {
 		if err := e.syncInitialParams(); err != nil {
@@ -836,10 +829,6 @@ type StepResult struct {
 	// would (each micro-batch contribution is pre-scaled by its share of
 	// the global loss denominators).
 	Loss pipemodel.Loss
-	// DeviceBusy records each device's measured compute seconds — a
-	// coarse realization of the profiles in Figure 3 (wall-clock based,
-	// so values are only meaningful comparatively).
-	DeviceBusy []float64
 	// Refreshed reports whether this step belonged to a refresh window:
 	// its round collected the refresh's statistics and executed the packed
 	// curvature/inversion ops (spread over the window's bubbles for

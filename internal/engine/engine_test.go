@@ -262,28 +262,6 @@ func TestPipelineMatchesAcrossMicroBatchCounts(t *testing.T) {
 	}
 }
 
-func TestDeviceBusyReported(t *testing.T) {
-	m, c := newModelAndCorpus(t)
-	e, err := NewWithConfig(m, Config{Stages: 2, MicroBatches: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := c.MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen))
-	nn.ZeroGrads(m.Params())
-	res, err := e.TrainStep(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.DeviceBusy) != 2 {
-		t.Fatalf("expected 2 device busy entries, got %d", len(res.DeviceBusy))
-	}
-	for d, busy := range res.DeviceBusy {
-		if busy <= 0 {
-			t.Fatalf("device %d reported no busy time", d)
-		}
-	}
-}
-
 // On a stage failure the step must abort cleanly: peers drain instead of
 // dereferencing the poisoned nil activations/error-signals (the old
 // engine forwarded y = x and gradOut = gradIn on error, nil-panicking

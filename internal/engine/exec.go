@@ -49,7 +49,7 @@ type runState struct {
 	cur     *kfacGenPool       // the generation being collected (nil unless refresh)
 	pending *kfacGenPool       // the carried generation, collected last round (nil when none)
 
-	done []chan struct{} // per op, closed on completion (or skip)
+	done []opDone // per op, closed on completion, skip or abort
 
 	stageIn  [][]*tensor.Matrix // [stage][flat] stage inputs, alive until the micro-batch's backward
 	stageOut [][]*tensor.Matrix // [stage][flat] activations leaving a stage
@@ -88,12 +88,7 @@ type runState struct {
 	abortC    chan struct{} // closed on first failure: unparks barrier waiters
 	abortOnce sync.Once
 
-	// resilient selects the fault-tolerant execution path (resilience.go):
-	// injector consultation, watchdog arming, retry/degrade. False — no
-	// fault plan, no timeout, no retries — takes the exact pre-fault code
-	// path, so the resilience layer costs nothing when unused.
-	resilient bool
-	wd        *watchdog // armed per-op deadlines, nil unless OpTimeout > 0
+	wd *watchdog // armed per-op deadlines, nil unless OpTimeout > 0
 
 	// Degraded-mode record: set when a side-path failure past the retry
 	// budget downgraded the round instead of aborting it (the first
@@ -104,6 +99,21 @@ type runState struct {
 
 	events [][]pipeline.Event // per device, measured wall-clock
 	start  time.Time
+}
+
+// opDone is one op's completion signal. c is closed once, by whichever
+// comes first: the op's device finishing (or skipping) it, or the round's
+// abort. The dependency wait is then a plain receive, which costs a device
+// less per op than a select on the abort channel beside it.
+type opDone struct {
+	c      chan struct{}
+	closed atomic.Bool
+}
+
+func (o *opDone) close() {
+	if o.closed.CompareAndSwap(false, true) {
+		close(o.c)
+	}
 }
 
 // stepCommit is one step's commit barrier: the last OptStep of the step to
@@ -157,6 +167,12 @@ func (st *runState) fail(d int, err error) {
 	st.failed.Store(true)
 	st.abortOnce.Do(func() {
 		close(st.abortC)
+		// After an abort nothing executes (only drains): releasing every
+		// outstanding op lets a device waiting on a hung producer — the
+		// case the watchdog attributes — drain instead of blocking.
+		for i := range st.done {
+			st.done[i].close()
+		}
 		// Poison the transport epoch so peers blocked in a collective this
 		// rank will never complete fail promptly with the attributed reason
 		// (and replay from checkpoint in lockstep) instead of hanging. No-op
@@ -168,14 +184,15 @@ func (st *runState) fail(d int, err error) {
 // runRound executes the engine's schedule once — all RefreshSteps steps of
 // it: one persistent goroutine per device walks that device's whole op
 // order with no teardown between steps, waiting on each op's dependency
-// channels, executing the op, then signalling completion. Step boundaries
-// are realized by the OptStep commit barrier (optimizer callback, gradient
-// re-zeroing, parameter broadcast), not by joining the goroutines. On the
-// first error the round is aborted — remaining ops are drained (signalled
-// without executing) so no peer can block on a dependency that will never
-// arrive, the gradient state is rolled back to the first uncommitted
-// step's pre-step accumulators, and the error is surfaced after all
-// devices joined, along with how many steps had already committed.
+// channels (or the round's abort), running the op (runOp, resilience.go),
+// then signalling completion. Step boundaries are realized by the OptStep
+// commit barrier (optimizer callback, gradient re-zeroing, parameter
+// broadcast), not by joining the goroutines. On the first error the round
+// is aborted — remaining ops are drained (signalled without executing) so
+// no peer can block on a dependency that will never arrive, the gradient
+// state is rolled back to the first uncommitted step's pre-step
+// accumulators, and the error is surfaced after all devices joined, along
+// with how many steps had already committed.
 func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refresh bool, cur, pending *kfacGenPool) ([]*StepResult, int, error) {
 	nStages := e.cfg.Stages
 	r := len(micro)
@@ -183,7 +200,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	nFlat := r * perStep
 	st := &runState{
 		e: e, micro: micro, totals: totals, refresh: refresh, cur: cur, pending: pending,
-		done:      make([]chan struct{}, len(e.sched.Ops)),
+		done:      make([]opDone, len(e.sched.Ops)),
 		stageIn:   mat2(nStages, nFlat),
 		stageOut:  mat2(nStages, nFlat),
 		gradOut:   mat2(nStages, nFlat),
@@ -200,7 +217,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		start:     time.Now(),
 	}
 	for i := range st.done {
-		st.done[i] = make(chan struct{})
+		st.done[i].c = make(chan struct{})
 	}
 	for s := range st.slot {
 		st.slot[s] = make([]*actSlot, nFlat)
@@ -232,10 +249,6 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	// previous step's commit, which zeroed every accumulator.
 	st.captureRoundBase()
 
-	// The resilience layer (injector, watchdog, retry/degrade) engages only
-	// when something configured it; the default engine takes the branch-free
-	// pre-fault path below.
-	st.resilient = e.inj != nil || e.cfg.OpTimeout > 0 || e.cfg.OpRetries > 0
 	if e.cfg.OpTimeout > 0 {
 		st.startWatchdog(e.cfg.OpTimeout)
 	}
@@ -252,18 +265,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 			for _, id := range e.sched.Order[d] {
 				op := e.sched.Ops[id]
 				for _, dep := range op.Deps {
-					if st.resilient {
-						// Abort-aware wait: after an abort nothing executes
-						// (only drains), so a dep whose producer is hung —
-						// the case the watchdog attributes — must not block
-						// the drain of every other device.
-						select {
-						case <-st.done[dep]:
-						case <-st.abortC:
-						}
-						continue
-					}
-					<-st.done[dep]
+					<-st.done[dep].c // closed by the round's abort at the latest (fail)
 				}
 				var err error
 				if pending >= 0 && !op.Kind.IsRefresh() {
@@ -271,11 +273,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 					pending = -1
 				}
 				if err == nil && !st.failed.Load() {
-					if st.resilient {
-						err = st.execResilient(d, op)
-					} else {
-						err = st.exec(d, op)
-					}
+					err = st.runOp(d, op)
 					if err != nil && pending >= 0 {
 						// The op ran while a commit was pending: its error
 						// surfaces once the commit resolved, so which steps
@@ -293,7 +291,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 				if op.Kind == pipeline.OptStep {
 					pending = op.Step
 				}
-				close(st.done[id])
+				st.done[id].close()
 			}
 		}(d)
 	}
@@ -337,19 +335,9 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 func (st *runState) results(upTo int) []*StepResult {
 	res := make([]*StepResult, upTo)
 	for j := 0; j < upTo; j++ {
-		res[j] = &StepResult{
-			DeviceBusy: make([]float64, st.e.sched.Devices), Refreshed: st.refresh,
-			Degraded: st.degraded, DegradedReason: st.degradedReason,
-		}
+		res[j] = &StepResult{Refreshed: st.refresh, Degraded: st.degraded, DegradedReason: st.degradedReason}
 		for _, part := range st.lossParts[j] {
 			res[j].Loss.Add(part)
-		}
-	}
-	for d := range st.events {
-		for _, ev := range st.events[d] {
-			if j := ev.Op.Step; j >= 0 && j < upTo {
-				res[j].DeviceBusy[d] += float64(ev.Duration()) / 1e6
-			}
 		}
 	}
 	return res
@@ -556,7 +544,7 @@ func (st *runState) commitStep(j int) error {
 		// no way back. Scan losses and reduced gradients before the
 		// optimizer fires — an attributed abort here is what checkpoint/
 		// replay recovers from. Injector-gated: the scan costs a pass over
-		// the parameters, which the fault-free fast path must not pay.
+		// the parameters, which a run without a fault plan must not pay.
 		if err := st.scanStepHealth(j); err != nil {
 			return err
 		}

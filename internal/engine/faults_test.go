@@ -226,7 +226,7 @@ func TestDegradedRefreshServesStaleAndRecovers(t *testing.T) {
 	plan := mustParsePlan(t, "fail:step=2,op=curvature;fail:step=3,op=curvature")
 	e, err := NewWithConfig(m, Config{
 		Method: "gpipe", Stages: 2, MicroBatches: 2, RefreshSteps: 2,
-		FaultPlan: plan, OpRetries: 1, RetryBackoff: 100 * time.Microsecond,
+		FaultPlan: plan, OpRetries: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestTransientFaultRetriesAndRecords(t *testing.T) {
 	e, err := NewWithConfig(m, Config{
 		Method: "gpipe", Stages: 2, MicroBatches: 2, RefreshSteps: 2,
 		FaultPlan: mustParsePlan(t, "fail:op=curvature,count=1"),
-		OpRetries: 2, RetryBackoff: 100 * time.Microsecond,
+		OpRetries: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -491,7 +491,7 @@ func TestCorruptCurvatureDegradesBeforeFold(t *testing.T) {
 	e, err := NewWithConfig(m, Config{
 		Method: "gpipe", Stages: 2, MicroBatches: 2, RefreshSteps: 2,
 		FaultPlan: mustParsePlan(t, "corrupt:op=curvature,count=1"),
-		OpRetries: 1, RetryBackoff: 100 * time.Microsecond,
+		OpRetries: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -795,7 +795,7 @@ func TestRandomFaultPlanSoak(t *testing.T) {
 			e, err := NewWithConfig(m, Config{
 				Method: tc.method, Stages: 2, MicroBatches: micro, Replicas: tc.w,
 				InversionParallel: tc.w > 1, RefreshSteps: 2, OverlapRounds: tc.overlap,
-				FaultPlan: plan, OpRetries: 1, RetryBackoff: 200 * time.Microsecond,
+				FaultPlan: plan, OpRetries: 1,
 				OpTimeout: 5 * time.Second, Checkpoint: true,
 			})
 			if err != nil {

@@ -10,14 +10,13 @@ import (
 	"repro/internal/pipeline"
 )
 
-// This file is the engine's fault-tolerance layer, active only when the
-// round's runState.resilient flag is set (a fault plan, an op deadline, or a
-// retry budget is configured — see Config.FaultPlan/OpTimeout/OpRetries).
-// The default engine never enters any of these paths: the device loop
-// branches straight to runState.exec, so fault tolerance costs the
-// fault-free configuration nothing (bench-gated).
+// This file is the engine's fault-tolerance layer. Every op of every round
+// runs through runOp; with no fault plan, no op deadline and no retry budget
+// configured its watchdog, injector and retry steps do nothing, and a failed
+// op aborts the round.
 //
-// The layer implements a degradation ladder grounded in the paper's §3.1
+// Configuring any of the three (Config.FaultPlan, OpTimeout, OpRetries —
+// faultTolerant) turns on a degradation ladder grounded in the paper's §3.1
 // staleness rule — stale inverses are by-design acceptable, so refresh work
 // is the part of the schedule whose failure training can absorb:
 //
@@ -34,16 +33,28 @@ import (
 // The side path is exactly the refresh work (pipeline.WorkKind.IsRefresh),
 // whose absence the §3.1 staleness discipline absorbs.
 
-// execResilient runs one op under the fault layer: watchdog-armed,
-// injector-consulted, retried within the side-path budget, degraded past
-// it. Base-path errors and round aborts propagate to the caller (the device
-// loop), which aborts the round.
-func (st *runState) execResilient(d int, op *pipeline.Op) error {
+// retryBackoff is the delay before a side-path op's first retry, doubled
+// per further attempt.
+const retryBackoff = 2 * time.Millisecond
+
+// faultTolerant reports whether the engine degrades a round over a refresh
+// op that failed past its retries instead of aborting it: a fault plan, an
+// op deadline or a retry budget is configured.
+func (e *Engine) faultTolerant() bool {
+	return e.inj != nil || e.cfg.OpTimeout > 0 || e.cfg.OpRetries > 0
+}
+
+// runOp runs one op: watchdog-armed, injector-consulted, retried within the
+// side-path budget, and degraded past it when the engine is fault tolerant.
+// Other errors and round aborts propagate to the caller (the device loop),
+// which aborts the round.
+func (st *runState) runOp(d int, op *pipeline.Op) error {
 	e := st.e
-	t0 := time.Since(st.start)
+	// Only refresh ops retry and degrade; t0 starts the Degraded span.
+	var t0 time.Duration
 	retries := 0
 	if op.Kind.IsRefresh() {
-		retries = e.cfg.OpRetries
+		t0, retries = time.Since(st.start), e.cfg.OpRetries
 	}
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -61,15 +72,13 @@ func (st *runState) execResilient(d int, op *pipeline.Op) error {
 		if errors.Is(err, errRoundAborted) || st.failed.Load() || attempt >= retries {
 			break
 		}
-		if b := e.cfg.RetryBackoff; b > 0 {
-			select {
-			case <-time.After(b << attempt):
-			case <-st.abortC:
-				return err
-			}
+		select {
+		case <-time.After(retryBackoff << attempt):
+		case <-st.abortC:
+			return err
 		}
 	}
-	if op.Kind.IsRefresh() && !errors.Is(err, errRoundAborted) && !st.failed.Load() {
+	if op.Kind.IsRefresh() && e.faultTolerant() && !errors.Is(err, errRoundAborted) && !st.failed.Load() {
 		st.noteDegraded(d, op, t0, err)
 		return nil
 	}

@@ -161,9 +161,9 @@ func (p *Plan) String() string {
 // faults targeting that rank (or every rank) survive with their rank
 // selector satisfied; faults aimed at other ranks drop out. Returns nil —
 // a never-firing plan — when nothing applies, so a rank-targeted plan
-// costs every other rank the usual zero (a nil Injector keeps the engine
-// on its fault-free fast path). The engine applies this at construction
-// with its transport rank.
+// costs every other rank the usual zero (a nil Injector is never
+// consulted). The engine applies this at construction with its transport
+// rank.
 func (p *Plan) ForRank(rank int) *Plan {
 	if p == nil {
 		return nil

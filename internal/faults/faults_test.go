@@ -281,3 +281,32 @@ func TestRandomDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// Every spec Parse accepts renders, through Plan.String, back to a spec
+// that parses to the same faults: the form a plan is logged in is one the
+// -faults flag reads back.
+func FuzzParse(f *testing.F) {
+	for _, spec := range []string{
+		"fail:step=2,dev=1,op=curvature",
+		"stall:op=forward,delay=5ms,count=2;drop:op=sync-grad,count=1",
+		"corrupt:step=3,op=backward,micro=1",
+		"kill:rank=1,step=2",
+		"fail:step=-1,dev=-2, count=0 ; stall:delay=1h2m3.5s",
+		"drop",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		again, err := Parse(plan.String())
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its rendering %q does not parse: %v", spec, plan.String(), err)
+		}
+		if again.Seed != plan.Seed || !slices.Equal(again.Faults, plan.Faults) {
+			t.Fatalf("Parse(%q) = %+v, but its rendering %q parses to %+v", spec, plan, plan.String(), again)
+		}
+	})
+}

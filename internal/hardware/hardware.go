@@ -123,14 +123,6 @@ func (g GPU) Time(op Op) Microseconds {
 	return t
 }
 
-// GemmTime is a convenience wrapper: time of an m x k x n matrix multiply
-// (C = A B with A m x k, B k x n) including the write of C.
-func (g GPU) GemmTime(m, k, n int) Microseconds {
-	flops := 2 * float64(m) * float64(k) * float64(n)
-	bytes := 4 * (float64(m)*float64(k) + float64(k)*float64(n) + float64(m)*float64(n))
-	return g.Time(Op{FLOPs: flops, Bytes: bytes, Kernels: 1, GEMMLike: true})
-}
-
 // Interconnect models the cluster fabric for collective communication. The
 // paper reports that P2P costs are negligible and models collectives only as
 // measured overheads; we keep a simple alpha-beta model so sync-grad and
@@ -155,12 +147,6 @@ func (ic Interconnect) AllReduceTime(bytes float64, n int) Microseconds {
 	factor := 2 * float64(n-1) / float64(n)
 	t := Microseconds(factor * bytes / ic.Bandwidth * 1e6)
 	return t + ic.LatencyUS*Microseconds(n-1)
-}
-
-// P2PTime returns the modeled point-to-point send/recv time for a message of
-// the given size.
-func (ic Interconnect) P2PTime(bytes float64) Microseconds {
-	return ic.LatencyUS + Microseconds(bytes/ic.Bandwidth*1e6)
 }
 
 // ChainAllReduceCost models the chunked chain all-reduce the wire transport

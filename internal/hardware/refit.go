@@ -129,17 +129,3 @@ func (f *Fit) Estimate(class int) (Microseconds, bool) {
 	}
 	return Microseconds(med + 0.5), true
 }
-
-// RelError returns |modeled-measured|/measured for a class against the
-// current median estimate, and whether an estimate exists.
-func (f *Fit) RelError(class int, modeled Microseconds) (float64, bool) {
-	m, ok := f.Estimate(class)
-	if !ok {
-		return 0, false
-	}
-	diff := float64(modeled - m)
-	if diff < 0 {
-		diff = -diff
-	}
-	return diff / float64(m), true
-}

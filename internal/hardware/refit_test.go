@@ -75,18 +75,3 @@ func TestFitRingBounded(t *testing.T) {
 		t.Fatalf("post-drift median = %d, want 90", m)
 	}
 }
-
-func TestFitRelError(t *testing.T) {
-	f := NewFit(0)
-	f.BeginRound()
-	f.Observe(2, 100)
-	if e, ok := f.RelError(2, 150); !ok || e != 0.5 {
-		t.Fatalf("RelError = %v,%v; want 0.5,true", e, ok)
-	}
-	if e, ok := f.RelError(2, 50); !ok || e != 0.5 {
-		t.Fatalf("RelError (under) = %v,%v; want 0.5,true", e, ok)
-	}
-	if _, ok := f.RelError(42, 10); ok {
-		t.Fatal("RelError ok for unobserved class")
-	}
-}

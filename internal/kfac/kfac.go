@@ -101,9 +101,6 @@ func NewPreconditioner(layers []*nn.Dense, opts Options) *Preconditioner {
 // the scheduler).
 func (p *Preconditioner) States() []*LayerState { return p.states }
 
-// NumLayers returns the number of registered layers.
-func (p *Preconditioner) NumLayers() int { return len(p.states) }
-
 // UpdateCurvature computes fresh Kronecker factors for every registered
 // layer from the statistics captured during the latest forward/backward.
 //

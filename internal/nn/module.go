@@ -36,18 +36,6 @@ type Param struct {
 // NumElements returns the parameter's element count.
 func (p *Param) NumElements() int { return p.Value.Rows * p.Value.Cols }
 
-// Module is a differentiable layer mapping token matrices to token matrices.
-type Module interface {
-	// Forward consumes an N x din input and returns the N x dout output,
-	// caching whatever the backward pass needs.
-	Forward(x *tensor.Matrix) *tensor.Matrix
-	// Backward consumes dL/d(output) and returns dL/d(input), adding
-	// parameter gradients into the Params' Grad fields.
-	Backward(grad *tensor.Matrix) *tensor.Matrix
-	// Params returns the module's trainable parameters (possibly empty).
-	Params() []*Param
-}
-
 // ZeroGrads clears the gradient accumulators of all params.
 func ZeroGrads(params []*Param) {
 	for _, p := range params {
@@ -137,39 +125,4 @@ func GradNorm(params []*Param) float64 {
 		}
 	}
 	return math.Sqrt(s)
-}
-
-// Sequential chains modules back to back.
-type Sequential struct {
-	Modules []Module
-}
-
-// NewSequential builds a Sequential from the given modules.
-func NewSequential(modules ...Module) *Sequential {
-	return &Sequential{Modules: modules}
-}
-
-// Forward applies every module in order.
-func (s *Sequential) Forward(x *tensor.Matrix) *tensor.Matrix {
-	for _, m := range s.Modules {
-		x = m.Forward(x)
-	}
-	return x
-}
-
-// Backward applies every module's backward in reverse order.
-func (s *Sequential) Backward(grad *tensor.Matrix) *tensor.Matrix {
-	for i := len(s.Modules) - 1; i >= 0; i-- {
-		grad = s.Modules[i].Backward(grad)
-	}
-	return grad
-}
-
-// Params returns the concatenated parameters of all modules.
-func (s *Sequential) Params() []*Param {
-	var out []*Param
-	for _, m := range s.Modules {
-		out = append(out, m.Params()...)
-	}
-	return out
 }

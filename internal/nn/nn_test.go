@@ -316,27 +316,6 @@ func TestEmbeddingPanics(t *testing.T) {
 	}()
 }
 
-func TestSequential(t *testing.T) {
-	rng := tensor.NewRNG(8)
-	seq := NewSequential(
-		NewDense("a", 4, 8, rng),
-		NewGELU(),
-		NewDense("b", 8, 3, rng),
-	)
-	x := tensor.RandN(rng, 5, 4, 1)
-	y := seq.Forward(x)
-	if y.Rows != 5 || y.Cols != 3 {
-		t.Fatalf("Sequential output shape wrong: %dx%d", y.Rows, y.Cols)
-	}
-	g := seq.Backward(tensor.Full(5, 3, 1))
-	if g.Rows != 5 || g.Cols != 4 {
-		t.Fatalf("Sequential input grad shape wrong: %dx%d", g.Rows, g.Cols)
-	}
-	if len(seq.Params()) != 4 {
-		t.Fatalf("expected 4 params, got %d", len(seq.Params()))
-	}
-}
-
 func TestNumParametersAndGradNorm(t *testing.T) {
 	rng := tensor.NewRNG(9)
 	d := NewDense("fc", 3, 2, rng)

@@ -213,15 +213,6 @@ type Schedule struct {
 	Placement *Placement
 }
 
-// addOp appends an op, assigns its ID, and registers it in the device
-// order.
-func (s *Schedule) addOp(op *Op) *Op {
-	op.ID = len(s.Ops)
-	s.Ops = append(s.Ops, op)
-	s.Order[op.Device] = append(s.Order[op.Device], op.ID)
-	return op
-}
-
 // Validate checks structural invariants: device indices in range, deps
 // acyclic with respect to some topological order, and every op present in
 // exactly one device order.

@@ -11,10 +11,9 @@ import (
 // This file implements bubble-utilization accounting: the quantitative
 // counterpart of eyeballing a rendered timeline. PipeFisher's claim is that
 // pipeline bubbles are free compute for the K-FAC refresh; these summaries
-// measure how much of the bubble budget the refresh actually absorbed —
-// per device, and per step of a refresh round — so schedule changes
-// (refresh rounds, overlapped windows) can be judged by utilization
-// numbers instead of vibes.
+// measure how much of the bubble budget the refresh actually absorbed, per
+// device, so schedule changes (refresh rounds, overlapped windows) can be
+// judged by utilization numbers instead of vibes.
 
 // BubbleUtil reports one device's time accounting over a window: Busy is
 // the base training work (forward/backward/recompute, collectives, tails),
@@ -40,46 +39,27 @@ func (u BubbleUtil) FilledFraction() float64 {
 	return u.RefreshFilled / bubble
 }
 
-// bubbleOver accounts one device over [from, to).
-func bubbleOver(tl *pipeline.Timeline, d int, from, to hardware.Microseconds) BubbleUtil {
-	u := BubbleUtil{Device: d}
-	if to <= from {
-		return u
-	}
-	var busy, refresh hardware.Microseconds
-	for _, e := range tl.Events[d] {
-		s, en := e.Start, e.End
-		if s < from {
-			s = from
-		}
-		if en > to {
-			en = to
-		}
-		if en <= s {
-			continue
-		}
-		if e.Op.Kind.IsRefresh() {
-			refresh += en - s
-		} else {
-			busy += en - s
-		}
-	}
-	total := float64(to - from)
-	u.Busy = float64(busy) / total
-	u.RefreshFilled = float64(refresh) / total
-	u.Idle = 1 - u.Busy - u.RefreshFilled
-	if u.Idle < 0 {
-		u.Idle = 0 // overlapping events (never produced by sim or engine) would over-count
-	}
-	return u
-}
-
 // BubbleUtilization accounts every device over the whole timeline
 // [0, Makespan].
 func BubbleUtilization(tl *pipeline.Timeline) []BubbleUtil {
 	out := make([]BubbleUtil, tl.Devices)
-	for d := 0; d < tl.Devices; d++ {
-		out[d] = bubbleOver(tl, d, 0, tl.Makespan)
+	for d := range out {
+		u := BubbleUtil{Device: d}
+		if tl.Makespan > 0 {
+			var busy, refresh hardware.Microseconds
+			for _, e := range tl.Events[d] {
+				if e.Op.Kind.IsRefresh() {
+					refresh += e.End - e.Start
+				} else {
+					busy += e.End - e.Start
+				}
+			}
+			total := float64(tl.Makespan)
+			u.Busy = float64(busy) / total
+			u.RefreshFilled = float64(refresh) / total
+			u.Idle = max(1-u.Busy-u.RefreshFilled, 0) // overlapping events (never produced by sim or engine) would over-count
+		}
+		out[d] = u
 	}
 	return out
 }
@@ -116,32 +96,4 @@ func RenderBubbleSummary(w io.Writer, tl *pipeline.Timeline) error {
 	_, err := fmt.Fprintf(w, "total   %6.1f %9.1f %7.1f %12.1f\n",
 		100*tot.Busy, 100*tot.RefreshFilled, 100*tot.Idle, 100*tot.FilledFraction())
 	return err
-}
-
-// WriteBubbleCSV exports the accounting as CSV with one row per (device,
-// step) — step boundaries from the timeline's StepEnd, so refresh rounds
-// break down per step of the window — followed by per-device "all" rows
-// over the whole timeline. Columns are fractions of the row's window.
-func WriteBubbleCSV(w io.Writer, tl *pipeline.Timeline) error {
-	if _, err := fmt.Fprintln(w, "device,step,busy_frac,refresh_frac,idle_frac,bubble_filled_frac"); err != nil {
-		return err
-	}
-	row := func(d int, step string, u BubbleUtil) error {
-		_, err := fmt.Fprintf(w, "%d,%s,%.4f,%.4f,%.4f,%.4f\n",
-			d, step, u.Busy, u.RefreshFilled, u.Idle, u.FilledFraction())
-		return err
-	}
-	for d := 0; d < tl.Devices; d++ {
-		var from hardware.Microseconds
-		for k, end := range tl.StepEnd {
-			if err := row(d, fmt.Sprint(k), bubbleOver(tl, d, from, end)); err != nil {
-				return err
-			}
-			from = end
-		}
-		if err := row(d, "all", bubbleOver(tl, d, 0, tl.Makespan)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -101,7 +101,7 @@ func TestBubbleFilledFractionRisesWithOverlap(t *testing.T) {
 	}
 }
 
-func TestRenderBubbleSummaryAndCSV(t *testing.T) {
+func TestRenderBubbleSummary(t *testing.T) {
 	_, packed := packedTimelines(t, false)
 	var sb strings.Builder
 	if err := RenderBubbleSummary(&sb, packed); err != nil {
@@ -115,22 +115,6 @@ func TestRenderBubbleSummaryAndCSV(t *testing.T) {
 	// Title + header + one row per device + total.
 	if want := 2 + packed.Devices + 1; len(lines) != want {
 		t.Fatalf("summary has %d lines, want %d:\n%s", len(lines), want, out)
-	}
-
-	sb.Reset()
-	if err := WriteBubbleCSV(&sb, packed); err != nil {
-		t.Fatal(err)
-	}
-	csv := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if csv[0] != "device,step,busy_frac,refresh_frac,idle_frac,bubble_filled_frac" {
-		t.Fatalf("bad CSV header: %s", csv[0])
-	}
-	// One row per (device, step) + one "all" row per device.
-	if want := 1 + packed.Devices*(len(packed.StepEnd)+1); len(csv) != want {
-		t.Fatalf("CSV has %d rows, want %d", len(csv), want)
-	}
-	if !strings.Contains(sb.String(), ",all,") {
-		t.Fatal("CSV missing the whole-timeline rows")
 	}
 
 	sb.Reset()
