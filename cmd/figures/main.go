@@ -9,8 +9,11 @@
 package main
 
 import (
+	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -83,20 +86,24 @@ func profileFigures(dir string) {
 }
 
 func writeTimeline(dir, name string, tl *pipeline.Timeline) {
-	csvF, err := os.Create(filepath.Join(dir, name+".csv"))
+	writeFile(filepath.Join(dir, name+".csv"), func(w io.Writer) error { return trace.WriteCSV(w, tl) })
+	writeFile(filepath.Join(dir, name+".svg"), func(w io.Writer) error { return trace.RenderSVG(w, tl, 1200) })
+}
+
+// writeFile creates path and fills it through write, buffered, and exits on
+// an error of the write, the flush or the close: a truncated file is never
+// reported as written. The buffer keeps the first error of a formatted
+// write, so write may ignore fmt.Fprint's results.
+func writeFile(path string, write func(io.Writer) error) {
+	f, err := os.Create(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer csvF.Close()
-	if err := trace.WriteCSV(csvF, tl); err != nil {
-		log.Fatal(err)
+	w := bufio.NewWriter(f)
+	if err = write(w); err == nil {
+		err = w.Flush()
 	}
-	svgF, err := os.Create(filepath.Join(dir, name+".svg"))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer svgF.Close()
-	if err := trace.RenderSVG(svgF, tl, 1200); err != nil {
+	if err := errors.Join(err, f.Close()); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -115,10 +122,6 @@ func modelFigures(dir string) {
 		{"figure16_opt350m", arch.OPT350M},
 	}
 	for _, s := range sweeps {
-		f, err := os.Create(filepath.Join(dir, s.name+".csv"))
-		if err != nil {
-			log.Fatal(err)
-		}
 		bmicros := []int{1, 2, 4, 8, 16, 32, 64}
 		if s.a.SeqLen >= 2048 {
 			bmicros = []int{1, 2, 4, 8}
@@ -127,13 +130,15 @@ func modelFigures(dir string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Fprintln(f, "gpu,d,nmicro,bmicro,throughput_seqs_per_s,ratio,speedup_vs_skip")
-		for _, p := range pts {
-			fmt.Fprintf(f, "%s,%d,%d,%d,%.1f,%.2f,%.3f\n",
-				p.GPU, p.D, p.NMicro, p.BMicro,
-				p.Model.ThroughputPipeFisher, p.Model.Ratio, p.Model.SpeedupVsSkip())
-		}
-		f.Close()
+		writeFile(filepath.Join(dir, s.name+".csv"), func(f io.Writer) error {
+			fmt.Fprintln(f, "gpu,d,nmicro,bmicro,throughput_seqs_per_s,ratio,speedup_vs_skip")
+			for _, p := range pts {
+				fmt.Fprintf(f, "%s,%d,%d,%d,%.1f,%.2f,%.3f\n",
+					p.GPU, p.D, p.NMicro, p.BMicro,
+					p.Model.ThroughputPipeFisher, p.Model.Ratio, p.Model.SpeedupVsSkip())
+			}
+			return nil
+		})
 		fmt.Printf("%-36s %d sweep points\n", s.name, len(pts))
 	}
 	// Figure 5/9/10 grids: per (BMicro, D) the time terms, the four
@@ -149,34 +154,32 @@ func modelFigures(dir string) {
 		{"figure10_chimera_bertlarge_grid", arch.BERTLarge, perfmodel.Chimera},
 		{"figure10_gpipe_bertlarge_grid", arch.BERTLarge, perfmodel.GPipe1F1B},
 	} {
-		f, err := os.Create(filepath.Join(dir, g.name+".csv"))
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintln(f, "bmicro,d,recompute,tf_ms,tb_ms,tprec_ms,tbubble_ms,tcurv_ms,tinv_ms,"+
-			"throughput_vanilla,throughput_pipefisher,throughput_kfac_skip,throughput_kfac,ratio,"+
-			"mem_act_gb,mem_peak_err_gb,mem_save_err_gb,mem_curv_inv_gb,mem_param_grad_gb,mem_total_gb")
-		for _, bm := range []int{8, 16, 32} {
-			for _, d := range []int{4, 8, 16} {
-				for _, rec := range []bool{false, true} {
-					m, err := perfmodel.Evaluate(perfmodel.Input{
-						Arch: g.a, GPU: hardware.P100, Method: g.method,
-						D: d, NMicro: d, BMicro: bm, Recompute: rec,
-					})
-					if err != nil {
-						log.Fatal(err)
+		writeFile(filepath.Join(dir, g.name+".csv"), func(f io.Writer) error {
+			fmt.Fprintln(f, "bmicro,d,recompute,tf_ms,tb_ms,tprec_ms,tbubble_ms,tcurv_ms,tinv_ms,"+
+				"throughput_vanilla,throughput_pipefisher,throughput_kfac_skip,throughput_kfac,ratio,"+
+				"mem_act_gb,mem_peak_err_gb,mem_save_err_gb,mem_curv_inv_gb,mem_param_grad_gb,mem_total_gb")
+			for _, bm := range []int{8, 16, 32} {
+				for _, d := range []int{4, 8, 16} {
+					for _, rec := range []bool{false, true} {
+						m, err := perfmodel.Evaluate(perfmodel.Input{
+							Arch: g.a, GPU: hardware.P100, Method: g.method,
+							D: d, NMicro: d, BMicro: bm, Recompute: rec,
+						})
+						if err != nil {
+							return err
+						}
+						mem := m.Memory
+						fmt.Fprintf(f, "%d,%d,%t,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
+							bm, d, rec,
+							ms(m.Tf), ms(m.Tb), ms(m.Tprec), ms(m.TBubble), ms(m.Tcurv), ms(m.Tinv),
+							m.ThroughputVanilla, m.ThroughputPipeFisher, m.ThroughputKFACSkip, m.ThroughputKFACNaive,
+							m.Ratio,
+							gb(mem.Act), gb(mem.PeakErr), gb(mem.SaveErr), gb(mem.CurvInv), gb(mem.ParamGrad), gb(mem.Total()))
 					}
-					mem := m.Memory
-					fmt.Fprintf(f, "%d,%d,%t,%.2f,%.2f,%.2f,%.2f,%.2f,%.2f,%.1f,%.1f,%.1f,%.1f,%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n",
-						bm, d, rec,
-						ms(m.Tf), ms(m.Tb), ms(m.Tprec), ms(m.TBubble), ms(m.Tcurv), ms(m.Tinv),
-						m.ThroughputVanilla, m.ThroughputPipeFisher, m.ThroughputKFACSkip, m.ThroughputKFACNaive,
-						m.Ratio,
-						gb(mem.Act), gb(mem.PeakErr), gb(mem.SaveErr), gb(mem.CurvInv), gb(mem.ParamGrad), gb(mem.Total()))
 				}
 			}
-		}
-		f.Close()
+			return nil
+		})
 		fmt.Printf("%-36s grid written\n", g.name)
 	}
 }

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -81,7 +82,6 @@ func main() {
 		transName    = flag.String("transport", "loopback", "collective transport: loopback (in-process) or ring (chunked socket chain) — prices the simulated collectives, and with -execute + -group really runs them")
 		groupSpec    = flag.String("group", "", "ring membership: comma-separated listen addresses (unix:PATH or tcp:HOST:PORT, one per rank), or spawn:N to launch N local ranks over unix sockets")
 		rankFlag     = flag.Int("rank", 0, "this process's rank within -group")
-		shardParams  = flag.Bool("shard-params", false, "ZeRO-style parameter sharding across the replica axis with -execute (needs -dp >= 2)")
 		heartbeat    = flag.Duration("heartbeat", 0, "ring heartbeat interval for liveness and straggler detection (0 = transport default, negative disables)")
 		supervise    = flag.Bool("supervise", false, "with -group spawn:N: restart ranks killed by a fault plan and rejoin them at the next round boundary")
 		rejoin       = flag.Bool("rejoin", false, "internal: this process is a restarted rank rejoining a running elastic group (set by the spawn supervisor)")
@@ -91,8 +91,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if n, ok := spawnCount(*groupSpec); ok {
-		os.Exit(spawnRanks(n, *supervise))
+	spawn, err := spawnCount(*groupSpec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if spawn > 0 {
+		os.Exit(spawnRanks(spawn, *supervise))
 	}
 	if *workers < 0 {
 		*workers = 0 // negative means "default", like 0
@@ -163,23 +167,13 @@ func main() {
 	}
 
 	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := trace.WriteCSV(f, res.Timeline); err != nil {
+		if err := writeFile(*csvPath, func(w io.Writer) error { return trace.WriteCSV(w, res.Timeline) }); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("timeline CSV written to %s\n", *csvPath)
 	}
 	if *svgPath != "" {
-		f, err := os.Create(*svgPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := trace.RenderSVG(f, res.Timeline, 1200); err != nil {
+		if err := writeFile(*svgPath, func(w io.Writer) error { return trace.RenderSVG(w, res.Timeline, 1200) }); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("timeline SVG written to %s\n", *svgPath)
@@ -199,7 +193,7 @@ func main() {
 		tn := tuneConfig{
 			enabled: *autotuneOn, interval: *tuneInterval, csvPath: *tuneCSV,
 		}
-		tr := transportConfig{shard: *shardParams}
+		var tr transportConfig
 		switch *transName {
 		case "loopback":
 			if *groupSpec != "" {
@@ -249,25 +243,44 @@ func dataParallelWidth(dp int, groupSpec string) (int, error) {
 		return 0, fmt.Errorf("-dp must be at least 1, got %d", dp)
 	}
 	ranks := 1
-	if n, ok := spawnCount(groupSpec); ok {
+	n, err := spawnCount(groupSpec)
+	switch {
+	case err != nil:
+		return 0, err
+	case n > 0:
 		ranks = n
-	} else if groupSpec != "" {
+	case groupSpec != "":
 		ranks = len(strings.Split(groupSpec, ","))
 	}
 	return dp * ranks, nil
 }
 
-// spawnCount parses a "spawn:N" -group spec.
-func spawnCount(spec string) (int, bool) {
+// spawnCount parses a "spawn:N" -group spec: N, or 0 for any other spec.
+func spawnCount(spec string) (int, error) {
 	rest, ok := strings.CutPrefix(spec, "spawn:")
 	if !ok {
-		return 0, false
+		return 0, nil
 	}
 	n, err := strconv.Atoi(rest)
 	if err != nil || n < 2 {
-		log.Fatalf("-group %s: spawn needs an integer rank count >= 2", spec)
+		return 0, fmt.Errorf("-group %s: spawn needs an integer rank count >= 2", spec)
 	}
-	return n, true
+	return n, nil
+}
+
+// writeFile creates path and fills it through write, buffered. An error of
+// the write, the flush or the close is returned, so a truncated file is
+// never reported as written.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	if err = write(w); err == nil {
+		err = w.Flush()
+	}
+	return errors.Join(err, f.Close())
 }
 
 // spawnRanks launches n copies of this binary as a local ring group over
@@ -420,7 +433,6 @@ type faultConfig struct {
 // so the group can be re-formed after rank failures and rejoins.
 type transportConfig struct {
 	group  transport.Group
-	shard  bool
 	addrs  []string // full original ring address list ("" transport: none)
 	self   int      // this process's original rank within addrs
 	alive  []int    // current members, as original ranks (ascending)
@@ -470,7 +482,7 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 		RefreshSteps: refreshSteps, OverlapRounds: overlap,
 		FaultPlan: ft.plan, OpTimeout: ft.opTimeout,
 		OpRetries: ft.opRetries, Checkpoint: ft.checkpoint,
-		Transport: tr.group, ShardParams: tr.shard,
+		Transport: tr.group,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -534,10 +546,6 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 		} else {
 			fmt.Printf("elastic: heartbeats disabled, membership view %d\n", tr.view)
 		}
-	}
-	if full, resident, ok := eng.ShardStats(); ok {
-		fmt.Printf("shard-params: secondary replicas keep %d of %d parameter bytes resident (%.0f%%)\n",
-			resident, full, 100*float64(resident)/float64(full))
 	}
 	if ft.plan != nil || ft.opTimeout > 0 || ft.opRetries > 0 || ft.checkpoint {
 		fmt.Printf("fault tolerance: plan=%v op-timeout=%v op-retries=%d checkpoint=%v\n",
@@ -641,12 +649,7 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 			fmt.Printf("autotune: final choice %s beats starting configuration %s\n", final, startCand)
 		}
 		if tc.csvPath != "" {
-			f, err := os.Create(tc.csvPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer f.Close()
-			if err := trace.WriteTuneCSV(f, tn.Records()); err != nil {
+			if err := writeFile(tc.csvPath, func(w io.Writer) error { return trace.WriteTuneCSV(w, tn.Records()) }); err != nil {
 				log.Fatal(err)
 			}
 			fmt.Printf("tuner records CSV written to %s\n", tc.csvPath)
@@ -665,12 +668,7 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 	}
 	if svgPath != "" {
 		execPath := svgPath + ".executed.svg"
-		f, err := os.Create(execPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := trace.RenderSVG(f, real, 1200); err != nil {
+		if err := writeFile(execPath, func(w io.Writer) error { return trace.RenderSVG(w, real, 1200) }); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("executed-timeline SVG written to %s\n", execPath)

@@ -33,7 +33,8 @@ func TestStripFlags(t *testing.T) {
 }
 
 // The simulated data-parallel width is -dp replicas in every process of
-// the group: W = dp x ranks.
+// the group: W = dp x ranks. A -dp below 1 or a spawn spec without a rank
+// count of at least 2 is an error, not an exit.
 func TestDataParallelWidth(t *testing.T) {
 	for _, tc := range []struct {
 		dp    int
@@ -55,6 +56,11 @@ func TestDataParallelWidth(t *testing.T) {
 	for _, dp := range []int{0, -1} {
 		if _, err := dataParallelWidth(dp, "spawn:2"); err == nil || !strings.Contains(err.Error(), "-dp") {
 			t.Errorf("dataParallelWidth(%d) = %v, want an error naming -dp", dp, err)
+		}
+	}
+	for _, group := range []string{"spawn:1", "spawn:x", "spawn:"} {
+		if _, err := dataParallelWidth(1, group); err == nil || !strings.Contains(err.Error(), "-group") {
+			t.Errorf("dataParallelWidth(1, %q) = %v, want an error naming -group", group, err)
 		}
 	}
 }

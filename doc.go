@@ -307,20 +307,27 @@
 //
 // Data parallelism multiplies the pipeline: engine.Config.Replicas = W
 // gives every stage W replicas (devices stage*W+r for GPipe/1F1B; W whole
-// bidirectional pairs for Chimera), each holding its own parameter copy
-// (pipemodel.Model.Replicate, re-broadcast from the primary at every
-// step) and processing its own MicroBatches micro-batches of the global
-// batch. The simulator's SyncGrad/SyncCurvature collectives execute for
-// real as in-process reductions (internal/engine/collective.go) under a
-// strict contract:
+// bidirectional pairs for Chimera), each running its own instance of the
+// model's modules (pipemodel.Model.Replicate) over the primary's
+// parameters and processing its own MicroBatches micro-batches of the
+// global batch. The simulator's SyncGrad/SyncCurvature collectives execute
+// for real as in-process reductions (internal/engine/collective.go) under
+// a strict contract:
 //
-//   - Ownership: the unit of execution is a module set — one copy of the
-//     model's modules with its own gradient accumulators and, per stage,
-//     the activation slots of the next section. A replica is one module set; a Chimera replica is
-//     two, one per pipeline direction, and the up-pipeline set holds no
-//     weights of its own: its parameter Value.Data aliases its replica's
-//     storage (the real system's second weight copy, without the copy or
-//     a broadcast to it). Placement — which device hosts which (replica,
+//   - One parameter copy per process: the unit of execution is a module
+//     set — one instance of the model's modules with, per stage, the
+//     activation slots of the next section. A replica is one module set; a
+//     Chimera replica is two, one per pipeline direction. Every set but the
+//     primary holds no storage of its own for parameters or gradients: its
+//     parameter Value.Data aliases the primary's (the real system's
+//     replica weights, without the copy or a broadcast to them), and its
+//     Grad.Data is nil between ops — a backward attaches the zeroed pooled
+//     delta buffers it accumulates into, and hands them back before the op
+//     completes. aliasError (internal/engine/ownership_test.go) holds every
+//     secondary set to both after construction, after every round of the
+//     reference matrix, after Reconfigure into and out of Chimera, after
+//     RestoreCheckpoint / RegroupRestore and after Reconnect(g, true).
+//   - Ownership: placement — which device hosts which (replica,
 //     pipeline, stage), for which micro-batches — is read from the built
 //     schedule, never re-derived: every builder indexes its own forward
 //     and backward ops into pipeline.Schedule.Placement, the packer takes a
@@ -337,14 +344,13 @@
 //     (TestChimeraDirectionsRunConcurrently deadlocks under any per-stage
 //     lock). Weights are written only by a step's commit, while no device
 //     runs anything but K-FAC refresh work (Refresh rounds, step commits),
-//     in place, so both directions see an update, a checkpoint restore or
+//     in place, so every module set sees an update, a checkpoint restore or
 //     a resync (TestChimeraAliasSurvivesRestore,
 //     TestReconfigureIntoChimeraBuildsAliasedSets). Gradients leave a
 //     module set only as the per-micro-batch deltas of the next bullet.
-//     ShardParams keeps its gather state per module set for the same
-//     reason. The race detector runs the identity suites in CI.
+//     The race detector runs the identity suites in CI.
 //   - Reduction order is fixed at micro-batch granularity: each backward
-//     snapshots its micro-batch's gradient contribution into pooled delta
+//     accumulates its micro-batch's gradient contribution into pooled delta
 //     buffers, and the stage's SyncGrad folds carried state plus every
 //     delta in ascending *global* micro-batch order. The order depends on
 //     neither the schedule, W, nor the kernel worker count, so reduced
@@ -383,7 +389,7 @@
 //
 //   - A slot is the stage's blocks (slot 0) or nn.TransformerBlock.Twin
 //     copies of them: the same parameter and gradient *tensor.Matrix
-//     headers — so a ShardParams gather, Chimera's aliased up set, a
+//     headers — so the aliased weights, the attached delta buffers, a
 //     checkpoint restore and the optimizer reach every slot with no code of
 //     their own — with their own forward-retained buffers and nothing else.
 //   - The one device goroutine that owns the (replica, pipeline, stage)
@@ -396,10 +402,11 @@
 //     schedule's depth and every slot is free when it ends
 //     (TestSlotHighWaterMatchesInFlightDepth); an aborted round's rollback
 //     frees them all and strands no pooled buffer (TestSlotsFreeAfterAbort).
-//   - The slots of a stage share their set's gradient accumulators. That is
+//   - The slots of a stage share their set's gradient headers. That is
 //     exact because gradients leave a set only as per-micro-batch deltas:
-//     each backward accumulates from zero and its contribution is moved out
-//     (snapshotGradDeltas) before the device starts anything else.
+//     each backward accumulates from zero into the delta buffers it
+//     attached (attachDeltas) and detaches them before the device starts
+//     anything else.
 //   - What only a backward writes — input gradients, the K-FAC capture of
 //     output gradients, attention's projection gradients — is not slot
 //     memory: it is a scratch the device goroutine owns (nn.BlockScratch,
@@ -481,13 +488,11 @@
 //     exempt so initialization collectives can never be killed by a
 //     stale abort, and a startup barrier keeps a fast rank's round abort
 //     from racing a slow rank's init.
-//   - Sharded parameters (engine.Config.ShardParams) compose with any
-//     transport: each stage's parameters partition greedily across the
-//     local replica axis, secondary replicas detach storage they do not
-//     own and gather-on-use into pooled buffers for the duration of one
-//     op — resident parameter bytes on secondaries drop to roughly 1/R
-//     of the full copy (engine.ShardStats reports the exact counts) while
-//     the fold order, and therefore the math, is unchanged.
+//   - In-process replicas compose with any transport: ring ranks of R
+//     local replicas each — one parameter copy per rank — reproduce the
+//     in-process W = ranks x R run bit for bit
+//     (TestRingLocalReplicasBitIdentity; CI diffs 2 ranks x -dp 2 against
+//     loopback -dp 4).
 //
 // # Elastic membership contract
 //
@@ -597,17 +602,18 @@
 //     window's own. TestEngineMatchesReference holds every loss, every
 //     gradient the optimizer sees and every factor and inverse after every
 //     round to it bit for bit over a generated matrix of models, families,
-//     W, K, overlap, InversionParallel, ShardParams, refresh intervals and
-//     kernel variants.
+//     W, K, overlap, InversionParallel, refresh intervals and kernel
+//     variants.
 //   - Step commits: every step's OptStep ops arrive at a barrier; once all
 //     have, one device fires the caller's optimizer callback
 //     (SetOptimizer), zeroes the primary's accumulators, releases the
 //     step's carried rollback clones (step 0's alone: a later step's base
 //     is the +0 the previous commit left, which the fold reads as the
-//     transport's nil base and a rollback restores by zeroing), and
-//     re-broadcasts parameters to the replicas — so collectives and the
-//     update happen exactly once per
-//     step, with the bit-identical fixed reduction order. The commit holds
+//     transport's nil base and a rollback restores by zeroing) — so
+//     collectives and the update happen exactly once per step, with the
+//     bit-identical fixed reduction order; the update, written into the
+//     primary's storage in place, is what every module set computes with
+//     next. The commit holds
 //     base work only: a device that arrived keeps running the refresh ops
 //     next in its order (curvature, sync-curvature, inversion) and holds
 //     its next base op — forward, backward, sync-grad, precondition,
@@ -872,8 +878,7 @@
 // -refresh-steps the multi-step refresh rounds — 0 sizes them adaptively —
 // -overlap the overlapped windows, -autotune the closed-loop tuner,
 // with its per-round records written by -tune-csv, and -transport ring
-// -group spawn:N the real multi-process socket ring, with -shard-params
-// for ZeRO-style sharded parameters). The committed BENCH_tensor.json /
+// -group spawn:N the real multi-process socket ring). The committed BENCH_tensor.json /
 // BENCH_engine.json files are the perf-trajectory baseline;
 // scripts/bench_compare.go reports benchstat-style deltas against them and
 // CI fails on steady-state throughput regressions beyond 10%.

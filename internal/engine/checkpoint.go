@@ -134,10 +134,5 @@ func (e *Engine) RestoreCheckpoint() (int, error) {
 	// the refresh phase is the checkpoint's, exactly.
 	e.dropGenerations(false)
 	e.refreshPending = c.refreshPending
-	// Replicas resync from the restored primary (TrainRound re-broadcasts
-	// anyway; doing it here leaves the engine consistent immediately).
-	if err := e.broadcastParams(); err != nil {
-		return 0, fmt.Errorf("engine: %w", err)
-	}
 	return e.stepIndex, nil
 }

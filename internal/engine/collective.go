@@ -166,16 +166,28 @@ func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.P
 	return bytes, nil
 }
 
-// snapshotGradDeltas moves one micro-batch's accumulated gradients out of
-// the stage's parameters into pooled delta buffers (zeroing the
-// accumulators for the next micro-batch) — the per-participant send buffer
-// of the gradient collective. Runs on the device that owns the module
-// set's stage, immediately after the micro-batch's backward finished
-// accumulating.
-func snapshotGradDeltas(params []*nn.Param, dst []*tensor.Matrix) {
+// attachDeltas makes one micro-batch's delta buffers — the fold's
+// per-participant send buffers — the gradient accumulators of the stage's
+// parameters for the backward about to run. Each is taken from the pool,
+// zeroed (the delta is the contribution onto +0) and recorded in dst before
+// anything can fail, so an abort's rollback returns it; then it is swapped
+// in, its header holding the parameter's own slice (the primary's
+// accumulator, nil for any other module set) until swapGrads hands that
+// back, before the op completes. Runs on the device that owns the module
+// set's stage, whose slots back-propagate one at a time.
+func attachDeltas(params []*nn.Param, dst []*tensor.Matrix) {
 	for k, p := range params {
-		dst[k] = tensor.GetClone(p.Grad)
-		p.Grad.Zero()
+		dst[k] = tensor.Get(p.Grad.Rows, p.Grad.Cols)
+		dst[k].Zero()
+	}
+	swapGrads(params, dst)
+}
+
+// swapGrads exchanges each parameter's gradient storage with its delta
+// buffer's: attachDeltas' swap in, and the swap back.
+func swapGrads(params []*nn.Param, deltas []*tensor.Matrix) {
+	for k, p := range params {
+		p.Grad.Data, deltas[k].Data = deltas[k].Data, p.Grad.Data
 	}
 }
 

@@ -57,15 +57,14 @@ func commitOverlap(tl *pipeline.Timeline) hardware.Microseconds {
 // TestCommitPendingIdentity: a device that arrived at a step's commit runs
 // the refresh ops next in its order while the commit is pending, instead of
 // parking. For a fixed op list that changes when work runs, never what it
-// computes: the reference matrix's BERT configurations without ShardParams
-// that refresh every round at K {1, 4} — gpipe, 1f1b and chimera x W {1, 2}
-// x overlap x inversion sharding — train exactly what the reference computes
-// over three rounds, and some of them ran refresh work while a commit was
-// pending.
+// computes: the reference matrix's BERT configurations that refresh every
+// round at K {1, 4} — gpipe, 1f1b and chimera x W {1, 2} x overlap x
+// inversion sharding — train exactly what the reference computes over three
+// rounds, and some of them ran refresh work while a commit was pending.
 func TestCommitPendingIdentity(t *testing.T) {
 	var overlapped hardware.Microseconds
 	for _, c := range referenceMatrix(tensor.ActiveKernel()) {
-		if k := c.cfg.RefreshSteps; c.model == "bert" && !c.cfg.ShardParams && k != 2 && c.every == k {
+		if k := c.cfg.RefreshSteps; c.model == "bert" && k != 2 && c.every == k {
 			requireMatchesReference(t, c, 3, nil, func(e *Engine) { overlapped += commitOverlap(e.LastTimeline()) })
 		}
 	}

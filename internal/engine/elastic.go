@@ -171,9 +171,7 @@ func (e *Engine) resyncFrom(root int) error {
 	e.stepIndex, e.roundIndex, e.kfacGen = int(ctr[0]), int(ctr[1]), int(ctr[2])
 	// Gradient accumulators restart clean on every rank (a rejoiner has
 	// none; survivors' pre-abort accumulators are stale).
-	for _, set := range e.sets {
-		nn.ZeroGrads(set.params)
-	}
+	nn.ZeroGrads(e.sets[0].params)
 	if e.kfacPre != nil {
 		for s, st := range e.sets[0].stages {
 			e.kfacPre[s] = kfac.NewPreconditioner(st.layers, e.kfacOpts)
@@ -183,7 +181,7 @@ func (e *Engine) resyncFrom(root int) error {
 	// The pre-resync round checkpoint described a state (and possibly a
 	// width) that no longer exists; the next TrainRound saves a fresh one.
 	e.ckpt.valid = false
-	return e.broadcastParams()
+	return nil
 }
 
 // StepsDone returns the number of committed training steps — what a

@@ -80,7 +80,7 @@ func implantEngState(e *Engine, s *engState) error {
 		}
 	}
 	e.stepIndex, e.roundIndex, e.kfacGen, e.refreshPending = s.step, s.round, s.gen, s.refreshPending
-	return e.broadcastParams()
+	return nil
 }
 
 // elasticResult is one rank's journey through an elastic test run. losses

@@ -18,13 +18,13 @@
 //
 // With Config.Replicas = W > 1 the engine executes the paper's hybrid
 // configuration — pipeline stages × data-parallel replicas — on a
-// (replica, stage) device topology: replica r holds its own full copy of
-// the model's parameters (pipemodel.Model.Replicate; re-broadcast from the
-// primary at every step), processes its own MicroBatches micro-batches of
-// the step's batch, and joins the per-stage SyncGrad/SyncCurvature
-// collectives. The collectives are realized in-process (collective.go)
-// with a fixed reduction order at micro-batch granularity: every backward
-// snapshots its micro-batch's gradient contribution into pooled buffers,
+// (replica, stage) device topology: replica r runs its own instance of the
+// model's modules (pipemodel.Model.Replicate) over the primary's parameter
+// values, processes its own MicroBatches micro-batches of the step's batch,
+// and joins the per-stage SyncGrad/SyncCurvature collectives. The
+// collectives are realized in-process (collective.go) with a fixed
+// reduction order at micro-batch granularity: every backward accumulates
+// its micro-batch's gradient contribution into pooled buffers of its own,
 // and the stage's SyncGrad folds the contributions into the primary
 // replica's accumulators in ascending global micro-batch order. Because
 // that order depends on neither the schedule, the replica count, nor the
@@ -37,15 +37,16 @@
 //
 // # Module sets and ownership
 //
-// A module set is one full copy of the model's modules (embedding, blocks,
-// head) with its own gradient accumulators and, per stage, one activation
-// slot for each micro-batch the schedule keeps in flight there (stage.go;
-// the backward-only scratch belongs to the device, not the set). Every
-// replica has one; under Chimera every replica has two, one per pipeline
-// direction — the real system's second weight copy — and the up-pipeline
-// set's parameter values are not a copy at all: its Value.Data aliases the
-// down set's storage, so the two directions read the same weights and
-// nothing is broadcast between them. Ownership contract: every (replica,
+// A module set is one instance of the model's modules (embedding, blocks,
+// head) with, per stage, one activation slot for each micro-batch the
+// schedule keeps in flight there (stage.go; the backward-only scratch
+// belongs to the device, not the set). Every replica has one; under Chimera
+// every replica has two, one per pipeline direction. There is one parameter
+// copy per process: every set but the primary has its Value.Data alias the
+// primary's storage, so all sets read the same weights and nothing is
+// broadcast between them, and holds no gradient storage between ops — a
+// backward attaches zeroed pooled delta buffers as the set's accumulators
+// for the op. Ownership contract: every (replica,
 // pipeline, stage) of the schedule maps to exactly one device (checked
 // when the schedule is built), so one device goroutine drives each module
 // set's stage and no lock guards the modules. Weights are only written
@@ -102,10 +103,11 @@ type Config struct {
 	// step; one step consumes Replicas*MicroBatches micro-batches.
 	MicroBatches int
 	// Replicas is the data-parallel width W (0 or 1 disables data
-	// parallelism). Each replica beyond the first is an independent copy
-	// of the model (built via pipemodel.Model.Replicate) whose parameters
-	// are re-broadcast from the primary at every step and whose gradient
-	// contributions join the per-stage SyncGrad collective.
+	// parallelism). Each replica beyond the first runs its own instance of
+	// the model's modules (built via pipemodel.Model.Replicate) over the
+	// primary's parameter values — an alias, not a copy, so nothing is
+	// broadcast between them — and its gradient contributions join the
+	// per-stage SyncGrad collective.
 	Replicas int
 	// Transport is the collective group every reduction routes through
 	// (nil = the in-process transport.Loopback). A multi-rank group — e.g.
@@ -119,17 +121,6 @@ type Config struct {
 	// engines (verified by a shape handshake at construction) and feed
 	// identical batches.
 	Transport transport.Group
-	// ShardParams enables ZeRO-style parameter sharding across the
-	// in-process replica axis: each secondary replica keeps resident only
-	// the contiguous-stage parameters it owns (greedy 1/W split by size)
-	// and gathers the rest from the primary on use — at forward/backward
-	// entry of each stage, released when the op exits — cutting a
-	// secondary replica's resident parameter bytes by roughly (W-1)/W.
-	// The primary replica stays full: it is the gather source, the
-	// optimizer's target, and the checkpoint subject, so the training
-	// math (and its bit-identity guarantees) is unchanged. Requires
-	// Replicas >= 2.
-	ShardParams bool
 	// InversionParallel shards each stage's K-FAC inversion units
 	// round-robin across the stage's device group — the replica group for
 	// gpipe/1f1b, the bidirectional pairs for chimera — instead of every
@@ -207,9 +198,6 @@ func (c Config) normalize() (Config, error) {
 	if c.Replicas == 0 {
 		c.Replicas = 1
 	}
-	if c.ShardParams && c.Replicas < 2 {
-		return c, fmt.Errorf("engine: ShardParams shards across the replica axis and needs Replicas >= 2, got %d", c.Replicas)
-	}
 	if c.RefreshSteps < 0 && c.RefreshSteps != AdaptiveRefreshSteps {
 		return c, fmt.Errorf("engine: RefreshSteps must be non-negative or AdaptiveRefreshSteps, got %d", c.RefreshSteps)
 	}
@@ -230,16 +218,16 @@ func (c Config) normalize() (Config, error) {
 	return c, nil
 }
 
-// moduleSet is one copy of the model's modules, partitioned into stages:
-// a data-parallel replica, or the second (up-pipeline) set a Chimera
-// replica runs beside its first. Set 0 wraps the caller's model (the
-// primary — the copy the caller's optimizer updates); the others are
-// engine-owned clones.
+// moduleSet is one instance of the model's modules, partitioned into
+// stages: a data-parallel replica, or the second (up-pipeline) set a
+// Chimera replica runs beside its first. Set 0 wraps the caller's model
+// (the primary — the parameters the caller's optimizer updates); the
+// others are engine-owned clones that compute with set 0's parameter
+// values and hold no gradient storage between ops (cloneSet).
 type moduleSet struct {
 	model  pipemodel.Model
 	stages []*stage
-	// params caches model.Params() in the model's canonical order, for the
-	// per-step parameter broadcast.
+	// params caches model.Params() in the model's canonical order.
 	params []*nn.Param
 	// stageParams[s] lists the parameters stage s's ops touch — embedding
 	// params first (stage 0 only), then the stage's block params, then
@@ -252,12 +240,11 @@ type moduleSet struct {
 type Engine struct {
 	cfg Config
 	// sets holds the module sets. sets[r], r < Replicas, is data-parallel
-	// replica r (sets[0] the primary), with its own parameter copy,
-	// re-broadcast from the primary at every step. Under a family with a
-	// second pipeline (chimera) Replicas more follow: sets[Replicas+r] is
-	// replica r's up-pipeline set, whose parameter values alias sets[r]'s
-	// storage (buildUpSets) while its gradient accumulators and activation
-	// slots are its own. An op finds its set with setIndex; the schedule
+	// replica r (sets[0] the primary). Under a family with a second
+	// pipeline (chimera) Replicas more follow: sets[Replicas+r] is replica
+	// r's up-pipeline set. Every set but the primary computes with the
+	// primary's parameter storage and owns only its activation slots
+	// (cloneSet). An op finds its set with setIndex; the schedule
 	// gives every (replica, pipeline, stage) one device — building its
 	// pipeline.Placement proves it — so a set's stage is only ever touched by
 	// one device goroutine and needs no lock.
@@ -287,9 +274,6 @@ type Engine struct {
 	// (collective.go), allocated at EnableKFAC: a layer's A and B fold in
 	// one batch, under layerMu[s][li].
 	kfacFold [][]*kfacFoldScratch
-	// shard is the ZeRO-style parameter-sharding state (shard.go), nil
-	// unless Config.ShardParams.
-	shard *shardState
 
 	sched *pipeline.Schedule
 	// scratch[d] is device d's backward scratch, one per block position of a
@@ -412,13 +396,11 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.sets = append(e.sets, prim)
-	for r := 1; r < cfg.Replicas; r++ {
-		rep, err := e.cloneSet()
-		if err != nil {
-			return nil, fmt.Errorf("engine: replica %d: %w", r, err)
-		}
-		e.sets = append(e.sets, rep)
+	rest, err := e.missingSets(cfg.Method)
+	if err != nil {
+		return nil, err
 	}
+	e.sets = append(e.sets, rest...)
 	e.initCollectives()
 	// The fault plan is projected onto this member's transport rank, so a
 	// rank-targeted fault (kill:rank=2) costs every other rank nothing —
@@ -429,14 +411,6 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	if cfg.ShardParams {
-		e.initShards()
-	}
-	up, err := e.missingSets(cfg.Method)
-	if err != nil {
-		return nil, err
-	}
-	e.sets = append(e.sets, up...)
 	if e.shape, err = modelArch(prim); err != nil {
 		return nil, err
 	}
@@ -451,7 +425,13 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 }
 
 // cloneSet builds an engine-owned module set from a fresh Replicate() of
-// the primary's model.
+// the primary's model. Its parameter Value.Data aliases the primary's
+// storage (the modules hold the *Matrix headers re-pointed here), so an
+// optimizer update or a checkpoint restore written in place reaches every
+// set and no weight is ever copied between them; its Grad.Data is nil, since
+// a backward accumulates into the pooled delta buffers it attaches for the
+// op (runState.backward). What the set owns is what two running devices
+// must not share: its modules' activation slots.
 func (e *Engine) cloneSet() (*moduleSet, error) {
 	prim := e.sets[0]
 	clone, err := prim.model.Replicate()
@@ -462,53 +442,30 @@ func (e *Engine) cloneSet() (*moduleSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(set.params) != len(prim.params) {
-		return nil, fmt.Errorf("clone has %d params, primary has %d (Replicate must preserve structure)",
-			len(set.params), len(prim.params))
+	if err := nn.ShareParamValues(set.params, prim.params); err != nil {
+		return nil, fmt.Errorf("replica differs from the primary (Replicate must preserve structure): %w", err)
+	}
+	for _, p := range set.params {
+		p.Grad.Data = nil
 	}
 	return set, nil
 }
 
-// buildUpSets builds Chimera's second module set for every replica: the
-// modules the replica's up pipeline runs while its down pipeline runs the
-// first set, on another device, at the same time. Its parameter Value.Data
-// aliases the down set's storage (the attach idiom of shard.go: the modules
-// hold the *Matrix headers mutated here), so an optimizer update or a
-// checkpoint restore written in place reaches both directions; what it
-// owns is what two running devices must not share — gradient accumulators
-// and the activation slots of its stages. Where a sharded replica detached a
-// parameter (ShardParams), the up set is detached too and gathers its own
-// pooled copy on use. The caller appends the result to e.sets.
-func (e *Engine) buildUpSets() ([]*moduleSet, error) {
-	up := make([]*moduleSet, e.cfg.Replicas)
-	for r := range up {
+// missingSets builds the module sets the method needs beyond those the
+// engine holds — Replicas x the family's pipelines in all — for the caller
+// to append to e.sets: the secondary replicas at construction, Chimera's up
+// sets the first time a replica needs a second pipeline, nothing once they
+// exist.
+func (e *Engine) missingSets(method string) ([]*moduleSet, error) {
+	var out []*moduleSet
+	for i := len(e.sets); i < e.cfg.Replicas*pipeline.Pipelines(method); i++ {
 		set, err := e.cloneSet()
 		if err != nil {
-			return nil, fmt.Errorf("engine: up-pipeline module set of replica %d: %w", r, err)
+			return nil, fmt.Errorf("engine: module set %d: %w", i, err)
 		}
-		down := e.sets[r]
-		if err := nn.ShareParamValues(set.params, down.params); err != nil {
-			return nil, fmt.Errorf("engine: up-pipeline module set of replica %d: %w", r, err)
-		}
-		for i, p := range down.params {
-			if p.Grad.Data == nil {
-				set.params[i].Grad.Data = nil
-			}
-		}
-		up[r] = set
+		out = append(out, set)
 	}
-	return up, nil
-}
-
-// missingSets builds the module sets the method needs beyond those the
-// engine holds — Replicas x the family's pipelines in all — for the caller to
-// append to e.sets: nothing for a single-pipeline family or once a second
-// pipeline's sets exist, else buildUpSets.
-func (e *Engine) missingSets(method string) ([]*moduleSet, error) {
-	if len(e.sets) >= e.cfg.Replicas*pipeline.Pipelines(method) {
-		return nil, nil
-	}
-	return e.buildUpSets()
+	return out, nil
 }
 
 // setIndex locates the module set a forward or backward op runs on:
@@ -678,8 +635,8 @@ func (e *Engine) RoundSteps() int { return e.roundLen }
 // gradient collectives and preconditions have completed, no base op of the
 // next step has started, and the other device goroutines run only K-FAC
 // refresh work, which reads no parameter — the callback has exclusive access
-// to the primary's parameters (the engine re-broadcasts them to the replicas
-// afterwards). It runs on whichever device goroutine commits the step. The argument is the
+// to the primary's parameters, which every module set computes with. It
+// runs on whichever device goroutine commits the step. The argument is the
 // global step index. The engine zeroes the primary's gradient accumulators
 // after the callback returns, exactly like the manual
 // ZeroGrads-TrainStep-Step loop the callback replaces. Required before
@@ -961,13 +918,6 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 	// calls TrainRound in lockstep, so epochs stay aligned group-wide).
 	e.group.BeginRound()
 
-	// Broadcast the primary's parameters to every replica: the round's
-	// first step starts from identical weights (later steps re-broadcast
-	// at the step-commit barrier, after the optimizer updated the primary).
-	if err := e.broadcastParams(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-
 	// Cap each device goroutine's kernels to its fair share of the
 	// intra-op worker pool for the duration of the round, restoring the
 	// caller's cap afterwards. The cap is a process-global knob: running
@@ -1038,26 +988,6 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 		}
 	}
 	return res, err
-}
-
-// broadcastParams copies the primary's parameters to every replica — the
-// start-of-step weight broadcast of the data-parallel group, used by the
-// round prologue and the step-commit barrier alike. Up-pipeline sets alias
-// their replica's storage and need no copy. Under ShardParams only a
-// secondary replica's resident (owned) parameters are copied; the rest
-// have no storage until gathered on use, and the gather reads the primary
-// directly, which this broadcast keeps authoritative.
-func (e *Engine) broadcastParams() error {
-	cp := nn.CopyParams
-	if e.shard != nil {
-		cp = nn.CopyParamsResident
-	}
-	for rep := 1; rep < e.cfg.Replicas; rep++ {
-		if err := cp(e.sets[rep].params, e.sets[0].params); err != nil {
-			return fmt.Errorf("broadcasting params to replica %d: %w", rep, err)
-		}
-	}
-	return nil
 }
 
 // splitBatch cuts a batch into n equal micro-batches.

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/data"
 	"repro/internal/hardware"
-	"repro/internal/nn"
 	"repro/internal/pipeline"
 	"repro/internal/pipemodel"
 	"repro/internal/tensor"
@@ -64,7 +63,7 @@ type runState struct {
 	// round prologue and released at its commit; a later step's stages
 	// stay nil, because the previous step's commit zeroed the accumulators
 	// and a nil stage is an all +0 base), deltas the per-micro-batch
-	// contributions snapshotted by each backward, foldDone the per-(step, stage)
+	// contributions each backward accumulates into, foldDone the per-(step, stage)
 	// once-guards of the reduction (any participant of the stage's
 	// collective may perform it; latecomers block until it finished), and
 	// foldErr a reduction failure to surface.
@@ -75,9 +74,9 @@ type runState struct {
 
 	// Step-commit barriers, one per step: every OptStep op of the step
 	// arrives after folding its stages, and once all have, one device
-	// commits the step (optimizer callback, then next-step gradient state
-	// and parameter broadcast) while the others run only refresh work and no
-	// next-step base op can have started — the round-internal step boundary.
+	// commits the step (optimizer callback, then the primary's accumulators
+	// zeroed) while the others run only refresh work and no next-step base
+	// op can have started — the round-internal step boundary.
 	optMu     sync.Mutex
 	commits   []stepCommit
 	committed int // steps whose optimizer callback completed
@@ -186,9 +185,8 @@ func (st *runState) fail(d int, err error) {
 // order with no teardown between steps, waiting on each op's dependency
 // channels (or the round's abort), running the op (runOp, resilience.go),
 // then signalling completion. Step boundaries are realized by the OptStep
-// commit barrier (optimizer callback, gradient re-zeroing, parameter
-// broadcast), not by joining the goroutines. On the first error the round
-// is aborted — remaining ops are drained (signalled without executing) so
+// commit barrier (optimizer callback, gradient re-zeroing), not by joining
+// the goroutines. On the first error the round is aborted — remaining ops are drained (signalled without executing) so
 // no peer can block on a dependency that will never arrive, the gradient
 // state is rolled back to the first uncommitted step's pre-step
 // accumulators, and the error is surfaced after all devices joined, along
@@ -242,11 +240,9 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 			st.commits[op.Step].left++
 		}
 	}
-	// Move the primary's pre-round gradient state aside (accumulate
-	// semantics: step 0's reduction re-adds it as its base) and start every
-	// replica's accumulators from zero, so each backward's snapshot is
-	// exactly its micro-batch's contribution. Later steps start from the
-	// previous step's commit, which zeroed every accumulator.
+	// Keep the primary's pre-round gradient state as step 0's reduction
+	// base (accumulate semantics: the fold re-adds it). Later steps start
+	// from the previous step's commit, which zeroed the accumulators.
 	st.captureRoundBase()
 
 	if e.cfg.OpTimeout > 0 {
@@ -345,25 +341,15 @@ func (st *runState) results(upTo int) []*StepResult {
 
 // captureRoundBase prepares step 0's gradient-collective state: it
 // snapshots the primary's accumulators as the step's carried reduction
-// base (accumulate semantics — the fold re-adds it), zeroes them so each
-// backward's delta is exactly its micro-batch's contribution, and zeroes
-// every replica's accumulators.
+// base (accumulate semantics — the fold re-adds it and writes the sum back
+// over them). No backward accumulates into them: each accumulates into its
+// own delta buffers.
 func (st *runState) captureRoundBase() {
 	for s, params := range st.e.sets[0].stageParams {
 		st.carried[0][s] = make([]*tensor.Matrix, len(params))
 		for k, p := range params {
 			st.carried[0][s][k] = tensor.GetClone(p.Grad)
-			p.Grad.Zero()
 		}
-	}
-	st.zeroSecondaryGrads()
-}
-
-// zeroSecondaryGrads clears the accumulators of every module set but the
-// primary: the state each backward's delta snapshot starts from.
-func (st *runState) zeroSecondaryGrads() {
-	for _, set := range st.e.sets[1:] {
-		nn.ZeroGrads(set.params)
 	}
 }
 
@@ -386,9 +372,8 @@ func (st *runState) releaseCarried(j int) {
 // undone without parameter snapshots — so the restore target is the first
 // *uncommitted* step: every stage gets that step's carried accumulators
 // back (including stages whose reduction already ran, since a step's
-// carried buffers live until the step commits), partial per-micro deltas of
-// every step are released, and every other module set's accumulators are
-// re-zeroed so the snapshot discipline of the next round starts clean.
+// carried buffers live until the step commits) and partial per-micro deltas
+// of every step are released.
 func (st *runState) rollback() {
 	j := st.committed // the step that failed to commit
 	if j < len(st.carried) {
@@ -446,7 +431,6 @@ func (st *runState) rollback() {
 			stg.freeAll()
 		}
 	}
-	st.zeroSecondaryGrads()
 }
 
 // foldStages performs the gradient collective of every stage the op's
@@ -523,9 +507,11 @@ func (st *runState) awaitCommit(d, j int) error {
 // commitStep finishes step j inside the round: it fires the caller's
 // optimizer callback (the real parameter update — all folds and
 // preconditions of the step are complete, because every device's OptStep
-// has arrived) and zeroes the primary's gradient accumulators, then
-// prepares step j+1: replica accumulators zeroed, and the updated primary
-// parameters re-broadcast to every replica.
+// has arrived) and zeroes the primary's gradient accumulators. A round of
+// more than one step has an optimizer (TrainRound), so step j+1's carried
+// base is all +0, which its nil stages stand for; and the update, written
+// into the primary's storage in place, is what every module set computes
+// with next.
 func (st *runState) commitStep(j int) error {
 	e := st.e
 	if e.multiRank {
@@ -563,14 +549,7 @@ func (st *runState) commitStep(j int) error {
 	}
 	st.committed = j + 1
 	st.releaseCarried(j)
-	if j == len(st.micro)-1 {
-		return nil // round over
-	}
-	// A round of more than one step has an optimizer (TrainRound), so the
-	// primary's accumulators were just zeroed: step j+1's carried base is
-	// all +0, which its nil stages stand for.
-	st.zeroSecondaryGrads()
-	return e.broadcastParams()
+	return nil
 }
 
 // exec dispatches one op. SyncCurvature is a pure dependency barrier in
@@ -615,9 +594,8 @@ func (st *runState) exec(d int, op *pipeline.Op) error {
 		// schedules (no SyncGrad, no Precondition) it is where the
 		// gradient reduction lands; on every schedule it is where the
 		// step's commit barrier sits. The recorded event measures the fold
-		// and, on the committing device, the optimizer callback and
-		// broadcast: a step's commit is its longest OptStep event
-		// (CommitDurations).
+		// and, on the committing device, the optimizer callback: a step's
+		// commit is its longest OptStep event (CommitDurations).
 		t0 := time.Since(st.start)
 		bytes, err := st.foldStages(op)
 		if err != nil {
@@ -654,12 +632,6 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 	rep := st.e.sets[si]
 	stg := rep.stages[s]
 	mb := st.micro[op.Step][st.gmicro(op)]
-	if st.e.shard != nil {
-		// ZeRO gather-on-use: attach the stage's non-owned parameter values
-		// for the duration of this op.
-		st.e.gatherStage(si, s, false)
-		defer st.e.releaseStage(si, s)
-	}
 	t0 := time.Since(st.start)
 
 	var x *tensor.Matrix
@@ -717,24 +689,16 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 // 0 finishes into the embedding tables. Everything only a backward writes
 // goes to the device's scratch. On the first step of a refresh round it
 // snapshots each dense layer's output gradients — the B-factor statistics
-// of rule 1. Finally the micro-batch's accumulated parameter gradients move
-// into their pooled collective delta buffers (zeroing the set's
-// accumulators — shared by the stage's slots, exact because each backward's
-// contribution leaves before the next one starts).
+// of rule 1. The micro-batch's parameter gradients accumulate straight into
+// its pooled collective delta buffers (attachDeltas).
 func (st *runState) backward(d int, op *pipeline.Op) error {
 	s, m := op.Stage, st.flat(op)
-	si := st.e.setIndex(op)
-	rep := st.e.sets[si]
+	rep := st.e.sets[st.e.setIndex(op)]
 	stg := rep.stages[s]
 	mb := st.micro[op.Step][st.gmicro(op)]
-	if st.e.shard != nil {
-		// ZeRO gather-on-use, backward form: values for the input gradients
-		// plus zeroed gradient accumulators — the delta snapshot below moves
-		// the accumulated contribution out before the release returns the
-		// buffers to the pool.
-		st.e.gatherStage(si, s, true)
-		defer st.e.releaseStage(si, s)
-	}
+	params, deltas := rep.stageParams[s], st.deltas[op.Step][s][st.gmicro(op)]
+	attachDeltas(params, deltas)
+	defer swapGrads(params, deltas)
 	t0 := time.Since(st.start)
 
 	sl := st.slot[s][m]
@@ -773,9 +737,6 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 		// module-retained buffer; publish a pooled copy.
 		st.gradOut[s][m] = tensor.GetClone(grad)
 	}
-	// The micro-batch finished accumulating on this module set's stage:
-	// move its gradient contribution into the collective's delta slot.
-	snapshotGradDeltas(rep.stageParams[s], st.deltas[op.Step][s][st.gmicro(op)])
 	// Recycle what the micro-batch held: its activation slot, the pooled
 	// stage input (the previous stage's hand-off, or stage 0's embedding
 	// clone) and the error signal from the next stage.

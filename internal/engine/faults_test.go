@@ -654,7 +654,7 @@ func TestPoolAuditNoLeakOnAbortAnywhere(t *testing.T) {
 		model func(*testing.T) (*bert.Model, *data.Corpus)
 	}{
 		{Config{Method: "gpipe", Stages: 2, MicroBatches: 2, Replicas: 2, InversionParallel: true, RefreshSteps: 2}, newModelAndCorpus},
-		{Config{Method: "chimera", Stages: 2, MicroBatches: 2, Replicas: 2, ShardParams: true, RefreshSteps: 4}, newModelAndCorpus},
+		{Config{Method: "chimera", Stages: 2, MicroBatches: 2, Replicas: 2, RefreshSteps: 4}, newModelAndCorpus},
 		{Config{Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: 2}, chainBERT},
 	} {
 		t.Run(fmt.Sprintf("%s/K%d", tc.cfg.Method, tc.cfg.RefreshSteps), func(t *testing.T) {

@@ -18,11 +18,10 @@ import (
 )
 
 // The ownership contract (engine.go, "Module sets and ownership"): every
-// module set's stage has one device, Chimera's two directions run on two
-// module sets over one copy of the weights, and nothing locks a stage.
-// These tests fail if a per-stage serialisation comes back, if a schedule
-// ever splits a module set's stage across devices, or if the weight alias
-// breaks.
+// module set's stage has one device, every module set runs over one copy
+// of the weights per process, and nothing locks a stage. These tests fail
+// if a per-stage serialisation comes back, if a schedule ever splits a
+// module set's stage across devices, or if the weight alias breaks.
 
 // rendezvousModel parks the first EmbedForward of the run until a second
 // one has been entered — from any copy of the model.
@@ -107,6 +106,7 @@ func TestScheduleOwnershipGenerated(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
+							requireAlias(t, e, name+" after NewWithConfig")
 							if withKFAC {
 								if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.9}, k); err != nil {
 									t.Fatalf("%s: %v", name, err)
@@ -154,47 +154,41 @@ func TestScheduleOwnershipGenerated(t *testing.T) {
 	}
 }
 
-// upAliasError checks the weight-sharing half of the contract: every
-// up-pipeline set computes with its replica's storage, not a copy. A
-// parameter a sharded replica detached is detached in both sets.
-func upAliasError(e *Engine) error {
-	w := e.cfg.Replicas
-	if len(e.sets) != 2*w {
-		return fmt.Errorf("%d module sets, want %d (two per replica)", len(e.sets), 2*w)
+// aliasError checks the storage half of the contract — one parameter copy
+// per process: the engine holds the module sets its method runs, and every
+// set but the primary computes with the primary's parameter storage, not a
+// copy, and holds no gradient storage between rounds.
+func aliasError(e *Engine) error {
+	if want := e.cfg.Replicas * pipeline.Pipelines(e.cfg.Method); len(e.sets) < want {
+		return fmt.Errorf("%d module sets, want %d", len(e.sets), want)
 	}
-	for r := 0; r < w; r++ {
-		down, up := e.sets[r], e.sets[w+r]
-		for i, p := range down.params {
-			q := up.params[i]
-			if len(p.Value.Data) == 0 {
-				if len(q.Value.Data) != 0 {
-					return fmt.Errorf("replica %d %s is detached in the down set but resident in the up set", r, p.Name)
-				}
-				continue
+	prim := e.sets[0].params
+	for i, set := range e.sets[1:] {
+		for k, p := range set.params {
+			q := prim[k]
+			if len(p.Value.Data) != len(q.Value.Data) || len(q.Value.Data) == 0 || &p.Value.Data[0] != &q.Value.Data[0] {
+				return fmt.Errorf("module set %d %s holds its own copy of the weights", i+1, p.Name)
 			}
-			if len(q.Value.Data) != len(p.Value.Data) || &q.Value.Data[0] != &p.Value.Data[0] {
-				return fmt.Errorf("replica %d %s: the up set holds its own copy of the weights", r, p.Name)
-			}
-			if len(q.Grad.Data) > 0 && &q.Grad.Data[0] == &p.Grad.Data[0] {
-				return fmt.Errorf("replica %d %s: the two directions share a gradient accumulator", r, p.Name)
+			if p.Grad.Data != nil {
+				return fmt.Errorf("module set %d %s holds %d gradient elements between rounds", i+1, p.Name, len(p.Grad.Data))
 			}
 		}
 	}
 	return nil
 }
 
-func requireUpAlias(t *testing.T, e *Engine, context string) {
+func requireAlias(t *testing.T, e *Engine, context string) {
 	t.Helper()
-	if err := upAliasError(e); err != nil {
+	if err := aliasError(e); err != nil {
 		t.Fatalf("%s: %v", context, err)
 	}
 }
 
 // Chimera over two module sets computes exactly what GPipe computes over
 // one: losses and parameters after three K-FAC-preconditioned LAMB steps
-// are bit-identical for BERT and GPT, W in {1, 2}, with and without
-// parameter sharding and inversion sharding — and the up sets still alias
-// their replicas' weights afterwards.
+// are bit-identical for BERT and GPT, W in {1, 2, 4}, with and without
+// inversion sharding — and every secondary set still aliases the primary's
+// weights afterwards.
 func TestChimeraIdentityMatrix(t *testing.T) {
 	type modelCase struct {
 		name    string
@@ -218,50 +212,49 @@ func TestChimeraIdentityMatrix(t *testing.T) {
 		return e, losses
 	}
 	for _, mc := range cases {
-		batches := mc.batches(t, 3, 8)
-		mRef, err := mc.make()
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, refLosses := train(t, mRef, batches, Config{Method: "gpipe", Stages: 2, MicroBatches: 4})
-		for _, w := range []int{1, 2} {
-			for _, shard := range []bool{false, true} {
-				if shard && w < 2 {
-					continue
-				}
-				for _, invPar := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/W%d/shard=%v/invpar=%v", mc.name, w, shard, invPar), func(t *testing.T) {
-						m, err := mc.make()
-						if err != nil {
-							t.Fatal(err)
-						}
-						e, losses := train(t, m, batches, Config{
-							Method: "chimera", Stages: 2, MicroBatches: 4 / w, Replicas: w,
-							ShardParams: shard, InversionParallel: invPar,
-						})
-						for i := range losses {
-							if losses[i] != refLosses[i] {
-								t.Fatalf("step %d: chimera loss %.17g != gpipe %.17g", i, losses[i], refLosses[i])
-							}
-						}
-						requireParamsBitEqual(t, m.Params(), mRef.Params(), "chimera vs gpipe")
-						requireUpAlias(t, e, "after training")
+		for _, w := range []int{1, 2, 4} {
+			// Two sequences per micro-batch, at least two micro-batches per
+			// replica (Chimera's pair), against GPipe on the same batches.
+			size := 4 * max(w, 2)
+			batches := mc.batches(t, 3, size)
+			mRef, err := mc.make()
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, refLosses := train(t, mRef, batches, Config{Method: "gpipe", Stages: 2, MicroBatches: size / 2})
+			for _, invPar := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/W%d/invpar=%v", mc.name, w, invPar), func(t *testing.T) {
+					m, err := mc.make()
+					if err != nil {
+						t.Fatal(err)
+					}
+					e, losses := train(t, m, batches, Config{
+						Method: "chimera", Stages: 2, MicroBatches: size / (2 * w), Replicas: w,
+						InversionParallel: invPar,
 					})
-				}
+					for i := range losses {
+						if losses[i] != refLosses[i] {
+							t.Fatalf("step %d: chimera loss %.17g != gpipe %.17g", i, losses[i], refLosses[i])
+						}
+					}
+					requireParamsBitEqual(t, m.Params(), mRef.Params(), "chimera vs gpipe")
+					requireAlias(t, e, "after training")
+				})
 			}
 		}
 	}
 }
 
 // Swapping schedule families in and out of Chimera builds the up sets on
-// the way in, keeps the alias through every swap, and — the reduction order
-// being schedule-independent — leaves training bit-identical to an engine
-// that stayed on GPipe throughout.
+// the way in, keeps every set aliased through every swap, and — the
+// reduction order being schedule-independent — leaves training
+// bit-identical to an engine that stayed on GPipe throughout. At W = 1 the
+// up set is the only secondary; at W = 2 replica 1 and both up sets are.
 func TestReconfigureIntoChimeraBuildsAliasedSets(t *testing.T) {
-	for _, shard := range []bool{false, true} {
-		t.Run(fmt.Sprintf("shard=%v", shard), func(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		t.Run(fmt.Sprintf("W%d", w), func(t *testing.T) {
 			batches := bertBatches(t, 5, 8)
-			cfg := Config{Method: "gpipe", Stages: 2, MicroBatches: 2, Replicas: 2, ShardParams: shard}
+			cfg := Config{Method: "gpipe", Stages: 2, MicroBatches: 2, Replicas: w}
 			run := func(methods []string) (*Engine, *bert.Model) {
 				m, err := bert.New(bert.TinyConfig(), 123)
 				if err != nil {
@@ -281,9 +274,7 @@ func TestReconfigureIntoChimeraBuildsAliasedSets(t *testing.T) {
 							t.Fatalf("swap to %s: %v", methods[i], err)
 						}
 					}
-					if e.Method() == "chimera" || len(e.sets) > cfg.Replicas {
-						requireUpAlias(t, e, fmt.Sprintf("step %d on %s", i, e.Method()))
-					}
+					requireAlias(t, e, fmt.Sprintf("step %d on %s", i, e.Method()))
 					if _, err := e.TrainStep(b); err != nil {
 						t.Fatal(err)
 					}
@@ -293,16 +284,16 @@ func TestReconfigureIntoChimeraBuildsAliasedSets(t *testing.T) {
 			_, mRef := run([]string{"gpipe", "gpipe", "gpipe", "gpipe", "gpipe"})
 			e, m := run([]string{"gpipe", "chimera", "gpipe", "1f1b", "chimera"})
 			requireParamsBitEqual(t, m.Params(), mRef.Params(), "swapped through chimera vs stayed on gpipe")
-			requireUpAlias(t, e, "after the last swap")
+			requireAlias(t, e, "after the last swap")
 		})
 	}
 }
 
 // A checkpoint restore writes the saved weights into the primary's storage
-// in place, so both directions see them: the alias holds after
+// in place, so every module set sees them: the alias holds after
 // RestoreCheckpoint and after RegroupRestore — on a loopback group, on a
-// ring whose ranks agree, and through the resync a divergent regroup runs —
-// and the replayed round is bit-identical.
+// ring whose ranks agree, and through the resync a rejoin's
+// Reconnect(g, true) runs — and the replayed round is bit-identical.
 func TestChimeraAliasSurvivesRestore(t *testing.T) {
 	cfg := Config{Method: "chimera", Stages: 2, MicroBatches: 2, Replicas: 2, RefreshSteps: 2, Checkpoint: true}
 	batches := bertBatches(t, 4, 8)
@@ -324,7 +315,7 @@ func TestChimeraAliasSurvivesRestore(t *testing.T) {
 		if step, err := restore(); err != nil || step != 2 {
 			t.Fatalf("restore: step %d, err %v", step, err)
 		}
-		requireUpAlias(t, e, "after restore")
+		requireAlias(t, e, "after restore")
 		again, err := e.TrainRound(batches[2:])
 		if err != nil {
 			t.Fatal(err)
@@ -371,14 +362,14 @@ func TestChimeraAliasSurvivesRestore(t *testing.T) {
 		if _, err := re.RegroupRestore(); err != nil {
 			return fail(err)
 		}
-		if err := upAliasError(re); err != nil {
+		if err := aliasError(re); err != nil {
 			return fail(fmt.Errorf("after RegroupRestore: %w", err))
 		}
-		if err := re.resyncFrom(0); err != nil {
+		if err := re.Reconnect(g, true); err != nil {
 			return fail(err)
 		}
-		if err := upAliasError(re); err != nil {
-			return fail(fmt.Errorf("after resync: %w", err))
+		if err := aliasError(re); err != nil {
+			return fail(fmt.Errorf("after Reconnect with resync: %w", err))
 		}
 		res, err := re.TrainRound(batches[2:])
 		if err != nil {

@@ -264,8 +264,8 @@ type refCase struct {
 }
 
 func (c refCase) String() string {
-	return fmt.Sprintf("%s/%s/W%d/shard=%v/K%d/overlap=%v/invpar=%v/every%d/%s", c.model, c.cfg.Method,
-		max(c.cfg.Replicas, 1), c.cfg.ShardParams, c.cfg.RefreshSteps, c.cfg.OverlapRounds, c.cfg.InversionParallel, c.every, c.kernel)
+	return fmt.Sprintf("%s/%s/W%d/K%d/overlap=%v/invpar=%v/every%d/%s", c.model, c.cfg.Method,
+		max(c.cfg.Replicas, 1), c.cfg.RefreshSteps, c.cfg.OverlapRounds, c.cfg.InversionParallel, c.every, c.kernel)
 }
 
 // refModels are the models a refCase names, built with the given number of
@@ -295,9 +295,10 @@ var refModels = map[string]struct {
 // requireMatchesReference trains rounds of c on the engine and on the
 // reference from the same weights and batches, and fails at the first bit
 // that differs: a loss, a gradient the optimizer sees, or — after every
-// round — a K-FAC factor or inverse. prep adjusts the engine once K-FAC is
-// on, onRound sees it after every round; either may be nil. It returns the
-// engine and its losses.
+// round — a K-FAC factor or inverse; after every round it also holds the
+// engine to one parameter copy per process (aliasError). prep adjusts the
+// engine once K-FAC is on, onRound sees it after every round; either may be
+// nil. It returns the engine and its losses.
 func requireMatchesReference(t *testing.T, c refCase, rounds int, prep, onRound func(*Engine)) (*Engine, []float64) {
 	t.Helper()
 	def := tensor.ActiveKernel()
@@ -377,6 +378,9 @@ func requireMatchesReference(t *testing.T, c refCase, rounds int, prep, onRound 
 				}
 			}
 		}
+		if err := aliasError(e); err != nil {
+			t.Fatalf("%v after round %d: %v", c, i, err)
+		}
 		if onRound != nil {
 			onRound(e)
 		}
@@ -391,24 +395,24 @@ func bitsEqual(a, b *tensor.Matrix) bool {
 }
 
 // referenceMatrix is every configuration TestEngineMatchesReference covers
-// under kernel: {bert, gpt} x the schedule families x W {1, 2} x
-// ShardParams (W = 2) x K {1, 2, 4} x overlap x InversionParallel x a refresh
-// every round or every other round.
+// under kernel: {bert, gpt} x the schedule families x W {1, 2, 4} x
+// K {1, 2, 4} x overlap x InversionParallel x a refresh every round or every
+// other round. Every micro-batch holds one sequence of the batch of 8, so
+// W = 4 runs 2 micro-batches per replica, with three module sets aliasing
+// the primary's weights.
 func referenceMatrix(kernel tensor.Kernel) []refCase {
 	var out []refCase
 	for _, model := range []string{"bert", "gpt"} {
 		for _, method := range pipeline.Methods() {
-			for _, w := range []int{1, 2} {
-				for _, shard := range []bool{false, true}[:w] {
-					for _, k := range []int{1, 2, 4} {
-						for _, overlap := range []bool{false, true} {
-							for _, invPar := range []bool{false, true} {
-								for _, every := range []int{k, 2 * k} {
-									out = append(out, refCase{model: model, every: every, batch: 8, kernel: kernel, cfg: Config{
-										Method: method, Stages: 2, MicroBatches: 4, Replicas: w, ShardParams: shard,
-										RefreshSteps: k, OverlapRounds: overlap, InversionParallel: invPar,
-									}})
-								}
+			for _, w := range []int{1, 2, 4} {
+				for _, k := range []int{1, 2, 4} {
+					for _, overlap := range []bool{false, true} {
+						for _, invPar := range []bool{false, true} {
+							for _, every := range []int{k, 2 * k} {
+								out = append(out, refCase{model: model, every: every, batch: 8, kernel: kernel, cfg: Config{
+									Method: method, Stages: 2, MicroBatches: min(4, 8/w), Replicas: w,
+									RefreshSteps: k, OverlapRounds: overlap, InversionParallel: invPar,
+								}})
 							}
 						}
 					}

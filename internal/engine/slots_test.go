@@ -14,21 +14,18 @@ import (
 // in-flight micro-batch keeps its activations in a slot of its stage — and
 // that changes which buffer holds an activation and nothing else. Over
 // (model, schedule, W), serialized K = 1 rounds and overlapped K = 2 rounds,
-// both again under ShardParams where W = 2, three rounds train exactly what
-// the reference computes: one model running each micro-batch's forward
-// straight into its backward.
+// three rounds train exactly what the reference computes: one model running
+// each micro-batch's forward straight into its backward.
 func TestSlotsBitIdenticalToRecompute(t *testing.T) {
 	var cases []refCase
 	for _, model := range []string{"bert", "gpt"} {
 		for _, method := range pipeline.Methods() {
 			for _, w := range []int{1, 2} {
-				for _, shard := range []bool{false, true}[:w] { // ShardParams needs W = 2
-					for _, k := range []int{1, 2} {
-						cases = append(cases, refCase{model: model, every: k, batch: 16, kernel: tensor.ActiveKernel(), cfg: Config{
-							Method: method, Stages: 2, MicroBatches: 4, Replicas: w,
-							RefreshSteps: k, OverlapRounds: k > 1, ShardParams: shard,
-						}})
-					}
+				for _, k := range []int{1, 2} {
+					cases = append(cases, refCase{model: model, every: k, batch: 16, kernel: tensor.ActiveKernel(), cfg: Config{
+						Method: method, Stages: 2, MicroBatches: 4, Replicas: w,
+						RefreshSteps: k, OverlapRounds: k > 1,
+					}})
 				}
 			}
 		}

@@ -41,7 +41,7 @@ func (e *Engine) Shape() schedule.Candidate {
 // per-stage K-FAC preconditioners and the step/round counters all survive
 // the swap — it is as safe as a restart without the teardown. A swap to
 // chimera builds the up-pipeline module sets the first time (they alias the
-// replicas' weights, see buildUpSets) and a swap away keeps them, idle, for
+// primary's weights, see cloneSet) and a swap away keeps them, idle, for
 // the next one.
 //
 // A swap to the *identical* configuration — Reconfigure(e.Shape(), nil) —

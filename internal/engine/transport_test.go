@@ -257,135 +257,50 @@ func TestRingEngineKFACBitIdentity(t *testing.T) {
 	}
 }
 
-// ZeRO-style parameter sharding changes only residency, not math: a
-// ShardParams engine reproduces the plain W = 2 gradients and losses bit for
-// bit on every schedule, across multiple steps (the second step exercises
-// the resident-only parameter broadcast), while the secondary replica holds
-// roughly half the parameter bytes.
-func TestShardParamsBitIdentity(t *testing.T) {
-	for _, method := range []string{"gpipe", "1f1b", "chimera"} {
-		m, c := newModelAndCorpus(t)
-		params := m.Params()
-		batches := []*data.Batch{
-			c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen)),
-			c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen)),
-		}
-
-		ePlain, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 2, Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refLoss := make([]float64, len(batches))
-		refGrads := make([][]*tensor.Matrix, len(batches))
-		nn.ZeroGrads(params)
-		for i, b := range batches {
-			res, err := ePlain.TrainStep(b)
+// In-process replicas compose with the wire transport: ring ranks running
+// 2 local replicas each — module sets aliasing the rank's one parameter
+// copy — reproduce the in-process W = 4 reference bit for bit, under every
+// schedule family (Chimera adding each replica's up set).
+func TestRingLocalReplicasBitIdentity(t *testing.T) {
+	for _, method := range pipeline.Methods() {
+		t.Run(method, func(t *testing.T) {
+			m, c := newModelAndCorpus(t)
+			batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
+			params := m.Params()
+			eRef, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 2, Replicas: 4})
 			if err != nil {
-				t.Fatalf("%s plain step %d: %v", method, i, err)
+				t.Fatal(err)
 			}
-			refLoss[i] = res.Loss.Total
-			refGrads[i] = cloneGrads(params)
-		}
-
-		eShard, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 2, Replicas: 2, ShardParams: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		full, resident, ok := eShard.ShardStats()
-		if !ok {
-			t.Fatalf("%s: ShardStats not available on a ShardParams engine", method)
-		}
-		if full == 0 || resident == 0 {
-			t.Fatalf("%s: degenerate shard stats full=%d resident=%d", method, full, resident)
-		}
-		if ratio := float64(resident) / float64(full); ratio < 0.25 || ratio > 0.75 {
-			t.Fatalf("%s: secondary replica keeps %.0f%% of parameter bytes resident, want ~50%% at W=2", method, 100*ratio)
-		}
-		nn.ZeroGrads(params)
-		for i, b := range batches {
-			res, err := eShard.TrainStep(b)
+			nn.ZeroGrads(params)
+			resRef, err := eRef.TrainStep(batch)
 			if err != nil {
-				t.Fatalf("%s sharded step %d: %v", method, i, err)
+				t.Fatal(err)
 			}
-			if res.Loss.Total != refLoss[i] {
-				t.Fatalf("%s step %d: sharded loss %.17g != plain %.17g", method, i, res.Loss.Total, refLoss[i])
+			ref := cloneGrads(params)
+
+			out := runRingRanks(t, 512, func(rank int, g transport.Group) rankResult {
+				mr, br := newRankBERT(t, 8)
+				er, err := NewWithConfig(mr, Config{Method: method, Stages: 2, MicroBatches: 2, Replicas: 2, Transport: g})
+				if err != nil {
+					return rankResult{err: err}
+				}
+				nn.ZeroGrads(mr.Params())
+				res, err := er.TrainStep(br)
+				if err != nil {
+					return rankResult{err: err}
+				}
+				return rankResult{loss: res.Loss.Total, grads: cloneGrads(mr.Params())}
+			})
+			for rank, r := range out {
+				if r.err != nil {
+					t.Fatalf("rank %d: %v", rank, r.err)
+				}
+				if r.loss != resRef.Loss.Total {
+					t.Fatalf("rank %d: loss %.17g != loopback W=4 %.17g", rank, r.loss, resRef.Loss.Total)
+				}
+				requireRankGradsBitEqual(t, r.grads, ref, "ring rank of 2 local replicas vs loopback W=4")
 			}
-			requireGradsBitEqual(t, params, refGrads[i], method+" sharded vs plain step")
-		}
-	}
-}
-
-func TestShardParamsBitIdentityGPT(t *testing.T) {
-	m, err := gpt.New(gpt.TinyConfig(), 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := data.NewCorpus(gpt.TinyConfig().VocabSize, 1.0, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := gpt.MakeBatch(c, 8, m.Config.SeqLen)
-	params := m.Params()
-
-	ePlain, err := NewWithConfig(m, Config{Method: "1f1b", Stages: 2, MicroBatches: 2, Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nn.ZeroGrads(params)
-	if _, err := ePlain.TrainStep(batch); err != nil {
-		t.Fatal(err)
-	}
-	ref := cloneGrads(params)
-
-	eShard, err := NewWithConfig(m, Config{Method: "1f1b", Stages: 2, MicroBatches: 2, Replicas: 2, ShardParams: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nn.ZeroGrads(params)
-	if _, err := eShard.TrainStep(batch); err != nil {
-		t.Fatal(err)
-	}
-	requireGradsBitEqual(t, params, ref, "gpt sharded vs plain")
-}
-
-// Sharding composes with the wire transport: ring ranks running 2 sharded
-// local replicas each reproduce the in-process W = 4 reference bit for bit.
-func TestShardParamsOverRingBitIdentity(t *testing.T) {
-	m, c := newModelAndCorpus(t)
-	batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
-	params := m.Params()
-	eRef, err := NewWithConfig(m, Config{Method: "gpipe", Stages: 2, MicroBatches: 1, Replicas: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	nn.ZeroGrads(params)
-	resRef, err := eRef.TrainStep(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref := cloneGrads(params)
-
-	out := runRingRanks(t, 512, func(rank int, g transport.Group) rankResult {
-		mr, br := newRankBERT(t, 8)
-		er, err := NewWithConfig(mr, Config{Method: "gpipe", Stages: 2, MicroBatches: 1, Replicas: 2, ShardParams: true, Transport: g})
-		if err != nil {
-			return rankResult{err: err}
-		}
-		nn.ZeroGrads(mr.Params())
-		res, err := er.TrainStep(br)
-		if err != nil {
-			return rankResult{err: err}
-		}
-		return rankResult{loss: res.Loss.Total, grads: cloneGrads(mr.Params())}
-	})
-	for rank, r := range out {
-		if r.err != nil {
-			t.Fatalf("rank %d: %v", rank, r.err)
-		}
-		if r.loss != resRef.Loss.Total {
-			t.Fatalf("rank %d: loss %.17g != loopback W=4 %.17g", rank, r.loss, resRef.Loss.Total)
-		}
-		requireRankGradsBitEqual(t, r.grads, ref, "sharded ring rank vs loopback W=4")
+		})
 	}
 }
 

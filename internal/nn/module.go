@@ -63,35 +63,12 @@ func CopyParams(dst, src []*Param) error {
 	return nil
 }
 
-// CopyParamsResident copies src parameter values into the dst params that
-// currently have storage, skipping dst params whose Value was detached
-// (Data == nil) — the broadcast primitive for ZeRO-style sharded replicas,
-// which keep only their owned shard resident and gather the rest on use.
-func CopyParamsResident(dst, src []*Param) error {
-	if len(dst) != len(src) {
-		return fmt.Errorf("nn: CopyParamsResident length mismatch: %d vs %d params", len(dst), len(src))
-	}
-	for i, d := range dst {
-		if d.Value.Data == nil {
-			continue
-		}
-		s := src[i]
-		if d.Value.Rows != s.Value.Rows || d.Value.Cols != s.Value.Cols {
-			return fmt.Errorf("nn: CopyParamsResident shape mismatch at %q: %dx%d vs %dx%d",
-				d.Name, d.Value.Rows, d.Value.Cols, s.Value.Rows, s.Value.Cols)
-		}
-		d.Value.CopyFrom(s.Value)
-	}
-	return nil
-}
-
 // ShareParamValues makes dst compute with src's parameter values: every
 // dst Value keeps its header (the one dst's modules hold) but its Data
 // becomes src's slice, matched by position over congruent lists, so a write
-// through either list is seen by both and dst holds no second copy. A src
-// Value without storage (detached by a sharded replica) leaves dst detached
-// too. Gradients stay separate. This is how Chimera's up-pipeline module
-// set runs on its replica's weights.
+// through either list is seen by both and dst holds no second copy.
+// Gradients stay separate. This is how every module set of the engine but
+// the primary runs on the primary's weights.
 func ShareParamValues(dst, src []*Param) error {
 	if len(dst) != len(src) {
 		return fmt.Errorf("nn: ShareParamValues length mismatch: %d vs %d params", len(dst), len(src))

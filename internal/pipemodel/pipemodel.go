@@ -124,8 +124,7 @@ type Model interface {
 	// Replicate builds an independent copy of the model — same
 	// configuration, parameter values copied, no shared mutable state —
 	// for one data-parallel replica or one Chimera direction. Copies are
-	// stepped by the engine only; their gradients are engine-owned and
-	// their parameters are re-broadcast from (or, for a direction, aliased
-	// to) the primary model's.
+	// stepped by the engine only: it points their parameter values at the
+	// primary model's storage and owns their gradient storage.
 	Replicate() (Model, error)
 }
