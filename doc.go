@@ -31,8 +31,9 @@
 //	          op list with real dependency edges — over a K-step
 //	          refresh round (Config.RefreshSteps) when the refresh
 //	          should spread across several steps' bubbles
-//	engine    the schedule-driven executor: per-device goroutines walk
-//	          the op lists and train a pipemodel.Model for real —
+//	engine    the schedule-driven executor: one loop per device, run on
+//	          a process-wide pool of long-lived device goroutines,
+//	          walks the op lists and trains a pipemodel.Model for real —
 //	          GPipe/1F1B/Chimera on a (replica, stage) device topology
 //	          (Config.Replicas = W data-parallel replicas with
 //	          replicated parameters and in-process collectives), with
@@ -451,9 +452,9 @@
 //   - Buffer ownership across the wire: callers hand the Group dst and
 //     part slices that remain caller-owned; the transport never retains
 //     them past the call. On the receive side each Ring owns its reader
-//     scratch, interns buffer names, and recycles payload buffers through
-//     pools, one per power-of-two size — the steady-state chunk path
-//     allocates nothing, and stale
+//     scratch, interns buffer names, and recycles data frames with their
+//     payloads through pools, one per power-of-two payload size — the
+//     steady-state chunk path allocates nothing, and stale
 //     frames from an aborted round are drained back into the pool, not
 //     leaked.
 //   - Chunking: payloads split at DefaultChunkFloats (64 KiB) so the fold
@@ -572,11 +573,34 @@
 // curvature is placed on every owner and the stage's sync-curvature has
 // run, the one rule schedule.Assign's analysis and the executable share
 // (package schedule, rule 2) — and the engine executes the
-// whole round without goroutine teardown: cross-step dependency edges
-// (optimizer-step to next forward, curvature fold to a later step's
-// inversion) use the same completion channels as intra-step ones. Round
-// contract:
+// whole round as one loop per device, with no goroutine spawned or torn
+// down per round or per step: cross-step dependency edges (optimizer-step
+// to next forward, curvature fold to a later step's inversion) use the same
+// completion signals as intra-step ones. Round contract:
 //
+//   - Device loops and their waits (engine/devloop.go): a round hands each
+//     device's loop to an idle worker of a process-wide pool of long-lived
+//     device goroutines, or grows the pool by one — a loop never queues
+//     behind another loop, since a round's loops wait on each other. A
+//     dependency wait, the step-commit wait and an idle worker's wait for
+//     its next loop poll (runtime.Gosched between polls) for at most 2 ms
+//     before they park, OpenMP's active wait policy — but only on a
+//     single-process engine (a ring's progress comes from netpoll, which
+//     never runs on a P that does not go idle) and only while the running
+//     device loops plus spinning idle workers are at most GOMAXPROCS: spin
+//     only while the waker has a core of its own. The rule is re-checked at
+//     every poll, and a round's loops count as running from before the
+//     first is handed out. The reason is measured:
+//     a parked goroutine's wake-up cost ~1.3 ms at the median once the
+//     vCPU it woke had idled (70 µs otherwise) on the 2-vCPU host, which
+//     had left 0.20 of tiny_1f1b's makespan idle that a replay of the same
+//     ops at their measured durations does not explain
+//     (engine.wait_gap_share). Polling cut it to 0.047 and took tiny_1f1b's
+//     pipefisher_seqs_per_s from 4 372 to 5 773 at the median of 10
+//     interleaved pairs on that host. The poll is bounded because an
+//     unbounded one lost wide_1f1b_k8 pairs, whose refresh ops keep a
+//     waiting device waiting for long. Waits still end on the round's abort
+//     (TestWatchdogAbortWhileConsumerSpins, TestFaultSuitesWithSpinningWaits).
 //   - Factor ownership across step boundaries: the window's first step
 //     snapshots the per-micro-batch statistics into pooled buffers owned
 //     by the run state; the scheduled Curvature ops consume them in

@@ -308,31 +308,27 @@ func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, 
 func (st *runState) syncLoss(j int) error {
 	e := st.e
 	local := st.lossParts[j]
-	keys := make([]string, 0, len(local[0].Components))
-	for k := range local[0].Components {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	n := 2 + len(keys)
-	parts := make([][]float64, len(local))
+	ls := &e.lossSync
+	ls.prepare(local[0].Components, len(local), j)
+	n := len(ls.dst)
 	for m, l := range local {
-		vec := make([]float64, n)
+		vec := ls.parts[m]
 		vec[0] = l.Total
 		vec[1] = float64(l.Tokens)
-		for i, k := range keys {
+		for i, k := range ls.keys {
 			vec[2+i] = l.Components[k]
 		}
-		parts[m] = vec
 	}
-	dst := make([]float64, n)
-	if _, err := e.group.AllReduce(fmt.Sprintf("loss/%d", j), dst, nil, parts); err != nil {
+	if _, err := e.group.AllReduce(ls.names[j], ls.dst, nil, ls.parts); err != nil {
 		return fmt.Errorf("loss collective of step %d: %w", j, err)
 	}
-	global := pipemodel.Loss{Total: dst[0], Tokens: int(dst[1])}
-	if len(keys) > 0 {
-		global.Components = make(map[string]float64, len(keys))
-		for i, k := range keys {
-			global.Components[k] = dst[2+i]
+	global := pipemodel.Loss{Total: ls.dst[0], Tokens: int(ls.dst[1])}
+	if n > 2 {
+		// The map is step j's own until the next round's syncLoss of step
+		// j: results copies it into the StepResult (Loss.Add).
+		global.Components = ls.comps[j]
+		for i, k := range ls.keys {
+			global.Components[k] = ls.dst[2+i]
 		}
 	}
 	local[0] = global
@@ -340,4 +336,51 @@ func (st *runState) syncLoss(j int) error {
 		local[m] = pipemodel.Loss{}
 	}
 	return nil
+}
+
+// lossSync is the per-step loss collective's retained scratch, kept on the
+// engine like foldOps: the component keys in sorted order, one part vector
+// per local micro-batch, the reduced vector, and per step of the round its
+// collective name and reduced Components map. Steps commit one at a time,
+// so one scratch serves the whole round.
+type lossSync struct {
+	keys  []string
+	parts [][]float64
+	dst   []float64
+	names []string
+	comps []map[string]float64
+}
+
+// prepare sizes the scratch for a step j whose losses carry comps' keys
+// over micro local micro-batches. It allocates only when the key set,
+// the micro-batch count or the round length grew past what it holds.
+func (ls *lossSync) prepare(comps map[string]float64, micro, j int) {
+	same := len(comps) == len(ls.keys)
+	for _, k := range ls.keys {
+		if _, ok := comps[k]; !ok {
+			same = false
+			break
+		}
+	}
+	n := 2 + len(comps)
+	if !same || len(ls.parts) != micro {
+		ls.keys = ls.keys[:0]
+		for k := range comps {
+			ls.keys = append(ls.keys, k)
+		}
+		sort.Strings(ls.keys)
+		ls.dst = make([]float64, n)
+		ls.parts = make([][]float64, micro)
+		for m := range ls.parts {
+			ls.parts[m] = make([]float64, n)
+		}
+		clear(ls.comps)
+	}
+	for len(ls.names) <= j {
+		ls.names = append(ls.names, fmt.Sprintf("loss/%d", len(ls.names)))
+		ls.comps = append(ls.comps, nil)
+	}
+	if ls.comps[j] == nil && n > 2 {
+		ls.comps[j] = make(map[string]float64, n-2)
+	}
 }

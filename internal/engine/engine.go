@@ -270,6 +270,9 @@ type Engine struct {
 	// by the step-commit barriers, and concurrent folds (chimera's mirror
 	// stage, different stages) use different batches.
 	foldOps [][]transport.Reduction
+	// lossSync is the per-step loss collective's retained scratch
+	// (multi-rank engines only, collective.go).
+	lossSync lossSync
 	// kfacFold[s][li] is the factor collective's reusable scratch
 	// (collective.go), allocated at EnableKFAC: a layer's A and B fold in
 	// one batch, under layerMu[s][li].
@@ -823,9 +826,9 @@ func (e *Engine) TrainStep(batch *data.Batch) (*StepResult, error) {
 }
 
 // TrainRound runs one refresh round — RefreshSteps consecutive training
-// steps, one batch per step — as a single executable schedule: persistent
-// per-device goroutines walk all K steps' ops without teardown,
-// micro-batched forwards and backwards follow the schedule's per-device op
+// steps, one batch per step — as a single executable schedule: one loop per
+// device, on the process-wide pool of device goroutines, walks all K steps'
+// ops without teardown, micro-batched forwards and backwards follow the schedule's per-device op
 // order (each replica processing its own shard of each step's batch), and
 // — with K-FAC enabled on a refresh round — the curvature and inversion
 // work of ONE refresh executes in the bubbles of the whole window, each

@@ -19,8 +19,8 @@ import (
 var errRoundAborted = errors.New("round aborted by another device's failure")
 
 // runState is the transient dataflow of one executed refresh round — K =
-// RefreshSteps consecutive training steps walked by one persistent set of
-// per-device goroutines, K = 1 being the ordinary single step. The per-op
+// RefreshSteps consecutive training steps walked by one loop per device,
+// K = 1 being the ordinary single step. The per-op
 // completion channels realize the schedule's dependency edges (cross-step
 // edges — optimizer-step to next forward, curvature fold to a later step's
 // inversion — through the very same mechanism as intra-step ones);
@@ -102,8 +102,9 @@ type runState struct {
 
 // opDone is one op's completion signal. c is closed once, by whichever
 // comes first: the op's device finishing (or skipping) it, or the round's
-// abort. The dependency wait is then a plain receive, which costs a device
-// less per op than a select on the abort channel beside it.
+// abort; closed is set just before. The dependency wait (await) then polls
+// closed and parks in a plain receive on c, which costs a device less per
+// op than a select on the abort channel beside it.
 type opDone struct {
 	c      chan struct{}
 	closed atomic.Bool
@@ -181,12 +182,18 @@ func (st *runState) fail(d int, err error) {
 }
 
 // runRound executes the engine's schedule once — all RefreshSteps steps of
-// it: one persistent goroutine per device walks that device's whole op
-// order with no teardown between steps, waiting on each op's dependency
-// channels (or the round's abort), running the op (runOp, resilience.go),
-// then signalling completion. Step boundaries are realized by the OptStep
-// commit barrier (optimizer callback, gradient re-zeroing), not by joining
-// the goroutines. On the first error the round is aborted — remaining ops are drained (signalled without executing) so
+// it: each device's whole op order is one loop (deviceLoop), handed to a
+// long-lived goroutine of the process-wide device pool (devloop.go) — no
+// goroutine is spawned or torn down per round or per step. A loop waits on
+// each op's dependencies (or the round's abort), runs the op (runOp,
+// resilience.go), then signals completion. Dependency and commit waits poll
+// for up to spinBudget before they park when the engine is single-process
+// and every running loop has a processor of its own: a parked device's
+// wake-up cost an idle vCPU ~1.3 ms on the 2-vCPU host, which had made
+// 0.20 of tiny_1f1b's makespan unexplained idle time. Step boundaries are
+// realized by the OptStep commit barrier (optimizer callback, gradient
+// re-zeroing), not by joining the loops. On the first error the round is
+// aborted — remaining ops are drained (signalled without executing) so
 // no peer can block on a dependency that will never arrive, the gradient
 // state is rolled back to the first uncommitted step's pre-step
 // accumulators, and the error is surfaced after all devices joined, along
@@ -213,6 +220,9 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		abortC:    make(chan struct{}),
 		events:    make([][]pipeline.Event, e.sched.Devices),
 		start:     time.Now(),
+	}
+	for d := range st.events {
+		st.events[d] = make([]pipeline.Event, 0, len(e.sched.Order[d]))
 	}
 	for i := range st.done {
 		st.done[i].c = make(chan struct{})
@@ -249,49 +259,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		st.startWatchdog(e.cfg.OpTimeout)
 	}
 
-	var wg sync.WaitGroup
-	for d := 0; d < e.sched.Devices; d++ {
-		wg.Add(1)
-		go func(d int) {
-			defer wg.Done()
-			// pending is the step whose commit this device arrived at and has
-			// not seen resolve (-1: none). The commit holds base work only:
-			// refresh ops next in the order run while it is pending.
-			pending := -1
-			for _, id := range e.sched.Order[d] {
-				op := e.sched.Ops[id]
-				for _, dep := range op.Deps {
-					<-st.done[dep].c // closed by the round's abort at the latest (fail)
-				}
-				var err error
-				if pending >= 0 && !op.Kind.IsRefresh() {
-					err = st.awaitCommit(d, pending)
-					pending = -1
-				}
-				if err == nil && !st.failed.Load() {
-					err = st.runOp(d, op)
-					if err != nil && pending >= 0 {
-						// The op ran while a commit was pending: its error
-						// surfaces once the commit resolved, so which steps
-						// committed does not depend on timing. A commit that
-						// never came is the cause, not this op.
-						if cerr := st.awaitCommit(d, pending); cerr != nil {
-							err = cerr
-						}
-						pending = -1
-					}
-				}
-				if err != nil {
-					st.fail(d, fmt.Errorf("engine: device %d op %s: %w", d, op.Label(), err))
-				}
-				if op.Kind == pipeline.OptStep {
-					pending = op.Step
-				}
-				st.done[id].close()
-			}
-		}(d)
-	}
-	wg.Wait()
+	st.runLoops()
 	if st.wd != nil {
 		st.wd.stopAndJoin()
 	}
@@ -324,6 +292,49 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	// rollback state on the way.
 	e.lastTimeline = st.timeline()
 	return st.results(r), st.committed, nil
+}
+
+// deviceLoop walks device d's op order for the round: it waits on each op's
+// dependencies (or the round's abort), runs the op (runOp, resilience.go),
+// then signals its completion. It runs on a pooled device goroutine
+// (devloop.go).
+func (st *runState) deviceLoop(d int) {
+	e := st.e
+	// pending is the step whose commit this device arrived at and has
+	// not seen resolve (-1: none). The commit holds base work only:
+	// refresh ops next in the order run while it is pending.
+	pending := -1
+	for _, id := range e.sched.Order[d] {
+		op := e.sched.Ops[id]
+		for _, dep := range op.Deps {
+			st.await(&st.done[dep]) // closed by the round's abort at the latest (fail)
+		}
+		var err error
+		if pending >= 0 && !op.Kind.IsRefresh() {
+			err = st.awaitCommit(d, pending)
+			pending = -1
+		}
+		if err == nil && !st.failed.Load() {
+			err = st.runOp(d, op)
+			if err != nil && pending >= 0 {
+				// The op ran while a commit was pending: its error
+				// surfaces once the commit resolved, so which steps
+				// committed does not depend on timing. A commit that
+				// never came is the cause, not this op.
+				if cerr := st.awaitCommit(d, pending); cerr != nil {
+					err = cerr
+				}
+				pending = -1
+			}
+		}
+		if err != nil {
+			st.fail(d, fmt.Errorf("engine: device %d op %s: %w", d, op.Label(), err))
+		}
+		if op.Kind == pipeline.OptStep {
+			pending = op.Step
+		}
+		st.done[id].close()
+	}
 }
 
 // results assembles the StepResults of the round's first upTo steps (all of
@@ -484,7 +495,8 @@ func (st *runState) arriveOptBarrier(op *pipeline.Op) error {
 
 // awaitCommit holds device d until step j's commit resolved: nil once it
 // committed, its error if it failed, errRoundAborted if a peer's failure
-// aborted the round first.
+// aborted the round first. It polls before it parks when it may spin
+// (devloop.go).
 func (st *runState) awaitCommit(d, j int) error {
 	c := &st.commits[j]
 	select {
@@ -496,6 +508,14 @@ func (st *runState) awaitCommit(d, j int) error {
 	// devices — not this device's stall: its watchdog slot stays disarmed
 	// (no-op when no watchdog is armed).
 	st.disarmWatchdog(d)
+	st.spin(func() bool {
+		select {
+		case <-c.done:
+			return true
+		default:
+			return st.failed.Load()
+		}
+	})
 	select {
 	case <-c.done:
 		return c.err

@@ -131,14 +131,16 @@ type Ring struct {
 	hbSend frame // heartbeat encode scratch, owned by the heartbeat goroutine
 	hbRecv frame // heartbeat decode scratch, owned by the reader goroutine
 
-	// Receive-path reuse: rscr is the reader's decode scratch and names
-	// interns collective names (both owned by the single reader goroutine);
-	// payloads recycles decoded frame payloads — the reader draws decode
-	// targets from it and the collective loops return them once copied out —
-	// so steady-state chunk traffic does not allocate.
-	rscr     []byte
-	names    map[string]string
-	payloads [payloadClasses]sync.Pool
+	// Receive-path reuse: rhdr and rscr are the reader's decode scratch and
+	// names interns collective names (all three owned by the single reader
+	// goroutine); frames recycles decoded data frames with their payloads —
+	// the reader draws decode targets from it and the collective loops
+	// return them once copied out — so steady-state chunk traffic does not
+	// allocate.
+	rhdr   [frameHeaderSize]byte
+	rscr   []byte
+	names  map[string]string
+	frames [payloadClasses]sync.Pool
 
 	onClose func() // optional cleanup hook (NewLocalRing temp dir)
 }
@@ -147,28 +149,29 @@ type Ring struct {
 // of more than 1<<28 floats.
 const payloadClasses = 29
 
-// getPayload returns a recycled payload buffer of length n, or a fresh one.
-// Buffers are pooled by power-of-two capacity: a batch keeps payloads of
-// many sizes in flight at once, and one mixed pool would hand a large frame
-// a small buffer and allocate more often than not.
-func (r *Ring) getPayload(n int) []float64 {
-	if n == 0 {
-		return nil
+// getFrame returns a recycled data frame whose payload has length n, or a
+// fresh one. Frames are pooled by their payload's power-of-two capacity: a
+// batch keeps payloads of many sizes in flight at once, and one mixed pool
+// would hand a large frame a small buffer and allocate more often than not.
+func (r *Ring) getFrame(n int) *frame {
+	c := 0
+	if n > 1 {
+		c = bits.Len(uint(n - 1))
 	}
-	c := bits.Len(uint(n - 1))
-	if v, _ := r.payloads[c].Get().(*[]float64); v != nil {
-		return (*v)[:n]
+	f, _ := r.frames[c].Get().(*frame)
+	if f == nil {
+		f = &frame{payload: make([]float64, 0, 1<<c)}
 	}
-	return make([]float64, n, 1<<c)
+	f.payload = f.payload[:n]
+	return f
 }
 
-// putPayload returns a consumed frame's payload to the recycle pool.
-func (r *Ring) putPayload(p []float64) {
-	if cap(p) == 0 {
-		return
-	}
-	p = p[:0]
-	r.payloads[bits.Len(uint(cap(p)))-1].Put(&p)
+// putFrame returns a consumed data frame, payload included, to the recycle
+// pool.
+func (r *Ring) putFrame(f *frame) {
+	p := f.payload[:0]
+	*f = frame{payload: p}
+	r.frames[bits.Len(uint(cap(p)))-1].Put(f)
 }
 
 // Frame kinds on the wire.
@@ -563,8 +566,8 @@ func (r *Ring) pop(name string, epoch int64) (*frame, error) {
 	for {
 		q := r.queues[name]
 		for len(q) > 0 && q[0].epoch < epoch {
-			r.putPayload(q[0].payload) // aborted-round straggler
-			q = q[1:]
+			r.putFrame(q[0]) // aborted-round straggler
+			q = dequeue(q)
 		}
 		r.queues[name] = q
 		// Frames that already arrived are served before any failure check: a
@@ -574,8 +577,9 @@ func (r *Ring) pop(name string, epoch int64) (*frame, error) {
 		// survivors' last committed step would otherwise depend on how fast
 		// each rank drained its queue.
 		if len(q) > 0 && q[0].epoch == epoch {
-			r.queues[name] = q[1:]
-			return q[0], nil
+			f := q[0]
+			r.queues[name] = dequeue(q)
+			return f, nil
 		}
 		// A rank failure is sticky and poisons every epoch, the pre-round
 		// epoch 0 included: the missing frame can never arrive on a ring
@@ -614,6 +618,15 @@ func (r *Ring) pop(name string, epoch int64) (*frame, error) {
 		}
 		r.cond.Wait()
 	}
+}
+
+// dequeue drops q's head by shifting the rest down, so the queue keeps its
+// backing array and later appends do not allocate. Queues hold the few
+// frames of one collective name that arrived ahead of their reader.
+func dequeue(q []*frame) []*frame {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // suspectLocked picks the rank with the stalest heartbeat (r.mu held).
@@ -741,7 +754,7 @@ func (r *Ring) reducePass(op *Reduction, epoch int64) (int64, error) {
 			}
 			copy(dst[lo:hi], f.payload)
 			addParts(dst, op.Parts, lo, hi)
-			r.putPayload(f.payload)
+			r.putFrame(f)
 			if last {
 				pass = passFinal // chunk complete; start the distribution pass
 			}
@@ -782,7 +795,7 @@ func (r *Ring) distributePass(name string, dst []float64, epoch int64) (int64, e
 			}
 			sent += nb
 		}
-		r.putPayload(f.payload)
+		r.putFrame(f)
 		if n == 0 {
 			break
 		}
@@ -850,7 +863,7 @@ func (r *Ring) AllGather(name string, buf []float64) (int64, error) {
 				}
 				sent += nb
 			}
-			r.putPayload(f.payload)
+			r.putFrame(f)
 		}
 	}
 	return sent, nil
@@ -900,7 +913,7 @@ func (r *Ring) Broadcast(name string, root int, buf []float64) (int64, error) {
 			}
 			sent += nb
 		}
-		r.putPayload(f.payload)
+		r.putFrame(f)
 	}
 	return sent, nil
 }
@@ -1005,18 +1018,28 @@ func (r *Ring) sendErr(err error) error {
 // DialRing's hello exchange, which precedes it) may call this: the decode
 // scratch and the name-intern map are single-owner state.
 func (r *Ring) readFrame(br *bufio.Reader) (*frame, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr := r.rhdr[:]
+	if _, err := io.ReadFull(br, hdr); err != nil {
 		return nil, err
 	}
+	count := binary.LittleEndian.Uint32(hdr[16:])
+	nameLen := binary.LittleEndian.Uint16(hdr[20:])
 	var f *frame
-	if hdr[0] == frameHeartbeat {
+	switch hdr[0] {
+	case frameHeartbeat:
 		// Heartbeats are consumed inline by the reader and never queued, so
 		// they decode into the reader-owned scratch frame — steady-state
 		// liveness traffic costs zero allocations.
 		f = &r.hbRecv
 		*f = frame{}
-	} else {
+	case frameData:
+		if count > (1 << 28) {
+			return nil, fmt.Errorf("transport: oversized frame (%d floats)", count)
+		}
+		// Data frames come from the recycle pool, sized for the payload;
+		// the collective that consumes one returns it (putFrame).
+		f = r.getFrame(int(count))
+	default:
 		f = &frame{}
 	}
 	f.kind = hdr[0]
@@ -1024,8 +1047,6 @@ func (r *Ring) readFrame(br *bufio.Reader) (*frame, error) {
 	f.pass = hdr[2]
 	f.epoch = int64(binary.LittleEndian.Uint64(hdr[4:]))
 	f.chunk = binary.LittleEndian.Uint32(hdr[12:])
-	count := binary.LittleEndian.Uint32(hdr[16:])
-	nameLen := binary.LittleEndian.Uint16(hdr[20:])
 	if nameLen > 0 {
 		if cap(r.rscr) < int(nameLen) {
 			r.rscr = make([]byte, nameLen)
@@ -1045,9 +1066,6 @@ func (r *Ring) readFrame(br *bufio.Reader) (*frame, error) {
 	}
 	switch f.kind {
 	case frameData:
-		if count > (1 << 28) {
-			return nil, fmt.Errorf("transport: oversized frame (%d floats)", count)
-		}
 		need := int(count) * 8
 		if cap(r.rscr) < need {
 			r.rscr = make([]byte, need)
@@ -1056,7 +1074,6 @@ func (r *Ring) readFrame(br *bufio.Reader) (*frame, error) {
 		if _, err := io.ReadFull(br, raw); err != nil {
 			return nil, err
 		}
-		f.payload = r.getPayload(int(count))
 		for i := range f.payload {
 			f.payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}

@@ -513,9 +513,10 @@ func TestRingAllReduceBatchAbortUnblocks(t *testing.T) {
 	}
 }
 
-// TestPayloadPoolSizeClasses: payloads are pooled by power-of-two capacity,
-// so a frame never gets a recycled buffer of another size. (Capacities, not
-// addresses: under the race detector sync.Pool drops Puts at random.)
+// TestPayloadPoolSizeClasses: data frames are pooled by their payload's
+// power-of-two capacity, so a frame never gets a recycled buffer of another
+// size. (Capacities, not addresses: under the race detector sync.Pool drops
+// Puts at random.)
 func TestPayloadPoolSizeClasses(t *testing.T) {
 	rings, err := NewLocalRing(2, 0)
 	if err != nil {
@@ -523,18 +524,19 @@ func TestPayloadPoolSizeClasses(t *testing.T) {
 	}
 	defer closeAll(t, rings)
 	r := rings[0]
-	if p := r.getPayload(0); p != nil {
-		t.Fatalf("empty payload %v, want nil", p)
+	if p := r.getFrame(0).payload; len(p) != 0 {
+		t.Fatalf("empty payload %v, want length 0", p)
 	}
-	big, small := r.getPayload(1000), r.getPayload(3)
-	if len(big) != 1000 || cap(big) != 1024 || len(small) != 3 || cap(small) != 4 {
-		t.Fatalf("got len/cap %d/%d and %d/%d, want 1000/1024 and 3/4", len(big), cap(big), len(small), cap(small))
+	big, small := r.getFrame(1000), r.getFrame(3)
+	if len(big.payload) != 1000 || cap(big.payload) != 1024 || len(small.payload) != 3 || cap(small.payload) != 4 {
+		t.Fatalf("got len/cap %d/%d and %d/%d, want 1000/1024 and 3/4",
+			len(big.payload), cap(big.payload), len(small.payload), cap(small.payload))
 	}
-	r.putPayload(big)
-	r.putPayload(small)
+	r.putFrame(big)
+	r.putFrame(small)
 	for _, c := range []struct{ n, wantCap int }{{600, 1024}, {4, 4}, {5, 8}, {1024, 1024}, {1025, 2048}} {
-		if got := r.getPayload(c.n); len(got) != c.n || cap(got) != c.wantCap {
-			t.Fatalf("getPayload(%d): len/cap %d/%d, want %d/%d", c.n, len(got), cap(got), c.n, c.wantCap)
+		if got := r.getFrame(c.n).payload; len(got) != c.n || cap(got) != c.wantCap {
+			t.Fatalf("getFrame(%d): payload len/cap %d/%d, want %d/%d", c.n, len(got), cap(got), c.n, c.wantCap)
 		}
 	}
 }
