@@ -521,11 +521,9 @@ func benchEngineStep(b *testing.B, mc bert.Config, ec engine.Config) {
 	e := benchEngine(b, m, ec)
 	const batchSize = 8
 	batch := c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
-	params := m.Params()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nn.ZeroGrads(params)
 		if _, err := e.TrainStep(batch); err != nil {
 			b.Fatal(err)
 		}
@@ -870,7 +868,7 @@ func BenchmarkAllReduce(b *testing.B) {
 func BenchmarkEngineTransport(b *testing.B) {
 	// globalW is replicas x group size; every configuration splits the same
 	// 8-sequence global batch into 4/globalW micro-batches per replica.
-	mkEngine := func(b *testing.B, globalW, replicas int, g transport.Group) (*engine.Engine, *data.Batch, []*nn.Param) {
+	mkEngine := func(b *testing.B, globalW, replicas int, g transport.Group) (*engine.Engine, *data.Batch) {
 		m, err := bert.New(bert.TinyConfig(), 5)
 		if err != nil {
 			b.Fatal(err)
@@ -884,14 +882,13 @@ func BenchmarkEngineTransport(b *testing.B) {
 			Transport: g,
 		})
 		batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
-		return e, batch, m.Params()
+		return e, batch
 	}
 	for _, w := range []int{1, 2} {
 		b.Run(fmt.Sprintf("loopback/W%d", w), func(b *testing.B) {
-			e, batch, params := mkEngine(b, w, w, nil)
+			e, batch := mkEngine(b, w, w, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nn.ZeroGrads(params)
 				if _, err := e.TrainStep(batch); err != nil {
 					b.Fatal(err)
 				}
@@ -911,13 +908,12 @@ func BenchmarkEngineTransport(b *testing.B) {
 		}()
 		engines := make([]*engine.Engine, 2)
 		batches := make([]*data.Batch, 2)
-		paramSets := make([][]*nn.Param, 2)
 		var wg sync.WaitGroup
 		for r := range engines {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				engines[r], batches[r], paramSets[r] = mkEngine(b, 2, 1, rings[r])
+				engines[r], batches[r] = mkEngine(b, 2, 1, rings[r])
 			}(r)
 		}
 		wg.Wait()
@@ -928,7 +924,6 @@ func BenchmarkEngineTransport(b *testing.B) {
 			for r := range engines {
 				go func(r int) {
 					defer wg.Done()
-					nn.ZeroGrads(paramSets[r])
 					_, errs[r] = engines[r].TrainStep(batches[r])
 				}(r)
 			}
@@ -1037,10 +1032,8 @@ func BenchmarkEngineStepKFAC(b *testing.B) {
 			}
 			const batchSize = 8
 			batch := c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
-			params := m.Params()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				nn.ZeroGrads(params)
 				if _, err := e.TrainStep(batch); err != nil {
 					b.Fatal(err)
 				}

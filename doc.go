@@ -352,22 +352,23 @@
 //     The race detector runs the identity suites in CI.
 //   - Reduction order is fixed at micro-batch granularity: each backward
 //     accumulates its micro-batch's gradient contribution into pooled delta
-//     buffers, and the stage's SyncGrad folds carried state plus every
-//     delta in ascending *global* micro-batch order. The order depends on
+//     buffers, and the stage's SyncGrad folds every delta from +0 in
+//     ascending *global* micro-batch order, over the primary's
+//     accumulators: the fold is their only writer, so nothing a caller or
+//     an earlier step left there enters a step's gradient
+//     (TestFoldOverwritesAccumulators). The order depends on
 //     neither the schedule, W, nor the kernel worker count, so reduced
 //     gradients are bit-identical across all of them (the engine's
 //     data-parallel tests assert exact equality, not closeness). K-FAC
 //     curvature partials fold the same way, so factors, inverses, and
 //     preconditioned gradients inherit the guarantee.
-//   - Buffer ownership: the run state owns the carried and delta buffers.
-//     The reduction consumes the deltas (foldParams Puts each and nils
-//     its slot); a step's carried pre-step accumulators survive until that
-//     step commits — and no longer: the commit returns them to the pool —
-//     so an aborted step can roll every stage back — folded or not — to
-//     the caller's pre-step gradient state
-//     (TestPoolAuditNoLeakOnAbortAnywhere aborts after one, two and three
-//     committed steps of a K = 4 round). The steady-state collective path
-//     is allocation-free.
+//   - Buffer ownership: the run state owns the delta buffers. The
+//     reduction consumes them (foldParams Puts each and nils its slot), and
+//     an aborted round's rollback returns the rest; the primary's
+//     accumulators are left as the abort found them, unspecified until the
+//     next fold overwrites them (TestPoolAuditNoLeakOnAbortAnywhere aborts
+//     after one, two and three committed steps of a K = 4 round). The
+//     steady-state collective path is allocation-free.
 //   - Any participant of a stage's collective may perform the reduction;
 //     the per-stage once-guard blocks latecomers until it completed (the
 //     rendezvous), and the reduced result lands in the primary replica's
@@ -629,20 +630,17 @@
 //     W, K, overlap, InversionParallel, refresh intervals and kernel
 //     variants.
 //   - Step commits: every step's OptStep ops arrive at a barrier; once all
-//     have, one device fires the caller's optimizer callback
-//     (SetOptimizer), zeroes the primary's accumulators, releases the
-//     step's carried rollback clones (step 0's alone: a later step's base
-//     is the +0 the previous commit left, which the fold reads as the
-//     transport's nil base and a rollback restores by zeroing) — so
+//     have, one device fires the caller's optimizer callback (SetOptimizer),
+//     which reads the step's gradient from the primary's accumulators —
+//     nothing zeroes them: the next step's fold overwrites them — so
 //     collectives and the update happen exactly once per step, with the
 //     bit-identical fixed reduction order; the update, written into the
 //     primary's storage in place, is what every module set computes with
-//     next. The commit holds
-//     base work only: a device that arrived keeps running the refresh ops
-//     next in its order (curvature, sync-curvature, inversion) and holds
-//     its next base op — forward, backward, sync-grad, precondition,
-//     optimizer — until the commit resolved; the last to arrive runs the
-//     commit. The commit's exclusivity covers parameters and
+//     next. The commit holds base work only: a device that arrived keeps
+//     running the refresh ops next in its order (curvature, sync-curvature,
+//     inversion) and holds its next base op — forward, backward, sync-grad,
+//     precondition, optimizer — until the commit resolved; the last to
+//     arrive runs the commit. The commit's exclusivity covers parameters and
 //     gradients — the one moment weights are written, which is what lets
 //     Chimera's two directions read one copy of them without a lock — not
 //     the K-FAC state: an inversion that would swap an inverse a pending
@@ -655,9 +653,9 @@
 //     TestCommitPendingErrorSurfacesAfterCommit,
 //     TestWatchdogIdleWhileAwaitingCommit and the schedule tests'
 //     checkCommitEdges hold the rest. On failure the round aborts at round
-//     granularity: committed steps stand, the failing step's gradient
-//     state rolls back, and the step counter advances only past the
-//     committed steps.
+//     granularity: committed steps stand, the failing step's gradients are
+//     left for the next fold to overwrite, and the step counter advances
+//     only past the committed steps.
 //
 // # Overlapped rounds and generations
 //
@@ -823,9 +821,10 @@
 //     precondition, opt-step) still abort, with the existing
 //     round-granularity rollback and a root-cause error naming the
 //     device, op, and — for injected faults — the injection point. With
-//     Config.Checkpoint the engine snapshots parameters, gradient
-//     accumulators, K-FAC state, step counters and (via
-//     AttachOptimizerState) optimizer moments at every round start;
+//     Config.Checkpoint the engine snapshots parameters, K-FAC state, step
+//     counters and (via AttachOptimizerState) optimizer moments at every
+//     round start (not gradients: the replayed step's fold overwrites
+//     them);
 //     RestoreCheckpoint rewinds an aborted round so TrainRound can replay
 //     the same batches. Replay after an injected abort reproduces the
 //     fault-free parameters bit-identically — the identity tests assert

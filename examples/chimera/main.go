@@ -24,7 +24,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/kfac"
-	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/pipeline"
 	"repro/internal/schedule"
@@ -100,7 +99,6 @@ func main() {
 	opt := optim.NewLAMB(params, 0.01)
 	for step := 0; step < 21; step++ {
 		batch := corpus.MakeBatch(16, data.DefaultBatchConfig(model.Config.SeqLen))
-		nn.ZeroGrads(params)
 		res, err := eng.TrainStep(batch)
 		if err != nil {
 			log.Fatal(err)

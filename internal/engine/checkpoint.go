@@ -8,8 +8,8 @@ import (
 )
 
 // Round checkpoint/replay: with Config.Checkpoint enabled, TrainRound
-// snapshots everything a round can mutate — the primary's parameter values
-// and gradient accumulators, the attached optimizer's internal state, the
+// snapshots everything a round can mutate that a later round reads — the
+// primary's parameter values, the attached optimizer's internal state, the
 // per-stage K-FAC state, and the engine's refresh phase — into retained
 // buffers at round start (equivalently: at the previous round's commit,
 // since nothing changes between rounds). After an aborted round,
@@ -17,7 +17,9 @@ import (
 // then reproduces the fault-free run bit-identically, because every input
 // to the round's math (parameters, optimizer momenta, K-FAC EMAs and
 // inverses, step counters, refresh cadence) is restored exactly and the
-// round's execution itself is deterministic.
+// round's execution itself is deterministic. Gradient accumulators are
+// not part of it: every step's fold overwrites them before anything reads
+// them.
 //
 // All buffers are plain allocations reused across saves (tensor.Reuse,
 // never the workspace pool), so steady-state checkpointing allocates
@@ -51,7 +53,6 @@ type roundCheckpoint struct {
 	kfacGen        int
 	refreshPending bool
 	params         []*tensor.Matrix // primary parameter values
-	grads          []*tensor.Matrix // primary gradient accumulators
 	opt            []float64        // flattened optimizer state
 	kfacSnaps      []*kfac.Snapshot // per stage
 }
@@ -63,13 +64,10 @@ func (e *Engine) saveCheckpoint() {
 	ps := e.sets[0].params
 	if len(c.params) != len(ps) {
 		c.params = make([]*tensor.Matrix, len(ps))
-		c.grads = make([]*tensor.Matrix, len(ps))
 	}
 	for i, p := range ps {
 		c.params[i] = tensor.Reuse(c.params[i], p.Value.Rows, p.Value.Cols)
 		copy(c.params[i].Data, p.Value.Data)
-		c.grads[i] = tensor.Reuse(c.grads[i], p.Grad.Rows, p.Grad.Cols)
-		copy(c.grads[i].Data, p.Grad.Data)
 	}
 	if e.optState != nil {
 		if len(c.opt) != e.optState.StateLen() {
@@ -99,8 +97,8 @@ func (e *Engine) saveCheckpoint() {
 }
 
 // RestoreCheckpoint rewinds the engine to the last round checkpoint —
-// parameters, gradients, optimizer state, K-FAC state, and the refresh
-// phase — and returns the global step index to replay from. Call it after
+// parameters, optimizer state, K-FAC state, and the refresh phase — and
+// returns the global step index to replay from. Call it after
 // TrainRound returned an error on an engine with Config.Checkpoint;
 // re-running TrainRound with the same batches then reproduces the
 // fault-free round bit-identically (committed steps of the aborted round
@@ -115,7 +113,6 @@ func (e *Engine) RestoreCheckpoint() (int, error) {
 	}
 	for i, p := range e.sets[0].params {
 		p.Value.CopyFrom(c.params[i])
-		p.Grad.CopyFrom(c.grads[i])
 	}
 	if e.optState != nil {
 		e.optState.LoadState(c.opt)

@@ -15,8 +15,8 @@ import (
 // K-FAC factor fold, the per-step loss reduction of multi-process groups —
 // routes through the engine's transport.Group. With the default Loopback
 // group the routed fold is bit for bit the historical in-process
-// collective (the carried base plus each micro-batch delta in ascending
-// order), allocation-free on the steady-state path; with a
+// collective (each micro-batch delta onto +0 in ascending order),
+// allocation-free on the steady-state path; with a
 // Ring group the same calls put the partials on a wire, and the chain fold
 // order keeps the results bit-identical.
 //
@@ -28,12 +28,11 @@ import (
 // are bit-identical for any (group size, replica count, schedule, worker
 // count) splitting of the same global batch.
 //
-// Buffer ownership: the per-micro-batch delta buffers and the carried
-// pre-step accumulators are pooled matrices (tensor.Get/GetClone) owned by
-// the run state. foldParams consumes (Puts and nils) the deltas it folds,
-// but leaves the carried buffers alone: they are the rollback state of an
-// aborted step, released by the run state only once the whole step
-// succeeded.
+// Buffer ownership: the per-micro-batch delta buffers are pooled matrices
+// (tensor.Get) owned by the run state. foldParams consumes (Puts and nils)
+// the deltas it folds and writes their sum over the primary's gradient
+// accumulators, which it is the only writer of: nothing carries gradient
+// state from one step into the next.
 
 // initCollectives prepares the engine's transport routing: the resolved
 // group (Loopback when none was configured) and the per-stage fold batch —
@@ -117,29 +116,20 @@ func (e *Engine) syncParamsFrom(root int) error {
 }
 
 // foldParams performs one stage's gradient collective over a transport
-// group: for each parameter, dst = the pre-step carried value (the
-// accumulate-semantics base) plus every rank's micro-batch deltas in
-// ascending global micro-batch order. carried[k] and deltas[m][k] align
-// with params[k]; a nil carried is an all +0 base, folded as the
-// transport's nil base (bit-identical: the chain starts from +0 either
-// way). Delta buffers are returned to the pool and their slots nilled,
-// carried buffers stay with the caller (rollback state). ops is the
-// stage's retained batch (newFoldOps: one reduction per parameter, one
-// part slot per micro-batch), so the loopback steady state allocates
-// nothing.
+// group: for each parameter, dst = every rank's micro-batch deltas in
+// ascending global micro-batch order, folded from the transport's nil
+// (+0) base, so whatever the accumulator held before is overwritten.
+// deltas[m][k] aligns with params[k]. Delta buffers are returned to the
+// pool and their slots nilled. ops is the stage's retained batch
+// (newFoldOps: one reduction per parameter, one part slot per
+// micro-batch), so the loopback steady state allocates nothing.
 // The parameters go to the group as one batch: on a ring their waits
 // overlap (transport.AllReduceBatch). Returns the bytes the group put on
 // the wire.
-func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.Param, carried []*tensor.Matrix, deltas [][]*tensor.Matrix) (int64, error) {
+func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.Param, deltas [][]*tensor.Matrix) (int64, error) {
 	for k, p := range params {
 		op := &ops[k]
-		op.Dst, op.Base = p.Grad.Data, nil
-		if carried != nil {
-			if carried[k] == nil {
-				return 0, fmt.Errorf("missing carried gradient state for %s", p.Name)
-			}
-			op.Base = carried[k].Data
-		}
+		op.Dst = p.Grad.Data
 		for m := range deltas {
 			d := deltas[m][k]
 			if d == nil {
@@ -151,7 +141,7 @@ func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.P
 	bytes, err := transport.AllReduceBatch(group, ops)
 	for k := range ops {
 		op := &ops[k]
-		op.Dst, op.Base = nil, nil
+		op.Dst = nil
 		clear(op.Parts)
 	}
 	if err != nil {

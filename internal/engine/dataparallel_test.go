@@ -294,7 +294,7 @@ func TestDataParallelValidation(t *testing.T) {
 }
 
 // The engine stays reusable after an aborted data-parallel step: the
-// collective state rolls back and the next step reproduces the reference
+// collective state is released and the next step reproduces the reference
 // gradients (the W > 1 analogue of the error-path drain test).
 func TestDataParallelErrorPathRollsBack(t *testing.T) {
 	m, c := newModelAndCorpus(t)
@@ -337,26 +337,110 @@ func TestDataParallelErrorPathRollsBack(t *testing.T) {
 	}
 	requireGradsBitEqual(t, params, refGrads, "post-failure data-parallel step")
 
-	// Accumulate-semantics rollback: the pre-step gradient state (here the
-	// previous step's accumulation, not zeroed) survives an abort
-	// bit-exactly — including stages whose gradient collective already
-	// committed before the failure (stage 1's OptStep runs after its
-	// stage's fold, so failing there catches a half-folded step).
+	// A half-folded abort leaves nothing the next step reads: stage 1's
+	// OptStep runs after its stage's fold, so failing there leaves another
+	// batch's gradient in some accumulators and the garbage in the rest,
+	// and the next step — with no ZeroGrads — still equals the reference,
+	// because its fold overwrites every accumulator.
+	fillGarbage(params)
 	e.failOp = func(op *pipeline.Op) error {
 		if op.Kind == pipeline.OptStep && op.Stage == 1 && op.Replica == 0 {
 			return fmt.Errorf("late injected fault")
 		}
 		return nil
 	}
-	if _, err := e.TrainStep(batch); err == nil {
+	if _, err := e.TrainStep(c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))); err == nil {
 		t.Fatal("expected late injected fault to surface")
 	}
-	requireGradsBitEqual(t, params, refGrads, "rollback of a half-folded step")
+	e.failOp = nil
+	if _, err := e.TrainStep(batch); err != nil {
+		t.Fatalf("engine unusable after a half-folded abort: %v", err)
+	}
+	requireGradsBitEqual(t, params, refGrads, "step after a half-folded abort")
 }
 
-// The steady-state all-reduce path allocates nothing: carried and delta
-// buffers cycle through the tensor workspace pool, and the fixed-order
-// fold works in place.
+// gradsBitEqual reports whether every parameter's gradient equals ref bit
+// for bit.
+func gradsBitEqual(params []*nn.Param, ref []*tensor.Matrix) bool {
+	for i, p := range params {
+		if !p.Grad.Equal(ref[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fillGarbage writes a non-zero pattern into every gradient accumulator —
+// what a caller that never zeroes, or an aborted round, leaves there.
+func fillGarbage(params []*nn.Param) {
+	for i, p := range params {
+		for k := range p.Grad.Data {
+			p.Grad.Data[k] = 1e3 + float64(i) - 0.25*float64(k%7)
+		}
+	}
+}
+
+// A step's fold is the only writer of the primary's gradient accumulators:
+// it overwrites them, so a step over accumulators full of garbage — no
+// ZeroGrads before it — yields gradients bit-equal to a step over zeroed
+// ones, in-process at W in {1, 2} and on a 2-rank ring.
+func TestFoldOverwritesAccumulators(t *testing.T) {
+	for _, method := range []string{"1f1b", "chimera"} {
+		for _, w := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/W%d", method, w), func(t *testing.T) {
+				m, c := newModelAndCorpus(t)
+				batch := c.MakeBatch(8, data.DefaultBatchConfig(m.Config.SeqLen))
+				params := m.Params()
+				e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4 / w, Replicas: w})
+				if err != nil {
+					t.Fatal(err)
+				}
+				nn.ZeroGrads(params)
+				if _, err := e.TrainStep(batch); err != nil {
+					t.Fatal(err)
+				}
+				ref := cloneGrads(params)
+				fillGarbage(params)
+				if _, err := e.TrainStep(batch); err != nil {
+					t.Fatal(err)
+				}
+				requireGradsBitEqual(t, params, ref, "step over garbage accumulators")
+			})
+		}
+	}
+	t.Run("ring/1f1b", func(t *testing.T) {
+		out := runRingRanks(t, transport.DefaultChunkFloats, func(rank int, g transport.Group) rankResult {
+			m, batch := newRankBERT(t, 8)
+			e, err := NewWithConfig(m, Config{Method: "1f1b", Stages: 2, MicroBatches: 2, Transport: g})
+			if err != nil {
+				return rankResult{err: err}
+			}
+			params := m.Params()
+			nn.ZeroGrads(params)
+			if _, err := e.TrainStep(batch); err != nil {
+				return rankResult{err: err}
+			}
+			ref := cloneGrads(params)
+			fillGarbage(params)
+			if _, err := e.TrainStep(batch); err != nil {
+				return rankResult{err: err}
+			}
+			if !gradsBitEqual(params, ref) {
+				return rankResult{err: fmt.Errorf("step over garbage accumulators differs from the zeroed step")}
+			}
+			return rankResult{}
+		})
+		for rank, r := range out {
+			if r.err != nil {
+				t.Fatalf("rank %d: %v", rank, r.err)
+			}
+		}
+	})
+}
+
+// The steady-state all-reduce path allocates nothing: delta buffers cycle
+// through the tensor workspace pool, and the fixed-order fold works in
+// place.
 func TestReduceGradsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool drop items, so the pooled path allocates")
@@ -366,7 +450,6 @@ func TestReduceGradsZeroAlloc(t *testing.T) {
 		{Name: "b", Value: tensor.Zeros(1, 8), Grad: tensor.Zeros(1, 8)},
 	}
 	const micros = 4
-	carried := make([]*tensor.Matrix, len(params))
 	deltas := make([][]*tensor.Matrix, micros)
 	for m := range deltas {
 		deltas[m] = make([]*tensor.Matrix, len(params))
@@ -377,32 +460,21 @@ func TestReduceGradsZeroAlloc(t *testing.T) {
 	ops := newFoldOps("g/0", len(params), micros)
 	fill := func() {
 		for k, p := range params {
-			carried[k] = tensor.GetClone(p.Grad)
 			for m := 0; m < micros; m++ {
 				deltas[m][k] = tensor.GetClone(p.Value)
 			}
 		}
 	}
-	// release returns the carried rollback buffers to the pool, as
-	// runStep does once a step commits.
-	release := func() {
-		for k, c := range carried {
-			tensor.Put(c)
-			carried[k] = nil
-		}
-	}
 	// Warm the pool.
 	fill()
-	if _, err := foldParams(group, ops, params, carried, deltas); err != nil {
+	if _, err := foldParams(group, ops, params, deltas); err != nil {
 		t.Fatal(err)
 	}
-	release()
 	allocs := testing.AllocsPerRun(50, func() {
 		fill()
-		if _, err := foldParams(group, ops, params, carried, deltas); err != nil {
+		if _, err := foldParams(group, ops, params, deltas); err != nil {
 			t.Fatal(err)
 		}
-		release()
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state all-reduce path allocates %.1f times per run, want 0", allocs)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/kfac"
-	"repro/internal/nn"
 	"repro/internal/transport"
 )
 
@@ -169,9 +168,6 @@ func (e *Engine) resyncFrom(root int) error {
 		return fmt.Errorf("engine: step counter resync: %w", err)
 	}
 	e.stepIndex, e.roundIndex, e.kfacGen = int(ctr[0]), int(ctr[1]), int(ctr[2])
-	// Gradient accumulators restart clean on every rank (a rejoiner has
-	// none; survivors' pre-abort accumulators are stale).
-	nn.ZeroGrads(e.sets[0].params)
 	if e.kfacPre != nil {
 		for s, st := range e.sets[0].stages {
 			e.kfacPre[s] = kfac.NewPreconditioner(st.layers, e.kfacOpts)

@@ -173,10 +173,10 @@ type Config struct {
 	// aborts the round.
 	OpRetries int
 	// Checkpoint enables round checkpoint/replay: TrainRound snapshots
-	// parameters, gradient accumulators, attached optimizer state
-	// (AttachOptimizerState), and the K-FAC refresh phase at every round
-	// start — equivalently, at the previous round's commit — into retained
-	// buffers (zero steady-state allocations). After an aborted round,
+	// parameters, attached optimizer state (AttachOptimizerState), the
+	// K-FAC state and the refresh phase at every round start —
+	// equivalently, at the previous round's commit — into retained buffers
+	// (zero steady-state allocations). After an aborted round,
 	// RestoreCheckpoint rewinds to that snapshot so replaying the same
 	// batches reproduces the fault-free run bit-identically.
 	Checkpoint bool
@@ -640,10 +640,10 @@ func (e *Engine) RoundSteps() int { return e.roundLen }
 // refresh work, which reads no parameter — the callback has exclusive access
 // to the primary's parameters, which every module set computes with. It
 // runs on whichever device goroutine commits the step. The argument is the
-// global step index. The engine zeroes the primary's gradient accumulators
-// after the callback returns, exactly like the manual
-// ZeroGrads-TrainStep-Step loop the callback replaces. Required before
-// TrainRound on engines with RefreshSteps > 1.
+// global step index. The callback reads the step's reduced (and, with
+// K-FAC, preconditioned) gradient from the primary's accumulators; nothing
+// needs zeroing, because the next step's fold overwrites them. Required
+// before TrainRound on engines with RefreshSteps > 1.
 //
 // The callback must be atomic: either update every parameter or return an
 // error having touched none. A callback that errors out half way leaves
@@ -810,9 +810,11 @@ type StepResult struct {
 // TrainStep runs one training step — the degenerate one-step round. It is
 // only valid on engines with RefreshSteps <= 1; multi-step rounds are
 // atomic and must go through TrainRound. Gradients are reduced across
-// micro-batches and replicas in the fixed collective order and accumulate
-// into the primary model's parameters; unless SetOptimizer was called, the
-// caller zeroes them and applies the optimizer between steps.
+// micro-batches and replicas in the fixed collective order and written over
+// the primary model's gradient accumulators — whatever they held before is
+// overwritten, so the caller does not zero them — preconditioned when K-FAC
+// is on; unless SetOptimizer was called, the caller applies the optimizer
+// between steps.
 func (e *Engine) TrainStep(batch *data.Batch) (*StepResult, error) {
 	if e.roundLen > 1 {
 		return nil, fmt.Errorf("engine: RefreshSteps=%d executes multi-step rounds; call TrainRound with %d batches",
@@ -841,6 +843,10 @@ func (e *Engine) TrainStep(batch *data.Batch) (*StepResult, error) {
 // counter advances past them only — and an aborted *refresh* round (or one
 // with a carried generation in flight) forces the next round to refresh
 // again rather than serving half-delivered factors as a stale generation.
+// After a committed round the primary's gradient accumulators hold the last
+// step's reduced gradient (preconditioned when K-FAC is on); after an
+// aborted one their contents are unspecified. Either way the next step's
+// fold overwrites them.
 //
 // With OverlapRounds, a collect round whose refresh spills keeps its
 // statistics generation pending and the NEXT round executes the carried

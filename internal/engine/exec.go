@@ -57,26 +57,22 @@ type runState struct {
 
 	lossParts [][]pipemodel.Loss // [step][gmicro], written by the last stage
 
-	// Gradient-collective state, per step of the round: carried holds the
-	// step's pre-step accumulators (restored as the base of the reduction
-	// and, on an abort, as the rollback state; step 0's captured in the
-	// round prologue and released at its commit; a later step's stages
-	// stay nil, because the previous step's commit zeroed the accumulators
-	// and a nil stage is an all +0 base), deltas the per-micro-batch
-	// contributions each backward accumulates into, foldDone the per-(step, stage)
-	// once-guards of the reduction (any participant of the stage's
+	// Gradient-collective state, per step of the round: deltas the
+	// per-micro-batch contributions each backward accumulates into (the
+	// step's fold writes their sum over the primary's accumulators, so no
+	// earlier gradient state takes part in it), foldDone the per-(step,
+	// stage) once-guards of the reduction (any participant of the stage's
 	// collective may perform it; latecomers block until it finished), and
 	// foldErr a reduction failure to surface.
-	carried  [][][]*tensor.Matrix   // [step][stage][param]
 	deltas   [][][][]*tensor.Matrix // [step][stage][gmicro][param]
 	foldDone [][]sync.Once          // [step][stage]
 	foldErr  [][]error              // [step][stage], written inside foldDone
 
 	// Step-commit barriers, one per step: every OptStep op of the step
 	// arrives after folding its stages, and once all have, one device
-	// commits the step (optimizer callback, then the primary's accumulators
-	// zeroed) while the others run only refresh work and no next-step base
-	// op can have started — the round-internal step boundary.
+	// commits the step (the optimizer callback) while the others run only
+	// refresh work and no next-step base op can have started — the
+	// round-internal step boundary.
 	optMu     sync.Mutex
 	commits   []stepCommit
 	committed int // steps whose optimizer callback completed
@@ -191,13 +187,12 @@ func (st *runState) fail(d int, err error) {
 // and every running loop has a processor of its own: a parked device's
 // wake-up cost an idle vCPU ~1.3 ms on the 2-vCPU host, which had made
 // 0.20 of tiny_1f1b's makespan unexplained idle time. Step boundaries are
-// realized by the OptStep commit barrier (optimizer callback, gradient
-// re-zeroing), not by joining the loops. On the first error the round is
-// aborted — remaining ops are drained (signalled without executing) so
-// no peer can block on a dependency that will never arrive, the gradient
-// state is rolled back to the first uncommitted step's pre-step
-// accumulators, and the error is surfaced after all devices joined, along
-// with how many steps had already committed.
+// realized by the OptStep commit barrier (the optimizer callback), not by
+// joining the loops. On the first error the round is aborted — remaining
+// ops are drained (signalled without executing) so no peer can block on a
+// dependency that will never arrive, the round's pooled buffers are
+// released (rollback), and the error is surfaced after all devices joined,
+// along with how many steps had already committed.
 func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refresh bool, cur, pending *kfacGenPool) ([]*StepResult, int, error) {
 	nStages := e.cfg.Stages
 	r := len(micro)
@@ -211,7 +206,6 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		gradOut:   mat2(nStages, nFlat),
 		slot:      make([][]*actSlot, nStages),
 		lossParts: make([][]pipemodel.Loss, r),
-		carried:   make([][][]*tensor.Matrix, r),
 		deltas:    make([][][][]*tensor.Matrix, r),
 		foldDone:  make([][]sync.Once, r),
 		foldErr:   make([][]error, r),
@@ -232,7 +226,6 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	}
 	for j := 0; j < r; j++ {
 		st.lossParts[j] = make([]pipemodel.Loss, perStep)
-		st.carried[j] = make([][]*tensor.Matrix, nStages)
 		st.deltas[j] = make([][][]*tensor.Matrix, nStages)
 		st.foldDone[j] = make([]sync.Once, nStages)
 		st.foldErr[j] = make([]error, nStages)
@@ -250,11 +243,6 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 			st.commits[op.Step].left++
 		}
 	}
-	// Keep the primary's pre-round gradient state as step 0's reduction
-	// base (accumulate semantics: the fold re-adds it). Later steps start
-	// from the previous step's commit, which zeroed the accumulators.
-	st.captureRoundBase()
-
 	if e.cfg.OpTimeout > 0 {
 		st.startWatchdog(e.cfg.OpTimeout)
 	}
@@ -288,8 +276,6 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		// loss curve must not silently skip steps it can never re-run.
 		return st.results(st.committed), st.committed, root
 	}
-	// The round committed, and every step's commit released its carried
-	// rollback state on the way.
 	e.lastTimeline = st.timeline()
 	return st.results(r), st.committed, nil
 }
@@ -350,58 +336,13 @@ func (st *runState) results(upTo int) []*StepResult {
 	return res
 }
 
-// captureRoundBase prepares step 0's gradient-collective state: it
-// snapshots the primary's accumulators as the step's carried reduction
-// base (accumulate semantics — the fold re-adds it and writes the sum back
-// over them). No backward accumulates into them: each accumulates into its
-// own delta buffers.
-func (st *runState) captureRoundBase() {
-	for s, params := range st.e.sets[0].stageParams {
-		st.carried[0][s] = make([]*tensor.Matrix, len(params))
-		for k, p := range params {
-			st.carried[0][s][k] = tensor.GetClone(p.Grad)
-		}
-	}
-}
-
-// releaseCarried returns step j's captured carried buffers to the pool.
-// rollback only ever reads the first uncommitted step's, so a step's base
-// is dead once the step committed.
-func (st *runState) releaseCarried(j int) {
-	for s := range st.carried[j] {
-		for k, c := range st.carried[j][s] {
-			if c != nil {
-				tensor.Put(c)
-				st.carried[j][s][k] = nil
-			}
-		}
-	}
-}
-
-// rollback restores the gradient state after an aborted round. Committed
-// steps stand — their optimizer updates already happened and cannot be
-// undone without parameter snapshots — so the restore target is the first
-// *uncommitted* step: every stage gets that step's carried accumulators
-// back (including stages whose reduction already ran, since a step's
-// carried buffers live until the step commits) and partial per-micro deltas
-// of every step are released.
+// rollback releases what an aborted round leaves behind. Committed steps
+// stand — their optimizer updates already happened and cannot be undone
+// without parameter snapshots. The primary's gradient accumulators are not
+// restored: their contents after an abort are unspecified, and the next
+// step's fold overwrites them. The partial per-micro deltas of every step
+// go back to the pool.
 func (st *runState) rollback() {
-	j := st.committed // the step that failed to commit
-	if j < len(st.carried) {
-		for s, carried := range st.carried[j] {
-			for k, p := range st.e.sets[0].stageParams[s] {
-				switch {
-				case carried == nil: // an all +0 base (commitStep)
-					p.Grad.Zero()
-				case carried[k] != nil:
-					p.Grad.CopyFrom(carried[k])
-				}
-			}
-		}
-	}
-	for j := st.committed; j < len(st.carried); j++ {
-		st.releaseCarried(j)
-	}
 	for j := range st.deltas {
 		for s := range st.deltas[j] {
 			for m := range st.deltas[j][s] {
@@ -460,7 +401,7 @@ func (st *runState) foldStages(op *pipeline.Op) (int64, error) {
 		st.foldDone[j][s].Do(func() {
 			var nb int64
 			nb, st.foldErr[j][s] = foldParams(st.e.group, st.e.foldOps[s],
-				st.e.sets[0].stageParams[s], st.carried[j][s], st.deltas[j][s])
+				st.e.sets[0].stageParams[s], st.deltas[j][s])
 			bytes += nb
 		})
 		if st.foldErr[j][s] != nil {
@@ -527,11 +468,9 @@ func (st *runState) awaitCommit(d, j int) error {
 // commitStep finishes step j inside the round: it fires the caller's
 // optimizer callback (the real parameter update — all folds and
 // preconditions of the step are complete, because every device's OptStep
-// has arrived) and zeroes the primary's gradient accumulators. A round of
-// more than one step has an optimizer (TrainRound), so step j+1's carried
-// base is all +0, which its nil stages stand for; and the update, written
-// into the primary's storage in place, is what every module set computes
-// with next.
+// has arrived). The update, written into the primary's storage in place,
+// is what every module set computes with next; the accumulators keep the
+// step's gradient until step j+1's fold overwrites them.
 func (st *runState) commitStep(j int) error {
 	e := st.e
 	if e.multiRank {
@@ -559,16 +498,8 @@ func (st *runState) commitStep(j int) error {
 		if err := e.optApply(e.stepIndex + j); err != nil {
 			return fmt.Errorf("optimizer callback at step %d: %w", e.stepIndex+j, err)
 		}
-		// When the engine owns the optimizer it also owns the zeroing half
-		// of the classic ZeroGrads / TrainStep / Step loop — after every
-		// step, including the round's last, so the next round starts from
-		// clean accumulators exactly like the manual loop would.
-		for _, p := range e.sets[0].params {
-			p.Grad.Zero()
-		}
 	}
 	st.committed = j + 1
-	st.releaseCarried(j)
 	return nil
 }
 

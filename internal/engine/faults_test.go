@@ -642,10 +642,9 @@ func TestCheckpointPreconditions(t *testing.T) {
 // with the audit on, the live-buffer count between rounds returns to its
 // steady-state baseline after an abort at every (step, op kind) present in
 // the schedule. W = 2 + inversion-parallel + K-FAC puts every op kind and
-// both rollback paths (clones, carried generations, partial folds) in play;
-// the K = 4 Chimera round aborts after one, two and three committed steps —
-// whose carried rollback clones went back to the pool at their commits, not
-// at the round's end — across both directions' module sets. The 1F1B round
+// both rollback paths (carried generations, partial folds) in play; the
+// K = 4 Chimera round aborts after one, two and three committed steps
+// across both directions' module sets. The 1F1B round
 // of a model with inversion chains aborts at every chain step, and at step
 // 1's refresh work that runs while step 0's commit is pending.
 func TestPoolAuditNoLeakOnAbortAnywhere(t *testing.T) {

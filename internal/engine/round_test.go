@@ -33,8 +33,9 @@ func requireParamsBitEqual(t *testing.T, got, want []*nn.Param, context string) 
 	}
 }
 
-// runStepLoop drives the classic per-step loop: zero grads, TrainStep,
-// optimizer — the baseline the round machinery is compared against.
+// runStepLoop drives the per-step loop: TrainStep, then the optimizer — the
+// baseline the round machinery is compared against. Nothing zeroes the
+// gradients between steps: each step's fold overwrites them.
 func runStepLoop(t *testing.T, model pipemodel.Model, batches []*data.Batch, cfg Config) []float64 {
 	t.Helper()
 	e, err := NewWithConfig(model, cfg)
@@ -45,7 +46,6 @@ func runStepLoop(t *testing.T, model pipemodel.Model, batches []*data.Batch, cfg
 	opt := optim.NewLAMB(params, 0.01)
 	var losses []float64
 	for _, b := range batches {
-		nn.ZeroGrads(params)
 		res, err := e.TrainStep(b)
 		if err != nil {
 			t.Fatal(err)
@@ -57,8 +57,8 @@ func runStepLoop(t *testing.T, model pipemodel.Model, batches []*data.Batch, cfg
 }
 
 // runRounds drives the same training through K-step rounds: the engine owns
-// the per-step optimizer firing (SetOptimizer) and the grad zeroing. prep,
-// if given, adjusts the engine once K-FAC is on.
+// the per-step optimizer firing (SetOptimizer). prep, if given, adjusts the
+// engine once K-FAC is on.
 func runRounds(t *testing.T, model pipemodel.Model, batches []*data.Batch, cfg Config, kfacEvery int, prep ...func(*Engine)) []float64 {
 	t.Helper()
 	e, err := NewWithConfig(model, cfg)
