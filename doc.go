@@ -86,8 +86,8 @@
 //
 // # Kernel layer
 //
-// The matmul family and the element-wise exp/erf family dispatch at
-// runtime across three kernel variants (tensor.SetKernel / ActiveKernel,
+// The matmul family, the element-wise exp/erf family and the row ops
+// dispatch at runtime across three kernel variants (tensor.SetKernel / ActiveKernel,
 // the -kernel flag on both CLIs):
 //
 //   - scalar — the cache-blocked scalar loops, kept as the parity
@@ -150,8 +150,9 @@
 // and exp, softmax's and cross-entropy's exps — as three fused forms over
 // []float64: tensor.GELUForward (Φ(x) = (1 + erf(x/√2))/2 retained, y =
 // x·Φ), tensor.GELUBackward (dy·(Φ + x·φ(x))) and tensor.ExpShift
-// (exp(src − shift): softmaxRows' inner pass, both passes of
-// nn.crossEntropy; the sums around it stay ascending scalar sums in nn).
+// (exp(src − shift): tensor.SoftmaxRows' inner pass, both passes of
+// nn.crossEntropy; the sums around it are the row ops' rows-in-lanes sums
+// below, or ascending scalar sums in nn's cross-entropy).
 // scalar and tiled run the math.Erf / math.Exp loops, bit for bit what nn
 // computed before the family existed. fma runs AVX2 assembly, four lanes a
 // step: exp by round-to-nearest range reduction with a two-part ln 2, a
@@ -187,6 +188,38 @@
 // TestLAMBStepMatchesAllocatingReference and TestAdamStepMatchesLoop under
 // every variant). The global gradient norm (nn.GradNorm) stays one serial
 // sum.
+//
+// The row ops are the non-GEMM rest of a transformer block under the same
+// bit-for-bit contract (tensor/rowops.go): tensor.LayerNormRows and
+// LayerNormBackwardRows (nn.LayerNorm), SoftmaxRows and
+// SoftmaxBackwardRows (attention's scale + max + exp + normalise pass and
+// its backward), AddRowVector and AddColSums (Dense's bias add and
+// bias-gradient column sum), and Matrix.AddInPlace / ScaleInPlace (the
+// block's residuals). Under fma they run AVX2 assembly
+// (tensor/rowops_amd64.s) over groups of four rows — the last rows%4, and
+// causal softmax rows, in Go — with every Go operator one vector
+// instruction, nothing fused, and every reduction in its Go loop's order
+// by one rule, rows in lanes: a row reduction (LayerNorm's mean, variance,
+// Σdx̂ and Σdx̂·x̂; softmax's max, sum and backward dot product) gives each
+// lane one row, reached through the 4x4 register transposes the packers
+// use, which adds the row's elements in ascending column order, two groups
+// of four rows in flight; a column reduction (LayerNorm's gain and bias
+// gradients, Dense's bias gradient) gives each lane one column, which adds
+// in ascending row order. So a row's result depends on its values alone
+// and no training bit moved (TestRowOpsBitIdentical over 1–17 rows × 1–70
+// columns with NaN, ±Inf, ±0, subnormals and 1e300 among the operands,
+// TestRowOpsPositionIndependent, FuzzRowOps; CI runs them at GOAMD64=v3
+// too, where the compiler may fuse whatever the spec lets it).
+//
+// The fma variant's float64 tiles also have store forms
+// (fma8x4f64Store, fma8x16f64Store) whose accumulators start at +0
+// instead of loading C: a dst = product runs each tile's first k block on
+// them, so the driver no longer clears its destination first. The bits are
+// the same — the cleared C was +0, and an accumulator that starts at +0
+// never becomes −0 — and TestGemmStoreIgnoresDst holds every dst = entry
+// point over a NaN-filled destination to a zeroed one. Accumulating
+// products, later k blocks, float32 staging, scalar and tiled keep the
+// cleared destination.
 //
 // The default is the best available variant. Float32 compute mode
 // (tensor.SetF32, the -f32 flag) is orthogonal: float64 stays the API

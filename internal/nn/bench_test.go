@@ -2,7 +2,9 @@ package nn
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/tensor"
 )
@@ -32,15 +34,69 @@ func BenchmarkDenseWithKFACCapture(b *testing.B) {
 	}
 }
 
+// blockBench* is the shape of BenchmarkTransformerBlock: the row-op
+// benchmarks below report their share of one of its forward + backward
+// passes at that shape.
+const (
+	blockBenchD, blockBenchFF, blockBenchHeads = 64, 128, 4
+	blockBenchB, blockBenchS                   = 8, 32
+)
+
+var blockNs struct {
+	once sync.Once
+	ns   float64
+}
+
+// blockNanos times BenchmarkTransformerBlock's forward + backward, once
+// per process: the denominator of the row-op rows' block_share.
+func blockNanos() float64 {
+	blockNs.once.Do(func() {
+		rng := tensor.NewRNG(6)
+		blk := NewTransformerBlock("block", blockBenchD, blockBenchFF, blockBenchHeads, rng)
+		blk.SetShape(blockBenchB, blockBenchS)
+		x := tensor.RandN(rng, blockBenchB*blockBenchS, blockBenchD, 1)
+		grad := tensor.RandN(rng, blockBenchB*blockBenchS, blockBenchD, 1)
+		const warm, runs = 20, 200
+		for i := 0; i < warm; i++ {
+			blk.Forward(x)
+			blk.Backward(grad)
+		}
+		start := time.Now()
+		for i := 0; i < runs; i++ {
+			blk.Forward(x)
+			blk.Backward(grad)
+		}
+		blockNs.ns = float64(time.Since(start).Nanoseconds()) / runs
+	})
+	return blockNs.ns
+}
+
+// reportRowOp reports a row-op benchmark's GB/s, from the bytes one
+// operation reads and writes, and its block_share: perBlock operations'
+// time over one transformer block's forward + backward at the same shape.
+func reportRowOp(b *testing.B, bytes float64, perBlock int) {
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(bytes/ns, "GB/s")
+	if perBlock > 0 {
+		b.ReportMetric(float64(perBlock)*ns/blockNanos(), "block_share")
+	}
+}
+
+// BenchmarkLayerNorm is one LayerNorm forward + backward at the block's
+// 256 x 64 token matrix: forward reads x and writes x̂ and y, backward
+// reads the gradient and x̂ and writes dx. A block runs two.
 func BenchmarkLayerNorm(b *testing.B) {
 	rng := tensor.NewRNG(3)
-	ln := NewLayerNorm("ln", 64)
-	x := tensor.RandN(rng, 256, 64, 1)
+	ln := NewLayerNorm("ln", blockBenchD)
+	x := tensor.RandN(rng, blockBenchB*blockBenchS, blockBenchD, 1)
+	blockNanos()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		y := ln.Forward(x)
 		ln.Backward(y)
 	}
+	reportRowOp(b, 6*8*float64(len(x.Data)), 2)
 }
 
 // BenchmarkGELU is the FFN activation over 256 x 256 N(0,1) values: fwd is
@@ -110,8 +166,10 @@ func BenchmarkAttentionForwardBackward(b *testing.B) {
 }
 
 // BenchmarkSoftmaxRows is attention's fused row pass (scale, max, exp,
-// normalise, in place) over one 64 x 64 score matrix, and the plain
-// exported form beside it.
+// normalise, in place) over one 64 x 64 score matrix, the plain exported
+// form beside it, and block: the forward and backward row passes over the
+// transformer block's 1024 x 32 stack of score rows (B·heads·S rows of S),
+// as attention runs them.
 func BenchmarkSoftmaxRows(b *testing.B) {
 	x := tensor.RandN(tensor.NewRNG(8), 64, 64, 1)
 	p := tensor.Zeros(64, 64)
@@ -121,21 +179,66 @@ func BenchmarkSoftmaxRows(b *testing.B) {
 			p.CopyFrom(x)
 			softmaxRows(p, p, 0.25, false)
 		}
+		reportRowOp(b, 2*8*float64(len(x.Data)), 0)
 	})
 	b.Run("plain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			SoftmaxRowsInto(p, x)
 		}
+		reportRowOp(b, 2*8*float64(len(x.Data)), 0)
 	})
+	b.Run("block", func(b *testing.B) {
+		rng := tensor.NewRNG(9)
+		rows := blockBenchB * blockBenchHeads * blockBenchS
+		scores := tensor.RandN(rng, rows, blockBenchS, 1)
+		probs, ds := tensor.Zeros(rows, blockBenchS), tensor.Zeros(rows, blockBenchS)
+		grad := tensor.RandN(rng, rows, blockBenchS, 1)
+		blockNanos()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			softmaxRows(probs, scores, 0.25, false)
+			softmaxBackwardRows(ds, probs, grad, 0.25)
+		}
+		reportRowOp(b, 5*8*float64(len(scores.Data)), 1)
+	})
+}
+
+// BenchmarkDenseBias is a transformer block's Dense bias passes at
+// BenchmarkTransformerBlock's shape: for each of the six projections (q, k,
+// v, out and the FFN's second at 64 outputs, its first at 128) the forward
+// bias add and the backward bias-gradient column sum over 256 tokens.
+func BenchmarkDenseBias(b *testing.B) {
+	rng := tensor.NewRNG(10)
+	tokens := blockBenchB * blockBenchS
+	var layers []*Dense
+	var ys, grads []*tensor.Matrix
+	var bytes float64
+	for i, dout := range []int{blockBenchD, blockBenchD, blockBenchD, blockBenchD, blockBenchFF, blockBenchD} {
+		layers = append(layers, NewDense(fmt.Sprintf("fc%d", i), blockBenchD, dout, rng))
+		ys = append(ys, tensor.RandN(rng, tokens, dout, 1))
+		grads = append(grads, tensor.RandN(rng, tokens, dout, 1))
+		bytes += 3 * 8 * float64(tokens*dout) // y read and written, the gradient read
+	}
+	blockNanos()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for l, d := range layers {
+			tensor.AddRowVector(ys[l].Data, d.B.Data)
+			tensor.AddColSums(d.GB.Data, grads[l].Data)
+		}
+	}
+	reportRowOp(b, bytes, 1)
 }
 
 func BenchmarkTransformerBlock(b *testing.B) {
 	rng := tensor.NewRNG(6)
-	blk := NewTransformerBlock("block", 64, 128, 4, rng)
-	blk.SetShape(8, 32)
-	x := tensor.RandN(rng, 8*32, 64, 1)
-	grad := tensor.RandN(rng, 8*32, 64, 1)
+	blk := NewTransformerBlock("block", blockBenchD, blockBenchFF, blockBenchHeads, rng)
+	blk.SetShape(blockBenchB, blockBenchS)
+	x := tensor.RandN(rng, blockBenchB*blockBenchS, blockBenchD, 1)
+	grad := tensor.RandN(rng, blockBenchB*blockBenchS, blockBenchD, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk.Forward(x)

@@ -80,13 +80,7 @@ func (d *Dense) Forward(x *tensor.Matrix) *tensor.Matrix {
 	y := tensor.ReuseRows(d.outBuf, x.Rows, d.W.Rows) // N x dout
 	d.outBuf = y
 	tensor.MatMulTInto(y, x, d.W)
-	bias := d.B.Data
-	for i := 0; i < y.Rows; i++ {
-		row := y.Row(i)
-		for j, bv := range bias {
-			row[j] += bv
-		}
-	}
+	tensor.AddRowVector(y.Data, d.B.Data)
 	return y
 }
 
@@ -116,13 +110,7 @@ func (d *Dense) Backward(grad *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	tensor.TMatMulAddInto(d.GW, grad, d.lastInput)
-	gb := d.GB.Data
-	for i := 0; i < grad.Rows; i++ {
-		row := grad.Row(i)
-		for j, v := range row {
-			gb[j] += v
-		}
-	}
+	tensor.AddColSums(d.GB.Data, grad.Data)
 	if grad == bw.dx {
 		bw.dx = nil
 	}

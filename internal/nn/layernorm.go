@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/tensor"
 )
@@ -58,29 +57,7 @@ func (l *LayerNorm) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if len(l.lastInvStd) != n {
 		l.lastInvStd = make([]float64, n)
 	}
-	for i := 0; i < n; i++ {
-		row := x.Row(i)
-		var mean float64
-		for _, v := range row {
-			mean += v
-		}
-		mean /= float64(d)
-		var variance float64
-		for _, v := range row {
-			dv := v - mean
-			variance += dv * dv
-		}
-		variance /= float64(d)
-		invStd := 1 / math.Sqrt(variance+l.Eps)
-		l.lastInvStd[i] = invStd
-		nrow := l.lastNormed.Row(i)
-		yrow := y.Row(i)
-		for j, v := range row {
-			xhat := (v - mean) * invStd
-			nrow[j] = xhat
-			yrow[j] = xhat*l.Gain.Data[j] + l.Bias.Data[j]
-		}
-	}
+	tensor.LayerNormRows(y.Data, l.lastNormed.Data, l.lastInvStd, x.Data, l.Gain.Data, l.Bias.Data, l.Eps)
 	return y
 }
 
@@ -99,30 +76,7 @@ func (l *LayerNorm) Backward(grad *tensor.Matrix) *tensor.Matrix {
 	}
 	out := tensor.Reuse(l.bw.dx, n, d)
 	l.bw.dx = out
-	df := float64(d)
-	for i := 0; i < n; i++ {
-		grow := grad.Row(i)
-		nrow := l.lastNormed.Row(i)
-		orow := out.Row(i)
-		// Accumulate parameter gradients.
-		for j := 0; j < d; j++ {
-			l.GGain.Data[j] += grow[j] * nrow[j]
-			l.GBias.Data[j] += grow[j]
-		}
-		// dxhat = grad * gain; then the standard LN backward:
-		// dx = invStd/d * (d*dxhat - sum(dxhat) - xhat * sum(dxhat*xhat)).
-		var sumDx, sumDxXhat float64
-		for j := 0; j < d; j++ {
-			dxhat := grow[j] * l.Gain.Data[j]
-			sumDx += dxhat
-			sumDxXhat += dxhat * nrow[j]
-		}
-		invStd := l.lastInvStd[i]
-		for j := 0; j < d; j++ {
-			dxhat := grow[j] * l.Gain.Data[j]
-			orow[j] = invStd / df * (df*dxhat - sumDx - nrow[j]*sumDxXhat)
-		}
-	}
+	tensor.LayerNormBackwardRows(out.Data, l.GGain.Data, l.GBias.Data, grad.Data, l.lastNormed.Data, l.lastInvStd, l.Gain.Data)
 	return out
 }
 

@@ -19,41 +19,12 @@ func SoftmaxRows(x *tensor.Matrix) *tensor.Matrix {
 // fully overwritten; dst may alias x).
 func SoftmaxRowsInto(dst, x *tensor.Matrix) { softmaxRows(dst, x, 1, false) }
 
-// softmaxRows writes softmax(scale*x) row by row into dst (dst may alias
-// x) — attention's fused scale + mask + max + exp + normalise pass. With
-// causal, x is a stack of square Cols x Cols score blocks: row i of a block
-// sees columns <= i only and the rest get probability exactly 0, as if
-// their scores were -Inf. The exps are tensor.ExpShift's (math.Exp itself
-// under the scalar and tiled kernels, within 2 ULP of it under fma); the
-// row sum is an ascending scalar sum under every kernel.
+// softmaxRows is tensor.SoftmaxRows on matrices: softmax(scale*x) row by
+// row into dst (dst may alias x) — attention's fused scale + mask + max +
+// exp + normalise pass; with causal, x is a stack of square Cols x Cols
+// score blocks whose row i sees columns <= i only.
 func softmaxRows(dst, x *tensor.Matrix, scale float64, causal bool) {
-	for i := 0; i < x.Rows; i++ {
-		n := x.Cols
-		if causal {
-			n = i%x.Cols + 1
-		}
-		row := x.Row(i)[:n]
-		orow := dst.Row(i)
-		clear(orow[n:])
-		orow = orow[:n]
-		mx := math.Inf(-1)
-		for j, v := range row {
-			v *= scale
-			orow[j] = v
-			if v > mx {
-				mx = v
-			}
-		}
-		tensor.ExpShift(orow, orow, mx)
-		var sum float64
-		for _, e := range orow {
-			sum += e
-		}
-		inv := 1 / sum
-		for j := range orow {
-			orow[j] *= inv
-		}
-	}
+	tensor.SoftmaxRows(dst.Data, x.Data, x.Cols, scale, causal)
 }
 
 // SoftmaxBackwardRows computes the gradient through a row-wise softmax:
@@ -72,20 +43,9 @@ func SoftmaxBackwardRowsInto(dst, probs, grad *tensor.Matrix) {
 }
 
 // softmaxBackwardRows is SoftmaxBackwardRowsInto times scale: the gradient
-// with respect to x of softmax(scale*x).
+// with respect to x of softmax(scale*x), on tensor.SoftmaxBackwardRows.
 func softmaxBackwardRows(dst, probs, grad *tensor.Matrix, scale float64) {
-	for i := 0; i < grad.Rows; i++ {
-		prow := probs.Row(i)
-		grow := grad.Row(i)[:len(prow)]
-		orow := dst.Row(i)[:len(prow)]
-		var dot float64
-		for j, p := range prow {
-			dot += p * grow[j]
-		}
-		for j, p := range prow {
-			orow[j] = p * (grow[j] - dot) * scale
-		}
-	}
+	tensor.SoftmaxBackwardRows(dst.Data, probs.Data, grad.Data, probs.Cols, scale)
 }
 
 // IgnoreIndex marks positions excluded from the loss (non-masked tokens in

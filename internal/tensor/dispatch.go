@@ -6,9 +6,9 @@ import (
 )
 
 // This file is the kernel-dispatch layer: a process-wide selection of which
-// implementation the MatMul*/TMatMul* entry points and the element-wise
-// exp/erf entry points (vecmath.go) run, plus the float32 compute-mode
-// switch.
+// implementation the MatMul*/TMatMul* entry points, the element-wise
+// exp/erf entry points (vecmath.go) and the row ops (rowops.go) run, plus
+// the float32 compute-mode switch.
 //
 // Three kernel variants exist:
 //

@@ -132,6 +132,10 @@ type gemmCtx struct {
 	bp32      *Matrix32 // packed B, float32 path
 	k64       microF64
 	k32       microF32
+	// k64s is k64's store form (the fma variant's float64 tiles): its
+	// accumulators start at +0 instead of loading C, so a dst = product's
+	// first k block needs no cleared destination; nil for the Go tiles.
+	k64s microF64
 
 	batch []Product // batch context: the fan-out unit is one product
 	kern  Kernel    // kernel family of the batch's products
@@ -195,9 +199,9 @@ func (g *gemmCtx) setup(dst, a, b View, fl gemmFlags, kern Kernel) bool {
 	} else {
 		switch {
 		case wide && n >= 16:
-			g.mr, g.nr, g.kc, g.k64 = 8, 16, gemmKCWide, fma8x16f64
+			g.mr, g.nr, g.kc, g.k64, g.k64s = 8, 16, gemmKCWide, fma8x16f64, fma8x16f64Store
 		case kern == KernelFMA:
-			g.mr, g.nr, g.k64 = 8, 4, fma8x4f64
+			g.mr, g.nr, g.k64, g.k64s = 8, 4, fma8x4f64, fma8x4f64Store
 		default:
 			g.mr, g.nr, g.k64 = 4, 2, mk4x2f64
 		}
@@ -408,12 +412,16 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 	ap := Get(1, mcPad*kcMax+mr*nr)
 	apData := ap.Data[:mcPad*kcMax]
 	tile := ap.Data[mcPad*kcMax : mcPad*kcMax+mr*nr]
+	// A dst = product runs each tile's first k block on the store tiles,
+	// whose accumulators start at +0, instead of clearing dst for the
+	// micro-kernel to load: the same bits, as the cleared C was +0.
+	store := g.k64s != nil && fl&gemmAcc == 0
 	for ib := i0; ib < iEnd; ib += gemmMC {
 		ic := iEnd - ib
 		if ic > gemmMC {
 			ic = gemmMC
 		}
-		if fl&gemmAcc == 0 {
+		if fl&gemmAcc == 0 && !store {
 			// Lower-only: no tile of this block reaches past column
 			// ib+ic+nr, and the caller's mirror overwrites the rest.
 			zc := n
@@ -471,13 +479,22 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 						}
 						apan, bsub, kl = apan[t0*mr:t1*mr], bpan[t0*nr:t1*nr], t1-t0
 					}
+					// The tile's first k block is the product's first, or —
+					// upper-triangular op(a) skipping a panel's leading
+					// blocks — the one holding the panel's first row.
+					k64, fresh := g.k64, store && (kk == 0 || fl&gemmAUpper != 0 && row >= kk)
+					if fresh {
+						k64 = g.k64s
+					}
 					if rows == mr && jc == nr {
-						g.k64(c[row*ldc+jp*nr:], ldc, apan, bsub, kl)
+						k64(c[row*ldc+jp*nr:], ldc, apan, bsub, kl)
 					} else {
-						for r := 0; r < rows; r++ {
-							copy(tile[r*nr:r*nr+jc], c[(row+r)*ldc+jp*nr:(row+r)*ldc+jp*nr+jc])
+						if !fresh {
+							for r := 0; r < rows; r++ {
+								copy(tile[r*nr:r*nr+jc], c[(row+r)*ldc+jp*nr:(row+r)*ldc+jp*nr+jc])
+							}
 						}
-						g.k64(tile, nr, apan, bsub, kl)
+						k64(tile, nr, apan, bsub, kl)
 						for r := 0; r < rows; r++ {
 							copy(c[(row+r)*ldc+jp*nr:(row+r)*ldc+jp*nr+jc], tile[r*nr:r*nr+jc])
 						}

@@ -170,9 +170,7 @@ func (m *Matrix) Add(other *Matrix) *Matrix {
 // AddInPlace sets m += other.
 func (m *Matrix) AddInPlace(other *Matrix) {
 	m.mustSameShape(other, "AddInPlace")
-	for i, v := range other.Data {
-		m.Data[i] += v
-	}
+	addTo(m.Data, other.Data)
 }
 
 // AddScaledInPlace sets m += alpha*other (a fused axpy).
@@ -204,9 +202,7 @@ func (m *Matrix) Scale(alpha float64) *Matrix {
 
 // ScaleInPlace sets m *= alpha.
 func (m *Matrix) ScaleInPlace(alpha float64) {
-	for i := range m.Data {
-		m.Data[i] *= alpha
-	}
+	scaleBy(m.Data, alpha)
 }
 
 // Hadamard returns the element-wise product m ⊙ other.

@@ -12,7 +12,8 @@ package tensor
 // reference kernels in matmul.go, which makes the tiled float64 variant
 // bit-identical to KernelScalar. The kernels always accumulate into the
 // existing C values; the driver zeroes C first for overwrite semantics
-// (adding to +0.0 is exact), and KC-blocking stays bit-transparent
+// (adding to +0.0 is exact; the fma variant's float64 tiles have store
+// forms that start from +0 instead, gemm.go), and KC-blocking stays bit-transparent
 // because each block resumes from the stored C instead of introducing a
 // second reduction tree.
 //

@@ -70,3 +70,43 @@ func adamUpdateFMA(u, m, v, g, w []float64, beta1, c1, beta2, c2, bc1, bc2, eps,
 
 //go:noescape
 func subScaledFMA(dst, src []float64, scale float64)
+
+// The row-op kernels (rowops_amd64.s), bit-identical to rowops.go's Go
+// loops. The row kernels take a multiple of 4 rows.
+
+//go:noescape
+func layerNormFwdFMA(y, xhat, invStd, x, gain, bias []float64, eps float64)
+
+//go:noescape
+func layerNormBwdFMA(dx, gGain, gBias, g, xhat, invStd, gain []float64)
+
+//go:noescape
+func softmaxMaxFMA(dst, x, mx []float64, cols int, scale float64)
+
+//go:noescape
+func softmaxNormFMA(dst []float64, rows, cols int)
+
+//go:noescape
+func softmaxBwdFMA(dst, p, g []float64, rows, cols int, scale float64)
+
+//go:noescape
+func addRowFMA(dst, b []float64)
+
+//go:noescape
+func colSumFMA(dst, src []float64)
+
+//go:noescape
+func addFMA(dst, src []float64)
+
+//go:noescape
+func scaleFMA(dst []float64, alpha float64)
+
+// fma8x4f64Store and fma8x16f64Store are the two float64 tiles over a C
+// that reads as +0: the accumulators start at +0 and C is only stored, so
+// a dst = product's first k block needs no cleared destination.
+//
+//go:noescape
+func fma8x4f64Store(c []float64, ldc int, ap, bp []float64, kc int)
+
+//go:noescape
+func fma8x16f64Store(c []float64, ldc int, ap, bp []float64, kc int)

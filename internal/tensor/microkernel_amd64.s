@@ -2,78 +2,95 @@
 
 #include "textflag.h"
 
+// F64ARGS loads the tile arguments shared by every kernel: CX the C tile,
+// R8 its row stride in bytes (SH the log2 of the element size), DI the A
+// panel, SI the B panel, R10 kc.
+#define F64ARGS(SH) \
+	MOVQ c_base+0(FP), CX; \
+	MOVQ ldc+24(FP), R8; \
+	SHLQ $SH, R8; \
+	MOVQ ap_base+32(FP), DI; \
+	MOVQ bp_base+56(FP), SI; \
+	MOVQ kc+80(FP), R10
+
+// TILE8(OP, r0, ..., r7) runs OP(row, register) over the eight C rows,
+// DX walking them from CX by R8.
+#define TILE8(OP, r0, r1, r2, r3, r4, r5, r6, r7) \
+	MOVQ CX, DX; \
+	OP(r0); \
+	ADDQ R8, DX; \
+	OP(r1); \
+	ADDQ R8, DX; \
+	OP(r2); \
+	ADDQ R8, DX; \
+	OP(r3); \
+	ADDQ R8, DX; \
+	OP(r4); \
+	ADDQ R8, DX; \
+	OP(r5); \
+	ADDQ R8, DX; \
+	OP(r6); \
+	ADDQ R8, DX; \
+	OP(r7)
+
+#define LOADY(r) VMOVUPD (DX), r
+#define STOREY(r) VMOVUPD r, (DX)
+#define ZEROY(r) VXORPD r, r, r
+
+// STEP8X4 is one k step of the 8x4 float64 tile: one B-panel vector load,
+// eight A-lane broadcasts, eight VFMADD231PD into Y0-Y7.
+#define STEP8X4 \
+	VMOVUPD      (SI), Y8; \
+	VBROADCASTSD (DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y0; \
+	VBROADCASTSD 8(DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y1; \
+	VBROADCASTSD 16(DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y2; \
+	VBROADCASTSD 24(DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y3; \
+	VBROADCASTSD 32(DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y4; \
+	VBROADCASTSD 40(DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y5; \
+	VBROADCASTSD 48(DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y6; \
+	VBROADCASTSD 56(DI), Y9; \
+	VFMADD231PD  Y8, Y9, Y7; \
+	ADDQ         $64, DI; \
+	ADDQ         $32, SI
+
 // func fma8x4f64(c []float64, ldc int, ap, bp []float64, kc int)
 //
 // 8x4 float64 tile: Y0-Y7 hold one 4-double C row each, loaded up front
-// and stored once at the end. Per k step: one B-panel vector load, eight
-// A-lane broadcasts, eight VFMADD231PD. ap advances 8 doubles per step,
-// bp 4 doubles.
+// and stored once at the end. ap advances 8 doubles per k step, bp 4.
 TEXT ·fma8x4f64(SB), NOSPLIT, $0-88
-	MOVQ c_base+0(FP), CX
-	MOVQ ldc+24(FP), R8
-	SHLQ $3, R8              // row stride in bytes
-	MOVQ ap_base+32(FP), DI
-	MOVQ bp_base+56(FP), SI
-	MOVQ kc+80(FP), R10
-
-	// Load the C tile.
-	MOVQ CX, DX
-	VMOVUPD (DX), Y0
-	ADDQ R8, DX
-	VMOVUPD (DX), Y1
-	ADDQ R8, DX
-	VMOVUPD (DX), Y2
-	ADDQ R8, DX
-	VMOVUPD (DX), Y3
-	ADDQ R8, DX
-	VMOVUPD (DX), Y4
-	ADDQ R8, DX
-	VMOVUPD (DX), Y5
-	ADDQ R8, DX
-	VMOVUPD (DX), Y6
-	ADDQ R8, DX
-	VMOVUPD (DX), Y7
+	F64ARGS(3)
+	TILE8(LOADY, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 
 f64loop:
-	VMOVUPD      (SI), Y8
-	VBROADCASTSD (DI), Y9
-	VFMADD231PD  Y8, Y9, Y0
-	VBROADCASTSD 8(DI), Y9
-	VFMADD231PD  Y8, Y9, Y1
-	VBROADCASTSD 16(DI), Y9
-	VFMADD231PD  Y8, Y9, Y2
-	VBROADCASTSD 24(DI), Y9
-	VFMADD231PD  Y8, Y9, Y3
-	VBROADCASTSD 32(DI), Y9
-	VFMADD231PD  Y8, Y9, Y4
-	VBROADCASTSD 40(DI), Y9
-	VFMADD231PD  Y8, Y9, Y5
-	VBROADCASTSD 48(DI), Y9
-	VFMADD231PD  Y8, Y9, Y6
-	VBROADCASTSD 56(DI), Y9
-	VFMADD231PD  Y8, Y9, Y7
-	ADDQ         $64, DI
-	ADDQ         $32, SI
-	DECQ         R10
-	JNE          f64loop
+	STEP8X4
+	DECQ R10
+	JNE  f64loop
+	TILE8(STOREY, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+	VZEROUPPER
+	RET
 
-	// Store the C tile.
-	MOVQ CX, DX
-	VMOVUPD Y0, (DX)
-	ADDQ R8, DX
-	VMOVUPD Y1, (DX)
-	ADDQ R8, DX
-	VMOVUPD Y2, (DX)
-	ADDQ R8, DX
-	VMOVUPD Y3, (DX)
-	ADDQ R8, DX
-	VMOVUPD Y4, (DX)
-	ADDQ R8, DX
-	VMOVUPD Y5, (DX)
-	ADDQ R8, DX
-	VMOVUPD Y6, (DX)
-	ADDQ R8, DX
-	VMOVUPD Y7, (DX)
+// func fma8x4f64Store(c []float64, ldc int, ap, bp []float64, kc int)
+//
+// fma8x4f64 over a C tile that reads as +0: the accumulators start at +0
+// and C is only stored, so what C held is never read. Bit-identical to
+// fma8x4f64 on a zeroed tile — the first FMA adds its product to +0 either
+// way, and an accumulator that starts at +0 never becomes -0.
+TEXT ·fma8x4f64Store(SB), NOSPLIT, $0-88
+	F64ARGS(3)
+	TILE8(ZEROY, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
+
+f64sloop:
+	STEP8X4
+	DECQ R10
+	JNE  f64sloop
+	TILE8(STOREY, Y0, Y1, Y2, Y3, Y4, Y5, Y6, Y7)
 	VZEROUPPER
 	RET
 
@@ -150,104 +167,92 @@ f32loop:
 	VZEROUPPER
 	RET
 
+#define LOADZ(r0, r1) VMOVUPD (DX), r0; VMOVUPD 64(DX), r1
+#define STOREZ(r0, r1) VMOVUPD r0, (DX); VMOVUPD r1, 64(DX)
+#define ZEROZ(r0, r1) VPXORQ r0, r0, r0; VPXORQ r1, r1, r1
+
+// TILE8Z(OP) runs OP(row's two registers) over the eight C rows of the
+// 512-bit tile, row r in Z(2r), Z(2r+1).
+#define TILE8Z(OP) \
+	MOVQ CX, DX; \
+	OP(Z0, Z1); \
+	ADDQ R8, DX; \
+	OP(Z2, Z3); \
+	ADDQ R8, DX; \
+	OP(Z4, Z5); \
+	ADDQ R8, DX; \
+	OP(Z6, Z7); \
+	ADDQ R8, DX; \
+	OP(Z8, Z9); \
+	ADDQ R8, DX; \
+	OP(Z10, Z11); \
+	ADDQ R8, DX; \
+	OP(Z12, Z13); \
+	ADDQ R8, DX; \
+	OP(Z14, Z15)
+
+// STEP8X16 is one k step of the 8x16 float64 tile: two B-panel vector
+// loads, eight A-lane broadcasts, sixteen VFMADD231PD into Z0-Z15.
+#define STEP8X16 \
+	VMOVUPD      (SI), Z16; \
+	VMOVUPD      64(SI), Z17; \
+	VBROADCASTSD (DI), Z18; \
+	VFMADD231PD  Z16, Z18, Z0; \
+	VFMADD231PD  Z17, Z18, Z1; \
+	VBROADCASTSD 8(DI), Z19; \
+	VFMADD231PD  Z16, Z19, Z2; \
+	VFMADD231PD  Z17, Z19, Z3; \
+	VBROADCASTSD 16(DI), Z20; \
+	VFMADD231PD  Z16, Z20, Z4; \
+	VFMADD231PD  Z17, Z20, Z5; \
+	VBROADCASTSD 24(DI), Z21; \
+	VFMADD231PD  Z16, Z21, Z6; \
+	VFMADD231PD  Z17, Z21, Z7; \
+	VBROADCASTSD 32(DI), Z18; \
+	VFMADD231PD  Z16, Z18, Z8; \
+	VFMADD231PD  Z17, Z18, Z9; \
+	VBROADCASTSD 40(DI), Z19; \
+	VFMADD231PD  Z16, Z19, Z10; \
+	VFMADD231PD  Z17, Z19, Z11; \
+	VBROADCASTSD 48(DI), Z20; \
+	VFMADD231PD  Z16, Z20, Z12; \
+	VFMADD231PD  Z17, Z20, Z13; \
+	VBROADCASTSD 56(DI), Z21; \
+	VFMADD231PD  Z16, Z21, Z14; \
+	VFMADD231PD  Z17, Z21, Z15; \
+	ADDQ         $64, DI; \
+	ADDQ         $128, SI
+
 // func fma8x16f64(c []float64, ldc int, ap, bp []float64, kc int)
 //
 // 8x16 float64 tile at 512 bits: Z0-Z15 hold the C tile, row r in
-// Z(2r), Z(2r+1), loaded up front and stored once at the end. Per k step:
-// two B-panel vector loads, eight A-lane broadcasts, sixteen VFMADD231PD —
-// per element the same one FMA per k in ascending k as fma8x4f64, so the
-// two tiles agree bit for bit. ap advances 8 doubles per step, bp 16.
+// Z(2r), Z(2r+1), loaded up front and stored once at the end. Per element
+// the same one FMA per k in ascending k as fma8x4f64, so the two tiles
+// agree bit for bit. ap advances 8 doubles per step, bp 16.
 TEXT ·fma8x16f64(SB), NOSPLIT, $0-88
-	MOVQ c_base+0(FP), CX
-	MOVQ ldc+24(FP), R8
-	SHLQ $3, R8              // row stride in bytes
-	MOVQ ap_base+32(FP), DI
-	MOVQ bp_base+56(FP), SI
-	MOVQ kc+80(FP), R10
-
-	// Load the C tile.
-	MOVQ CX, DX
-	VMOVUPD (DX), Z0
-	VMOVUPD 64(DX), Z1
-	ADDQ R8, DX
-	VMOVUPD (DX), Z2
-	VMOVUPD 64(DX), Z3
-	ADDQ R8, DX
-	VMOVUPD (DX), Z4
-	VMOVUPD 64(DX), Z5
-	ADDQ R8, DX
-	VMOVUPD (DX), Z6
-	VMOVUPD 64(DX), Z7
-	ADDQ R8, DX
-	VMOVUPD (DX), Z8
-	VMOVUPD 64(DX), Z9
-	ADDQ R8, DX
-	VMOVUPD (DX), Z10
-	VMOVUPD 64(DX), Z11
-	ADDQ R8, DX
-	VMOVUPD (DX), Z12
-	VMOVUPD 64(DX), Z13
-	ADDQ R8, DX
-	VMOVUPD (DX), Z14
-	VMOVUPD 64(DX), Z15
+	F64ARGS(3)
+	TILE8Z(LOADZ)
 
 f64wloop:
-	VMOVUPD      (SI), Z16
-	VMOVUPD      64(SI), Z17
-	VBROADCASTSD (DI), Z18
-	VFMADD231PD  Z16, Z18, Z0
-	VFMADD231PD  Z17, Z18, Z1
-	VBROADCASTSD 8(DI), Z19
-	VFMADD231PD  Z16, Z19, Z2
-	VFMADD231PD  Z17, Z19, Z3
-	VBROADCASTSD 16(DI), Z20
-	VFMADD231PD  Z16, Z20, Z4
-	VFMADD231PD  Z17, Z20, Z5
-	VBROADCASTSD 24(DI), Z21
-	VFMADD231PD  Z16, Z21, Z6
-	VFMADD231PD  Z17, Z21, Z7
-	VBROADCASTSD 32(DI), Z18
-	VFMADD231PD  Z16, Z18, Z8
-	VFMADD231PD  Z17, Z18, Z9
-	VBROADCASTSD 40(DI), Z19
-	VFMADD231PD  Z16, Z19, Z10
-	VFMADD231PD  Z17, Z19, Z11
-	VBROADCASTSD 48(DI), Z20
-	VFMADD231PD  Z16, Z20, Z12
-	VFMADD231PD  Z17, Z20, Z13
-	VBROADCASTSD 56(DI), Z21
-	VFMADD231PD  Z16, Z21, Z14
-	VFMADD231PD  Z17, Z21, Z15
-	ADDQ         $64, DI
-	ADDQ         $128, SI
-	DECQ         R10
-	JNE          f64wloop
+	STEP8X16
+	DECQ R10
+	JNE  f64wloop
+	TILE8Z(STOREZ)
+	VZEROUPPER
+	RET
 
-	// Store the C tile.
-	MOVQ CX, DX
-	VMOVUPD Z0, (DX)
-	VMOVUPD Z1, 64(DX)
-	ADDQ R8, DX
-	VMOVUPD Z2, (DX)
-	VMOVUPD Z3, 64(DX)
-	ADDQ R8, DX
-	VMOVUPD Z4, (DX)
-	VMOVUPD Z5, 64(DX)
-	ADDQ R8, DX
-	VMOVUPD Z6, (DX)
-	VMOVUPD Z7, 64(DX)
-	ADDQ R8, DX
-	VMOVUPD Z8, (DX)
-	VMOVUPD Z9, 64(DX)
-	ADDQ R8, DX
-	VMOVUPD Z10, (DX)
-	VMOVUPD Z11, 64(DX)
-	ADDQ R8, DX
-	VMOVUPD Z12, (DX)
-	VMOVUPD Z13, 64(DX)
-	ADDQ R8, DX
-	VMOVUPD Z14, (DX)
-	VMOVUPD Z15, 64(DX)
+// func fma8x16f64Store(c []float64, ldc int, ap, bp []float64, kc int)
+//
+// fma8x16f64 over a C tile that reads as +0, as fma8x4f64Store.
+TEXT ·fma8x16f64Store(SB), NOSPLIT, $0-88
+	F64ARGS(3)
+	TILE8Z(ZEROZ)
+
+f64wsloop:
+	STEP8X16
+	DECQ R10
+	JNE  f64wsloop
+	TILE8Z(STOREZ)
 	VZEROUPPER
 	RET
 

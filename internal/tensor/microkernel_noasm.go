@@ -61,3 +61,47 @@ func adamUpdateFMA(u, m, v, g, w []float64, beta1, c1, beta2, c2, bc1, bc2, eps,
 func subScaledFMA(dst, src []float64, scale float64) {
 	panic("tensor: FMA optimizer kernel unavailable in this build")
 }
+
+func layerNormFwdFMA(y, xhat, invStd, x, gain, bias []float64, eps float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func layerNormBwdFMA(dx, gGain, gBias, g, xhat, invStd, gain []float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func softmaxMaxFMA(dst, x, mx []float64, cols int, scale float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func softmaxNormFMA(dst []float64, rows, cols int) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func softmaxBwdFMA(dst, p, g []float64, rows, cols int, scale float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func addRowFMA(dst, b []float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func colSumFMA(dst, src []float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func addFMA(dst, src []float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func scaleFMA(dst []float64, alpha float64) {
+	panic("tensor: FMA row kernel unavailable in this build")
+}
+
+func fma8x4f64Store(c []float64, ldc int, ap, bp []float64, kc int) {
+	panic("tensor: FMA micro-kernel unavailable in this build")
+}
+
+func fma8x16f64Store(c []float64, ldc int, ap, bp []float64, kc int) {
+	panic("tensor: FMA micro-kernel unavailable in this build")
+}

@@ -35,13 +35,18 @@ import "math"
 // the same IEEE operations four lanes at a time — separate VMULPD, VADDPD,
 // VSUBPD, VDIVPD, VSQRTPD, no fused multiply-add — and the Go loops convert
 // every product explicitly, which the spec says prevents fusion on any
-// GOAMD64 level. AdamUpdate's two norms are the one reduction in the family: Σw² and
-// Σu² are in-kernel ascending scalar sums, lane by lane, continued in Go
-// over a slice's last len%4 elements. Pinned by TestAdamUpdateBitIdentical,
+// GOAMD64 level. AdamUpdate's two norms, Σw² and Σu², are in-kernel
+// ascending scalar sums, lane by lane, continued in Go over a slice's last
+// len%4 elements. Pinned by TestAdamUpdateBitIdentical,
 // TestSubScaledBitIdentical and FuzzAdamUpdate.
 //
-// Other reductions are not part of the family: softmax and cross-entropy
-// sum the exps in ascending scalar order themselves.
+// The row ops (rowops.go: LayerNorm, softmax's row passes, Dense's bias
+// passes, the residual adds) hold the same contract, and every reduction
+// among them keeps its Go loop's order by one rule, rows in lanes: a row's
+// sum runs in one lane over the row's elements in ascending column order,
+// four rows side by side (a column's sum likewise in one lane, in
+// ascending row order). Cross-entropy still sums its exps in ascending
+// scalar order itself.
 
 // ExpShift writes exp(src[i] - shift) to dst[i]. dst may be src.
 func ExpShift(dst, src []float64, shift float64) {

@@ -4,8 +4,10 @@
 # from the kernel benchmarks, seqs/s from the engine benchmarks,
 # poolchunks/op — effective per-op fan-out — from the worker-scaling
 # benchmark, GFLOP/s from the SPD-inverse benchmark, ns/elem from the
-# element-wise exp/erf/GELU benchmarks, slot-B / scratch-B — bytes per
-# activation slot and per device's backward scratch — from the slot-bytes
+# element-wise exp/erf/GELU benchmarks, GB/s and block_share — bytes moved
+# and share of a transformer block — from the row-op benchmarks, slot-B /
+# scratch-B — bytes per activation slot and per device's backward
+# scratch — from the slot-bytes
 # benchmark; step_spread, refresh_pending_ms and model_err/<kind> from the
 # round-shape benchmark; refresh_tail_ms from the round benchmarks) are
 # each keyed independently, so any mix of columns parses.
@@ -22,6 +24,8 @@ BEGIN { print "["; first=1 }
     if ($i == "poolchunks/op") printf ",\"poolchunks_per_op\":%s", $(i-1)
     if ($i == "GFLOP/s") printf ",\"gflops\":%s", $(i-1)
     if ($i == "ns/elem") printf ",\"ns_per_elem\":%s", $(i-1)
+    if ($i == "GB/s") printf ",\"gb_per_s\":%s", $(i-1)
+    if ($i == "block_share") printf ",\"block_share\":%s", $(i-1)
     if ($i == "slot-B") printf ",\"slot_bytes\":%s", $(i-1)
     if ($i == "scratch-B") printf ",\"scratch_bytes\":%s", $(i-1)
     if ($i == "step_spread") printf ",\"step_spread\":%s", $(i-1)
