@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/autotune"
 	"repro/internal/bert"
 	"repro/internal/data"
 	"repro/internal/engine"
@@ -545,11 +544,7 @@ func benchEngineStep(b *testing.B, mc bert.Config, ec engine.Config) {
 // with nothing carried), so the K4 overlap row executes the identical
 // schedule and should match the serialized row to within measurement
 // noise; at K = 2 the tiny model's refresh, priced from its shapes, spills
-// and the K2-overlap row carries it. The auto-tuner's ranking
-// captures the same fact from the other side — on equal predicted step
-// time it tie-breaks toward the serialized round, so a measured-cost
-// regime where overlap stops paying never trades refresh-state complexity
-// for nothing. At K = 1 the whole refresh carries
+// and the K2-overlap row carries it. At K = 1 the whole refresh carries
 // one round, which redistributes the work without changing its total —
 // the wall-clock win appears when device goroutines have real dependency
 // stalls to fill (multi-core runs), while the modeled-level win (makespan,
@@ -670,7 +665,8 @@ func refreshTail(tl *pipeline.Timeline) float64 {
 //     commit was pending — what a device past its OptStep did instead of
 //     parking.
 //   - model_err/<kind>: per work kind, engine.MeasuredCosts of the round
-//     against the engine's ModeledCosts, both as ratios to their forward,
+//     against the same reading of the engine's schedule as simulated (the
+//     durations it was packed with), both as ratios to their forward,
 //     |measured - modeled| / measured, median over rounds.
 //
 // 2-core host: the two devices run at once.
@@ -718,7 +714,11 @@ func BenchmarkEngineRoundShape(b *testing.B) {
 	intervals := make([][]float64, k) // [step][round]
 	var pending float64
 	errs := map[pipeline.WorkKind][]float64{}
-	modeled := e.ModeledCosts()
+	packed, err := pipeline.Run(e.Schedule())
+	if err != nil {
+		b.Fatal(err)
+	}
+	modeled := engine.MeasuredCosts(packed, 2*len(e.StageLayers(0)))
 	for _, tl := range tls {
 		var prev hardware.Microseconds
 		for j, end := range commitEnds(tl) {
@@ -1041,70 +1041,4 @@ func BenchmarkEngineStepKFAC(b *testing.B) {
 			b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 		})
 	}
-}
-
-// BenchmarkEngineAutotune measures the closed-loop tuner riding the real
-// executor. The steady row runs the committed-best round configuration
-// (1f1b, K = 2) with the tuner observing every round and ranking the
-// candidate space on its decision cadence — the cost of the closed loop
-// when there is nothing to fix. The retune row starts from the
-// deliberately bad configuration (gpipe, K = 1, serialized), lets the
-// tuner refit costs from executed timelines and hot-swap at a round
-// boundary, and reports the throughput of the whole trajectory including
-// the swap — the closed-loop acceptance number next to the hand-picked
-// EngineRoundKFAC rows. CI distills both into BENCH_engine.json, gated
-// like every engine row.
-func BenchmarkEngineAutotune(b *testing.B) {
-	run := func(b *testing.B, cfg engine.Config, tcfg autotune.Config) {
-		m, err := bert.New(bert.TinyConfig(), 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 17)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e := benchEngine(b, m, cfg)
-		if err := e.EnableKFAC(kfac.DefaultOptions(), cfg.RefreshSteps); err != nil {
-			b.Fatal(err)
-		}
-		opt := optim.NewLAMB(m.Params(), 0.01)
-		e.SetOptimizer(func(step int) error {
-			opt.Step(1e-3)
-			return nil
-		})
-		tn, err := autotune.New(e, tcfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		const batchSize = 8
-		mkBatches := func(k int) []*data.Batch {
-			out := make([]*data.Batch, k)
-			for j := range out {
-				out[j] = c.MakeBatch(batchSize, data.DefaultBatchConfig(m.Config.SeqLen))
-			}
-			return out
-		}
-		steps := 0
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			k := e.RoundSteps() // swaps change the round length
-			if _, err := e.TrainRound(mkBatches(k)); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := tn.Observe(); err != nil {
-				b.Fatal(err)
-			}
-			steps += k
-		}
-		b.ReportMetric(float64(batchSize)*float64(steps)/b.Elapsed().Seconds(), "seqs/s")
-	}
-	b.Run("steady", func(b *testing.B) {
-		run(b, engine.Config{Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: 2},
-			autotune.Config{WarmupRounds: 2, Interval: 8, Methods: []string{"gpipe", "1f1b"}, MaxRefreshSteps: 2})
-	})
-	b.Run("retune", func(b *testing.B) {
-		run(b, engine.Config{Method: "gpipe", Stages: 2, MicroBatches: 4, RefreshSteps: 1},
-			autotune.Config{WarmupRounds: 1, Interval: 4, Methods: []string{"gpipe", "1f1b"}, MaxRefreshSteps: 2})
-	})
 }

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/arch"
-	"repro/internal/autotune"
 	"repro/internal/bert"
 	"repro/internal/data"
 	"repro/internal/engine"
@@ -76,9 +75,6 @@ func main() {
 		opTimeout    = flag.Duration("op-timeout", 0, "watchdog deadline per executed op with -execute; 0 disables the watchdog")
 		opRetries    = flag.Int("op-retries", 0, "retry budget for failed side-path ops (curvature, inversion, sync-curvature) before degrading, with -execute")
 		checkpoint   = flag.Bool("checkpoint", false, "round checkpoint/replay with -execute: snapshot state at every round start and replay aborted rounds (up to 3 attempts)")
-		autotuneOn   = flag.Bool("autotune", false, "closed-loop tuning with -execute: refit packing costs from the executed rounds, re-rank the schedule candidate space, and hot-swap the engine at round boundaries")
-		tuneInterval = flag.Int("autotune-interval", 4, "rounds between tuner decisions with -autotune (observation continues every round)")
-		tuneCSV      = flag.String("tune-csv", "", "write the tuner's per-round model-error and decision records as CSV to this file, with -autotune")
 		transName    = flag.String("transport", "loopback", "collective transport: loopback (in-process) or ring (chunked socket chain) — prices the simulated collectives, and with -execute + -group really runs them")
 		groupSpec    = flag.String("group", "", "ring membership: comma-separated listen addresses (unix:PATH or tcp:HOST:PORT, one per rank), or spawn:N to launch N local ranks over unix sockets")
 		rankFlag     = flag.Int("rank", 0, "this process's rank within -group")
@@ -190,9 +186,6 @@ func main() {
 		ft := faultConfig{
 			plan: plan, opTimeout: *opTimeout, opRetries: *opRetries, checkpoint: *checkpoint,
 		}
-		tn := tuneConfig{
-			enabled: *autotuneOn, interval: *tuneInterval, csvPath: *tuneCSV,
-		}
 		var tr transportConfig
 		switch *transName {
 		case "loopback":
@@ -231,7 +224,7 @@ func main() {
 				tr.group.Close()
 			}
 		}()
-		executeSchedule(*method, *stages, *nmicro, *dp, *invParallel, *execSteps, *refreshSteps, *width, *overlap, *svgPath, ft, tn, &tr)
+		executeSchedule(*method, *stages, *nmicro, *dp, *invParallel, *execSteps, *refreshSteps, *width, *overlap, *svgPath, ft, &tr)
 	}
 }
 
@@ -313,7 +306,7 @@ func spawnRanks(n int, supervise bool) int {
 	for i := range specs {
 		specs[i] = "unix:" + filepath.Join(dir, fmt.Sprintf("rank%d.sock", i))
 	}
-	base := stripFlags(os.Args[1:], "group", "rank", "supervise", "csv", "svg", "tune-csv")
+	base := stripFlags(os.Args[1:], "group", "rank", "supervise", "csv", "svg")
 	zero := stripFlags(os.Args[1:], "group", "rank", "supervise")
 	start := func(i int, rejoin bool) (*exec.Cmd, error) {
 		args := zero
@@ -411,13 +404,6 @@ func stripFlags(args []string, names ...string) []string {
 	return out
 }
 
-// tuneConfig bundles the closed-loop tuning flags for real execution.
-type tuneConfig struct {
-	enabled  bool
-	interval int
-	csvPath  string
-}
-
 // faultConfig bundles the fault-tolerance flags for real execution.
 type faultConfig struct {
 	plan       *faults.Plan
@@ -448,11 +434,8 @@ type transportConfig struct {
 // multi-step windows (or sizes them adaptively with 0), and with
 // overlapped windows when -overlap is set — then renders the executed
 // timeline of the last round (step boundaries marked on the ruler) and its
-// bubble-utilization summary. With -autotune the closed-loop tuner
-// observes every executed round and may hot-swap the engine to a
-// predicted-faster configuration at a round boundary; its decision log and
-// final choice are printed after training.
-func executeSchedule(method string, stages, nmicro, replicas int, invParallel bool, steps, refreshSteps, width int, overlap bool, svgPath string, ft faultConfig, tc tuneConfig, tr *transportConfig) {
+// bubble-utilization summary.
+func executeSchedule(method string, stages, nmicro, replicas int, invParallel bool, steps, refreshSteps, width int, overlap bool, svgPath string, ft faultConfig, tr *transportConfig) {
 	cfg := bert.TinyConfig()
 	cfg.Blocks = stages
 	model, err := bert.New(cfg, 7)
@@ -516,15 +499,6 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 	if ft.checkpoint {
 		eng.AttachOptimizerState(opt)
 	}
-	var tn *autotune.Tuner
-	var startCand schedule.Candidate
-	if tc.enabled {
-		tn, err = autotune.New(eng, autotune.Config{Interval: tc.interval})
-		if err != nil {
-			log.Fatal(err)
-		}
-		startCand = eng.Shape()
-	}
 	fmt.Printf("\n--- real execution: %s, %d stages, %d micro-batches, %d replica(s), refresh round %s, overlap=%v, %d intra-op workers ---\n",
 		method, stages, nmicro, replicas, kDesc, overlap, tensor.Parallelism())
 	if tr.group != nil {
@@ -551,9 +525,6 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 		fmt.Printf("fault tolerance: plan=%v op-timeout=%v op-retries=%d checkpoint=%v\n",
 			ft.plan, ft.opTimeout, ft.opRetries, ft.checkpoint)
 	}
-	if tn != nil {
-		fmt.Printf("autotune: on, starting from %s (decision every %d rounds)\n", startCand, tc.interval)
-	}
 	done := 0
 	if tr.rejoin {
 		step, err := rejoinHandshake(eng, tr)
@@ -569,8 +540,9 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 		if err := memberSync(eng, tr); err != nil {
 			log.Fatal("membership sync: ", err)
 		}
-		// A tuner swap can change the round length between rounds, so the
-		// batch shape is re-derived from the engine every iteration.
+		// An adaptive round length is re-derived once the first round shows
+		// the micro-batch shape, so the round's batch count is read from the
+		// engine every iteration.
 		k = eng.RoundSteps()
 		batches := make([]*data.Batch, k)
 		for j := range batches {
@@ -624,36 +596,6 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 			fmt.Printf("step %d  loss %.4f  refreshed=%v%s\n", done+j, r.Loss.Total, r.Refreshed, deg)
 		}
 		done += k
-		if tn != nil {
-			d, derr := tn.Observe()
-			if derr != nil {
-				// A failed swap leaves the engine on its current schedule;
-				// report it and train on.
-				fmt.Printf("autotune: %v\n", derr)
-			}
-			if d != nil {
-				fmt.Printf("autotune round %d: %s -> %s (predicted %d -> %d us/step): %s\n",
-					d.Round, d.Current, d.Choice, d.CurrentStep, d.ChoiceStep, d.Reason)
-			}
-		}
-	}
-	if tn != nil {
-		fmt.Println()
-		if err := trace.RenderTuneLog(os.Stdout, tn.Records()); err != nil {
-			log.Fatal(err)
-		}
-		final := eng.Shape()
-		if final == startCand {
-			fmt.Printf("autotune: held starting configuration %s\n", startCand)
-		} else {
-			fmt.Printf("autotune: final choice %s beats starting configuration %s\n", final, startCand)
-		}
-		if tc.csvPath != "" {
-			if err := writeFile(tc.csvPath, func(w io.Writer) error { return trace.WriteTuneCSV(w, tn.Records()) }); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("tuner records CSV written to %s\n", tc.csvPath)
-		}
 	}
 	if tr.group != nil {
 		fmt.Printf("transport: rank %d sent %d bytes on the wire\n", tr.group.Rank(), tr.group.BytesOnWire())
@@ -676,8 +618,8 @@ func executeSchedule(method string, stages, nmicro, replicas int, invParallel bo
 	// Real vs simulated: the round just executed, rebuilt from the op
 	// durations it measured and timed by the simulator — the comparison the
 	// shared op-list form exists for. The simulated side mirrors the
-	// engine's *final* configuration, which under -autotune can differ from
-	// the flags the run started with.
+	// engine's final round length, which under -refresh-steps 0 can differ
+	// from the one the run started with.
 	simSched, err := schedule.Executable(eng.ScheduleConfig(engine.MeasuredCosts(real, 2*len(eng.StageLayers(0)))))
 	if err != nil {
 		log.Fatal(err)

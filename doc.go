@@ -47,8 +47,6 @@
 //	          rank failures and regrouping
 //	faults    seeded, reproducible fault plans (fail, stall, drop,
 //	          corrupt) the engine injects at named points
-//	autotune  refits packing costs from executed timelines and hot-swaps
-//	          the engine to the predicted-best executable
 //	optim     SGD, Adam, LAMB; LR schedules; steps-to-target and the
 //	          smoothed final loss of a loss curve
 //	data      synthetic Zipf corpus with BERT masking
@@ -74,7 +72,7 @@
 // label timeline events, so they are no fault target). The trace
 // renderers, the bubble accounting, the degraded-safety proof, the
 // executable's step-tail ordering, the engine's retry/degrade ladder, the
-// fault targets and the auto-tuner's cost classes all read the row;
+// fault targets and StageCosts.Refit's cost classes all read the row;
 // switches on a kind remain only where a kind decides what code runs (the
 // executor's dispatch, corruptOutput). String names are a stable
 // interface: timeline CSVs write them in the kind column and faults specs
@@ -359,7 +357,7 @@
 //     delta buffers it accumulates into, and hands them back before the op
 //     completes. aliasError (internal/engine/ownership_test.go) holds every
 //     secondary set to both after construction, after every round of the
-//     reference matrix, after Reconfigure into and out of Chimera, after
+//     reference matrix (Chimera's up sets among them), after
 //     RestoreCheckpoint / RegroupRestore and after Reconnect(g, true).
 //   - Ownership: placement — which device hosts which (replica,
 //     pipeline, stage), for which micro-batches — is read from the built
@@ -379,8 +377,7 @@
 //     lock). Weights are written only by a step's commit, while no device
 //     runs anything but K-FAC refresh work (Refresh rounds, step commits),
 //     in place, so every module set sees an update, a checkpoint restore or
-//     a resync (TestChimeraAliasSurvivesRestore,
-//     TestReconfigureIntoChimeraBuildsAliasedSets). Gradients leave a
+//     a resync (TestChimeraAliasSurvivesRestore). Gradients leave a
 //     module set only as the per-micro-batch deltas of the next bullet.
 //     The race detector runs the identity suites in CI.
 //   - Reduction order is fixed at micro-batch granularity: each backward
@@ -583,13 +580,12 @@
 //     refresh — the group re-derives identical curvature together rather
 //     than shipping factor EMAs to the newcomer (§3.1's staleness
 //     discipline applied to membership).
-//   - Straggler feedback. Heartbeats carry each rank's last round wall
-//     time; engine.RankSlowness distills the worst ratio and the autotuner
-//     feeds it to hardware.Fit as a collective-cost scale, so re-planning
-//     routes refresh work around a slow rank instead of pretending the
-//     ring is uniform. Timelines stamp every event with the membership
-//     view and mark the change with a Membership span (CSV "membership"
-//     column, orange marker in SVG).
+//   - Straggler visibility. Heartbeats carry each rank's last round wall
+//     time, and transport.Ring.RankStats reports every rank's pace, so a
+//     slow rank shows as one rather than as a uniformly slow ring.
+//     Timelines stamp every event with the membership view and mark the
+//     change with a Membership span (CSV "membership" column, orange
+//     marker in SVG).
 //
 // When no failure occurs the elastic machinery is free: the heartbeat
 // path costs zero extra allocations and <2% throughput on the ring
@@ -765,11 +761,13 @@
 // profile that prices every FLOP alike and no byte — the blocked inverse
 // runs on the same packed GEMM driver as the products it is weighed
 // against, and a proportion of FLOPs to bytes would be one more number to
-// invent. Nothing is measured by default: the costs are a pure function of
+// invent. Nothing is measured: the costs are a pure function of
 // configuration and shapes, so engines built alike pack alike (the paired
-// benchmark replays an arm on a twin and needs identical packing), and a
-// measured refit stays an explicit choice — the auto-tuner's, through
-// Reconfigure's costs argument. Vanilla op lists are what they were at
+// benchmark replays an arm on a twin and needs identical packing). The
+// schedule they pack is written at construction and rebuilt only by a new
+// micro-batch shape (reprice) or an adaptive round length re-derived at it
+// (adaptRoundLength); the method, topology and overlap are fixed for the
+// run, chosen offline as in §3.3. Vanilla op lists are what they were at
 // the benchmark's shapes (TestShapePricedVanillaSchedulesUnchanged);
 // BenchmarkEngineRoundShape reports modeled against measured cost per kind
 // (model_err/<kind>), and MeasuredCosts prices the optimizer update as each
@@ -802,8 +800,8 @@
 //     (TestChainStepDegradesOnlyItsFactor); an abort scrubs the pools with
 //     everything else (TestPoolAuditNoLeakOnAbortAnywhere aborts at every
 //     chain step).
-//   - Explicit costs — cmd/figures', the auto-tuner's fitted ones, anything
-//     Refit re-estimates — carry no chains.
+//   - Explicit costs — cmd/figures', MeasuredCosts', anything Refit
+//     re-estimates — carry no chains.
 //
 // # Fault tolerance contract
 //
@@ -874,67 +872,14 @@
 // an abort at every (step, op-kind, chain step) — aborted and degraded
 // rounds leak nothing.
 //
-// # Closed-loop tuning contract
-//
-// internal/autotune turns the offline configuration choice into a
-// controller: the tuner refits the packing cost model from the engine's
-// *executed* timelines, re-ranks the schedule candidate space under the
-// fitted costs, and hot-swaps the engine to the predicted-best executable
-// at a round boundary. Because predictions and execution share one
-// schedule form (schedule.Executable), a ranking is a statement about
-// exactly the op lists the engine would run; because the engine's
-// micro-batch reduction order is fixed, a swap never changes the math —
-// only the time it takes. The contract:
-//
-//   - Measurement hygiene: hardware.Fit ingests per-op durations from the
-//     executed Timeline and estimates each op class by median over a
-//     bounded ring. It must not trust what measurement cannot: whole
-//     warm-up rounds are dropped, retried executions (duration includes
-//     backoff) and Degraded placeholder spans are skipped, the optimizer
-//     update is observed once per step as its commit (the step's longest
-//     OptStep event), and aborted rounds are never observed (their
-//     timelines are partial).
-//   - Candidate space: schedule.Enumerate covers schedule family x round
-//     length K x serialized/overlapped x inversion sharding on the
-//     engine's fixed topology — the knobs a running engine can swap at a
-//     round boundary, one schedule.Candidate (engine.Shape reports the
-//     running one, engine.Reconfigure swaps to another). Stages, micro-batches and
-//     data-parallel width are the machine; they are not searched.
-//   - Ranking: schedule.Predict builds each candidate's executable
-//     against the fitted costs and simulates one full refresh round; the
-//     key is StepTime = RoundMakespan / K, which makes different round
-//     lengths comparable. Ties break toward the serialized, smaller
-//     configuration, so measurement noise can only ever flip a
-//     decision toward simplicity (the committed K2 overlap-vs-serialized
-//     benchmark gap is exactly such noise — the op lists are identical).
-//   - Swap safety: engine.Reconfigure rebuilds the executable in place
-//     between rounds. Parameters, optimizer state and step counters are
-//     never touched. A swap whose packing tuple is unchanged
-//     (Reconfigure(e.Shape(), nil)) preserves the in-flight carried
-//     generation and is bit-identical to not swapping
-//     (identity-tested across schedules, models and W); a changed shape
-//     scrubs pending generations and forces the next refresh from
-//     scratch — the same discipline as an abort. Config.MinRelGain exists
-//     because of that scrub: marginal predicted gains do not pay for
-//     discarded refresh state, so the tuner holds below the threshold.
-//   - Convergence artifact: every round appends a trace.TuneRecord with
-//     the shape-normalized modeled-vs-measured error (each class as a
-//     ratio to its side's Forward cost — modeled units are abstract,
-//     measured ones are wall-clock, the *shape* is what packs). The error
-//     shrinks once fitted costs are installed; trace.WriteTuneCSV /
-//     RenderTuneLog are the match-the-model artifact, and the CI smoke
-//     job asserts the bad-start run ends on a choice that beats its
-//     starting configuration.
-//
 // The benchmark harness in bench_test.go regenerates the paper's tables
 // and figures, and cmd/ plus examples/ provide runnable entry points
 // (cmd/pipefisher -execute runs the sim/exec comparison end to end;
 // -dp the hybrid pipeline x data-parallel configuration, -dp replicas of
 // every stage in each process for a width of -dp x the ranks of -group,
 // -refresh-steps the multi-step refresh rounds — 0 sizes them adaptively —
-// -overlap the overlapped windows, -autotune the closed-loop tuner,
-// with its per-round records written by -tune-csv, and -transport ring
-// -group spawn:N the real multi-process socket ring). The committed BENCH_tensor.json /
+// -overlap the overlapped windows, and -transport ring -group spawn:N the
+// real multi-process socket ring). The committed BENCH_tensor.json /
 // BENCH_engine.json files are the perf-trajectory baseline;
 // scripts/bench_compare.go reports benchstat-style deltas against them and
 // CI fails on steady-state throughput regressions beyond 10%.

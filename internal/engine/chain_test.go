@@ -72,9 +72,11 @@ func TestChainedInversionsBitIdenticalToWhole(t *testing.T) {
 					var whole func(*Engine)
 					if !chains {
 						whole = func(e *Engine) {
-							costs := e.ModeledCosts()
-							costs.InversionChains = nil
-							if err := e.Reconfigure(e.Shape(), &costs); err != nil {
+							if err := e.price(c.batch / (c.cfg.MicroBatches * c.cfg.Replicas)); err != nil {
+								t.Fatal(err)
+							}
+							e.priced.InversionChains = nil
+							if err := e.rebuildSchedule(); err != nil {
 								t.Fatal(err)
 							}
 						}

@@ -19,7 +19,7 @@ func parentCosts(e *Engine) pipeline.StageCosts {
 	if e.Replicas() > 1 {
 		c.SyncGrad = 60
 	}
-	if e.Replicas() > 1 || e.Shape().InversionParallel {
+	if e.Replicas() > 1 || e.cfg.InversionParallel {
 		c.SyncCurvature = 20
 	}
 	for i := 0; i < 2*len(e.StageLayers(0)); i++ {
@@ -104,7 +104,7 @@ func TestShapePricedVanillaSchedulesUnchanged(t *testing.T) {
 				if err := e.reprice(2); err != nil {
 					t.Fatal(err)
 				}
-				if c := e.ModeledCosts(); c.Backward != 2*c.Forward && c.Backward != 2*c.Forward+1 {
+				if c := e.priced; c.Backward != 2*c.Forward && c.Backward != 2*c.Forward+1 {
 					t.Fatalf("%s: backward %d is not twice forward %d", sh.name, c.Backward, c.Forward)
 				}
 				want, err := pipeline.Build(method, pipeline.BuildConfig{

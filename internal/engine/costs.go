@@ -99,15 +99,6 @@ func (e *Engine) factorDim(f int) int {
 	return l.DIn()
 }
 
-// packingCosts is what rebuildSchedule packs with: the explicit costs a
-// Reconfigure installed, else the shape-priced ones.
-func (e *Engine) packingCosts() pipeline.StageCosts {
-	if e.costModel != nil {
-		return *e.costModel
-	}
-	return e.priced
-}
-
 // price sets the micro-batch shape the engine's own costs are priced at.
 // An adaptive round length derived from the old price is re-derived once
 // a round at the new one committed.
@@ -122,17 +113,13 @@ func (e *Engine) price(seqs int) error {
 }
 
 // reprice follows a change of the micro-batch shape: the costs are priced
-// anew and, unless explicit costs are installed, the schedule is rebuilt
-// from them. Refresh work in flight belongs to the old schedule's carry
-// structure: it is discarded and the next round refreshes, as after a
-// Reconfigure that changes the schedule. On error nothing changed.
+// anew and the schedule is rebuilt from them. Refresh work in flight
+// belongs to the old schedule's carry structure: it is discarded and the
+// next round refreshes. On error nothing changed.
 func (e *Engine) reprice(seqs int) error {
 	oldSeqs, oldCosts := e.microSeqs, e.priced
 	if err := e.price(seqs); err != nil {
 		return err
-	}
-	if e.costModel != nil {
-		return nil
 	}
 	if err := e.rebuildSchedule(); err != nil {
 		e.microSeqs, e.priced = oldSeqs, oldCosts
@@ -148,12 +135,12 @@ func (e *Engine) reprice(seqs int) error {
 // engine packs with now, so K follows the shape the rounds run rather than
 // the one EnableKFAC priced. It runs after a round committed — that round
 // ran the length its caller sized its batches for — and a new length takes
-// effect from the next round (RoundSteps reports it), as after a Reconfigure
-// that changes it: the refresh cadence keeps its rounds per refresh, and
-// refresh work in flight belongs to the old round's carry structure and is
-// discarded. On error the engine keeps its round length.
+// effect from the next round (RoundSteps reports it): the refresh cadence
+// keeps its rounds per refresh, and refresh work in flight belongs to the
+// old round's carry structure and is discarded. On error the engine keeps
+// its round length.
 func (e *Engine) adaptRoundLength() error {
-	k, err := schedule.AdaptiveRoundLength(e.ScheduleConfig(e.packingCosts()))
+	k, err := schedule.AdaptiveRoundLength(e.ScheduleConfig(e.priced))
 	if err != nil {
 		return fmt.Errorf("engine: deriving adaptive round length: %w", err)
 	}
@@ -168,21 +155,5 @@ func (e *Engine) adaptRoundLength() error {
 		return err
 	}
 	e.dropGenerations(false)
-	return nil
-}
-
-// checkChains verifies every inversion chain of costs has the step count of
-// the blocked inverse of its factor, which the executor runs step by step.
-func (e *Engine) checkChains(costs pipeline.StageCosts) error {
-	for f := range costs.InversionUnits {
-		ch := costs.Chain(f)
-		if len(ch) == 0 {
-			continue
-		}
-		if want := max(len(tensor.InverseChainFLOPs(e.factorDim(f))), 1); len(ch) != want {
-			return fmt.Errorf("engine: factor %d's inversion chain has %d steps, its %d-wide inverse takes %d",
-				f, len(ch), e.factorDim(f), want)
-		}
-	}
 	return nil
 }

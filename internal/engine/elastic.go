@@ -192,33 +192,3 @@ func (e *Engine) MemberView() int { return e.memberView }
 // rank (before the op's failure aborts the round): the CLI exits the
 // process, tests sever the transport so peers observe a real rank death.
 func (e *Engine) SetKillHook(h func()) { e.killHook = h }
-
-// RankSlowness reports how much slower the group's slowest member paces
-// rounds than this rank, as a ratio >= 1 derived from heartbeat-carried
-// round durations (transport.RankStats). 1 means no straggler is visible —
-// including on groups without heartbeat liveness. The autotuner feeds the
-// ratio into hardware.Fit to inflate collective cost estimates when
-// re-planning around a straggler.
-func (e *Engine) RankSlowness() float64 {
-	s, ok := e.group.(interface{ RankStats() []transport.RankStat })
-	if !ok {
-		return 1
-	}
-	stats := s.RankStats()
-	var own, slowest uint32
-	for _, st := range stats {
-		if !st.Alive || st.RoundMicros == 0 {
-			continue
-		}
-		if st.Rank == e.group.Rank() {
-			own = st.RoundMicros
-		}
-		if st.RoundMicros > slowest {
-			slowest = st.RoundMicros
-		}
-	}
-	if own == 0 || slowest <= own {
-		return 1
-	}
-	return float64(slowest) / float64(own)
-}

@@ -333,13 +333,6 @@ type Engine struct {
 	shape     arch.Transformer
 	microSeqs int
 	priced    pipeline.StageCosts
-	// costModel, when set (Reconfigure with costs), replaces the
-	// shape-priced costs the schedule builders pack with: the auto-tuner
-	// feeds measured per-kind durations back so the packer lays bubbles out
-	// against the hardware's measured proportions. Execution follows the
-	// resulting order only, so swapping cost models never changes the math
-	// of a fixed op list.
-	costModel *pipeline.StageCosts
 
 	// optApply, when set (SetOptimizer), is the caller's parameter update,
 	// fired exactly once per training step at the round-internal step
@@ -398,12 +391,16 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Replicas x the family's pipelines module sets: the primary, then every
+	// secondary replica and — under Chimera — each replica's up set.
 	e.sets = append(e.sets, prim)
-	rest, err := e.missingSets(cfg.Method)
-	if err != nil {
-		return nil, err
+	for i := 1; i < cfg.Replicas*pipeline.Pipelines(cfg.Method); i++ {
+		set, err := e.cloneSet()
+		if err != nil {
+			return nil, fmt.Errorf("engine: module set %d: %w", i, err)
+		}
+		e.sets = append(e.sets, set)
 	}
-	e.sets = append(e.sets, rest...)
 	e.initCollectives()
 	// The fault plan is projected onto this member's transport rank, so a
 	// rank-targeted fault (kill:rank=2) costs every other rank nothing —
@@ -452,23 +449,6 @@ func (e *Engine) cloneSet() (*moduleSet, error) {
 		p.Grad.Data = nil
 	}
 	return set, nil
-}
-
-// missingSets builds the module sets the method needs beyond those the
-// engine holds — Replicas x the family's pipelines in all — for the caller
-// to append to e.sets: the secondary replicas at construction, Chimera's up
-// sets the first time a replica needs a second pipeline, nothing once they
-// exist.
-func (e *Engine) missingSets(method string) ([]*moduleSet, error) {
-	var out []*moduleSet
-	for i := len(e.sets); i < e.cfg.Replicas*pipeline.Pipelines(method); i++ {
-		set, err := e.cloneSet()
-		if err != nil {
-			return nil, fmt.Errorf("engine: module set %d: %w", i, err)
-		}
-		out = append(out, set)
-	}
-	return out, nil
 }
 
 // setIndex locates the module set a forward or backward op runs on:
@@ -524,20 +504,16 @@ func buildModuleSet(model pipemodel.Model, cfg Config) (*moduleSet, error) {
 // running it through the timing simulator, which proves the per-device
 // orders and dependency edges cannot deadlock the executor.
 func (e *Engine) rebuildSchedule() error {
-	costs := e.packingCosts()
 	var sched *pipeline.Schedule
 	var err error
 	if e.kfacPre != nil {
-		if err := e.checkChains(costs); err != nil {
-			return err
-		}
-		sched, err = schedule.Executable(e.ScheduleConfig(costs))
+		sched, err = schedule.Executable(e.ScheduleConfig(e.priced))
 	} else {
 		sched, err = pipeline.Build(e.cfg.Method, pipeline.BuildConfig{
 			Stages:               e.cfg.Stages,
 			MicroBatches:         e.cfg.MicroBatches,
 			Steps:                e.roundLen,
-			Costs:                costs,
+			Costs:                e.priced,
 			DataParallelWidth:    e.cfg.Replicas,
 			IncludeOptimizerWork: true,
 		})
@@ -565,22 +541,15 @@ func (e *Engine) rebuildSchedule() error {
 
 // sizeSlots fits the executor's activation memory to the schedule just
 // built: every (module set, stage) gets as many activation slots as its
-// owner keeps micro-batches in flight (a set the schedule does not run — an
-// up set after a swap away from chimera — shrinks to its own blocks), and
-// every device one backward scratch per block position of a stage. A
-// device's ops are serial and each backward's results are copied out inside
-// the op, so all slots of all stages a device hosts share that scratch.
+// owner keeps micro-batches in flight, and every device one backward
+// scratch per block position of a stage. A device's ops are serial and each
+// backward's results are copied out inside the op, so all slots of all
+// stages a device hosts share that scratch.
 func (e *Engine) sizeSlots() {
 	depth := e.sched.InFlightDepth()
-	want := make(map[*stage]int)
 	for s, owners := range e.sched.Placement.Owners {
 		for i, o := range owners {
-			want[e.sets[e.setOf(o.Replica, o.Pipeline)].stages[s]] = depth[s][i]
-		}
-	}
-	for _, set := range e.sets {
-		for _, st := range set.stages {
-			st.resize(want[st])
+			e.sets[e.setOf(o.Replica, o.Pipeline)].stages[s].resize(depth[s][i])
 		}
 	}
 	for len(e.scratch) < e.sched.Devices {
@@ -590,7 +559,6 @@ func (e *Engine) sizeSlots() {
 		}
 		e.scratch = append(e.scratch, blocks)
 	}
-	e.scratch = e.scratch[:e.sched.Devices]
 }
 
 // ScheduleConfig returns the PipeFisher configuration the engine runs —
@@ -655,6 +623,22 @@ func (e *Engine) SetOptimizer(apply func(step int) error) { e.optApply = apply }
 // Replicas returns the data-parallel width W.
 func (e *Engine) Replicas() int { return e.cfg.Replicas }
 
+// MicroBatches returns the number of micro-batches per replica per step.
+func (e *Engine) MicroBatches() int { return e.cfg.MicroBatches }
+
+// RefreshEvery returns the refresh cadence in steps (0 before EnableKFAC).
+func (e *Engine) RefreshEvery() int { return e.refreshEvery }
+
+// CarryDepth returns the number of rounds one refresh spans
+// (schedule.Config.CarryDepth): 2 when overlapped — carried work lags one
+// round — and 0 otherwise.
+func (e *Engine) CarryDepth() int {
+	if e.cfg.OverlapRounds {
+		return 2
+	}
+	return 0
+}
+
 // Method returns the schedule family the engine executes.
 func (e *Engine) Method() string { return e.cfg.Method }
 
@@ -704,7 +688,7 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 	adaptive := k == AdaptiveRefreshSteps
 	if adaptive {
 		var err error
-		k, err = schedule.AdaptiveRoundLength(e.ScheduleConfig(e.packingCosts()))
+		k, err = schedule.AdaptiveRoundLength(e.ScheduleConfig(e.priced))
 		if err != nil {
 			return fmt.Errorf("engine: deriving adaptive round length: %w", err)
 		}
@@ -741,7 +725,7 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 	// Generation pools for the refresh pipeline (see kfacGenPool): the
 	// collecting generation and the carried one, so overlapped rounds can
 	// collect a generation while the previous one's carried ops drain.
-	// Their buffers are shape-stable across schedule swaps, which keep
+	// Their buffers are shape-stable across schedule rebuilds, which keep
 	// Stages/MicroBatches/Replicas fixed.
 	perStep, nLayers := e.cfg.MicroBatches*e.cfg.Replicas, len(e.sets[0].stages[0].layers)
 	for i, p := range e.kfacPools {
@@ -942,8 +926,7 @@ func (e *Engine) TrainRound(batches []*data.Batch) ([]*StepResult, error) {
 	if err == nil {
 		// Feed the round's wall time to the transport's liveness layer:
 		// heartbeats carry it to every peer, where it surfaces as the
-		// per-rank pace RankStats reports and the autotuner's straggler
-		// inflation consumes.
+		// per-rank pace RankStats reports.
 		if ob, ok := e.group.(interface{ ObserveRoundDuration(time.Duration) }); ok {
 			ob.ObserveRoundDuration(time.Since(roundStart))
 		}

@@ -469,7 +469,7 @@ func TestAdaptiveRoundLengthFollowsShape(t *testing.T) {
 	if res := round(); len(res) != k0 {
 		t.Fatalf("the re-pricing round ran %d steps, its caller sized %d", len(res), k0)
 	}
-	want, err := schedule.AdaptiveRoundLength(e.ScheduleConfig(e.ModeledCosts()))
+	want, err := schedule.AdaptiveRoundLength(e.ScheduleConfig(e.priced))
 	if err != nil {
 		t.Fatal(err)
 	}

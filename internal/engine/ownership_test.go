@@ -200,7 +200,7 @@ func TestChimeraIdentityMatrix(t *testing.T) {
 		{"gpt", func() (pipemodel.Model, error) { return gpt.New(gpt.TinyConfig(), 99) }, gptBatches},
 	}
 	train := func(t *testing.T, m pipemodel.Model, batches []*data.Batch, cfg Config) (*Engine, []float64) {
-		e := newSwapEngine(t, m, cfg, 1)
+		e := newKFACEngine(t, m, cfg, 1)
 		var losses []float64
 		for _, b := range batches {
 			res, err := e.TrainRound([]*data.Batch{b})
@@ -245,50 +245,6 @@ func TestChimeraIdentityMatrix(t *testing.T) {
 	}
 }
 
-// Swapping schedule families in and out of Chimera builds the up sets on
-// the way in, keeps every set aliased through every swap, and — the
-// reduction order being schedule-independent — leaves training
-// bit-identical to an engine that stayed on GPipe throughout. At W = 1 the
-// up set is the only secondary; at W = 2 replica 1 and both up sets are.
-func TestReconfigureIntoChimeraBuildsAliasedSets(t *testing.T) {
-	for _, w := range []int{1, 2} {
-		t.Run(fmt.Sprintf("W%d", w), func(t *testing.T) {
-			batches := bertBatches(t, 5, 8)
-			cfg := Config{Method: "gpipe", Stages: 2, MicroBatches: 2, Replicas: w}
-			run := func(methods []string) (*Engine, *bert.Model) {
-				m, err := bert.New(bert.TinyConfig(), 123)
-				if err != nil {
-					t.Fatal(err)
-				}
-				e, err := NewWithConfig(m, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := optim.NewLAMB(m.Params(), 0.01)
-				e.SetOptimizer(func(int) error { opt.Step(5e-3); return nil })
-				for i, b := range batches {
-					if methods[i] != e.Method() {
-						shape := e.Shape()
-						shape.Method = methods[i]
-						if err := e.Reconfigure(shape, nil); err != nil {
-							t.Fatalf("swap to %s: %v", methods[i], err)
-						}
-					}
-					requireAlias(t, e, fmt.Sprintf("step %d on %s", i, e.Method()))
-					if _, err := e.TrainStep(b); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return e, m
-			}
-			_, mRef := run([]string{"gpipe", "gpipe", "gpipe", "gpipe", "gpipe"})
-			e, m := run([]string{"gpipe", "chimera", "gpipe", "1f1b", "chimera"})
-			requireParamsBitEqual(t, m.Params(), mRef.Params(), "swapped through chimera vs stayed on gpipe")
-			requireAlias(t, e, "after the last swap")
-		})
-	}
-}
-
 // A checkpoint restore writes the saved weights into the primary's storage
 // in place, so every module set sees them: the alias holds after
 // RestoreCheckpoint and after RegroupRestore — on a loopback group, on a
@@ -302,7 +258,7 @@ func TestChimeraAliasSurvivesRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newSwapEngine(t, m, cfg, 2)
+	e := newKFACEngine(t, m, cfg, 2)
 	if _, err := e.TrainRound(batches[:2]); err != nil {
 		t.Fatal(err)
 	}

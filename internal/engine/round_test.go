@@ -92,6 +92,23 @@ func runRounds(t *testing.T, model pipemodel.Model, batches []*data.Batch, cfg C
 	return losses
 }
 
+// newKFACEngine builds an engine with K-FAC, an owned optimizer and its
+// state attached for checkpoints.
+func newKFACEngine(t *testing.T, m pipemodel.Model, cfg Config, kfacEvery int) *Engine {
+	t.Helper()
+	e, err := NewWithConfig(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableKFAC(kfac.Options{Damping: 1e-2, StatDecay: 0.9, UsePiDamping: true}, kfacEvery); err != nil {
+		t.Fatal(err)
+	}
+	opt := optim.NewLAMB(m.Params(), 0.01)
+	e.SetOptimizer(func(step int) error { opt.Step(5e-3); return nil })
+	e.AttachOptimizerState(opt)
+	return e
+}
+
 func bertBatches(t *testing.T, n, size int) []*data.Batch {
 	t.Helper()
 	c, err := data.NewCorpus(bert.TinyConfig().VocabSize, 1.0, 321)

@@ -47,7 +47,7 @@ func TestSlotsFreeAfterAbort(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := newSwapEngine(t, m, cfg, 1)
+		e := newKFACEngine(t, m, cfg, 1)
 		batch := bertBatches(t, 1, 8)
 		if abort {
 			tensor.SetPoolAudit(true)

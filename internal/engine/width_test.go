@@ -51,7 +51,7 @@ func TestFMAWidthEngineIdentity(t *testing.T) {
 			r.names, r.mats = append(r.names, name), append(r.mats, mat.Clone())
 		}
 		k := max(cfg.RefreshSteps, 1)
-		e := newSwapEngine(t, m, cfg, k)
+		e := newKFACEngine(t, m, cfg, k)
 		opt := optim.NewLAMB(m.Params(), 0.01)
 		e.SetOptimizer(func(step int) error {
 			for _, p := range m.Params() {

@@ -81,8 +81,8 @@ func TestAllReduceTime(t *testing.T) {
 // the single-message chain by at least 1.3x for every ring size, and the
 // advantage grows with the payload (more chunks to overlap) until per-chunk
 // latency takes over. Wall-clock confirmation needs a multi-core host
-// (BenchmarkAllReduce); this pins the model the scheduler and auto-tuner
-// rank transports with.
+// (BenchmarkAllReduce); this pins the model the scheduler prices
+// transports with.
 func TestChainAllReduceChunkingPipelines(t *testing.T) {
 	ic := DefaultInterconnect
 	const chunkBytes = 8192 * 8 // transport.DefaultChunkFloats float64s

@@ -64,8 +64,8 @@ type family struct {
 }
 
 // builders names the synchronous schedule families — the one place that
-// knows the method names the engine, the PipeFisher packer and the
-// auto-tuner's candidate space accept. A new family is a builder plus a row.
+// knows the method names the engine and the PipeFisher packer accept. A new
+// family is a builder plus a row.
 var builders = []family{
 	{"gpipe", BuildGPipe, 1, nil},
 	{"1f1b", Build1F1B, 1, nil},

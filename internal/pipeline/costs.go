@@ -52,17 +52,6 @@ func (c StageCosts) InversionTotal() hardware.Microseconds {
 	return t
 }
 
-// Equal compares two StageCosts value-wise.
-func (c StageCosts) Equal(o StageCosts) bool {
-	return c.Forward == o.Forward && c.Backward == o.Backward &&
-		c.CurvaturePerMicroBatch == o.CurvaturePerMicroBatch &&
-		c.Precondition == o.Precondition && c.OptStep == o.OptStep &&
-		c.SyncGrad == o.SyncGrad && c.SyncCurvature == o.SyncCurvature &&
-		slices.Equal(c.CurvatureUnits, o.CurvatureUnits) &&
-		slices.Equal(c.InversionUnits, o.InversionUnits) &&
-		slices.EqualFunc(c.InversionChains, o.InversionChains, slices.Equal)
-}
-
 // Chain returns factor f's inversion chain: the modeled step times, or nil
 // when the factor inverts as one op.
 func (c StageCosts) Chain(f int) []hardware.Microseconds {
@@ -74,7 +63,7 @@ func (c StageCosts) Chain(f int) []hardware.Microseconds {
 
 // Refit returns the costs with every work kind the estimator knows replaced
 // by its estimate — how durations observed per op kind (an executed
-// timeline's means, the auto-tuner's running medians) map back onto the
+// timeline's means, say) map back onto the
 // fields the builders price ops with. Curvature and inversion are observed
 // per kind, not per factor, so one estimate prices every unit (the units are
 // fresh slices, the receiver's are left alone), CurvaturePerMicroBatch is
@@ -174,7 +163,7 @@ type CostConfig struct {
 	// sync-grad/sync-curvature with the flat alpha-beta all-reduce, "ring"
 	// with the chunked chain model of the socket transport
 	// (hardware.ChainAllReduceCost at the transport's default chunk size) —
-	// so simulated schedules and the auto-tuner rank transports too.
+	// so simulated schedules price transports too.
 	Transport string
 	// Recompute enables activation recomputation: forward activations are
 	// recomputed during backward, making backward cost fwd+bwd.
@@ -220,7 +209,8 @@ func CostsFor(cfg CostConfig) (StageCosts, error) {
 	// paper's GPU, where cuSOLVER's potrf/potri run well below GEMM
 	// efficiency; it says nothing about this host, whose
 	// tensor.SPDInverseInto runs its O(d³) terms on the packed GEMM driver
-	// (hardware.Fit refits measured costs when the two must agree).
+	// (the engine prices it on its own host profile, GEMM efficiency
+	// throughout).
 	tokens := float64(cfg.MicroBatch) * float64(a.SeqLen)
 	for b := 0; b < cfg.BlocksPerStage; b++ {
 		for _, d := range a.FactorDims() {

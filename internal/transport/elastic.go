@@ -15,11 +15,10 @@ type RankStat struct {
 	RoundMicros uint32        // the rank's self-reported last round wall time (µs)
 }
 
-// RankStats reports every rank's heartbeat-derived liveness and pace. A
-// rank whose RoundMicros is far above its peers' is a straggler — the
-// autotuner uses the ratio to inflate communication cost estimates when
-// re-planning. Before the first heartbeat interval elapses peers show
-// Alive == false; that means "not heard yet", not "dead".
+// RankStats reports every rank's heartbeat-derived liveness and pace: a
+// rank whose RoundMicros is far above its peers' is a straggler. Before the
+// first heartbeat interval elapses peers show Alive == false; that means
+// "not heard yet", not "dead".
 func (r *Ring) RankStats() []RankStat {
 	now := time.Now()
 	out := make([]RankStat, r.size)
