@@ -144,6 +144,27 @@
 // source; FuzzPack), and every identity contract here holds unchanged.
 // scalar, tiled and every purego build keep the Go packers.
 //
+// An operand that multiplies many times between changes can be packed once
+// instead: a tensor.Packed holds a matrix as the left operand's mr-row
+// panels or the right operand's nr-column panels over the whole
+// contraction, and MatMulPackedAInto / MatMulPackedBInto read them where
+// the driver would have read its own. The panels are what the driver packs,
+// so the products equal MatMulInto bit for bit; they belong to the kernel
+// variant, the fma width, the float32 mode and the tile they were packed
+// for, and a product under any other configuration repacks from the source
+// first, so stale panels are never read (TestPackedMatchesMatMulInto packs
+// under every configuration and multiplies under every other). What the
+// source holds is its owner's to track: in kfac one function
+// (LayerState.setInverse) writes a cached inverse and packs it — a
+// refresh's swap, a snapshot restore, and EditInverse, the only in-place
+// write from outside (the engine's inverse-corruption fault goes through
+// it, so the panels carry the NaN the health scan must catch:
+// TestCorruptionCaughtBeforeCommit's op=inverse case under every kernel).
+// Precondition's two products B⁻¹·G and (B⁻¹G)·A⁻¹ read those panels every
+// step and never check them (TestPreconditionPackedInverses: after a swap,
+// a restore, every kernel, a float32 flip and a width flip). The panels
+// cost one more copy of each inverse's bytes.
+//
 // The element-wise family is the transcendental half of a step — GELU's erf
 // and exp, softmax's and cross-entropy's exps — as three fused forms over
 // []float64: tensor.GELUForward (Φ(x) = (1 + erf(x/√2))/2 retained, y =
@@ -244,16 +265,44 @@
 // runs only the k range that can hold nonzeros) and for the symmetric
 // rank-k update that computes only the tiles touching the lower triangle
 // and mirrors them. The same rank-k form builds the Kronecker factors
-// (TMatMulInto with both operands the same matrix, hence Snap.GramInto),
-// bit-identical to the full product at half the flops. The scalar loops
-// survive as the base case: a factor of dimension <= nb runs the scalar
-// pipeline end to end, each element one ascending-k reduction, and above
-// nb only the <= nb diagonal blocks use them. So under scalar and tiled a
-// factor of at most 64 rows does not depend on the variant or on this
-// blocking at all, while under fma every factor wider than 16 runs its
-// Cholesky, triangular inverse and M^T M on the FMA micro-kernels (the
+// (TMatMulInto with both operands the same matrix), bit-identical to the
+// full product at half the flops. A Kronecker-factor partial
+// (Snap.GramInto) is that product without its mirror: its strict upper
+// triangle is unspecified, because a partial is only ever read through the
+// sum it folds into, and the engine's factor fold mirrors each folded sum
+// once (Matrix.MirrorLower) after its scale and before the NaN guard and
+// SetFactors read it whole — one mirror per factor per refresh instead of
+// one per micro-batch partial, bit for bit the fold of mirrored partials,
+// since an upper element was the same sum of the same values in the same
+// order (TestFoldMirrorsLowerGramsOnce: loopback at W = 1 and 2, the ring
+// at W = 2 and 4, the partials' upper triangles NaN). The base case is the
+// Go loops choleskyInto and triInvInto: a factor of dimension <= nb runs
+// the whole inverse on them, and above nb only the <= nb diagonal blocks
+// do. Under fma those base blocks run as vector kernels
+// (tensor/cholesky_amd64.s) that store the Go loops' bits: the block's
+// lower triangle is transposed into a 16 x 16 buffer by the A-panel
+// packer, the Cholesky runs one matrix row per lane — column j of L from
+// columns < j, lane i adding l[i][k]·l[j][k] over ascending k with a
+// VMULPD then a VADDPD, the pivot lane checked like the Go loop's — and the
+// triangular inverse one column per lane, each row from the rows above it
+// (a lane's terms before its own column multiply the exact zeros above the
+// diagonal, which leave its sum at +0 until the Go loop's first term). The
+// Go loops convert every product explicitly, so GOAMD64=v3 cannot fuse
+// them either (TestBaseKernelsMatchGoLoops, CI's v3 step). So under scalar
+// and tiled a factor of at most 64 rows does not depend on the variant or
+// on this blocking at all, while under fma every factor wider than 16 runs
+// its Cholesky, triangular inverse and M^T M on the FMA micro-kernels (the
 // base model's 64-wide factors invert about 4x faster than in the scalar
-// loops). ErrNotSPD still means a non-positive pivot — of a trailing
+// loops). A block of at most 64 rows that splits (fma only) runs every
+// product on gemmDirect — the driver's tiles over the driver's splits on
+// the calling goroutine, its panels, its Y and Z and its base buffers in
+// one pooled scratch — skipping the pooled context, the pooled pack
+// buffers and the fan-out: those, not arithmetic, were most of a 32- or
+// 64-wide inverse. The results equal the earlier path, kept as the
+// test-only oracle, bit for bit (TestSPDInverseMatchesOracle: n in 1..64
+// and chained sizes, every variant, both fma widths, damping escalation,
+// the chain stepped one op at a time; FuzzSPDInverse at n <= 64).
+// ErrNotSPD still means a non-positive pivot — of a trailing
 // block's Schur complement if not of the leading one — with the
 // damping-escalation rescue unchanged around both regimes. The top-level
 // split is keyed to 64 under every variant, so inversion chains (below)
@@ -631,6 +680,17 @@
 //     unbounded one lost wide_1f1b_k8 pairs, whose refresh ops keep a
 //     waiting device waiting for long. Waits still end on the round's abort
 //     (TestWatchdogAbortWhileConsumerSpins, TestFaultSuitesWithSpinningWaits).
+//   - Plain rounds: a round that neither collects a generation nor carries
+//     one — 3 of 4 rounds at refreshEvery = 4K without overlap — would find
+//     no pool in any refresh op (120 of tiny_1f1b's 140). Its devices
+//     skip them: deviceLoop still waits on a refresh op's dependencies, so
+//     every ordering edge of the schedule stays, and then closes its
+//     completion signal without running it — no watchdog arm, no timing,
+//     no timeline event. A fault plan or a test's failOp hook keeps them
+//     running, since both are consulted by every op, one that finds no pool
+//     included. TestPlainRoundsMatchFullList holds losses, gradients,
+//     factors, inverses and weights to an engine that runs every op, bit
+//     for bit.
 //   - Factor ownership across step boundaries: the window's first step
 //     snapshots the per-micro-batch statistics into pooled buffers owned
 //     by the run state; the scheduled Curvature ops consume them in
@@ -649,7 +709,8 @@
 //     the engine's semantics as one loop on one goroutine, no pipelines,
 //     pools or module sets — each global micro-batch forward and backward
 //     in ascending order, gradient deltas and K-FAC partials folded through
-//     the transport's fold in that order, a refresh fed by its window's
+//     the transport's fold in that order (each factor's folded sum mirrored
+//     once: the partials are lower triangles), a refresh fed by its window's
 //     first-step statistics, each factor's new inverse first serving at the
 //     step of its inversion op (or its chain's last op) in the engine's own
 //     Schedule, a carried generation folding and inverting before the
@@ -802,6 +863,12 @@
 //     chain step).
 //   - Explicit costs — cmd/figures', MeasuredCosts', anything Refit
 //     re-estimates — carry no chains.
+//   - Small chains: a factor of at most 64 rows is a one-step chain, and
+//     under fma every product of its blocked form (every product of any
+//     block of at most 64 rows, inside a longer chain's M11 and M22 steps
+//     too) fits one tile block; those run on gemmDirect in the chain's own
+//     scratch, with the same splits, the same per-element FMA order and the
+//     same bits as the packed driver.
 //
 // # Fault tolerance contract
 //

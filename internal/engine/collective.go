@@ -257,7 +257,10 @@ func (f *factorFold) stage(ops []transport.Reduction, parts []*tensor.Matrix, ro
 // parts — every reduction still summed alone, in the fixed ascending global
 // micro-batch order — N the group-wide row count (its own 1-element
 // collective: integer counts sum exactly in float64), scale 1 for A and
-// scaleB for B. The returned matrices are pooled; the caller Puts them
+// scaleB for B. The partials are lower triangles whose upper ones are
+// unspecified (they cross the wire as they are); each sum is mirrored once
+// after its scale, which equals folding mirrored partials bit for bit: an
+// upper element was the same sum of the same values in the same order. The returned matrices are pooled; the caller Puts them
 // after SetFactors copies them out. Partial buffers stay with the caller.
 func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
 	if newA, err = fs.a.stage(fs.ops[0:2], pool.curvA[s][li], pool.rowsA[s][li]); err != nil {
@@ -282,6 +285,10 @@ func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, 
 	}
 	newA.ScaleInPlace(1 / nA)
 	newB.ScaleInPlace(scaleB / nB)
+	// The partials are lower triangles (Snap.GramInto); the folded sums
+	// are mirrored here, once each, before anything reads them whole.
+	newA.MirrorLower()
+	newB.MirrorLower()
 	return newA, newB, bytes, nil
 }
 

@@ -539,6 +539,14 @@ func (e *Engine) rebuildSchedule() error {
 	return nil
 }
 
+// plainRound reports whether a K-FAC round skips its refresh ops: it
+// collects no generation and carries none, so each of them would find no
+// pool and return. A fault plan or a test's failOp hook keeps them running:
+// both are consulted by every op, including one that finds no pool.
+func (e *Engine) plainRound(refresh bool, pending *kfacGenPool) bool {
+	return e.kfacPre != nil && !refresh && pending == nil && e.inj == nil && e.failOp == nil
+}
+
 // sizeSlots fits the executor's activation memory to the schedule just
 // built: every (module set, stage) gets as many activation slots as its
 // owner keeps micro-batches in flight, and every device one backward

@@ -50,6 +50,10 @@ type runState struct {
 
 	done []opDone // per op, closed on completion, skip or abort
 
+	// plain marks a round whose refresh ops are skipped, not run
+	// (Engine.plainRound).
+	plain bool
+
 	stageIn  [][]*tensor.Matrix // [stage][flat] stage inputs, alive until the micro-batch's backward
 	stageOut [][]*tensor.Matrix // [stage][flat] activations leaving a stage
 	gradOut  [][]*tensor.Matrix // [stage][flat] error signals leaving a stage
@@ -215,6 +219,7 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		events:    make([][]pipeline.Event, e.sched.Devices),
 		start:     time.Now(),
 	}
+	st.plain = e.plainRound(refresh, pending)
 	for d := range st.events {
 		st.events[d] = make([]pipeline.Event, 0, len(e.sched.Order[d]))
 	}
@@ -294,6 +299,10 @@ func (st *runState) deviceLoop(d int) {
 		op := e.sched.Ops[id]
 		for _, dep := range op.Deps {
 			st.await(&st.done[dep]) // closed by the round's abort at the latest (fail)
+		}
+		if st.plain && op.Kind.IsRefresh() {
+			st.done[id].close()
+			continue
 		}
 		var err error
 		if pending >= 0 && !op.Kind.IsRefresh() {

@@ -432,53 +432,75 @@ func TestWatchdogConvertsStallIntoAttributedAbort(t *testing.T) {
 
 // Injected numeric corruption must never commit: the pre-commit health scan
 // converts the poisoned step into an attributed abort, and checkpoint
-// replay recovers a clean, fault-free state.
+// replay recovers a clean, fault-free state. A poisoned inverse must reach
+// the step that preconditions with it under every kernel — including the
+// ones whose Precondition reads the inverse's packed panels, not the
+// matrix itself.
 func TestCorruptionCaughtBeforeCommit(t *testing.T) {
+	def := tensor.ActiveKernel()
+	defer tensor.SetKernel(def)
 	for _, spec := range []string{
 		"corrupt:step=0,op=backward,count=1",
 		"corrupt:step=0,op=forward,count=1",
+		"corrupt:op=inverse,count=1",
 	} {
 		t.Run(spec, func(t *testing.T) {
-			m, c := newModelAndCorpus(t)
-			e, err := NewWithConfig(m, Config{
-				Method: "gpipe", Stages: 2, MicroBatches: 2, RefreshSteps: 2,
-				FaultPlan: mustParsePlan(t, spec), Checkpoint: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.EnableKFAC(faultKFACOpts(), 2); err != nil {
-				t.Fatal(err)
-			}
-			opt := optim.NewLAMB(m.Params(), 0.01)
-			e.SetOptimizer(func(step int) error { opt.Step(5e-3); return nil })
-			e.AttachOptimizerState(opt)
-			mk := func() []*data.Batch {
-				return []*data.Batch{
-					c.MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen)),
-					c.MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen)),
-				}
-			}
-			batches := mk()
-			_, err = e.TrainRound(batches)
-			if err == nil {
-				t.Fatal("corrupted step committed")
-			}
-			if !strings.Contains(err.Error(), "must not commit") {
-				t.Fatalf("corruption not caught by the health scan: %v", err)
-			}
-			if _, rerr := e.RestoreCheckpoint(); rerr != nil {
-				t.Fatal(rerr)
-			}
-			if _, err := e.TrainRound(batches); err != nil {
-				t.Fatalf("replay after corruption abort failed: %v", err)
-			}
-			for _, p := range m.Params() {
-				if p.Value.HasNaN() {
-					t.Fatalf("parameter %s poisoned despite the health scan", p.Name)
-				}
+			for _, kern := range tensor.AvailableKernels() {
+				t.Run(kern.String(), func(t *testing.T) {
+					if err := tensor.SetKernel(kern); err != nil {
+						t.Fatal(err)
+					}
+					checkCorruptionCaught(t, spec)
+				})
 			}
 		})
+	}
+}
+
+func checkCorruptionCaught(t *testing.T, spec string) {
+	t.Helper()
+	m, c := newModelAndCorpus(t)
+	e, err := NewWithConfig(m, Config{
+		Method: "gpipe", Stages: 2, MicroBatches: 2, RefreshSteps: 2,
+		FaultPlan: mustParsePlan(t, spec), Checkpoint: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableKFAC(faultKFACOpts(), 2); err != nil {
+		t.Fatal(err)
+	}
+	opt := optim.NewLAMB(m.Params(), 0.01)
+	e.SetOptimizer(func(step int) error { opt.Step(5e-3); return nil })
+	e.AttachOptimizerState(opt)
+	batches := []*data.Batch{
+		c.MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen)),
+		c.MakeBatch(4, data.DefaultBatchConfig(m.Config.SeqLen)),
+	}
+	_, err = e.TrainRound(batches)
+	if err == nil {
+		t.Fatal("corrupted step committed")
+	}
+	if !strings.Contains(err.Error(), "must not commit") {
+		t.Fatalf("corruption not caught by the health scan: %v", err)
+	}
+	if _, rerr := e.RestoreCheckpoint(); rerr != nil {
+		t.Fatal(rerr)
+	}
+	if _, err := e.TrainRound(batches); err != nil {
+		t.Fatalf("replay after corruption abort failed: %v", err)
+	}
+	for _, p := range m.Params() {
+		if p.Value.HasNaN() {
+			t.Fatalf("parameter %s poisoned despite the health scan", p.Name)
+		}
+	}
+	for s := 0; s < e.Stages(); s++ {
+		for _, ls := range e.KFACStates(s).States() {
+			if ls.HasInverses() && (ls.AInv.HasNaN() || ls.BInv.HasNaN()) {
+				t.Fatalf("stage %d layer %s: poisoned inverse survived the replay", s, ls.Layer.Name)
+			}
+		}
 	}
 }
 

@@ -225,12 +225,14 @@ func (p *refStats) add(stat tensor.Snap) {
 	p.rows = append(p.rows, []float64{float64(stat.Rows())})
 }
 
-// factor folds the partials into scale/N · Σ UᵀU, N the summed rows.
+// factor folds the partials into scale/N · Σ UᵀU, N the summed rows. The
+// partials are lower triangles (GramInto); the sum is mirrored once.
 func (p *refStats) factor(scale float64) *tensor.Matrix {
 	f, rows := tensor.Zeros(p.n, p.n), []float64{0}
 	fold(f.Data, p.grams)
 	fold(rows, p.rows)
 	f.ScaleInPlace(scale / rows[0])
+	f.MirrorLower()
 	return f
 }
 

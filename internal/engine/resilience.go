@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/pipeline"
+	"repro/internal/tensor"
 )
 
 // This file is the engine's fault-tolerance layer. Every op of every round
@@ -216,14 +217,11 @@ func (st *runState) corruptOutput(op *pipeline.Op) {
 		}
 		st.e.layerMu[op.Stage][li].Lock()
 		defer st.e.layerMu[op.Stage][li].Unlock()
-		s := st.e.kfacPre[op.Stage].States()[li]
-		inv := s.AInv
-		if factorB {
-			inv = s.BInv
-		}
-		if inv != nil && len(inv.Data) > 0 {
-			inv.Data[0] = nan
-		}
+		st.e.kfacPre[op.Stage].States()[li].EditInverse(factorB, func(inv *tensor.Matrix) {
+			if len(inv.Data) > 0 {
+				inv.Data[0] = nan
+			}
+		})
 	default:
 		// Collectives, preconditions, optimizer anchors: poison the
 		// primary's reduced gradient accumulators of the op's stage.

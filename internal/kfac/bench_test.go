@@ -54,30 +54,42 @@ func BenchmarkUpdateInverses(b *testing.B) {
 		}
 	}
 	b.Run("d=64", func(b *testing.B) { run(b, benchPreconditioner(b)) })
-	b.Run("d=128_dff=512", func(b *testing.B) {
-		rng := tensor.NewRNG(1)
-		ff1 := nn.NewDense("ff1", 128, 512, rng)
-		ff2 := nn.NewDense("ff2", 512, 128, rng)
-		ff1.CaptureKFAC, ff2.CaptureKFAC = true, true
-		h := ff1.Forward(tensor.RandN(rng, 64, 128, 1)) // tokens < dff: rank-deficient factors
-		ff2.Forward(h)
-		ff1.Backward(ff2.Backward(tensor.RandN(rng, 64, 128, 0.5)))
-		run(b, NewPreconditioner([]*nn.Dense{ff1, ff2}, DefaultOptions()))
-	})
+	b.Run("d=128_dff=512", func(b *testing.B) { run(b, benchFeedForward(b)) })
 }
 
+// BenchmarkPrecondition preconditions every layer's gradient with the
+// cached inverses, which do not change between calls: the 64->64 layer and
+// the wide_1f1b_k8 feed-forward pair (d = 128, dff = 512).
 func BenchmarkPrecondition(b *testing.B) {
-	p := benchPreconditioner(b)
-	if err := p.UpdateCurvature(512); err != nil {
-		b.Fatal(err)
+	run := func(b *testing.B, p *Preconditioner) {
+		if err := p.UpdateCurvature(512); err != nil {
+			b.Fatal(err)
+		}
+		if err := p.UpdateInverses(); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Precondition()
+		}
 	}
-	if err := p.UpdateInverses(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Precondition()
-	}
+	b.Run("d=64", func(b *testing.B) { run(b, benchPreconditioner(b)) })
+	b.Run("d=128_dff=512", func(b *testing.B) { run(b, benchFeedForward(b)) })
+}
+
+// benchFeedForward builds the d = 128 / dff = 512 feed-forward pair with
+// captured stats, fewer tokens than dff: rank-deficient factors.
+func benchFeedForward(b *testing.B) *Preconditioner {
+	b.Helper()
+	rng := tensor.NewRNG(1)
+	ff1 := nn.NewDense("ff1", 128, 512, rng)
+	ff2 := nn.NewDense("ff2", 512, 128, rng)
+	ff1.CaptureKFAC, ff2.CaptureKFAC = true, true
+	h := ff1.Forward(tensor.RandN(rng, 64, 128, 1))
+	ff2.Forward(h)
+	ff1.Backward(ff2.Backward(tensor.RandN(rng, 64, 128, 0.5)))
+	return NewPreconditioner([]*nn.Dense{ff1, ff2}, DefaultOptions())
 }
 
 // BenchmarkKFACRefreshAndPrecondition covers one full K-FAC cycle —

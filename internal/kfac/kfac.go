@@ -34,7 +34,8 @@ type LayerState struct {
 	A, B *tensor.Matrix
 	// AInv and BInv are the cached inverses used for preconditioning; they
 	// may be stale relative to A and B (the paper refreshes them every few
-	// pipeline steps).
+	// pipeline steps). Read them freely; write into them only through
+	// EditInverse, which keeps Precondition's packed copy in step.
 	AInv, BInv *tensor.Matrix
 	// CurvatureUpdates counts curvature refreshes; InverseUpdates counts
 	// inversion refreshes. InverseAge counts preconditioning steps since
@@ -51,6 +52,47 @@ type LayerState struct {
 	// of AInv/BInv never sees a half-written matrix and steady-state
 	// refreshes allocate nothing.
 	spareA, spareB *tensor.Matrix
+	// ainvPanels and binvPanels are AInv and BInv packed as the right and
+	// left operands of Precondition's two products, which read them
+	// instead of packing the inverses every step. setInverse packs them at
+	// every write of an inverse (tensor.Packed repacks them itself after a
+	// kernel, width or precision change).
+	ainvPanels, binvPanels tensor.Packed
+}
+
+// setInverse makes inv the layer's cached A inverse (B when factorB is set)
+// and packs it for Precondition. It is the one writer of AInv, BInv and
+// their panels — a refresh's swap, Snapshot.Restore and EditInverse all go
+// through it — so the panels always hold what the inverse holds. A nil inv
+// clears the inverse.
+func (s *LayerState) setInverse(factorB bool, inv *tensor.Matrix) {
+	if factorB {
+		s.BInv = inv
+		if inv != nil {
+			s.binvPanels.PackLeft(inv)
+		}
+		return
+	}
+	s.AInv = inv
+	if inv != nil {
+		s.ainvPanels.PackRight(inv)
+	}
+}
+
+// EditInverse runs edit on the layer's cached A inverse (B when factorB is
+// set) in place and repacks it for Precondition — the one way to write
+// into a cached inverse from outside a refresh, used by the engine's
+// silent-corruption fault model. A no-op when the inverse is absent.
+func (s *LayerState) EditInverse(factorB bool, edit func(inv *tensor.Matrix)) {
+	inv := s.AInv
+	if factorB {
+		inv = s.BInv
+	}
+	if inv == nil {
+		return
+	}
+	edit(inv)
+	s.setInverse(factorB, inv)
 }
 
 // HasInverses reports whether the layer has usable cached inverses.
@@ -254,9 +296,9 @@ func (fc *FactorChain) Last() bool { return fc.chain.Last() }
 // step leaves the cached inverse as it was and the chain idle.
 func (fc *FactorChain) Step() error {
 	s := fc.s
-	inv, spare, name := &s.AInv, &s.spareA, "A"
+	inv, spare, name := s.AInv, &s.spareA, "A"
 	if fc.factorB {
-		inv, spare, name = &s.BInv, &s.spareB, "B"
+		inv, spare, name = s.BInv, &s.spareB, "B"
 	}
 	var dst *tensor.Matrix
 	if fc.chain.Last() {
@@ -271,7 +313,9 @@ func (fc *FactorChain) Step() error {
 		return fmt.Errorf("inverting %s of %q: %w", name, s.Layer.Name, err)
 	}
 	if dst != nil {
-		*inv, *spare = *spare, *inv
+		// The replaced inverse becomes the next refresh's target.
+		*spare = inv
+		s.setInverse(fc.factorB, dst)
 		if fc.factorB {
 			s.InverseUpdates++
 		}
@@ -332,10 +376,11 @@ func (p *Preconditioner) Precondition() int {
 		}
 		g := s.Layer.GW // dout x din
 		// B⁻¹ G into the retained intermediate, then (B⁻¹G) A⁻¹ straight
-		// back into G — no per-step allocation.
+		// back into G — no per-step allocation — with the inverses' panels
+		// packed when they were written, not here.
 		s.preTmp = tensor.Reuse(s.preTmp, g.Rows, g.Cols)
-		tensor.MatMulInto(s.preTmp, s.BInv, g)
-		tensor.MatMulInto(g, s.preTmp, s.AInv)
+		tensor.MatMulPackedAInto(s.preTmp, &s.binvPanels, g)
+		tensor.MatMulPackedBInto(g, s.preTmp, &s.ainvPanels)
 		s.InverseAge++
 		done++
 	}

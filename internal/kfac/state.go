@@ -71,8 +71,8 @@ func (s *Snapshot) Restore(p *Preconditioner) error {
 		ls := &s.layers[i]
 		st.A = restoreFrom(st.A, ls.a, ls.hasA)
 		st.B = restoreFrom(st.B, ls.b, ls.hasB)
-		st.AInv = restoreFrom(st.AInv, ls.ainv, ls.hasAInv)
-		st.BInv = restoreFrom(st.BInv, ls.binv, ls.hasBInv)
+		st.setInverse(false, restoreFrom(st.AInv, ls.ainv, ls.hasAInv))
+		st.setInverse(true, restoreFrom(st.BInv, ls.binv, ls.hasBInv))
 		st.CurvatureUpdates = ls.curvUpdates
 		st.InverseUpdates = ls.invUpdates
 		st.InverseAge = ls.invAge

@@ -263,3 +263,25 @@ func BenchmarkRNGNormFloat64(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkGram tracks the K-FAC factor partial (Snap.GramInto: the lower
+// triangle of U^T U, the fold mirrors the sum once) at the snapshot shapes
+// of the benchmark workloads, rows = tokens of a micro-batch, cols = factor
+// dimension. GFLOP/s counts the lower half's rows·cols² flops.
+func BenchmarkGram(b *testing.B) {
+	for _, sh := range []struct{ rows, cols int }{{32, 32}, {32, 64}, {64, 128}, {64, 512}, {128, 256}} {
+		b.Run(fmt.Sprintf("%dx%d", sh.rows, sh.cols), func(b *testing.B) {
+			s := SnapClone(RandN(NewRNG(8), sh.rows, sh.cols, 1))
+			defer s.Release()
+			dst := Zeros(sh.cols, sh.cols)
+			s.GramInto(dst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.GramInto(dst)
+			}
+			r, c := float64(sh.rows), float64(sh.cols)
+			b.ReportMetric(r*c*c*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

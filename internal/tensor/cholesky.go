@@ -13,9 +13,12 @@ import (
 // fmaNB = 16 under KernelFMA):
 //
 //   - n <= nb: the scalar loops below (dot-product Cholesky, triangular
-//     inverse, M^T M), each element one ascending-k reduction.
+//     inverse, M^T M), each element one ascending-k reduction; under
+//     KernelFMA the Cholesky and the triangular inverse run as vector
+//     kernels that store the loops' bits (cholesky_amd64.s).
 //   - n > nb: a recursive blocked form whose every O(n³) term is a call
-//     into the packed GEMM driver (gemm.go) on sub-block views. Splitting
+//     into the packed GEMM driver (gemm.go) on sub-block views — gemmDirect
+//     inside a block of at most invNB rows. Splitting
 //     A = [A11 A21^T; A21 A22] at a multiple of invNB (of nb once the
 //     block is at most invNB rows),
 //
@@ -99,7 +102,7 @@ func choleskyInto(l, m *Matrix) error {
 			lrow := l.Data[i*n : i*n+j]
 			ljrow := l.Data[j*n : j*n+j]
 			for k, v := range lrow {
-				s += v * ljrow[k]
+				s += float64(v * ljrow[k])
 			}
 			if i == j {
 				d := m.Data[i*n+i] - s
@@ -124,7 +127,7 @@ func triInvInto(linv, l *Matrix) {
 		for j := 0; j < i; j++ {
 			var s float64
 			for k := j; k < i; k++ {
-				s += l.Data[i*n+k] * linv.Data[k*n+j]
+				s += float64(l.Data[i*n+k] * linv.Data[k*n+j])
 			}
 			linv.Data[i*n+j] = -s / l.Data[i*n+i]
 		}
@@ -132,8 +135,9 @@ func triInvInto(linv, l *Matrix) {
 }
 
 // invertScalar overwrites dst with work⁻¹ using the scalar loops alone —
-// the whole pipeline for n <= baseBlock, and the oracle the blocked path is
-// tested against. Only work's lower triangle is read; it is destroyed.
+// the whole pipeline for n <= baseBlock under scalar and tiled, and the
+// oracle the blocked path is tested against. Only work's lower triangle is
+// read; it is destroyed.
 func invertScalar(dst, work *Matrix) error {
 	n := work.Rows
 	l := Get(n, n)
@@ -141,61 +145,132 @@ func invertScalar(dst, work *Matrix) error {
 	if err := choleskyInto(l, work); err != nil {
 		return err
 	}
-	linv := work
-	triInvInto(linv, l)
-	// dst = linv^T linv: fill the upper triangle and mirror. linv is lower
-	// triangular, so row k has nonzeros up to column k.
+	triInvInto(work, l)
+	mulTLower(dst, work)
+	return nil
+}
+
+// mulTLower overwrites dst with linv^T linv from the lower triangle of
+// linv, filling the upper triangle and mirroring it. linv is lower
+// triangular, so row k has nonzeros up to column k.
+func mulTLower(dst, linv *Matrix) {
+	n := linv.Rows
 	for i := 0; i < n; i++ {
 		for j := i; j < n; j++ {
 			var s float64
 			for k := j; k < n; k++ {
-				s += linv.Data[k*n+i] * linv.Data[k*n+j]
+				s += float64(linv.Data[k*n+i] * linv.Data[k*n+j])
 			}
 			dst.Data[i*n+j] = s
 			dst.Data[j*n+i] = s
 		}
 	}
+}
+
+// invertBase is the whole inverse of a block of at most baseBlock rows:
+// invertScalar, or under fma the vector base block and then mulTLower.
+// Only work's lower triangle is read; it is destroyed.
+func invertBase(dst, work *Matrix, kern Kernel) error {
+	if kern != KernelFMA {
+		return invertScalar(dst, work)
+	}
+	if err := cholInverseFactorBase(viewOf(work), kern, nil); err != nil {
+		return err
+	}
+	mulTLower(dst, work)
 	return nil
 }
+
+// directScratch is the buffer a block of at most invNB rows inverts in
+// (cholInverseFactor's Y and Z at every level, the base blocks' buffers and
+// every product's panels, gemmDirect): the largest need is its M^T M —
+// B's panels and the A block, invNB² each, plus one 8x16 edge tile.
+const directScratch = 2*invNB*invNB + 8*16
 
 // cholInverseFactor replaces the SPD block w (lower triangle read) by
 // M = L⁻¹, w = L L^T, in w's lower triangle. Above the diagonal only the
 // diagonal blocks' entries are defined (zero), which is all the
-// triangular GEMM variants read.
-func cholInverseFactor(w View, kern Kernel) error {
+// triangular GEMM variants read. With s nil a block of at most invNB rows
+// that splits takes a pooled directScratch buffer and runs in it: its
+// products on gemmDirect, its Y and Z in the buffer. Larger blocks multiply
+// on the packed driver.
+func cholInverseFactor(w View, kern Kernel, s []float64) error {
 	n := w.rows
+	if s == nil && n <= invNB && n > baseBlock(kern) {
+		b := Get(1, directScratch)
+		defer Put(b)
+		s = b.Data
+	}
 	n1 := blockedSplit(n, invNB)
 	if n1 == 0 {
 		n1 = blockedSplit(n, baseBlock(kern))
 	}
 	if n1 == 0 {
-		return cholInverseFactorBase(w)
+		return cholInverseFactorBase(w, kern, s)
 	}
 	n2 := n - n1
 	w11, w21, w22 := w.sub(0, 0, n1, n1), w.sub(n1, 0, n2, n1), w.sub(n1, n1, n2, n2)
-	if err := cholInverseFactor(w11, kern); err != nil {
+	if err := cholInverseFactor(w11, kern, s); err != nil {
 		return err
 	}
-	y := Get(n1, n2)
-	defer Put(y)
-	gemmPacked(viewOf(y), w11, w21, gemmBT|gemmALower|gemmF64, kern)
-	gemmPacked(w22, viewOf(y), viewOf(y), gemmAT|gemmAcc|gemmNeg|gemmLower|gemmF64, kern)
-	if err := cholInverseFactor(w22, kern); err != nil {
+	var y, z View
+	if s != nil {
+		y, z = View{s, n1, n2, n2}, View{s[n1*n2:], n1, n2, n2}
+		s = s[2*n1*n2:]
+	} else {
+		ym, zm := Get(n1, n2), Get(n1, n2)
+		defer Put(ym)
+		defer Put(zm)
+		y, z = viewOf(ym), viewOf(zm)
+	}
+	blockMul(y, w11, w21, gemmBT|gemmALower|gemmF64, kern, s)
+	blockMul(w22, y, y, gemmAT|gemmAcc|gemmNeg|gemmLower|gemmF64, kern, s)
+	if err := cholInverseFactor(w22, kern, s); err != nil {
 		return err
 	}
-	z := Get(n1, n2)
-	defer Put(z)
-	gemmPacked(viewOf(z), w11, viewOf(y), gemmAT|gemmAUpper|gemmF64, kern)
-	gemmPacked(w21, w22, viewOf(z), gemmBT|gemmALower|gemmNeg|gemmF64, kern)
+	blockMul(z, w11, y, gemmAT|gemmAUpper|gemmF64, kern, s)
+	blockMul(w21, w22, z, gemmBT|gemmALower|gemmNeg|gemmF64, kern, s)
 	return nil
 }
 
+// blockMul runs one product of the blocked inverse: gemmDirect in s, or
+// gemmPacked when s is nil.
+func blockMul(dst, a, b View, fl gemmFlags, kern Kernel, s []float64) {
+	if s != nil {
+		gemmDirect(dst, a, b, fl, kern, s)
+		return
+	}
+	gemmPacked(dst, a, b, fl, kern)
+}
+
 // cholInverseFactorBase is cholInverseFactor on one diagonal block of at
-// most baseBlock rows: the scalar Cholesky and triangular inverse, run on a
-// contiguous pooled copy (rows of w are a full matrix row apart, which
-// aliases in L1), then stored back with the strict upper triangle zeroed.
-func cholInverseFactorBase(w View) error {
+// most baseBlock rows, stored back into w's lower triangle with the strict
+// upper triangle zeroed. Under fma it runs the vector kernels
+// (cholesky_amd64.s) on fmaNB x fmaNB buffers in s, or on its own stack when
+// s is nil: the block's lower triangle transposed in by the A-panel packer,
+// cholBaseFMA, then triInvBaseFMA — bit for bit the Go loops' results.
+// Otherwise the Go loops run on a contiguous pooled copy (rows of w are a
+// full matrix row apart, which aliases in L1).
+func cholInverseFactorBase(w View, kern Kernel, s []float64) error {
 	n := w.rows
+	if kern == KernelFMA {
+		var own [2 * fmaNB * fmaNB]float64
+		if s == nil { // a whole small factor, or the last rows of a block split at invNB
+			s = own[:]
+		}
+		t, r := s[:fmaNB*fmaNB], s[fmaNB*fmaNB:2*fmaNB*fmaNB]
+		packRowsVec(t, fmaNB, w.data, w.ld, 0, n, 0, n)
+		if !cholBaseFMA(t, n) {
+			return ErrNotSPD
+		}
+		triInvBaseFMA(r, t, n)
+		for i := 0; i < n; i++ {
+			row := w.data[i*w.ld : i*w.ld+n]
+			copy(row, r[i*fmaNB:i*fmaNB+i+1])
+			clear(row[i+1:])
+		}
+		return nil
+	}
 	a, l := Get(n, n), Get(n, n)
 	defer Put(a)
 	defer Put(l)
@@ -215,14 +290,21 @@ func cholInverseFactorBase(w View) error {
 }
 
 // invertBlocked overwrites dst with work⁻¹ by the blocked form in one call:
-// cholInverseFactor on the whole of work, then M^T M. Only work's lower
+// cholInverseFactor on the whole of work, then M^T M — all of it in one
+// directScratch buffer when work has at most invNB rows. Only work's lower
 // triangle is read; it is destroyed.
 func invertBlocked(dst, work *Matrix, kern Kernel) error {
+	var s []float64
+	if work.Rows <= invNB {
+		b := Get(1, directScratch)
+		defer Put(b)
+		s = b.Data
+	}
 	w := viewOf(work)
-	if err := cholInverseFactor(w, kern); err != nil {
+	if err := cholInverseFactor(w, kern, s); err != nil {
 		return err
 	}
-	gemmPacked(viewOf(dst), w, w, gemmAT|gemmAUpper|gemmLower|gemmF64, kern)
+	blockMul(viewOf(dst), w, w, gemmAT|gemmAUpper|gemmLower|gemmF64, kern, s)
 	mirrorLower(dst)
 	return nil
 }
@@ -376,7 +458,7 @@ func (c *InverseChain) run(k int, dst *Matrix) error {
 		c.tries++
 		switch {
 		case c.work.Rows <= baseBlock(c.kern):
-			return invertScalar(dst, c.work)
+			return invertBase(dst, c.work, c.kern)
 		case c.n1 == 0:
 			return invertBlocked(dst, c.work, c.kern)
 		}
@@ -386,7 +468,7 @@ func (c *InverseChain) run(k int, dst *Matrix) error {
 	w11, w21, w22 := w.sub(0, 0, n1, n1), w.sub(n1, 0, n2, n1), w.sub(n1, n1, n2, n2)
 	switch k {
 	case 0:
-		return cholInverseFactor(w11, c.kern)
+		return cholInverseFactor(w11, c.kern, nil)
 	case 1:
 		if c.y == nil {
 			c.y = Get(n1, n2)
@@ -395,7 +477,7 @@ func (c *InverseChain) run(k int, dst *Matrix) error {
 	case 2:
 		gemmPacked(w22, viewOf(c.y), viewOf(c.y), gemmAT|gemmAcc|gemmNeg|gemmLower|gemmF64, c.kern)
 	case 3:
-		return cholInverseFactor(w22, c.kern)
+		return cholInverseFactor(w22, c.kern, nil)
 	case 4:
 		if c.z == nil {
 			c.z = Get(n1, n2)

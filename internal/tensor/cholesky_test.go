@@ -345,7 +345,9 @@ func TestSPDInverseIntoReturnsPooledTemporaries(t *testing.T) {
 }
 
 // The lower-tiles-only Gram product must equal the full product bit for
-// bit, for both Snap widths and every kernel variant.
+// bit, for both Snap widths and every kernel variant: TMatMulInto(u, u)
+// whole, Snap.GramInto in its lower triangle (its upper one is unspecified
+// until the mirror a fold applies, which then restores the full product).
 func TestGramMatchesFullProduct(t *testing.T) {
 	r := NewRNG(9)
 	for _, sh := range []struct{ rows, cols int }{{1, 1}, {5, 3}, {40, 65}, {256, 128}, {33, 200}} {
@@ -365,6 +367,7 @@ func TestGramMatchesFullProduct(t *testing.T) {
 				snap := SnapClone(u)
 				got.Zero()
 				snap.GramInto(got)
+				got.MirrorLower()
 				snap.Release()
 				if f32 {
 					// A float32 Snap narrows u once more; the full
@@ -385,15 +388,25 @@ func TestGramMatchesFullProduct(t *testing.T) {
 
 // FuzzSPDInverse drives the inverse with seeded (n, scale, rank) draws:
 // whatever the draw, the call must either fail with ErrNotSPD or return a
-// finite, exactly symmetric matrix that inverts the damped input.
+// finite, exactly symmetric matrix that inverts the damped input. At
+// n <= 64 — half the draws: the one-step inverses whose base blocks run the
+// vector kernels and whose products run on gemmDirect under fma — it must
+// also fail exactly when the blocked oracle (inverse_identity_test.go) does
+// and otherwise equal it bit for bit.
 func FuzzSPDInverse(f *testing.F) {
 	f.Add(uint64(1), uint16(1), int8(0), uint16(1))
 	f.Add(uint64(2), uint16(64), int8(3), uint16(64))
 	f.Add(uint64(3), uint16(65), int8(-3), uint16(7))
 	f.Add(uint64(4), uint16(130), int8(0), uint16(0))
 	f.Add(uint64(5), uint16(257), int8(6), uint16(300))
+	f.Add(uint64(6), uint16(16), int8(0), uint16(5))
+	f.Add(uint64(7), uint16(16+17*2), int8(-6), uint16(40))
+	f.Add(uint64(8), uint16(47+64*2), int8(8), uint16(2))
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, scaleExp int8, rank uint16) {
 		n := 1 + int(size)%300
+		if size%2 == 1 {
+			n = 1 + int(size/2)%64
+		}
 		tokens := int(rank) % (2*n + 1) // 0 (the zero matrix) .. full rank
 		scale := math.Pow(10, float64(scaleExp%9))
 		m := Zeros(n, n)
@@ -403,6 +416,16 @@ func FuzzSPDInverse(f *testing.F) {
 		}
 		damping := 1e-3 * scale * scale
 		inv, err := SPDInverse(m, damping)
+		if n <= invNB {
+			want := Zeros(n, n)
+			_, werr := oracleSPDInverse(want, m, damping)
+			if (err == nil) != (werr == nil) {
+				t.Fatalf("n=%d: inverse error %v, oracle error %v", n, err, werr)
+			}
+			if err == nil && !sameBits(inv, want) {
+				t.Fatalf("n=%d: inverse differs from the blocked oracle (max %g)", n, inv.Sub(want).MaxAbs())
+			}
+		}
 		if err != nil {
 			if !errors.Is(err, ErrNotSPD) {
 				t.Fatalf("unexpected error: %v", err)

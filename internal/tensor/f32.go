@@ -189,22 +189,37 @@ func (s Snap) Release() {
 	}
 }
 
-// GramInto computes dst = s^T * s (the K-FAC factor partial product) as
-// TMatMulInto's symmetric rank-k update: lower tiles only, mirrored. dst
-// must have shape Cols x Cols. A float32 Snap widens into a pooled scratch
-// first; in float32 mode the product itself then renarrows inside the
-// packed driver, and widen-then-narrow is exact, so the result is
-// bit-identical to a direct float32 Gram.
+// GramInto computes the lower triangle of dst = s^T * s (the K-FAC factor
+// partial product) as TMatMulInto's symmetric rank-k update, lower tiles
+// only — and leaves the strict upper triangle unspecified: a partial is
+// only ever read through the sum it folds into, which the fold mirrors once
+// (Matrix.MirrorLower). dst must have shape Cols x Cols. A float32 Snap
+// widens into a pooled scratch first; in float32 mode the product itself
+// then renarrows inside the packed driver, and widen-then-narrow is exact,
+// so the result is bit-identical to a direct float32 Gram.
 func (s Snap) GramInto(dst *Matrix) {
 	switch {
 	case s.m64 != nil:
-		TMatMulInto(dst, s.m64, s.m64)
+		gramLower(dst, s.m64)
 	case s.m32 != nil:
 		w := Get(s.m32.Rows, s.m32.Cols)
 		widen(w.Data, s.m32.Data)
-		TMatMulInto(dst, w, w)
+		gramLower(dst, w)
 		Put(w)
 	default:
 		panic("tensor: GramInto on invalid Snap")
 	}
+}
+
+// gramLower is TMatMulInto(dst, u, u) without its mirror: the lower
+// triangle of u^T u, the strict upper triangle unspecified. KernelScalar's
+// float64 loops compute the whole product.
+func gramLower(dst, u *Matrix) {
+	checkTMatMul(dst, u, u, "GramInto")
+	kern := ActiveKernel()
+	if u.Rows == 0 || kern == KernelScalar && !F32() {
+		TMatMulInto(dst, u, u)
+		return
+	}
+	gemmPacked(viewOf(dst), viewOf(u), viewOf(u), gemmAT|gemmLower, kern)
 }

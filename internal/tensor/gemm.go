@@ -128,10 +128,18 @@ type gemmCtx struct {
 	kc        int  // contraction-block depth
 	vec       bool // pack with the assembly packers (the fma variant)
 	nPanB     int
-	bp        *Matrix   // packed B, float64 path
-	bp32      *Matrix32 // packed B, float32 path
-	k64       microF64
-	k32       microF32
+	bp        *Matrix   // packed B, float64 path (owned, pooled)
+	bp32      *Matrix32 // packed B, float32 path (owned, pooled)
+	// bpd / bpd32 are the packed B panels the tiles read: bp's, or a
+	// Packed right operand's.
+	bpd   []float64
+	bpd32 []float32
+	// apre / apre32 are a Packed left operand's panels, each over the full
+	// k (panel p at p*mr*k); nil when gemmRange packs A itself.
+	apre   []float64
+	apre32 []float32
+	k64    microF64
+	k32    microF32
 	// k64s is k64's store form (the fma variant's float64 tiles): its
 	// accumulators start at +0 instead of loading C, so a dst = product's
 	// first k block needs no cleared destination; nil for the Go tiles.
@@ -161,6 +169,38 @@ func gemmPacked(dst, a, b View, fl gemmFlags, kern Kernel) {
 // false, with any dst = 0 already stored, when there is nothing to
 // multiply.
 func (g *gemmCtx) setup(dst, a, b View, fl gemmFlags, kern Kernel) bool {
+	if !g.configure(dst, a, b, fl, kern) {
+		return false
+	}
+	g.packOwnB(b, fl&gemmBT != 0)
+	return true
+}
+
+// packOwnB packs the configured product's B operand into g's own pooled
+// buffer, reusing it when it is large enough.
+func (g *gemmCtx) packOwnB(b View, bT bool) {
+	need := g.nPanB * g.nr * g.k
+	if g.f32 {
+		if g.bp32 == nil || len(g.bp32.Data) < need {
+			Put32(g.bp32)
+			g.bp32 = Get32(1, need)
+		}
+		g.bpd32 = g.bp32.Data[:need]
+		packB(g.bpd32, b, bT, g.n, g.k, g.nr, g.vec)
+		return
+	}
+	if g.bp == nil || len(g.bp.Data) < need {
+		Put(g.bp)
+		g.bp = Get(1, need)
+	}
+	g.bpd = g.bp.Data[:need]
+	packB(g.bpd, b, bT, g.n, g.k, g.nr, g.vec)
+}
+
+// configure points g at one product and picks its tiles, packing nothing.
+// It reports false, with any dst = 0 already stored, when there is nothing
+// to multiply.
+func (g *gemmCtx) configure(dst, a, b View, fl gemmFlags, kern Kernel) bool {
 	m, n := dst.rows, dst.cols
 	k := a.cols
 	if fl&gemmAT != 0 {
@@ -207,20 +247,6 @@ func (g *gemmCtx) setup(dst, a, b View, fl gemmFlags, kern Kernel) bool {
 		}
 	}
 	g.nPanB = (n + g.nr - 1) / g.nr
-	need := g.nPanB * g.nr * k
-	if g.f32 {
-		if g.bp32 == nil || len(g.bp32.Data) < need {
-			Put32(g.bp32)
-			g.bp32 = Get32(1, need)
-		}
-		packB(g.bp32.Data, b, fl&gemmBT != 0, n, k, g.nr, g.vec)
-	} else {
-		if g.bp == nil || len(g.bp.Data) < need {
-			Put(g.bp)
-			g.bp = Get(1, need)
-		}
-		packB(g.bp.Data, b, fl&gemmBT != 0, n, k, g.nr, g.vec)
-	}
 	return true
 }
 
@@ -392,6 +418,22 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 		gemmRange32(g, p0, p1)
 		return
 	}
+	ap := Get(1, g.rowsScratch(p0, p1))
+	gemmRows(g, p0, p1, ap.Data)
+	Put(ap)
+}
+
+// rowsScratch is the length of the buffer gemmRows needs for row panels
+// [p0, p1): one packed A block plus the edge-tile scratch.
+func (g *gemmCtx) rowsScratch(p0, p1 int) int {
+	mcPad := (min(p1*g.mr, g.m) - p0*g.mr + g.mr - 1) / g.mr * g.mr
+	return min(mcPad, gemmMC)*min(g.k, g.kc) + g.mr*g.nr
+}
+
+// gemmRows is gemmRange's float64 body in the caller's buffer buf
+// (rowsScratch long): the packed A block, then the edge-tile scratch, whose
+// stale contents only ever land in discarded lanes.
+func gemmRows(g *gemmCtx, p0, p1 int, buf []float64) {
 	mr, nr, n, ldc := g.mr, g.nr, g.n, g.dst.ld
 	fl := g.fl
 	structured := fl&(gemmLower|gemmALower|gemmAUpper) != 0
@@ -402,16 +444,9 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 		iEnd = g.m
 	}
 	kcMax := min(g.k, g.kc)
-	mcMax := iEnd - i0
-	if mcMax > gemmMC {
-		mcMax = gemmMC
-	}
-	mcPad := (mcMax + mr - 1) / mr * mr
-	// One pooled buffer holds the packed A block plus the edge-tile
-	// scratch (its stale contents only ever land in discarded lanes).
-	ap := Get(1, mcPad*kcMax+mr*nr)
-	apData := ap.Data[:mcPad*kcMax]
-	tile := ap.Data[mcPad*kcMax : mcPad*kcMax+mr*nr]
+	mcPad := min((iEnd-i0+mr-1)/mr*mr, gemmMC)
+	apData := buf[:mcPad*kcMax]
+	tile := buf[mcPad*kcMax : mcPad*kcMax+mr*nr]
 	// A dst = product runs each tile's first k block on the store tiles,
 	// whose accumulators start at +0, instead of clearing dst for the
 	// micro-kernel to load: the same bits, as the cleared C was +0.
@@ -441,11 +476,17 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 			if fl&gemmAUpper != 0 && kk+kc <= ib {
 				continue
 			}
-			packA(apData, g.a, fl&gemmAT != 0, ib, ic, kk, kc, mr, g.vec)
-			if fl&gemmNeg != 0 {
-				neg := apData[:nPanA*mr*kc]
-				for i, v := range neg {
-					neg[i] = -v
+			if g.apre == nil {
+				packA(apData, g.a, fl&gemmAT != 0, ib, ic, kk, kc, mr, g.vec)
+				if fl&gemmNeg != 0 {
+					neg := apData[:nPanA*mr*kc]
+					if g.vec {
+						negFMA(neg) // mr = 8: a multiple of 4
+					} else {
+						for i, v := range neg {
+							neg[i] = -v
+						}
+					}
 				}
 			}
 			for jp := 0; jp < g.nPanB; jp++ {
@@ -453,7 +494,7 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 				if jc > nr {
 					jc = nr
 				}
-				bpan := g.bp.Data[jp*nr*g.k+kk*nr : jp*nr*g.k+(kk+kc)*nr]
+				bpan := g.bpd[jp*nr*g.k+kk*nr : jp*nr*g.k+(kk+kc)*nr]
 				for ip := 0; ip < nPanA; ip++ {
 					row := ib + ip*mr
 					rows := ic - ip*mr
@@ -461,6 +502,10 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 						rows = mr
 					}
 					apan := apData[ip*mr*kc : (ip+1)*mr*kc]
+					if g.apre != nil {
+						o := row*g.k + kk*mr
+						apan = g.apre[o : o+mr*kc]
+					}
 					bsub, kl := bpan, kc
 					if structured {
 						if fl&gemmLower != 0 && jp*nr >= row+rows {
@@ -503,7 +548,24 @@ func gemmRange(g *gemmCtx, p0, p1 int) {
 			}
 		}
 	}
-	Put(ap)
+}
+
+// gemmDirect is gemmPacked on the calling goroutine with every buffer in
+// buf: B's panels, then gemmRows' A block and edge tile. It runs the same
+// tiles over the same splits, so the bits are gemmPacked's; it skips the
+// context pool, the pooled pack buffers and the fan-out, which is what a
+// product of a few thousand multiply-adds pays most for. buf must hold
+// nPanB*nr*k + rowsScratch elements (directScratch covers every product of
+// a block of at most invNB rows).
+func gemmDirect(dst, a, b View, fl gemmFlags, kern Kernel, buf []float64) {
+	var g gemmCtx
+	if !g.configure(dst, a, b, fl, kern) {
+		return
+	}
+	need := g.nPanB * g.nr * g.k
+	g.bpd = buf[:need]
+	packB(g.bpd, b, fl&gemmBT != 0, g.n, g.k, g.nr, g.vec)
+	gemmRows(&g, 0, g.nPanA(), buf[need:])
 }
 
 // gemmRange32 is the float32-mode worker body: panels are packed as
@@ -543,15 +605,22 @@ func gemmRange32(g *gemmCtx, p0, p1 int) {
 		}
 		for kk := 0; kk < g.k; kk += g.kc {
 			kc := min(g.k-kk, g.kc)
-			packA(ap.Data, g.a, aT, ib, ic, kk, kc, mr, g.vec)
+			if g.apre32 == nil {
+				packA(ap.Data, g.a, aT, ib, ic, kk, kc, mr, g.vec)
+			}
 			nPanA := icPad / mr
 			for jp := 0; jp < g.nPanB; jp++ {
-				bpan := g.bp32.Data[jp*nr*g.k+kk*nr : jp*nr*g.k+(kk+kc)*nr]
+				bpan := g.bpd32[jp*nr*g.k+kk*nr : jp*nr*g.k+(kk+kc)*nr]
 				for ip := 0; ip < nPanA; ip++ {
 					if lower && jp*nr >= ib+(ip+1)*mr {
 						continue // tile wholly above the diagonal: stays zero
 					}
-					g.k32(sd[ip*mr*nPad+jp*nr:], nPad, ap.Data[ip*mr*kc:(ip+1)*mr*kc], bpan, kc)
+					apan := ap.Data[ip*mr*kc : (ip+1)*mr*kc]
+					if g.apre32 != nil {
+						o := (ib+ip*mr)*g.k + kk*mr
+						apan = g.apre32[o : o+mr*kc]
+					}
+					g.k32(sd[ip*mr*nPad+jp*nr:], nPad, apan, bpan, kc)
 				}
 			}
 		}

@@ -181,30 +181,47 @@ func TMatMulInto(dst, a, b *Matrix) {
 	parRun(tMatMulZeroChunk, dst, a, b, a.Cols, a.Rows*a.Cols*b.Cols)
 }
 
+// MirrorLower copies the square matrix m's lower triangle onto its strict
+// upper one, making m exactly symmetric — the one mirror a folded sum of
+// Snap.GramInto partials takes. It panics if m is not square.
+func (m *Matrix) MirrorLower() {
+	if m.Rows != m.Cols {
+		panic(fmt.Sprintf("tensor: MirrorLower on a %dx%d matrix", m.Rows, m.Cols))
+	}
+	mirrorLower(m)
+}
+
 // mirrorLower copies the square matrix m's lower triangle onto its upper
-// one. Off-diagonal blocks are transposed through a small contiguous
-// scratch so that both the reads and the writes of m run along rows: a
-// direct column-wise write strides by a full row, which at power-of-two
-// dimensions lands every line of a block in one cache set.
+// one, a 32-row block at a time: the A-panel packer transposes the block's
+// columns into a small contiguous scratch (under fma its assembly register
+// transposes), whose rows then copy onto the upper triangle's — both the
+// reads and the writes of m run along rows, where a direct column-wise
+// write strides by a full row, which at power-of-two dimensions lands every
+// line of a block in one cache set. Packing is an exact copy, so which
+// packer ran never shows.
 func mirrorLower(m *Matrix) {
 	const blk = 32
 	var scratch [blk * blk]float64
 	n := m.Rows
+	vec := ActiveKernel() == KernelFMA
 	for ib := 0; ib < n; ib += blk {
 		rows := min(blk, n-ib)
-		for jb := 0; jb < ib; jb += blk {
-			for i := 0; i < rows; i++ {
-				for j, v := range m.Data[(ib+i)*n+jb : (ib+i)*n+jb+blk] {
-					scratch[j*blk+i] = v
+		for jb := 0; jb <= ib; jb += blk {
+			cols := min(blk, n-jb)
+			// Scratch row t is column jb+t of block rows [ib, ib+rows).
+			if vec {
+				packRowsVec(scratch[:], blk, m.Data, n, ib, rows, jb, cols)
+			} else {
+				packRows(scratch[:], blk, m.Data, n, ib, rows, jb, cols)
+			}
+			for t := 0; t < cols; t++ {
+				from := 0
+				if jb == ib {
+					from = t + 1 // the diagonal block's upper triangle only
 				}
-			}
-			for j := 0; j < blk; j++ {
-				copy(m.Data[(jb+j)*n+ib:(jb+j)*n+ib+rows], scratch[j*blk:])
-			}
-		}
-		for i := ib; i < ib+rows; i++ {
-			for j := ib; j < i; j++ {
-				m.Data[j*n+i] = m.Data[i*n+j]
+				if from < rows {
+					copy(m.Data[(jb+t)*n+ib+from:(jb+t)*n+ib+rows], scratch[t*blk+from:t*blk+rows])
+				}
 			}
 		}
 	}

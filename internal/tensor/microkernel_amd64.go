@@ -110,3 +110,18 @@ func fma8x4f64Store(c []float64, ldc int, ap, bp []float64, kc int)
 
 //go:noescape
 func fma8x16f64Store(c []float64, ldc int, ap, bp []float64, kc int)
+
+// The SPD inverse's base-block kernels (cholesky_amd64.s), bit-identical to
+// choleskyInto and triInvInto on a block of n <= fmaNB rows held in
+// fmaNB x fmaNB buffers (cholesky.go, cholInverseFactorBase).
+
+//go:noescape
+func cholBaseFMA(t []float64, n int) bool
+
+//go:noescape
+func triInvBaseFMA(r, t []float64, n int)
+
+// negFMA flips the sign of every element of x (len(x) a multiple of 4).
+//
+//go:noescape
+func negFMA(x []float64)

@@ -105,3 +105,15 @@ func fma8x4f64Store(c []float64, ldc int, ap, bp []float64, kc int) {
 func fma8x16f64Store(c []float64, ldc int, ap, bp []float64, kc int) {
 	panic("tensor: FMA micro-kernel unavailable in this build")
 }
+
+func cholBaseFMA(t []float64, n int) bool {
+	panic("tensor: vector base-block kernel unavailable in this build")
+}
+
+func triInvBaseFMA(r, t []float64, n int) {
+	panic("tensor: vector base-block kernel unavailable in this build")
+}
+
+func negFMA(x []float64) {
+	panic("tensor: vector negation unavailable in this build")
+}

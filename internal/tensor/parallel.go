@@ -73,7 +73,9 @@ func PoolTasksExecuted() uint64 { return poolTasks.Load() }
 
 // serialWorkLimit is the kernel work size (multiply-adds) below which
 // fanning out to the pool costs more than it saves; smaller products run on
-// the calling goroutine. 64x64x64 sits right at the limit and runs serial.
+// the calling goroutine. The limit itself fans out: 64x64x64 is exactly
+// 2^18 multiply-adds and is the smallest cube that may (pinned by
+// TestSerialWorkLimitBoundary).
 const serialWorkLimit = 1 << 18
 
 func init() {

@@ -2,8 +2,10 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Scalar reference implementations: the naive triple loops the blocked
@@ -314,5 +316,51 @@ func TestReuseRows(t *testing.T) {
 	}
 	if c := ReuseRows(nil, 1, 1); c == nil || c.Rows != 1 {
 		t.Fatal("ReuseRows(nil) must allocate")
+	}
+}
+
+// TestSerialWorkLimitBoundary pins serialWorkLimit's boundary on both
+// fan-out paths — parRun (KernelScalar's loops) and parRunGemm (the packed
+// driver) — under SetParallelism(2): a product of 2^18 − 1 multiply-adds
+// (511x513 · 513x1) never reaches a pool worker, one of exactly 2^18
+// (512x512 · 512x1) does. A worker takes a chunk only while it is parked,
+// so the fanning product is retried, yielding, until a worker wins.
+func TestSerialWorkLimitBoundary(t *testing.T) {
+	def, cap0 := ActiveKernel(), OpParallelism()
+	defer func() {
+		SetKernel(def)
+		SetOpParallelism(cap0)
+		SetParallelism(0)
+	}()
+	SetParallelism(2)
+	SetOpParallelism(0)
+	below := [3]*Matrix{Zeros(511, 1), RandN(NewRNG(1), 511, 513, 1), RandN(NewRNG(2), 513, 1, 1)}
+	at := [3]*Matrix{Zeros(512, 1), RandN(NewRNG(3), 512, 512, 1), RandN(NewRNG(4), 512, 1, 1)}
+	if w := below[1].Rows * below[1].Cols * below[2].Cols; w != serialWorkLimit-1 {
+		t.Fatalf("below-limit product has %d multiply-adds", w)
+	}
+	if w := at[1].Rows * at[1].Cols * at[2].Cols; w != serialWorkLimit {
+		t.Fatalf("at-limit product has %d multiply-adds", w)
+	}
+	for _, k := range AvailableKernels() {
+		if err := SetKernel(k); err != nil {
+			t.Fatal(err)
+		}
+		before := PoolTasksExecuted()
+		for i := 0; i < 200; i++ {
+			MatMulInto(below[0], below[1], below[2])
+			runtime.Gosched()
+		}
+		if n := PoolTasksExecuted() - before; n != 0 {
+			t.Fatalf("%v: %d pool tasks for a product of 2^18 - 1 multiply-adds, want 0", k, n)
+		}
+		before = PoolTasksExecuted()
+		for deadline := time.Now().Add(5 * time.Second); PoolTasksExecuted() == before && time.Now().Before(deadline); {
+			MatMulInto(at[0], at[1], at[2])
+			runtime.Gosched()
+		}
+		if PoolTasksExecuted() == before {
+			t.Fatalf("%v: no pool task ever ran for a product of exactly 2^18 multiply-adds", k)
+		}
 	}
 }

@@ -71,6 +71,7 @@ var widthOps = []struct {
 		defer s.Release()
 		dst := Full(n, n, 42)
 		s.GramInto(dst)
+		dst.MirrorLower() // the upper triangle is unspecified until the fold's mirror
 		return []*Matrix{dst}
 	}},
 	{"MulViews", func(src *Matrix, m, n, k int) []*Matrix {
