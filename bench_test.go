@@ -131,7 +131,7 @@ func BenchmarkFigure5_PerfModelChimeraBase(b *testing.B) {
 			for _, d := range []int{4, 8, 16} {
 				for _, rec := range []bool{false, true} {
 					m, err := perfmodel.Evaluate(perfmodel.Input{
-						Arch: arch.BERTBase, GPU: hardware.P100, Method: perfmodel.Chimera,
+						Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera",
 						D: d, NMicro: d, BMicro: bm, Recompute: rec,
 					})
 					if err != nil {
@@ -151,7 +151,7 @@ func scalingBench(b *testing.B, a arch.Transformer, bmicros []int) {
 	var pts []perfmodel.SweepPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = perfmodel.Sweep(a, perfmodel.Chimera, []int{4, 8, 16, 32}, bmicros, []int{1, 2, 3}, hardware.All())
+		pts, err = perfmodel.Sweep(a, "chimera", []int{4, 8, 16, 32}, bmicros, []int{1, 2, 3}, hardware.All())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,7 +273,7 @@ func BenchmarkFigure8_LRSchedule(b *testing.B) {
 func BenchmarkFigure9_PerfModelBase(b *testing.B) {
 	var gRatio, cRatio float64
 	for i := 0; i < b.N; i++ {
-		for _, method := range []perfmodel.Method{perfmodel.GPipe1F1B, perfmodel.Chimera} {
+		for _, method := range []string{"gpipe", "chimera"} {
 			for _, bm := range []int{8, 16, 32} {
 				for _, d := range []int{4, 8, 16} {
 					m, err := perfmodel.Evaluate(perfmodel.Input{
@@ -283,7 +283,7 @@ func BenchmarkFigure9_PerfModelBase(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if method == perfmodel.GPipe1F1B {
+					if method == "gpipe" {
 						gRatio = m.Ratio
 					} else {
 						cRatio = m.Ratio
@@ -300,7 +300,7 @@ func BenchmarkFigure9_PerfModelBase(b *testing.B) {
 func BenchmarkFigure10_PerfModelLarge(b *testing.B) {
 	var tput float64
 	for i := 0; i < b.N; i++ {
-		for _, method := range []perfmodel.Method{perfmodel.GPipe1F1B, perfmodel.Chimera} {
+		for _, method := range []string{"gpipe", "chimera"} {
 			for _, bm := range []int{8, 16, 32} {
 				for _, d := range []int{4, 8, 16} {
 					m, err := perfmodel.Evaluate(perfmodel.Input{

@@ -59,21 +59,18 @@ func profileFigures(dir string) {
 		{"figure4_chimera_bertlarge", arch.BERTLarge, "chimera", 8, 3, 8, 2, true},
 	}
 	for _, c := range cases {
-		dpCost := c.dp
-		dpSched := c.dp
-		if c.method == "chimera" {
-			dpSched = 1 // Chimera's pair replication is built in
-		}
+		// dp is the width of a stage's device group: Chimera's two
+		// pipelines already pair each stage's devices.
 		costs, err := pipeline.CostsFor(pipeline.CostConfig{
 			Arch: c.a, BlocksPerStage: c.blocks, MicroBatch: 32,
-			GPU: hardware.P100, DataParallelWidth: dpCost,
+			GPU: hardware.P100, DataParallelWidth: c.dp,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		res, err := schedule.Assign(schedule.Config{
 			Method: c.method, Stages: c.stages, MicroBatches: c.nmicro, Costs: costs,
-			DataParallelWidth: dpSched, InversionParallel: c.invPar,
+			DataParallelWidth: c.dp / pipeline.Pipelines(c.method), InversionParallel: c.invPar,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -126,7 +123,7 @@ func modelFigures(dir string) {
 		if s.a.SeqLen >= 2048 {
 			bmicros = []int{1, 2, 4, 8}
 		}
-		pts, err := perfmodel.Sweep(s.a, perfmodel.Chimera, []int{4, 8, 16, 32}, bmicros, []int{1, 2, 3}, hardware.All())
+		pts, err := perfmodel.Sweep(s.a, "chimera", []int{4, 8, 16, 32}, bmicros, []int{1, 2, 3}, hardware.All())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -147,12 +144,12 @@ func modelFigures(dir string) {
 	for _, g := range []struct {
 		name   string
 		a      arch.Transformer
-		method perfmodel.Method
+		method string
 	}{
-		{"figure5_9_chimera_bertbase_grid", arch.BERTBase, perfmodel.Chimera},
-		{"figure9_gpipe_bertbase_grid", arch.BERTBase, perfmodel.GPipe1F1B},
-		{"figure10_chimera_bertlarge_grid", arch.BERTLarge, perfmodel.Chimera},
-		{"figure10_gpipe_bertlarge_grid", arch.BERTLarge, perfmodel.GPipe1F1B},
+		{"figure5_9_chimera_bertbase_grid", arch.BERTBase, "chimera"},
+		{"figure9_gpipe_bertbase_grid", arch.BERTBase, "gpipe"},
+		{"figure10_chimera_bertlarge_grid", arch.BERTLarge, "chimera"},
+		{"figure10_gpipe_bertlarge_grid", arch.BERTLarge, "gpipe"},
 	} {
 		writeFile(filepath.Join(dir, g.name+".csv"), func(f io.Writer) error {
 			fmt.Fprintln(f, "bmicro,d,recompute,tf_ms,tb_ms,tprec_ms,tbubble_ms,tcurv_ms,tinv_ms,"+

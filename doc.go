@@ -50,8 +50,11 @@
 //	optim     SGD, Adam, LAMB; LR schedules; steps-to-target and the
 //	          smoothed final loss of a loss curve
 //	data      synthetic Zipf corpus with BERT masking
-//	perfmodel the closed-form model of §3.3 (Table 1's step time and
-//	          memory), read by cmd/figures for Figures 5, 6 and 9-16
+//	perfmodel the §3.3 model: step and bubble time from simulating the
+//	          built schedule (Table 1's T_pipe, which
+//	          pipeline.TestTable1AgainstSimulator holds the simulator
+//	          to), memory, throughputs and the refresh ratio, read by
+//	          cmd/figures for Figures 5, 6 and 9-16
 //
 // Simulation answers "how long would this schedule take on that
 // hardware" (Figures 1, 3, 4); execution answers "does this schedule
@@ -462,11 +465,12 @@
 // No backward re-runs a forward. Every (module set, stage) holds as many
 // activation slots as the built schedule keeps micro-batches in flight
 // there — pipeline.Schedule.InFlightDepth, read off the device orders at
-// every schedule rebuild: N under GPipe, min(N, D-s) under 1F1B, the
-// owner's share under Chimera (TestInFlightDepthGenerated). It is the
-// executed counterpart of perfmodel.MemoryModel's Act = N·Mact, and the
-// paper's configuration without "R"; the simulator still prices R through
-// pipeline.CostConfig.Recompute.
+// every schedule rebuild: N under GPipe, min(N, D-s) under 1F1B, and under
+// Chimera the micro-batches of min(D/2, D-s) of its direction's D/2 slots
+// (TestInFlightDepthGenerated, TestChimeraOrderIsWidened1F1B). That is at
+// most the Act = N·Mact perfmodel.MemoryModel charges every method, and it
+// is the paper's configuration without "R"; the simulator still prices R
+// through pipeline.CostConfig.Recompute.
 //
 //   - A slot is the stage's blocks (slot 0) or nn.TransformerBlock.Twin
 //     copies of them: the same parameter and gradient *tensor.Matrix

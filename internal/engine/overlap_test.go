@@ -218,16 +218,18 @@ func TestOverlapCarriedGenerationDelivery(t *testing.T) {
 // Partial carry: at the rounds' shape, a 4-stage window of a model with a
 // 128-wide feed-forward layer holds part of the refresh — 128-wide factors
 // inverting as chains — and the rest carries: 1F1B at K = 2, and Chimera,
-// whose two pipelines fold and invert against both pools at once, at K = 3.
-// The steady-state round executes BOTH generations — the window's own fitted
-// refresh work and the previous generation's carried remainder — a chain's
-// steps all in one, every layer folds once per generation, and every round
-// trains exactly what the reference computes.
+// whose two pipelines fold and invert against both pools at once, at K = 4
+// (its D·T_f + (2D−2)·T_b step leaves too little bubble for a partial carry
+// at K ≤ 3: everything carries). The steady-state round executes BOTH
+// generations — the window's own fitted refresh work and the previous
+// generation's carried remainder — a chain's steps all in one, every layer
+// folds once per generation, and every round trains exactly what the
+// reference computes.
 func TestOverlapPartialCarryExecutesBothGenerations(t *testing.T) {
 	for _, pc := range []struct {
 		method string
 		k      int
-	}{{"1f1b", 2}, {"chimera", 3}} {
+	}{{"1f1b", 2}, {"chimera", 4}} {
 		t.Run(pc.method, func(t *testing.T) {
 			c := refCase{model: "bert-ffn128", every: pc.k, batch: 8, kernel: tensor.ActiveKernel(), cfg: Config{
 				Method: pc.method, Stages: 4, MicroBatches: 4, RefreshSteps: pc.k, OverlapRounds: true,

@@ -102,10 +102,10 @@ func requireSlotsFree(t *testing.T, e *Engine, context string) {
 // TestSlotHighWaterMatchesInFlightDepth is the executed half of
 // pipeline.TestInFlightDepthGenerated: over methods × D {2, 4} × N × W ×
 // round length, a real round's high-water activation-slot use per (module
-// set, stage) is exactly the schedule's in-flight depth — the first executed
-// counterpart of perfmodel.MemoryModel's Act = N·Mact, and of "1F1B holds
-// fewer activations than GPipe" — and every slot is free when the round
-// ends.
+// set, stage) is exactly the schedule's in-flight depth — the executed
+// activation memory that perfmodel.MemoryModel's Act = N·Mact bounds from
+// above, and "1F1B holds fewer activations than GPipe" — and every slot is
+// free when the round ends.
 func TestSlotHighWaterMatchesInFlightDepth(t *testing.T) {
 	for _, method := range pipeline.Methods() {
 		for _, d := range []int{2, 4} {

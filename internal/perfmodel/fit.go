@@ -12,7 +12,7 @@ import (
 // calculation behind the paper's choice of B_micro = 32 as "the maximum
 // number of powers of 2 that can be placed on a P100 GPU" (§4).
 // It returns an error when even B_micro = 1 does not fit.
-func MaxMicroBatch(a arch.Transformer, g hardware.GPU, method Method, d, nMicro, blocksPerStage int, recompute bool) (int, error) {
+func MaxMicroBatch(a arch.Transformer, g hardware.GPU, method string, d, nMicro, blocksPerStage int, recompute bool) (int, error) {
 	best := 0
 	for b := 1; b <= 1<<14; b *= 2 {
 		m, err := Evaluate(Input{

@@ -10,7 +10,7 @@ import (
 func TestMaxMicroBatchBERTLargeP100(t *testing.T) {
 	// §4: "the micro-batch size to 32 (maximum number of powers of 2 that
 	// can be placed on a P100 GPU)" for BERT-Large with 3 blocks/stage.
-	got, err := MaxMicroBatch(arch.BERTLarge, hardware.P100, Chimera, 8, 8, 3, false)
+	got, err := MaxMicroBatch(arch.BERTLarge, hardware.P100, "chimera", 8, 8, 3, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +26,11 @@ func TestMaxMicroBatchBERTLargeP100(t *testing.T) {
 }
 
 func TestMaxMicroBatchMonotoneInMemory(t *testing.T) {
-	p100, err := MaxMicroBatch(arch.BERTBase, hardware.P100, Chimera, 8, 8, 1, false)
+	p100, err := MaxMicroBatch(arch.BERTBase, hardware.P100, "chimera", 8, 8, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v100, err := MaxMicroBatch(arch.BERTBase, hardware.V100, Chimera, 8, 8, 1, false)
+	v100, err := MaxMicroBatch(arch.BERTBase, hardware.V100, "chimera", 8, 8, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +40,11 @@ func TestMaxMicroBatchMonotoneInMemory(t *testing.T) {
 }
 
 func TestMaxMicroBatchRecomputeFitsMore(t *testing.T) {
-	plain, err := MaxMicroBatch(arch.OPT350M, hardware.P100, Chimera, 8, 24, 1, false)
+	plain, err := MaxMicroBatch(arch.OPT350M, hardware.P100, "chimera", 8, 24, 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := MaxMicroBatch(arch.OPT350M, hardware.P100, Chimera, 8, 24, 1, true)
+	rec, err := MaxMicroBatch(arch.OPT350M, hardware.P100, "chimera", 8, 24, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestMaxMicroBatchRecomputeFitsMore(t *testing.T) {
 func TestMaxMicroBatchTooBigErrors(t *testing.T) {
 	// OPT-350M blocks at S=2048 with 32 retained micro-batches and 8
 	// blocks per stage cannot fit a 16 GB card even at B = 1.
-	if _, err := MaxMicroBatch(arch.OPT350M, hardware.P100, Chimera, 32, 96, 8, false); err == nil {
+	if _, err := MaxMicroBatch(arch.OPT350M, hardware.P100, "chimera", 32, 96, 8, false); err == nil {
 		t.Fatal("expected error for an impossible configuration")
 	}
 }

@@ -1,5 +1,7 @@
-// Package perfmodel implements the closed-form performance model of §3.3:
-// pipeline step time T_pipe = C_f·T_f + C_b·T_b, bubble time
+// Package perfmodel implements the performance model of §3.3: pipeline
+// step time T_pipe, the simulated makespan of the schedule pipeline.Build
+// lays out (Table 1's C_f·T_f + C_b·T_b, held to it by
+// pipeline.TestTable1AgainstSimulator), bubble time
 // T_bubble = T_pipe − N_micro(T_f + T_b), the per-stage memory model
 // M_pipe and M_kfac of Table 1, and the derived quantities the paper plots
 // in Figures 5, 6 and 9-16 — throughput, (curvature+inversion)/bubble
@@ -15,24 +17,15 @@ import (
 	"repro/internal/pipeline"
 )
 
-// Method selects the pipeline scheme being modeled.
-type Method string
-
-// Modeled pipeline schemes. GPipe and 1F1B share one model (identical
-// critical path with flush, as Table 1 notes).
-const (
-	GPipe1F1B Method = "gpipe/1f1b"
-	Chimera   Method = "chimera"
-)
-
 // Input configures one performance-model evaluation. It mirrors the axes of
 // the paper's sweeps: architecture, pipeline depth D (one block per stage,
 // as in Figure 5), micro-batch count and size, hardware, and activation
 // recomputation.
 type Input struct {
-	Arch   arch.Transformer
-	GPU    hardware.GPU
-	Method Method
+	Arch arch.Transformer
+	GPU  hardware.GPU
+	// Method is a pipeline.Methods() name; empty means Chimera.
+	Method string
 	// D is the number of pipeline stages (= pipeline depth).
 	D int
 	// NMicro is the number of micro-batches per device per iteration.
@@ -59,12 +52,8 @@ func (in Input) normalize() (Input, error) {
 	if in.BlocksPerStage <= 0 {
 		in.BlocksPerStage = 1
 	}
-	switch in.Method {
-	case GPipe1F1B, Chimera:
-	case "":
-		in.Method = Chimera
-	default:
-		return in, fmt.Errorf("perfmodel: unknown method %q", in.Method)
+	if in.Method == "" {
+		in.Method = "chimera"
 	}
 	return in, nil
 }
@@ -80,9 +69,8 @@ type Model struct {
 	Tinv  hardware.Microseconds // inversion of all the stage's factors
 	Tprec hardware.Microseconds // precondition per step
 
-	// Cf and Cb are the critical-path pass counts of Table 1.
-	Cf, Cb int
-	// TPipe = Cf·Tf + Cb·Tb; TBubble = TPipe − NMicro(Tf+Tb).
+	// TPipe is the simulated step time of the vanilla schedule;
+	// TBubble = TPipe − NMicro(Tf+Tb).
 	TPipe   hardware.Microseconds
 	TBubble hardware.Microseconds
 	// TStep is the PipeFisher step time TPipe + Tprec.
@@ -146,24 +134,16 @@ func Evaluate(in Input) (*Model, error) {
 		Tinv:  costs.InversionTotal(),
 		Tprec: costs.Precondition,
 	}
-	d, n := in.D, in.NMicro
-	switch in.Method {
-	case GPipe1F1B:
-		// With flush: Cf = Cb = NMicro + D − 1 (equals 2D−1 when N = D).
-		m.Cf = n + d - 1
-		m.Cb = n + d - 1
-	case Chimera:
-		// Table 1: Cf = D, Cb = 2D−2 when N = D; extra micro-batches
-		// beyond D extend the steady phase by one forward and one
-		// backward each.
-		extra := n - d
-		if extra < 0 {
-			extra = 0
-		}
-		m.Cf = d + extra
-		m.Cb = 2*d - 2 + extra
+	s, err := pipeline.Build(in.Method, pipeline.BuildConfig{Stages: in.D, MicroBatches: in.NMicro, Costs: costs})
+	if err != nil {
+		return nil, err
 	}
-	m.TPipe = hardware.Microseconds(m.Cf)*m.Tf + hardware.Microseconds(m.Cb)*m.Tb
+	tl, err := pipeline.Run(s)
+	if err != nil {
+		return nil, err
+	}
+	n := in.NMicro
+	m.TPipe = tl.Makespan
 	m.TBubble = m.TPipe - hardware.Microseconds(n)*(m.Tf+m.Tb)
 	m.TStep = m.TPipe + m.Tprec
 
@@ -186,17 +166,15 @@ func Evaluate(in Input) (*Model, error) {
 	m.ThroughputKFACSkip = seqsPerStep / ((float64(m.TStep) + kfacWork/float64(k)) * 1e-6)
 	m.ThroughputKFACNaive = seqsPerStep / ((float64(m.TStep) + kfacWork) * 1e-6)
 
-	m.Memory = memoryModel(in)
+	m.Memory = memoryModel(in, float64(len(s.Placement.Hosted[0])))
 	return m, nil
 }
 
-func memoryModel(in Input) MemoryModel {
+// memoryModel is the per-device breakdown for a device hosting
+// stagesPerDevice stages (Chimera's devices host a down and an up stage).
+func memoryModel(in Input, stagesPerDevice float64) MemoryModel {
 	a := in.Arch
 	blocks := in.BlocksPerStage
-	stagesPerDevice := 1.0
-	if in.Method == Chimera {
-		stagesPerDevice = 2.0 // each device hosts a down and an up stage
-	}
 	mm := MemoryModel{
 		PeakErr:   a.BlockPeakErrorBytes(in.BMicro) * float64(blocks),
 		SaveErr:   float64(in.NMicro) * a.BlockSaveErrorBytes(in.BMicro) * float64(blocks),
@@ -239,7 +217,7 @@ type SweepPoint struct {
 // Sweep evaluates the model over the grid the paper uses in Figures 6 and
 // 11-16: D in depths, NMicro in {D, 2D, 3D}, BMicro in bmicros, for every
 // GPU in gpus.
-func Sweep(a arch.Transformer, method Method, depths, bmicros []int, nmicroFactors []int, gpus []hardware.GPU) ([]SweepPoint, error) {
+func Sweep(a arch.Transformer, method string, depths, bmicros []int, nmicroFactors []int, gpus []hardware.GPU) ([]SweepPoint, error) {
 	var out []SweepPoint
 	for _, g := range gpus {
 		for _, d := range depths {

@@ -18,23 +18,8 @@ func eval(t *testing.T, in Input) *Model {
 	return m
 }
 
-func TestCriticalPathCoefficients(t *testing.T) {
-	// Table 1: with N = D, Cf = Cb = 2D−1 for GPipe/1F1B and Cf = D,
-	// Cb = 2D−2 for Chimera.
-	for _, d := range []int{4, 8, 16} {
-		g := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: GPipe1F1B, D: d, NMicro: d, BMicro: 8})
-		if g.Cf != 2*d-1 || g.Cb != 2*d-1 {
-			t.Fatalf("D=%d gpipe: Cf=%d Cb=%d, want %d", d, g.Cf, g.Cb, 2*d-1)
-		}
-		c := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: d, NMicro: d, BMicro: 8})
-		if c.Cf != d || c.Cb != 2*d-2 {
-			t.Fatalf("D=%d chimera: Cf=%d Cb=%d, want %d and %d", d, c.Cf, c.Cb, d, 2*d-2)
-		}
-	}
-}
-
 func TestBubbleIdentity(t *testing.T) {
-	m := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: 16})
+	m := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: 16})
 	want := m.TPipe - 8*(m.Tf+m.Tb)
 	if m.TBubble != want {
 		t.Fatalf("TBubble = %d, want %d", m.TBubble, want)
@@ -49,8 +34,8 @@ func TestChimeraBeatsGPipeThroughput(t *testing.T) {
 	// (smaller TBubble), but refreshes curvature less frequently (larger
 	// ratio).
 	for _, d := range []int{4, 8, 16} {
-		g := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: GPipe1F1B, D: d, NMicro: d, BMicro: 32})
-		c := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: d, NMicro: d, BMicro: 32})
+		g := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "gpipe", D: d, NMicro: d, BMicro: 32})
+		c := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: d, NMicro: d, BMicro: 32})
 		if c.ThroughputPipeFisher <= g.ThroughputPipeFisher {
 			t.Fatalf("D=%d: Chimera throughput %.0f must beat GPipe %.0f",
 				d, c.ThroughputPipeFisher, g.ThroughputPipeFisher)
@@ -62,8 +47,28 @@ func TestChimeraBeatsGPipeThroughput(t *testing.T) {
 	}
 }
 
+func TestChooseMethodTradeoff(t *testing.T) {
+	// §3.3: "Chimera consistently achieves higher throughput than GPipe
+	// and 1F1B (due to the smaller T_bubble), but instead the curvature
+	// information is updated less frequently" — the trade-off the pipeline
+	// method is chosen by, priced on the simulator.
+	for _, d := range []int{4, 8, 16} {
+		for _, b := range []int{8, 32} {
+			g := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "gpipe", D: d, NMicro: d, BMicro: b})
+			c := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: d, NMicro: d, BMicro: b})
+			if gain := c.ThroughputPipeFisher / g.ThroughputPipeFisher; gain <= 1 {
+				t.Fatalf("D=%d B=%d: Chimera throughput gain %.3f should exceed 1", d, b, gain)
+			}
+			if g.RefreshInterval() > c.RefreshInterval() {
+				t.Fatalf("D=%d B=%d: GPipe refreshes every %d steps, Chimera every %d: GPipe must refresh at least as often",
+					d, b, g.RefreshInterval(), c.RefreshInterval())
+			}
+		}
+	}
+}
+
 func TestRatioTrends(t *testing.T) {
-	base := Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: 8}
+	base := Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: 8}
 	m8 := eval(t, base)
 
 	// Larger micro-batch size -> smaller ratio ("as B_micro is increased,
@@ -98,8 +103,8 @@ func TestRatioTrends(t *testing.T) {
 func TestLongerSequencesLowerRatio(t *testing.T) {
 	// "Transformers with longer sequence lengths have larger bubbles and
 	// smaller ratios": T5-Base is BERT-Base at S=512.
-	bert := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: 8})
-	t5 := eval(t, Input{Arch: arch.T5Base, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: 8})
+	bert := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: 8})
+	t5 := eval(t, Input{Arch: arch.T5Base, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: 8})
 	if t5.Ratio >= bert.Ratio {
 		t.Fatalf("longer sequences must lower the ratio: BERT %.2f vs T5 %.2f", bert.Ratio, t5.Ratio)
 	}
@@ -109,7 +114,7 @@ func TestPreconditionOverheadSmall(t *testing.T) {
 	// "Little difference in throughput is observed between Chimera and
 	// Chimera w/ PipeFisher" — precondition under ~10% of the step.
 	for _, b := range []int{8, 16, 32} {
-		m := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: b})
+		m := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: b})
 		drop := 1 - m.ThroughputPipeFisher/m.ThroughputVanilla
 		if drop < 0 || drop > 0.10 {
 			t.Fatalf("B=%d: precondition throughput drop %.3f outside [0, 0.10]", b, drop)
@@ -118,7 +123,7 @@ func TestPreconditionOverheadSmall(t *testing.T) {
 }
 
 func TestPipeFisherBeatsSkipAndNaive(t *testing.T) {
-	m := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: 64})
+	m := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: 64})
 	if !(m.ThroughputPipeFisher > m.ThroughputKFACSkip) {
 		t.Fatalf("PipeFisher %.0f must beat K-FAC+skip %.0f", m.ThroughputPipeFisher, m.ThroughputKFACSkip)
 	}
@@ -135,8 +140,8 @@ func TestPipeFisherBeatsSkipAndNaive(t *testing.T) {
 func TestSpeedupShrinksWithManyMicroBatches(t *testing.T) {
 	// "when the number of micro-batches is large (N=3D), speedup by
 	// PipeFisher is limited to about 1.1x".
-	few := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: 64})
-	many := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 24, BMicro: 64})
+	few := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: 64})
+	many := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 24, BMicro: 64})
 	if many.SpeedupVsSkip() >= few.SpeedupVsSkip() {
 		t.Fatalf("speedup must shrink with NMicro: %.3f (N=D) vs %.3f (N=3D)",
 			few.SpeedupVsSkip(), many.SpeedupVsSkip())
@@ -144,7 +149,7 @@ func TestSpeedupShrinksWithManyMicroBatches(t *testing.T) {
 }
 
 func TestRecomputeTradesThroughputForMemory(t *testing.T) {
-	plain := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 16, NMicro: 16, BMicro: 32})
+	plain := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 16, NMicro: 16, BMicro: 32})
 	rec := plain.Input
 	rec.Recompute = true
 	r := eval(t, rec)
@@ -164,8 +169,8 @@ func TestRecomputeTradesThroughputForMemory(t *testing.T) {
 func TestMemoryBreakdownShape(t *testing.T) {
 	// Figure 5 bottom: activations and saved errors dominate at large
 	// BMicro and NMicro, while curvature memory is constant in both.
-	small := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 4, NMicro: 4, BMicro: 8})
-	large := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 16, NMicro: 16, BMicro: 32})
+	small := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 4, NMicro: 4, BMicro: 8})
+	large := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 16, NMicro: 16, BMicro: 32})
 	if small.Memory.CurvInv != large.Memory.CurvInv {
 		t.Fatal("curvature memory must be independent of BMicro and NMicro")
 	}
@@ -183,9 +188,9 @@ func TestMemoryBreakdownShape(t *testing.T) {
 }
 
 func TestFasterGPULowersStepTime(t *testing.T) {
-	p := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 8, NMicro: 8, BMicro: 32})
-	v := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.V100, Method: Chimera, D: 8, NMicro: 8, BMicro: 32})
-	r := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.RTX3090, Method: Chimera, D: 8, NMicro: 8, BMicro: 32})
+	p := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 8, NMicro: 8, BMicro: 32})
+	v := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.V100, Method: "chimera", D: 8, NMicro: 8, BMicro: 32})
+	r := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.RTX3090, Method: "chimera", D: 8, NMicro: 8, BMicro: 32})
 	if v.TStep >= p.TStep {
 		t.Fatal("V100 must be faster than P100")
 	}
@@ -211,7 +216,7 @@ func TestDefaults(t *testing.T) {
 	if m.Input.NMicro != 4 {
 		t.Fatalf("NMicro must default to D, got %d", m.Input.NMicro)
 	}
-	if m.Input.Method != Chimera {
+	if m.Input.Method != "chimera" {
 		t.Fatalf("Method must default to chimera, got %q", m.Input.Method)
 	}
 	if m.Input.BlocksPerStage != 1 {
@@ -220,7 +225,7 @@ func TestDefaults(t *testing.T) {
 }
 
 func TestSweepCoversGrid(t *testing.T) {
-	pts, err := Sweep(arch.BERTBase, Chimera, []int{4, 8}, []int{1, 2, 4}, []int{1, 2, 3}, hardware.All())
+	pts, err := Sweep(arch.BERTBase, "chimera", []int{4, 8}, []int{1, 2, 4}, []int{1, 2, 3}, hardware.All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,11 +241,11 @@ func TestSweepCoversGrid(t *testing.T) {
 }
 
 func TestFits(t *testing.T) {
-	ok := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera, D: 4, NMicro: 4, BMicro: 8})
+	ok := eval(t, Input{Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera", D: 4, NMicro: 4, BMicro: 8})
 	if !ok.Fits() {
 		t.Fatal("small configuration must fit a P100")
 	}
-	huge := eval(t, Input{Arch: arch.OPT350M, GPU: hardware.P100, Method: Chimera, D: 32, NMicro: 96, BMicro: 64})
+	huge := eval(t, Input{Arch: arch.OPT350M, GPU: hardware.P100, Method: "chimera", D: 32, NMicro: 96, BMicro: 64})
 	if huge.Fits() {
 		t.Fatal("a 96x64x2048-token configuration cannot fit a 16 GB P100")
 	}
@@ -254,7 +259,7 @@ func TestOrderingProperty(t *testing.T) {
 		b := 1 << (bRaw % 7)
 		factor := 1 + int(nRaw%3)
 		m, err := Evaluate(Input{
-			Arch: arch.BERTBase, GPU: hardware.P100, Method: Chimera,
+			Arch: arch.BERTBase, GPU: hardware.P100, Method: "chimera",
 			D: d, NMicro: factor * d, BMicro: b,
 		})
 		if err != nil {

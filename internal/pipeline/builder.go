@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/hardware"
 )
@@ -224,7 +223,7 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 					if prev := tailIDs[[2]int{step - 1, stage*w + r}]; len(prev) > 0 {
 						op.Deps = append(op.Deps, prev[len(prev)-1])
 					}
-					s.addOpDeferred(op)
+					s.addOp(op)
 					fid[[4]int{step, r, stage, m}] = op.ID
 				}
 			}
@@ -242,7 +241,7 @@ func buildForwardBackward(cfg BuildConfig, name string, order func(stage, stages
 					} else {
 						op.Deps = append(op.Deps, fid[[4]int{step, r, stage, m}])
 					}
-					s.addOpDeferred(op)
+					s.addOp(op)
 					bid[[5]int{step, r, 0, stage, m}] = op.ID
 				}
 			}
@@ -301,7 +300,7 @@ func (s *Schedule) stepTail(cfg BuildConfig, pipelines, step, dev, replica int, 
 			Kind: kind, Device: dev, Stage: hosted[0], Replica: replica, MicroBatch: -1, Factor: -1,
 			Step: step, Duration: max(hardware.Microseconds(len(hosted))*perStage, 1), Deps: deps,
 		}
-		s.addOpDeferred(op)
+		s.addOp(op)
 		ids = append(ids, op.ID)
 		deps = []int{op.ID}
 	}
@@ -321,9 +320,11 @@ func (s *Schedule) stepTail(cfg BuildConfig, pipelines, step, dev, replica int, 
 // micro-batches. With DataParallelWidth W > 1 the whole bidirectional pair
 // is replicated W times (replica r occupies devices [r*D, (r+1)*D)), each
 // replica carrying its own N micro-batches, with a cross-replica sync-grad
-// in the step tail. Per-device op orders are derived by critical-path list
-// scheduling over the dependency graph, which reproduces Chimera's
-// interleaving for uniform stages.
+// in the step tail. Like GPipe's and 1F1B's, the device orders depend on
+// (D, N) alone: each direction's stage runs 1F1B over D/2 slots, a device
+// interleaves its two stages' slot orders (chimeraSlotOrders), and each
+// slot then carries its share of the direction's micro-batches
+// (slotMicros). At N = D the step takes Table 1's D·T_f + (2D−2)·T_b.
 func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -342,14 +343,9 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 		Steps:        cfg.Steps,
 		Order:        make([][]int, d*w),
 	}
-	deviceOf := func(r, pipe, stage int) int {
-		if pipe == 0 {
-			return r*d + stage
-		}
-		return r*d + d - 1 - stage
-	}
 	fid := make(map[[5]int]int) // (step, replica, pipe, stage, micro index within pipe)
 	bid := make(map[[5]int]int)
+	tailIDs := make(map[[2]int][]int) // (step, device) -> ordered tail ops, the optimizer update last
 	// prevTail[dev] is the op every op of the next step on dev must follow
 	// (the optimizer update, or the step's last backward without one).
 	prevTail := make([]int, d*w)
@@ -363,7 +359,7 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 				for stage := 0; stage < d; stage++ {
 					for m := 0; m < half; m++ {
 						f := &Op{
-							Kind: Forward, Device: deviceOf(r, pipe, stage), Stage: stage, Replica: r,
+							Kind: Forward, Device: r*d + chimeraFlip(d, pipe, stage), Stage: stage, Replica: r,
 							MicroBatch: pipe*half + m, Factor: -1, Step: step, Pipeline: pipe,
 							Duration: cfg.Costs.Forward,
 						}
@@ -373,14 +369,14 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 						if prevTail[f.Device] >= 0 {
 							f.Deps = append(f.Deps, prevTail[f.Device])
 						}
-						s.addOpDeferred(f)
+						s.addOp(f)
 						fid[[5]int{step, r, pipe, stage, m}] = f.ID
 					}
 				}
 				for stage := d - 1; stage >= 0; stage-- {
 					for m := 0; m < half; m++ {
 						b := &Op{
-							Kind: Backward, Device: deviceOf(r, pipe, stage), Stage: stage, Replica: r,
+							Kind: Backward, Device: r*d + chimeraFlip(d, pipe, stage), Stage: stage, Replica: r,
 							MicroBatch: pipe*half + m, Factor: -1, Step: step, Pipeline: pipe,
 							Duration: cfg.Costs.Backward,
 						}
@@ -392,7 +388,7 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 						if prevTail[b.Device] >= 0 {
 							b.Deps = append(b.Deps, prevTail[b.Device])
 						}
-						s.addOpDeferred(b)
+						s.addOp(b)
 						bid[[5]int{step, r, pipe, stage, m}] = b.ID
 					}
 				}
@@ -400,12 +396,13 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 		}
 		// Step tail, per device: it hosts its down stage and that stage's
 		// mirror. Without optimizer work the next step still flushes behind
-		// the device's last backward, the up pipeline's final micro-batch.
+		// the device's up stage's last backward.
 		for r := 0; r < w; r++ {
 			for stage := 0; stage < d; stage++ {
-				dev, mirror := deviceOf(r, 0, stage), d-1-stage
+				dev, mirror := r*d+stage, d-1-stage
 				if cfg.IncludeOptimizerWork {
 					tail := s.stepTail(cfg, 2, step, dev, r, []int{stage, mirror}, bid)
+					tailIDs[[2]int{step, dev}] = tail
 					prevTail[dev] = tail[len(tail)-1]
 				} else {
 					prevTail[dev] = bid[[5]int{step, r, 1, mirror, half - 1}]
@@ -413,8 +410,26 @@ func BuildChimera(cfg BuildConfig) (*Schedule, error) {
 			}
 		}
 	}
-	if err := s.finalizeOrders(); err != nil {
-		return nil, err
+	// Assemble device orders from the slot orders, each slot widened to its
+	// micro-batches.
+	slotOrders := chimeraSlotOrders(d)
+	for step := 0; step < cfg.Steps; step++ {
+		for r := 0; r < w; r++ {
+			for dev, order := range slotOrders {
+				rdev := r*d + dev
+				for _, ph := range order {
+					ids := fid
+					if ph.kind == Backward {
+						ids = bid
+					}
+					lo, hi := slotMicros(ph.micro, half, d/2)
+					for m := lo; m < hi; m++ {
+						s.Order[rdev] = append(s.Order[rdev], ids[[5]int{step, r, ph.pipe, chimeraFlip(d, ph.pipe, dev), m}])
+					}
+				}
+				s.Order[rdev] = append(s.Order[rdev], tailIDs[[2]int{step, rdev}]...)
+			}
+		}
 	}
 	return s.seal()
 }
@@ -431,129 +446,98 @@ func chimeraFits(stages, microBatches int) error {
 	return nil
 }
 
-// finalizeOrders assigns per-device op orders for schedules built with
-// addOpDeferred, using critical-path list scheduling: when a device is
-// free, the ready op with the earliest feasible start runs first, breaking
-// ties by the longest remaining dependency path.
-func (s *Schedule) finalizeOrders() error {
-	nOps := len(s.Ops)
-	succ := make([][]int, nOps)
-	indeg := make([]int, nOps)
-	for _, op := range s.Ops {
-		op.Deps = Dedup(op.Deps)
-		for _, dep := range op.Deps {
-			succ[dep] = append(succ[dep], op.ID)
-			indeg[op.ID]++
+// chimeraFlip maps a stage of pipeline pipe to the device of one replica
+// that hosts it, and a device to its stage of pipe: the identity on the
+// down pipeline, i -> D-1-i on the up one.
+func chimeraFlip(d, pipe, i int) int {
+	if pipe == 0 {
+		return i
+	}
+	return d - 1 - i
+}
+
+// slotPhase is one entry of a Chimera device's slot order: a forward or
+// backward of slot micro on the device's stage of pipeline pipe.
+type slotPhase struct {
+	phase
+	pipe int
+}
+
+// chimeraSlotOrders returns, per device of one replica, the interleaving of
+// its two stages' slot orders — down stage dev and up stage D-1-dev, each
+// oneFOneBOrder over D/2 slots — by earliest start under nominal costs
+// F = 1, B = 2: at each tick a free device starts whichever of its two next
+// phases has its input done, the lower slot and then the down pipeline on a
+// tie.
+func chimeraSlotOrders(d int) [][]slotPhase {
+	next := make([][2][]phase, d) // per device and pipeline, the phases still to run
+	for dev := range next {
+		for pipe := range 2 {
+			next[dev][pipe] = oneFOneBOrder(chimeraFlip(d, pipe, dev), d, d/2)
 		}
 	}
-	topo := topoOrder(s.Ops, succ, indeg)
-	if topo == nil {
-		return fmt.Errorf("pipeline: dependency cycle detected")
+	done := make(map[[4]int]int) // (kind, pipe, stage, slot) -> finish time
+	// ready reports whether a phase's input — the previous stage's forward,
+	// the next stage's backward, or the last stage's own forward — is done.
+	ready := func(pipe, stage int, ph phase, now int) bool {
+		in := [4]int{int(Backward), pipe, stage + 1, ph.micro}
+		switch {
+		case ph.kind == Forward && stage == 0:
+			return true
+		case ph.kind == Forward:
+			in = [4]int{int(Forward), pipe, stage - 1, ph.micro}
+		case stage == d-1:
+			in = [4]int{int(Forward), pipe, stage, ph.micro}
+		}
+		t, ok := done[in]
+		return ok && t <= now
 	}
-	prio := make([]int64, nOps)
-	for i := len(topo) - 1; i >= 0; i-- {
-		id := topo[i]
-		var best int64
-		for _, nx := range succ[id] {
-			if prio[nx] > best {
-				best = prio[nx]
+	free := make([]int, d) // when each device is next free
+	out := make([][]slotPhase, d)
+	for now, left := 0, 2*d*d; left > 0; now++ {
+		for dev := range next {
+			pick := -1
+			for pipe := range 2 {
+				q := next[dev][pipe]
+				if free[dev] <= now && len(q) > 0 && ready(pipe, chimeraFlip(d, pipe, dev), q[0], now) &&
+					(pick < 0 || q[0].micro < next[dev][pick][0].micro) {
+					pick = pipe
+				}
 			}
-		}
-		prio[id] = best + int64(s.Ops[id].Duration)
-	}
-	remaining := make([]int, nOps)
-	copy(remaining, indeg)
-	ready := make([][]int, s.Devices)
-	for _, op := range s.Ops {
-		if remaining[op.ID] == 0 {
-			ready[op.Device] = append(ready[op.Device], op.ID)
-		}
-	}
-	endTime := make([]int64, nOps)
-	devFree := make([]int64, s.Devices)
-	scheduled := 0
-	for scheduled < nOps {
-		progressed := false
-		for dev := 0; dev < s.Devices; dev++ {
-			if len(ready[dev]) == 0 {
+			if pick < 0 {
 				continue
 			}
-			sort.SliceStable(ready[dev], func(i, j int) bool {
-				a, b := ready[dev][i], ready[dev][j]
-				sa := max(depsEnd(s.Ops[a], endTime), devFree[dev])
-				sb := max(depsEnd(s.Ops[b], endTime), devFree[dev])
-				if sa != sb {
-					return sa < sb
-				}
-				if prio[a] != prio[b] {
-					return prio[a] > prio[b]
-				}
-				return a < b
-			})
-			id := ready[dev][0]
-			ready[dev] = ready[dev][1:]
-			op := s.Ops[id]
-			start := max(devFree[dev], depsEnd(op, endTime))
-			endTime[id] = start + int64(op.Duration)
-			devFree[dev] = endTime[id]
-			s.Order[dev] = append(s.Order[dev], id)
-			scheduled++
-			progressed = true
-			for _, nx := range succ[id] {
-				remaining[nx]--
-				if remaining[nx] == 0 {
-					ready[s.Ops[nx].Device] = append(ready[s.Ops[nx].Device], nx)
-				}
+			ph := next[dev][pick][0]
+			next[dev][pick] = next[dev][pick][1:]
+			free[dev] = now + 1
+			if ph.kind == Backward {
+				free[dev]++
 			}
-		}
-		if !progressed {
-			return fmt.Errorf("pipeline: list scheduling stalled (%d/%d ops)", scheduled, nOps)
+			done[[4]int{int(ph.kind), pick, chimeraFlip(d, pick, dev), ph.micro}] = free[dev]
+			out[dev] = append(out[dev], slotPhase{ph, pick})
+			left--
 		}
 	}
-	return nil
+	return out
 }
 
-// addOpDeferred registers an op whose per-device order is decided later by
-// finalizeOrders.
-func (s *Schedule) addOpDeferred(op *Op) {
+// slotMicros returns the micro-batches [lo, hi) slot j carries when n are
+// spread over slots consecutive slots, earlier slots taking the larger
+// share; a slot is empty when n < slots.
+func slotMicros(j, n, slots int) (lo, hi int) {
+	lo = j*(n/slots) + min(j, n%slots)
+	hi = lo + n/slots
+	if j < n%slots {
+		hi++
+	}
+	return lo, hi
+}
+
+// addOp registers an op; builders assemble the per-device orders once every
+// op exists.
+func (s *Schedule) addOp(op *Op) {
 	op.ID = len(s.Ops)
 	s.Ops = append(s.Ops, op)
-}
-
-func depsEnd(op *Op, endTime []int64) int64 {
-	var mx int64
-	for _, dep := range op.Deps {
-		if endTime[dep] > mx {
-			mx = endTime[dep]
-		}
-	}
-	return mx
-}
-
-func topoOrder(ops []*Op, succ [][]int, indeg []int) []int {
-	deg := make([]int, len(ops))
-	copy(deg, indeg)
-	var queue, order []int
-	for i := range ops {
-		if deg[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		order = append(order, id)
-		for _, nx := range succ[id] {
-			deg[nx]--
-			if deg[nx] == 0 {
-				queue = append(queue, nx)
-			}
-		}
-	}
-	if len(order) != len(ops) {
-		return nil
-	}
-	return order
 }
 
 // Dedup drops repeated ids, keeping first occurrences in order.

@@ -136,50 +136,55 @@ func hashSchedule(h io.Writer, s *pipeline.Schedule, skip func(op, dep *pipeline
 // third hashes ops and every edge with the device orders left out; it was
 // recorded at dd6427f, the commit before the rank order, so a green run
 // proves the rank order moved ops within device orders and nothing else.
-// Every schedule's unplaced refresh ops must sit in rank order
-// (checkSpillRank).
+// Every D4 and D8 group was re-recorded when Chimera's device orders became
+// a phase order (1F1B per direction over D/2 slots, merged per device)
+// instead of a list schedule: the builder's ops and edges are unchanged,
+// its orders and so the refresh work packed into them moved; the D2 groups, whose Chimera orders the phase
+// order reproduces, and a digest of the GPipe and 1F1B schedules alone
+// (c470f861…) are the same before and after. Every schedule's unplaced
+// refresh ops must sit in rank order (checkSpillRank).
 func TestExecutableDigestMatrix(t *testing.T) {
 	want := map[string]string{
 		"exec/D2":      "8a42024e6712a87e7af3b924cefcc18a2415646e26e7eb81b859803be0f9c532",
-		"exec/D4":      "62749459705452846f91bc20e199ebbe4509851ca0393655686fe787371548aa",
-		"exec/D8":      "69871445ea7d1870276b1720271d113176856960a895298a64c04e4a18f01cc8",
+		"exec/D4":      "ff82c3d320c020e806ab8323a967f21ceb6dc613fb2e14b30e20455d9ffb7d3b",
+		"exec/D8":      "07113dde844b81abd895415554d8006bedbe712ec2c63005e926459608b63836",
 		"spill/D2":     "1f81982d02c8881acc144c3aafd7d084c6ab41086c89c7a58e6d311c0002ba1a",
-		"spill/D4":     "56f4bd016e7092a8e1b244273695e416faf387db39b947f5141f8e7ab05f690c",
-		"spill/D8":     "42b3082e44a4283454b86052620cbe5c80a9c656b15dca51a5e4ebcb3ff9e375",
+		"spill/D4":     "af32fdf29451bf4a19d5bdc7c2d583364a93078e3821f0643fe4b283e37de6aa",
+		"spill/D8":     "d72f4b14935e9f289e17e3f0a8bd2ad246101571da2b4fa01cc12c0214bdf314",
 		"uneven/D2":    "af5eb59b0a1f4600983bb6be390ebe6ace4c73b53ab266572dabc7574019cd6c",
-		"uneven/D4":    "b24aa138bc0eba2afb9e6f4c85ed602fac3eb13e2533a5a343f1aef099fe74e4",
-		"uneven/D8":    "afe77fbfd94de90a41caebaa9cc84cfba9430885ade11ff5a096908569ac9175",
+		"uneven/D4":    "493c5870234824e5dd67d7ae1aa3c7300d662f076a12f2cbdb899fddac075295",
+		"uneven/D8":    "53dd79503bd8f620f9241d1e57323b355a44ea5d255ec53e1d6c899b32049b3e",
 		"bert-base/D2": "911bdfa09884a816e1a553184afc2a340146010b902a1987d27b0110a2b21ccc",
-		"bert-base/D4": "c99a7ba2a7339a978d6885ff98053dd6870c7930d88b2ff94c6fb06aa4a1d55e",
-		"bert-base/D8": "523c1db0c0771302fbe82d59df937572ad5306e6e303d4a3b9da65552a2fe24d",
+		"bert-base/D4": "a55ea85affb79c079710e7db3a34dca0dede6b0fb5a3ae9496680e48eb05e2da",
+		"bert-base/D8": "d873b6798be25d9fa9667ec8e8e0c4e38b7effb5d2015ce726118ac1e3c28988",
 	}
 	wantAll := map[string]string{
 		"exec/D2":      "a5fcfbbcba4b0ce1dff7c53e229e4ea9941be042fc290ea7b19ba5024ddf0f69",
-		"exec/D4":      "6c0f7155e9c6697a102bf6eb32ab2f8df95a7bf633411f60e4b1872ddd005d99",
-		"exec/D8":      "5e58f962a06cae422462b03a84b97f629e9ddb9893f4231bf07c227e34b6ca0d",
+		"exec/D4":      "4d08dab9c6166ded7a2dfad82f9644250012aeca008cec3fff5923538a5ed0a1",
+		"exec/D8":      "010af4904958c79683d6665a4fd5d0562dc7bb653ac5ec3f7a180cc5b9091ea7",
 		"spill/D2":     "2817e93164f11031a8d3bf31d8e86388b4a95a8171c5b9b9c93a8ac59cdd1b37",
-		"spill/D4":     "3f3f4b2c30bb4d1c9c5506060c497c1fb9b4e1c2766ea43179bd746d0305a882",
-		"spill/D8":     "7859450d2bd5bf2dd0d65a6bb89c1b62e642372d2af50fb313d70361b2f92f48",
+		"spill/D4":     "a8d084cb57a30cdc84a65746d65c47e3ba953c58028224a4387e8b5a4f1fb07a",
+		"spill/D8":     "2b41b5d9dc178056197b0d3d3d958a11c396db0df4473532bbc00fe159bb62ee",
 		"uneven/D2":    "a18b6388dda4738a9c9554d57cb1c69ebf1d68e35f1473843ab623de03d27ecf",
-		"uneven/D4":    "c6b5ad7e1bc83aedb679a701ca4a4924c873f8636636677376d3836e21e3756b",
-		"uneven/D8":    "06755d183e87a46646a5001888ae1a08f29e5eb63b98ee4461c5ed2a06f3d3c4",
+		"uneven/D4":    "1913069d46021f105931954b5b4899e2b98368b464557bb196e6e90c61471e7a",
+		"uneven/D8":    "512886fefa0b36e67b382ad26e42de8341cba158ae0b209762683d51e40b070d",
 		"bert-base/D2": "40a966694e699a236775e7a578ee83f332a418b5c14b736532b008a20c3c29e0",
-		"bert-base/D4": "aa4c3a57e46d57f15fdf59bee13d1c0eada1cef0a5d015a57e04ec9740e52a68",
-		"bert-base/D8": "31d3437e375937cc2bf791f99302340400d58da9904639c78e61d9be3ac3b298",
+		"bert-base/D4": "a4f19d1d2dce5d5ffda92e7cb98aa62c024320183601f460e063b5f5bd0b6722",
+		"bert-base/D8": "9f699cb76d725f867da190e5100afba6e7f01add62f285b0ae0d4c6b6f8ce66e",
 	}
 	wantOps := map[string]string{
 		"exec/D2":      "6936c11e9a6191803ac9fcaae5243ac9e2a0f898ec4f044c79791e734aca10c7",
-		"exec/D4":      "0d95f6c744c5fda3e857d3516438a0979c7a582961103ff976fa489b48dd7417",
-		"exec/D8":      "83c137206c6dc6f15403e2f75c281f45e3cb7e15da242768509d3a02536f86c0",
+		"exec/D4":      "aaffbae61f743e7841d027339362626af32f7ac34983b7c826c47425afcb9ccb",
+		"exec/D8":      "6a2a194b7ed0a6719a994f6e7029d4aff6beacc6b0195fb50ba3f6a9647e5960",
 		"spill/D2":     "db98d0114ff3ea0b38365c43c56ddc741df95d30f63332cf516c17c6f89d9def",
-		"spill/D4":     "017dfd081059cdcb0dca9b1ee31c2d792202372de67a6a321ca99da486e760b5",
-		"spill/D8":     "88fd603b93561926ac778608a17810e771bcbc08f0197574e85af1bb817bd307",
+		"spill/D4":     "d1edb1a586d46485afd718b11c392f274ad9b76a42cd73b427b502232d0e8f1a",
+		"spill/D8":     "52e87c3c21f79773c278a6b2296b328eb791704b2a8547b1dd061872424c8438",
 		"uneven/D2":    "cd9106e27b60c7d0d3b38988c89234b6fe9568fd8c595d18c01437d4a46b4621",
-		"uneven/D4":    "5d2c8ef9ae50677fba16e0bb013e1f25b749225a70ab23244e4d11e9f10be911",
-		"uneven/D8":    "bbe3231df4c8e3619e0ad28da80202f3a0a369a5fd243d334948e0424f0c0bf8",
+		"uneven/D4":    "4b78d1cdda9d1efc1efa82d5759c1b6e898807992b5363aac141b6197897d675",
+		"uneven/D8":    "963c660cf51cd0f7f3acf16b94804003e41f32d3ec8ca6d197c7459588a1c022",
 		"bert-base/D2": "33cfe50f09ab9484cd9092ef4ee688f87da1626ef485c4c8ebf3f43401381193",
-		"bert-base/D4": "111a3bf04d107dd07ffd6d9f6101a07481f662e3bffb75c845b4cf56786bd209",
-		"bert-base/D8": "d691d049eaf0888070bd6b8d6235014c296197e121bea30b1feafc573ecfb23c",
+		"bert-base/D4": "d5c80143b9cd7a4f9df10b74d7d533e406167e9912f742bfd7507ac03b001de5",
+		"bert-base/D8": "cc965107eeb2fe6b6654db58d1ca0334f45dc38be2e8a355e724669b037c696b",
 	}
 	commitEdge := func(op, dep *pipeline.Op) bool {
 		return op.Kind == pipeline.Inversion && dep.Kind == pipeline.Precondition
