@@ -148,25 +148,43 @@
 // scalar, tiled and every purego build keep the Go packers.
 //
 // An operand that multiplies many times between changes can be packed once
-// instead: a tensor.Packed holds a matrix as the left operand's mr-row
-// panels or the right operand's nr-column panels over the whole
+// instead: a tensor.Packed holds one copy of a matrix as the left operand's
+// mr-row panels or the right operand's nr-column panels over the whole
 // contraction, and MatMulPackedAInto / MatMulPackedBInto read them where
 // the driver would have read its own. The panels are what the driver packs,
-// so the products equal MatMulInto bit for bit; they belong to the kernel
-// variant, the fma width, the float32 mode and the tile they were packed
-// for, and a product under any other configuration repacks from the source
-// first, so stale panels are never read (TestPackedMatchesMatMulInto packs
-// under every configuration and multiplies under every other). What the
-// source holds is its owner's to track: in kfac one function
-// (LayerState.setInverse) writes a cached inverse and packs it — a
-// refresh's swap, a snapshot restore, and EditInverse, the only in-place
-// write from outside (the engine's inverse-corruption fault goes through
-// it, so the panels carry the NaN the health scan must catch:
-// TestCorruptionCaughtBeforeCommit's op=inverse case under every kernel).
-// Precondition's two products B⁻¹·G and (B⁻¹G)·A⁻¹ read those panels every
-// step and never check them (TestPreconditionPackedInverses: after a swap,
-// a restore, every kernel, a float32 flip and a width flip). The panels
-// cost one more copy of each inverse's bytes.
+// so the products equal MatMulInto bit for bit. The copy is one float64
+// matrix in the layout of the configuration it was packed under — float64
+// panels under tiled and fma, row-major under scalar's float64 loops and
+// under float32 mode, whose float32 panels beside it are the only
+// addition — and PackLeft / PackRight keep no reference to what they
+// packed. A product under another kernel variant, fma width or float32
+// mode first repacks from the Packed's own float64 copy through a pooled
+// scratch, so stale panels are never read (TestPackedMatchesMatMulInto
+// packs under every configuration and multiplies under every other);
+// Unpack copies the matrix back out bit for bit (TestPackedHoldsOneExactCopy).
+//
+// K-FAC state. Between ops a kfac.LayerState keeps the two Kronecker
+// factors and one copy of each cached inverse, held only as a tensor.Packed
+// (TestRetainedFloatsAreFactorsPlusOneInverse counts every float the
+// preconditioner reaches, under every kernel, float32 mode and width;
+// BenchmarkUpdateInverses reports it as retained-B). Who writes an
+// inverse: LayerState.setInverse alone — a refresh's last chain step, a
+// snapshot restore, and EditInverse, the only write from outside (the
+// engine's inverse-corruption fault unpacks the inverse to pooled scratch,
+// edits it and reloads it, so the panels carry the NaN the health scan must
+// catch: TestCorruptionCaughtBeforeCommit's op=inverse case under every
+// kernel). Who reads one: Precondition's two products B⁻¹·G and (B⁻¹G)·A⁻¹,
+// which read the panels every step and never check them
+// (TestPreconditionPackedInverses: after a swap, a restore, every kernel, a
+// float32 flip and a width flip), and LayerState.Inverse, a copy out for
+// snapshots, tests and PreconditionedGradient. What is pooled: a refresh's
+// inversion target (taken at a chain's last step, returned right after
+// the copy in), Precondition's B⁻¹G intermediate (one layer at a time) and
+// EditInverse's scratch. A FactorChain touches the layer at its last step
+// only, so a layer's A and B chains run on two devices under
+// InversionParallel with nothing shared but the last steps, which the
+// engine serializes under the layer lock (TestFactorChainsOnTwoGoroutines
+// under -race).
 //
 // The element-wise family is the transcendental half of a step — GELU's erf
 // and exp, softmax's and cross-entropy's exps — as three fused forms over
@@ -320,9 +338,9 @@
 // serial — the inverse is bit-identical across
 // SetParallelism/SetOpParallelism within a variant
 // (TestSPDInverseVariantAndParallelismIdentity), and exactly symmetric by
-// construction. kfac ping-pongs two retained buffers per factor (write the
-// spare, then swap the pointer), so a refresh allocates nothing and a
-// reader never sees a half-written inverse.
+// construction. kfac inverts into a pooled target and copies it into the
+// cached inverse's panels in one call, so a refresh allocates nothing and a
+// reader never sees a half-written inverse (K-FAC state, below).
 //
 // Attention's per-(sequence, head) core runs on the same driver too,
 // through its one strided-window entry point: tensor.MulViews takes a
@@ -857,8 +875,10 @@
 //   - Ownership: the first step folds the layer's factors on first touch and
 //     fixes the factored damping; the work copy and the two intermediates
 //     belong to the generation pool (kfacGenPool.chains) until the last
-//     step, the only one that takes the layer lock again, swaps the inverse
-//     in, and carries the edges preconditions wait on. A chain's steps
+//     step, the only one that takes the layer lock again and the only one
+//     that touches the layer: it inverts into a pooled target, copies it
+//     in as the cached inverse, and carries the edges preconditions wait
+//     on. A chain's steps
 //     share one generation: a chain never straddles windows.
 //   - Failure: a step that degrades releases its chain, the later steps do
 //     nothing and the factor's stale inverse keeps serving

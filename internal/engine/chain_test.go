@@ -99,7 +99,7 @@ func TestChainedInversionsBitIdenticalToWhole(t *testing.T) {
 				for s := 0; s < ec.Stages(); s++ {
 					for i, ls := range ec.KFACStates(s).States() {
 						other := ew.KFACStates(s).States()[i]
-						if !ls.AInv.Equal(other.AInv) || !ls.BInv.Equal(other.BInv) {
+						if !ls.Inverse(false, nil).Equal(other.Inverse(false, nil)) || !ls.Inverse(true, nil).Equal(other.Inverse(true, nil)) {
 							t.Fatalf("stage %d layer %s: chained inverses differ", s, ls.Layer.Name)
 						}
 					}
@@ -154,14 +154,14 @@ func TestChainStepDegradesOnlyItsFactor(t *testing.T) {
 		}
 	}
 	ls := e.KFACStates(0).States()[factor/2]
-	if !ls.BInv.Equal(before[fmt.Sprintf("s0/%s", ls.Layer.Name)][1]) {
+	if !ls.Inverse(true, nil).Equal(before[fmt.Sprintf("s0/%s", ls.Layer.Name)][1]) {
 		t.Fatal("the degraded factor's inverse changed: the stale one must serve")
 	}
-	if ls.AInv.Equal(before[fmt.Sprintf("s0/%s", ls.Layer.Name)][0]) {
+	if ls.Inverse(false, nil).Equal(before[fmt.Sprintf("s0/%s", ls.Layer.Name)][0]) {
 		t.Fatal("the degraded factor's pair did not refresh: only the failing factor may degrade")
 	}
 	other := e.KFACStates(0).States()[0]
-	if other.BInv.Equal(before[fmt.Sprintf("s0/%s", other.Layer.Name)][1]) {
+	if other.Inverse(true, nil).Equal(before[fmt.Sprintf("s0/%s", other.Layer.Name)][1]) {
 		t.Fatal("an unrelated factor did not refresh")
 	}
 	if live := tensor.PoolLive(); live != base {

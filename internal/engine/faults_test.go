@@ -44,7 +44,7 @@ func cloneInverses(e *Engine) map[string][2]*tensor.Matrix {
 				continue
 			}
 			key := fmt.Sprintf("s%d/%s", s, ls.Layer.Name)
-			out[key] = [2]*tensor.Matrix{ls.AInv.Clone(), ls.BInv.Clone()}
+			out[key] = [2]*tensor.Matrix{ls.Inverse(false, nil), ls.Inverse(true, nil)}
 		}
 	}
 	return out
@@ -60,7 +60,7 @@ func inversesEqual(e *Engine, snap map[string][2]*tensor.Matrix) bool {
 			n++
 			key := fmt.Sprintf("s%d/%s", s, ls.Layer.Name)
 			prev, ok := snap[key]
-			if !ok || !ls.AInv.Equal(prev[0]) || !ls.BInv.Equal(prev[1]) {
+			if !ok || !ls.Inverse(false, nil).Equal(prev[0]) || !ls.Inverse(true, nil).Equal(prev[1]) {
 				return false
 			}
 		}
@@ -497,7 +497,7 @@ func checkCorruptionCaught(t *testing.T, spec string) {
 	}
 	for s := 0; s < e.Stages(); s++ {
 		for _, ls := range e.KFACStates(s).States() {
-			if ls.HasInverses() && (ls.AInv.HasNaN() || ls.BInv.HasNaN()) {
+			if ls.HasInverses() && (ls.Inverse(false, nil).HasNaN() || ls.Inverse(true, nil).HasNaN()) {
 				t.Fatalf("stage %d layer %s: poisoned inverse survived the replay", s, ls.Layer.Name)
 			}
 		}
@@ -547,7 +547,7 @@ func TestCorruptCurvatureDegradesBeforeFold(t *testing.T) {
 	}
 	for s := 0; s < e.Stages(); s++ {
 		for _, ls := range e.KFACStates(s).States() {
-			if ls.HasInverses() && (ls.AInv.HasNaN() || ls.BInv.HasNaN()) {
+			if ls.HasInverses() && (ls.Inverse(false, nil).HasNaN() || ls.Inverse(true, nil).HasNaN()) {
 				t.Fatalf("stage %d layer %q: poisoned inverse escaped the pre-fold guard", s, ls.Layer.Name)
 			}
 		}

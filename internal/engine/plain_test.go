@@ -64,7 +64,7 @@ func TestPlainRoundsMatchFullList(t *testing.T) {
 		}
 		for s := 0; s < e.Stages(); s++ {
 			for _, ls := range e.KFACStates(s).States() {
-				r.grads = append(r.grads, ls.A.Clone(), ls.B.Clone(), ls.AInv.Clone(), ls.BInv.Clone())
+				r.grads = append(r.grads, ls.A.Clone(), ls.B.Clone(), ls.Inverse(false, nil), ls.Inverse(true, nil))
 			}
 		}
 		return r

@@ -373,7 +373,7 @@ func requireMatchesReference(t *testing.T, c refCase, rounds int, prep, onRound 
 		for s := 0; s < e.Stages(); s++ {
 			for li, ls := range e.KFACStates(s).States() {
 				rs := ref.pre[s].States()[li]
-				for name, pair := range map[string][2]*tensor.Matrix{"A": {ls.A, rs.A}, "B": {ls.B, rs.B}, "A⁻¹": {ls.AInv, rs.AInv}, "B⁻¹": {ls.BInv, rs.BInv}} {
+				for name, pair := range map[string][2]*tensor.Matrix{"A": {ls.A, rs.A}, "B": {ls.B, rs.B}, "A⁻¹": {ls.Inverse(false, nil), rs.Inverse(false, nil)}, "B⁻¹": {ls.Inverse(true, nil), rs.Inverse(true, nil)}} {
 					if (pair[0] == nil) != (pair[1] == nil) || pair[0] != nil && !bitsEqual(pair[0], pair[1]) {
 						t.Fatalf("%v after round %d: stage %d layer %s: %s differs from the reference's", c, i, s, ls.Layer.Name, name)
 					}

@@ -34,10 +34,13 @@ func BenchmarkUpdateCurvature(b *testing.B) {
 // preconditioner: the 64->64 layer (both factors in the scalar base case of
 // tensor.SPDInverseInto) and a d = 128 / dff = 512 feed-forward pair, the
 // benchmark's wide_1f1b_k8 shape (factors 128 and 512, the blocked path).
-// Steady state allocates nothing: inverses ping-pong two retained buffers.
+// Steady state allocates nothing: each refresh inverts into a pooled target
+// and packs it over the inverse's own panels. retained-B is what the
+// preconditioner keeps between refreshes (retainedFloats, in bytes): the
+// factors plus one copy of each inverse.
 func BenchmarkUpdateInverses(b *testing.B) {
 	run := func(b *testing.B, p *Preconditioner) {
-		for i := 0; i < 2; i++ { // both ping-pong buffers exist before timing
+		for i := 0; i < 2; i++ { // the pool holds every target before timing
 			if err := p.UpdateCurvature(512); err != nil {
 				b.Fatal(err)
 			}
@@ -52,6 +55,9 @@ func BenchmarkUpdateInverses(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		n := retainedFloats(p)
+		b.ReportMetric(float64(8*n.f64+4*n.f32), "retained-B")
 	}
 	b.Run("d=64", func(b *testing.B) { run(b, benchPreconditioner(b)) })
 	b.Run("d=128_dff=512", func(b *testing.B) { run(b, benchFeedForward(b)) })
@@ -68,6 +74,7 @@ func BenchmarkPrecondition(b *testing.B) {
 		if err := p.UpdateInverses(); err != nil {
 			b.Fatal(err)
 		}
+		p.Precondition() // the pool holds the intermediate before timing
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

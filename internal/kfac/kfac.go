@@ -24,7 +24,13 @@ import (
 // has not captured activation/error statistics.
 var ErrNoStats = errors.New("kfac: layer has no captured statistics (enable CaptureKFAC and run forward+backward)")
 
-// LayerState holds the K-FAC state of a single fully-connected layer.
+// LayerState holds the K-FAC state of a single fully-connected layer:
+// the two Kronecker factors and one copy of each cached inverse. The
+// inverses live only in their packed panels (tensor.Packed), which
+// Precondition reads; Inverse copies one out, EditInverse rewrites one,
+// and refresh targets and precondition temporaries come from the
+// workspace pool, so between ops a layer keeps the factors plus that one
+// copy and nothing else.
 type LayerState struct {
 	// Layer is the underlying dense layer whose gradients are
 	// preconditioned.
@@ -32,11 +38,6 @@ type LayerState struct {
 	// A and B are the exponential moving averages of the Kronecker
 	// factors: A is din x din, B is dout x dout.
 	A, B *tensor.Matrix
-	// AInv and BInv are the cached inverses used for preconditioning; they
-	// may be stale relative to A and B (the paper refreshes them every few
-	// pipeline steps). Read them freely; write into them only through
-	// EditInverse, which keeps Precondition's packed copy in step.
-	AInv, BInv *tensor.Matrix
 	// CurvatureUpdates counts curvature refreshes; InverseUpdates counts
 	// inversion refreshes. InverseAge counts preconditioning steps since
 	// the inverses were last refreshed (the "staleness" of §3.1).
@@ -44,59 +45,72 @@ type LayerState struct {
 	InverseUpdates   int
 	InverseAge       int
 
-	// preTmp is the retained B⁻¹G intermediate of Precondition, so the
-	// per-step preconditioning allocates nothing in steady state.
-	preTmp *tensor.Matrix
-	// spareA and spareB are the inversion targets: each refresh writes the
-	// spare buffer and then swaps it with the cached inverse, so a reader
-	// of AInv/BInv never sees a half-written matrix and steady-state
-	// refreshes allocate nothing.
-	spareA, spareB *tensor.Matrix
-	// ainvPanels and binvPanels are AInv and BInv packed as the right and
-	// left operands of Precondition's two products, which read them
-	// instead of packing the inverses every step. setInverse packs them at
-	// every write of an inverse (tensor.Packed repacks them itself after a
-	// kernel, width or precision change).
-	ainvPanels, binvPanels tensor.Packed
+	// ainv and binv are the cached inverses, which may be stale relative
+	// to A and B (the paper refreshes them every few pipeline steps),
+	// packed as the right and left operands of Precondition's two
+	// products. setInverse is their one writer.
+	ainv, binv tensor.Packed
 }
 
-// setInverse makes inv the layer's cached A inverse (B when factorB is set)
-// and packs it for Precondition. It is the one writer of AInv, BInv and
-// their panels — a refresh's swap, Snapshot.Restore and EditInverse all go
-// through it — so the panels always hold what the inverse holds. A nil inv
-// clears the inverse.
+// inverse returns the packed cached inverse of A (B when factorB is set).
+func (s *LayerState) inverse(factorB bool) *tensor.Packed {
+	if factorB {
+		return &s.binv
+	}
+	return &s.ainv
+}
+
+// setInverse makes a copy of inv the layer's cached A inverse (B when
+// factorB is set), packed for Precondition. It is the one writer of the
+// cached inverses — a refresh's last chain step, Snapshot.Restore and
+// EditInverse all go through it — and retains nothing of inv, so callers
+// may pass pooled matrices and Put them right after. A nil inv clears the
+// inverse.
 func (s *LayerState) setInverse(factorB bool, inv *tensor.Matrix) {
-	if factorB {
-		s.BInv = inv
-		if inv != nil {
-			s.binvPanels.PackLeft(inv)
-		}
-		return
-	}
-	s.AInv = inv
-	if inv != nil {
-		s.ainvPanels.PackRight(inv)
+	p := s.inverse(factorB)
+	switch {
+	case inv == nil:
+		p.Reset()
+	case factorB:
+		p.PackLeft(inv)
+	default:
+		p.PackRight(inv)
 	}
 }
 
-// EditInverse runs edit on the layer's cached A inverse (B when factorB is
-// set) in place and repacks it for Precondition — the one way to write
-// into a cached inverse from outside a refresh, used by the engine's
-// silent-corruption fault model. A no-op when the inverse is absent.
-func (s *LayerState) EditInverse(factorB bool, edit func(inv *tensor.Matrix)) {
-	inv := s.AInv
-	if factorB {
-		inv = s.BInv
+// Inverse copies the layer's cached A inverse (B when factorB is set) into
+// dst, reused when it has the inverse's shape and a fresh matrix
+// otherwise, and returns it; nil when the layer holds no such inverse.
+func (s *LayerState) Inverse(factorB bool, dst *tensor.Matrix) *tensor.Matrix {
+	p := s.inverse(factorB)
+	if !p.Held() {
+		return nil
 	}
-	if inv == nil {
+	rows, cols := p.Dims()
+	dst = tensor.Reuse(dst, rows, cols)
+	p.Unpack(dst)
+	return dst
+}
+
+// EditInverse runs edit on a copy of the layer's cached A inverse (B when
+// factorB is set) and makes the edited copy the inverse — the one way to
+// write into a cached inverse from outside a refresh, used by the engine's
+// silent-corruption fault model. The copy is pooled scratch: edit must
+// not retain it. A no-op when the inverse is absent.
+func (s *LayerState) EditInverse(factorB bool, edit func(inv *tensor.Matrix)) {
+	p := s.inverse(factorB)
+	if !p.Held() {
 		return
 	}
+	inv := tensor.Get(p.Dims())
+	p.Unpack(inv)
 	edit(inv)
 	s.setInverse(factorB, inv)
+	tensor.Put(inv)
 }
 
 // HasInverses reports whether the layer has usable cached inverses.
-func (s *LayerState) HasInverses() bool { return s.AInv != nil && s.BInv != nil }
+func (s *LayerState) HasInverses() bool { return s.ainv.Held() && s.binv.Held() }
 
 // Options configure a Preconditioner.
 type Options struct {
@@ -253,13 +267,18 @@ func (p *Preconditioner) InvertFactor(index int, factorB bool) error {
 // FactorChain is InvertFactor cut into the steps of the blocked inverse
 // (tensor.InverseChain), so the engine can run a wide factor's inversion as
 // several bubble-sized ops: StartFactorChain fixes the factor's damping from
-// the current factors, each Step runs one step, and the last writes the
-// layer's spare inverse and swaps it in — exactly what InvertFactor does in
-// one call, which is this chain run to its end. The factor must not change
-// until the chain is done. The zero value is an idle chain.
+// the current factors, each Step runs one step, and the last inverts into a
+// pooled target and makes it the layer's cached inverse — exactly what
+// InvertFactor does in one call, which is this chain run to its end. The
+// factor must not change until the chain is done. Only the last step
+// touches the layer, and it writes only its own factor's inverse and the
+// layer's refresh counters: a layer's A and B chains may run on different
+// goroutines as long as their last steps are serialized (the engine holds
+// the layer's lock for them). The zero value is an idle chain.
 type FactorChain struct {
 	s       *LayerState
 	factorB bool
+	n       int // the factor's order
 	chain   tensor.InverseChain
 }
 
@@ -279,47 +298,43 @@ func (p *Preconditioner) StartFactorChain(fc *FactorChain, index int, factorB bo
 		m, damp = s.B, dampB
 	}
 	fc.Release()
-	fc.s, fc.factorB = s, factorB
+	fc.s, fc.factorB, fc.n = s, factorB, m.Rows
 	return fc.chain.Start(m, damp)
 }
 
 // Active reports whether the chain was started and has steps left.
 func (fc *FactorChain) Active() bool { return fc.chain.Active() }
 
-// Last reports whether the next Step swaps the refreshed inverse in.
+// Last reports whether the next Step makes the refreshed inverse the
+// layer's.
 func (fc *FactorChain) Last() bool { return fc.chain.Last() }
 
-// Step runs the chain's next step. The last one inverts into the layer's
-// spare buffer (allocated on first use) and swaps it with the cached
-// inverse, so a reader of AInv/BInv never sees a half-written matrix;
-// InverseUpdates counts once per refreshed pair, on the B factor. A failed
-// step leaves the cached inverse as it was and the chain idle.
+// Step runs the chain's next step. The last one inverts into a pooled
+// target, hands it to setInverse and returns it to the pool, so a reader of
+// the cached inverse never sees a half-written matrix; InverseUpdates
+// counts once per refreshed pair, on the B factor. A failed step leaves the
+// cached inverse as it was and the chain idle.
 func (fc *FactorChain) Step() error {
-	s := fc.s
-	inv, spare, name := s.AInv, &s.spareA, "A"
-	if fc.factorB {
-		inv, spare, name = s.BInv, &s.spareB, "B"
-	}
 	var dst *tensor.Matrix
 	if fc.chain.Last() {
-		n := s.A.Rows
-		if fc.factorB {
-			n = s.B.Rows
-		}
-		*spare = tensor.Reuse(*spare, n, n)
-		dst = *spare
+		dst = tensor.Get(fc.n, fc.n)
 	}
-	if err := fc.chain.Step(dst); err != nil {
-		return fmt.Errorf("inverting %s of %q: %w", name, s.Layer.Name, err)
-	}
-	if dst != nil {
-		// The replaced inverse becomes the next refresh's target.
-		*spare = inv
+	err := fc.chain.Step(dst)
+	if err == nil && dst != nil {
+		s := fc.s
 		s.setInverse(fc.factorB, dst)
 		if fc.factorB {
 			s.InverseUpdates++
 		}
 		s.InverseAge = 0
+	}
+	tensor.Put(dst)
+	if err != nil {
+		name := "A"
+		if fc.factorB {
+			name = "B"
+		}
+		return fmt.Errorf("inverting %s of %q: %w", name, fc.s.Layer.Name, err)
 	}
 	return nil
 }
@@ -375,12 +390,13 @@ func (p *Preconditioner) Precondition() int {
 			continue
 		}
 		g := s.Layer.GW // dout x din
-		// B⁻¹ G into the retained intermediate, then (B⁻¹G) A⁻¹ straight
-		// back into G — no per-step allocation — with the inverses' panels
-		// packed when they were written, not here.
-		s.preTmp = tensor.Reuse(s.preTmp, g.Rows, g.Cols)
-		tensor.MatMulPackedAInto(s.preTmp, &s.binvPanels, g)
-		tensor.MatMulPackedBInto(g, s.preTmp, &s.ainvPanels)
+		// B⁻¹ G into a pooled intermediate, then (B⁻¹G) A⁻¹ straight back
+		// into G, with the inverses' panels packed when they were written,
+		// not here.
+		tmp := tensor.Get(g.Rows, g.Cols)
+		tensor.MatMulPackedAInto(tmp, &s.binv, g)
+		tensor.MatMulPackedBInto(g, tmp, &s.ainv)
+		tensor.Put(tmp)
 		s.InverseAge++
 		done++
 	}
@@ -397,9 +413,12 @@ func (p *Preconditioner) PreconditionedGradient(index int) (*tensor.Matrix, erro
 	if !s.HasInverses() {
 		return nil, fmt.Errorf("kfac: layer %q has no inverses", s.Layer.Name)
 	}
-	tmp := tensor.MatMul(s.BInv, s.Layer.GW)
-	out := tensor.MatMul(tmp, s.AInv)
+	ainv, binv := s.Inverse(false, tensor.Get(s.ainv.Dims())), s.Inverse(true, tensor.Get(s.binv.Dims()))
+	tmp := tensor.MatMul(binv, s.Layer.GW)
+	out := tensor.MatMul(tmp, ainv)
 	tensor.Put(tmp)
+	tensor.Put(ainv)
+	tensor.Put(binv)
 	return out, nil
 }
 

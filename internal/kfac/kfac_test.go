@@ -162,7 +162,7 @@ func TestInversionAndPrecondition(t *testing.T) {
 		t.Fatal("inverses not installed")
 	}
 	gBefore := layer.GW.Clone()
-	want := tensor.MatMul(tensor.MatMul(s.BInv, gBefore), s.AInv)
+	want := tensor.MatMul(tensor.MatMul(s.Inverse(true, nil), gBefore), s.Inverse(false, nil))
 	if n := p.Precondition(); n != 1 {
 		t.Fatalf("expected 1 layer preconditioned, got %d", n)
 	}
@@ -193,7 +193,7 @@ func TestPreconditionEqualsKroneckerInverseVec(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Explicit Kronecker path using the same damped inverses.
-	kronInv := tensor.Kron(s.AInv, s.BInv)
+	kronInv := tensor.Kron(s.Inverse(false, nil), s.Inverse(true, nil))
 	explicit := tensor.MatVec(kronInv, tensor.VecColMajor(g))
 	fast := tensor.VecColMajor(pre)
 	for i := range explicit {
@@ -250,7 +250,7 @@ func TestRankDeficientFactorsAreRescued(t *testing.T) {
 	if err := p.UpdateInverses(); err != nil {
 		t.Fatalf("damped inversion must succeed on rank-deficient factors: %v", err)
 	}
-	if p.States()[0].AInv.HasNaN() || p.States()[0].BInv.HasNaN() {
+	if s := p.States()[0]; s.Inverse(false, nil).HasNaN() || s.Inverse(true, nil).HasNaN() {
 		t.Fatal("NaN in damped inverses")
 	}
 }

@@ -23,8 +23,8 @@ var tensorFMAWide atomic.Bool
 func preconditionOracle(s *LayerState, g *tensor.Matrix) *tensor.Matrix {
 	tmp := tensor.Zeros(g.Rows, g.Cols)
 	out := tensor.Zeros(g.Rows, g.Cols)
-	tensor.MatMulInto(tmp, s.BInv, g)
-	tensor.MatMulInto(out, tmp, s.AInv)
+	tensor.MatMulInto(tmp, s.Inverse(true, nil), g)
+	tensor.MatMulInto(out, tmp, s.Inverse(false, nil))
 	return out
 }
 

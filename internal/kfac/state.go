@@ -16,8 +16,9 @@ type Snapshot struct {
 }
 
 type layerSnapshot struct {
-	a, b, ainv, binv                *tensor.Matrix
-	hasA, hasB, hasAInv, hasBInv    bool
+	a, b                            *tensor.Matrix
+	ainv, binv                      *tensor.Matrix // nil when absent
+	hasA, hasB                      bool
 	curvUpdates, invUpdates, invAge int
 }
 
@@ -53,8 +54,8 @@ func (s *Snapshot) Save(p *Preconditioner) {
 		ls := &s.layers[i]
 		ls.a, ls.hasA = copyInto(ls.a, st.A)
 		ls.b, ls.hasB = copyInto(ls.b, st.B)
-		ls.ainv, ls.hasAInv = copyInto(ls.ainv, st.AInv)
-		ls.binv, ls.hasBInv = copyInto(ls.binv, st.BInv)
+		ls.ainv = st.Inverse(false, ls.ainv)
+		ls.binv = st.Inverse(true, ls.binv)
 		ls.curvUpdates = st.CurvatureUpdates
 		ls.invUpdates = st.InverseUpdates
 		ls.invAge = st.InverseAge
@@ -71,8 +72,8 @@ func (s *Snapshot) Restore(p *Preconditioner) error {
 		ls := &s.layers[i]
 		st.A = restoreFrom(st.A, ls.a, ls.hasA)
 		st.B = restoreFrom(st.B, ls.b, ls.hasB)
-		st.setInverse(false, restoreFrom(st.AInv, ls.ainv, ls.hasAInv))
-		st.setInverse(true, restoreFrom(st.BInv, ls.binv, ls.hasBInv))
+		st.setInverse(false, ls.ainv)
+		st.setInverse(true, ls.binv)
 		st.CurvatureUpdates = ls.curvUpdates
 		st.InverseUpdates = ls.invUpdates
 		st.InverseAge = ls.invAge

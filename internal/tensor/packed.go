@@ -2,50 +2,105 @@ package tensor
 
 import "fmt"
 
-// Packed holds a matrix in the packed driver's panel layout as one operand
-// of its products — the left operand's mr-row panels or the right
-// operand's nr-column panels, each over the whole contraction — so a
-// matrix that multiplies many times between changes is packed once instead
-// of in every product. K-FAC's cached inverses are the case: they
-// precondition every step and change once per refresh.
+// Packed holds one copy of a matrix as one operand of the packed driver's
+// products, laid out as the driver reads it — the left operand's mr-row
+// panels or the right operand's nr-column panels, each over the whole
+// contraction — so a matrix that multiplies many times between changes is
+// packed once instead of in every product. K-FAC's cached inverses are the
+// case: they precondition every step and change once per refresh, and a
+// Packed is the only place they are kept.
 //
-// The panels are exactly what gemmRange would pack from the matrix, and a
-// product reads them where it would have read its own, so MatMulPackedAInto
-// and MatMulPackedBInto equal MatMulInto bit for bit. Panels belong to the
-// kernel variant, the fma tile width, the float32 mode and the tile they
-// were packed for; a product under any other configuration repacks from the
-// source matrix first, so stale panels are never read. What the source
-// holds is the owner's to track: Pack again after every write to it. The
-// buffers are plain allocations retained across packs. The zero value
+// The copy is exactly one float64 matrix in the layout of the active
+// configuration: float64 panels under the tiled and fma kernels, row-major
+// where no float64 panels are read (KernelScalar's float64 loops, and
+// float32 mode, whose products read float32 panels packed beside it — the
+// only addition). The panels are exactly what gemmRange would pack, and a
+// product reads them where it would have read its own, so
+// MatMulPackedAInto and MatMulPackedBInto equal MatMulInto bit for bit. The
+// layout belongs to the kernel variant, the fma tile width and the float32
+// mode it was packed under; a product under any other configuration first
+// repacks from p's own float64 copy (through a pooled scratch), so stale
+// panels are never read. PackLeft and PackRight copy a matrix in without
+// retaining it, Unpack copies it back out exactly; p holds nothing else.
+// The buffers are plain allocations retained across packs. The zero value
 // holds nothing.
 type Packed struct {
-	src   *Matrix
-	right bool // the right operand's panels, else the left's
-	kern  Kernel
-	wide  bool // fmaWide at packing
-	f32   bool
-	width int // mr (left) or nr (right) of the panels; 0 when unpacked
-	d64   []float64
-	d32   []float32
+	rows, cols int
+	held       bool
+	right      bool // the right operand's panels, else the left's
+	kern       Kernel
+	wide       bool // fmaWide at packing
+	f32        bool
+	width      int       // mr (left) or nr (right) of the panels; 0 when none are packed
+	d64        []float64 // the float64 copy: panels unless rowMajor
+	d32        []float32 // float32 mode's panels
+	mat        Matrix    // row-major header over d64 during a scalar product
 }
 
-// PackLeft makes p hold m as the left operand of MatMulPackedAInto and
-// packs its panels for the active configuration.
+// PackLeft makes p hold a copy of m as the left operand of
+// MatMulPackedAInto, laid out for the active configuration. p keeps no
+// reference to m.
 func (p *Packed) PackLeft(m *Matrix) { p.pack(m, false) }
 
-// PackRight makes p hold m as the right operand of MatMulPackedBInto and
-// packs its panels for the active configuration.
+// PackRight makes p hold a copy of m as the right operand of
+// MatMulPackedBInto, laid out for the active configuration. p keeps no
+// reference to m.
 func (p *Packed) PackRight(m *Matrix) { p.pack(m, true) }
 
+// Held reports whether p holds a matrix.
+func (p *Packed) Held() bool { return p.held }
+
+// Dims returns the shape of the matrix p holds.
+func (p *Packed) Dims() (rows, cols int) { return p.rows, p.cols }
+
+// Reset drops the matrix p holds and its buffers.
+func (p *Packed) Reset() { *p = Packed{} }
+
+// Unpack copies the matrix p holds into dst, bit for bit. dst must have its
+// shape.
+func (p *Packed) Unpack(dst *Matrix) {
+	if !p.held || dst.Rows != p.rows || dst.Cols != p.cols {
+		panic(fmt.Sprintf("tensor: Unpack into %dx%d from a Packed holding %dx%d (held %v)", dst.Rows, dst.Cols, p.rows, p.cols, p.held))
+	}
+	if p.rowMajor() {
+		copy(dst.Data, p.d64[:p.rows*p.cols])
+		return
+	}
+	unpackPanels(dst, p.d64, p.right, p.width)
+}
+
 func (p *Packed) pack(m *Matrix, right bool) {
-	p.src, p.right, p.width = m, right, 0
+	p.rows, p.cols, p.right, p.held = m.Rows, m.Cols, right, true
+	p.kern, p.wide, p.f32, p.width = ActiveKernel(), fmaWide.Load(), F32(), 0
 	var g gemmCtx
 	if p.configure(&g) {
-		p.fill(&g)
+		p.width = g.mr
+		if right {
+			p.width = g.nr
+		}
+	}
+	if p.rowMajor() {
+		n := m.Rows * m.Cols
+		if cap(p.d64) < n {
+			p.d64 = make([]float64, n)
+		}
+		p.d64 = p.d64[:n]
+		copy(p.d64, m.Data)
+	} else {
+		p.d64 = packPanels(p.d64, m, right, p.width, g.vec)
+	}
+	if p.f32 && p.width > 0 {
+		p.d32 = packPanels(p.d32, m, right, p.width, g.vec)
+	} else {
+		p.d32 = nil
 	}
 }
 
-// configure points g at a product with p's source as the operand p holds
+// rowMajor reports whether p's float64 copy is the row-major matrix rather
+// than float64 panels.
+func (p *Packed) rowMajor() bool { return p.width == 0 || p.f32 }
+
+// configure points g at a product with p's matrix as the operand p holds
 // (the other operand a placeholder of matching inner dimension, one row or
 // column wide when p is the left operand, since a left panel's height does
 // not depend on n) and reports whether the active configuration packs
@@ -55,26 +110,15 @@ func (p *Packed) configure(g *gemmCtx) bool {
 	if kern == KernelScalar && !F32() {
 		return false
 	}
-	m := p.src
 	if p.right {
-		return g.configure(View{rows: 1, cols: m.Cols}, View{rows: 1, cols: m.Rows}, viewOf(m), 0, kern)
+		return g.configure(View{rows: 1, cols: p.cols}, View{rows: 1, cols: p.rows}, p.view(), 0, kern)
 	}
-	return g.configure(View{rows: m.Rows, cols: 1}, viewOf(m), View{rows: m.Cols, cols: 1}, 0, kern)
+	return g.configure(View{rows: p.rows, cols: 1}, p.view(), View{rows: p.cols, cols: 1}, 0, kern)
 }
 
-// fill packs the source for g's tiles and records the configuration.
-func (p *Packed) fill(g *gemmCtx) {
-	p.kern, p.wide, p.f32 = ActiveKernel(), fmaWide.Load(), g.f32
-	p.width = g.mr
-	if p.right {
-		p.width = g.nr
-	}
-	if g.f32 {
-		p.d32 = packPanels(p.d32, p.src, p.right, p.width, g.vec)
-	} else {
-		p.d64 = packPanels(p.d64, p.src, p.right, p.width, g.vec)
-	}
-}
+// view is p's operand as the driver's dimensions see it; products never
+// read its data, only p's panels.
+func (p *Packed) view() View { return View{rows: p.rows, cols: p.cols, ld: p.cols} }
 
 // packPanels packs m into buf (grown when short) as the right operand's
 // width-column panels or the left operand's width-row panels, each over
@@ -97,65 +141,95 @@ func packPanels[T real](buf []T, m *Matrix, right bool, width int, vec bool) []T
 	return buf
 }
 
-// current reports whether p's panels were packed for g's tiles under the
-// active configuration.
-func (p *Packed) current(g *gemmCtx) bool {
-	width := g.mr
-	if p.right {
-		width = g.nr
+// unpackPanels is packPanels' inverse for float64 panels: it copies the
+// panels in buf back into dst's row-major storage, dropping the padding.
+func unpackPanels(dst *Matrix, buf []float64, right bool, width int) {
+	lanes, k := dst.Rows, dst.Cols
+	if right {
+		lanes, k = dst.Cols, dst.Rows
 	}
-	return p.width == width && p.kern == ActiveKernel() && p.wide == fmaWide.Load() && p.f32 == g.f32
+	for l0 := 0; l0 < lanes; l0 += width {
+		panel, n := buf[l0*k:], min(width, lanes-l0)
+		if right {
+			// Step t of the panel is row t's columns [l0, l0+n).
+			for t := 0; t < k; t++ {
+				copy(dst.Data[t*dst.Cols+l0:][:n], panel[t*width:][:n])
+			}
+			continue
+		}
+		// Lane l of the panel is row l0+l, its steps the row's columns.
+		for l := 0; l < n; l++ {
+			row := dst.Data[(l0+l)*dst.Cols:][:k]
+			for t := range row {
+				row[t] = panel[t*width+l]
+			}
+		}
+	}
+}
+
+// current reports whether p was laid out under the active configuration.
+// The panel width follows from it and p's shape (a left panel's height does
+// not depend on the product's n), so a current p fits every product.
+func (p *Packed) current() bool {
+	return p.kern == ActiveKernel() && p.wide == fmaWide.Load() && p.f32 == F32()
+}
+
+// relayout repacks p's matrix for the active configuration from its own
+// float64 copy.
+func (p *Packed) relayout() {
+	tmp := Get(p.rows, p.cols)
+	p.Unpack(tmp)
+	p.pack(tmp, p.right)
+	Put(tmp)
 }
 
 // MatMulPackedAInto computes dst = a*b like MatMulInto on the matrix a
 // holds, bit for bit, reading a's panels instead of packing a. a must hold
-// its source as the left operand (PackLeft). dst must not alias a's source
-// or b.
+// its matrix as the left operand (PackLeft). dst must not alias b.
 func MatMulPackedAInto(dst *Matrix, a *Packed, b *Matrix) {
-	if a.src == nil || a.right {
+	if !a.held || a.right {
 		panic("tensor: MatMulPackedAInto needs a Packed left operand")
 	}
-	src := a.src
-	if src.Cols != b.Rows || dst.Rows != src.Rows || dst.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulPackedAInto dst %dx%d = %dx%d * %dx%d", dst.Rows, dst.Cols, src.Rows, src.Cols, b.Rows, b.Cols))
+	if a.cols != b.Rows || dst.Rows != a.rows || dst.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulPackedAInto dst %dx%d = %dx%d * %dx%d", dst.Rows, dst.Cols, a.rows, a.cols, b.Rows, b.Cols))
 	}
-	mulPacked(dst, a, viewOf(src), viewOf(b), b)
+	mulPacked(dst, a, a.view(), viewOf(b), b)
 }
 
 // MatMulPackedBInto computes dst = a*b like MatMulInto on the matrix b
 // holds, bit for bit, reading b's panels instead of packing b. b must hold
-// its source as the right operand (PackRight). dst must not alias a or b's
-// source.
+// its matrix as the right operand (PackRight). dst must not alias a.
 func MatMulPackedBInto(dst, a *Matrix, b *Packed) {
-	if b.src == nil || !b.right {
+	if !b.held || !b.right {
 		panic("tensor: MatMulPackedBInto needs a Packed right operand")
 	}
-	src := b.src
-	if a.Cols != src.Rows || dst.Rows != a.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: MatMulPackedBInto dst %dx%d = %dx%d * %dx%d", dst.Rows, dst.Cols, a.Rows, a.Cols, src.Rows, src.Cols))
+	if a.Cols != b.rows || dst.Rows != a.Rows || dst.Cols != b.cols {
+		panic(fmt.Sprintf("tensor: MatMulPackedBInto dst %dx%d = %dx%d * %dx%d", dst.Rows, dst.Cols, a.Rows, a.Cols, b.rows, b.cols))
 	}
-	mulPacked(dst, b, viewOf(a), viewOf(src), a)
+	mulPacked(dst, b, viewOf(a), b.view(), a)
 }
 
 // mulPacked runs dst = a*b with p's panels for the operand p holds,
 // repacking them first when they are not current. other is the operand p
 // does not hold. KernelScalar's float64 product runs MatMulInto's scalar
-// loops.
+// loops on p's row-major copy.
 func mulPacked(dst *Matrix, p *Packed, a, b View, other *Matrix) {
+	if !p.current() {
+		p.relayout()
+	}
 	kern := ActiveKernel()
 	if kern == KernelScalar && !F32() || a.cols == 0 {
+		p.mat = Matrix{Rows: p.rows, Cols: p.cols, Data: p.d64[:p.rows*p.cols]}
 		if p.right {
-			MatMulInto(dst, other, p.src)
+			MatMulInto(dst, other, &p.mat)
 		} else {
-			MatMulInto(dst, p.src, other)
+			MatMulInto(dst, &p.mat, other)
 		}
+		p.mat = Matrix{}
 		return
 	}
 	g := gemmCtxPool.Get().(*gemmCtx)
 	if g.configure(viewOf(dst), a, b, 0, kern) {
-		if !p.current(g) {
-			p.fill(g)
-		}
 		switch {
 		case p.right && g.f32:
 			g.bpd32 = p.d32

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -140,5 +141,42 @@ func TestPackedZeroAlloc(t *testing.T) {
 	run()
 	if n := testing.AllocsPerRun(20, run); n > 0 {
 		t.Fatalf("packed products allocate %.1f times per run", n)
+	}
+}
+
+// TestPackedHoldsOneExactCopy: a Packed keeps its own copy — a write to the
+// packed matrix afterwards changes no product — and Unpack returns that copy
+// bit for bit under every configuration, after being packed under every
+// other one and multiplied once (which lays it out for the active
+// configuration from its own copy), over edge panels of both operands.
+func TestPackedHoldsOneExactCopy(t *testing.T) {
+	defer restoreKernelConfig()()
+	configs := packedConfigs()
+	for _, dims := range [][2]int{{1, 1}, {7, 33}, {33, 7}, {64, 64}, {130, 17}} {
+		m := RandN(NewRNG(uint64(dims[0]*1000+dims[1])), dims[0], dims[1], 1)
+		m.Data[0] = math.NaN()
+		m.Data[len(m.Data)-1] = math.Copysign(0, -1)
+		want := m.Clone()
+		for _, pc := range configs {
+			for _, c := range configs {
+				var left, right Packed
+				pc.set()
+				left.PackLeft(m)
+				right.PackRight(m)
+				m.ScaleInPlace(3)
+				c.set()
+				MatMulPackedAInto(Zeros(dims[0], 5), &left, RandN(NewRNG(1), dims[1], 5, 1))
+				MatMulPackedBInto(Zeros(5, dims[1]), RandN(NewRNG(2), 5, dims[0], 1), &right)
+				for _, p := range []*Packed{&left, &right} {
+					got := Full(dims[0], dims[1], 9)
+					p.Unpack(got)
+					if !sameBits(want, got) {
+						t.Fatalf("%dx%d packed under %s, multiplied under %s: Unpack differs from the packed matrix",
+							dims[0], dims[1], pc.name, c.name)
+					}
+				}
+				m.CopyFrom(want)
+			}
+		}
 	}
 }
