@@ -69,7 +69,7 @@ func main() {
 		workers      = flag.Int("workers", 0, "intra-op kernel worker budget for real execution (0 = GOMAXPROCS); device goroutines share it")
 		refreshSteps = flag.Int("refresh-steps", 1, "round length K for real execution with -execute: one K-FAC refresh spreads over the bubbles of K consecutive steps (1 = classic skip cadence, 0 = adaptive: derive K from the measured refresh work at EnableKFAC time)")
 		overlap      = flag.Bool("overlap", false, "overlap consecutive refresh windows with -execute: refresh work that spills out of its window carries into the next round's bubbles as generation-lagged ops")
-		kernelName   = flag.String("kernel", "", "matmul kernel variant: scalar, tiled, or fma (default: best available)")
+		kernelName   = flag.String("kernel", "", "matmul kernel variant: tiled or fma (default: best available)")
 		f32          = flag.Bool("f32", false, "float32 compute mode: packed matmul panels and K-FAC statistics snapshots narrow to float32 (inverses and optimizer state stay float64)")
 		faultSpec    = flag.String("faults", "", "deterministic fault plan for -execute, e.g. 'fail:step=2,op=curvature;stall:op=forward,delay=5ms,count=1' (kinds: fail, stall, drop, corrupt)")
 		opTimeout    = flag.Duration("op-timeout", 0, "watchdog deadline per executed op with -execute; 0 disables the watchdog")

@@ -88,22 +88,25 @@
 // # Kernel layer
 //
 // The matmul family, the element-wise exp/erf family and the row ops
-// dispatch at runtime across three kernel variants (tensor.SetKernel / ActiveKernel,
-// the -kernel flag on both CLIs):
+// dispatch at runtime across two kernel variants (tensor.SetKernel /
+// ActiveKernel, the -kernel flag on both CLIs), both on one packed-panel
+// GEMM driver with one fan-out path:
 //
-//   - scalar — the cache-blocked scalar loops, kept as the parity
-//     reference every other variant is tested against.
 //   - tiled — GotoBLAS-style packed panels (A packed into mr-row panels,
 //     B into nr-column panels, MC x KC cache blocking) driven through 4x2
-//     register-tiled pure-Go micro-kernels. Portable to every GOARCH and
-//     bit-identical to scalar on float64: both reduce each output element
-//     with one multiply-rounding and one add-rounding per k step,
-//     ascending k.
+//     register-tiled pure-Go micro-kernels. Portable to every GOARCH, and
+//     on float64 bit-identical to the naive ascending-k triple loops kept
+//     in tensor's tests as the oracle every variant is held to
+//     (TestBlockedKernelsMatchScalarReference, every entry point, across
+//     worker counts): each output element is one multiply-rounding and one
+//     add-rounding per k step, ascending k. Every product in the Go
+//     micro-kernels and row loops is converted explicitly, so no GOARCH
+//     fuses it (CI checks arm64's listing for fused instructions).
 //   - fma — the same packed driver calling hand-written amd64 assembly
 //     micro-kernels with fused multiply-add, selected only when CPUID
 //     reports AVX2+FMA with OS XSAVE support (never under the purego build
 //     tag). Fusing collapses the two roundings into one, so fma results
-//     differ from scalar/tiled by the fused-rounding delta, and by at most
+//     differ from tiled by the fused-rounding delta, and by at most
 //     2 ULP in every exp and erf (next paragraph) — but within the variant
 //     every bit-identity contract below still holds, because the
 //     per-element reduction order stays fixed ascending k and an exp or
@@ -115,7 +118,7 @@
 //     and the OS saves the opmask and ZMM state — except that a product
 //     with fewer columns than one wide panel (attention's n = d_k = 8)
 //     keeps the 256-bit tile, a choice its shape alone makes. The width is
-//     not a fourth variant and nothing names it — no Kernel value, flag or
+//     not a third variant and nothing names it — no Kernel value, flag or
 //     Config field; tensor.KernelDetail reports it in run headers — because
 //     it cannot change a result: at either width every C element is one
 //     FMA per k in ascending k from the stored C. Two tests flip the
@@ -145,7 +148,7 @@
 // lane count 1..width, depths around both KC blocks and strided windows,
 // with NaNs, infinities, signed zeros, subnormals and narrowing ties in the
 // source; FuzzPack), and every identity contract here holds unchanged.
-// scalar, tiled and every purego build keep the Go packers.
+// tiled and every purego build keep the Go packers.
 //
 // An operand that multiplies many times between changes can be packed once
 // instead: a tensor.Packed holds one copy of a matrix as the left operand's
@@ -154,9 +157,8 @@
 // the driver would have read its own. The panels are what the driver packs,
 // so the products equal MatMulInto bit for bit. The copy is one float64
 // matrix in the layout of the configuration it was packed under — float64
-// panels under tiled and fma, row-major under scalar's float64 loops and
-// under float32 mode, whose float32 panels beside it are the only
-// addition — and PackLeft / PackRight keep no reference to what they
+// panels, or row-major under float32 mode, whose float32 panels beside it
+// are the only addition — and PackLeft / PackRight keep no reference to what they
 // packed. A product under another kernel variant, fma width or float32
 // mode first repacks from the Packed's own float64 copy through a pooled
 // scratch, so stale panels are never read (TestPackedMatchesMatMulInto
@@ -193,7 +195,7 @@
 // (exp(src − shift): tensor.SoftmaxRows' inner pass, both passes of
 // nn.crossEntropy; the sums around it are the row ops' rows-in-lanes sums
 // below, or ascending scalar sums in nn's cross-entropy).
-// scalar and tiled run the math.Erf / math.Exp loops, bit for bit what nn
+// tiled runs the math.Erf / math.Exp loops, bit for bit what nn
 // computed before the family existed. fma runs AVX2 assembly, four lanes a
 // step: exp by round-to-nearest range reduction with a two-part ln 2, a
 // degree-13 polynomial and a two-factor exponent insert; erf by the msun
@@ -205,7 +207,7 @@
 // gradual underflow below -708.39 reproduced (TestVecMathAccuracy,
 // TestVecMathSpecials, FuzzVecMath; TestGELUMatchesTwoErfFormulas,
 // TestSoftmaxRowPassesMatchUnfused and TestCrossEntropyFormsBitIdentical
-// hold nn's formulas exact under scalar and tiled and bounded under fma) —
+// hold nn's formulas exact under tiled and bounded under fma) —
 // and position independence — a result depends on the element's value
 // only, not its index, the slice length, alignment or its neighbours; a
 // slice's last 1–3 elements run the same instructions on a zero-padded
@@ -258,8 +260,8 @@
 // the same — the cleared C was +0, and an accumulator that starts at +0
 // never becomes −0 — and TestGemmStoreIgnoresDst holds every dst = entry
 // point over a NaN-filled destination to a zeroed one. Accumulating
-// products, later k blocks, float32 staging, scalar and tiled keep the
-// cleared destination.
+// products, later k blocks, float32 staging and tiled keep the cleared
+// destination.
 //
 // The default is the best available variant. Float32 compute mode
 // (tensor.SetF32, the -f32 flag) is orthogonal: float64 stays the API
@@ -274,7 +276,7 @@
 //
 // The K-FAC inversion unit (tensor.SPDInverseInto: Cholesky, then
 // cholesky_inverse) runs on the same driver. Above the variant's base
-// block nb — 64 under scalar and tiled (tensor's invNB), 16 under fma
+// block nb — 64 under tiled (tensor's invNB), 16 under fma
 // (fmaNB), compile-time constants like the driver's MC/KC blocking — a
 // recursive blocked form splits A = [A11 A21^T; A21 A22] at a multiple of
 // 64 (of nb once a block is at most 64 rows) and turns it in place into
@@ -309,9 +311,8 @@
 // (a lane's terms before its own column multiply the exact zeros above the
 // diagonal, which leave its sum at +0 until the Go loop's first term). The
 // Go loops convert every product explicitly, so GOAMD64=v3 cannot fuse
-// them either (TestBaseKernelsMatchGoLoops, CI's v3 step). So under scalar
-// and tiled a factor of at most 64 rows does not depend on the variant or
-// on this blocking at all, while under fma every factor wider than 16 runs
+// them either (TestBaseKernelsMatchGoLoops, CI's v3 step). So under tiled
+// a factor of at most 64 rows does not depend on this blocking at all, while under fma every factor wider than 16 runs
 // its Cholesky, triangular inverse and M^T M on the FMA micro-kernels (the
 // base model's 64-wide factors invert about 4x faster than in the scalar
 // loops). A block of at most 64 rows that splits (fma only) runs every
@@ -329,9 +330,9 @@
 // split is keyed to 64 under every variant, so inversion chains (below)
 // and their pricing do not depend on the variant. The blocked path pins
 // the float64 micro-kernels (inverses stay float64 under SetF32;
-// TestSPDInverseIgnoresF32) and runs the scalar variant on the tiled Go
-// micro-kernel, so scalar and tiled inverses agree bit for bit and fma
-// differs by fused rounding only. Determinism: split points, tile grids
+// TestSPDInverseIgnoresF32); tiled's inverses are a fixed digest
+// (TestSPDInverseVariantAndParallelismIdentity) and fma's differ by fused
+// rounding only. Determinism: split points, tile grids
 // and per-panel k ranges are functions of n and the variant alone (and of
 // the fma variant's tile width, which cannot change a bit — above),
 // workers own disjoint row panels, the base case and the mirror are
@@ -355,9 +356,8 @@
 // scores in place, and the scale is folded into dS on the way back; a
 // causal module computes the full product and masks in that pass. What is
 // identical to what: every product element is one ascending-k reduction, so
-// under scalar (which runs the tiled Go micro-kernel here, as in the
-// blocked inverse) and tiled the outputs, probabilities, input gradient
-// and all eight parameter gradients equal the scalar dot-product loops
+// under tiled the outputs, probabilities, input gradient and all eight
+// parameter gradients equal the scalar dot-product loops
 // this replaced, kept as the test oracle, bit for bit; fma differs from
 // them by fused rounding and its softmax exps (<= 1e-12 of the matrix
 // scale). The batch's
@@ -372,7 +372,7 @@
 // column, ld != cols, k = 1 and empty windows included). In float32 mode
 // the six products follow the compute mode like Dense's do — float32
 // panels, float32 accumulation, widened on write-back (TestMulViewsF32:
-// bit-identical to a naive float32 reduction for scalar/tiled) — while the
+// bit-identical to a naive float32 reduction for tiled) — while the
 // softmax and its backward stay float64; the module then stays within
 // 2e-5 of the float64 loops (the suite's f32AttentionBound). Steady state
 // allocates nothing (TestMulViewsZeroAlloc,

@@ -433,23 +433,19 @@ func TestWatchdogConvertsStallIntoAttributedAbort(t *testing.T) {
 // Injected numeric corruption must never commit: the pre-commit health scan
 // converts the poisoned step into an attributed abort, and checkpoint
 // replay recovers a clean, fault-free state. A poisoned inverse must reach
-// the step that preconditions with it under every kernel — including the
+// the step that preconditions with it under every kernel case — including the
 // ones whose Precondition reads the inverse's packed panels, not the
 // matrix itself.
 func TestCorruptionCaughtBeforeCommit(t *testing.T) {
-	def := tensor.ActiveKernel()
-	defer tensor.SetKernel(def)
 	for _, spec := range []string{
 		"corrupt:step=0,op=backward,count=1",
 		"corrupt:step=0,op=forward,count=1",
 		"corrupt:op=inverse,count=1",
 	} {
 		t.Run(spec, func(t *testing.T) {
-			for _, kern := range tensor.AvailableKernels() {
-				t.Run(kern.String(), func(t *testing.T) {
-					if err := tensor.SetKernel(kern); err != nil {
-						t.Fatal(err)
-					}
+			for _, kc := range kernelCases() {
+				t.Run(kc.name, func(t *testing.T) {
+					defer kc.use(t)()
 					checkCorruptionCaught(t, spec)
 				})
 			}

@@ -263,11 +263,59 @@ type refCase struct {
 	every  int // refresh interval, in steps
 	batch  int // sequences per step
 	kernel tensor.Kernel
+	serial bool // on a one-goroutine tensor pool: the "scalar" kernel case
 }
 
 func (c refCase) String() string {
 	return fmt.Sprintf("%s/%s/W%d/K%d/overlap=%v/invpar=%v/every%d/%s", c.model, c.cfg.Method,
-		max(c.cfg.Replicas, 1), c.cfg.RefreshSteps, c.cfg.OverlapRounds, c.cfg.InversionParallel, c.every, c.kernel)
+		max(c.cfg.Replicas, 1), c.cfg.RefreshSteps, c.cfg.OverlapRounds, c.cfg.InversionParallel, c.every, c.kernelCase().name)
+}
+
+// kernelCase is a tensor configuration the kernel-variant tests run under:
+// an available kernel variant at the current pool size, or "scalar" — the
+// tiled variant on a one-goroutine tensor pool, so the Go loops run with
+// neither vector instructions nor fan-out.
+type kernelCase struct {
+	name   string
+	kernel tensor.Kernel
+	serial bool
+}
+
+var scalarCase = kernelCase{"scalar", tensor.KernelTiled, true}
+
+// kernelCases lists the scalar case first, then every available variant.
+func kernelCases() []kernelCase {
+	cs := []kernelCase{scalarCase}
+	for _, k := range tensor.AvailableKernels() {
+		cs = append(cs, kernelCase{k.String(), k, false})
+	}
+	return cs
+}
+
+func (c refCase) kernelCase() kernelCase {
+	if c.serial {
+		return scalarCase
+	}
+	return kernelCase{c.kernel.String(), c.kernel, false}
+}
+
+// use selects c's kernel, and a one-goroutine pool for a serial case; the
+// returned func puts both back.
+func (c kernelCase) use(t *testing.T) (restore func()) {
+	t.Helper()
+	def, workers := tensor.ActiveKernel(), tensor.Parallelism()
+	restore = func() {
+		tensor.SetParallelism(workers)
+		tensor.SetKernel(def)
+	}
+	if c.serial {
+		tensor.SetParallelism(1)
+	}
+	if err := tensor.SetKernel(c.kernel); err != nil {
+		restore()
+		t.Fatal(err)
+	}
+	return restore
 }
 
 // refModels are the models a refCase names, built with the given number of
@@ -303,11 +351,7 @@ var refModels = map[string]struct {
 // nil. It returns the engine and its losses.
 func requireMatchesReference(t *testing.T, c refCase, rounds int, prep, onRound func(*Engine)) (*Engine, []float64) {
 	t.Helper()
-	def := tensor.ActiveKernel()
-	defer tensor.SetKernel(def)
-	if err := tensor.SetKernel(c.kernel); err != nil {
-		t.Fatal(err)
-	}
+	defer c.kernelCase().use(t)()
 	mc := refModels[c.model]
 	m, err := mc.make(c.cfg.Stages)
 	if err != nil {
@@ -428,10 +472,10 @@ func referenceMatrix(kernel tensor.Kernel) []refCase {
 // TestEngineMatchesReference holds the engine to the reference bit for bit —
 // every loss, every gradient the optimizer sees, every factor and inverse
 // after every round, over three rounds — on the whole matrix under the tiled
-// kernel and on seeded draws from it under every other kernel variant: their
-// results are a function of shapes, and both run the same shapes. With
-// -short (and under the race detector) a seeded sample of the tiled matrix
-// runs instead, and one draw per other variant.
+// kernel and on seeded draws from it under every other kernel case (scalar,
+// fma): their results are a function of shapes, and all run the same shapes.
+// With -short (and under the race detector) a seeded sample of the tiled
+// matrix runs instead, and one draw per other case.
 func TestEngineMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	cases := referenceMatrix(tensor.KernelTiled)
@@ -440,13 +484,15 @@ func TestEngineMatchesReference(t *testing.T) {
 		rng.Shuffle(len(cases), func(i, j int) { cases[i], cases[j] = cases[j], cases[i] })
 		cases, draws = cases[:24], 1
 	}
-	for _, kernel := range tensor.AvailableKernels() {
-		if kernel == tensor.KernelTiled {
+	for _, kc := range kernelCases() {
+		if kc.name == "tiled" {
 			continue
 		}
-		other := referenceMatrix(kernel)
+		other := referenceMatrix(kc.kernel)
 		for i := 0; i < draws; i++ {
-			cases = append(cases, other[rng.Intn(len(other))])
+			c := other[rng.Intn(len(other))]
+			c.serial = kc.serial
+			cases = append(cases, c)
 		}
 	}
 	var carried, late bool

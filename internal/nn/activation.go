@@ -7,8 +7,8 @@ import "repro/internal/tensor"
 // exact derivative Φ(x) + x*φ(x) and reads Φ from the forward pass, so a
 // forward + backward pair costs one erf and one exp per element — both in
 // tensor's element-wise kernels (tensor.GELUForward / GELUBackward), which
-// are the math.Erf / math.Exp loops under the scalar and tiled kernels and
-// AVX2 code within 2 ULP of them under fma. Forward and Backward return
+// are the math.Erf / math.Exp loops under the tiled kernel and AVX2 code
+// within 2 ULP of them under fma. Forward and Backward return
 // retained buffers (valid until the module's next call), so the
 // steady-state hot path allocates nothing.
 type GELU struct {

@@ -11,7 +11,7 @@ import (
 // passes must equal the formulas that evaluated erf twice — y = 0.5*x*(1 +
 // erf(x/√2)) and dy*(Φ(x) + x*φ(x)) with Φ recomputed — over ordinary,
 // large, tiny and zero inputs, and across a shape change: bit for bit under
-// the scalar and tiled kernels. Under fma, erf and exp are within 2 ULP of
+// the tiled kernel. Under fma, erf and exp are within 2 ULP of
 // math's, which reaches Φ ∈ [0, 1] and x*φ(x) ∈ [-0.25, 0.25] as less than
 // 5e-16 each: the bound is 1e-15 per unit of x (forward) or dy (backward).
 func TestGELUMatchesTwoErfFormulas(t *testing.T) {

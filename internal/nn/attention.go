@@ -76,9 +76,9 @@ func (m *MultiHeadAttention) SetShape(batch, seqLen int) {
 // product below is one tensor.MulViews batch over the B·heads items, whose
 // operands are the S x dk column windows of the (B·S) x d projections —
 // no gather copies, results written straight into the head's window. Each
-// element is one ascending-k reduction, so under KernelScalar/KernelTiled
-// the result equals scalar dot-product loops bit for bit (KernelFMA differs
-// by fused rounding), for any worker count. The products follow the compute
+// element is one ascending-k reduction, so under KernelTiled the result
+// equals scalar dot-product loops bit for bit (KernelFMA differs by fused
+// rounding), for any worker count. The products follow the compute
 // mode like Dense's (float32 panels under tensor.SetF32); the softmax and
 // its backward stay float64.
 

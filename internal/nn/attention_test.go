@@ -295,7 +295,7 @@ var parallelismLevels = []int{1, 2, 4}
 const f32AttentionBound = 2e-5
 
 // The generated suite: over every shape, the module must equal the scalar
-// oracle bit for bit under KernelScalar and KernelTiled — output, probs,
+// oracle bit for bit under KernelTiled — output, probs,
 // input gradient and all eight parameter gradients — stay within 1e-12
 // under KernelFMA (fused rounding, and softmax exps within 2 ULP of the
 // oracle's math.Exp) and within f32AttentionBound in
@@ -310,9 +310,6 @@ func TestAttentionMatchesScalarOracle(t *testing.T) {
 	for _, c := range attnCases(testing.Short()) {
 		for _, f32 := range []bool{false, true} {
 			for _, kern := range tensor.AvailableKernels() {
-				if f32 && kern == tensor.KernelScalar {
-					continue // shares KernelTiled's float32 micro-kernel
-				}
 				if err := tensor.SetKernel(kern); err != nil {
 					t.Fatal(err)
 				}
@@ -400,8 +397,8 @@ func TestAttentionShapeChangeAndRepeatedForward(t *testing.T) {
 
 // The fused row passes at scale 1 are the plain softmax and its backward:
 // equal to the unfused formulas, in place or not; a causal pass equals the
-// plain one on -Inf-masked scores. Equal means bit for bit under the scalar
-// and tiled kernels, whose exp is the oracle's math.Exp; under fma each exp
+// plain one on -Inf-masked scores. Equal means bit for bit under the tiled
+// kernel, whose exp is the oracle's math.Exp; under fma each exp
 // is within 2 ULP of it, so a probability is within 1e-13 (relative) of the
 // oracle's, masked ones exactly 0 — and in place is still bit-equal to not.
 func TestSoftmaxRowPassesMatchUnfused(t *testing.T) {

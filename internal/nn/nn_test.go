@@ -7,18 +7,26 @@ import (
 	"repro/internal/tensor"
 )
 
-// withKernels runs f once under every available tensor kernel; exact says
-// whether the variant's exp and erf are math.Exp and math.Erf themselves
-// (scalar, tiled) or the AVX2 kernels within 2 ULP of them (fma).
+// withKernels runs f once under "scalar" — the tiled kernel on a
+// one-goroutine tensor pool — and then under every available tensor kernel
+// at the current pool size; exact says whether the case's exp and erf are
+// math.Exp and math.Erf themselves (scalar, tiled) or the AVX2 kernels
+// within 2 ULP of them (fma).
 func withKernels(t *testing.T, f func(t *testing.T, exact bool)) {
 	t.Helper()
-	def := tensor.ActiveKernel()
+	def, workers := tensor.ActiveKernel(), tensor.Parallelism()
+	defer tensor.SetParallelism(workers)
 	defer tensor.SetKernel(def)
-	for _, k := range tensor.AvailableKernels() {
+	run := func(name string, k tensor.Kernel, pool int) {
+		tensor.SetParallelism(pool)
 		if err := tensor.SetKernel(k); err != nil {
 			t.Fatal(err)
 		}
-		t.Run("kernel="+k.String(), func(t *testing.T) { f(t, k != tensor.KernelFMA) })
+		t.Run("kernel="+name, func(t *testing.T) { f(t, k != tensor.KernelFMA) })
+	}
+	run("scalar", tensor.KernelTiled, 1)
+	for _, k := range tensor.AvailableKernels() {
+		run(k.String(), k, workers)
 	}
 }
 
@@ -190,7 +198,7 @@ func TestCrossEntropyTargetRangePanic(t *testing.T) {
 // The two cross-entropy entry points are one loop: under every kernel the
 // loss-only form returns the into-buffer form's bits, and the into form
 // overwrites whatever the retained buffer held — ignored rows included. The loss and gradient are log-sum-exp and softmax written out
-// with math.Exp: bit for bit under scalar and tiled, within a few ULP under
+// with math.Exp: bit for bit under tiled, within a few ULP under
 // fma. 300 columns take the loss's exps through more than one chunk.
 func TestCrossEntropyFormsBitIdentical(t *testing.T) {
 	withKernels(t, func(t *testing.T, exact bool) {

@@ -66,20 +66,28 @@ func referenceLAMBStep(params []*nn.Param, m, v [][]float64, step int, lr, wd fl
 	}
 }
 
-// eachKernel runs f once under every available tensor kernel variant.
+// eachKernel runs f once under "scalar" — the tiled kernel on a
+// one-goroutine tensor pool — and then under every available tensor kernel
+// variant at the current pool size.
 func eachKernel(t *testing.T, f func(t *testing.T)) {
 	t.Helper()
-	def := tensor.ActiveKernel()
+	def, workers := tensor.ActiveKernel(), tensor.Parallelism()
 	defer func() {
+		tensor.SetParallelism(workers)
 		if err := tensor.SetKernel(def); err != nil {
 			t.Fatal(err)
 		}
 	}()
-	for _, k := range tensor.AvailableKernels() {
+	run := func(name string, k tensor.Kernel, pool int) {
+		tensor.SetParallelism(pool)
 		if err := tensor.SetKernel(k); err != nil {
 			t.Fatal(err)
 		}
-		t.Run("kernel="+k.String(), f)
+		t.Run("kernel="+name, f)
+	}
+	run("scalar", tensor.KernelTiled, 1)
+	for _, k := range tensor.AvailableKernels() {
+		run(k.String(), k, workers)
 	}
 }
 

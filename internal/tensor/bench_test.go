@@ -122,7 +122,7 @@ func BenchmarkMatMulWorkers(b *testing.B) {
 }
 
 // BenchmarkMatMulKernels pins each dispatch variant on the same product so
-// the scalar -> tiled -> fma trajectory is tracked per variant.
+// the tiled -> fma trajectory is tracked per variant.
 func BenchmarkMatMulKernels(b *testing.B) {
 	def := ActiveKernel()
 	defer SetKernel(def)

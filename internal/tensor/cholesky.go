@@ -9,8 +9,8 @@ import (
 // SPD inversion, the K-FAC inversion unit (§2.3.1: torch.linalg.cholesky
 // then cholesky_inverse per Kronecker factor). A⁻¹ is assembled as M^T M
 // with M = L⁻¹ and A = L L^T, in two regimes around the variant's base
-// block nb (baseBlock: invNB = 64 under KernelScalar and KernelTiled,
-// fmaNB = 16 under KernelFMA):
+// block nb (baseBlock: invNB = 64 under KernelTiled, fmaNB = 16 under
+// KernelFMA):
 //
 //   - n <= nb: the scalar loops below (dot-product Cholesky, triangular
 //     inverse, M^T M), each element one ascending-k reduction; under
@@ -35,8 +35,8 @@ import (
 //     inverse only), so ErrNotSPD still comes from a non-positive pivot —
 //     now possibly of a trailing block's Schur complement.
 //
-// Under scalar and tiled a factor of at most 64 rows therefore never
-// leaves the scalar loops; under fma every factor wider than 16 runs its
+// Under tiled a factor of at most 64 rows therefore never leaves the
+// scalar loops; under fma every factor wider than 16 runs its
 // Cholesky, triangular inverse and M^T M on the FMA micro-kernels.
 //
 // InverseChain exposes the top-level steps of the blocked form (the six
@@ -45,12 +45,11 @@ import (
 // count and InverseChainFLOPs, is keyed to invNB under every variant.
 //
 // The blocked path pins the float64 micro-kernels (inverses stay float64
-// under SetF32) and runs KernelScalar on the tiled Go micro-kernel, which
-// is bit-identical to the scalar reference; KernelFMA differs by fused
-// rounding only. Split points, tile grids and k ranges depend on n and the
-// variant alone, so results are bit-identical across
-// SetParallelism/SetOpParallelism per variant, and the result is exactly
-// symmetric by construction.
+// under SetF32); KernelTiled's Go micro-kernel is bit-identical to a naive
+// ascending-k product, KernelFMA differs by fused rounding only. Split
+// points, tile grids and k ranges depend on n and the variant alone, so
+// results are bit-identical across SetParallelism/SetOpParallelism per
+// variant, and the result is exactly symmetric by construction.
 
 // ErrNotSPD is returned when a Cholesky factorization encounters a
 // non-positive pivot, i.e. the input is not symmetric positive definite
@@ -58,8 +57,8 @@ import (
 var ErrNotSPD = errors.New("tensor: matrix is not symmetric positive definite")
 
 // invNB is the blocked inverse's block size: the recursion splits at
-// multiples of it, and under scalar and tiled hands blocks of at most invNB
-// rows to the scalar base case. It alone places the top-level split.
+// multiples of it, and under tiled hands blocks of at most invNB rows to
+// the scalar base case. It alone places the top-level split.
 const invNB = 64
 
 // fmaNB is KernelFMA's base block: a block of at most invNB rows splits at
@@ -135,7 +134,7 @@ func triInvInto(linv, l *Matrix) {
 }
 
 // invertScalar overwrites dst with work⁻¹ using the scalar loops alone —
-// the whole pipeline for n <= baseBlock under scalar and tiled, and the
+// the whole pipeline for n <= baseBlock under tiled, and the
 // oracle the blocked path is tested against. Only work's lower triangle is
 // read; it is destroyed.
 func invertScalar(dst, work *Matrix) error {

@@ -179,28 +179,27 @@ func TestSPDInverseGenerated(t *testing.T) {
 	}
 }
 
-// Scalar and tiled run the same float64 sequence per element and must
-// agree bit for bit; every variant must be bit-identical across worker
-// counts and per-op caps. The sizes up to 64 straddle fma's 16-row base
-// block; there scalar and tiled never leave the scalar loops. Scalar's
-// inverses, every size, hash to the digest recorded at dd6427f, the commit
-// before fma's base block shrank, so a green run proves scalar and tiled
-// did not move.
+// Every variant must be bit-identical across worker counts and per-op
+// caps. The sizes up to 64 straddle fma's 16-row base block; there tiled
+// never leaves the Go base loops. Tiled's inverses, every size, hash to the
+// digest recorded at dd6427f (then under the scalar loops the tiled kernel
+// is bit-identical to), the commit before fma's base block shrank, so a
+// green run proves tiled did not move.
 func TestSPDInverseVariantAndParallelismIdentity(t *testing.T) {
-	const wantScalar = "aed50b3d6abdc1a72db3bc60498ce4a7662a7e7c7b184983106a7d51a321d3fb"
+	const wantTiled = "aed50b3d6abdc1a72db3bc60498ce4a7662a7e7c7b184983106a7d51a321d3fb"
 	def := ActiveKernel()
 	defer SetKernel(def)
 	h := sha256.New()
 	for _, n := range []int{1, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65, 200, 256, 513} {
-		// Built under scalar: the inputs, and so the digest, must not
+		// Built under tiled: the inputs, and so the digest, must not
 		// depend on the build's default variant.
-		if err := SetKernel(KernelScalar); err != nil {
+		if err := SetKernel(KernelTiled); err != nil {
 			t.Fatal(err)
 		}
 		m := spdCase(uint64(n), n, n/4+1, 1e-2)
-		ref := map[Kernel]*Matrix{}
-		for _, k := range AvailableKernels() {
-			if err := SetKernel(k); err != nil {
+		ref := map[string]*Matrix{}
+		for _, c := range kernelCases() {
+			if err := c.use(); err != nil {
 				t.Fatal(err)
 			}
 			withParallelism(t, func(t *testing.T) {
@@ -208,29 +207,29 @@ func TestSPDInverseVariantAndParallelismIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ref[k] == nil {
-					ref[k] = got
-				} else if !got.Equal(ref[k]) {
+				if ref[c.name] == nil {
+					ref[c.name] = got
+				} else if !got.Equal(ref[c.name]) {
 					t.Fatalf("n=%d kernel=%s: result depends on parallelism (max diff %g)",
-						n, k, got.Sub(ref[k]).MaxAbs())
+						n, c.name, got.Sub(ref[c.name]).MaxAbs())
 				}
 			})
 		}
-		if !ref[KernelScalar].Equal(ref[KernelTiled]) {
+		if !ref["scalar"].Equal(ref["tiled"]) {
 			t.Fatalf("n=%d: scalar and tiled inverses differ (max %g)",
-				n, ref[KernelScalar].Sub(ref[KernelTiled]).MaxAbs())
+				n, ref["scalar"].Sub(ref["tiled"]).MaxAbs())
 		}
-		for _, v := range ref[KernelScalar].Data {
+		for _, v := range ref["tiled"].Data {
 			binary.Write(h, binary.LittleEndian, math.Float64bits(v))
 		}
-		if fma := ref[KernelFMA]; fma != nil {
-			if rel := fma.Sub(ref[KernelScalar]).MaxAbs() / fma.MaxAbs(); rel > 1e-9 {
+		if fma := ref["fma"]; fma != nil {
+			if rel := fma.Sub(ref["tiled"]).MaxAbs() / fma.MaxAbs(); rel > 1e-9 {
 				t.Fatalf("n=%d: fma inverse outside fused-rounding tolerance (rel %g)", n, rel)
 			}
 		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantScalar {
-		t.Fatalf("scalar inverses hash to %s, want %s", got, wantScalar)
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantTiled {
+		t.Fatalf("tiled inverses hash to %s, want %s", got, wantTiled)
 	}
 }
 
@@ -291,7 +290,7 @@ func TestSPDInverseBlockedRescueAndRejection(t *testing.T) {
 // A 48-wide factor whose leading rows are well conditioned but whose
 // trailing block is indefinite: under fma it takes the blocked form (16 + 32
 // rows) and the non-positive pivot is a trailing Schur complement's, under
-// scalar and tiled it is the scalar pipeline's last pivot. Every variant
+// tiled it is the scalar pipeline's last pivot. Every variant
 // must escalate the damping until the factorization succeeds and return a
 // finite inverse of the damped input — never a NaN.
 func TestSPDInverseSmallBlockedRescue(t *testing.T) {

@@ -10,25 +10,25 @@ import (
 // exp/erf entry points (vecmath.go) and the row ops (rowops.go) run, plus
 // the float32 compute-mode switch.
 //
-// Three kernel variants exist:
+// Two kernel variants exist:
 //
-//   - KernelScalar — the original cache-blocked scalar loops (matmul.go).
-//     Kept as the parity reference: the packed kernels are tested against
-//     it, and it is the only float64 variant compiled under the purego
-//     build tag's assumptions (it uses no assembly either way).
 //   - KernelTiled — GotoBLAS-style packed panels driven through 4x2
 //     register-tiled pure-Go micro-kernels (gemm.go, microkernel.go).
-//     Portable to every GOARCH. Bit-identical to KernelScalar on float64:
-//     both reduce each output element with one multiply-rounding and one
-//     add-rounding per k step, in ascending k order.
+//     Portable to every GOARCH, and the only variant under the purego
+//     build tag. On float64 it reduces each output element with one
+//     multiply-rounding and one add-rounding per k step, in ascending k
+//     order — bit for bit the naive triple loops the tests hold every
+//     entry point to (TestBlockedKernelsMatchScalarReference). The Go
+//     micro-kernels convert every product explicitly, so no GOARCH fuses
+//     them into a multiply-add.
 //   - KernelFMA — the same packed driver calling hand-written amd64
 //     assembly micro-kernels that use fused multiply-add. Selected only
 //     when CPUID reports AVX2+FMA with OS XSAVE support, and never under
 //     the purego tag. FMA fuses the multiply and add into a single
-//     rounding, so results differ from the scalar/tiled variants by at
-//     most the fused-rounding delta — but the reduction order per element
-//     is still fixed ascending k, so the worker-count / replica-count /
-//     schedule bit-identity contracts hold within the variant. The variant
+//     rounding, so results differ from the tiled variant by at most the
+//     fused-rounding delta — but the reduction order per element is still
+//     fixed ascending k, so the worker-count / replica-count / schedule
+//     bit-identity contracts hold within the variant. The variant
 //     resolves once at init, from CPUID and XCR0 (detectFMA,
 //     TestDetectFMA), to one of two tile widths: 256-bit AVX2 tiles (8x4
 //     float64, 8x8 float32) or, where the CPU has AVX512F and the OS saves
@@ -43,9 +43,9 @@ import (
 //     KernelDetail reports the one in use. Its element-wise kernels are
 //     AVX2 code (vecmath_amd64.s) at either width — exp and erf are about
 //     3 % of a training step, measured, so 512-bit forms would buy nothing
-//     yet — where the other two variants loop over math.Exp and
-//     math.Erf: a second, stated difference — every exp and erf within
-//     2 ULP of math's, special values exact (TestVecMathAccuracy,
+//     yet — where the tiled variant loops over math.Exp and math.Erf: a
+//     second, stated difference — every exp and erf within 2 ULP of
+//     math's, special values exact (TestVecMathAccuracy,
 //     TestVecMathSpecials, FuzzVecMath) — and again none within the
 //     variant, because a result depends on the element's value alone
 //     (TestVecMathPositionIndependent).
@@ -56,23 +56,19 @@ import (
 //
 // Float32 mode (SetF32) is orthogonal: when enabled, the packed driver
 // narrows its panels to float32, accumulates in float32, and widens on
-// write-back — halving packed-panel memory traffic. KernelScalar has no
-// separate float32 loop; in float32 mode it shares the tiled Go
-// micro-kernels, which are themselves bit-identical to a naive ascending-k
-// float32 reduction. Factorization-sensitive code stays float64
-// regardless of the mode: damping never routes through GEMM, and the
-// blocked SPD inverse (cholesky.go) pins the driver's
-// float64 micro-kernels.
+// write-back — halving packed-panel memory traffic. The tiled float32
+// micro-kernel is bit-identical to a naive ascending-k float32 reduction.
+// Factorization-sensitive code stays float64 regardless of the mode:
+// damping never routes through GEMM, and the blocked SPD inverse
+// (cholesky.go) pins the driver's float64 micro-kernels.
 
 // Kernel identifies one implementation variant of the matmul and
 // element-wise families.
 type Kernel int32
 
 const (
-	// KernelScalar is the cache-blocked scalar reference implementation.
-	KernelScalar Kernel = iota
 	// KernelTiled is the packed-panel pure-Go register-tiled implementation.
-	KernelTiled
+	KernelTiled Kernel = iota
 	// KernelFMA is the packed-panel amd64 FMA assembly implementation, at
 	// the host's vector width (AVX2 or AVX-512 tiles; see KernelDetail).
 	KernelFMA
@@ -82,8 +78,6 @@ const (
 // and benchmark row names).
 func (k Kernel) String() string {
 	switch k {
-	case KernelScalar:
-		return "scalar"
 	case KernelTiled:
 		return "tiled"
 	case KernelFMA:
@@ -135,7 +129,7 @@ func KernelDetail() string {
 // SetParallelism, it must not be called while kernels are executing.
 func SetKernel(k Kernel) error {
 	switch k {
-	case KernelScalar, KernelTiled:
+	case KernelTiled:
 	case KernelFMA:
 		if !haveFMAKernels {
 			return fmt.Errorf("tensor: kernel %q not available on this CPU/build", k)
@@ -147,21 +141,21 @@ func SetKernel(k Kernel) error {
 	return nil
 }
 
-// ParseKernel maps a variant name ("scalar", "tiled", "fma") to its Kernel
+// ParseKernel maps a variant name ("tiled", "fma") to its Kernel
 // — the inverse of String, for CLI -kernel flags.
 func ParseKernel(name string) (Kernel, error) {
-	for _, k := range []Kernel{KernelScalar, KernelTiled, KernelFMA} {
+	for _, k := range []Kernel{KernelTiled, KernelFMA} {
 		if k.String() == name {
 			return k, nil
 		}
 	}
-	return 0, fmt.Errorf("tensor: unknown kernel %q (want scalar, tiled or fma)", name)
+	return 0, fmt.Errorf("tensor: unknown kernel %q (want tiled or fma)", name)
 }
 
 // AvailableKernels returns every variant that SetKernel would accept on
 // this CPU and build, in ascending capability order.
 func AvailableKernels() []Kernel {
-	ks := []Kernel{KernelScalar, KernelTiled}
+	ks := []Kernel{KernelTiled}
 	if haveFMAKernels {
 		ks = append(ks, KernelFMA)
 	}

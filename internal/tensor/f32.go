@@ -212,14 +212,8 @@ func (s Snap) GramInto(dst *Matrix) {
 }
 
 // gramLower is TMatMulInto(dst, u, u) without its mirror: the lower
-// triangle of u^T u, the strict upper triangle unspecified. KernelScalar's
-// float64 loops compute the whole product.
+// triangle of u^T u, the strict upper triangle unspecified.
 func gramLower(dst, u *Matrix) {
 	checkTMatMul(dst, u, u, "GramInto")
-	kern := ActiveKernel()
-	if u.Rows == 0 || kern == KernelScalar && !F32() {
-		TMatMulInto(dst, u, u)
-		return
-	}
-	gemmPacked(viewOf(dst), viewOf(u), viewOf(u), gemmAT|gemmLower, kern)
+	gemmPacked(viewOf(dst), viewOf(u), viewOf(u), gemmAT|gemmLower, ActiveKernel())
 }

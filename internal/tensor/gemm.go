@@ -5,11 +5,11 @@ import (
 	"sync"
 )
 
-// The packed-panel GEMM driver: the shared implementation behind the
-// MatMul*/TMatMul* entry points for KernelTiled and KernelFMA (and for
-// every kernel in float32 mode), and behind every O(n³) term of the
-// blocked SPD inverse (cholesky.go), which calls it on strided sub-block
-// views with the gemmFlags variants. The structure is GotoBLAS-style:
+// The packed-panel GEMM driver: the one implementation behind the
+// MatMul*/TMatMul* entry points under every kernel variant and in float32
+// mode, and behind every O(n³) term of the blocked SPD inverse
+// (cholesky.go), which calls it on strided sub-block views with the
+// gemmFlags variants. The structure is GotoBLAS-style:
 //
 //	pack B once per call (nr-column panels, shared read-only)
 //	split M into mr-row panels, fan panel ranges out to pool workers
@@ -153,9 +153,7 @@ var gemmCtxPool = sync.Pool{New: func() any { return new(gemmCtx) }}
 
 // gemmPacked computes dst = op(a)*op(b) through the packed-panel
 // pipeline, in the variant fl selects. kern selects the micro-kernel
-// family; KernelScalar callers only arrive here in float32 mode, from the
-// blocked inverse or from MulViews, where the tiled Go kernel doubles as
-// the scalar reference. dst must not alias a or b (a may alias b).
+// family. dst must not alias a or b (a may alias b).
 func gemmPacked(dst, a, b View, fl gemmFlags, kern Kernel) {
 	g := gemmCtxPool.Get().(*gemmCtx)
 	if g.setup(dst, a, b, fl, kern) {
@@ -297,9 +295,9 @@ func (p *Product) dims() (m, n, k int, ok bool) {
 // unit of worker fan-out (one product alone fans out over its row panels
 // like MatMulInto); each runs the same tile grid and ascending-k reduction
 // whichever worker takes it, so results are bit-identical across
-// parallelism settings. KernelScalar runs the tiled Go micro-kernel, which
-// is bit-identical to a scalar ascending-k dot product; KernelFMA differs
-// by fused rounding; in float32 mode the panels narrow as in MatMulInto.
+// parallelism settings. KernelTiled is bit-identical to a naive ascending-k
+// dot product; KernelFMA differs by fused rounding; in float32 mode the
+// panels narrow as in MatMulInto.
 // A Dst window must not overlap any window the batch reads or another Dst.
 // Steady-state calls allocate nothing. It panics on a shape mismatch.
 func MulViews(ps []Product) {
@@ -327,8 +325,8 @@ func MulViews(ps []Product) {
 }
 
 // parRunGemm fans row-panel ranges [0, nPan) — of a batch context, product
-// ranges — out to the worker pool with the same work-conserving handoff as
-// parRun: parked workers take chunks, the caller runs the rest inline.
+// ranges — out to the worker pool with its work-conserving handoff
+// (parallel.go): parked workers take chunks, the caller runs the rest inline.
 // work gates the serial fallback. Chunks hold equal shares of panelCost,
 // so the triangular variants stay balanced; which worker computes a panel
 // never changes its result.

@@ -10,15 +10,15 @@ import (
 // Kernel-variant parity suite (runs under -race and under the purego tag,
 // where AvailableKernels simply omits KernelFMA):
 //
-//   - float64: KernelTiled must be bit-identical to KernelScalar (same
-//     per-element multiply-round/add-round sequence); KernelFMA must agree
-//     to fused-rounding tolerance.
-//   - float32 mode: scalar and tiled share the 4x4 Go kernel and must be
-//     bit-identical to a naive ascending-k float32 reduction; FMA agrees
-//     to float32 tolerance.
+//   - float64: KernelTiled must be bit-identical to the naive ascending-k
+//     reference loops (parallel_test.go: same per-element
+//     multiply-round/add-round sequence); KernelFMA must agree to
+//     fused-rounding tolerance.
+//   - float32 mode: tiled's 4x2 Go kernel must be bit-identical to a naive
+//     ascending-k float32 reduction; FMA agrees to float32 tolerance.
 //   - every variant x dtype must be worker-count bit-identical.
 
-// fmaTol bounds the scalar-vs-FMA disagreement for float64 operands drawn
+// fmaTol bounds the reference-vs-FMA disagreement for float64 operands drawn
 // from N(0,1) with k <= a few hundred (per-step fused-rounding delta
 // ~1e-16, accumulated).
 const fmaTol = 1e-12
@@ -26,23 +26,49 @@ const fmaTol = 1e-12
 // fmaTol32 is the float32-mode analogue (eps ~1.2e-7, accumulated).
 const fmaTol32 = 1e-3
 
-// withKernels runs f once per available kernel variant, with exact=true
-// for the variants whose float64 results must match the scalar reference
-// bit for bit. The default kernel is restored afterwards.
+// kernelCase is one configuration the variant suites run under: an
+// available kernel variant at the current pool size, or "scalar" — the
+// tiled variant on a one-goroutine pool, so the Go loops run with neither
+// vector instructions nor fan-out.
+type kernelCase struct {
+	name    string
+	kernel  Kernel
+	workers int
+}
+
+// kernelCases lists "scalar" first, then every available variant.
+func kernelCases() []kernelCase {
+	cs := []kernelCase{{"scalar", KernelTiled, 1}}
+	for _, k := range AvailableKernels() {
+		cs = append(cs, kernelCase{k.String(), k, Parallelism()})
+	}
+	return cs
+}
+
+// use selects c's variant and pool size.
+func (c kernelCase) use() error {
+	SetParallelism(c.workers)
+	return SetKernel(c.kernel)
+}
+
+// withKernels runs f once per kernel case, with exact=true for the cases
+// whose float64 results must match the naive reference loops bit for bit.
+// The default kernel and the pool size are restored afterwards.
 func withKernels(t *testing.T, f func(t *testing.T, exact bool)) {
 	t.Helper()
-	def := ActiveKernel()
+	def, workers := ActiveKernel(), Parallelism()
 	defer func() {
+		SetParallelism(workers)
 		if err := SetKernel(def); err != nil {
 			t.Fatal(err)
 		}
 	}()
-	for _, k := range AvailableKernels() {
-		if err := SetKernel(k); err != nil {
+	for _, c := range kernelCases() {
+		if err := c.use(); err != nil {
 			t.Fatal(err)
 		}
-		t.Run("kernel="+k.String(), func(t *testing.T) {
-			f(t, k != KernelFMA)
+		t.Run("kernel="+c.name, func(t *testing.T) {
+			f(t, c.kernel != KernelFMA)
 		})
 	}
 }
@@ -53,7 +79,7 @@ func checkMat(t *testing.T, op string, got, want *Matrix, exact bool) {
 	t.Helper()
 	if exact {
 		if !got.Equal(want) {
-			t.Fatalf("%s [%s] differs from scalar reference (max %g)",
+			t.Fatalf("%s [%s] differs from the naive reference (max %g)",
 				op, ActiveKernel(), got.Sub(want).MaxAbs())
 		}
 		return
@@ -83,7 +109,7 @@ func refMatMul32(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Cols; j++ {
 			var s float32
 			for kk := 0; kk < a.Cols; kk++ {
-				s += float32(a.Data[i*a.Cols+kk]) * float32(b.Data[kk*b.Cols+j])
+				s += float32(float32(a.Data[i*a.Cols+kk]) * float32(b.Data[kk*b.Cols+j]))
 			}
 			out.Data[i*b.Cols+j] = float64(s)
 		}
@@ -97,7 +123,7 @@ func refMatMulT32(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Rows; j++ {
 			var s float32
 			for kk := 0; kk < a.Cols; kk++ {
-				s += float32(a.Data[i*a.Cols+kk]) * float32(b.Data[j*b.Cols+kk])
+				s += float32(float32(a.Data[i*a.Cols+kk]) * float32(b.Data[j*b.Cols+kk]))
 			}
 			out.Data[i*b.Rows+j] = float64(s)
 		}
@@ -113,7 +139,7 @@ func refTMatMulAdd32(dst, a, b *Matrix) {
 		for j := 0; j < b.Cols; j++ {
 			var s float32
 			for r := 0; r < a.Rows; r++ {
-				s += float32(a.Data[r*a.Cols+i]) * float32(b.Data[r*b.Cols+j])
+				s += float32(float32(a.Data[r*a.Cols+i]) * float32(b.Data[r*b.Cols+j]))
 			}
 			dst.Data[i*b.Cols+j] += float64(s)
 		}
@@ -205,46 +231,20 @@ func TestF32WorkerCountBitIdentity(t *testing.T) {
 	})
 }
 
-func TestTiledBitIdenticalToScalarFloat64(t *testing.T) {
-	// The tiled Go kernel's per-element sequence (multiply-round,
-	// add-round, ascending k) is the scalar reference's sequence — the
-	// property that lets KernelTiled inherit every bit-identity contract
-	// without a tolerance.
-	for _, sh := range parityShapes {
-		rng := NewRNG(uint64(11*sh.n + sh.k + 3*sh.p))
-		a := RandN(rng, sh.n, sh.k, 1)
-		b := RandN(rng, sh.k, sh.p, 1)
-		if err := SetKernel(KernelScalar); err != nil {
-			t.Fatal(err)
-		}
-		want := MatMul(a, b)
-		if err := SetKernel(KernelTiled); err != nil {
-			t.Fatal(err)
-		}
-		got := MatMul(a, b)
-		if !got.Equal(want) {
-			t.Fatalf("tiled MatMul %dx%dx%d not bit-identical to scalar (max %g)",
-				sh.n, sh.k, sh.p, got.Sub(want).MaxAbs())
-		}
-		Put(want)
-		Put(got)
-	}
-	if err := SetKernel(bestKernel()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func bestKernel() Kernel {
-	ks := AvailableKernels()
-	return ks[len(ks)-1]
-}
-
 func TestKernelDispatch(t *testing.T) {
 	def := ActiveKernel()
 	defer SetKernel(def)
 	ks := AvailableKernels()
-	if len(ks) < 2 || ks[0] != KernelScalar || ks[1] != KernelTiled {
-		t.Fatalf("AvailableKernels() = %v, want scalar and tiled always present", ks)
+	if len(ks) < 1 || ks[0] != KernelTiled {
+		t.Fatalf("AvailableKernels() = %v, want tiled first and always present", ks)
+	}
+	if _, err := ParseKernel("scalar"); err == nil || !strings.Contains(err.Error(), "tiled") || !strings.Contains(err.Error(), "fma") {
+		t.Fatalf(`ParseKernel("scalar") error = %v, want a failure naming tiled and fma`, err)
+	}
+	for _, k := range []Kernel{KernelTiled, KernelFMA} {
+		if got, err := ParseKernel(k.String()); err != nil || got != k {
+			t.Fatalf("ParseKernel(%q) = %v, %v", k.String(), got, err)
+		}
 	}
 	for _, k := range ks {
 		if err := SetKernel(k); err != nil {
@@ -265,14 +265,14 @@ func TestKernelDispatch(t *testing.T) {
 			t.Fatal("SetKernel(fma) must fail when FMA kernels are unavailable")
 		}
 	}
-	if KernelScalar.String() != "scalar" || KernelTiled.String() != "tiled" || KernelFMA.String() != "fma" {
+	if KernelTiled.String() != "tiled" || KernelFMA.String() != "fma" {
 		t.Fatal("kernel names must be stable (CLI headers and bench rows use them)")
 	}
 }
 
 func TestKernelsLargeShapeAgreement(t *testing.T) {
 	// A shape big enough to exercise multiple KC blocks and MC blocks at
-	// once (KC blocking must stay bit-transparent for scalar/tiled).
+	// once (KC blocking must stay bit-transparent for tiled).
 	rng := NewRNG(41)
 	a := RandN(rng, 300, 600, 1)
 	b := RandN(rng, 600, 70, 1)

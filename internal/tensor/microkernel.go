@@ -8,12 +8,15 @@ package tensor
 // with C loaded into locals up front and stored once at the end, so the
 // kc-loop runs entirely in registers. The accumulation for every element
 // is one multiply-rounding followed by one add-rounding per t, in
-// ascending t order — exactly the per-element sequence of the scalar
-// reference kernels in matmul.go, which makes the tiled float64 variant
-// bit-identical to KernelScalar. The kernels always accumulate into the
-// existing C values; the driver zeroes C first for overwrite semantics
-// (adding to +0.0 is exact; the fma variant's float64 tiles have store
-// forms that start from +0 instead, gemm.go), and KC-blocking stays bit-transparent
+// ascending t order — exactly the per-element sequence of a naive
+// ascending-k triple loop, which the tests hold the tiled variant to bit
+// for bit. Every product is written with an explicit conversion, which the
+// spec says rounds it before the add: without one the compiler may fuse
+// x*y + z into one multiply-add wherever the target has it (arm64 does, at
+// every product here). The kernels always accumulate into the existing C
+// values; the driver zeroes C first for overwrite semantics (adding to
+// +0.0 is exact; the fma variant's float64 tiles have store forms that
+// start from +0 instead, gemm.go), and KC-blocking stays bit-transparent
 // because each block resumes from the stored C instead of introducing a
 // second reduction tree.
 //
@@ -46,38 +49,38 @@ func mk4x2f64(c []float64, ldc int, ap, bp []float64, kc int) {
 	for len(ap) >= 8 && len(bp) >= 4 {
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
 		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
+		c00 += float64(a0 * b0)
+		c01 += float64(a0 * b1)
+		c10 += float64(a1 * b0)
+		c11 += float64(a1 * b1)
+		c20 += float64(a2 * b0)
+		c21 += float64(a2 * b1)
+		c30 += float64(a3 * b0)
+		c31 += float64(a3 * b1)
 		a0, a1, a2, a3 = ap[4], ap[5], ap[6], ap[7]
 		b0, b1 = bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
+		c00 += float64(a0 * b0)
+		c01 += float64(a0 * b1)
+		c10 += float64(a1 * b0)
+		c11 += float64(a1 * b1)
+		c20 += float64(a2 * b0)
+		c21 += float64(a2 * b1)
+		c30 += float64(a3 * b0)
+		c31 += float64(a3 * b1)
 		ap = ap[8:]
 		bp = bp[4:]
 	}
 	if len(ap) >= 4 && len(bp) >= 2 {
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
 		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
+		c00 += float64(a0 * b0)
+		c01 += float64(a0 * b1)
+		c10 += float64(a1 * b0)
+		c11 += float64(a1 * b1)
+		c20 += float64(a2 * b0)
+		c21 += float64(a2 * b1)
+		c30 += float64(a3 * b0)
+		c31 += float64(a3 * b1)
 	}
 	c0[0], c0[1] = c00, c01
 	c1[0], c1[1] = c10, c11
@@ -86,7 +89,7 @@ func mk4x2f64(c []float64, ldc int, ap, bp []float64, kc int) {
 }
 
 // mk4x2f32 is the 4x2 float32 micro-kernel — the float32-mode compute of
-// KernelScalar and KernelTiled. Its per-element sequence (multiply-round,
+// KernelTiled. Its per-element sequence (multiply-round,
 // add-round, ascending t, all in float32) is bit-identical to a naive
 // ascending-k float32 reduction.
 func mk4x2f32(c []float32, ldc int, ap, bp []float32, kc int) {
@@ -103,38 +106,38 @@ func mk4x2f32(c []float32, ldc int, ap, bp []float32, kc int) {
 	for len(ap) >= 8 && len(bp) >= 4 {
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
 		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
+		c00 += float32(a0 * b0)
+		c01 += float32(a0 * b1)
+		c10 += float32(a1 * b0)
+		c11 += float32(a1 * b1)
+		c20 += float32(a2 * b0)
+		c21 += float32(a2 * b1)
+		c30 += float32(a3 * b0)
+		c31 += float32(a3 * b1)
 		a0, a1, a2, a3 = ap[4], ap[5], ap[6], ap[7]
 		b0, b1 = bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
+		c00 += float32(a0 * b0)
+		c01 += float32(a0 * b1)
+		c10 += float32(a1 * b0)
+		c11 += float32(a1 * b1)
+		c20 += float32(a2 * b0)
+		c21 += float32(a2 * b1)
+		c30 += float32(a3 * b0)
+		c31 += float32(a3 * b1)
 		ap = ap[8:]
 		bp = bp[4:]
 	}
 	if len(ap) >= 4 && len(bp) >= 2 {
 		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
 		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
+		c00 += float32(a0 * b0)
+		c01 += float32(a0 * b1)
+		c10 += float32(a1 * b0)
+		c11 += float32(a1 * b1)
+		c20 += float32(a2 * b0)
+		c21 += float32(a2 * b1)
+		c30 += float32(a3 * b0)
+		c31 += float32(a3 * b1)
 	}
 	c0[0], c0[1] = c00, c01
 	c1[0], c1[1] = c10, c11

@@ -5,8 +5,7 @@ package tensor
 // AVX2+FMA micro-kernels (microkernel_amd64.s). Same tile contract as the
 // Go kernels in microkernel.go, but each element's per-step update is a
 // single fused multiply-add (one rounding instead of two), so KernelFMA
-// results differ from KernelScalar/KernelTiled by at most the fused-
-// rounding delta. The reduction order stays ascending k per element, so
+// results differ from KernelTiled by at most the fused-rounding delta. The reduction order stays ascending k per element, so
 // all worker-count and decomposition bit-identity contracts hold within
 // the variant. Only called when haveFMAKernels is true.
 

@@ -15,8 +15,8 @@ import "fmt"
 // Both operands reduce to two primitives: a panel whose lanes are rows of
 // the source (A as stored, B transposed) and one whose lanes are columns
 // (A transposed, B as stored). Each has two implementations: the Go loops
-// below (packRows, packCols), which the scalar and tiled variants and every
-// purego build run, and amd64 assembly (pack_amd64.s: register transposes
+// below (packRows, packCols), which the tiled variant and every purego
+// build run, and amd64 assembly (pack_amd64.s: register transposes
 // for rows, vector copies for columns, VCVTPD2PS for the float32 panels),
 // which the fma variant runs for every panel its tiles use. Packing is an
 // exact copy either way — the assembly stores the same bits as the Go loops,

@@ -11,16 +11,15 @@ import "fmt"
 // Packed is the only place they are kept.
 //
 // The copy is exactly one float64 matrix in the layout of the active
-// configuration: float64 panels under the tiled and fma kernels, row-major
-// where no float64 panels are read (KernelScalar's float64 loops, and
-// float32 mode, whose products read float32 panels packed beside it — the
-// only addition). The panels are exactly what gemmRange would pack, and a
-// product reads them where it would have read its own, so
-// MatMulPackedAInto and MatMulPackedBInto equal MatMulInto bit for bit. The
-// layout belongs to the kernel variant, the fma tile width and the float32
-// mode it was packed under; a product under any other configuration first
-// repacks from p's own float64 copy (through a pooled scratch), so stale
-// panels are never read. PackLeft and PackRight copy a matrix in without
+// configuration: float64 panels, or row-major in float32 mode, whose
+// products read float32 panels packed beside it — the only addition. The
+// panels are exactly what gemmRange would pack, and a product reads them
+// where it would have read its own, so MatMulPackedAInto and
+// MatMulPackedBInto equal MatMulInto bit for bit. The layout belongs to
+// the kernel variant, the fma tile width and the float32 mode it was
+// packed under; a product under any other configuration first repacks from
+// p's own float64 copy (through a pooled scratch), so stale panels are
+// never read. PackLeft and PackRight copy a matrix in without
 // retaining it, Unpack copies it back out exactly; p holds nothing else.
 // The buffers are plain allocations retained across packs. The zero value
 // holds nothing.
@@ -34,7 +33,6 @@ type Packed struct {
 	width      int       // mr (left) or nr (right) of the panels; 0 when none are packed
 	d64        []float64 // the float64 copy: panels unless rowMajor
 	d32        []float32 // float32 mode's panels
-	mat        Matrix    // row-major header over d64 during a scalar product
 }
 
 // PackLeft makes p hold a copy of m as the left operand of
@@ -103,13 +101,13 @@ func (p *Packed) rowMajor() bool { return p.width == 0 || p.f32 }
 // configure points g at a product with p's matrix as the operand p holds
 // (the other operand a placeholder of matching inner dimension, one row or
 // column wide when p is the left operand, since a left panel's height does
-// not depend on n) and reports whether the active configuration packs
-// panels at all: KernelScalar multiplies float64 by its scalar loops.
+// not depend on n) and reports whether there is a product to pack for: an
+// empty matrix packs none, and its products store dst = 0 (or nothing).
 func (p *Packed) configure(g *gemmCtx) bool {
-	kern := ActiveKernel()
-	if kern == KernelScalar && !F32() {
+	if p.rows == 0 || p.cols == 0 {
 		return false
 	}
+	kern := ActiveKernel()
 	if p.right {
 		return g.configure(View{rows: 1, cols: p.cols}, View{rows: 1, cols: p.rows}, p.view(), 0, kern)
 	}
@@ -193,7 +191,7 @@ func MatMulPackedAInto(dst *Matrix, a *Packed, b *Matrix) {
 	if a.cols != b.Rows || dst.Rows != a.rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulPackedAInto dst %dx%d = %dx%d * %dx%d", dst.Rows, dst.Cols, a.rows, a.cols, b.Rows, b.Cols))
 	}
-	mulPacked(dst, a, a.view(), viewOf(b), b)
+	mulPacked(dst, a, a.view(), viewOf(b))
 }
 
 // MatMulPackedBInto computes dst = a*b like MatMulInto on the matrix b
@@ -206,30 +204,18 @@ func MatMulPackedBInto(dst, a *Matrix, b *Packed) {
 	if a.Cols != b.rows || dst.Rows != a.Rows || dst.Cols != b.cols {
 		panic(fmt.Sprintf("tensor: MatMulPackedBInto dst %dx%d = %dx%d * %dx%d", dst.Rows, dst.Cols, a.Rows, a.Cols, b.rows, b.cols))
 	}
-	mulPacked(dst, b, viewOf(a), b.view(), a)
+	mulPacked(dst, b, viewOf(a), b.view())
 }
 
 // mulPacked runs dst = a*b with p's panels for the operand p holds,
-// repacking them first when they are not current. other is the operand p
-// does not hold. KernelScalar's float64 product runs MatMulInto's scalar
-// loops on p's row-major copy.
-func mulPacked(dst *Matrix, p *Packed, a, b View, other *Matrix) {
+// repacking them first when they are not current. A product with an empty
+// contraction zeroes dst (g.configure).
+func mulPacked(dst *Matrix, p *Packed, a, b View) {
 	if !p.current() {
 		p.relayout()
 	}
-	kern := ActiveKernel()
-	if kern == KernelScalar && !F32() || a.cols == 0 {
-		p.mat = Matrix{Rows: p.rows, Cols: p.cols, Data: p.d64[:p.rows*p.cols]}
-		if p.right {
-			MatMulInto(dst, other, &p.mat)
-		} else {
-			MatMulInto(dst, &p.mat, other)
-		}
-		p.mat = Matrix{}
-		return
-	}
 	g := gemmCtxPool.Get().(*gemmCtx)
-	if g.configure(viewOf(dst), a, b, 0, kern) {
+	if g.configure(viewOf(dst), a, b, 0, ActiveKernel()) {
 		switch {
 		case p.right && g.f32:
 			g.bpd32 = p.d32

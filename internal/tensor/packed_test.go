@@ -105,6 +105,33 @@ func TestPackedMatchesMatMulInto(t *testing.T) {
 	}
 }
 
+// TestPackedEmptyShapes: a matrix with no rows or no columns packs under
+// every configuration, and its products equal MatMulInto's — a zeroed dst
+// for an empty contraction.
+func TestPackedEmptyShapes(t *testing.T) {
+	defer restoreKernelConfig()()
+	for _, c := range packedConfigs() {
+		c.set()
+		for _, dims := range [][2]int{{3, 0}, {0, 3}, {0, 0}} {
+			m := Zeros(dims[0], dims[1])
+			var left, right Packed
+			left.PackLeft(m)
+			right.PackRight(m)
+			b, a := RandN(NewRNG(1), dims[1], 4, 1), RandN(NewRNG(2), 4, dims[0], 1)
+			wantA, wantB := Full(dims[0], 4, 7), Full(4, dims[1], 7)
+			MatMulInto(wantA, m, b)
+			MatMulInto(wantB, a, m)
+			gotA, gotB := Full(dims[0], 4, 9), Full(4, dims[1], 9)
+			MatMulPackedAInto(gotA, &left, b)
+			MatMulPackedBInto(gotB, a, &right)
+			if !sameBits(wantA, gotA) || !sameBits(wantB, gotB) {
+				t.Fatalf("%dx%d under %s: packed product differs from MatMulInto", dims[0], dims[1], c.name)
+			}
+			left.Unpack(Zeros(dims[0], dims[1]))
+		}
+	}
+}
+
 // TestPackedRepacksAfterSourceWrite: Pack is the owner's statement that the
 // source changed; a product after it reads the new values.
 func TestPackedRepacksAfterSourceWrite(t *testing.T) {

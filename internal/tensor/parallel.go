@@ -7,8 +7,8 @@ import (
 )
 
 // This file implements the kernel-layer parallelism substrate: a shared pool
-// of worker goroutines that the blocked matmul kernels fan their row chunks
-// out to. Two knobs control it:
+// of worker goroutines that the packed GEMM driver fans its row-panel ranges
+// out to (parRunGemm, gemm.go). Two knobs control it:
 //
 //   - SetParallelism(n) sizes the pool — the total intra-op worker budget
 //     for the whole process (default GOMAXPROCS).
@@ -25,23 +25,16 @@ import (
 // kernel instead of queueing, and a kernel running inside a worker can never
 // wait on the pool it occupies.
 //
-// Every kernel computes each output element with the same serial reduction
-// order regardless of the worker count or chunk boundaries, so results are
-// bit-for-bit identical across parallelism settings.
+// Every product computes each output element with the same serial
+// reduction order regardless of the worker count or chunk boundaries, so
+// results are bit-for-bit identical across parallelism settings.
 
-// kernelFunc is the shape of a parallelizable kernel body: compute output
-// rows [lo, hi) of dst from a and b. Bodies are package-level functions (not
-// closures) so dispatching them through the pool allocates nothing.
-type kernelFunc func(dst, a, b *Matrix, lo, hi int)
-
-// task is one row-chunk handed to a pool worker: either a scalar kernel
-// chunk (fn set) or a packed-GEMM panel range (g set, see gemm.go).
+// task is one chunk handed to a pool worker: the panel range [lo, hi) of a
+// packed-GEMM context (gemmRange, gemm.go).
 type task struct {
-	fn        kernelFunc
-	dst, a, b *Matrix
-	g         *gemmCtx
-	lo, hi    int
-	wg        *sync.WaitGroup
+	g      *gemmCtx
+	lo, hi int
+	wg     *sync.WaitGroup
 }
 
 // workerPool is one generation of workers. SetParallelism replaces the
@@ -128,11 +121,7 @@ func worker(p *workerPool) {
 	for {
 		select {
 		case t := <-p.ch:
-			if t.g != nil {
-				gemmRange(t.g, t.lo, t.hi)
-			} else {
-				t.fn(t.dst, t.a, t.b, t.lo, t.hi)
-			}
+			gemmRange(t.g, t.lo, t.hi)
 			poolTasks.Add(1)
 			t.wg.Done()
 		case <-p.quit:
@@ -151,40 +140,4 @@ func opWorkers() int {
 		w = 1
 	}
 	return w
-}
-
-// parRun executes fn over the n output rows of dst, splitting them into up
-// to opWorkers() chunks: one runs on the calling goroutine, the rest are
-// offered to parked pool workers (and run inline when none are free). work
-// is the kernel's total multiply-add count; below serialWorkLimit the whole
-// range runs serial. parRun allocates nothing in steady state.
-func parRun(fn kernelFunc, dst, a, b *Matrix, n, work int) {
-	w := opWorkers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 || work < serialWorkLimit {
-		fn(dst, a, b, 0, n)
-		return
-	}
-	chunk := (n + w - 1) / w
-	wg := wgPool.Get().(*sync.WaitGroup)
-	p := curPool.Load()
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		t := task{fn: fn, dst: dst, a: a, b: b, lo: lo, hi: hi, wg: wg}
-		select {
-		case p.ch <- t:
-		default:
-			fn(dst, a, b, lo, hi)
-			wg.Done()
-		}
-	}
-	fn(dst, a, b, 0, chunk)
-	wg.Wait()
-	wgPool.Put(wg)
 }

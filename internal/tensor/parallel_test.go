@@ -8,9 +8,10 @@ import (
 	"time"
 )
 
-// Scalar reference implementations: the naive triple loops the blocked
+// Scalar reference implementations: the naive triple loops the packed
 // parallel kernels must match bit for bit (each output element is reduced
-// in the same serial order).
+// in the same serial order, one multiply-rounding and one add-rounding per
+// step — each product converted explicitly, so no GOARCH fuses it).
 
 func refMatMul(a, b *Matrix) *Matrix {
 	out := Zeros(a.Rows, b.Cols)
@@ -18,7 +19,7 @@ func refMatMul(a, b *Matrix) *Matrix {
 		for kk := 0; kk < a.Cols; kk++ {
 			av := a.Data[i*a.Cols+kk]
 			for j := 0; j < b.Cols; j++ {
-				out.Data[i*b.Cols+j] += av * b.Data[kk*b.Cols+j]
+				out.Data[i*b.Cols+j] += float64(av * b.Data[kk*b.Cols+j])
 			}
 		}
 	}
@@ -31,7 +32,7 @@ func refMatMulT(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Rows; j++ {
 			var s float64
 			for t := 0; t < a.Cols; t++ {
-				s += a.Data[i*a.Cols+t] * b.Data[j*a.Cols+t]
+				s += float64(a.Data[i*a.Cols+t] * b.Data[j*a.Cols+t])
 			}
 			out.Data[i*b.Rows+j] = s
 		}
@@ -50,7 +51,7 @@ func refTMatMulAdd(dst, a, b *Matrix) {
 		for i := 0; i < a.Cols; i++ {
 			av := a.Data[r*a.Cols+i]
 			for j := 0; j < b.Cols; j++ {
-				dst.Data[i*b.Cols+j] += av * b.Data[r*b.Cols+j]
+				dst.Data[i*b.Cols+j] += float64(av * b.Data[r*b.Cols+j])
 			}
 		}
 	}
@@ -319,9 +320,9 @@ func TestReuseRows(t *testing.T) {
 	}
 }
 
-// TestSerialWorkLimitBoundary pins serialWorkLimit's boundary on both
-// fan-out paths — parRun (KernelScalar's loops) and parRunGemm (the packed
-// driver) — under SetParallelism(2): a product of 2^18 − 1 multiply-adds
+// TestSerialWorkLimitBoundary pins serialWorkLimit's boundary on the one
+// fan-out path, parRunGemm (the packed driver), under every kernel variant
+// and SetParallelism(2): a product of 2^18 − 1 multiply-adds
 // (511x513 · 513x1) never reaches a pool worker, one of exactly 2^18
 // (512x512 · 512x1) does. A worker takes a chunk only while it is parked,
 // so the fanning product is retried, yielding, until a worker wins.

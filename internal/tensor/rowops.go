@@ -11,8 +11,8 @@ import "math"
 // They hold AdamUpdate's contract (vecmath.go): under every variant each
 // result equals the Go loops below bit for bit (a NaN matching a NaN).
 // KernelFMA runs AVX2 assembly (rowops_amd64.s) over whole groups of four
-// rows and the Go loops over the last rows%4; every other variant runs the
-// Go loops alone. The assembly runs each Go operator as one VMULPD, VADDPD,
+// rows and the Go loops over the last rows%4; KernelTiled runs the Go
+// loops alone. The assembly runs each Go operator as one VMULPD, VADDPD,
 // VSUBPD, VDIVPD or VSQRTPD, never a fused multiply-add, and the Go loops
 // convert every product explicitly, which the spec says prevents fusion at
 // any GOAMD64 level. Reductions keep the Go loops' order by the rule
@@ -111,7 +111,7 @@ func layerNormBackwardRowsGo(dx, gGain, gBias, g, xhat, invStd, gain []float64, 
 		}
 		var sumDx, sumDxXhat float64
 		for j, e := range grow {
-			dxhat := e * gain[j]
+			dxhat := float64(e * gain[j])
 			sumDx += dxhat
 			sumDxXhat += float64(dxhat * nrow[j])
 		}

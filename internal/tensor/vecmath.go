@@ -6,8 +6,7 @@ import "math"
 // the three fused forms internal/nn needs of exp and erf, and the
 // per-element Adam / NVLAMB update internal/optim runs at every step commit.
 //
-// KernelScalar and KernelTiled run the Go loops below and are
-// bit-identical to them. For exp and erf, KernelFMA runs AVX2 assembly
+// KernelTiled runs the Go loops below and is bit-identical to them. For exp and erf, KernelFMA runs AVX2 assembly
 // (vecmath_amd64.s) under two contracts:
 //
 //   - Accuracy: exp and erf are within 2 ULP of math.Exp and math.Erf

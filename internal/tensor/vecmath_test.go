@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// The element-wise kernel suite (vecmath.go's contract). Under KernelScalar
-// and KernelTiled every result must be math.Exp's / math.Erf's bit for bit;
+// The element-wise kernel suite (vecmath.go's contract). Under KernelTiled
+// every result must be math.Exp's / math.Erf's bit for bit;
 // under KernelFMA within vecULP of it, with the special values exact and
 // every result a function of the element's value alone.
 
@@ -311,8 +311,8 @@ func TestVecMathPositionIndependent(t *testing.T) {
 
 // FuzzVecMath feeds arbitrary bit patterns through every kernel variant: x
 // in the first and last lane of a five-element slice (one in a full vector,
-// one in the padded tail) among copies of y. Scalar and tiled must return
-// math's bits, fma must stay within the bound, and both placements of x
+// one in the padded tail) among copies of y. Tiled must return math's
+// bits, fma must stay within the bound, and both placements of x
 // must agree bit for bit.
 func FuzzVecMath(f *testing.F) {
 	for i, v := range vecBoundaries() {

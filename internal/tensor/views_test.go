@@ -103,8 +103,8 @@ var viewEdgeCases = []struct {
 }
 
 // Every edge shape, alone (the single-product path) and as one batch, under
-// every kernel and parallelism setting: scalar and tiled bit-equal to the
-// scalar reference, fma within fmaTol.
+// every kernel and parallelism setting: tiled bit-equal to the scalar
+// reference, fma within fmaTol.
 func TestMulViewsEdges(t *testing.T) {
 	withKernels(t, func(t *testing.T, exact bool) {
 		withParallelism(t, func(t *testing.T) {
@@ -151,7 +151,7 @@ func attentionBatch(rng *RNG, b, s, heads, dk int) (ps []Product, dsts []*Matrix
 func TestMulViewsBatchParallelismIdentity(t *testing.T) {
 	SetPoolAudit(true)
 	defer SetPoolAudit(false)
-	var scalarRef []*Matrix
+	var tiledRef []*Matrix
 	withKernels(t, func(t *testing.T, exact bool) {
 		var ref []*Matrix
 		withParallelism(t, func(t *testing.T) {
@@ -166,11 +166,11 @@ func TestMulViewsBatchParallelismIdentity(t *testing.T) {
 				}
 			}
 		})
-		if scalarRef == nil {
-			scalarRef = ref
+		if tiledRef == nil {
+			tiledRef = ref
 		}
 		for i, d := range ref {
-			checkMat(t, fmt.Sprintf("product %d", i), d, scalarRef[i], exact)
+			checkMat(t, fmt.Sprintf("product %d", i), d, tiledRef[i], exact)
 		}
 	})
 	SetParallelism(4)
@@ -192,8 +192,8 @@ func TestMulViewsBatchParallelismIdentity(t *testing.T) {
 	}
 }
 
-// In float32 mode the products narrow like MatMulInto's: scalar and tiled
-// are bit-identical to a naive ascending-k float32 reduction of the
+// In float32 mode the products narrow like MatMulInto's: tiled is
+// bit-identical to a naive ascending-k float32 reduction of the
 // windows, fma within fmaTol32.
 func TestMulViewsF32(t *testing.T) {
 	withKernels(t, func(t *testing.T, exact bool) {
