@@ -74,8 +74,8 @@
 // step's other work) and emitted (Recompute, Degraded and Membership only
 // label timeline events, so they are no fault target). The trace
 // renderers, the bubble accounting, the degraded-safety proof, the
-// executable's step-tail ordering, the engine's retry/degrade ladder, the
-// fault targets and StageCosts.Refit's cost classes all read the row;
+// executable's step-tail ordering, the engine's retry/degrade ladder and
+// the fault targets all read the row;
 // switches on a kind remain only where a kind decides what code runs (the
 // executor's dispatch, corruptOutput). String names are a stable
 // interface: timeline CSVs write them in the kind column and faults specs
@@ -569,9 +569,10 @@
 //     the fixed per-frame cost makes chunked ~= unchunked; the model is
 //     the acceptance bar, the bench is the honest measurement).
 //   - Batching: a stage's per-parameter gradient reductions, and a K-FAC
-//     layer's two factors with their row counts (one batch of four per
-//     layer refresh, not one per factor), go to the group as one
-//     transport.AllReduceBatch. A Ring (a transport.BatchReducer) runs
+//     layer's two factors (one batch of two per layer refresh, not one per
+//     factor), go to the group as one transport.AllReduceBatch. A factor's
+//     row count is not reduced: every statistic has one row per token, so
+//     the group-wide count is the generation's batch, Seqs × SeqLen. A Ring (a transport.BatchReducer) runs
 //     every reduce pass before the first distribution pass: the same
 //     frames, bytes and arithmetic as one AllReduce each
 //     (TestRingAllReduceBatchMatchesSeparateCalls), but rank 0 no longer
@@ -702,17 +703,12 @@
 //     unbounded one lost wide_1f1b_k8 pairs, whose refresh ops keep a
 //     waiting device waiting for long. Waits still end on the round's abort
 //     (TestWatchdogAbortWhileConsumerSpins, TestFaultSuitesWithSpinningWaits).
-//   - Plain rounds: a round that neither collects a generation nor carries
-//     one — 3 of 4 rounds at refreshEvery = 4K without overlap — would find
-//     no pool in any refresh op (120 of tiny_1f1b's 140). Its devices
-//     skip them: deviceLoop still waits on a refresh op's dependencies, so
-//     every ordering edge of the schedule stays, and then closes its
-//     completion signal without running it — no watchdog arm, no timing,
-//     no timeline event. A fault plan or a test's failOp hook keeps them
-//     running, since both are consulted by every op, one that finds no pool
-//     included. TestPlainRoundsMatchFullList holds losses, gradients,
-//     factors, inverses and weights to an engine that runs every op, bit
-//     for bit.
+//   - Rounds without a generation: a round that neither collects a
+//     generation nor carries one — 3 of 4 rounds at refreshEvery = 4K
+//     without overlap — walks the same op list as any other; each refresh
+//     op finds no pool and returns without recording an event. A skip of
+//     those ops measured no difference (kfac_overhead 1.1673 vs 1.1664,
+//     5 of 10 pairs) and was removed as a second path.
 //   - Factor ownership across step boundaries: the window's first step
 //     snapshots the per-micro-batch statistics into pooled buffers owned
 //     by the run state; the scheduled Curvature ops consume them in
@@ -885,8 +881,8 @@
 //     (TestChainStepDegradesOnlyItsFactor); an abort scrubs the pools with
 //     everything else (TestPoolAuditNoLeakOnAbortAnywhere aborts at every
 //     chain step).
-//   - Explicit costs — cmd/figures', MeasuredCosts', anything Refit
-//     re-estimates — carry no chains.
+//   - Explicit costs — cmd/figures', MeasuredCosts' per-kind means —
+//     carry no chains.
 //   - Small chains: a factor of at most 64 rows is a one-step chain, and
 //     under fma every product of its blocked form (every product of any
 //     block of at most 64 rows, inside a longer chain's M11 and M22 steps

@@ -181,28 +181,25 @@ func swapGrads(params []*nn.Param, deltas []*tensor.Matrix) {
 	}
 }
 
-// factorFold is the reusable state of one Kronecker factor's collective: part
-// views over the per-micro-batch Gram partials, the 1-element row-count
-// collective's buffers, and the precomputed collective names. A layer's
-// names are reused across generations; the schedule's cross-generation
-// dependency edges order a carried fold before the newer generation's on
-// every rank, so same-name calls are issued in one global order.
+// factorFold is the reusable state of one Kronecker factor's collective:
+// part views over the per-micro-batch Gram partials and the precomputed
+// collective name. A layer's names are reused across generations; the
+// schedule's cross-generation dependency edges order a carried fold before
+// the newer generation's on every rank, so same-name calls are issued in
+// one global order.
 type factorFold struct {
-	parts         [][]float64 // len = local micro-batches per step
-	rowVals       []float64   // per-micro row counts as float64
-	rowParts      [][]float64 // rowParts[m] = rowVals[m : m+1]
-	rowDst        [1]float64
-	name, rowName string
+	parts [][]float64 // len = local micro-batches per step
+	name  string
 }
 
 // kfacFoldScratch is the reusable per-(stage, layer) state of the K-FAC
-// factor collective: one factorFold per factor and the batch their four
+// factor collective: one factorFold per factor and the batch their two
 // reductions travel in. Allocated once at EnableKFAC so the factor fold —
 // part of the gated zero-alloc round path — reuses it every generation; a
 // layer's folds run under layerMu[s][li].
 type kfacFoldScratch struct {
 	a, b factorFold
-	ops  [4]transport.Reduction // A's payload and row count, then B's
+	ops  [2]transport.Reduction // A's payload, then B's
 }
 
 // initKFACFold (re)builds the per-(stage, layer) factor-fold scratch for
@@ -210,17 +207,10 @@ type kfacFoldScratch struct {
 func (e *Engine) initKFACFold() {
 	perStep := e.cfg.MicroBatches * e.cfg.Replicas
 	newFold := func(factor string, s, li int) factorFold {
-		f := factorFold{
-			parts:    make([][]float64, perStep),
-			rowVals:  make([]float64, perStep),
-			rowParts: make([][]float64, perStep),
-			name:     fmt.Sprintf("f%s/%d/%d", factor, s, li),
-			rowName:  fmt.Sprintf("r%s/%d/%d", factor, s, li),
+		return factorFold{
+			parts: make([][]float64, perStep),
+			name:  fmt.Sprintf("f%s/%d/%d", factor, s, li),
 		}
-		for m := range f.rowParts {
-			f.rowParts[m] = f.rowVals[m : m+1]
-		}
-		return f
 	}
 	e.kfacFold = make([][]*kfacFoldScratch, e.cfg.Stages)
 	for s, st := range e.sets[0].stages {
@@ -231,60 +221,57 @@ func (e *Engine) initKFACFold() {
 	}
 }
 
-// stage points the factor's two reductions — the payload fold into a pooled
-// sum and its row count — at one generation's partials.
-func (f *factorFold) stage(ops []transport.Reduction, parts []*tensor.Matrix, rows []int) (*tensor.Matrix, error) {
+// stage points the factor's reduction — the payload fold into a pooled
+// sum — at one generation's partials.
+func (f *factorFold) stage(op *transport.Reduction, parts []*tensor.Matrix) (*tensor.Matrix, error) {
 	for m, p := range parts {
 		if p == nil {
 			return nil, fmt.Errorf("missing curvature contribution of micro-batch %d", m)
 		}
 		f.parts[m] = p.Data
-		f.rowVals[m] = float64(rows[m])
 	}
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("no curvature contributions")
 	}
 	sum := tensor.Get(parts[0].Rows, parts[0].Cols)
-	ops[0] = transport.Reduction{Name: f.name, Dst: sum.Data, Parts: f.parts}
-	ops[1] = transport.Reduction{Name: f.rowName, Dst: f.rowDst[:], Parts: f.rowParts}
+	*op = transport.Reduction{Name: f.name, Dst: sum.Data, Parts: f.parts}
 	return sum, nil
 }
 
 // foldFactors reduces a layer's two Kronecker factors over the transport
-// group in ONE batch of four reductions — one round trip on a wire, where
-// a fold per factor waited for the peers twice: each factor is
+// group in ONE batch of two reductions — one round trip on a wire, where a
+// fold per factor waited for the peers twice: each factor is
 // scale/N · Σ_m U_m^T U_m with the per-micro-batch partials as collective
 // parts — every reduction still summed alone, in the fixed ascending global
-// micro-batch order — N the group-wide row count (its own 1-element
-// collective: integer counts sum exactly in float64), scale 1 for A and
-// scaleB for B. The partials are lower triangles whose upper ones are
+// micro-batch order — scale 1 for A and scaleB for B. N is the group-wide
+// row count: every statistic has one row per token of its micro-batch, so
+// N is the generation's batch in tokens, Seqs × SeqLen, an integer exact in
+// float64. The partials are lower triangles whose upper ones are
 // unspecified (they cross the wire as they are); each sum is mirrored once
 // after its scale, which equals folding mirrored partials bit for bit: an
-// upper element was the same sum of the same values in the same order. The returned matrices are pooled; the caller Puts them
-// after SetFactors copies them out. Partial buffers stay with the caller.
+// upper element was the same sum of the same values in the same order. The
+// returned matrices are pooled; the caller Puts them after SetFactors
+// copies them out. Partial buffers stay with the caller.
 func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
-	if newA, err = fs.a.stage(fs.ops[0:2], pool.curvA[s][li], pool.rowsA[s][li]); err != nil {
+	if newA, err = fs.a.stage(&fs.ops[0], pool.curvA[s][li]); err != nil {
 		return nil, nil, 0, fmt.Errorf("factor A: %w", err)
 	}
-	if newB, err = fs.b.stage(fs.ops[2:4], pool.curvB[s][li], pool.rowsB[s][li]); err != nil {
+	if newB, err = fs.b.stage(&fs.ops[1], pool.curvB[s][li]); err != nil {
 		tensor.Put(newA)
 		return nil, nil, 0, fmt.Errorf("factor B: %w", err)
 	}
 	bytes, err = transport.AllReduceBatch(e.group, fs.ops[:])
-	fs.ops[0].Dst, fs.ops[2].Dst = nil, nil
+	fs.ops[0].Dst, fs.ops[1].Dst = nil, nil
 	clear(fs.a.parts)
 	clear(fs.b.parts)
-	nA, nB := fs.a.rowDst[0], fs.b.rowDst[0]
-	if err == nil && (nA == 0 || nB == 0) {
-		err = fmt.Errorf("no curvature rows")
-	}
 	if err != nil {
 		tensor.Put(newA)
 		tensor.Put(newB)
 		return nil, nil, bytes, err
 	}
-	newA.ScaleInPlace(1 / nA)
-	newB.ScaleInPlace(scaleB / nB)
+	n := float64(pool.totals.Seqs * e.sets[0].model.SeqLen())
+	newA.ScaleInPlace(1 / n)
+	newB.ScaleInPlace(scaleB / n)
 	// The partials are lower triangles (Snap.GramInto); the folded sums
 	// are mirrored here, once each, before anything reads them whole.
 	newA.MirrorLower()

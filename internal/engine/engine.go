@@ -539,14 +539,6 @@ func (e *Engine) rebuildSchedule() error {
 	return nil
 }
 
-// plainRound reports whether a K-FAC round skips its refresh ops: it
-// collects no generation and carries none, so each of them would find no
-// pool and return. A fault plan or a test's failOp hook keeps them running:
-// both are consulted by every op, including one that finds no pool.
-func (e *Engine) plainRound(refresh bool, pending *kfacGenPool) bool {
-	return e.kfacPre != nil && !refresh && pending == nil && e.inj == nil && e.failOp == nil
-}
-
 // sizeSlots fits the executor's activation memory to the schedule just
 // built: every (module set, stage) gets as many activation slots as its
 // owner keeps micro-batches in flight, and every device one backward
@@ -1032,24 +1024,35 @@ func MeasuredCosts(tl *pipeline.Timeline, nFactors int) pipeline.StageCosts {
 			}
 		}
 	}
-	base := pipeline.StageCosts{
-		CurvatureUnits: make([]hardware.Microseconds, nFactors),
-		InversionUnits: make([]hardware.Microseconds, nFactors),
+	mean := func(k pipeline.WorkKind) hardware.Microseconds {
+		// A kind that never ran costs the 1 µs floor.
+		if cnt[k] == 0 {
+			return 1
+		}
+		return hardware.Microseconds(max(sum[k]/cnt[k], 1))
 	}
-	// Refit prices the collectives its receiver has: the ones that ran.
+	// Curvature and inversion are observed per kind, not per factor, so one
+	// mean prices every factor's unit, and inversion chains are left out
+	// (they were priced from shapes the mean replaces).
+	curv, inv := mean(pipeline.Curvature), mean(pipeline.Inversion)
+	c := pipeline.StageCosts{
+		Forward:                mean(pipeline.Forward),
+		Backward:               mean(pipeline.Backward),
+		CurvaturePerMicroBatch: curv * hardware.Microseconds(nFactors),
+		CurvatureUnits:         slices.Repeat([]hardware.Microseconds{curv}, nFactors),
+		InversionUnits:         slices.Repeat([]hardware.Microseconds{inv}, nFactors),
+		Precondition:           mean(pipeline.Precondition),
+		OptStep:                mean(pipeline.OptStep),
+	}
+	// A collective that never ran is one the topology does not have: it
+	// stays unpriced.
 	if cnt[pipeline.SyncGrad] > 0 {
-		base.SyncGrad = 1
+		c.SyncGrad = mean(pipeline.SyncGrad)
 	}
 	if cnt[pipeline.SyncCurvature] > 0 {
-		base.SyncCurvature = 1
+		c.SyncCurvature = mean(pipeline.SyncCurvature)
 	}
-	// A kind that never ran costs the 1 µs floor.
-	return base.Refit(func(k pipeline.WorkKind) (hardware.Microseconds, bool) {
-		if cnt[k] == 0 {
-			return 1, true
-		}
-		return hardware.Microseconds(max(sum[k]/cnt[k], 1)), true
-	})
+	return c
 }
 
 // CommitDurations returns, per step of an executed round, its longest

@@ -50,10 +50,6 @@ type runState struct {
 
 	done []opDone // per op, closed on completion, skip or abort
 
-	// plain marks a round whose refresh ops are skipped, not run
-	// (Engine.plainRound).
-	plain bool
-
 	stageIn  [][]*tensor.Matrix // [stage][flat] stage inputs, alive until the micro-batch's backward
 	stageOut [][]*tensor.Matrix // [stage][flat] activations leaving a stage
 	gradOut  [][]*tensor.Matrix // [stage][flat] error signals leaving a stage
@@ -219,7 +215,6 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		events:    make([][]pipeline.Event, e.sched.Devices),
 		start:     time.Now(),
 	}
-	st.plain = e.plainRound(refresh, pending)
 	for d := range st.events {
 		st.events[d] = make([]pipeline.Event, 0, len(e.sched.Order[d]))
 	}
@@ -299,10 +294,6 @@ func (st *runState) deviceLoop(d int) {
 		op := e.sched.Ops[id]
 		for _, dep := range op.Deps {
 			st.await(&st.done[dep]) // closed by the round's abort at the latest (fail)
-		}
-		if st.plain && op.Kind.IsRefresh() {
-			st.done[id].close()
-			continue
 		}
 		var err error
 		if pending >= 0 && !op.Kind.IsRefresh() {
@@ -752,11 +743,9 @@ func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	stat.GramInto(part)
 	if factorB {
 		pool.curvB[s][li][m] = part
-		pool.rowsB[s][li][m] = stat.Rows()
 		pool.gradsSnap[s][m][li] = tensor.Snap{}
 	} else {
 		pool.curvA[s][li][m] = part
-		pool.rowsA[s][li][m] = stat.Rows()
 		pool.actsSnap[s][m][li] = tensor.Snap{}
 	}
 	stat.Release()
@@ -1002,17 +991,6 @@ func snap3(a, b, c int) [][][]tensor.Snap {
 		out[i] = make([][]tensor.Snap, b)
 		for j := range out[i] {
 			out[i][j] = make([]tensor.Snap, c)
-		}
-	}
-	return out
-}
-
-func int3(a, b, c int) [][][]int {
-	out := make([][][]int, a)
-	for i := range out {
-		out[i] = make([][]int, b)
-		for j := range out[i] {
-			out[i][j] = make([]int, c)
 		}
 	}
 	return out

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bert"
 	"repro/internal/kfac"
+	"repro/internal/pipemodel"
 	"repro/internal/tensor"
 	"repro/internal/transport"
 )
@@ -31,7 +32,7 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 	const (
 		micro      = 2
 		nA, nB     = 40, 33
-		rows       = 13
+		rows       = 16 // one sequence of bert.TinyConfig's SeqLen per micro-batch
 		scaleB     = 3.5
 		stage, lay = 0, 0
 	)
@@ -54,8 +55,8 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 		return fold(nA, false, 1), fold(nB, true, scaleB)
 	}
 	// got runs the engine's fold on one rank holding global micro-batches
-	// [first, first+local).
-	got := func(g transport.Group, replicas, first int) (a, b *tensor.Matrix, err error) {
+	// [first, first+local) of total.
+	got := func(g transport.Group, replicas, first, total int) (a, b *tensor.Matrix, err error) {
 		m, err := bert.New(bert.TinyConfig(), 123)
 		if err != nil {
 			return nil, nil, err
@@ -70,19 +71,19 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 		local := micro * replicas
 		pool := newKFACGenPool(2, local, len(e.sets[0].stages[stage].layers), replicas)
 		defer pool.reset()
+		pool.totals = pipemodel.Totals{Seqs: total}
 		for i := 0; i < local; i++ {
 			for _, f := range []struct {
 				n       int
 				factorB bool
 				dst     [][]*tensor.Matrix
-				rows    [][]int
-			}{{nA, false, pool.curvA[stage], pool.rowsA[stage]}, {nB, true, pool.curvB[stage], pool.rowsB[stage]}} {
+			}{{nA, false, pool.curvA[stage]}, {nB, true, pool.curvB[stage]}} {
 				p := tensor.Get(f.n, f.n)
 				for j := range p.Data {
 					p.Data[j] = math.NaN()
 				}
 				tensor.SnapClone(foldStat(first+i, rows, f.n, f.factorB)).GramInto(p)
-				f.dst[lay][i], f.rows[lay][i] = p, rows
+				f.dst[lay][i] = p
 			}
 		}
 		a, b, _, err = e.foldFactors(e.kfacFold[stage][lay], pool, stage, lay, scaleB)
@@ -105,7 +106,7 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 		}
 		for _, w := range []int{1, 2} {
 			wa, wb := want(micro * w)
-			a, b, err := got(nil, w, 0)
+			a, b, err := got(nil, w, 0, micro*w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +115,7 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 		for _, replicas := range []int{1, 2} {
 			wa, wb := want(2 * micro * replicas)
 			out := runRingRanks(t, 64, func(rank int, g transport.Group) rankResult {
-				a, b, err := got(g, replicas, rank*micro*replicas)
+				a, b, err := got(g, replicas, rank*micro*replicas, 2*micro*replicas)
 				return rankResult{grads: []*tensor.Matrix{a, b}, err: err}
 			})
 			for rank, r := range out {

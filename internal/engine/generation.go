@@ -34,8 +34,6 @@ type kfacGenPool struct {
 	gradsSnap [][][]tensor.Snap    // [stage][gmicro][layer]
 	curvA     [][][]*tensor.Matrix // [stage][layer][gmicro]
 	curvB     [][][]*tensor.Matrix // [stage][layer][gmicro]
-	rowsA     [][][]int
-	rowsB     [][][]int
 	// folded marks layers whose factors this generation already folded into
 	// the preconditioner's EMA (first inversion touch, under the layer
 	// lock) — the guard that makes one generation fold exactly once even
@@ -64,8 +62,6 @@ func newKFACGenPool(stages, perStep, layers, replicas int) *kfacGenPool {
 		gradsSnap: snap3(stages, perStep, layers),
 		curvA:     mat3(stages, layers, perStep),
 		curvB:     mat3(stages, layers, perStep),
-		rowsA:     int3(stages, layers, perStep),
-		rowsB:     int3(stages, layers, perStep),
 		folded:    make([][]bool, stages),
 		chains:    make([][][]kfac.FactorChain, stages),
 	}

@@ -539,16 +539,3 @@ func (s *Schedule) addOp(op *Op) {
 	op.ID = len(s.Ops)
 	s.Ops = append(s.Ops, op)
 }
-
-// Dedup drops repeated ids, keeping first occurrences in order.
-func Dedup(ids []int) []int {
-	seen := make(map[int]bool, len(ids))
-	var out []int
-	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	return out
-}

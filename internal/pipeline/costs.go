@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/hardware"
@@ -61,62 +60,24 @@ func (c StageCosts) Chain(f int) []hardware.Microseconds {
 	return nil
 }
 
-// Refit returns the costs with every work kind the estimator knows replaced
-// by its estimate — how durations observed per op kind (an executed
-// timeline's means, say) map back onto the
-// fields the builders price ops with. Curvature and inversion are observed
-// per kind, not per factor, so one estimate prices every unit (the units are
-// fresh slices, the receiver's are left alone), CurvaturePerMicroBatch is
-// re-summed and inversion chains are dropped (they were priced from shapes
-// the estimate replaces); a collective the receiver prices at zero is one its
-// topology does not run, and stays unpriced.
-func (c StageCosts) Refit(estimate func(WorkKind) (hardware.Microseconds, bool)) StageCosts {
-	for _, k := range Kinds() {
-		f := c.field(k)
-		if f == nil || *f <= 0 && (k == SyncGrad || k == SyncCurvature) {
-			continue
-		}
-		if m, ok := estimate(k); ok {
-			*f = m
-		}
-	}
-	if m, ok := estimate(Curvature); ok {
-		c.CurvatureUnits = slices.Repeat([]hardware.Microseconds{m}, len(c.CurvatureUnits))
-		c.CurvaturePerMicroBatch = m * hardware.Microseconds(len(c.CurvatureUnits))
-	}
-	if m, ok := estimate(Inversion); ok {
-		c.InversionUnits = slices.Repeat([]hardware.Microseconds{m}, len(c.InversionUnits))
-		c.InversionChains = nil
-	}
-	return c
-}
-
-// field returns the field that prices one op of kind k, or nil for the
-// per-factor kinds (curvature, inversion) and the kinds nothing prices.
-func (c *StageCosts) field(k WorkKind) *hardware.Microseconds {
-	switch k {
-	case Forward:
-		return &c.Forward
-	case Backward:
-		return &c.Backward
-	case Precondition:
-		return &c.Precondition
-	case OptStep:
-		return &c.OptStep
-	case SyncGrad:
-		return &c.SyncGrad
-	case SyncCurvature:
-		return &c.SyncCurvature
-	}
-	return nil
-}
-
-// Cost returns the modeled duration of one op of kind k, read where Refit
-// writes it: the kind's field, or the mean over the kind's ops for curvature
-// (one per factor) and inversion (one per factor, or one per step of a
-// factor's chain). Kinds nothing prices cost 0.
+// Cost returns the modeled duration of one op of kind k: the kind's field,
+// or the mean over the kind's ops for curvature (one per factor) and
+// inversion (one per factor, or one per step of a factor's chain). Kinds
+// nothing prices cost 0.
 func (c StageCosts) Cost(k WorkKind) hardware.Microseconds {
 	switch k {
+	case Forward:
+		return c.Forward
+	case Backward:
+		return c.Backward
+	case Precondition:
+		return c.Precondition
+	case OptStep:
+		return c.OptStep
+	case SyncGrad:
+		return c.SyncGrad
+	case SyncCurvature:
+		return c.SyncCurvature
 	case Curvature:
 		return meanUnit(c.CurvatureUnits)
 	case Inversion:
@@ -129,9 +90,6 @@ func (c StageCosts) Cost(k WorkKind) hardware.Microseconds {
 			}
 		}
 		return meanUnit(ops)
-	}
-	if f := c.field(k); f != nil {
-		return *f
 	}
 	return 0
 }

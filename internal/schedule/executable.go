@@ -20,9 +20,10 @@ import (
 // and the execution engine share; RefreshSteps = 1 is the degenerate
 // one-step round (the historical form).
 //
-// Dependency edges are the package doc's rules, which the packing pass
-// gates placement on too — so the packed per-device positions can never
-// contradict the edges:
+// Dependency edges are the package doc's rules. Those among refresh work
+// are each work item's inputs (workItem.deps and after), which the packing
+// pass gates placement on and the window steps follow too — so the packed
+// per-device positions and steps can never contradict the edges:
 //
 //   - Curvature of (stage, micro, factor) depends on the forward (A
 //     factors) or backward (B factors) of that micro-batch on the owning
@@ -79,7 +80,6 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	assignWindowSteps(items, tl, k)
 
 	s := &pipeline.Schedule{
 		Name:         base.Name + "+PipeFisher",
@@ -103,25 +103,37 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 		}
 	}
 
-	// Create the K-FAC ops. Curvature first so inversion/sync deps can
-	// reference them. All data-dependency maps are keyed by generation:
-	// edges only bind ops of the same generation (a carried op's same-
-	// generation peers that already ran did so in the previous window), plus
-	// the explicit cross-generation fold-order edges on inversions.
+	// Create the K-FAC ops, each after the ops of its inputs: curvature,
+	// then syncs, then inversions, the carried generation's first. Edges
+	// only bind ops of the same generation (a carried op's same-generation
+	// peers that already ran did so in the previous window), plus the
+	// cross-generation fold-order edges from a layer pair's carried
+	// inversions to the window's own (per-layer EMA fold order: the older
+	// generation folds and swaps before the newer one folds on top — §3.1's
+	// freshest-completed rule stays monotone in generations). An op runs in
+	// the later of its own era and its inputs' steps, so a dependent op is
+	// never assigned an earlier step than its dependencies — which is what
+	// makes the per-step precondition edges acyclic.
+	era := windowEras(tl, k)
 	itemOp := make(map[*workItem]*pipeline.Op, len(items))
-	curvIDs := make(map[[3]int][]int)            // (gen, stage, factor) -> curvature op ids
-	stageCurvIDs := make(map[[2]int][]int)       // (gen, stage)
-	syncIDs := make(map[[2]int][]int)            // (gen, stage)
-	invOps := make(map[int][]*pipeline.Op)       // stage -> inversion ops, both generations
-	invGenOps := make(map[[3]int][]*pipeline.Op) // (gen, stage, factor)
+	invOps := make(map[int][]*pipeline.Op) // stage -> inversion ops that swap, both generations
 	newOp := func(it *workItem) *pipeline.Op {
 		op := &pipeline.Op{
 			ID: len(s.Ops), Kind: it.kind, Device: it.device, Stage: it.stage,
-			Replica: it.replica, MicroBatch: it.micro, Factor: it.factor, Step: it.wstep,
-			Generation: it.gen, Duration: max(it.duration, 1),
+			Replica: it.replica, MicroBatch: it.micro, Factor: it.factor, Step: era(it),
+			Generation: it.gen, Duration: max(it.duration, 1), Chain: it.chain,
 		}
+		it.inputs(func(in *workItem) {
+			dep := itemOp[in]
+			op.Deps = append(op.Deps, dep.ID)
+			op.Step = max(op.Step, dep.Step)
+		})
 		s.Ops = append(s.Ops, op)
 		itemOp[it] = op
+		// The ops that swap an inverse in are what preconditions wait for.
+		if it.swaps {
+			invOps[op.Stage] = append(invOps[op.Stage], op)
+		}
 		return op
 	}
 	for _, it := range items {
@@ -129,71 +141,38 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 			continue
 		}
 		op := newOp(it)
-		if it.gen == 0 {
-			depKind := pipeline.Forward
-			if factorKindOf(it.factor) == FactorB {
-				depKind = pipeline.Backward
-			}
-			if id, ok := baseID[[4]int{int(depKind), it.stage, it.micro, it.device}]; ok {
-				op.Deps = append(op.Deps, id)
-			} else {
-				return nil, fmt.Errorf("schedule: no %v op for stage %d micro %d device %d",
-					depKind, it.stage, it.micro, it.device)
-			}
-		}
 		// Carried curvature (gen 1) reads the previous window's pooled
 		// statistics snapshots, complete before this window began: no
 		// in-window data dependency, schedulable from the first bubble.
-		curvIDs[[3]int{it.gen, it.stage, it.factor}] = append(curvIDs[[3]int{it.gen, it.stage, it.factor}], op.ID)
-		stageCurvIDs[[2]int{it.gen, it.stage}] = append(stageCurvIDs[[2]int{it.gen, it.stage}], op.ID)
-	}
-	for _, it := range items {
-		if it.kind != pipeline.SyncCurvature {
+		if it.gen > 0 {
 			continue
 		}
-		op := newOp(it)
-		op.Deps = append(op.Deps, stageCurvIDs[[2]int{it.gen, it.stage}]...)
-		syncIDs[[2]int{it.gen, it.stage}] = append(syncIDs[[2]int{it.gen, it.stage}], op.ID)
+		depKind := pipeline.Forward
+		if factorKindOf(it.factor) == FactorB {
+			depKind = pipeline.Backward
+		}
+		id, ok := baseID[[4]int{int(depKind), it.stage, it.micro, it.device}]
+		if !ok {
+			return nil, fmt.Errorf("schedule: no %v op for stage %d micro %d device %d",
+				depKind, it.stage, it.micro, it.device)
+		}
+		op.Deps = append(op.Deps, id)
 	}
-	// Carried inversions first: the window's own inversions of a layer pair
-	// take cross-generation edges on the carried ones (per-layer EMA fold
-	// order: the older generation folds and swaps before the newer one folds
-	// on top — §3.1's freshest-completed rule stays monotone in generations).
+	for _, it := range items {
+		if it.kind == pipeline.SyncCurvature {
+			newOp(it)
+		}
+	}
 	for gen := 1; gen >= 0; gen-- {
 		for _, it := range items {
-			if it.kind != pipeline.Inversion || it.gen != gen {
-				continue
-			}
-			op := newOp(it)
-			op.Chain = it.chain
-			if it.chain > 1 {
-				// A later chain step waits for the step before it only: the
-				// first step took the inversion's data edges.
-				op.Deps = append(op.Deps, itemOp[it.prev].ID)
-			} else {
-				op.Deps = append(op.Deps, curvIDs[[3]int{gen, it.stage, it.factor}]...)
-				op.Deps = append(op.Deps, curvIDs[[3]int{gen, it.stage, pairFactor(it.factor)}]...)
-				op.Deps = append(op.Deps, syncIDs[[2]int{gen, it.stage}]...)
-				if gen == 0 {
-					for _, f := range []int{it.factor, pairFactor(it.factor)} {
-						for _, prev := range invGenOps[[3]int{1, it.stage, f}] {
-							op.Deps = append(op.Deps, prev.ID)
-						}
-					}
-				}
-				op.Deps = pipeline.Dedup(op.Deps)
-			}
-			// The ops that swap an inverse in are what preconditions and
-			// shallower generations wait for.
-			if it.swaps {
-				invOps[op.Stage] = append(invOps[op.Stage], op)
-				invGenOps[[3]int{gen, it.stage, it.factor}] = append(invGenOps[[3]int{gen, it.stage, it.factor}], op)
+			if it.kind == pipeline.Inversion && it.gen == gen {
+				newOp(it)
 			}
 		}
 	}
 	// Each step's Precondition uses the freshest inverses completed by that
 	// step: it depends on the stage's inversions packed into steps <= its
-	// own. The last step depends on all of them (wstep is clamped to the
+	// own. The last step depends on all of them (an era is within the
 	// round), closing the refresh within the round.
 	precond := make(map[[2]int]*pipeline.Op) // (stage, step) -> the precondition applying the stage's inverses
 	for _, op := range s.Ops {
@@ -233,18 +212,14 @@ func Executable(cfg Config) (*pipeline.Schedule, error) {
 // (A at 2l, B at 2l+1).
 func pairFactor(f int) int { return f ^ 1 }
 
-// assignWindowSteps maps every packed work item to the step of the refresh
-// window it executes in (workItem.wstep): the step era its placed start
-// falls into *on its own device*, where the era boundary of step j is the
-// start of the device's earliest step-j tail op (sync-grad / precondition /
-// opt-step) in the base timeline — items at or past a boundary belong to
-// the next step's bubbles. Unplaced items go to the last step. Two
-// monotonic clamps keep the assignment consistent with the dependency
-// edges across devices (a dependent op can never be assigned an earlier
-// step than its dependencies, which is what makes the per-step precondition
-// edges acyclic): sync-curvature is clamped to its stage's curvature,
-// inversion to its factor pair's curvature and its stage's syncs.
-func assignWindowSteps(items []*workItem, base *pipeline.Timeline, k int) {
+// windowEras returns the step of the refresh window a packed work item's
+// era is: the step its placed start falls into *on its own device*, where
+// the era boundary of step j is the start of the device's earliest step-j
+// tail op (sync-grad / precondition / opt-step) in the base timeline —
+// items at or past a boundary belong to the next step's bubbles. Unplaced
+// items go to the last step. An op's step is the later of its era and its
+// inputs' steps (Executable).
+func windowEras(base *pipeline.Timeline, k int) func(*workItem) int {
 	last := k - 1
 	// tailStart[d][j]: start of device d's earliest step-j tail op.
 	const never = hardware.Microseconds(1) << 62
@@ -260,7 +235,7 @@ func assignWindowSteps(items []*workItem, base *pipeline.Timeline, k int) {
 			}
 		}
 	}
-	eraOf := func(it *workItem) int {
+	return func(it *workItem) int {
 		if !it.placed {
 			return last
 		}
@@ -271,72 +246,6 @@ func assignWindowSteps(items []*workItem, base *pipeline.Timeline, k int) {
 			}
 		}
 		return era
-	}
-	// The clamp maps are keyed by generation: dependency edges only bind
-	// same-generation ops, except the cross-generation fold-order edge from
-	// a layer's carried inversions to the window's own — clamped last.
-	curvStep := make(map[[3]int]int) // (gen, stage, factor) -> max curvature wstep
-	for _, it := range items {
-		if it.kind != pipeline.Curvature {
-			continue
-		}
-		it.wstep = eraOf(it)
-		key := [3]int{it.gen, it.stage, it.factor}
-		if it.wstep > curvStep[key] {
-			curvStep[key] = it.wstep
-		}
-	}
-	stageCurvStep := make(map[[2]int]int) // (gen, stage)
-	for key, w := range curvStep {
-		skey := [2]int{key[0], key[1]}
-		if w > stageCurvStep[skey] {
-			stageCurvStep[skey] = w
-		}
-	}
-	syncStep := make(map[[2]int]int) // (gen, stage) -> max sync wstep
-	for _, it := range items {
-		if it.kind != pipeline.SyncCurvature {
-			continue
-		}
-		it.wstep = eraOf(it)
-		if w := stageCurvStep[[2]int{it.gen, it.stage}]; w > it.wstep {
-			it.wstep = w
-		}
-		if it.wstep > syncStep[[2]int{it.gen, it.stage}] {
-			syncStep[[2]int{it.gen, it.stage}] = it.wstep
-		}
-	}
-	invStep := make(map[[3]int]int) // (gen, stage, factor) -> max inversion wstep
-	for gen := 1; gen >= 0; gen-- {
-		for _, it := range items {
-			if it.kind != pipeline.Inversion || it.gen != gen {
-				continue
-			}
-			it.wstep = eraOf(it)
-			if it.chain > 1 {
-				// A later chain step: the step before it carries the clamps.
-				it.wstep = max(it.wstep, it.prev.wstep)
-				invStep[[3]int{gen, it.stage, it.factor}] = max(invStep[[3]int{gen, it.stage, it.factor}], it.wstep)
-				continue
-			}
-			for _, f := range []int{it.factor, pairFactor(it.factor)} {
-				if w := curvStep[[3]int{gen, it.stage, f}]; w > it.wstep {
-					it.wstep = w
-				}
-				// Fold order: the window's own inversion of a layer runs
-				// after the layer's carried (older) inversions.
-				if w := invStep[[3]int{1, it.stage, f}]; gen == 0 && w > it.wstep {
-					it.wstep = w
-				}
-			}
-			if w := syncStep[[2]int{gen, it.stage}]; w > it.wstep {
-				it.wstep = w
-			}
-			key := [3]int{gen, it.stage, it.factor}
-			if it.wstep > invStep[key] {
-				invStep[key] = it.wstep
-			}
-		}
 	}
 }
 
@@ -399,16 +308,15 @@ func assembleExecOrders(s *pipeline.Schedule, tl *pipeline.Timeline, items []*wo
 			seq++
 		}
 		for _, it := range items {
-			op := itemOp[it]
-			if it.device != d || op == nil {
+			if it.device != d {
 				continue
 			}
+			op := itemOp[it]
 			start, rank := never, spillRank(it)
 			if it.placed {
 				start, rank = it.start(), 0
 			}
-			j := clamp(it.wstep)
-			heads[j] = append(heads[j], entry{start: start, rank: rank, seq: seq, opID: op.ID})
+			heads[op.Step] = append(heads[op.Step], entry{start: start, rank: rank, seq: seq, opID: op.ID})
 			seq++
 		}
 		for j := 0; j < k; j++ {

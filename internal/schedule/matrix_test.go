@@ -121,8 +121,9 @@ func hashSchedule(h io.Writer, s *pipeline.Schedule, skip func(op, dep *pipeline
 
 // TestExecutableDigestMatrix pins schedule.Executable's output op for op over
 // a generated matrix: methods × D {2,4,8} × N {2,4,8} × W {1,2} × K {1,2,4} ×
-// {serialized, overlap depth 2} × InversionParallel × four cost shapes
-// (2 592 schedules), three SHA-256 per cost shape and depth. The first leaves
+// {serialized, overlap depth 2} × InversionParallel × five cost shapes — the
+// four matrixShapes and chainCosts, whose factors 1 and 2 invert as 7-step
+// chains — (3 240 schedules), three SHA-256 per cost shape and depth. The first leaves
 // out the edges from an inversion to a precondition — the edges that keep an
 // inversion running during a pending step commit off an inverse a
 // precondition still reads, the only ones a multi-owner stage gained since
@@ -141,7 +142,10 @@ func hashSchedule(h io.Writer, s *pipeline.Schedule, skip func(op, dep *pipeline
 // instead of a list schedule: the builder's ops and edges are unchanged,
 // its orders and so the refresh work packed into them moved; the D2 groups, whose Chimera orders the phase
 // order reproduces, and a digest of the GPipe and 1F1B schedules alone
-// (c470f861…) are the same before and after. Every schedule's unplaced
+// (c470f861…) are the same before and after. The chain rows were recorded
+// at b6fdeff, before the packer's rules moved onto the work items' inputs:
+// nothing else pinned which window step and generation a chain's steps
+// take. Every schedule's unplaced
 // refresh ops must sit in rank order (checkSpillRank).
 func TestExecutableDigestMatrix(t *testing.T) {
 	want := map[string]string{
@@ -157,6 +161,9 @@ func TestExecutableDigestMatrix(t *testing.T) {
 		"bert-base/D2": "911bdfa09884a816e1a553184afc2a340146010b902a1987d27b0110a2b21ccc",
 		"bert-base/D4": "a55ea85affb79c079710e7db3a34dca0dede6b0fb5a3ae9496680e48eb05e2da",
 		"bert-base/D8": "d873b6798be25d9fa9667ec8e8e0c4e38b7effb5d2015ce726118ac1e3c28988",
+		"chain/D2":     "7d676e7b7280ac9bed15acbdf6e403121a353b5a992e2c3271709c0c9685124a",
+		"chain/D4":     "576338a52aa2a32103237b750f10de9f2a111ae18a70ce1e8a36b7a3c323fe0e",
+		"chain/D8":     "698492d3b38b97136c18b50fe151b39e29970ea7df73cbd74d96110b7dccc236",
 	}
 	wantAll := map[string]string{
 		"exec/D2":      "a5fcfbbcba4b0ce1dff7c53e229e4ea9941be042fc290ea7b19ba5024ddf0f69",
@@ -171,6 +178,9 @@ func TestExecutableDigestMatrix(t *testing.T) {
 		"bert-base/D2": "40a966694e699a236775e7a578ee83f332a418b5c14b736532b008a20c3c29e0",
 		"bert-base/D4": "a4f19d1d2dce5d5ffda92e7cb98aa62c024320183601f460e063b5f5bd0b6722",
 		"bert-base/D8": "9f699cb76d725f867da190e5100afba6e7f01add62f285b0ae0d4c6b6f8ce66e",
+		"chain/D2":     "52ef3b204db276dfbc203aa1d4dee6a00094d90faec0435d18c00ab107fa93ba",
+		"chain/D4":     "9f2121ebfe54ec9364b3922acf900562b9296bfea73fa08a685873a88cb99d91",
+		"chain/D8":     "cd60f967c5362575002b9578e1766e7b65035129be307f2ca92952a5d4e19ace",
 	}
 	wantOps := map[string]string{
 		"exec/D2":      "6936c11e9a6191803ac9fcaae5243ac9e2a0f898ec4f044c79791e734aca10c7",
@@ -185,13 +195,19 @@ func TestExecutableDigestMatrix(t *testing.T) {
 		"bert-base/D2": "33cfe50f09ab9484cd9092ef4ee688f87da1626ef485c4c8ebf3f43401381193",
 		"bert-base/D4": "d5c80143b9cd7a4f9df10b74d7d533e406167e9912f742bfd7507ac03b001de5",
 		"bert-base/D8": "cc965107eeb2fe6b6654db58d1ca0334f45dc38be2e8a355e724669b037c696b",
+		"chain/D2":     "b30bb51d4acd1b92e163ea86085dbc59e20dbf8397ddab3bf688238f3887ba38",
+		"chain/D4":     "1558fae6ee7eb827f53afbef391824437dfce80ee9612b63edcdc688bdc5d1a2",
+		"chain/D8":     "6e220de7e8b0373fd5af4058eb35b678b3d78dce972bf7b8e6a90b3dc1f578c3",
 	}
 	commitEdge := func(op, dep *pipeline.Op) bool {
 		return op.Kind == pipeline.Inversion && dep.Kind == pipeline.Precondition
 	}
 	carried := map[int]int{} // generation -> ops, over the whole matrix
 	commitEdges := 0
-	for _, shape := range matrixShapes {
+	chain := matrixShape{"chain", func(_ testing.TB, w int, invParallel bool) pipeline.StageCosts {
+		return chainCosts(w, invParallel)
+	}}
+	for _, shape := range append(slices.Clone(matrixShapes), chain) {
 		for _, d := range matrixDepths() {
 			h, hAll, hOps := sha256.New(), sha256.New(), sha256.New()
 			n := 0

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/hardware"
@@ -41,44 +42,21 @@ func (fl *freeList) place(ready, dur hardware.Microseconds, whole bool) (pieces 
 		take := min(remaining, avail)
 		pieces = append(pieces, pipeline.Gap{Device: g.Device, Start: start, End: start + take})
 		remaining -= take
-		// Shrink the gap: [g.Start, start) stays free; [start+take, g.End)
-		// stays free.
-		var repl []pipeline.Gap
+		// Shrink the gap in place: [g.Start, start) stays free;
+		// [start+take, g.End) stays free.
+		var buf [2]pipeline.Gap
+		repl := buf[:0]
 		if start > g.Start {
 			repl = append(repl, pipeline.Gap{Device: g.Device, Start: g.Start, End: start})
 		}
 		if start+take < g.End {
 			repl = append(repl, pipeline.Gap{Device: g.Device, Start: start + take, End: g.End})
 		}
-		fl.gaps = append(fl.gaps[:i], append(repl, fl.gaps[i+1:]...)...)
+		fl.gaps = slices.Replace(fl.gaps, i, i+1, repl...)
 		i += len(repl) - 1
 	}
 	return pieces, remaining == 0
 }
-
-// foldFrontier carries what the carried generation, packed before the
-// window's own, did to each (stage, layer): the latest end of the pair's
-// placed inversions, and whether one of them found no bubble. The window's
-// own inversion of the pair must start after the former and is deferred
-// behind the latter, which keeps the per-layer EMA fold order sequential
-// across generations on every device order.
-type foldFrontier struct {
-	layers  int // layer pairs per stage
-	end     []hardware.Microseconds
-	blocked []bool
-}
-
-func newFoldFrontier(cfg Config) *foldFrontier {
-	layers := (len(cfg.Costs.InversionUnits) + 1) / 2
-	return &foldFrontier{
-		layers:  layers,
-		end:     make([]hardware.Microseconds, cfg.Stages*layers),
-		blocked: make([]bool, cfg.Stages*layers),
-	}
-}
-
-// of indexes the frontier by the item's (stage, layer).
-func (f *foldFrontier) of(it *workItem) int { return it.stage*f.layers + it.factor/2 }
 
 // packGeneration is the one pass that puts K-FAC work into bubbles (§3.1,
 // the three rules of the package doc): it places the work items of one
@@ -86,18 +64,17 @@ func (f *foldFrontier) of(it *workItem) int { return it.stage*f.layers + it.fact
 //
 //  1. the generation's curvature, in readiness order;
 //  2. each stage's sync-curvature, once ALL of the stage's curvature found a
-//     slot, after the latest of it;
-//  3. each inversion, once the stage's curvature and syncs all found slots
-//     and no carried inversion of the layer pair is stranded, after the
-//     layer pair's curvature on every owner, the stage's syncs and the
-//     carried generation's inversions of the pair; the steps of an
-//     inversion chain follow one another, each whole in one bubble.
+//     slot;
+//  3. each inversion step, once the stage's curvature and syncs all found
+//     slots;
 //
-// An item whose gate did not place is left unplaced; it then executes
-// before the round's tail, so a wait can never cycle. The generation's own
-// inversions join the frontier only once the pass is over: inversions of
-// one generation share a statistics pool and do not order among themselves.
-func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config, deeper *foldFrontier) {
+// each sync and inversion step after its inputs (workItem.inputs), and only
+// once every input found a slot: so a window's own inversion of a layer
+// pair waits for the carried generation's inversions of the pair, and the
+// steps of an inversion chain follow one another, each whole in one
+// bubble. An item whose gate did not place is left unplaced; it then
+// executes before the round's tail, so a wait can never cycle.
+func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config) {
 	var curv []*workItem
 	for _, it := range items {
 		if it.gen == gen && it.kind == pipeline.Curvature {
@@ -111,63 +88,33 @@ func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config, de
 		return it.placed
 	}
 
-	curvEnd := make([]hardware.Microseconds, cfg.Stages)      // latest curvature end of the stage
-	pairEnd := make([]hardware.Microseconds, len(deeper.end)) // ... of the (stage, layer) pair
 	curvSpilled := make([]bool, cfg.Stages)
 	for _, it := range curv {
 		if !place(it) {
 			curvSpilled[it.stage] = true
-			continue
 		}
-		curvEnd[it.stage] = max(curvEnd[it.stage], it.end())
-		pairEnd[deeper.of(it)] = max(pairEnd[deeper.of(it)], it.end())
 	}
-
-	syncEnd := make([]hardware.Microseconds, cfg.Stages)
 	syncSpilled := make([]bool, cfg.Stages)
-	for _, it := range items {
-		if it.gen != gen || it.kind != pipeline.SyncCurvature {
-			continue
+	for _, kind := range []pipeline.WorkKind{pipeline.SyncCurvature, pipeline.Inversion} {
+		for _, it := range items {
+			if it.gen != gen || it.kind != kind {
+				continue
+			}
+			// The stage gates are stricter than the inputs: an inversion
+			// waits for all of its stage's curvature, sync or no sync.
+			blocked := curvSpilled[it.stage] || kind == pipeline.Inversion && syncSpilled[it.stage]
+			it.readyAt = 0
+			it.inputs(func(in *workItem) {
+				if !in.placed {
+					blocked = true
+					return
+				}
+				it.readyAt = max(it.readyAt, in.end())
+			})
+			if (blocked || !place(it)) && kind == pipeline.SyncCurvature {
+				syncSpilled[it.stage] = true
+			}
 		}
-		if curvSpilled[it.stage] {
-			syncSpilled[it.stage] = true
-			continue
-		}
-		it.readyAt = curvEnd[it.stage]
-		if !place(it) {
-			syncSpilled[it.stage] = true
-			continue
-		}
-		syncEnd[it.stage] = max(syncEnd[it.stage], it.end())
-	}
-
-	genEnd := make([]hardware.Microseconds, len(deeper.end))
-	genBlocked := make([]bool, len(deeper.end))
-	for _, it := range items {
-		if it.gen != gen || it.kind != pipeline.Inversion {
-			continue
-		}
-		l := deeper.of(it)
-		switch {
-		case it.chain > 1 && !it.prev.placed,
-			it.chain <= 1 && (curvSpilled[it.stage] || syncSpilled[it.stage] || deeper.blocked[l]):
-			genBlocked[l] = true
-			continue
-		case it.chain > 1:
-			// A later chain step follows the step before it.
-			it.readyAt = it.prev.end()
-		default:
-			it.readyAt = max(pairEnd[l], syncEnd[it.stage], deeper.end[l])
-		}
-		if !place(it) {
-			genBlocked[l] = true
-			continue
-		}
-		genEnd[l] = max(genEnd[l], it.end())
-	}
-	for l := range genEnd {
-		deeper.end[l] = max(deeper.end[l], genEnd[l])
-		deeper.blocked[l] = deeper.blocked[l] || genBlocked[l]
 	}
 }
 
@@ -182,13 +129,12 @@ func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config, de
 // (it has been queued longest and gates the fold order; carried curvature
 // is ready the moment the window starts, so it takes the early bubbles a
 // window's own statistics cannot use yet), then promotes every unplaced
-// generation-0 item to generation 1, closed over carryClosure's
-// lag-monotonicity. Carried items that still do not fit stay unplaced and
-// serialize before the window's tail. The serialized round promotes
-// nothing, so its fixed point is the first iteration: generation 0 packed
-// into the whole window. Generations only grow and are at most 1, so the
-// loop terminates; when nothing spills on the first iteration both forms
-// yield the same packing.
+// generation-0 item to generation 1, closed over its deps by carryClosure.
+// Carried items that still do not fit stay unplaced and serialize before
+// the window's tail. The serialized round promotes nothing, so its fixed
+// point is the first iteration: generation 0 packed into the whole window.
+// Generations only grow and are at most 1, so the loop terminates; when
+// nothing spills on the first iteration both forms yield the same packing.
 func packWindow(items []*workItem, tl *pipeline.Timeline, cfg Config) {
 	for {
 		free := freshFree(tl)
@@ -203,9 +149,8 @@ func packWindow(items []*workItem, tl *pipeline.Timeline, cfg Config) {
 				it.readyAt = 0
 			}
 		}
-		frontier := newFoldFrontier(cfg)
 		for gen := 1; gen >= 0; gen-- {
-			packGeneration(items, gen, free, cfg, frontier)
+			packGeneration(items, gen, free, cfg)
 		}
 
 		grew := false
@@ -222,48 +167,25 @@ func packWindow(items []*workItem, tl *pipeline.Timeline, cfg Config) {
 	}
 }
 
-// carryClosure restores lag-monotonicity within one statistics generation
-// after promotions: a sync-curvature depends on ALL the stage's curvature,
-// so its lag must be at least the stage's deepest curvature lag; an
-// inversion depends on its layer pair's curvature and the stage's syncs, so
-// its lag must cover both. (Ops at lag g execute g windows after the
+// carryClosure restores lag-monotonicity after promotions: an item's lag is
+// at least each of its deps' (ops at lag g execute g windows after the
 // statistics were collected; a consumer at a lag below its producer would
-// run in an earlier window than its inputs.) Curvature carries individually
-// — each micro-batch term folds into the generation's pooled partials
-// independently — and deeper-lag work of OTHER statistics generations never
-// constrains this one: cross-generation order is enforced by round
-// sequencing, not edges. The steps of an inversion chain share one
-// generation, its deepest: a chain never straddles windows.
+// run in an earlier window than its inputs). One pass in item order
+// suffices, since buildWorkQueue puts every item after its deps. Curvature
+// has no deps and carries individually — each micro-batch term folds into
+// the generation's pooled partials independently — and after items bind
+// no lag: cross-generation order is enforced by round sequencing, not
+// edges. The steps of an inversion chain then share one generation, their
+// last step's and so their deepest: a chain never straddles windows.
 func carryClosure(items []*workItem) {
-	pairGen := make(map[[2]int]int) // (stage, layer) -> max curvature gen
-	stageGen := make(map[int]int)   // stage -> max curvature gen
 	for _, it := range items {
-		if it.kind == pipeline.Curvature {
-			key := [2]int{it.stage, it.factor / 2}
-			pairGen[key] = max(pairGen[key], it.gen)
-			stageGen[it.stage] = max(stageGen[it.stage], it.gen)
+		for _, d := range it.deps {
+			it.gen = max(it.gen, d.gen)
 		}
 	}
-	syncGen := make(map[int]int) // stage -> max sync gen
-	for _, it := range items {
-		if it.kind == pipeline.SyncCurvature {
-			it.gen = max(it.gen, stageGen[it.stage])
-			syncGen[it.stage] = max(syncGen[it.stage], it.gen)
-		}
-	}
-	chainGen := make(map[[3]int]int) // (stage, factor, device) -> deepest step gen
-	for _, it := range items {
-		if it.kind == pipeline.Inversion {
-			it.gen = max(it.gen, pairGen[[2]int{it.stage, it.factor / 2}], syncGen[it.stage])
-			if it.chain > 0 {
-				key := [3]int{it.stage, it.factor, it.device}
-				chainGen[key] = max(chainGen[key], it.gen)
-			}
-		}
-	}
-	for _, it := range items {
-		if it.chain > 0 {
-			it.gen = chainGen[[3]int{it.stage, it.factor, it.device}]
+	for i := len(items) - 1; i >= 0; i-- {
+		if it := items[i]; it.prev != nil {
+			it.prev.gen = it.gen
 		}
 	}
 }

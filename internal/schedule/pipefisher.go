@@ -8,7 +8,11 @@
 // round as an op list the simulator and the training engine both run.
 //
 // The three assignment rules (§3.1), as implemented — by the analysis and
-// the executable alike, so what Assign models is what the engine executes:
+// the executable alike, so what Assign models is what the engine executes.
+// Rules 1 and 2 are stated once, as each work item's inputs (workItem.deps
+// and after, set by buildWorkQueue): the packing's gates and ready times,
+// the carry's generation lags, the executable's window steps and its
+// dependency edges all read them.
 //
 //  1. Curvature work for A_l (resp. B_l) of a micro-batch is assigned to a
 //     bubble after the forward (resp. backward) of that micro-batch on the
@@ -172,9 +176,16 @@ type workItem struct {
 	// whether it found room at all. Reset every placement pass.
 	pieces []pipeline.Gap
 	placed bool
-	// wstep is the step of the refresh window the item executes in
-	// (0-based; set by assignWindowSteps for the executable form).
-	wstep int
+	// deps are the items whose output this one reads, in edge order: a
+	// sync-curvature's are its stage's curvature; an inversion's first step
+	// reads the curvature of its factor, then of the pair factor, then the
+	// stage's syncs; a later chain step reads prev. after holds, on an
+	// inversion's first step only, the items that swap in the inverses of
+	// its layer pair (its factor's first): the EMA fold order across
+	// generations. Every rule of the packing, the carry, the window steps
+	// and the edges is read from these two lists; a sync's list is shared
+	// per stage, a first step's per (stage, factor).
+	deps, after []*workItem
 	// gen is the item's generation lag in the overlapped executable form:
 	// 0 = the window's own statistics generation; 1 = carried from the
 	// previous window (the item spilled out of its own window's bubbles and
@@ -189,6 +200,22 @@ type workItem struct {
 	// swaps marks the inversion item that replaces the cached inverse: a
 	// whole inversion, or the last step of a chain.
 	swaps bool
+}
+
+// inputs visits what the item waits for within one window: its
+// same-generation deps, then its older-generation after items. Deeper-lag
+// work of other generations binds nothing else; round sequencing orders it.
+func (it *workItem) inputs(visit func(*workItem)) {
+	for _, d := range it.deps {
+		if d.gen == it.gen {
+			visit(d)
+		}
+	}
+	for _, a := range it.after {
+		if a.gen > it.gen {
+			visit(a)
+		}
+	}
 }
 
 // start and end bound a placed item: the start of its first piece (what
@@ -351,11 +378,12 @@ func estimateRatio(cfg Config, oneStep *pipeline.Timeline) float64 {
 }
 
 // buildWorkQueue creates the K-FAC work items of one refresh round with
-// their ready times taken from the profiled timeline (rules 1 and 2). Who
-// holds a stage's parameters, and for which micro-batches, is the base
-// schedule's placement: each of the W replicas of gpipe/1f1b owns all N
-// micro-batches of its stream; a chimera replica contributes a device pair,
-// the down device owning [0, N/2) and the up device [N/2, N).
+// their ready times taken from the profiled timeline (rule 1) and their
+// inputs (rule 2), every item after the items it reads. Who holds a stage's
+// parameters, and for which micro-batches, is the base schedule's
+// placement: each of the W replicas of gpipe/1f1b owns all N micro-batches
+// of its stream; a chimera replica contributes a device pair, the down
+// device owning [0, N/2) and the up device [N/2, N).
 func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement) []*workItem {
 	var items []*workItem
 	nFactors := len(cfg.Costs.InversionUnits)
@@ -363,6 +391,13 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 		// Curvature: one item per (owner device, micro-batch, factor).
 		// Factor readiness: A factors (even index) after the forward of
 		// the micro-batch at this stage; B factors (odd) after backward.
+		micros := 0
+		for _, ow := range owners {
+			micros += ow.MicroHi - ow.MicroLo
+		}
+		curv := byFactor(nFactors, micros)
+		block := make([]workItem, nFactors*micros) // the curvature items, in one allocation
+		stageCurv := make([]*workItem, 0, len(block))
 		for _, ow := range owners {
 			for m := ow.MicroLo; m < ow.MicroHi; m++ {
 				fEv, okF := findStepEvent(tl, pipeline.Forward, stage, m, ow.Device)
@@ -375,27 +410,32 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 					if factorKindOf(f) == FactorB {
 						ready = bEv.End
 					}
-					items = append(items, &workItem{
+					it := &block[len(stageCurv)]
+					*it = workItem{
 						kind: pipeline.Curvature, stage: stage, device: ow.Device,
 						replica: ow.Replica, factor: f, micro: m,
 						duration: cfg.Costs.CurvatureUnits[f],
 						readyAt:  ready,
-					})
+					}
+					items = append(items, it)
+					curv[f] = append(curv[f], it)
+					stageCurv = append(stageCurv, it)
 				}
 			}
 		}
-		// Sync-curvature collectives when factors are split across owners.
-		// Created before the inversion items, which depend on their
-		// stage's sync ops (work that does not fit the bubbles is ordered
-		// by spillRank, not by creation).
+		// Sync-curvature collectives when factors are split across owners,
+		// each after all of the stage's curvature.
+		var syncs []*workItem
 		if cfg.InversionParallel && len(owners) > 1 && cfg.Costs.SyncCurvature > 0 {
 			for _, ow := range owners {
-				items = append(items, &workItem{
+				it := &workItem{
 					kind: pipeline.SyncCurvature, stage: stage, device: ow.Device,
 					replica: ow.Replica, factor: -1, micro: -1,
 					duration: cfg.Costs.SyncCurvature,
-					readyAt:  0, // after the stage's curvature; set by packGeneration
-				})
+					deps:     stageCurv,
+				}
+				items = append(items, it)
+				syncs = append(syncs, it)
 			}
 		}
 		// Inversion: one item per factor, split round-robin across the
@@ -406,6 +446,9 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 		// first owner (chimera's down device).
 		// A factor with an inversion chain gets one item per step, each
 		// following the one before it.
+		firstDeps := withPairs(curv, syncs)
+		swaps := byFactor(nFactors, len(owners))
+		firsts := len(items)
 		addInv := func(ow pipeline.Owner, f int) {
 			steps := cfg.Costs.Chain(f)
 			chained := len(steps) > 0
@@ -418,12 +461,12 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 					kind: pipeline.Inversion, stage: stage, device: ow.Device,
 					replica: ow.Replica, factor: f, micro: -1,
 					duration: dur,
-					// Actual readiness (after all curvature for this factor is
-					// *placed*) is enforced during packing; this is the lower
-					// bound from rule 2's data dependency.
-					readyAt: 0,
-					prev:    prev,
-					swaps:   k == len(steps)-1,
+					deps:     firstDeps[f],
+					prev:     prev,
+					swaps:    k == len(steps)-1,
+				}
+				if prev != nil {
+					it.deps = []*workItem{prev}
 				}
 				if chained {
 					it.chain = k + 1
@@ -431,6 +474,7 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 				items = append(items, it)
 				prev = it
 			}
+			swaps[f] = append(swaps[f], prev)
 		}
 		if cfg.InversionParallel && len(owners) > 1 {
 			for f := 0; f < nFactors; f++ {
@@ -446,8 +490,45 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 				}
 			}
 		}
+		after := withPairs(swaps, nil)
+		for _, it := range items[firsts:] {
+			if it.prev == nil {
+				it.after = after[it.factor]
+			}
+		}
 	}
 	return items
+}
+
+// byFactor returns one empty list per factor with room for per items, all
+// in one allocation; the lists have room for the pair of an odd last factor.
+func byFactor(nFactors, per int) [][]*workItem {
+	n := nFactors + nFactors%2
+	buf := make([]*workItem, n*per)
+	lists := make([][]*workItem, n)
+	for f := range lists {
+		lists[f] = buf[f*per : f*per : (f+1)*per]
+	}
+	return lists
+}
+
+// withPairs returns, per factor f of a byFactor set, f's list followed by
+// its pair factor's and then tail: the lists share one allocation.
+func withPairs(lists [][]*workItem, tail []*workItem) [][]*workItem {
+	size := 0
+	for _, l := range lists {
+		size += 2*len(l) + len(tail)
+	}
+	buf := make([]*workItem, 0, size)
+	out := make([][]*workItem, len(lists))
+	for f := range out {
+		start := len(buf)
+		buf = append(buf, lists[f]...)
+		buf = append(buf, lists[pairFactor(f)]...)
+		buf = append(buf, tail...)
+		out[f] = buf[start:len(buf):len(buf)]
+	}
+	return out
 }
 
 // factorKindOf maps a factor index to A (even) or B (odd), matching

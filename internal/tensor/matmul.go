@@ -160,7 +160,7 @@ func checkTMatMul(dst, a, b *Matrix, op string) {
 func axpy(dst []float64, a float64, x []float64) {
 	dst = dst[:len(x)]
 	for j, v := range x {
-		dst[j] += a * v
+		dst[j] += float64(a * v)
 	}
 }
 
@@ -174,7 +174,7 @@ func MatVec(a *Matrix, x []float64) []float64 {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		var s float64
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		out[i] = s
 	}
@@ -213,7 +213,7 @@ func Dot(x, y []float64) float64 {
 	}
 	var s float64
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }

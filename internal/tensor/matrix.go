@@ -177,7 +177,7 @@ func (m *Matrix) AddInPlace(other *Matrix) {
 func (m *Matrix) AddScaledInPlace(alpha float64, other *Matrix) {
 	m.mustSameShape(other, "AddScaledInPlace")
 	for i, v := range other.Data {
-		m.Data[i] += alpha * v
+		m.Data[i] += float64(alpha * v)
 	}
 }
 
@@ -247,7 +247,7 @@ func (m *Matrix) Diagonal() []float64 {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

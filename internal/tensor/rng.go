@@ -88,7 +88,7 @@ func RandN(r *RNG, rows, cols int, std float64) *Matrix {
 func RandUniform(r *RNG, rows, cols int, lo, hi float64) *Matrix {
 	m := Zeros(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = lo + (hi-lo)*r.Float64()
+		m.Data[i] = lo + float64((hi-lo)*r.Float64())
 	}
 	return m
 }

@@ -88,7 +88,7 @@ func GELUBackward(dx, dy, x, cdf []float64) {
 	}
 	for i, v := range x {
 		pdf := invSqrt2Pi * math.Exp(-0.5*v*v)
-		dx[i] = dy[i] * (cdf[i] + v*pdf)
+		dx[i] = dy[i] * (cdf[i] + float64(v*pdf))
 	}
 }
 
