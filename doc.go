@@ -678,13 +678,20 @@
 // whole round as one loop per device, with no goroutine spawned or torn
 // down per round or per step: cross-step dependency edges (optimizer-step
 // to next forward, curvature fold to a later step's inversion) use the same
-// completion signals as intra-step ones. Round contract:
+// per-op completion word as intra-step ones. Round contract:
 //
-//   - Device loops and their waits (engine/devloop.go): a round hands each
-//     device's loop to an idle worker of a process-wide pool of long-lived
-//     device goroutines, or grows the pool by one — a loop never queues
-//     behind another loop, since a round's loops wait on each other. A
-//     dependency wait, the step-commit wait and an idle worker's wait for
+//   - Device loops and their waits (engine/devloop.go): the run state a
+//     round walks — one completion word per op, one wake channel per
+//     device, the hand-off, slot, loss and delta tables — is compiled once
+//     per schedule, and a round only re-arms it: an op is done in this
+//     round once its word holds the round's number, so no word is cleared.
+//     A round hands each device's loop to an idle worker of a process-wide
+//     pool of long-lived device goroutines, or grows the pool by one — a
+//     loop never queues behind another loop, since a round's loops wait on
+//     each other. A device has one wait inside a round, the dependency
+//     wait: it publishes the op it parks on, and the op's completion wakes
+//     only the devices parked on it; the round's abort wakes every device.
+//     That wait and an idle worker's wait for
 //     its next loop poll (runtime.Gosched between polls) for at most 2 ms
 //     before they park, OpenMP's active wait policy — but only on a
 //     single-process engine (a ring's progress comes from netpoll, which
@@ -737,19 +744,23 @@
 //     round to it bit for bit over a generated matrix of models, families,
 //     W, K, overlap, InversionParallel, refresh intervals and kernel
 //     variants.
-//   - Step commits: every step's OptStep ops arrive at a barrier; once all
-//     have, one device fires the caller's optimizer callback (SetOptimizer),
-//     which reads the step's gradient from the primary's accumulators —
-//     nothing zeroes them: the next step's fold overwrites them — so
-//     collectives and the update happen exactly once per step, with the
-//     bit-identical fixed reduction order; the update, written into the
-//     primary's storage in place, is what every module set computes with
-//     next. The commit holds base work only: a device that arrived keeps
-//     running the refresh ops next in its order (curvature, sync-curvature,
-//     inversion) and holds its next base op — forward, backward, sync-grad,
-//     precondition, optimizer — until the commit resolved; the last to
-//     arrive runs the commit. The commit's exclusivity covers parameters and
-//     gradients — the one moment weights are written, which is what lets
+//   - Step commits: a step's commit is its OptStep ops' completion. Every
+//     OptStep op arrives; the last to arrive fires the caller's optimizer
+//     callback (SetOptimizer) and only then signals the step's OptStep ops.
+//     The callback reads the step's gradient from the primary's
+//     accumulators — nothing zeroes them: the next step's fold overwrites
+//     them — so collectives and the update happen exactly once per step,
+//     with the bit-identical fixed reduction order; the update, written
+//     into the primary's storage in place, is what every module set
+//     computes with next. The commit holds base work only: a device that
+//     arrived keeps running the refresh ops next in its order (curvature,
+//     sync-curvature, inversion), and its next base op — forward,
+//     backward, sync-grad, precondition, optimizer — depends on its own
+//     device's OptStep, so the ordinary dependency wait holds it until the
+//     commit ran (pipeline.TestNextStepBaseOpsFollowOwnOptStep holds every
+//     builder to that edge). A failed commit is reported once, by the
+//     device that ran it, and signals nothing: the round aborts. The
+//     commit's exclusivity covers parameters and gradients — the one moment weights are written, which is what lets
 //     Chimera's two directions read one copy of them without a lock — not
 //     the K-FAC state: an inversion that would swap an inverse a pending
 //     step's precondition still reads waits for that precondition by a
@@ -948,11 +959,11 @@
 //     fault-free parameters bit-identically — the identity tests assert
 //     exact equality for BERT and GPT at W in {1, 2} under all three
 //     schedules. Corruption (NaN/Inf) in base-path outputs is caught at
-//     the step commit barrier before parameters update, so a corrupted
+//     the step commit before parameters update, so a corrupted
 //     step can never commit.
 //
 // Abort hygiene holds at every injection point: the per-op-kind abort
-// sweep asserts the root cause survives barrier aborts for every kind in
+// sweep asserts the root cause survives the abort's drain for every kind in
 // the schedule, every inversion-chain step and refresh work running while
 // a commit is pending, and the pool audit (tensor.SetPoolAudit / PoolLive)
 // asserts the workspace pool returns to its steady-state live count after

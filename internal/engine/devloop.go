@@ -16,11 +16,11 @@ import (
 // a loop waiting for a worker that runs its own producer would deadlock.
 // An idle worker holds no reference to any engine.
 //
-// Three waits poll before they park — a dependency wait (await), the
-// step-commit wait (awaitCommit) and an idle worker waiting for its next
-// loop (next): each polls its condition in spinFor, yielding the processor
-// with runtime.Gosched between polls, gives up after spinBudget and then
-// parks.
+// Two waits poll before they park — a device's dependency wait (await),
+// which also holds a device through a step's commit, since the commit is
+// its OptStep ops' completion, and an idle worker waiting for its next loop
+// (next): each polls its condition in spinFor, yielding the processor with
+// runtime.Gosched between polls, gives up after spinBudget and then parks.
 // This is OpenMP's active wait policy. A parked goroutine's wake-up is a
 // cross-thread hand-off that, once the woken vCPU has idled, costs ~1.3 ms
 // at the median on the 2-vCPU host (70 µs when it had not): on tiny_1f1b
@@ -162,12 +162,43 @@ func (w *deviceWorker) next(multiRank bool) loopTask {
 	return <-w.mail
 }
 
-// await holds the device until o closed: the producing op finished or was
-// skipped, or the round aborted (fail closes every op).
-func (st *runState) await(o *opDone) {
-	if o.closed.Load() {
+// await holds device d until op w completed in this round or the round
+// aborted. It polls first when it may spin; then it publishes the op it
+// parks on, checks again and parks until a token arrives, checking after
+// each one. signal stores the word before it reads parked, and await
+// publishes parked before it reads the word, so with sequentially
+// consistent atomics one of them sees the other: no wake-up is lost, and a
+// stale token costs one more check.
+func (st *runState) await(d, w int) {
+	ready := func() bool { return st.done[w].Load() == st.round || st.failed.Load() }
+	if ready() {
 		return
 	}
-	st.spin(o.closed.Load)
-	<-o.c
+	st.spin(ready)
+	for {
+		st.parked[d].Store(int64(w))
+		if ready() {
+			break
+		}
+		<-st.wake[d]
+	}
+	st.parked[d].Store(-1)
+}
+
+// signal completes op w in this round and wakes any device parked on it.
+func (st *runState) signal(w int) {
+	st.done[w].Store(st.round)
+	for d := range st.parked {
+		if st.parked[d].Load() == int64(w) {
+			st.poke(d)
+		}
+	}
+}
+
+// poke leaves device d a wake-up token, unless one is already waiting.
+func (st *runState) poke(d int) {
+	select {
+	case st.wake[d] <- struct{}{}:
+	default:
+	}
 }

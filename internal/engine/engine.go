@@ -4,7 +4,8 @@
 // op-list form that internal/pipeline's builders and internal/schedule's
 // PipeFisher assignment produce for the timing simulator is *executed for
 // real* here. Each device runs as its own goroutine walking its per-device
-// op order; op dependency edges are realized as completion signals,
+// op order; op dependency edges are realized as one completion word per op
+// and one wait on it, a step's commit is its OptStep ops' completion,
 // micro-batch activations and error signals flow between stages exactly
 // along the Forward/Backward edges (the P2P sends/recvs of Figure 2(iii)),
 // every stage keeps the activations of the micro-batches it holds in flight
@@ -132,7 +133,7 @@ type Config struct {
 	// K-step window (the paper's multi-step refresh rounds). The engine
 	// executes rounds atomically: TrainRound consumes K batches, fires the
 	// optimizer callback (SetOptimizer) once per step at the round-internal
-	// step barriers, and each step preconditions with the freshest inverses
+	// step commits, and each step preconditions with the freshest inverses
 	// completed by that step. 0 or 1 is the degenerate one-step round
 	// (TrainStep's historical behavior); AdaptiveRefreshSteps derives K from
 	// the modeled refresh work at the rounds' micro-batch shape.
@@ -267,7 +268,7 @@ type Engine struct {
 	// a reusable part-view slice (one slot per local micro-batch of a
 	// step) — preallocated so the loopback steady state allocates
 	// nothing. Safe per stage: one stage's gradient folds are serialized
-	// by the step-commit barriers, and concurrent folds (chimera's mirror
+	// by the step commits, and concurrent folds (chimera's mirror
 	// stage, different stages) use different batches.
 	foldOps [][]transport.Reduction
 	// lossSync is the per-step loss collective's retained scratch
@@ -335,13 +336,16 @@ type Engine struct {
 	priced    pipeline.StageCosts
 
 	// optApply, when set (SetOptimizer), is the caller's parameter update,
-	// fired exactly once per training step at the round-internal step
-	// barrier (after the step's gradients are fully reduced and
-	// preconditioned, before any next-step op starts). Required for
+	// fired exactly once per training step by the step's commit (after the
+	// step's gradients are fully reduced and preconditioned, before any
+	// next-step base op starts). Required for
 	// RefreshSteps > 1; optional for one-step rounds, where the caller may
 	// instead apply the optimizer between TrainStep calls as before.
 	optApply func(step int) error
 
+	// run is the run state compiled for sched (exec.go), re-armed by every
+	// round.
+	run          *runState
 	lastTimeline *pipeline.Timeline
 
 	// failOp, when set (tests only), is consulted before every op; a
@@ -498,11 +502,12 @@ func buildModuleSet(model pipemodel.Model, cfg Config) (*moduleSet, error) {
 // rebuildSchedule derives the executable round schedule for the current
 // configuration — RefreshSteps consecutive steps, one step being the
 // degenerate round: the plain pipeline (with its per-step optimizer tail —
-// the anchor ops for the gradient collective and the step-commit barrier)
-// when K-FAC is off, the PipeFisher-packed form — one refresh spread over
-// the whole window's bubbles — when it is on. The schedule is validated by
+// the anchor ops for the gradient collective and the step commit) when
+// K-FAC is off, the PipeFisher-packed form — one refresh spread over the
+// whole window's bubbles — when it is on. The schedule is validated by
 // running it through the timing simulator, which proves the per-device
-// orders and dependency edges cannot deadlock the executor.
+// orders and dependency edges cannot deadlock the executor, and its run
+// state is compiled here, once (newRunState).
 func (e *Engine) rebuildSchedule() error {
 	var sched *pipeline.Schedule
 	var err error
@@ -534,6 +539,7 @@ func (e *Engine) rebuildSchedule() error {
 		}
 	}
 	e.sched = sched
+	e.run = newRunState(e)
 	e.carries = slices.ContainsFunc(sched.Ops, func(op *pipeline.Op) bool { return op.Generation > 0 })
 	e.sizeSlots()
 	return nil
@@ -602,12 +608,14 @@ func (e *Engine) Stages() int { return e.cfg.Stages }
 func (e *Engine) RoundSteps() int { return e.roundLen }
 
 // SetOptimizer registers the caller's parameter update, fired exactly once
-// per training step at the round-internal step barrier: all of the step's
-// gradient collectives and preconditions have completed, no base op of the
-// next step has started, and the other device goroutines run only K-FAC
-// refresh work, which reads no parameter — the callback has exclusive access
-// to the primary's parameters, which every module set computes with. It
-// runs on whichever device goroutine commits the step. The argument is the
+// per training step by the step's commit: all of the step's gradient
+// collectives and preconditions have completed, and no base op of the next
+// step has started — each depends on its device's OptStep, which the commit
+// signals only once the callback returned — so the other device goroutines
+// run only K-FAC refresh work, which reads no parameter: the callback has
+// exclusive access to the primary's parameters, which every module set
+// computes with. It runs on whichever device goroutine commits the step,
+// the last whose OptStep arrived. The argument is the
 // global step index. The callback reads the step's reduced (and, with
 // K-FAC, preconditioned) gradient from the primary's accumulators; nothing
 // needs zeroing, because the next step's fold overwrites them. Required
@@ -820,7 +828,7 @@ func (e *Engine) TrainStep(batch *data.Batch) (*StepResult, error) {
 // work of ONE refresh executes in the bubbles of the whole window, each
 // step preconditioning with the freshest inverses completed by that step.
 // Gradient collectives and the optimizer callback fire once per step at
-// the round-internal step barriers (the collectives in the fixed
+// the round-internal step commits (the collectives in the fixed
 // bit-identical ascending-global-micro order). On an error the round
 // aborts; steps whose optimizer already fired stay committed — their
 // StepResults are returned alongside the error and the engine's step

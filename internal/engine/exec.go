@@ -14,19 +14,24 @@ import (
 	"repro/internal/tensor"
 )
 
-// errRoundAborted marks a device that was waiting for a step's commit when
-// another device's failure aborted the round; it is never the root cause.
+// errRoundAborted marks an op cut short because another device's failure
+// aborted the round (an injected stall or a retry backoff); it is never the
+// root cause.
 var errRoundAborted = errors.New("round aborted by another device's failure")
 
-// runState is the transient dataflow of one executed refresh round — K =
+// runState is the dataflow of the engine's executed refresh rounds — K =
 // RefreshSteps consecutive training steps walked by one loop per device,
-// K = 1 being the ordinary single step. The per-op
-// completion channels realize the schedule's dependency edges (cross-step
-// edges — optimizer-step to next forward, curvature fold to a later step's
-// inversion — through the very same mechanism as intra-step ones);
-// activations and error signals are published into the staged arrays by
-// their producing op and read by consumers only after the producer's
-// channel closed, so the arrays need no locking of their own.
+// K = 1 being the ordinary single step. It is compiled once per schedule
+// (rebuildSchedule) and re-armed by every round (runRound); only what
+// escapes a round — its events, its StepResults and its abort channel — is
+// made per round. Each op has one completion word, which holds the round
+// the op last completed in: the words realize the schedule's dependency
+// edges (cross-step edges — optimizer-step to next forward, curvature fold
+// to a later step's inversion — through the very same mechanism as
+// intra-step ones); activations and error signals are published into the
+// staged arrays by their producing op and read by consumers only after the
+// producer's word reads the round, so the arrays need no locking of their
+// own.
 //
 // Micro-batch indexing: within a step, arrays use the *global* micro-batch
 // index (replica*MicroBatches + local micro); across the round they use
@@ -48,7 +53,10 @@ type runState struct {
 	cur     *kfacGenPool       // the generation being collected (nil unless refresh)
 	pending *kfacGenPool       // the carried generation, collected last round (nil when none)
 
-	done []opDone // per op, closed on completion, skip or abort
+	round  int64           // the running round, counted from 1
+	done   []atomic.Int64  // per op: the round it last completed in (signal)
+	parked []atomic.Int64  // per device: the op its loop is parked on, -1 when none
+	wake   []chan struct{} // per device, capacity 1: a token unparks the loop (await)
 
 	stageIn  [][]*tensor.Matrix // [stage][flat] stage inputs, alive until the micro-batch's backward
 	stageOut [][]*tensor.Matrix // [stage][flat] activations leaving a stage
@@ -68,20 +76,20 @@ type runState struct {
 	foldDone [][]sync.Once          // [step][stage]
 	foldErr  [][]error              // [step][stage], written inside foldDone
 
-	// Step-commit barriers, one per step: every OptStep op of the step
-	// arrives after folding its stages, and once all have, one device
-	// commits the step (the optimizer callback) while the others run only
-	// refresh work and no next-step base op can have started — the
+	// Step commits: every OptStep op of a step arrives after folding its
+	// stages, and the last to arrive commits the step (the optimizer
+	// callback) and only then signals the step's OptStep ops. Every
+	// next-step base op depends on its own device's OptStep, so none can
+	// start during the commit, while refresh work runs beside it — the
 	// round-internal step boundary.
-	optMu     sync.Mutex
-	commits   []stepCommit
-	committed int // steps whose optimizer callback completed
+	optIDs    [][]int        // [step] the step's OptStep ops
+	arrived   []atomic.Int32 // [step] OptStep arrivals
+	committed int            // steps whose optimizer callback completed
 
-	failMu    sync.Mutex // guards errs: first error per device wins
-	errs      []error    // per device
-	failed    atomic.Bool
-	abortC    chan struct{} // closed on first failure: unparks barrier waiters
-	abortOnce sync.Once
+	failMu sync.Mutex // guards errs: first error per device wins
+	errs   []error    // per device
+	failed atomic.Bool
+	abortC chan struct{} // closed on the round's first failure: unparks stalls and retry backoffs
 
 	wd *watchdog // armed per-op deadlines, nil unless OpTimeout > 0
 
@@ -96,29 +104,49 @@ type runState struct {
 	start  time.Time
 }
 
-// opDone is one op's completion signal. c is closed once, by whichever
-// comes first: the op's device finishing (or skipping) it, or the round's
-// abort; closed is set just before. The dependency wait (await) then polls
-// closed and parks in a plain receive on c, which costs a device less per
-// op than a select on the abort channel beside it.
-type opDone struct {
-	c      chan struct{}
-	closed atomic.Bool
-}
-
-func (o *opDone) close() {
-	if o.closed.CompareAndSwap(false, true) {
-		close(o.c)
+// newRunState compiles the run state of the engine's current schedule.
+func newRunState(e *Engine) *runState {
+	nStages, r, perStep := e.cfg.Stages, e.roundLen, e.cfg.MicroBatches*e.cfg.Replicas
+	nFlat := r * perStep
+	st := &runState{
+		e:         e,
+		done:      make([]atomic.Int64, len(e.sched.Ops)),
+		parked:    make([]atomic.Int64, e.sched.Devices),
+		wake:      make([]chan struct{}, e.sched.Devices),
+		stageIn:   mat2(nStages, nFlat),
+		stageOut:  mat2(nStages, nFlat),
+		gradOut:   mat2(nStages, nFlat),
+		slot:      make([][]*actSlot, nStages),
+		lossParts: make([][]pipemodel.Loss, r),
+		deltas:    make([][][][]*tensor.Matrix, r),
+		foldDone:  make([][]sync.Once, r),
+		foldErr:   make([][]error, r),
+		optIDs:    make([][]int, r),
+		arrived:   make([]atomic.Int32, r),
+		errs:      make([]error, e.sched.Devices),
 	}
-}
-
-// stepCommit is one step's commit barrier: the last OptStep of the step to
-// arrive runs the commit, the others go on with their refresh work and hold
-// their next base op until done closes (awaitCommit).
-type stepCommit struct {
-	left int           // OptStep arrivals outstanding (optMu)
-	done chan struct{} // closed once the commit ran
-	err  error         // the commit's result, written before done closes
+	for d := range st.wake {
+		st.parked[d].Store(-1)
+		st.wake[d] = make(chan struct{}, 1)
+	}
+	for s := range st.slot {
+		st.slot[s] = make([]*actSlot, nFlat)
+	}
+	for j := 0; j < r; j++ {
+		st.lossParts[j] = make([]pipemodel.Loss, perStep)
+		st.deltas[j] = make([][][]*tensor.Matrix, nStages)
+		st.foldDone[j] = make([]sync.Once, nStages)
+		st.foldErr[j] = make([]error, nStages)
+		for s := 0; s < nStages; s++ {
+			st.deltas[j][s] = mat2(perStep, len(e.sets[0].stageParams[s]))
+		}
+	}
+	for _, op := range e.sched.Ops {
+		if op.Kind == pipeline.OptStep {
+			st.optIDs[op.Step] = append(st.optIDs[op.Step], op.ID)
+		}
+	}
+	return st
 }
 
 // gmicro maps an op to its global micro-batch index within its step.
@@ -148,10 +176,10 @@ func (st *runState) genPool(op *pipeline.Op) *kfacGenPool {
 	return nil
 }
 
-// fail records a device failure and aborts the round: the failed flag stops
-// further execution, and the abort channel unparks any device waiting at a
-// step-commit barrier whose quorum will never arrive. The first error per
-// device wins — except that a real root cause replaces a commit waiter's
+// fail records a device failure and aborts the round: the failed flag
+// stops further execution and satisfies every wait, every device is woken,
+// and the abort channel cuts injected stalls and retry backoffs short. The
+// first error per device wins — except that a real root cause replaces an
 // errRoundAborted — so a watchdog's attributed stall report is not
 // clobbered when the stalled op itself later returns.
 func (st *runState) fail(d int, err error) {
@@ -160,89 +188,55 @@ func (st *runState) fail(d int, err error) {
 		st.errs[d] = err
 	}
 	st.failMu.Unlock()
-	st.failed.Store(true)
-	st.abortOnce.Do(func() {
-		close(st.abortC)
-		// After an abort nothing executes (only drains): releasing every
-		// outstanding op lets a device waiting on a hung producer — the
-		// case the watchdog attributes — drain instead of blocking.
-		for i := range st.done {
-			st.done[i].close()
-		}
-		// Poison the transport epoch so peers blocked in a collective this
-		// rank will never complete fail promptly with the attributed reason
-		// (and replay from checkpoint in lockstep) instead of hanging. No-op
-		// on the loopback group.
-		st.e.group.Abort(err)
-	})
+	if st.failed.Swap(true) {
+		return
+	}
+	close(st.abortC)
+	for d := range st.wake {
+		st.poke(d)
+	}
+	// Poison the transport epoch so peers blocked in a collective this rank
+	// will never complete fail promptly with the attributed reason (and
+	// replay from checkpoint in lockstep) instead of hanging. No-op on the
+	// loopback group.
+	st.e.group.Abort(err)
 }
 
 // runRound executes the engine's schedule once — all RefreshSteps steps of
 // it: each device's whole op order is one loop (deviceLoop), handed to a
 // long-lived goroutine of the process-wide device pool (devloop.go) — no
 // goroutine is spawned or torn down per round or per step. A loop waits on
-// each op's dependencies (or the round's abort), runs the op (runOp,
-// resilience.go), then signals completion. Dependency and commit waits poll
-// for up to spinBudget before they park when the engine is single-process
-// and every running loop has a processor of its own: a parked device's
-// wake-up cost an idle vCPU ~1.3 ms on the 2-vCPU host, which had made
-// 0.20 of tiny_1f1b's makespan unexplained idle time. Step boundaries are
-// realized by the OptStep commit barrier (the optimizer callback), not by
-// joining the loops. On the first error the round is aborted — remaining
-// ops are drained (signalled without executing) so no peer can block on a
+// each op's dependencies (await), runs the op (runOp, resilience.go), then
+// signals its completion. The round re-arms the engine's compiled run state
+// rather than building one: the completion words need no clearing, since a
+// word counts as done only once it holds the new round's number. Step
+// boundaries are realized by the OptStep ops' completion, which the step's
+// commit signals (the optimizer callback), not by joining the loops. On the
+// first error the round is aborted — remaining ops are drained (walked
+// without executing, every wait satisfied) so no peer can block on a
 // dependency that will never arrive, the round's pooled buffers are
 // released (rollback), and the error is surfaced after all devices joined,
 // along with how many steps had already committed.
 func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refresh bool, cur, pending *kfacGenPool) ([]*StepResult, int, error) {
-	nStages := e.cfg.Stages
-	r := len(micro)
-	perStep := len(micro[0])
-	nFlat := r * perStep
-	st := &runState{
-		e: e, micro: micro, totals: totals, refresh: refresh, cur: cur, pending: pending,
-		done:      make([]opDone, len(e.sched.Ops)),
-		stageIn:   mat2(nStages, nFlat),
-		stageOut:  mat2(nStages, nFlat),
-		gradOut:   mat2(nStages, nFlat),
-		slot:      make([][]*actSlot, nStages),
-		lossParts: make([][]pipemodel.Loss, r),
-		deltas:    make([][][][]*tensor.Matrix, r),
-		foldDone:  make([][]sync.Once, r),
-		foldErr:   make([][]error, r),
-		commits:   make([]stepCommit, r),
-		errs:      make([]error, e.sched.Devices),
-		abortC:    make(chan struct{}),
-		events:    make([][]pipeline.Event, e.sched.Devices),
-		start:     time.Now(),
+	st := e.run
+	st.micro, st.totals, st.refresh, st.cur, st.pending = micro, totals, refresh, cur, pending
+	st.round++
+	clear(st.errs)
+	clear(st.arrived)
+	for j := range st.foldDone {
+		clear(st.foldDone[j])
+		clear(st.foldErr[j])
 	}
+	st.committed = 0
+	st.failed.Store(false)
+	st.degraded, st.degradedReason = false, ""
+	st.abortC = make(chan struct{})
+	st.events = make([][]pipeline.Event, e.sched.Devices)
 	for d := range st.events {
 		st.events[d] = make([]pipeline.Event, 0, len(e.sched.Order[d]))
 	}
-	for i := range st.done {
-		st.done[i].c = make(chan struct{})
-	}
-	for s := range st.slot {
-		st.slot[s] = make([]*actSlot, nFlat)
-	}
-	for j := 0; j < r; j++ {
-		st.lossParts[j] = make([]pipemodel.Loss, perStep)
-		st.deltas[j] = make([][][]*tensor.Matrix, nStages)
-		st.foldDone[j] = make([]sync.Once, nStages)
-		st.foldErr[j] = make([]error, nStages)
-		st.commits[j].done = make(chan struct{})
-		for s := 0; s < nStages; s++ {
-			params := e.sets[0].stageParams[s]
-			st.deltas[j][s] = make([][]*tensor.Matrix, perStep)
-			for m := 0; m < perStep; m++ {
-				st.deltas[j][s][m] = make([]*tensor.Matrix, len(params))
-			}
-		}
-	}
-	for _, op := range e.sched.Ops {
-		if op.Kind == pipeline.OptStep {
-			st.commits[op.Step].left++
-		}
-	}
+	st.start = time.Now()
+	st.wd = nil
 	if e.cfg.OpTimeout > 0 {
 		st.startWatchdog(e.cfg.OpTimeout)
 	}
@@ -251,23 +245,12 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	if st.wd != nil {
 		st.wd.stopAndJoin()
 	}
-	var root, aborted error
+	// The root cause is the first device's error that is not an abort.
+	var root error
 	for _, err := range st.errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, errRoundAborted) {
-			if aborted == nil {
-				aborted = err
-			}
-			continue
-		}
-		if root == nil {
+		if err != nil && (root == nil || errors.Is(root, errRoundAborted)) {
 			root = err
 		}
-	}
-	if root == nil {
-		root = aborted
 	}
 	if root != nil {
 		st.rollback()
@@ -277,49 +260,46 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 		return st.results(st.committed), st.committed, root
 	}
 	e.lastTimeline = st.timeline()
-	return st.results(r), st.committed, nil
+	return st.results(len(micro)), st.committed, nil
 }
 
 // deviceLoop walks device d's op order for the round: it waits on each op's
-// dependencies (or the round's abort), runs the op (runOp, resilience.go),
-// then signals its completion. It runs on a pooled device goroutine
-// (devloop.go).
+// dependencies, runs the op (runOp, resilience.go), then signals its
+// completion — every op but an OptStep, which the step's commit signals.
+// It runs on a pooled device goroutine (devloop.go).
 func (st *runState) deviceLoop(d int) {
 	e := st.e
-	// pending is the step whose commit this device arrived at and has
-	// not seen resolve (-1: none). The commit holds base work only:
-	// refresh ops next in the order run while it is pending.
-	pending := -1
+	// opt is the OptStep this device arrived at, while refresh ops next in
+	// its order run beside the step's commit (-1: none). The next base op
+	// depends on it, so its dependency wait holds it through the commit.
+	opt := -1
 	for _, id := range e.sched.Order[d] {
 		op := e.sched.Ops[id]
 		for _, dep := range op.Deps {
-			st.await(&st.done[dep]) // closed by the round's abort at the latest (fail)
+			st.await(d, dep)
 		}
-		var err error
-		if pending >= 0 && !op.Kind.IsRefresh() {
-			err = st.awaitCommit(d, pending)
-			pending = -1
+		if !op.Kind.IsRefresh() {
+			opt = -1
 		}
-		if err == nil && !st.failed.Load() {
-			err = st.runOp(d, op)
-			if err != nil && pending >= 0 {
-				// The op ran while a commit was pending: its error
-				// surfaces once the commit resolved, so which steps
-				// committed does not depend on timing. A commit that
-				// never came is the cause, not this op.
-				if cerr := st.awaitCommit(d, pending); cerr != nil {
-					err = cerr
+		if !st.failed.Load() {
+			if err := st.runOp(d, op); err != nil {
+				// An op that ran while a commit was pending surfaces its
+				// error once the commit resolved, so which steps committed
+				// does not depend on timing. A commit that never came is
+				// the cause, and whoever failed it has reported it.
+				if opt >= 0 {
+					st.await(d, opt)
 				}
-				pending = -1
+				if opt < 0 || st.done[opt].Load() == st.round {
+					st.fail(d, fmt.Errorf("engine: device %d op %s: %w", d, op.Label(), err))
+				}
 			}
 		}
-		if err != nil {
-			st.fail(d, fmt.Errorf("engine: device %d op %s: %w", d, op.Label(), err))
-		}
 		if op.Kind == pipeline.OptStep {
-			pending = op.Step
+			opt = id
+		} else {
+			st.signal(id)
 		}
-		st.done[id].close()
 	}
 }
 
@@ -378,6 +358,9 @@ func (st *runState) rollback() {
 	putOnce(st.stageIn)
 	putOnce(st.stageOut)
 	putOnce(st.gradOut)
+	for s := range st.slot {
+		clear(st.slot[s])
+	}
 	for _, set := range st.e.sets {
 		for _, stg := range set.stages {
 			stg.freeAll()
@@ -411,58 +394,27 @@ func (st *runState) foldStages(op *pipeline.Op) (int64, error) {
 	return bytes, nil
 }
 
-// arriveOptBarrier joins the op's step-commit barrier. Every device but the
-// last to arrive returns at once and goes on with the refresh ops next in
-// its order, holding its next base op until the commit resolved
-// (awaitCommit); the last arriver commits the step (commitStep). So no base
-// op of the next step can have started during the commit, and no op but
-// refresh work runs beside it: the commit has exclusive access to all
+// arriveOptBarrier joins the op's step commit. Every device but the last
+// to arrive returns at once and goes on with the refresh ops next in its
+// order; the last arriver commits the step (commitStep) and then signals
+// the step's OptStep ops, which every next-step base op depends on. So no
+// base op of the next step can have started during the commit, and no op
+// but refresh work runs beside it: the commit has exclusive access to all
 // parameters and gradients. The K-FAC state is not the commit's; the
 // schedule's edges order refresh work against the preconditions that read
-// it.
+// it. A failed commit signals nothing: the round aborts.
 func (st *runState) arriveOptBarrier(op *pipeline.Op) error {
-	c := &st.commits[op.Step]
-	st.optMu.Lock()
-	c.left--
-	last := c.left == 0
-	st.optMu.Unlock()
-	if !last {
+	j := op.Step
+	if int(st.arrived[j].Add(1)) < len(st.optIDs[j]) {
 		return nil
 	}
-	c.err = st.commitStep(op.Step)
-	close(c.done)
-	return c.err
-}
-
-// awaitCommit holds device d until step j's commit resolved: nil once it
-// committed, its error if it failed, errRoundAborted if a peer's failure
-// aborted the round first. It polls before it parks when it may spin
-// (devloop.go).
-func (st *runState) awaitCommit(d, j int) error {
-	c := &st.commits[j]
-	select {
-	case <-c.done:
-		return c.err
-	default:
+	if err := st.commitStep(j); err != nil {
+		return err
 	}
-	// A commit wait is a legitimate, possibly long wait on the step's other
-	// devices — not this device's stall: its watchdog slot stays disarmed
-	// (no-op when no watchdog is armed).
-	st.disarmWatchdog(d)
-	st.spin(func() bool {
-		select {
-		case <-c.done:
-			return true
-		default:
-			return st.failed.Load()
-		}
-	})
-	select {
-	case <-c.done:
-		return c.err
-	case <-st.abortC:
-		return errRoundAborted
+	for _, id := range st.optIDs[j] {
+		st.signal(id)
 	}
+	return nil
 }
 
 // commitStep finishes step j inside the round: it fires the caller's
@@ -544,7 +496,7 @@ func (st *runState) exec(d int, op *pipeline.Op) error {
 		// The last anchor of the stage's step tail: on W = 1 non-K-FAC
 		// schedules (no SyncGrad, no Precondition) it is where the
 		// gradient reduction lands; on every schedule it is where the
-		// step's commit barrier sits. The recorded event measures the fold
+		// step's commit sits. The recorded event measures the fold
 		// and, on the committing device, the optimizer callback: a step's
 		// commit is its longest OptStep event (CommitDurations).
 		t0 := time.Since(st.start)
@@ -877,8 +829,8 @@ func (st *runState) precondition(d int, op *pipeline.Op) error {
 		return nil
 	}
 	// The primary's stage-s gradients are this op's alone: its dependency
-	// edges follow every fold into them, and the step's OptStep barrier
-	// precedes any next-step op.
+	// edges follow every fold into them, and the step's commit precedes
+	// any next-step base op.
 	st.e.kfacPre[op.Stage].Precondition()
 	st.recordComm(d, op, t0, bytes)
 	return nil

@@ -164,8 +164,8 @@ func (st *runState) noteDegraded(d int, op *pipeline.Op, t0 time.Duration, cause
 // fault model for silent numeric corruption. Every target is either caught
 // by the pre-fold factor guard (inversion) or by the pre-commit health scan
 // (scanStepHealth), so corruption converts to an attributed failure instead
-// of silently destroying training state. Writes happen before the op's
-// done-channel closes, so no consumer can be reading concurrently.
+// of silently destroying training state. Writes happen before the op
+// signals its completion, so no consumer can be reading concurrently.
 func (st *runState) corruptOutput(op *pipeline.Op) {
 	nan := math.NaN()
 	switch op.Kind {
@@ -257,13 +257,15 @@ func (st *runState) scanStepHealth(j int) error {
 // the configured deadline, naming the stalled device and op. It cannot
 // preempt the hung op — goroutines are not killable — but the attributed
 // abort unparks every *other* device, and abort-aware waits (injected
-// stalls, barrier parks, dependency waits) return promptly.
+// stalls, retry backoffs, dependency waits) return promptly.
 //
 // The deadline covers an op's full execution, including collective
-// rendezvous time on SyncGrad/OptStep anchors; configure OpTimeout above
-// the expected step time, not the expected op compute time. Devices waiting
-// for a step's commit disarm their slot while they wait, so a long
-// legitimate barrier wait is not misattributed as that device's stall.
+// rendezvous time on SyncGrad/OptStep anchors and, on the device that
+// commits a step, the commit; configure OpTimeout above the expected step
+// time, not the expected op compute time. A slot is armed only while its
+// op runs: a device waiting on a dependency — a step's commit included —
+// has nothing armed, so a long legitimate wait is not misattributed as
+// that device's stall.
 type watchdog struct {
 	slots []atomic.Uint64 // per device: (opID+1)<<32 | start-µs, 0 = idle
 	stop  chan struct{}
@@ -296,8 +298,8 @@ func (st *runState) startWatchdog(timeout time.Duration) {
 			}
 			now := time.Since(st.start).Microseconds()
 			// Flag only the longest-stalled device per tick: when one hang
-			// makes several devices exceed the deadline together (barrier
-			// and fold waits count toward their ops' deadlines), the oldest
+			// makes several devices exceed the deadline together (fold and
+			// collective waits count toward their ops' deadlines), the oldest
 			// armed op is the best root-cause candidate; the abort unparks
 			// the rest.
 			worst, worstElapsed := -1, int64(-1)
@@ -337,8 +339,7 @@ func (st *runState) armWatchdog(d int, op *pipeline.Op) {
 	st.wd.slots[d].Store(uint64(op.ID+1)<<32 | us)
 }
 
-// disarmWatchdog clears the device's slot once its op returned (or while it
-// parks at the step-commit barrier).
+// disarmWatchdog clears the device's slot once its op returned.
 func (st *runState) disarmWatchdog(d int) {
 	if st.wd == nil {
 		return

@@ -487,3 +487,45 @@ func TestAbortedRefreshRoundRetries(t *testing.T) {
 		t.Fatal("round after a completed refresh must run stale (refreshEvery=8)")
 	}
 }
+
+// A warm round allocates less than it has ops: the run state — completion
+// words, wake channels, hand-off, slot, loss and delta tables — is built
+// once per schedule, so a round re-arms it instead of rebuilding it, and
+// what a round still allocates (its timeline, results and micro-batch
+// views) does not grow with the op count. K-FAC refreshes every round.
+func TestRoundAllocatesLessThanItsOps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	for _, method := range pipeline.Methods() {
+		for _, k := range []int{1, 4} {
+			for _, w := range []int{1, 2} {
+				t.Run(fmt.Sprintf("%s/K%d/W%d", method, k, w), func(t *testing.T) {
+					m, c := newModelAndCorpus(t)
+					e, err := NewWithConfig(m, Config{Method: method, Stages: 2, MicroBatches: 4, Replicas: w, RefreshSteps: k})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := e.EnableKFAC(faultKFACOpts(), k); err != nil {
+						t.Fatal(err)
+					}
+					opt := optim.NewLAMB(m.Params(), 0.01)
+					e.SetOptimizer(func(step int) error { opt.Step(5e-3); return nil })
+					batches := roundBatches(c, k, 8, m.Config.SeqLen)
+					round := func() {
+						if _, err := e.TrainRound(batches); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i := 0; i < 3; i++ {
+						round()
+					}
+					ops := len(e.Schedule().Ops)
+					if allocs := testing.AllocsPerRun(10, round); allocs >= float64(ops) {
+						t.Fatalf("a warm round allocates %.0f times for %d ops", allocs, ops)
+					}
+				})
+			}
+		}
+	}
+}

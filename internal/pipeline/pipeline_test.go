@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -520,5 +522,56 @@ func TestChimeraDataParallelWidthReplicatesPairs(t *testing.T) {
 	}
 	if perReplica[0] != perReplica[1] || perReplica[0] != 2*4*4 {
 		t.Fatalf("per-replica F/B op counts %v, want 32 each", perReplica)
+	}
+}
+
+// The executor's step commit rests on this contract: the commit signals a
+// step's OptStep ops only once the optimizer ran, so the first base op
+// after each OptStep in a device's order must depend on that OptStep — the
+// dependency wait is then what holds the device's next step through the
+// commit, while the refresh ops between them may run beside it.
+func TestNextStepBaseOpsFollowOwnOptStep(t *testing.T) {
+	checked := 0
+	for _, method := range Methods() {
+		for _, d := range []int{2, 4, 8} {
+			for _, n := range []int{2, 4, 8, 16} {
+				for _, w := range []int{1, 2} {
+					for _, steps := range []int{1, 2, 3} {
+						if Feasible(method, d, n) != nil {
+							continue
+						}
+						name := fmt.Sprintf("%s/D%d/N%d/W%d/K%d", method, d, n, w, steps)
+						s, err := Build(method, BuildConfig{
+							Stages: d, MicroBatches: n, Steps: steps, DataParallelWidth: w,
+							Costs:                StageCosts{Forward: 100, Backward: 200, OptStep: 10, SyncGrad: 60},
+							IncludeOptimizerWork: true,
+						})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for dev, order := range s.Order {
+							opt := -1
+							for _, id := range order {
+								op := s.Ops[id]
+								switch {
+								case op.Kind == OptStep:
+									opt = id
+								case opt >= 0 && !op.Kind.IsRefresh():
+									if !slices.Contains(op.Deps, opt) {
+										t.Errorf("%s: device %d's %s does not depend on its OptStep %s",
+											name, dev, op.Label(), s.Ops[opt].Label())
+									}
+									opt = -1
+									checked++
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no base op followed an OptStep")
 	}
 }
