@@ -1008,6 +1008,62 @@ func BenchmarkEngineSlotBytes(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineRoundFoldBytes is the fold rung of the memory ladder: the
+// bytes a K-FAC round's reductions hold in pooled buffers at peak, at the
+// paired benchmark's wide_1f1b_k8 round (the BenchmarkEngineRoundShape
+// engine: d 128, d_ff 512, S 32; 1F1B, D 2, N 4, K 8, overlapped). partials-B
+// is the Gram partials plus the factor sums they fold into — two
+// generations of them under overlap — and deltas-B the per-micro-batch
+// gradient delta sets, each the high-water mark of Engine.FoldBytes over the
+// measured rounds. A fold that held every micro-batch's contribution until
+// its reduction would hold four partials per factor and four delta sets per
+// stage and step; the running-prefix fold holds a sum per factor and what
+// waits for a lower micro-batch. ns/op is one round.
+func BenchmarkEngineRoundFoldBytes(b *testing.B) {
+	mc := bert.Config{VocabSize: 512, DModel: 128, DFF: 512, Heads: 4, Blocks: 2, SeqLen: 32}
+	m, err := bert.New(mc, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := data.NewCorpus(mc.VocabSize, 1.0, 17)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const k, batchSize = 8, 8
+	e := benchEngine(b, m, engine.Config{Method: "1f1b", Stages: 2, MicroBatches: 4, RefreshSteps: k, OverlapRounds: true})
+	if err := e.EnableKFAC(kfac.DefaultOptions(), k); err != nil {
+		b.Fatal(err)
+	}
+	opt := optim.NewLAMB(m.Params(), 0.01)
+	e.SetOptimizer(func(step int) error {
+		opt.Step(1e-3)
+		return nil
+	})
+	batches := make([]*data.Batch, k)
+	for j := range batches {
+		batches[j] = c.MakeBatch(batchSize, data.DefaultBatchConfig(mc.SeqLen))
+	}
+	// Two untimed rounds: the first re-prices the packing, the second is the
+	// first to carry a generation in.
+	for i := 0; i < 2; i++ {
+		if _, err := e.TrainRound(batches); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var partials, deltas int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.TrainRound(batches); err != nil {
+			b.Fatal(err)
+		}
+		p, d := e.FoldBytes()
+		partials, deltas = max(partials, p), max(deltas, d)
+	}
+	b.ReportMetric(float64(partials), "partials-B")
+	b.ReportMetric(float64(deltas), "deltas-B")
+}
+
 // BenchmarkEngineStepKFAC is the same comparison with the PipeFisher
 // schedule: K-FAC curvature/inversion in the bubbles (inversion sharded
 // round-robin across the replica group at W = 2) plus per-step

@@ -293,7 +293,7 @@
 // (Snap.GramInto) is that product without its mirror: its strict upper
 // triangle is unspecified, because a partial is only ever read through the
 // sum it folds into, and the engine's factor fold mirrors each folded sum
-// once (Matrix.MirrorLower) after its scale and before the NaN guard and
+// once (Matrix.MirrorLower) before the NaN guard, its scale and
 // SetFactors read it whole — one mirror per factor per refresh instead of
 // one per micro-batch partial, bit for bit the fold of mirrored partials,
 // since an upper element was the same sum of the same values in the same
@@ -452,27 +452,46 @@
 //     The race detector runs the identity suites in CI.
 //   - Reduction order is fixed at micro-batch granularity: each backward
 //     accumulates its micro-batch's gradient contribution into pooled delta
-//     buffers, and the stage's SyncGrad folds every delta from +0 in
-//     ascending *global* micro-batch order, over the primary's
-//     accumulators: the fold is their only writer, so nothing a caller or
-//     an earlier step left there enters a step's gradient
-//     (TestFoldOverwritesAccumulators). The order depends on
-//     neither the schedule, W, nor the kernel worker count, so reduced
-//     gradients are bit-identical across all of them (the engine's
-//     data-parallel tests assert exact equality, not closeness). K-FAC
-//     curvature partials fold the same way, so factors, inverses, and
+//     buffers, and the step's fold adds every delta onto +0 in ascending
+//     *global* micro-batch order, over the primary's accumulators: the fold
+//     is their only writer, so nothing a caller or an earlier step left
+//     there enters a step's gradient (TestFoldOverwritesAccumulators). The
+//     order depends on neither the schedule, W, nor the kernel worker
+//     count, so reduced gradients are bit-identical across all of them (the
+//     engine's data-parallel tests assert exact equality, not closeness).
+//     K-FAC curvature partials fold the same way, so factors, inverses, and
 //     preconditioned gradients inherit the guarantee.
-//   - Buffer ownership: the run state owns the delta buffers. The
-//     reduction consumes them (foldParams Puts each and nils its slot), and
-//     an aborted round's rollback returns the rest; the primary's
-//     accumulators are left as the abort found them, unspecified until the
-//     next fold overwrites them (TestPoolAuditNoLeakOnAbortAnywhere aborts
+//   - The fold is a running prefix (internal/engine/collective.go,
+//     prefixFold). Each addition of the chain is rounded on its own, so a
+//     contribution can join one running sum as soon as every lower one of
+//     the same (step, stage) — or (generation, stage, layer, factor) — is
+//     in: the backward's delta set adds into the primary's accumulators, a
+//     curvature op's Gram partial into its factor's pooled sum, inside the
+//     op, which returns the buffer to the pool and adds any waiting
+//     successors too. A contribution that arrives early (Chimera's other
+//     direction, another replica) waits in its slot for the device that
+//     completes the prefix. So a stage holds its running sums plus what
+//     waits (TestFoldHoldsOneBufferPerSum; BenchmarkEngineRoundFoldBytes
+//     reports the bytes), and every arrival order of every split across
+//     devices gives the chain's bits (TestPrefixFoldMatchesChainFold). A
+//     single-process SyncGrad finds the sum complete and has nothing left
+//     to add, and the inversion hands the sums on. Only the rank that
+//     starts the transport chain folds early (Collective transport
+//     contract).
+//   - Buffer ownership: the run state owns the delta buffers and the
+//     generation pool the partials and factor sums. The fold that consumes
+//     one Puts it and nils its slot, and an aborted round's rollback (or
+//     the pool's reset) returns the rest; the primary's accumulators are
+//     left as the abort found them, unspecified until the next step's first
+//     fold starts them over (TestPoolAuditNoLeakOnAbortAnywhere aborts
 //     after one, two and three committed steps of a K = 4 round). The
 //     steady-state collective path is allocation-free.
-//   - Any participant of a stage's collective may perform the reduction;
-//     the per-stage once-guard blocks latecomers until it completed (the
-//     rendezvous), and the reduced result lands in the primary replica's
-//     accumulators — the only ones the caller's optimizer reads.
+//   - Any participant of a stage's collective may complete the reduction:
+//     the first to reach it in the round does, under the stage's prefix
+//     fold lock — latecomers block until it completed (the rendezvous) and
+//     find it done in the round's epoch — and the reduced result lands in
+//     the primary replica's accumulators, the only ones the caller's
+//     optimizer reads.
 //   - InversionParallel shards each stage's K-FAC inversion units
 //     round-robin across the stage's replica group; the shared per-stage
 //     preconditioner makes the post-inversion broadcast implicit, and
@@ -541,11 +560,18 @@
 // decision:
 //
 //   - Fold order is THE invariant. Rank g of a W_g-rank group running R
-//     local replicas owns global micro-batches [g*R*M, (g+1)*R*M): it
-//     folds its local deltas in ascending global-micro order exactly as
-//     the loopback would, and the cross-rank reduction folds the per-rank
-//     partials in ascending rank order — the same total order as one
-//     process running W_g*R replicas. Gradients, K-FAC factors, inverses
+//     local replicas owns global micro-batches [g*R*M, (g+1)*R*M): the
+//     chain starts at +0 on rank 0, adds rank 0's contributions in
+//     ascending global-micro order, passes the running sum on, and every
+//     later rank adds its own in the same order — the same total order as
+//     one process running W_g*R replicas. Who folds early follows from
+//     it: rank 0 starts the chain, so it adds its local contributions into
+//     running sums as they complete, exactly as the loopback does, and
+//     hands the group each sum as the reduction's base
+//     (transport.Reduction.Base) with no parts. A rank > 0 cannot: its
+//     additions come after the upstream sum arrives, and a local sum would
+//     group them differently, so it keeps one buffer per contribution and
+//     passes them as parts. Gradients, K-FAC factors, inverses
 //     and preconditioned updates are therefore bit-identical between a
 //     2-process ring and a single loopback process at equal global width
 //     (CI's multiproc job diffs the per-step losses for exact equality).
@@ -719,11 +745,13 @@
 //   - Factor ownership across step boundaries: the window's first step
 //     snapshots the per-micro-batch statistics into pooled buffers owned
 //     by the run state; the scheduled Curvature ops consume them in
-//     whichever step's bubble the packer chose; the first Inversion op of
-//     a layer folds every replica's partials into the per-stage
-//     preconditioner's EMA (ascending global-micro order, under the
-//     per-layer lock) and each Inversion op — for a factor inverted as a
-//     chain, the chain's last — then swaps one cached inverse.
+//     whichever step's bubble the packer chose, each adding its partial
+//     into its factor's running sum once the lower micro-batches' are in
+//     (ascending global-micro order); the first Inversion op of a layer
+//     completes the two sums across the group and folds them into the
+//     per-stage preconditioner's EMA (under the per-layer lock), and each
+//     Inversion op — for a factor inverted as a chain, the chain's last —
+//     then swaps one cached inverse.
 //     One round always completes exactly one refresh.
 //   - Staleness semantics: the Precondition op of step j depends exactly
 //     on the inversions the packer assigned to steps <= j, so each step
@@ -941,9 +969,9 @@
 //     StepResult (Degraded/DegradedReason with the root-cause device and
 //     op) and carries a Degraded marker span in the Timeline; the next
 //     refresh round starts from scratch, and the factor EMA is never
-//     touched by a failed or corrupt refresh (NaN/Inf partials are caught
-//     before the fold). schedule.ValidateDegradedSafety proves the
-//     licensing precondition on every rebuild: no base-path op may depend
+//     touched by a failed or corrupt refresh (NaN/Inf in a folded factor
+//     sum is caught before the EMA). schedule.ValidateDegradedSafety proves
+//     the licensing precondition on every rebuild: no base-path op may depend
 //     on refresh output except Precondition-on-Inversion, the one edge
 //     with a defined fallback.
 //   - Checkpoint/replay: base-path faults (forward, backward, sync-grad,

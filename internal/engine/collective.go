@@ -2,7 +2,10 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/nn"
 	"repro/internal/pipemodel"
@@ -14,11 +17,10 @@ import (
 // collective of the executor — the per-stage gradient all-reduce, the
 // K-FAC factor fold, the per-step loss reduction of multi-process groups —
 // routes through the engine's transport.Group. With the default Loopback
-// group the routed fold is bit for bit the historical in-process
-// collective (each micro-batch delta onto +0 in ascending order),
-// allocation-free on the steady-state path; with a
-// Ring group the same calls put the partials on a wire, and the chain fold
-// order keeps the results bit-identical.
+// group the fold is bit for bit the historical in-process collective (each
+// micro-batch delta onto +0 in ascending order), allocation-free on the
+// steady-state path; with a Ring group the same calls put the partials on a
+// wire, and the chain fold order keeps the results bit-identical.
 //
 // Determinism contract: every reduction runs at micro-batch granularity in
 // a single fixed order — ascending global micro-batch index, where rank r
@@ -28,10 +30,25 @@ import (
 // are bit-identical for any (group size, replica count, schedule, worker
 // count) splitting of the same global batch.
 //
-// Buffer ownership: the per-micro-batch delta buffers are pooled matrices
-// (tensor.Get) owned by the run state. foldParams consumes (Puts and nils)
-// the deltas it folds and writes their sum over the primary's gradient
-// accumulators, which it is the only writer of: nothing carries gradient
+// The fold is a running prefix (prefixFold). The chain a reduction folds
+// is +0, then every contribution in ascending order, each addition rounded
+// on its own; so the rank that starts the chain can add a contribution
+// into one running sum as soon as every lower one is in, and hand the
+// transport that sum as the reduction's base with no parts. Rank 0 of a
+// ring and every loopback engine do: a backward's delta set folds into the
+// primary's gradient accumulators, a curvature op's Gram partial into its
+// factor's pooled sum, and the contribution's buffer goes back to the pool
+// inside the op. One that arrives early waits in its slot until the device
+// that completes the prefix folds it. Ranks > 0 cannot: the chain adds
+// their parts after the upstream sum arrives, so a local sum would group
+// the additions differently — they keep every contribution until the
+// reduction, as parts.
+//
+// Buffer ownership: the per-micro-batch delta buffers and Gram partials
+// are pooled matrices (tensor.Get) owned by the run state and the
+// generation pool; the fold that consumes one Puts it and nils its slot.
+// The primary's gradient accumulators are written only by the fold: the
+// first contribution of a step lands on +0, so nothing carries gradient
 // state from one step into the next.
 
 // initCollectives prepares the engine's transport routing: the resolved
@@ -115,42 +132,201 @@ func (e *Engine) syncParamsFrom(root int) error {
 	return nil
 }
 
-// foldParams performs one stage's gradient collective over a transport
-// group: for each parameter, dst = every rank's micro-batch deltas in
-// ascending global micro-batch order, folded from the transport's nil
-// (+0) base, so whatever the accumulator held before is overwritten.
-// deltas[m][k] aligns with params[k]. Delta buffers are returned to the
-// pool and their slots nilled. ops is the stage's retained batch
-// (newFoldOps: one reduction per parameter, one part slot per
-// micro-batch), so the loopback steady state allocates nothing.
-// The parameters go to the group as one batch: on a ring their waits
+// prefixFold is the running-prefix state of one sum of n contributions —
+// a (step, stage)'s gradient deltas, or a (generation, stage, layer,
+// factor)'s Gram partials. Contributions arrive in any order, from any
+// device that produces them; each is added as soon as every lower one is
+// in, by the device that completed the prefix, which also drains the
+// waiting successors. The adds run outside mu (busy marks them), so a
+// device arriving meanwhile only records itself and returns. Its state
+// counts in one epoch — the run state's round for gradients, the generation
+// pool's for factors — and re-arms on the first touch in a newer one, so
+// nothing is cleared between rounds.
+type prefixFold struct {
+	mu    sync.Mutex
+	epoch int64
+	next  int     // contributions [0, next) are in the sum
+	busy  bool    // a device is adding contributions outside mu
+	done  bool    // the group's reduction completed: the sum is final
+	err   error   // that reduction's failure, surfaced to every participant
+	ready []int64 // per contribution: the epoch it last arrived in
+}
+
+func newPrefixFold(n int) prefixFold { return prefixFold{ready: make([]int64, n)} }
+
+// arm re-arms the state for epoch when it still counts in an older one.
+// The caller holds mu.
+func (f *prefixFold) arm(epoch int64) {
+	if f.epoch != epoch {
+		f.epoch, f.next, f.busy, f.done, f.err = epoch, 0, false, false, nil
+	}
+}
+
+// arrive records contribution m as complete and returns it when it
+// completes the prefix: the caller then adds it, and every contribution
+// advance returns after it. Otherwise it returns -1 and m waits in its slot.
+func (f *prefixFold) arrive(epoch int64, m int) int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.arm(epoch)
+	f.ready[m] = epoch
+	if f.busy || m != f.next {
+		return -1
+	}
+	f.busy = true
+	return m
+}
+
+// advance records the contribution the caller just added and returns the
+// next one to add, or -1 once the prefix reaches one that has not arrived.
+func (f *prefixFold) advance() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.next++
+	if f.next < len(f.ready) && f.ready[f.next] == f.epoch {
+		return f.next
+	}
+	f.busy = false
+	return -1
+}
+
+// state returns, in epoch, how many contributions the sum holds and
+// whether the group's reduction of it completed. Between a sum's last
+// arrival and its reduction nothing adds, so the reduction reads it
+// without waiting.
+func (f *prefixFold) state(epoch int64) (next int, done bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.arm(epoch)
+	return f.next, f.done
+}
+
+// settle locks f once no device is adding outside mu and reports whether
+// contribution m is in the sum; the caller unlocks. The fault model uses it
+// to find where an op's contribution lives.
+func (f *prefixFold) settle(epoch int64, m int) bool {
+	f.mu.Lock()
+	for f.busy {
+		f.mu.Unlock()
+		runtime.Gosched()
+		f.mu.Lock()
+	}
+	f.arm(epoch)
+	return m < f.next
+}
+
+// foldPart adds one contribution into a running sum the way the
+// transport's chain does: the first onto +0 (so a sum of −0s is +0), every
+// later one onto the sum so far.
+func foldPart(sum, part *tensor.Matrix, first bool) {
+	if first {
+		clear(sum.Data)
+	}
+	sum.AddInPlace(part)
+}
+
+// heldBytes is the folds' byte ledger: the pooled bytes they hold — the
+// gradient delta sets, and the K-FAC Gram partials with the factor sums
+// they fold into — each class with its high-water mark since the round
+// began (Engine.FoldBytes).
+type heldBytes struct{ deltas, partials byteGauge }
+
+// byteGauge is one class of heldBytes.
+type byteGauge struct{ cur, peak atomic.Int64 }
+
+// add moves the gauge by n bytes, raising the high-water mark past it.
+func (g *byteGauge) add(n int64) {
+	c := g.cur.Add(n)
+	for p := g.peak.Load(); c > p && !g.peak.CompareAndSwap(p, c); p = g.peak.Load() {
+	}
+}
+
+// rearm starts a new high-water mark at what is held now.
+func (g *byteGauge) rearm() { g.peak.Store(g.cur.Load()) }
+
+// foldsEarly reports whether this rank starts the transport chain, and so
+// folds its contributions into running sums as they arrive.
+func (e *Engine) foldsEarly() bool { return e.group.Rank() == 0 }
+
+// bytesOf is the pooled size of a set of buffers.
+func bytesOf(ms ...*tensor.Matrix) int64 {
+	var n int64
+	for _, m := range ms {
+		if m != nil {
+			n += int64(8 * cap(m.Data))
+		}
+	}
+	return n
+}
+
+// foldGrads folds contribution gm of step j's stage-s gradient into the
+// primary's accumulators once every lower one is in, and every waiting one
+// after it, returning their delta buffers to the pool.
+func (st *runState) foldGrads(j, s, gm int) {
+	f := &st.gradFold[j][s]
+	for m := f.arrive(st.round, gm); m >= 0; m = f.advance() {
+		set := st.deltas[j][s][m]
+		for k, d := range set {
+			foldPart(st.gradSum[s][k], d, m == 0)
+		}
+		st.e.held.deltas.add(-bytesOf(set...))
+		for k, d := range set {
+			tensor.Put(d)
+			set[k] = nil
+		}
+	}
+}
+
+// foldParams completes one stage's gradient collective over a transport
+// group. held are the step's last len(held) micro-batch delta sets
+// (held[m][k] aligned with params[k]); the contributions before them are
+// already in the primary's accumulators (foldGrads), which are then the
+// reduction's base — only the rank that starts the chain folds early. The
+// result, every rank's contributions in ascending global micro-batch
+// order, is written over the accumulators. A single-rank group holding
+// nothing has nothing left to do: the accumulators are the sum. The held
+// buffers are returned to the pool and their slots nilled. ops is the
+// stage's retained batch (newFoldOps: one reduction per parameter, one part
+// slot per micro-batch), so the steady state allocates nothing; the
+// parameters go to the group as one batch, so on a ring their waits
 // overlap (transport.AllReduceBatch). Returns the bytes the group put on
 // the wire.
-func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.Param, deltas [][]*tensor.Matrix) (int64, error) {
+func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.Param, held [][]*tensor.Matrix) (int64, error) {
+	if len(held) == 0 && group.Size() == 1 {
+		return 0, nil
+	}
+	for m, set := range held {
+		for k, d := range set {
+			if d == nil {
+				return 0, fmt.Errorf("missing micro-batch %d gradient contribution for %s", len(ops[k].Parts)-len(held)+m, params[k].Name)
+			}
+		}
+	}
 	for k, p := range params {
 		op := &ops[k]
+		if len(held) < len(op.Parts) {
+			op.Base = p.Grad.Data
+		}
 		op.Dst = p.Grad.Data
-		for m := range deltas {
-			d := deltas[m][k]
-			if d == nil {
-				return 0, fmt.Errorf("missing micro-batch %d gradient contribution for %s", m, p.Name)
-			}
-			op.Parts[m] = d.Data
+		op.Parts = op.Parts[:len(held)]
+		for m, set := range held {
+			op.Parts[m] = set[k].Data
 		}
 	}
 	bytes, err := transport.AllReduceBatch(group, ops)
 	for k := range ops {
 		op := &ops[k]
-		op.Dst = nil
+		op.Dst, op.Base = nil, nil
+		op.Parts = op.Parts[:cap(op.Parts)]
 		clear(op.Parts)
 	}
 	if err != nil {
 		return bytes, fmt.Errorf("gradient all-reduce: %w", err)
 	}
-	for m := range deltas {
-		for k := range params {
-			tensor.Put(deltas[m][k])
-			deltas[m][k] = nil
+	for _, set := range held {
+		for k, d := range set {
+			tensor.Put(d)
+			set[k] = nil
 		}
 	}
 	return bytes, nil
@@ -164,13 +340,16 @@ func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.P
 // in, its header holding the parameter's own slice (the primary's
 // accumulator, nil for any other module set) until swapGrads hands that
 // back, before the op completes. Runs on the device that owns the module
-// set's stage, whose slots back-propagate one at a time.
-func attachDeltas(params []*nn.Param, dst []*tensor.Matrix) {
+// set's stage, whose slots back-propagate one at a time. Returns the bytes
+// it took from the pool.
+func attachDeltas(params []*nn.Param, dst []*tensor.Matrix) int64 {
 	for k, p := range params {
 		dst[k] = tensor.Get(p.Grad.Rows, p.Grad.Cols)
 		dst[k].Zero()
 	}
+	n := bytesOf(dst...)
 	swapGrads(params, dst)
+	return n
 }
 
 // swapGrads exchanges each parameter's gradient storage with its delta
@@ -182,13 +361,13 @@ func swapGrads(params []*nn.Param, deltas []*tensor.Matrix) {
 }
 
 // factorFold is the reusable state of one Kronecker factor's collective:
-// part views over the per-micro-batch Gram partials and the precomputed
+// part views over the Gram partials still held and the precomputed
 // collective name. A layer's names are reused across generations; the
 // schedule's cross-generation dependency edges order a carried fold before
 // the newer generation's on every rank, so same-name calls are issued in
 // one global order.
 type factorFold struct {
-	parts [][]float64 // len = local micro-batches per step
+	parts [][]float64 // cap = local micro-batches per step
 	name  string
 }
 
@@ -221,61 +400,127 @@ func (e *Engine) initKFACFold() {
 	}
 }
 
-// stage points the factor's reduction — the payload fold into a pooled
-// sum — at one generation's partials.
-func (f *factorFold) stage(op *transport.Reduction, parts []*tensor.Matrix) (*tensor.Matrix, error) {
-	for m, p := range parts {
+// stage points the factor's reduction at a generation's running sum and
+// the partials it does not hold yet, parts[first:]: the sum is the base
+// (nil when nothing folded early), the held partials the parts, and a
+// fresh pooled buffer the destination — so a failed exchange leaves the
+// sum as it was, for a retry.
+func (f *factorFold) stage(op *transport.Reduction, sum *factorSum, parts []*tensor.Matrix, first int) (*tensor.Matrix, error) {
+	held := parts[first:]
+	for i, p := range held {
 		if p == nil {
-			return nil, fmt.Errorf("missing curvature contribution of micro-batch %d", m)
+			return nil, fmt.Errorf("missing curvature contribution of micro-batch %d", first+i)
 		}
-		f.parts[m] = p.Data
+		f.parts[i] = p.Data
 	}
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("no curvature contributions")
+	shape := sum.acc
+	if shape == nil {
+		if len(held) == 0 {
+			return nil, fmt.Errorf("no curvature contributions")
+		}
+		shape = held[0]
 	}
-	sum := tensor.Get(parts[0].Rows, parts[0].Cols)
-	*op = transport.Reduction{Name: f.name, Dst: sum.Data, Parts: f.parts}
-	return sum, nil
+	dst := tensor.Get(shape.Rows, shape.Cols)
+	*op = transport.Reduction{Name: f.name, Dst: dst.Data, Parts: f.parts[:len(held)]}
+	if sum.acc != nil {
+		op.Base = sum.acc.Data
+	}
+	return dst, nil
 }
 
-// foldFactors reduces a layer's two Kronecker factors over the transport
-// group in ONE batch of two reductions — one round trip on a wire, where a
-// fold per factor waited for the peers twice: each factor is
-// scale/N · Σ_m U_m^T U_m with the per-micro-batch partials as collective
-// parts — every reduction still summed alone, in the fixed ascending global
-// micro-batch order — scale 1 for A and scaleB for B. N is the group-wide
-// row count: every statistic has one row per token of its micro-batch, so
-// N is the generation's batch in tokens, Seqs × SeqLen, an integer exact in
-// float64. The partials are lower triangles whose upper ones are
-// unspecified (they cross the wire as they are); each sum is mirrored once
-// after its scale, which equals folding mirrored partials bit for bit: an
-// upper element was the same sum of the same values in the same order. The
-// returned matrices are pooled; the caller Puts them after SetFactors
-// copies them out. Partial buffers stay with the caller.
-func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
-	if newA, err = fs.a.stage(&fs.ops[0], pool.curvA[s][li]); err != nil {
-		return nil, nil, 0, fmt.Errorf("factor A: %w", err)
+// exchangeFactors completes a layer's two factor sums across the group, in
+// ONE batch of two reductions — one round trip on a wire, where a fold per
+// factor waited for the peers twice — each still summed alone, in the
+// fixed ascending global micro-batch order. On a single-rank group whose
+// prefix folds are complete there is nothing to exchange: the running sums
+// are the factors. Otherwise each exchanged sum replaces the running sum
+// and the partials it consumed go back to the pool. An exchanged sum is
+// marked done, so a retried inversion does not exchange it again.
+func (e *Engine) exchangeFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int) (int64, error) {
+	sums := [2]*factorSum{&pool.sumA[s][li], &pool.sumB[s][li]}
+	parts := [2][]*tensor.Matrix{pool.curvA[s][li], pool.curvB[s][li]}
+	var first [2]int
+	for i, sum := range sums {
+		if first[i], _ = sum.state(pool.epoch); first[i] > 0 && !e.foldsEarly() {
+			return 0, fmt.Errorf("curvature folded early on a rank that no longer starts the chain")
+		}
 	}
-	if newB, err = fs.b.stage(&fs.ops[1], pool.curvB[s][li]); err != nil {
-		tensor.Put(newA)
-		return nil, nil, 0, fmt.Errorf("factor B: %w", err)
+	if !e.multiRank && first[0] == len(parts[0]) && first[1] == len(parts[1]) {
+		sums[0].done, sums[1].done = true, true
+		return 0, nil
 	}
-	bytes, err = transport.AllReduceBatch(e.group, fs.ops[:])
-	fs.ops[0].Dst, fs.ops[1].Dst = nil, nil
-	clear(fs.a.parts)
-	clear(fs.b.parts)
+	var dst [2]*tensor.Matrix
+	var bytes int64
+	var err error
+	folds := [2]*factorFold{&fs.a, &fs.b}
+	for i := range sums {
+		if dst[i], err = folds[i].stage(&fs.ops[i], sums[i], parts[i], first[i]); err != nil {
+			err = fmt.Errorf("factor %c: %w", "AB"[i], err)
+			break
+		}
+	}
+	if err == nil {
+		bytes, err = transport.AllReduceBatch(e.group, fs.ops[:])
+	}
+	for i := range fs.ops {
+		fs.ops[i] = transport.Reduction{}
+		clear(folds[i].parts)
+	}
 	if err != nil {
-		tensor.Put(newA)
-		tensor.Put(newB)
-		return nil, nil, bytes, err
+		tensor.Put(dst[0])
+		tensor.Put(dst[1])
+		return bytes, err
+	}
+	pool.count(bytesOf(dst[:]...))
+	for i, sum := range sums {
+		held := parts[i][first[i]:]
+		pool.count(-bytesOf(sum.acc) - bytesOf(held...))
+		tensor.Put(sum.acc)
+		for m, p := range held {
+			tensor.Put(p)
+			held[m] = nil
+		}
+		sum.acc, sum.next, sum.done = dst[i], len(parts[i]), true
+	}
+	return bytes, nil
+}
+
+// foldFactors hands over a layer's two Kronecker factors: the group-wide
+// sums (exchangeFactors) — each scale/N · Σ_m U_m^T U_m, scale 1 for A and
+// scaleB for B. N is the group-wide row count: every statistic has one row
+// per token of its micro-batch, so N is the generation's batch in tokens,
+// Seqs × SeqLen, an integer exact in float64. The partials are lower
+// triangles whose upper ones are unspecified (they are summed, and cross
+// the wire, as they are); each sum is mirrored once before it is scaled,
+// which equals folding mirrored partials bit for bit: an upper element was
+// the same sum of the same values in the same order. Under a fault plan a
+// sum holding NaN/Inf fails the fold before it is scaled — corrupted
+// partials must not poison the preconditioner's EMA, which SetFactors
+// folds into long-lived state no retry could repair — and stays in the
+// pool, so a retry checks it again and, still poisoned, degrades. The
+// returned matrices leave the pool; the caller Puts them after SetFactors
+// copies them out.
+func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
+	sumA, sumB := &pool.sumA[s][li], &pool.sumB[s][li]
+	if _, done := sumA.state(pool.epoch); !done {
+		if bytes, err = e.exchangeFactors(fs, pool, s, li); err != nil {
+			return nil, nil, bytes, err
+		}
+	}
+	newA, newB = sumA.acc, sumB.acc
+	if newA == nil || newB == nil {
+		return nil, nil, bytes, fmt.Errorf("factor sums already handed on")
+	}
+	// Mirroring is idempotent, so a retry may mirror again.
+	newA.MirrorLower()
+	newB.MirrorLower()
+	if e.inj != nil && (newA.HasNaN() || newB.HasNaN()) {
+		return nil, nil, bytes, fmt.Errorf("NaN/Inf in folded curvature factors of layer %d stage %d", li, s)
 	}
 	n := float64(pool.totals.Seqs * e.sets[0].model.SeqLen())
 	newA.ScaleInPlace(1 / n)
 	newB.ScaleInPlace(scaleB / n)
-	// The partials are lower triangles (Snap.GramInto); the folded sums
-	// are mirrored here, once each, before anything reads them whole.
-	newA.MirrorLower()
-	newB.MirrorLower()
+	sumA.acc, sumB.acc = nil, nil
 	return newA, newB, bytes, nil
 }
 

@@ -274,6 +274,10 @@ type Engine struct {
 	// lossSync is the per-step loss collective's retained scratch
 	// (multi-rank engines only, collective.go).
 	lossSync lossSync
+	// held is the folds' byte ledger (collective.go): what the gradient
+	// delta sets and the K-FAC partials and sums hold, and its high-water
+	// mark per round (FoldBytes).
+	held heldBytes
 	// kfacFold[s][li] is the factor collective's reusable scratch
 	// (collective.go), allocated at EnableKFAC: a layer's A and B fold in
 	// one batch, under layerMu[s][li].
@@ -739,6 +743,7 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 	for i, p := range e.kfacPools {
 		if p == nil {
 			e.kfacPools[i] = newKFACGenPool(e.cfg.Stages, perStep, nLayers, e.cfg.Replicas)
+			e.kfacPools[i].held = &e.held.partials
 		}
 	}
 	e.dropGenerations(false) // re-enabling K-FAC must not inherit stale pool state
@@ -764,6 +769,15 @@ func (e *Engine) dropGenerations(force bool) {
 		}
 	}
 	e.carried = nil
+}
+
+// FoldBytes reports the high-water bytes the last round's folds held in
+// pooled buffers: K-FAC Gram partials together with the factor sums they
+// fold into, and per-micro-batch gradient delta sets — the contributions
+// that wait for their turn in a reduction's fixed order, and the sums they
+// wait for.
+func (e *Engine) FoldBytes() (partials, deltas int64) {
+	return e.held.partials.peak.Load(), e.held.deltas.peak.Load()
 }
 
 // KFACStates exposes the per-stage preconditioner (nil-safe; used by tests

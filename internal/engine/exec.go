@@ -65,16 +65,17 @@ type runState struct {
 
 	lossParts [][]pipemodel.Loss // [step][gmicro], written by the last stage
 
-	// Gradient-collective state, per step of the round: deltas the
-	// per-micro-batch contributions each backward accumulates into (the
-	// step's fold writes their sum over the primary's accumulators, so no
-	// earlier gradient state takes part in it), foldDone the per-(step,
-	// stage) once-guards of the reduction (any participant of the stage's
-	// collective may perform it; latecomers block until it finished), and
-	// foldErr a reduction failure to surface.
+	// Gradient-collective state, per step of the round. deltas are the
+	// per-micro-batch contributions each backward accumulates into; one
+	// waits in its slot until it folds. gradFold[j][s] is the prefix fold
+	// that adds them into gradSum[s] and guards the stage's reduction: the
+	// first participant to reach it performs it, in the round's epoch.
+	// gradSum[s] are headers over the primary's stage-s accumulators, taken
+	// at round start: a fold on another device must not read the primary's
+	// Grad headers, which its own backwards swap delta buffers into.
 	deltas   [][][][]*tensor.Matrix // [step][stage][gmicro][param]
-	foldDone [][]sync.Once          // [step][stage]
-	foldErr  [][]error              // [step][stage], written inside foldDone
+	gradFold [][]prefixFold         // [step][stage]
+	gradSum  [][]*tensor.Matrix     // [stage][param]
 
 	// Step commits: every OptStep op of a step arrives after folding its
 	// stages, and the last to arrive commits the step (the optimizer
@@ -119,8 +120,8 @@ func newRunState(e *Engine) *runState {
 		slot:      make([][]*actSlot, nStages),
 		lossParts: make([][]pipemodel.Loss, r),
 		deltas:    make([][][][]*tensor.Matrix, r),
-		foldDone:  make([][]sync.Once, r),
-		foldErr:   make([][]error, r),
+		gradFold:  make([][]prefixFold, r),
+		gradSum:   make([][]*tensor.Matrix, nStages),
 		optIDs:    make([][]int, r),
 		arrived:   make([]atomic.Int32, r),
 		errs:      make([]error, e.sched.Devices),
@@ -135,10 +136,16 @@ func newRunState(e *Engine) *runState {
 	for j := 0; j < r; j++ {
 		st.lossParts[j] = make([]pipemodel.Loss, perStep)
 		st.deltas[j] = make([][][]*tensor.Matrix, nStages)
-		st.foldDone[j] = make([]sync.Once, nStages)
-		st.foldErr[j] = make([]error, nStages)
+		st.gradFold[j] = make([]prefixFold, nStages)
 		for s := 0; s < nStages; s++ {
 			st.deltas[j][s] = mat2(perStep, len(e.sets[0].stageParams[s]))
+			st.gradFold[j][s] = newPrefixFold(perStep)
+		}
+	}
+	for s, params := range e.sets[0].stageParams {
+		st.gradSum[s] = make([]*tensor.Matrix, len(params))
+		for k, p := range params {
+			st.gradSum[s][k] = &tensor.Matrix{Rows: p.Grad.Rows, Cols: p.Grad.Cols}
 		}
 	}
 	for _, op := range e.sched.Ops {
@@ -223,10 +230,13 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	st.round++
 	clear(st.errs)
 	clear(st.arrived)
-	for j := range st.foldDone {
-		clear(st.foldDone[j])
-		clear(st.foldErr[j])
+	for s, params := range e.sets[0].stageParams {
+		for k, p := range params {
+			st.gradSum[s][k].Data = p.Grad.Data
+		}
 	}
+	e.held.deltas.rearm()
+	e.held.partials.rearm()
 	st.committed = 0
 	st.failed.Store(false)
 	st.degraded, st.degradedReason = false, ""
@@ -320,14 +330,17 @@ func (st *runState) results(upTo int) []*StepResult {
 // stand — their optimizer updates already happened and cannot be undone
 // without parameter snapshots. The primary's gradient accumulators are not
 // restored: their contents after an abort are unspecified, and the next
-// step's fold overwrites them. The partial per-micro deltas of every step
-// go back to the pool.
+// step's first fold starts them over from +0. The per-micro deltas still
+// held — attached by a backward that failed, waiting for a lower one, or
+// waiting for the reduction on a rank > 0 — go back to the pool; the
+// prefix folds re-arm in the next round's epoch.
 func (st *runState) rollback() {
 	for j := range st.deltas {
 		for s := range st.deltas[j] {
 			for m := range st.deltas[j][s] {
 				for k, d := range st.deltas[j][s][m] {
 					if d != nil {
+						st.e.held.deltas.add(-bytesOf(d))
 						tensor.Put(d)
 						st.deltas[j][s][m][k] = nil
 					}
@@ -368,27 +381,41 @@ func (st *runState) rollback() {
 	}
 }
 
-// foldStages performs the gradient collective of every stage the op's
+// foldStages completes the gradient collective of every stage the op's
 // device participates in — for the op's step — exactly once per (step,
-// stage) (Once.Do blocks the other participants until the reduction
-// finished — the rendezvous of the all-reduce), routed through the
-// engine's transport group. The stages are the ones the schedule's
-// placement says the device hosts: a chimera device syncs two, every other
-// topology the op's own. Returns the bytes this call actually put on the
-// wire (zero for a latecomer that only waited on another participant's
-// fold).
+// stage), routed through the engine's transport group: the first
+// participant to reach it in the round performs the reduction under the
+// stage's prefix fold lock, so latecomers block until it finished (the
+// rendezvous of the all-reduce) and find it done in the round's epoch. By
+// then every backward of the stage has folded or is held (the op's
+// dependency edges), so the reduction reads the prefix without waiting. The
+// stages are the ones the schedule's placement says the device hosts: a
+// chimera device syncs two, every other topology the op's own. Returns the
+// bytes this call actually put on the wire (zero for a latecomer, and for
+// a single-rank engine, whose folds completed inside the backwards).
 func (st *runState) foldStages(op *pipeline.Op) (int64, error) {
 	j := op.Step
 	var bytes int64
 	for _, s := range st.e.sched.Placement.Hosted[op.Device] {
-		st.foldDone[j][s].Do(func() {
-			var nb int64
-			nb, st.foldErr[j][s] = foldParams(st.e.group, st.e.foldOps[s],
-				st.e.sets[0].stageParams[s], st.deltas[j][s])
+		f := &st.gradFold[j][s]
+		f.mu.Lock()
+		f.arm(st.round)
+		if !f.done {
+			held := st.deltas[j][s][f.next:]
+			var n, nb int64
+			for _, set := range held {
+				n += bytesOf(set...)
+			}
+			if nb, f.err = foldParams(st.e.group, st.e.foldOps[s], st.e.sets[0].stageParams[s], held); f.err == nil {
+				st.e.held.deltas.add(-n)
+			}
 			bytes += nb
-		})
-		if st.foldErr[j][s] != nil {
-			return bytes, fmt.Errorf("gradient collective of stage %d step %d: %w", s, j, st.foldErr[j][s])
+			f.done = true
+		}
+		err := f.err
+		f.mu.Unlock()
+		if err != nil {
+			return bytes, fmt.Errorf("gradient collective of stage %d step %d: %w", s, j, err)
 		}
 	}
 	return bytes, nil
@@ -593,17 +620,33 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 // goes to the device's scratch. On the first step of a refresh round it
 // snapshots each dense layer's output gradients — the B-factor statistics
 // of rule 1. The micro-batch's parameter gradients accumulate straight into
-// its pooled collective delta buffers (attachDeltas).
+// its pooled collective delta buffers (attachDeltas), which then fold into
+// the primary's accumulators as soon as the micro-batches before it have
+// (foldGrads) — on a rank that starts the transport chain; on any other
+// they wait for the stage's reduction.
 func (st *runState) backward(d int, op *pipeline.Op) error {
+	s, j, gm := op.Stage, op.Step, st.gmicro(op)
+	params, deltas := st.e.sets[st.e.setIndex(op)].stageParams[s], st.deltas[j][s][gm]
+	st.e.held.deltas.add(attachDeltas(params, deltas))
+	t0 := time.Since(st.start)
+	err := st.backprop(d, op)
+	swapGrads(params, deltas)
+	if err != nil {
+		return err
+	}
+	if st.e.foldsEarly() {
+		st.foldGrads(j, s, gm)
+	}
+	st.record(d, op, t0)
+	return nil
+}
+
+// backprop runs backward's work on the delta buffers attached for it.
+func (st *runState) backprop(d int, op *pipeline.Op) error {
 	s, m := op.Stage, st.flat(op)
 	rep := st.e.sets[st.e.setIndex(op)]
 	stg := rep.stages[s]
 	mb := st.micro[op.Step][st.gmicro(op)]
-	params, deltas := rep.stageParams[s], st.deltas[op.Step][s][st.gmicro(op)]
-	attachDeltas(params, deltas)
-	defer swapGrads(params, deltas)
-	t0 := time.Since(st.start)
-
 	sl := st.slot[s][m]
 	if sl == nil {
 		return fmt.Errorf("no activations held for micro-batch slot %d", m)
@@ -654,7 +697,6 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 		tensor.Put(st.gradOut[s+1][m])
 		st.gradOut[s+1][m] = nil
 	}
-	st.record(d, op, t0)
 	return nil
 }
 
@@ -667,7 +709,8 @@ func (st *runState) backward(d int, op *pipeline.Op) error {
 // replica's contributions in the same fixed order as the gradient
 // collective. It touches no module: the snapshot and partial slots of one
 // (stage, micro-batch, layer) belong to this op alone, by the dependency
-// edges.
+// edges; the factor's running sum is shared with the devices that compute
+// its other micro-batches' partials, under its prefix fold.
 func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	s, m := op.Stage, st.gmicro(op)
 	stg := st.e.sets[op.Replica].stages[s]
@@ -685,30 +728,29 @@ func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	if !stat.Valid() {
 		return fmt.Errorf("no captured statistics for layer %d factor %d micro-batch %d", li, op.Factor, m)
 	}
-	// The partial Gram product U^T U goes into a pooled buffer (released
-	// by the inversion op once it is folded into the factor sum), and the
-	// statistics snapshot is recycled here — its only consumer. The partial
-	// stays float64 even when the snapshot is a float32 Snap: factor sums
-	// and EMAs accumulate across micro-batches and rounds, where narrow
-	// accumulation would compound.
+	// The partial Gram product U^T U goes into a pooled buffer, which
+	// folds into the factor's running sum once the lower micro-batches'
+	// have (putPartial), and the statistics snapshot is recycled here — its
+	// only consumer. The partial stays float64 even when the snapshot is a
+	// float32 Snap: factor sums and EMAs accumulate across micro-batches and
+	// rounds, where narrow accumulation would compound.
 	part := tensor.Get(stat.Cols(), stat.Cols())
 	stat.GramInto(part)
 	if factorB {
-		pool.curvB[s][li][m] = part
 		pool.gradsSnap[s][m][li] = tensor.Snap{}
 	} else {
-		pool.curvA[s][li][m] = part
 		pool.actsSnap[s][m][li] = tensor.Snap{}
 	}
 	stat.Release()
+	pool.putPartial(s, li, factorB, m, part, st.e.foldsEarly())
 	st.record(d, op, t0)
 	return nil
 }
 
 // inversion finalizes the layer's factors on first touch of its generation
-// (folding the accumulated per-micro-batch products of every replica into
-// the shared preconditioner's EMA, in ascending global micro-batch order —
-// the distributed K-FAC factor exchange) and then refreshes the cached
+// (folding the sums of every replica's per-micro-batch products, in
+// ascending global micro-batch order, into the shared preconditioner's EMA
+// — the distributed K-FAC factor exchange) and then refreshes the cached
 // inverse of the op's factor — rule 2's unit of inversion work. The
 // per-layer lock (instead of a stage-wide one) is what lets
 // InversionParallel's round-robin sharding run different layers' inversions
@@ -759,38 +801,21 @@ func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 		// step), not the folding round's.
 		scale := st.e.sets[0].model.KFACLossScale(pool.totals)
 		newA, newB, nb, err := st.e.foldFactors(st.e.kfacFold[s][li], pool, s, li, scale*scale)
+		bytes = nb
 		if err != nil {
 			return fmt.Errorf("factors of layer %d: %w", li, err)
-		}
-		bytes = nb
-		if st.e.inj != nil && (newA.HasNaN() || newB.HasNaN()) {
-			// Corrupted partials must not poison the preconditioner's EMA —
-			// SetFactors folds into long-lived state no retry could repair.
-			// Failing before the fold leaves the partials in place, so a
-			// retry re-sums them and, still poisoned, the op degrades.
-			tensor.Put(newA)
-			tensor.Put(newB)
-			return fmt.Errorf("NaN/Inf in folded curvature factors of layer %d stage %d", li, s)
-		}
-		if err := st.e.kfacPre[s].SetFactors(li, newA, newB); err != nil {
-			return err
 		}
 		// SetFactors copies into the preconditioner's own state (it never
 		// retains the arguments), so the fold's pooled sums go straight
 		// back to the workspace pool.
+		err = st.e.kfacPre[s].SetFactors(li, newA, newB)
+		pool.count(-bytesOf(newA, newB))
 		tensor.Put(newA)
 		tensor.Put(newB)
+		if err != nil {
+			return err
+		}
 		pool.folded[s][li] = true
-		// The per-micro-batch partial products are folded in; recycle
-		// their pooled buffers.
-		for i, part := range pool.curvA[s][li] {
-			tensor.Put(part)
-			pool.curvA[s][li][i] = nil
-		}
-		for i, part := range pool.curvB[s][li] {
-			tensor.Put(part)
-			pool.curvB[s][li][i] = nil
-		}
 	}
 	if op.Chain == 0 {
 		err = st.e.kfacPre[s].InvertFactor(li, factorB)

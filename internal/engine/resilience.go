@@ -162,12 +162,25 @@ func (st *runState) noteDegraded(d int, op *pipeline.Op, t0 time.Duration, cause
 
 // corruptOutput poisons the value the op just produced with NaN — the
 // fault model for silent numeric corruption. Every target is either caught
-// by the pre-fold factor guard (inversion) or by the pre-commit health scan
-// (scanStepHealth), so corruption converts to an attributed failure instead
-// of silently destroying training state. Writes happen before the op
-// signals its completion, so no consumer can be reading concurrently.
+// by the pre-fold factor guard (foldFactors) or by the pre-commit health
+// scan (scanStepHealth), so corruption converts to an attributed failure
+// instead of silently destroying training state. A backward's or a
+// curvature op's contribution may already be folded when the op returns:
+// it is poisoned where it lives now, its slot or the running sum, found
+// under the prefix fold's lock once no device is adding. Writes happen
+// before the op signals its completion, so no consumer can be reading
+// concurrently.
 func (st *runState) corruptOutput(op *pipeline.Op) {
 	nan := math.NaN()
+	// poison writes NaN into the first non-empty buffer.
+	poison := func(bufs ...*tensor.Matrix) {
+		for _, b := range bufs {
+			if b != nil && len(b.Data) > 0 {
+				b.Data[0] = nan
+				return
+			}
+		}
+	}
 	switch op.Kind {
 	case pipeline.Forward:
 		if buf := st.stageOut[op.Stage][st.flat(op)]; buf != nil && len(buf.Data) > 0 {
@@ -177,12 +190,14 @@ func (st *runState) corruptOutput(op *pipeline.Op) {
 		// Last stage publishes a loss, not an activation.
 		st.lossParts[op.Step][st.gmicro(op)].Total = nan
 	case pipeline.Backward:
-		for _, delta := range st.deltas[op.Step][op.Stage][st.gmicro(op)] {
-			if delta != nil && len(delta.Data) > 0 {
-				delta.Data[0] = nan
-				return
-			}
+		j, s, m := op.Step, op.Stage, st.gmicro(op)
+		f := &st.gradFold[j][s]
+		if f.settle(st.round, m) {
+			poison(st.gradSum[s]...)
+		} else {
+			poison(st.deltas[j][s][m]...)
 		}
+		f.mu.Unlock()
 	case pipeline.Curvature:
 		pool := st.genPool(op)
 		if pool == nil {
@@ -193,13 +208,14 @@ func (st *runState) corruptOutput(op *pipeline.Op) {
 		if err != nil {
 			return
 		}
-		parts := pool.curvA[op.Stage][li]
-		if factorB {
-			parts = pool.curvB[op.Stage][li]
+		parts, sum := pool.factor(op.Stage, li, factorB)
+		m := st.gmicro(op)
+		if sum.settle(pool.epoch, m) {
+			poison(sum.acc)
+		} else {
+			poison(parts[m])
 		}
-		if p := parts[st.gmicro(op)]; p != nil && len(p.Data) > 0 {
-			p.Data[0] = nan
-		}
+		sum.mu.Unlock()
 	case pipeline.Inversion:
 		if st.e.kfacPre == nil {
 			return

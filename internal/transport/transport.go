@@ -95,6 +95,12 @@ type Group interface {
 }
 
 // Reduction is one all-reduce of a batch: the arguments of Group.AllReduce.
+// Base is where the chain starts on rank 0 (nil: +0). A rank 0 that
+// already added its own parts into a running sum in the fold order —
+// starting from +0, one part at a time — passes that sum as Base with no
+// Parts, and the result is bit for bit the one its parts would give: the
+// engine folds each micro-batch's contribution this way as soon as the
+// ones before it are in. Base may alias Dst.
 type Reduction struct {
 	Name      string
 	Dst, Base []float64

@@ -11,8 +11,9 @@
 //
 // Metrics are compared by direction: ns_per_op, bytes_per_op,
 // allocs_per_op, the slot_bytes / scratch_bytes of the activation-slot
-// rows, the round-shape row's step_spread and the round rows'
-// refresh_tail_ms regress when they grow; seqs_per_s, mb_per_s, gflops
+// rows, the partial_bytes / delta_bytes of the fold-bytes row, the
+// round-shape row's step_spread and the round rows' refresh_tail_ms
+// regress when they grow; seqs_per_s, mb_per_s, gflops
 // (throughput) and poolchunks_per_op (effective per-op worker fan-out)
 // regress when they shrink. Only the metrics named by -gate (comma list, or
 // "all") cause a non-zero exit, and only on rows whose benchmark name
@@ -52,6 +53,8 @@ var metrics = []metric{
 	{"gflops", "GFLOP/s", true, false},
 	{"slot_bytes", "slot-B", false, false},
 	{"scratch_bytes", "scratch-B", false, false},
+	{"partial_bytes", "partials-B", false, false},
+	{"delta_bytes", "deltas-B", false, false},
 	{"step_spread", "step_spread", false, false},
 	{"refresh_tail_ms", "tail-ms", false, true},
 }

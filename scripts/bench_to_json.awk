@@ -7,7 +7,9 @@
 # element-wise exp/erf/GELU benchmarks, GB/s and block_share — bytes moved
 # and share of a transformer block — from the row-op benchmarks, slot-B /
 # scratch-B — bytes per activation slot and per device's backward
-# scratch — from the slot-bytes benchmark; retained-B — bytes a K-FAC
+# scratch — from the slot-bytes benchmark; partials-B / deltas-B — the
+# high-water bytes a round's folds hold in K-FAC partials and factor sums,
+# and in gradient delta sets — from the fold-bytes benchmark; retained-B — bytes a K-FAC
 # preconditioner keeps between refreshes — from the inverse-refresh
 # benchmark; step_spread, refresh_pending_ms and model_err/<kind> from the
 # round-shape benchmark; refresh_tail_ms from the round benchmarks) are
@@ -29,6 +31,8 @@ BEGIN { print "["; first=1 }
     if ($i == "block_share") printf ",\"block_share\":%s", $(i-1)
     if ($i == "slot-B") printf ",\"slot_bytes\":%s", $(i-1)
     if ($i == "scratch-B") printf ",\"scratch_bytes\":%s", $(i-1)
+    if ($i == "partials-B") printf ",\"partial_bytes\":%s", $(i-1)
+    if ($i == "deltas-B") printf ",\"delta_bytes\":%s", $(i-1)
     if ($i == "retained-B") printf ",\"retained_bytes\":%s", $(i-1)
     if ($i == "step_spread") printf ",\"step_spread\":%s", $(i-1)
     if ($i == "refresh_pending_ms") printf ",\"refresh_pending_ms\":%s", $(i-1)
