@@ -461,37 +461,48 @@
 //     engine's data-parallel tests assert exact equality, not closeness).
 //     K-FAC curvature partials fold the same way, so factors, inverses, and
 //     preconditioned gradients inherit the guarantee.
-//   - The fold is a running prefix (internal/engine/collective.go,
-//     prefixFold). Each addition of the chain is rounded on its own, so a
-//     contribution can join one running sum as soon as every lower one of
-//     the same (step, stage) — or (generation, stage, layer, factor) — is
-//     in: the backward's delta set adds into the primary's accumulators, a
-//     curvature op's Gram partial into its factor's pooled sum, inside the
-//     op, which returns the buffer to the pool and adds any waiting
-//     successors too. A contribution that arrives early (Chimera's other
-//     direction, another replica) waits in its slot for the device that
-//     completes the prefix. So a stage holds its running sums plus what
-//     waits (TestFoldHoldsOneBufferPerSum; BenchmarkEngineRoundFoldBytes
-//     reports the bytes), and every arrival order of every split across
-//     devices gives the chain's bits (TestPrefixFoldMatchesChainFold). A
+//   - The fold is a running prefix, and one type carries it for both
+//     kinds (internal/engine/collective.go, runningSum): a sum with one
+//     contribution per global micro-batch, each a set of k matrices — a
+//     (step, stage)'s delta set, k its parameters, or a (generation,
+//     stage, layer, factor)'s Gram partial, k = 1. Each addition of the
+//     chain is rounded on its own, so a contribution can join the running
+//     sum as soon as every lower one is in: the backward's delta set adds
+//     into the primary's accumulators, a curvature op's Gram partial into
+//     its factor's pooled sum, inside the op, which returns the buffer to
+//     the pool and adds any waiting successors too. A contribution that
+//     arrives early (Chimera's other direction, another replica) waits in
+//     its slot for the device that completes the prefix. So a stage holds
+//     its running sums plus what waits (TestFoldHoldsOneBufferPerSum;
+//     BenchmarkEngineRoundFoldBytes reports the bytes), and every arrival
+//     order of every split across devices gives the chain's bits, for one
+//     matrix or a weight and its bias (TestPrefixFoldMatchesChainFold). A
 //     single-process SyncGrad finds the sum complete and has nothing left
 //     to add, and the inversion hands the sums on. Only the rank that
 //     starts the transport chain folds early (Collective transport
 //     contract).
-//   - Buffer ownership: the run state owns the delta buffers and the
-//     generation pool the partials and factor sums. The fold that consumes
-//     one Puts it and nils its slot, and an aborted round's rollback (or
-//     the pool's reset) returns the rest; the primary's accumulators are
-//     left as the abort found them, unspecified until the next step's first
-//     fold starts them over (TestPoolAuditNoLeakOnAbortAnywhere aborts
-//     after one, two and three committed steps of a K = 4 round). The
-//     steady-state collective path is allocation-free.
-//   - Any participant of a stage's collective may complete the reduction:
-//     the first to reach it in the round does, under the stage's prefix
-//     fold lock — latecomers block until it completed (the rendezvous) and
-//     find it done in the round's epoch — and the reduced result lands in
-//     the primary replica's accumulators, the only ones the caller's
-//     optimizer reads.
+//   - Buffer ownership: a running sum owns its contribution slots and a
+//     factor's pooled sum; its methods are the only code that takes a
+//     contribution from the pool, folds, reduces, scrubs, and finds the
+//     buffer a corruption fault poisons. A fold or a reduction Puts what it
+//     consumed and nils the slot, and an aborted round's rollback (or the
+//     generation pool's reset) scrubs the rest; the primary's accumulators
+//     are left as the abort found them, unspecified until the next step's
+//     first fold starts them over (TestPoolAuditNoLeakOnAbortAnywhere
+//     aborts after one, two and three committed steps of a K = 4 round).
+//     The steady-state collective path is allocation-free
+//     (TestReduceGradsZeroAlloc).
+//   - Any participant may complete a reduction: the first to reach a sum
+//     in its epoch does — a stage's gradient collective in the round, a
+//     layer's factor pair in the generation — under the sum's lock, with
+//     the sum in place as the destination (on a rank > 0 a factor's sum is
+//     taken from the pool there) and the sum as the base when the prefix
+//     holds anything. Latecomers block until it completed (the rendezvous)
+//     and get its outcome: a failed reduction's error is sticky for the
+//     epoch, so a retried inversion degrades rather than adding parts
+//     twice (TestReductionErrorIsSticky). The reduced gradient lands in the
+//     primary replica's accumulators, the only ones the caller's optimizer
+//     reads.
 //   - InversionParallel shards each stage's K-FAC inversion units
 //     round-robin across the stage's replica group; the shared per-stage
 //     preconditioner makes the post-inversion broadcast implicit, and
@@ -526,9 +537,9 @@
 //     frees them all and strands no pooled buffer (TestSlotsFreeAfterAbort).
 //   - The slots of a stage share their set's gradient headers. That is
 //     exact because gradients leave a set only as per-micro-batch deltas:
-//     each backward accumulates from zero into the delta buffers it
-//     attached (attachDeltas) and detaches them before the device starts
-//     anything else.
+//     each backward accumulates from zero into the delta buffers it took
+//     from its stage's running sum (runningSum.take) and detaches them
+//     before the device starts anything else.
 //   - What only a backward writes — input gradients, the K-FAC capture of
 //     output gradients, attention's projection gradients — is not slot
 //     memory: it is a scratch the device goroutine owns (nn.BlockScratch,
@@ -594,9 +605,11 @@
 //     BenchmarkAllReduce measures the real wire (on a single-core host
 //     the fixed per-frame cost makes chunked ~= unchunked; the model is
 //     the acceptance bar, the bench is the honest measurement).
-//   - Batching: a stage's per-parameter gradient reductions, and a K-FAC
-//     layer's two factors (one batch of two per layer refresh, not one per
-//     factor), go to the group as one transport.AllReduceBatch. A factor's
+//   - Batching: a stage's per-parameter gradient reductions (one running
+//     sum's k reductions), and a K-FAC layer's two factor sums (one batch
+//     of two per layer refresh, not one per factor), go to the group as one
+//     transport.AllReduceBatch, retained by the sums so the steady state
+//     allocates nothing. A factor's
 //     row count is not reduced: every statistic has one row per token, so
 //     the group-wide count is the generation's batch, Seqs × SeqLen. A Ring (a transport.BatchReducer) runs
 //     every reduce pass before the first distribution pass: the same

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,54 +32,30 @@ import (
 // are bit-identical for any (group size, replica count, schedule, worker
 // count) splitting of the same global batch.
 //
-// The fold is a running prefix (prefixFold). The chain a reduction folds
-// is +0, then every contribution in ascending order, each addition rounded
-// on its own; so the rank that starts the chain can add a contribution
-// into one running sum as soon as every lower one is in, and hand the
-// transport that sum as the reduction's base with no parts. Rank 0 of a
-// ring and every loopback engine do: a backward's delta set folds into the
+// One type carries both of the executor's sums, gradients and Kronecker
+// factors: runningSum, a running prefix. The chain a reduction folds is
+// +0, then every contribution in ascending order, each addition rounded on
+// its own; so the rank that starts the chain can add a contribution into
+// one running sum as soon as every lower one is in, and hand the transport
+// that sum as the reduction's base with no parts. Rank 0 of a ring and
+// every loopback engine do: a backward's delta set folds into the
 // primary's gradient accumulators, a curvature op's Gram partial into its
 // factor's pooled sum, and the contribution's buffer goes back to the pool
 // inside the op. One that arrives early waits in its slot until the device
 // that completes the prefix folds it. Ranks > 0 cannot: the chain adds
 // their parts after the upstream sum arrives, so a local sum would group
 // the additions differently — they keep every contribution until the
-// reduction, as parts.
+// reduction, as parts. The reduction writes the sum in place, runs once
+// per epoch whichever participant reaches it first, and its error is
+// sticky for that epoch (reduce).
 //
-// Buffer ownership: the per-micro-batch delta buffers and Gram partials
-// are pooled matrices (tensor.Get) owned by the run state and the
-// generation pool; the fold that consumes one Puts it and nils its slot.
-// The primary's gradient accumulators are written only by the fold: the
-// first contribution of a step lands on +0, so nothing carries gradient
-// state from one step into the next.
-
-// initCollectives prepares the engine's transport routing: the resolved
-// group (Loopback when none was configured) and the per-stage fold batch —
-// one transport.Reduction per parameter with its collective name and a
-// reused part-view slice, so the steady-state collective path does not
-// allocate.
-func (e *Engine) initCollectives() {
-	e.group = e.cfg.Transport
-	if e.group == nil {
-		e.group = transport.Loopback{}
-	}
-	e.multiRank = e.group.Size() > 1
-	perStep := e.cfg.MicroBatches * e.cfg.Replicas
-	e.foldOps = make([][]transport.Reduction, e.cfg.Stages)
-	for s, params := range e.sets[0].stageParams {
-		e.foldOps[s] = newFoldOps(fmt.Sprintf("g/%d", s), len(params), perStep)
-	}
-}
-
-// newFoldOps returns n reductions named prefix/0 .. prefix/n-1, each with
-// room for parts part views.
-func newFoldOps(prefix string, n, parts int) []transport.Reduction {
-	ops := make([]transport.Reduction, n)
-	for k := range ops {
-		ops[k] = transport.Reduction{Name: fmt.Sprintf("%s/%d", prefix, k), Parts: make([][]float64, parts)}
-	}
-	return ops
-}
+// Buffer ownership: a runningSum owns its contribution slots — the
+// per-micro-batch delta sets and Gram partials, pooled matrices
+// (tensor.Get) — and a factor's pooled sum; its methods take them from the
+// pool, Put them once folded or reduced, and scrub what an aborted round
+// or a pool reset leaves. The primary's gradient accumulators are written
+// only by the fold: the first contribution of a step lands on +0, so
+// nothing carries gradient state from one step into the next.
 
 // syncInitialParams aligns a multi-rank group's starting weights on rank
 // 0's; elastic resyncs (resyncFrom) reuse the same exchange with the state
@@ -132,97 +110,236 @@ func (e *Engine) syncParamsFrom(root int) error {
 	return nil
 }
 
-// prefixFold is the running-prefix state of one sum of n contributions —
-// a (step, stage)'s gradient deltas, or a (generation, stage, layer,
-// factor)'s Gram partials. Contributions arrive in any order, from any
-// device that produces them; each is added as soon as every lower one is
-// in, by the device that completed the prefix, which also drains the
-// waiting successors. The adds run outside mu (busy marks them), so a
-// device arriving meanwhile only records itself and returns. Its state
-// counts in one epoch — the run state's round for gradients, the generation
-// pool's for factors — and re-arms on the first touch in a newer one, so
-// nothing is cleared between rounds.
-type prefixFold struct {
+// runningSum is one sum of the fixed-order collective: one contribution
+// per global micro-batch of a step, each a set of k matrices — a (step,
+// stage)'s gradient delta set, k = the stage's parameter count, or a
+// (generation, stage, factor)'s Gram partial, k = 1 — added into k sums and
+// reduced over the group. Contributions arrive in any order, from any
+// device that produces them; on a rank that starts the chain each is added
+// as soon as every lower one is in, by the device that completed the
+// prefix, which also adds the waiting ones after it. The adds run outside
+// mu (busy marks them), so a device arriving meanwhile only records itself
+// and returns. Its state counts in one epoch — the run state's round for
+// gradients, the generation pool's for factors — and re-arms on the first
+// touch in a newer one, so nothing is cleared between rounds.
+//
+// The gradient sums are headers over the primary's accumulators, re-pointed
+// every round: a fold on another device must not read the primary's Grad
+// headers, which its own backwards swap delta buffers into. A factor's sum
+// is pooled: taken with its first contribution on rank 0, at the reduction
+// on any other rank, and handed on by the inversion.
+type runningSum struct {
 	mu    sync.Mutex
 	epoch int64
 	next  int     // contributions [0, next) are in the sum
 	busy  bool    // a device is adding contributions outside mu
-	done  bool    // the group's reduction completed: the sum is final
-	err   error   // that reduction's failure, surfaced to every participant
+	done  bool    // the group's reduction ran in this epoch
+	err   error   // that reduction's failure, sticky for the epoch
 	ready []int64 // per contribution: the epoch it last arrived in
+
+	parts [][]*tensor.Matrix    // [contribution][k], pooled, nil once added
+	sum   []*tensor.Matrix      // [k]
+	owned bool                  // sum is pooled (factors), not the primary's accumulators
+	ops   []transport.Reduction // [k], retained: names and part views
+	held  *byteGauge            // the ledger parts and an owned sum count in
 }
 
-func newPrefixFold(n int) prefixFold { return prefixFold{ready: make([]int64, n)} }
+// init sizes s for n contributions reduced by ops, whose names are set.
+// sum are the headers the sum is written through, or nil for a pooled one.
+func (s *runningSum) init(n int, ops []transport.Reduction, sum []*tensor.Matrix, held *byteGauge) {
+	s.ready, s.parts, s.ops, s.held = make([]int64, n), mat2(n, len(ops)), ops, held
+	s.sum, s.owned = sum, sum == nil
+	if s.owned {
+		s.sum = make([]*tensor.Matrix, len(ops))
+	}
+	for k := range ops {
+		ops[k].Parts = make([][]float64, n)
+	}
+}
 
 // arm re-arms the state for epoch when it still counts in an older one.
 // The caller holds mu.
-func (f *prefixFold) arm(epoch int64) {
-	if f.epoch != epoch {
-		f.epoch, f.next, f.busy, f.done, f.err = epoch, 0, false, false, nil
+func (s *runningSum) arm(epoch int64) {
+	if s.epoch != epoch {
+		s.epoch, s.next, s.busy, s.done, s.err = epoch, 0, false, false, nil
 	}
 }
 
-// arrive records contribution m as complete and returns it when it
-// completes the prefix: the caller then adds it, and every contribution
-// advance returns after it. Otherwise it returns -1 and m waits in its slot.
-func (f *prefixFold) arrive(epoch int64, m int) int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.arm(epoch)
-	f.ready[m] = epoch
-	if f.busy || m != f.next {
-		return -1
+// take takes buffer k of contribution m, rows x cols, from the pool into
+// its slot, where an abort's scrub finds it.
+func (s *runningSum) take(m, k, rows, cols int) *tensor.Matrix {
+	s.parts[m][k] = tensor.Get(rows, cols)
+	s.held.add(bytesOf(s.parts[m][k]))
+	return s.parts[m][k]
+}
+
+// arrive records contribution m as complete. On a rank that starts the
+// chain (early) it is added into the sum once every lower one is in, and
+// so is every waiting one after it — the first onto +0, the way the
+// transport's chain starts (so a sum of −0s is +0) — their buffers going
+// back to the pool. Elsewhere it waits in its slot for the reduction.
+func (s *runningSum) arrive(epoch int64, m int, early bool) {
+	if !early {
+		return
 	}
-	f.busy = true
-	return m
+	s.mu.Lock()
+	s.arm(epoch)
+	s.ready[m] = epoch
+	add := !s.busy && m == s.next
+	s.busy = s.busy || add
+	s.mu.Unlock()
+	for i := m; add && i >= 0; i = s.advance() {
+		for k, p := range s.parts[i] {
+			if s.sum[k] == nil {
+				s.sum[k] = tensor.Get(p.Rows, p.Cols)
+				s.held.add(bytesOf(s.sum[k]))
+			}
+			if i == 0 {
+				clear(s.sum[k].Data)
+			}
+			s.sum[k].AddInPlace(p)
+		}
+		s.release(s.parts[i])
+	}
 }
 
 // advance records the contribution the caller just added and returns the
 // next one to add, or -1 once the prefix reaches one that has not arrived.
-func (f *prefixFold) advance() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.next++
-	if f.next < len(f.ready) && f.ready[f.next] == f.epoch {
-		return f.next
+func (s *runningSum) advance() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.next++
+	if s.next < len(s.ready) && s.ready[s.next] == s.epoch {
+		return s.next
 	}
-	f.busy = false
+	s.busy = false
 	return -1
 }
 
-// state returns, in epoch, how many contributions the sum holds and
-// whether the group's reduction of it completed. Between a sum's last
-// arrival and its reduction nothing adds, so the reduction reads it
-// without waiting.
-func (f *prefixFold) state(epoch int64) (next int, done bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.arm(epoch)
-	return f.next, f.done
+// release returns bufs to the pool and nils them.
+func (s *runningSum) release(bufs []*tensor.Matrix) {
+	s.held.add(-bytesOf(bufs...))
+	for k, b := range bufs {
+		tensor.Put(b)
+		bufs[k] = nil
+	}
 }
 
-// settle locks f once no device is adding outside mu and reports whether
-// contribution m is in the sum; the caller unlocks. The fault model uses it
-// to find where an op's contribution lives.
-func (f *prefixFold) settle(epoch int64, m int) bool {
-	f.mu.Lock()
-	for f.busy {
-		f.mu.Unlock()
+// scrub returns every buffer s holds to the pool: the contributions an
+// aborted round left in their slots, and an owned sum. The state re-arms
+// in the next epoch.
+func (s *runningSum) scrub() {
+	for _, set := range s.parts {
+		s.release(set)
+	}
+	if s.owned {
+		s.release(s.sum)
+	}
+}
+
+// corrupt poisons contribution m with NaN where it lives now — its slot,
+// or the sum once it is in — found under mu once no device is adding: the
+// fault model's silent corruption of the op that produced it.
+func (s *runningSum) corrupt(epoch int64, m int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.busy {
+		s.mu.Unlock()
 		runtime.Gosched()
-		f.mu.Lock()
+		s.mu.Lock()
 	}
-	f.arm(epoch)
-	return m < f.next
+	s.arm(epoch)
+	bufs := s.parts[m]
+	if m < s.next {
+		bufs = s.sum
+	}
+	for _, b := range bufs {
+		if b != nil && len(b.Data) > 0 {
+			b.Data[0] = math.NaN()
+			return
+		}
+	}
 }
 
-// foldPart adds one contribution into a running sum the way the
-// transport's chain does: the first onto +0 (so a sum of −0s is +0), every
-// later one onto the sum so far.
-func foldPart(sum, part *tensor.Matrix, first bool) {
-	if first {
-		clear(sum.Data)
+// stage points the sum's reductions at what the chain still needs: the
+// sum in place as Dst (an owned sum not taken yet is taken now), the sum as
+// Base when the prefix holds anything, and the contributions still held as
+// the parts. The caller holds mu.
+func (s *runningSum) stage(rank0 bool) error {
+	held := s.parts[s.next:]
+	if s.next > 0 && !rank0 {
+		return fmt.Errorf("contributions folded early on a rank that no longer starts the chain")
 	}
-	sum.AddInPlace(part)
+	for i, set := range held {
+		if slices.Contains(set, nil) {
+			return fmt.Errorf("missing contribution of micro-batch %d", s.next+i)
+		}
+	}
+	for k := range s.ops {
+		op := &s.ops[k]
+		if s.sum[k] == nil {
+			s.sum[k] = tensor.Get(held[0][k].Rows, held[0][k].Cols)
+			s.held.add(bytesOf(s.sum[k]))
+		}
+		op.Dst = s.sum[k].Data
+		if s.next > 0 {
+			op.Base = op.Dst
+		}
+		op.Parts = op.Parts[:len(held)]
+		for m, set := range held {
+			op.Parts[m] = set[k].Data
+		}
+	}
+	return nil
+}
+
+// reduce completes sums over the group as one transport batch — batch is
+// their retained reductions back to back: a stage's gradient set, or a
+// layer's A and B factor sums, which so cross a wire in one round trip,
+// each still summed alone in the fixed ascending global micro-batch order.
+// It runs at most once per epoch, under the sums' locks, so a latecomer —
+// another participant of a stage's collective, a retried inversion —
+// blocks until it finished and gets its outcome: its error is sticky for
+// the epoch, and nothing is ever added twice. A single-rank group whose
+// prefixes are complete has nothing to exchange: the sums are the result.
+// On success the held contributions go back to the pool; a failed
+// reduction leaves them for the scrub. Returns the bytes put on the wire.
+func reduce(g transport.Group, epoch int64, batch []transport.Reduction, sums ...*runningSum) (int64, error) {
+	complete := g.Size() == 1
+	for _, s := range sums {
+		s.mu.Lock()
+		s.arm(epoch)
+		complete = complete && s.next == len(s.parts)
+	}
+	var bytes int64
+	err := sums[0].err
+	if !sums[0].done && !complete {
+		for _, s := range sums {
+			if err = s.stage(g.Rank() == 0); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			bytes, err = transport.AllReduceBatch(g, batch)
+		}
+		for i := range batch {
+			op := &batch[i]
+			op.Dst, op.Base = nil, nil
+			op.Parts = op.Parts[:cap(op.Parts)]
+			clear(op.Parts)
+		}
+	}
+	for _, s := range sums {
+		if err == nil && !s.done {
+			for _, set := range s.parts[s.next:] {
+				s.release(set)
+			}
+			s.next = len(s.parts)
+		}
+		s.done, s.err = true, err
+		s.mu.Unlock()
+	}
+	return bytes, err
 }
 
 // heldBytes is the folds' byte ledger: the pooled bytes they hold — the
@@ -234,8 +351,12 @@ type heldBytes struct{ deltas, partials byteGauge }
 // byteGauge is one class of heldBytes.
 type byteGauge struct{ cur, peak atomic.Int64 }
 
-// add moves the gauge by n bytes, raising the high-water mark past it.
+// add moves the gauge by n bytes, raising the high-water mark past it. A
+// nil gauge (a sum built outside an engine) counts nothing.
 func (g *byteGauge) add(n int64) {
+	if g == nil {
+		return
+	}
 	c := g.cur.Add(n)
 	for p := g.peak.Load(); c > p && !g.peak.CompareAndSwap(p, c); p = g.peak.Load() {
 	}
@@ -259,236 +380,20 @@ func bytesOf(ms ...*tensor.Matrix) int64 {
 	return n
 }
 
-// foldGrads folds contribution gm of step j's stage-s gradient into the
-// primary's accumulators once every lower one is in, and every waiting one
-// after it, returning their delta buffers to the pool.
-func (st *runState) foldGrads(j, s, gm int) {
-	f := &st.gradFold[j][s]
-	for m := f.arrive(st.round, gm); m >= 0; m = f.advance() {
-		set := st.deltas[j][s][m]
-		for k, d := range set {
-			foldPart(st.gradSum[s][k], d, m == 0)
-		}
-		st.e.held.deltas.add(-bytesOf(set...))
-		for k, d := range set {
-			tensor.Put(d)
-			set[k] = nil
-		}
-	}
-}
-
-// foldParams completes one stage's gradient collective over a transport
-// group. held are the step's last len(held) micro-batch delta sets
-// (held[m][k] aligned with params[k]); the contributions before them are
-// already in the primary's accumulators (foldGrads), which are then the
-// reduction's base — only the rank that starts the chain folds early. The
-// result, every rank's contributions in ascending global micro-batch
-// order, is written over the accumulators. A single-rank group holding
-// nothing has nothing left to do: the accumulators are the sum. The held
-// buffers are returned to the pool and their slots nilled. ops is the
-// stage's retained batch (newFoldOps: one reduction per parameter, one part
-// slot per micro-batch), so the steady state allocates nothing; the
-// parameters go to the group as one batch, so on a ring their waits
-// overlap (transport.AllReduceBatch). Returns the bytes the group put on
-// the wire.
-func foldParams(group transport.Group, ops []transport.Reduction, params []*nn.Param, held [][]*tensor.Matrix) (int64, error) {
-	if len(held) == 0 && group.Size() == 1 {
-		return 0, nil
-	}
-	for m, set := range held {
-		for k, d := range set {
-			if d == nil {
-				return 0, fmt.Errorf("missing micro-batch %d gradient contribution for %s", len(ops[k].Parts)-len(held)+m, params[k].Name)
-			}
-		}
-	}
-	for k, p := range params {
-		op := &ops[k]
-		if len(held) < len(op.Parts) {
-			op.Base = p.Grad.Data
-		}
-		op.Dst = p.Grad.Data
-		op.Parts = op.Parts[:len(held)]
-		for m, set := range held {
-			op.Parts[m] = set[k].Data
-		}
-	}
-	bytes, err := transport.AllReduceBatch(group, ops)
-	for k := range ops {
-		op := &ops[k]
-		op.Dst, op.Base = nil, nil
-		op.Parts = op.Parts[:cap(op.Parts)]
-		clear(op.Parts)
-	}
-	if err != nil {
-		return bytes, fmt.Errorf("gradient all-reduce: %w", err)
-	}
-	for _, set := range held {
-		for k, d := range set {
-			tensor.Put(d)
-			set[k] = nil
-		}
-	}
-	return bytes, nil
-}
-
-// attachDeltas makes one micro-batch's delta buffers — the fold's
-// per-participant send buffers — the gradient accumulators of the stage's
-// parameters for the backward about to run. Each is taken from the pool,
-// zeroed (the delta is the contribution onto +0) and recorded in dst before
-// anything can fail, so an abort's rollback returns it; then it is swapped
-// in, its header holding the parameter's own slice (the primary's
-// accumulator, nil for any other module set) until swapGrads hands that
-// back, before the op completes. Runs on the device that owns the module
-// set's stage, whose slots back-propagate one at a time. Returns the bytes
-// it took from the pool.
-func attachDeltas(params []*nn.Param, dst []*tensor.Matrix) int64 {
-	for k, p := range params {
-		dst[k] = tensor.Get(p.Grad.Rows, p.Grad.Cols)
-		dst[k].Zero()
-	}
-	n := bytesOf(dst...)
-	swapGrads(params, dst)
-	return n
-}
-
 // swapGrads exchanges each parameter's gradient storage with its delta
-// buffer's: attachDeltas' swap in, and the swap back.
+// buffer's: a backward accumulates into its micro-batch's delta set, swapped
+// in before and back after, so the parameter's header holds the primary's
+// accumulator (nil for any other module set) again when the op completes.
 func swapGrads(params []*nn.Param, deltas []*tensor.Matrix) {
 	for k, p := range params {
 		p.Grad.Data, deltas[k].Data = deltas[k].Data, p.Grad.Data
 	}
 }
 
-// factorFold is the reusable state of one Kronecker factor's collective:
-// part views over the Gram partials still held and the precomputed
-// collective name. A layer's names are reused across generations; the
-// schedule's cross-generation dependency edges order a carried fold before
-// the newer generation's on every rank, so same-name calls are issued in
-// one global order.
-type factorFold struct {
-	parts [][]float64 // cap = local micro-batches per step
-	name  string
-}
-
-// kfacFoldScratch is the reusable per-(stage, layer) state of the K-FAC
-// factor collective: one factorFold per factor and the batch their two
-// reductions travel in. Allocated once at EnableKFAC so the factor fold —
-// part of the gated zero-alloc round path — reuses it every generation; a
-// layer's folds run under layerMu[s][li].
-type kfacFoldScratch struct {
-	a, b factorFold
-	ops  [2]transport.Reduction // A's payload, then B's
-}
-
-// initKFACFold (re)builds the per-(stage, layer) factor-fold scratch for
-// the current stage partition. Called from EnableKFAC.
-func (e *Engine) initKFACFold() {
-	perStep := e.cfg.MicroBatches * e.cfg.Replicas
-	newFold := func(factor string, s, li int) factorFold {
-		return factorFold{
-			parts: make([][]float64, perStep),
-			name:  fmt.Sprintf("f%s/%d/%d", factor, s, li),
-		}
-	}
-	e.kfacFold = make([][]*kfacFoldScratch, e.cfg.Stages)
-	for s, st := range e.sets[0].stages {
-		e.kfacFold[s] = make([]*kfacFoldScratch, len(st.layers))
-		for li := range st.layers {
-			e.kfacFold[s][li] = &kfacFoldScratch{a: newFold("A", s, li), b: newFold("B", s, li)}
-		}
-	}
-}
-
-// stage points the factor's reduction at a generation's running sum and
-// the partials it does not hold yet, parts[first:]: the sum is the base
-// (nil when nothing folded early), the held partials the parts, and a
-// fresh pooled buffer the destination — so a failed exchange leaves the
-// sum as it was, for a retry.
-func (f *factorFold) stage(op *transport.Reduction, sum *factorSum, parts []*tensor.Matrix, first int) (*tensor.Matrix, error) {
-	held := parts[first:]
-	for i, p := range held {
-		if p == nil {
-			return nil, fmt.Errorf("missing curvature contribution of micro-batch %d", first+i)
-		}
-		f.parts[i] = p.Data
-	}
-	shape := sum.acc
-	if shape == nil {
-		if len(held) == 0 {
-			return nil, fmt.Errorf("no curvature contributions")
-		}
-		shape = held[0]
-	}
-	dst := tensor.Get(shape.Rows, shape.Cols)
-	*op = transport.Reduction{Name: f.name, Dst: dst.Data, Parts: f.parts[:len(held)]}
-	if sum.acc != nil {
-		op.Base = sum.acc.Data
-	}
-	return dst, nil
-}
-
-// exchangeFactors completes a layer's two factor sums across the group, in
-// ONE batch of two reductions — one round trip on a wire, where a fold per
-// factor waited for the peers twice — each still summed alone, in the
-// fixed ascending global micro-batch order. On a single-rank group whose
-// prefix folds are complete there is nothing to exchange: the running sums
-// are the factors. Otherwise each exchanged sum replaces the running sum
-// and the partials it consumed go back to the pool. An exchanged sum is
-// marked done, so a retried inversion does not exchange it again.
-func (e *Engine) exchangeFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int) (int64, error) {
-	sums := [2]*factorSum{&pool.sumA[s][li], &pool.sumB[s][li]}
-	parts := [2][]*tensor.Matrix{pool.curvA[s][li], pool.curvB[s][li]}
-	var first [2]int
-	for i, sum := range sums {
-		if first[i], _ = sum.state(pool.epoch); first[i] > 0 && !e.foldsEarly() {
-			return 0, fmt.Errorf("curvature folded early on a rank that no longer starts the chain")
-		}
-	}
-	if !e.multiRank && first[0] == len(parts[0]) && first[1] == len(parts[1]) {
-		sums[0].done, sums[1].done = true, true
-		return 0, nil
-	}
-	var dst [2]*tensor.Matrix
-	var bytes int64
-	var err error
-	folds := [2]*factorFold{&fs.a, &fs.b}
-	for i := range sums {
-		if dst[i], err = folds[i].stage(&fs.ops[i], sums[i], parts[i], first[i]); err != nil {
-			err = fmt.Errorf("factor %c: %w", "AB"[i], err)
-			break
-		}
-	}
-	if err == nil {
-		bytes, err = transport.AllReduceBatch(e.group, fs.ops[:])
-	}
-	for i := range fs.ops {
-		fs.ops[i] = transport.Reduction{}
-		clear(folds[i].parts)
-	}
-	if err != nil {
-		tensor.Put(dst[0])
-		tensor.Put(dst[1])
-		return bytes, err
-	}
-	pool.count(bytesOf(dst[:]...))
-	for i, sum := range sums {
-		held := parts[i][first[i]:]
-		pool.count(-bytesOf(sum.acc) - bytesOf(held...))
-		tensor.Put(sum.acc)
-		for m, p := range held {
-			tensor.Put(p)
-			held[m] = nil
-		}
-		sum.acc, sum.next, sum.done = dst[i], len(parts[i]), true
-	}
-	return bytes, nil
-}
-
 // foldFactors hands over a layer's two Kronecker factors: the group-wide
-// sums (exchangeFactors) — each scale/N · Σ_m U_m^T U_m, scale 1 for A and
-// scaleB for B. N is the group-wide row count: every statistic has one row
-// per token of its micro-batch, so N is the generation's batch in tokens,
+// sums (reduce) — each scale/N · Σ_m U_m^T U_m, scale 1 for A and scaleB
+// for B. N is the group-wide row count: every statistic has one row per
+// token of its micro-batch, so N is the generation's batch in tokens,
 // Seqs × SeqLen, an integer exact in float64. The partials are lower
 // triangles whose upper ones are unspecified (they are summed, and cross
 // the wire, as they are); each sum is mirrored once before it is scaled,
@@ -498,16 +403,14 @@ func (e *Engine) exchangeFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li i
 // partials must not poison the preconditioner's EMA, which SetFactors
 // folds into long-lived state no retry could repair — and stays in the
 // pool, so a retry checks it again and, still poisoned, degrades. The
-// returned matrices leave the pool; the caller Puts them after SetFactors
-// copies them out.
-func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
-	sumA, sumB := &pool.sumA[s][li], &pool.sumB[s][li]
-	if _, done := sumA.state(pool.epoch); !done {
-		if bytes, err = e.exchangeFactors(fs, pool, s, li); err != nil {
-			return nil, nil, bytes, err
-		}
+// returned matrices stay the sums' own: the caller scrubs the two sums
+// once SetFactors copied them out.
+func (e *Engine) foldFactors(pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
+	a, b := &pool.sums[s][2*li], &pool.sums[s][2*li+1]
+	if bytes, err = reduce(e.group, pool.epoch, pool.ops[s][2*li:2*li+2], a, b); err != nil {
+		return nil, nil, bytes, err
 	}
-	newA, newB = sumA.acc, sumB.acc
+	newA, newB = a.sum[0], b.sum[0]
 	if newA == nil || newB == nil {
 		return nil, nil, bytes, fmt.Errorf("factor sums already handed on")
 	}
@@ -520,7 +423,6 @@ func (e *Engine) foldFactors(fs *kfacFoldScratch, pool *kfacGenPool, s, li int, 
 	n := float64(pool.totals.Seqs * e.sets[0].model.SeqLen())
 	newA.ScaleInPlace(1 / n)
 	newB.ScaleInPlace(scaleB / n)
-	sumA.acc, sumB.acc = nil, nil
 	return newA, newB, bytes, nil
 }
 
@@ -568,7 +470,7 @@ func (st *runState) syncLoss(j int) error {
 }
 
 // lossSync is the per-step loss collective's retained scratch, kept on the
-// engine like foldOps: the component keys in sorted order, one part vector
+// engine: the component keys in sorted order, one part vector
 // per local micro-batch, the reduced vector, and per step of the round its
 // collective name and reduced Components map. Steps commit one at a time,
 // so one scratch serves the whole round.

@@ -438,9 +438,11 @@ func TestFoldOverwritesAccumulators(t *testing.T) {
 	})
 }
 
-// The steady-state all-reduce path allocates nothing: delta buffers cycle
-// through the tensor workspace pool, and the fixed-order fold works in
-// place.
+// The steady-state all-reduce path allocates nothing: contributions and a
+// factor's sum cycle through the tensor workspace pool, and the fixed-order
+// fold works in place. One reduction each of a stage's gradient set (a
+// weight and its bias) and of a layer's two factor sums, in one batch, with
+// every contribution held as on a rank that does not start the chain.
 func TestReduceGradsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes sync.Pool drop items, so the pooled path allocates")
@@ -450,33 +452,38 @@ func TestReduceGradsZeroAlloc(t *testing.T) {
 		{Name: "b", Value: tensor.Zeros(1, 8), Grad: tensor.Zeros(1, 8)},
 	}
 	const micros = 4
-	deltas := make([][]*tensor.Matrix, micros)
-	for m := range deltas {
-		deltas[m] = make([]*tensor.Matrix, len(params))
-	}
-	// The preallocated batch mirrors what initCollectives hands the
-	// executor: the loopback fold must stay zero-alloc with it.
+	// The retained reductions mirror what the executor builds once per
+	// schedule and generation pool: the loopback fold must stay zero-alloc
+	// with them.
 	group := transport.Loopback{}
-	ops := newFoldOps("g/0", len(params), micros)
-	fill := func() {
-		for k, p := range params {
-			for m := 0; m < micros; m++ {
-				deltas[m][k] = tensor.GetClone(p.Value)
+	var grads runningSum
+	grads.init(micros, []transport.Reduction{{Name: "g/0/0"}, {Name: "g/0/1"}},
+		[]*tensor.Matrix{params[0].Grad.Clone(), params[1].Grad.Clone()}, nil)
+	pool := newKFACGenPool(1, micros, 1, 1, nil)
+	var epoch int64
+	round := func() {
+		epoch++
+		for m := 0; m < micros; m++ {
+			for k, p := range params {
+				copy(grads.take(m, k, p.Grad.Rows, p.Grad.Cols).Data, p.Value.Data)
+			}
+			grads.arrive(epoch, m, false)
+			for f := range pool.sums[0] {
+				pool.sums[0][f].take(m, 0, 8, 8).Zero()
+				pool.sums[0][f].arrive(pool.epoch, m, false)
 			}
 		}
-	}
-	// Warm the pool.
-	fill()
-	if _, err := foldParams(group, ops, params, deltas); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		fill()
-		if _, err := foldParams(group, ops, params, deltas); err != nil {
+		if _, err := reduce(group, epoch, grads.ops, &grads); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
+		if _, err := reduce(group, pool.epoch, pool.ops[0][:2], &pool.sums[0][0], &pool.sums[0][1]); err != nil {
+			t.Fatal(err)
+		}
+		pool.reset()
+	}
+	// Warm the pool.
+	round()
+	if allocs := testing.AllocsPerRun(50, round); allocs > 0 {
 		t.Fatalf("steady-state all-reduce path allocates %.1f times per run, want 0", allocs)
 	}
 }

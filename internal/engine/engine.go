@@ -263,14 +263,6 @@ type Engine struct {
 	// collective, and the initial parameter broadcast.
 	group     transport.Group
 	multiRank bool
-	// foldOps[s] is stage s's gradient collective as a retained batch: one
-	// reduction per parameter, holding its precomputed collective name and
-	// a reusable part-view slice (one slot per local micro-batch of a
-	// step) — preallocated so the loopback steady state allocates
-	// nothing. Safe per stage: one stage's gradient folds are serialized
-	// by the step commits, and concurrent folds (chimera's mirror
-	// stage, different stages) use different batches.
-	foldOps [][]transport.Reduction
 	// lossSync is the per-step loss collective's retained scratch
 	// (multi-rank engines only, collective.go).
 	lossSync lossSync
@@ -278,10 +270,6 @@ type Engine struct {
 	// delta sets and the K-FAC partials and sums hold, and its high-water
 	// mark per round (FoldBytes).
 	held heldBytes
-	// kfacFold[s][li] is the factor collective's reusable scratch
-	// (collective.go), allocated at EnableKFAC: a layer's A and B fold in
-	// one batch, under layerMu[s][li].
-	kfacFold [][]*kfacFoldScratch
 
 	sched *pipeline.Schedule
 	// scratch[d] is device d's backward scratch, one per block position of a
@@ -409,7 +397,11 @@ func NewWithConfig(model pipemodel.Model, cfg Config) (*Engine, error) {
 		}
 		e.sets = append(e.sets, set)
 	}
-	e.initCollectives()
+	e.group = cfg.Transport
+	if e.group == nil {
+		e.group = transport.Loopback{}
+	}
+	e.multiRank = e.group.Size() > 1
 	// The fault plan is projected onto this member's transport rank, so a
 	// rank-targeted fault (kill:rank=2) costs every other rank nothing —
 	// their injector stays nil and is never consulted.
@@ -724,7 +716,6 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 		e.kfacPre[s] = kfac.NewPreconditioner(st.layers, opts)
 		e.layerMu[s] = make([]sync.Mutex, len(st.layers))
 	}
-	e.initKFACFold()
 	e.kfacOpts = opts
 	e.refreshEvery = refreshEvery
 	e.stepIndex = 0 // restart the refresh cadence: the next round refreshes
@@ -742,8 +733,7 @@ func (e *Engine) EnableKFAC(opts kfac.Options, refreshEvery int) error {
 	perStep, nLayers := e.cfg.MicroBatches*e.cfg.Replicas, len(e.sets[0].stages[0].layers)
 	for i, p := range e.kfacPools {
 		if p == nil {
-			e.kfacPools[i] = newKFACGenPool(e.cfg.Stages, perStep, nLayers, e.cfg.Replicas)
-			e.kfacPools[i].held = &e.held.partials
+			e.kfacPools[i] = newKFACGenPool(e.cfg.Stages, perStep, nLayers, e.cfg.Replicas, &e.held.partials)
 		}
 	}
 	e.dropGenerations(false) // re-enabling K-FAC must not inherit stale pool state

@@ -12,6 +12,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/pipemodel"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // errRoundAborted marks an op cut short because another device's failure
@@ -65,17 +66,12 @@ type runState struct {
 
 	lossParts [][]pipemodel.Loss // [step][gmicro], written by the last stage
 
-	// Gradient-collective state, per step of the round. deltas are the
-	// per-micro-batch contributions each backward accumulates into; one
-	// waits in its slot until it folds. gradFold[j][s] is the prefix fold
-	// that adds them into gradSum[s] and guards the stage's reduction: the
-	// first participant to reach it performs it, in the round's epoch.
-	// gradSum[s] are headers over the primary's stage-s accumulators, taken
-	// at round start: a fold on another device must not read the primary's
-	// Grad headers, which its own backwards swap delta buffers into.
-	deltas   [][][][]*tensor.Matrix // [step][stage][gmicro][param]
-	gradFold [][]prefixFold         // [step][stage]
-	gradSum  [][]*tensor.Matrix     // [stage][param]
+	// grads[j][s] is step j's stage-s gradient collective: the running sum
+	// of the per-micro-batch delta sets each backward accumulates into,
+	// written through headers over the primary's stage-s accumulators that
+	// every round re-points. The first participant to reach its reduction
+	// performs it, in the round's epoch.
+	grads [][]runningSum // [step][stage]
 
 	// Step commits: every OptStep op of a step arrives after folding its
 	// stages, and the last to arrive commits the step (the optimizer
@@ -119,9 +115,7 @@ func newRunState(e *Engine) *runState {
 		gradOut:   mat2(nStages, nFlat),
 		slot:      make([][]*actSlot, nStages),
 		lossParts: make([][]pipemodel.Loss, r),
-		deltas:    make([][][][]*tensor.Matrix, r),
-		gradFold:  make([][]prefixFold, r),
-		gradSum:   make([][]*tensor.Matrix, nStages),
+		grads:     make([][]runningSum, r),
 		optIDs:    make([][]int, r),
 		arrived:   make([]atomic.Int32, r),
 		errs:      make([]error, e.sched.Devices),
@@ -135,17 +129,15 @@ func newRunState(e *Engine) *runState {
 	}
 	for j := 0; j < r; j++ {
 		st.lossParts[j] = make([]pipemodel.Loss, perStep)
-		st.deltas[j] = make([][][]*tensor.Matrix, nStages)
-		st.gradFold[j] = make([]prefixFold, nStages)
-		for s := 0; s < nStages; s++ {
-			st.deltas[j][s] = mat2(perStep, len(e.sets[0].stageParams[s]))
-			st.gradFold[j][s] = newPrefixFold(perStep)
-		}
-	}
-	for s, params := range e.sets[0].stageParams {
-		st.gradSum[s] = make([]*tensor.Matrix, len(params))
-		for k, p := range params {
-			st.gradSum[s][k] = &tensor.Matrix{Rows: p.Grad.Rows, Cols: p.Grad.Cols}
+		st.grads[j] = make([]runningSum, nStages)
+		for s, params := range e.sets[0].stageParams {
+			ops := make([]transport.Reduction, len(params))
+			sum := make([]*tensor.Matrix, len(params))
+			for k, p := range params {
+				ops[k].Name = fmt.Sprintf("g/%d/%d", s, k)
+				sum[k] = &tensor.Matrix{Rows: p.Grad.Rows, Cols: p.Grad.Cols}
+			}
+			st.grads[j][s].init(perStep, ops, sum, &e.held.deltas)
 		}
 	}
 	for _, op := range e.sched.Ops {
@@ -230,9 +222,11 @@ func (e *Engine) runRound(micro [][]*data.Batch, totals []pipemodel.Totals, refr
 	st.round++
 	clear(st.errs)
 	clear(st.arrived)
-	for s, params := range e.sets[0].stageParams {
-		for k, p := range params {
-			st.gradSum[s][k].Data = p.Grad.Data
+	for _, step := range st.grads {
+		for s, params := range e.sets[0].stageParams {
+			for k, p := range params {
+				step[s].sum[k].Data = p.Grad.Data
+			}
 		}
 	}
 	e.held.deltas.rearm()
@@ -333,19 +327,11 @@ func (st *runState) results(upTo int) []*StepResult {
 // step's first fold starts them over from +0. The per-micro deltas still
 // held — attached by a backward that failed, waiting for a lower one, or
 // waiting for the reduction on a rank > 0 — go back to the pool; the
-// prefix folds re-arm in the next round's epoch.
+// running sums re-arm in the next round's epoch.
 func (st *runState) rollback() {
-	for j := range st.deltas {
-		for s := range st.deltas[j] {
-			for m := range st.deltas[j][s] {
-				for k, d := range st.deltas[j][s][m] {
-					if d != nil {
-						st.e.held.deltas.add(-bytesOf(d))
-						tensor.Put(d)
-						st.deltas[j][s][m][k] = nil
-					}
-				}
-			}
+	for _, step := range st.grads {
+		for s := range step {
+			step[s].scrub()
 		}
 	}
 	// In-flight activation hand-offs and error signals are pooled clones
@@ -384,36 +370,22 @@ func (st *runState) rollback() {
 // foldStages completes the gradient collective of every stage the op's
 // device participates in — for the op's step — exactly once per (step,
 // stage), routed through the engine's transport group: the first
-// participant to reach it in the round performs the reduction under the
-// stage's prefix fold lock, so latecomers block until it finished (the
-// rendezvous of the all-reduce) and find it done in the round's epoch. By
-// then every backward of the stage has folded or is held (the op's
-// dependency edges), so the reduction reads the prefix without waiting. The
-// stages are the ones the schedule's placement says the device hosts: a
-// chimera device syncs two, every other topology the op's own. Returns the
-// bytes this call actually put on the wire (zero for a latecomer, and for
-// a single-rank engine, whose folds completed inside the backwards).
+// participant to reach a stage's running sum performs its reduction, so
+// latecomers block until it finished (the rendezvous of the all-reduce) and
+// find it done in the round's epoch (reduce). By then every backward of the
+// stage has folded or is held (the op's dependency edges), so the
+// reduction reads the prefix without waiting. The stages are the ones the
+// schedule's placement says the device hosts: a chimera device syncs two,
+// every other topology the op's own. Returns the bytes this call actually
+// put on the wire (zero for a latecomer, and for a single-rank engine,
+// whose folds completed inside the backwards).
 func (st *runState) foldStages(op *pipeline.Op) (int64, error) {
 	j := op.Step
 	var bytes int64
 	for _, s := range st.e.sched.Placement.Hosted[op.Device] {
-		f := &st.gradFold[j][s]
-		f.mu.Lock()
-		f.arm(st.round)
-		if !f.done {
-			held := st.deltas[j][s][f.next:]
-			var n, nb int64
-			for _, set := range held {
-				n += bytesOf(set...)
-			}
-			if nb, f.err = foldParams(st.e.group, st.e.foldOps[s], st.e.sets[0].stageParams[s], held); f.err == nil {
-				st.e.held.deltas.add(-n)
-			}
-			bytes += nb
-			f.done = true
-		}
-		err := f.err
-		f.mu.Unlock()
+		sum := &st.grads[j][s]
+		nb, err := reduce(st.e.group, st.round, sum.ops, sum)
+		bytes += nb
 		if err != nil {
 			return bytes, fmt.Errorf("gradient collective of stage %d step %d: %w", s, j, err)
 		}
@@ -620,23 +592,25 @@ func (st *runState) forward(d int, op *pipeline.Op) error {
 // goes to the device's scratch. On the first step of a refresh round it
 // snapshots each dense layer's output gradients — the B-factor statistics
 // of rule 1. The micro-batch's parameter gradients accumulate straight into
-// its pooled collective delta buffers (attachDeltas), which then fold into
-// the primary's accumulators as soon as the micro-batches before it have
-// (foldGrads) — on a rank that starts the transport chain; on any other
-// they wait for the stage's reduction.
+// its pooled delta set, taken from the stage's running sum and zeroed (the
+// delta is the contribution onto +0) before anything can fail, so an
+// abort's scrub returns it; it then folds into the primary's accumulators
+// as soon as the micro-batches before it have — on a rank that starts the
+// transport chain; on any other it waits for the stage's reduction.
 func (st *runState) backward(d int, op *pipeline.Op) error {
-	s, j, gm := op.Stage, op.Step, st.gmicro(op)
-	params, deltas := st.e.sets[st.e.setIndex(op)].stageParams[s], st.deltas[j][s][gm]
-	st.e.held.deltas.add(attachDeltas(params, deltas))
+	s, gm := op.Stage, st.gmicro(op)
+	params, sum := st.e.sets[st.e.setIndex(op)].stageParams[s], &st.grads[op.Step][s]
+	for k, p := range params {
+		sum.take(gm, k, p.Grad.Rows, p.Grad.Cols).Zero()
+	}
+	swapGrads(params, sum.parts[gm])
 	t0 := time.Since(st.start)
 	err := st.backprop(d, op)
-	swapGrads(params, deltas)
+	swapGrads(params, sum.parts[gm])
 	if err != nil {
 		return err
 	}
-	if st.e.foldsEarly() {
-		st.foldGrads(j, s, gm)
-	}
+	sum.arrive(st.round, gm, st.e.foldsEarly())
 	st.record(d, op, t0)
 	return nil
 }
@@ -710,7 +684,7 @@ func (st *runState) backprop(d int, op *pipeline.Op) error {
 // collective. It touches no module: the snapshot and partial slots of one
 // (stage, micro-batch, layer) belong to this op alone, by the dependency
 // edges; the factor's running sum is shared with the devices that compute
-// its other micro-batches' partials, under its prefix fold.
+// its other micro-batches' partials, under its lock.
 func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	s, m := op.Stage, st.gmicro(op)
 	stg := st.e.sets[op.Replica].stages[s]
@@ -730,19 +704,19 @@ func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	}
 	// The partial Gram product U^T U goes into a pooled buffer, which
 	// folds into the factor's running sum once the lower micro-batches'
-	// have (putPartial), and the statistics snapshot is recycled here — its
-	// only consumer. The partial stays float64 even when the snapshot is a
+	// have, and the statistics snapshot is recycled here — its only
+	// consumer. The partial stays float64 even when the snapshot is a
 	// float32 Snap: factor sums and EMAs accumulate across micro-batches and
 	// rounds, where narrow accumulation would compound.
-	part := tensor.Get(stat.Cols(), stat.Cols())
-	stat.GramInto(part)
+	sum := &pool.sums[s][op.Factor]
+	stat.GramInto(sum.take(m, 0, stat.Cols(), stat.Cols()))
 	if factorB {
 		pool.gradsSnap[s][m][li] = tensor.Snap{}
 	} else {
 		pool.actsSnap[s][m][li] = tensor.Snap{}
 	}
 	stat.Release()
-	pool.putPartial(s, li, factorB, m, part, st.e.foldsEarly())
+	sum.arrive(pool.epoch, m, st.e.foldsEarly())
 	st.record(d, op, t0)
 	return nil
 }
@@ -800,7 +774,7 @@ func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 		// generation's own statistics batch (its collect round's first
 		// step), not the folding round's.
 		scale := st.e.sets[0].model.KFACLossScale(pool.totals)
-		newA, newB, nb, err := st.e.foldFactors(st.e.kfacFold[s][li], pool, s, li, scale*scale)
+		newA, newB, nb, err := st.e.foldFactors(pool, s, li, scale*scale)
 		bytes = nb
 		if err != nil {
 			return fmt.Errorf("factors of layer %d: %w", li, err)
@@ -809,9 +783,8 @@ func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 		// retains the arguments), so the fold's pooled sums go straight
 		// back to the workspace pool.
 		err = st.e.kfacPre[s].SetFactors(li, newA, newB)
-		pool.count(-bytesOf(newA, newB))
-		tensor.Put(newA)
-		tensor.Put(newB)
+		pool.sums[s][2*li].scrub()
+		pool.sums[s][2*li+1].scrub()
 		if err != nil {
 			return err
 		}

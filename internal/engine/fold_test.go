@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bert"
 	"repro/internal/kfac"
+	"repro/internal/optim"
 	"repro/internal/pipeline"
 	"repro/internal/pipemodel"
 	"repro/internal/tensor"
@@ -72,7 +76,7 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 			return nil, nil, err
 		}
 		local := micro * replicas
-		pool := newKFACGenPool(2, local, len(e.sets[0].stages[stage].layers), replicas)
+		pool := newKFACGenPool(2, local, len(e.sets[0].stages[stage].layers), replicas, nil)
 		defer pool.reset()
 		pool.totals = pipemodel.Totals{Seqs: total}
 		for i := 0; i < local; i++ {
@@ -80,16 +84,24 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 				n       int
 				factorB bool
 			}{{nA, false}, {nB, true}} {
-				p := tensor.Get(f.n, f.n)
+				sum := &pool.sums[stage][2*lay]
+				if f.factorB {
+					sum = &pool.sums[stage][2*lay+1]
+				}
+				p := sum.take(i, 0, f.n, f.n)
 				for j := range p.Data {
 					p.Data[j] = math.NaN()
 				}
 				tensor.SnapClone(foldStat(first+i, rows, f.n, f.factorB)).GramInto(p)
-				pool.putPartial(stage, lay, f.factorB, i, p, e.foldsEarly())
+				sum.arrive(pool.epoch, i, e.foldsEarly())
 			}
 		}
-		a, b, _, err = e.foldFactors(e.kfacFold[stage][lay], pool, stage, lay, scaleB)
-		return a, b, err
+		if a, b, _, err = e.foldFactors(pool, stage, lay, scaleB); err != nil {
+			return nil, nil, err
+		}
+		// The sums stay the pool's until the inversion hands them on: keep
+		// copies past the reset.
+		return a.Clone(), b.Clone(), nil
 	}
 	check := func(t *testing.T, where string, a, b, wa, wb *tensor.Matrix) {
 		t.Helper()
@@ -134,15 +146,17 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 // on one device, or split between two devices the way Chimera's two
 // pipelines split a stage's micro-batches — fold into running sums bit for
 // bit as the transport's chain folds them: +0, then each contribution in
-// ascending order. It runs both running sums, a gradient's (foldGrads) and a
-// factor's (putPartial), over all 24 arrival orders of 4 contributions
-// whose values mix −0, subnormals and magnitudes far enough apart that
-// every addition rounds, so folding in arrival order differs.
+// ascending order. It drives the one running sum for every kind it carries
+// — a gradient's (one matrix, written through a header over the
+// accumulator), a Kronecker factor's (one pooled matrix) and a weight and
+// bias delta set (two matrices of different shapes) — over all 24 arrival
+// orders of 4 contributions whose values mix −0, subnormals and magnitudes
+// far enough apart that every addition rounds, so folding in arrival order
+// differs.
 func TestPrefixFoldMatchesChainFold(t *testing.T) {
 	const n, rows, cols = 4, 8, 8
 	rng := tensor.NewRNG(52)
-	contrib := make([]*tensor.Matrix, n)
-	for m := range contrib {
+	mixed := func(rows, cols int) *tensor.Matrix {
 		c := tensor.Zeros(rows, cols)
 		for i := range c.Data {
 			switch u := rng.Float64(); {
@@ -156,20 +170,27 @@ func TestPrefixFoldMatchesChainFold(t *testing.T) {
 				c.Data[i] = float64(1+int(rng.Float64()*3)) * math.Pow(2, 53) * math.Copysign(1, u-0.75)
 			}
 		}
-		contrib[m] = c
+		return c
 	}
-	chain := func(order []int) *tensor.Matrix {
+	contrib, bias := make([]*tensor.Matrix, n), make([]*tensor.Matrix, n)
+	for m := range contrib {
+		contrib[m] = mixed(rows, cols)
+	}
+	for m := range bias {
+		bias[m] = mixed(1, cols)
+	}
+	chain := func(cs []*tensor.Matrix, order []int) *tensor.Matrix {
 		parts := make([][]float64, len(order))
 		for i, m := range order {
-			parts[i] = contrib[m].Data
+			parts[i] = cs[m].Data
 		}
-		dst := tensor.Zeros(rows, cols)
+		dst := tensor.Zeros(cs[0].Rows, cs[0].Cols)
 		if _, err := (transport.Loopback{}).AllReduce("fold", dst.Data, nil, parts); err != nil {
 			t.Fatal(err)
 		}
 		return dst
 	}
-	want := chain([]int{0, 1, 2, 3})
+	want := chain(contrib, []int{0, 1, 2, 3})
 	var orders [][]int
 	var permute func(prefix, rest []int)
 	permute = func(prefix, rest []int) {
@@ -184,7 +205,7 @@ func TestPrefixFoldMatchesChainFold(t *testing.T) {
 	permute(nil, []int{0, 1, 2, 3})
 	distinct := 0
 	for _, order := range orders {
-		if !bitsEqual(chain(order), want) {
+		if !bitsEqual(chain(contrib, order), want) {
 			distinct++
 		}
 	}
@@ -192,79 +213,90 @@ func TestPrefixFoldMatchesChainFold(t *testing.T) {
 		t.Fatalf("only %d of %d arrival orders fold to other bits: the values cannot tell a prefix fold from an arrival-order one", distinct, len(orders))
 	}
 
-	// The gradient's running sum: one step, one stage, one parameter.
-	st := &runState{
-		e:        &Engine{group: transport.Loopback{}},
-		deltas:   [][][][]*tensor.Matrix{{mat2(n, 1)}},
-		gradFold: [][]prefixFold{{newPrefixFold(n)}},
-		gradSum:  [][]*tensor.Matrix{{tensor.Zeros(rows, cols)}},
-	}
-	// A run folds the contributions as drive makes them arrive.
-	type drive func(arrive func(m int))
-	grads := func(d drive) *tensor.Matrix {
-		st.round++
-		for i := range st.gradSum[0][0].Data {
-			st.gradSum[0][0].Data[i] = math.NaN() // the fold overwrites whatever the accumulator held
+	// headers are a gradient sum's views of the accumulators it writes.
+	headers := func(accs ...*tensor.Matrix) []*tensor.Matrix {
+		hs := make([]*tensor.Matrix, len(accs))
+		for i, a := range accs {
+			hs[i] = &tensor.Matrix{Rows: a.Rows, Cols: a.Cols, Data: a.Data}
 		}
-		d(func(m int) {
-			st.deltas[0][0][m][0] = tensor.GetClone(contrib[m])
-			st.foldGrads(0, 0, m)
-		})
-		return st.gradSum[0][0]
+		return hs
 	}
-	// The factor's running sum: one stage, one layer, factor A.
-	pool := newKFACGenPool(1, n, 1, 1)
-	factor := func(d drive) *tensor.Matrix {
-		pool.reset()
-		d(func(m int) { pool.putPartial(0, 0, false, m, tensor.GetClone(contrib[m]), true) })
-		return pool.sumA[0][0].acc
-	}
-	for _, sum := range []struct {
-		name string
-		run  func(drive) *tensor.Matrix
-	}{{"gradient", grads}, {"factor", factor}} {
-		for _, order := range orders {
-			got := sum.run(func(arrive func(m int)) {
-				for _, m := range order {
-					arrive(m)
-				}
-			})
-			if got == nil || !bitsEqual(got, want) {
-				t.Fatalf("%s, one device, arrivals %v: the running sum differs from the chain fold", sum.name, order)
+	for _, kind := range []struct {
+		name    string
+		sum     []*tensor.Matrix   // nil: a pooled sum
+		contrib [][]*tensor.Matrix // [k][m]
+	}{
+		{"gradient", headers(tensor.Zeros(rows, cols)), [][]*tensor.Matrix{contrib}},
+		{"factor", nil, [][]*tensor.Matrix{contrib}},
+		{"weight-and-bias", headers(tensor.Zeros(rows, cols), tensor.Zeros(1, cols)), [][]*tensor.Matrix{contrib, bias}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			var s runningSum
+			s.init(n, make([]transport.Reduction, len(kind.contrib)), kind.sum, nil)
+			var epoch int64
+			wants := make([]*tensor.Matrix, len(kind.contrib))
+			for k, cs := range kind.contrib {
+				wants[k] = chain(cs, []int{0, 1, 2, 3})
 			}
-			// Two devices: micro-batches 0, 1 on one and 2, 3 on the other,
-			// each arriving in the order's relative order, concurrently.
-			for rep := 0; rep < 8; rep++ {
-				got = sum.run(func(arrive func(m int)) {
-					var wg sync.WaitGroup
-					for _, own := range [][]int{{0, 1}, {2, 3}} {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							for _, m := range order {
-								if slices.Contains(own, m) {
-									arrive(m)
-								}
-							}
-						}()
+			// A run folds the contributions as drive makes them arrive.
+			run := func(drive func(arrive func(m int))) []*tensor.Matrix {
+				epoch++
+				s.scrub()
+				for _, h := range kind.sum {
+					for i := range h.Data {
+						h.Data[i] = math.NaN() // the fold overwrites whatever the accumulator held
 					}
-					wg.Wait()
+				}
+				drive(func(m int) {
+					for k, cs := range kind.contrib {
+						copy(s.take(m, k, cs[m].Rows, cs[m].Cols).Data, cs[m].Data)
+					}
+					s.arrive(epoch, m, true)
 				})
-				if got == nil || !bitsEqual(got, want) {
-					t.Fatalf("%s, two devices, arrivals %v: the running sum differs from the chain fold", sum.name, order)
+				return s.sum
+			}
+			check := func(got []*tensor.Matrix, where string, order []int) {
+				t.Helper()
+				for k, w := range wants {
+					if got[k] == nil || !bitsEqual(got[k], w) {
+						t.Fatalf("%s, arrivals %v: matrix %d of the running sum differs from the chain fold", where, order, k)
+					}
 				}
 			}
-		}
-	}
-	for m, set := range st.deltas[0][0] {
-		if set[0] != nil {
-			t.Fatalf("delta of micro-batch %d still held after its fold", m)
-		}
-	}
-	for m, p := range pool.curvA[0][0] {
-		if p != nil {
-			t.Fatalf("partial of micro-batch %d still held after its fold", m)
-		}
+			for _, order := range orders {
+				check(run(func(arrive func(m int)) {
+					for _, m := range order {
+						arrive(m)
+					}
+				}), "one device", order)
+				// Two devices: micro-batches 0, 1 on one and 2, 3 on the
+				// other, each arriving in the order's relative order,
+				// concurrently.
+				for rep := 0; rep < 8; rep++ {
+					check(run(func(arrive func(m int)) {
+						var wg sync.WaitGroup
+						for _, own := range [][]int{{0, 1}, {2, 3}} {
+							wg.Add(1)
+							go func() {
+								defer wg.Done()
+								for _, m := range order {
+									if slices.Contains(own, m) {
+										arrive(m)
+									}
+								}
+							}()
+						}
+						wg.Wait()
+					}), "two devices", order)
+				}
+			}
+			for m, set := range s.parts {
+				if slices.ContainsFunc(set, func(p *tensor.Matrix) bool { return p != nil }) {
+					t.Fatalf("contribution of micro-batch %d still held after its fold", m)
+				}
+			}
+			s.scrub()
+		})
 	}
 }
 
@@ -311,4 +343,129 @@ func TestFoldBytesBalance(t *testing.T) {
 			}
 		})
 	}
+}
+
+// errWroteThenFailed is flakyGroup's injected collective failure.
+var errWroteThenFailed = errors.New("factor all-reduce wrote its destination, then failed")
+
+// flakyGroup stands in for rank 0 of a two-rank group on one process: it
+// reduces like a Loopback — this rank's contributions only — counts the
+// peer it stands in for at the startup barrier, and makes its next fails
+// factor reductions write their Dst and then fail.
+type flakyGroup struct {
+	transport.Loopback
+	fails, calls atomic.Int32
+}
+
+func (*flakyGroup) Size() int { return 2 }
+
+func (g *flakyGroup) AllReduce(name string, dst, base []float64, parts [][]float64) (int64, error) {
+	if name == "init/barrier" {
+		dst[0] = 2
+		return 0, nil
+	}
+	n, err := g.Loopback.AllReduce(name, dst, base, parts)
+	if err == nil && strings.HasPrefix(name, "f") {
+		g.calls.Add(1)
+		if g.fails.Add(-1) >= 0 {
+			return n, errWroteThenFailed
+		}
+	}
+	return n, err
+}
+
+// TestReductionErrorIsSticky: a reduction runs once per epoch, and a
+// failed one's error is sticky. A second reduce of the same sums returns
+// the first error and adds nothing — not onto the half-written sum, not
+// into a fresh one — and the scrub returns every held buffer. In an engine
+// with a fault plan, the retried inversion so degrades instead of
+// exchanging the layer again.
+func TestReductionErrorIsSticky(t *testing.T) {
+	tensor.SetPoolAudit(true)
+	defer tensor.SetPoolAudit(false)
+	t.Run("reduce", func(t *testing.T) {
+		const n, dim = 4, 6
+		base := tensor.PoolLive()
+		var held byteGauge
+		g := &flakyGroup{}
+		g.fails.Store(1)
+		pool := newKFACGenPool(1, n, 1, 1, &held)
+		for m := 0; m < n; m++ {
+			for f := range pool.sums[0] {
+				copy(pool.sums[0][f].take(m, 0, dim, dim).Data, foldStat(m, dim, dim, f == 1).Data)
+				pool.sums[0][f].arrive(pool.epoch, m, false) // held, as on a rank > 0
+			}
+		}
+		a, b := &pool.sums[0][0], &pool.sums[0][1]
+		_, err := reduce(g, pool.epoch, pool.ops[0][:2], a, b)
+		if !errors.Is(err, errWroteThenFailed) {
+			t.Fatalf("first reduce: %v, want the injected failure", err)
+		}
+		written := a.sum[0].Clone()
+		_, again := reduce(g, pool.epoch, pool.ops[0][:2], a, b)
+		if again != err {
+			t.Fatalf("second reduce in the epoch: %v, want the first error %v", again, err)
+		}
+		if c := g.calls.Load(); c != 1 {
+			t.Fatalf("the group ran %d factor reductions, want 1: the failed one must not run again", c)
+		}
+		if !bitsEqual(a.sum[0], written) {
+			t.Fatal("the second reduce added into the half-written sum")
+		}
+		pool.reset()
+		if live := tensor.PoolLive(); live != base {
+			t.Fatalf("PoolLive %d after the scrub, steady state %d", live, base)
+		}
+		if cur := held.cur.Load(); cur != 0 {
+			t.Fatalf("the ledger holds %d bytes after the scrub, want 0", cur)
+		}
+	})
+	t.Run("engine", func(t *testing.T) {
+		m, c := newModelAndCorpus(t)
+		g := &flakyGroup{}
+		e, err := NewWithConfig(m, Config{
+			Method: "1f1b", Stages: 2, MicroBatches: 2, RefreshSteps: 2, Transport: g,
+			FaultPlan: mustParsePlan(t, "stall:op=forward,delay=1us,count=1"),
+			OpRetries: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.EnableKFAC(faultKFACOpts(), 2); err != nil {
+			t.Fatal(err)
+		}
+		opt := optim.NewLAMB(m.Params(), 0.01)
+		e.SetOptimizer(func(int) error { opt.Step(5e-3); return nil })
+		train := func() *StepResult {
+			t.Helper()
+			res, err := e.TrainRound(roundBatches(c, 2, 8, m.Config.SeqLen))
+			if err != nil {
+				t.Fatalf("a failed factor exchange must degrade the round, not abort it: %v", err)
+			}
+			return res[0]
+		}
+		train()
+		base := tensor.PoolLive()
+		g.fails.Store(1)
+		calls := g.calls.Load()
+		if res := train(); !res.Degraded || !strings.Contains(res.DegradedReason, errWroteThenFailed.Error()) {
+			t.Fatalf("round not degraded by the failed factor exchange: %+v", res)
+		}
+		// Each layer reduces its factor pair once — one AllReduce per factor
+		// on a group that does not batch, the failed exchange stopping after
+		// its first — and neither the retry nor the pair's other inversion
+		// exchanges it again.
+		if got, want := g.calls.Load()-calls, int32(2*e.Stages()*len(e.sets[0].stages[0].layers)-1); got != want {
+			t.Fatalf("%d factor reductions in the degraded round, want %d", got, want)
+		}
+		if live := tensor.PoolLive(); live != base {
+			t.Fatalf("PoolLive %d after the degraded round, steady state %d", live, base)
+		}
+		if d, p := e.held.deltas.cur.Load(), e.held.partials.cur.Load(); d != 0 || p != 0 {
+			t.Fatalf("the ledger holds %d delta and %d partial bytes after the degraded round, want 0", d, p)
+		}
+		if res := train(); res.Degraded {
+			t.Fatalf("recovery round degraded: %s", res.DegradedReason)
+		}
+	})
 }

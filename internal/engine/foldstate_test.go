@@ -39,24 +39,22 @@ func TestFoldHoldsOneBufferPerSum(t *testing.T) {
 	// held counts, per stage, the delta sets and the most partials of any
 	// one factor held outside their sums.
 	held := func(s int) (deltas, partials int) {
-		for _, step := range e.run.deltas {
-			for _, set := range step[s] {
+		for _, step := range e.run.grads {
+			for _, set := range step[s].parts {
 				if set[0] != nil {
 					deltas++
 				}
 			}
 		}
 		for _, pool := range e.kfacPools {
-			for _, factor := range [][][]*tensor.Matrix{pool.curvA[s], pool.curvB[s]} {
-				for _, parts := range factor {
-					n := 0
-					for _, p := range parts {
-						if p != nil {
-							n++
-						}
+			for f := range pool.sums[s] {
+				n := 0
+				for _, p := range pool.sums[s][f].parts {
+					if p[0] != nil {
+						n++
 					}
-					partials = max(partials, n)
 				}
+				partials = max(partials, n)
 			}
 		}
 		return deltas, partials

@@ -166,21 +166,11 @@ func (st *runState) noteDegraded(d int, op *pipeline.Op, t0 time.Duration, cause
 // scan (scanStepHealth), so corruption converts to an attributed failure
 // instead of silently destroying training state. A backward's or a
 // curvature op's contribution may already be folded when the op returns:
-// it is poisoned where it lives now, its slot or the running sum, found
-// under the prefix fold's lock once no device is adding. Writes happen
-// before the op signals its completion, so no consumer can be reading
-// concurrently.
+// its running sum poisons it where it lives now, its slot or the sum.
+// Writes happen before the op signals its completion, so no consumer can
+// be reading concurrently.
 func (st *runState) corruptOutput(op *pipeline.Op) {
 	nan := math.NaN()
-	// poison writes NaN into the first non-empty buffer.
-	poison := func(bufs ...*tensor.Matrix) {
-		for _, b := range bufs {
-			if b != nil && len(b.Data) > 0 {
-				b.Data[0] = nan
-				return
-			}
-		}
-	}
 	switch op.Kind {
 	case pipeline.Forward:
 		if buf := st.stageOut[op.Stage][st.flat(op)]; buf != nil && len(buf.Data) > 0 {
@@ -190,32 +180,11 @@ func (st *runState) corruptOutput(op *pipeline.Op) {
 		// Last stage publishes a loss, not an activation.
 		st.lossParts[op.Step][st.gmicro(op)].Total = nan
 	case pipeline.Backward:
-		j, s, m := op.Step, op.Stage, st.gmicro(op)
-		f := &st.gradFold[j][s]
-		if f.settle(st.round, m) {
-			poison(st.gradSum[s]...)
-		} else {
-			poison(st.deltas[j][s][m]...)
-		}
-		f.mu.Unlock()
+		st.grads[op.Step][op.Stage].corrupt(st.round, st.gmicro(op))
 	case pipeline.Curvature:
-		pool := st.genPool(op)
-		if pool == nil {
-			return
+		if pool := st.genPool(op); pool != nil {
+			pool.sums[op.Stage][op.Factor].corrupt(pool.epoch, st.gmicro(op))
 		}
-		stg := st.e.sets[op.Replica].stages[op.Stage]
-		li, factorB, err := stg.layerOf(op.Factor)
-		if err != nil {
-			return
-		}
-		parts, sum := pool.factor(op.Stage, li, factorB)
-		m := st.gmicro(op)
-		if sum.settle(pool.epoch, m) {
-			poison(sum.acc)
-		} else {
-			poison(parts[m])
-		}
-		sum.mu.Unlock()
 	case pipeline.Inversion:
 		if st.e.kfacPre == nil {
 			return
