@@ -558,10 +558,13 @@
 // # Collective transport contract
 //
 // internal/transport generalizes those in-process reductions across OS
-// processes: a transport.Group runs reduce-scatter / all-gather /
-// all-reduce / broadcast over *named* buffers for a group of ranks, and
-// engine.Config.Transport plugs one into every reduction the engine
-// performs. A nil Transport is the loopback: the existing in-process fold,
+// processes: a transport.Group runs all-reduce (one at a time or as a
+// batch) and broadcast over *named* buffers for a group of ranks — the
+// three collectives the engine calls — and engine.Config.Transport plugs
+// one into every reduction the engine performs. On a Ring the all-reduce's
+// distribution pass and Broadcast are one relay pass, the chunked
+// receive-copy-forward loop every rank runs (TestRingWireBytes pins each
+// rank's bytes). A nil Transport is the loopback: the existing in-process fold,
 // CI-gated at exactly zero extra allocations and <2% throughput against
 // the transport-free executor rows — choosing a transport costs the
 // single-process configuration nothing. DialRing connects a chain of
@@ -608,10 +611,10 @@
 //   - Batching: a stage's per-parameter gradient reductions (one running
 //     sum's k reductions), and a K-FAC layer's two factor sums (one batch
 //     of two per layer refresh, not one per factor), go to the group as one
-//     transport.AllReduceBatch, retained by the sums so the steady state
+//     Group.AllReduceBatch, retained by the sums so the steady state
 //     allocates nothing. A factor's
 //     row count is not reduced: every statistic has one row per token, so
-//     the group-wide count is the generation's batch, Seqs × SeqLen. A Ring (a transport.BatchReducer) runs
+//     the group-wide count is the generation's batch, Seqs × SeqLen. A Ring runs
 //     every reduce pass before the first distribution pass: the same
 //     frames, bytes and arithmetic as one AllReduce each
 //     (TestRingAllReduceBatchMatchesSeparateCalls), but rank 0 no longer
@@ -619,7 +622,7 @@
 //     reduction k+1 — a 26-parameter stage pays the ring's round trip
 //     once, not 26 times, and each of those round trips was a chain of
 //     goroutine wake-ups that a millisecond-scale step spent a third of
-//     its time in. Any other group gets the calls one after another, so
+//     its time in. Loopback's batch is one AllReduce after another, so
 //     the loopback fold is instruction-for-instruction what it was.
 //   - Failure semantics ride the round protocol: BeginRound tags every
 //     collective with an epoch, and a rank that aborts mid-round sends an

@@ -320,7 +320,7 @@ func reduce(g transport.Group, epoch int64, batch []transport.Reduction, sums ..
 			}
 		}
 		if err == nil {
-			bytes, err = transport.AllReduceBatch(g, batch)
+			bytes, err = g.AllReduceBatch(batch)
 		}
 		for i := range batch {
 			op := &batch[i]

@@ -374,6 +374,17 @@ func (g *flakyGroup) AllReduce(name string, dst, base []float64, parts [][]float
 	return n, err
 }
 
+// AllReduceBatch runs the batch through flakyGroup's AllReduce, which the
+// embedded Loopback's batch would pass by.
+func (g *flakyGroup) AllReduceBatch(rs []transport.Reduction) (int64, error) {
+	for i := range rs {
+		if _, err := g.AllReduce(rs[i].Name, rs[i].Dst, rs[i].Base, rs[i].Parts); err != nil {
+			return 0, fmt.Errorf("all-reduce %q: %w", rs[i].Name, err)
+		}
+	}
+	return 0, nil
+}
+
 // TestReductionErrorIsSticky: a reduction runs once per epoch, and a
 // failed one's error is sticky. A second reduce of the same sums returns
 // the first error and adds nothing — not onto the half-written sum, not

@@ -187,12 +187,3 @@ func (d *Dense) CapturedOutputGradSnap() tensor.Snap {
 	}
 	return tensor.SnapOf(bw.outputGrad)
 }
-
-// ClearCapture drops the cached K-FAC statistics (e.g. between curvature
-// refreshes, to release memory — the Msave_err term in the paper's memory
-// model exists precisely because these buffers are retained).
-func (d *Dense) ClearCapture() {
-	bw := d.scratch()
-	bw.outputGrad = nil
-	bw.is32 = false
-}

@@ -60,20 +60,17 @@ func (fl *freeList) place(ready, dur hardware.Microseconds, whole bool) (pieces 
 
 // packGeneration is the one pass that puts K-FAC work into bubbles (§3.1,
 // the three rules of the package doc): it places the work items of one
-// statistics generation into what is left of the free lists —
-//
-//  1. the generation's curvature, in readiness order;
-//  2. each stage's sync-curvature, once ALL of the stage's curvature found a
-//     slot;
-//  3. each inversion step, once the stage's curvature and syncs all found
-//     slots;
-//
-// each sync and inversion step after its inputs (workItem.inputs), and only
-// once every input found a slot: so a window's own inversion of a layer
-// pair waits for the carried generation's inversions of the pair, and the
-// steps of an inversion chain follow one another, each whole in one
-// bubble. An item whose gate did not place is left unplaced; it then
-// executes before the round's tail, so a wait can never cycle.
+// statistics generation into what is left of the free lists — first the
+// generation's curvature, in readiness order, then each stage's
+// sync-curvature, then each inversion step — each sync and inversion step
+// at the latest end of its inputs (workItem.inputs), and only once every
+// input found a slot. A sync reads all of its stage's curvature; an
+// inversion's first step the curvature of its layer pair and its stage's
+// syncs, and the carried generation's inversions of the pair; a later
+// chain step the step before it, so a chain's steps follow one another,
+// each whole in one bubble. An item with an unplaced input is left
+// unplaced; it then executes before the round's tail, so a wait can never
+// cycle.
 func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config) {
 	var curv []*workItem
 	for _, it := range items {
@@ -82,27 +79,19 @@ func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config) {
 		}
 	}
 	sort.SliceStable(curv, func(i, j int) bool { return curv[i].readyAt < curv[j].readyAt })
-	place := func(it *workItem) bool {
+	place := func(it *workItem) {
 		// A chain step is packed whole: it runs as one op.
 		it.pieces, it.placed = free[it.device].place(it.readyAt, it.duration, cfg.NoSplit || it.chain > 0)
-		return it.placed
 	}
-
-	curvSpilled := make([]bool, cfg.Stages)
 	for _, it := range curv {
-		if !place(it) {
-			curvSpilled[it.stage] = true
-		}
+		place(it)
 	}
-	syncSpilled := make([]bool, cfg.Stages)
 	for _, kind := range []pipeline.WorkKind{pipeline.SyncCurvature, pipeline.Inversion} {
 		for _, it := range items {
 			if it.gen != gen || it.kind != kind {
 				continue
 			}
-			// The stage gates are stricter than the inputs: an inversion
-			// waits for all of its stage's curvature, sync or no sync.
-			blocked := curvSpilled[it.stage] || kind == pipeline.Inversion && syncSpilled[it.stage]
+			blocked := false
 			it.readyAt = 0
 			it.inputs(func(in *workItem) {
 				if !in.placed {
@@ -111,8 +100,8 @@ func packGeneration(items []*workItem, gen int, free []*freeList, cfg Config) {
 				}
 				it.readyAt = max(it.readyAt, in.end())
 			})
-			if (blocked || !place(it)) && kind == pipeline.SyncCurvature {
-				syncSpilled[it.stage] = true
+			if !blocked {
+				place(it)
 			}
 		}
 	}

@@ -41,23 +41,6 @@ func VecColMajor(m *Matrix) []float64 {
 	return out
 }
 
-// UnvecColMajor is the inverse of VecColMajor: it reshapes v (length
-// rows*cols) into a rows x cols matrix assuming column-major stacking.
-func UnvecColMajor(v []float64, rows, cols int) *Matrix {
-	if len(v) != rows*cols {
-		panic(fmt.Sprintf("tensor: UnvecColMajor length %d does not match %dx%d", len(v), rows, cols))
-	}
-	m := Zeros(rows, cols)
-	idx := 0
-	for j := 0; j < cols; j++ {
-		for i := 0; i < rows; i++ {
-			m.Data[i*cols+j] = v[idx]
-			idx++
-		}
-	}
-	return m
-}
-
 // KronMatVec computes (A ⊗ B) vec(X) = vec(B X A^T) without materializing
 // the Kronecker product. X must be b.Cols x a.Cols; the result is returned
 // as a b.Rows x a.Rows matrix Y with vec(Y) = (A ⊗ B) vec(X).

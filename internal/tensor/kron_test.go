@@ -39,19 +39,6 @@ func TestVecUnvecRoundTrip(t *testing.T) {
 			t.Fatalf("VecColMajor: got %v, want %v", v, want)
 		}
 	}
-	back := UnvecColMajor(v, 2, 3)
-	if !back.Equal(m) {
-		t.Fatal("UnvecColMajor did not invert VecColMajor")
-	}
-}
-
-func TestUnvecPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UnvecColMajor([]float64{1, 2, 3}, 2, 2)
 }
 
 // The central K-FAC identity (§2.3.1): (A ⊗ B) vec(X) = vec(B X A^T).

@@ -155,15 +155,6 @@ func checkTMatMul(dst, a, b *Matrix, op string) {
 	}
 }
 
-// axpy computes dst += a*x element-wise. The reslice lets the compiler
-// eliminate both bounds checks in the loop body.
-func axpy(dst []float64, a float64, x []float64) {
-	dst = dst[:len(x)]
-	for j, v := range x {
-		dst[j] += float64(a * v)
-	}
-}
-
 // MatVec returns the matrix-vector product a*x as a new slice.
 func MatVec(a *Matrix, x []float64) []float64 {
 	if a.Cols != len(x) {
@@ -177,19 +168,6 @@ func MatVec(a *Matrix, x []float64) []float64 {
 			s += float64(v * x[j])
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// VecMat returns x^T * a as a new slice (length a.Cols).
-func VecMat(x []float64, a *Matrix) []float64 {
-	if a.Rows != len(x) {
-		panic(fmt.Sprintf("tensor: VecMat dimension mismatch: vec(%d)^T * %dx%d", len(x), a.Rows, a.Cols))
-	}
-	out := make([]float64, a.Cols)
-	for i, xv := range x {
-		row := a.Data[i*a.Cols : (i+1)*a.Cols]
-		axpy(out, xv, row)
 	}
 	return out
 }

@@ -74,11 +74,6 @@ func TestMatVecAndVecMat(t *testing.T) {
 	if got[0] != -2 || got[1] != -2 {
 		t.Fatalf("MatVec: got %v", got)
 	}
-	y := []float64{1, -1}
-	got2 := VecMat(y, a)
-	if got2[0] != -3 || got2[1] != -3 || got2[2] != -3 {
-		t.Fatalf("VecMat: got %v", got2)
-	}
 }
 
 func TestOuterAndDot(t *testing.T) {

@@ -113,18 +113,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	if j < 0 || j >= m.Cols {
-		panic(fmt.Sprintf("tensor: col %d out of range for %dx%d matrix", j, m.Rows, m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := Zeros(m.Rows, m.Cols)
@@ -205,16 +193,6 @@ func (m *Matrix) ScaleInPlace(alpha float64) {
 	scaleBy(m.Data, alpha)
 }
 
-// Hadamard returns the element-wise product m ⊙ other.
-func (m *Matrix) Hadamard(other *Matrix) *Matrix {
-	m.mustSameShape(other, "Hadamard")
-	out := m.Clone()
-	for i, v := range other.Data {
-		out.Data[i] *= v
-	}
-	return out
-}
-
 // AddDiagonalInPlace sets m += d*I. m must be square.
 func (m *Matrix) AddDiagonalInPlace(d float64) {
 	m.mustSquare("AddDiagonalInPlace")
@@ -231,16 +209,6 @@ func (m *Matrix) Trace() float64 {
 		t += m.Data[i*m.Cols+i]
 	}
 	return t
-}
-
-// Diagonal returns a copy of the main diagonal. m must be square.
-func (m *Matrix) Diagonal() []float64 {
-	m.mustSquare("Diagonal")
-	d := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		d[i] = m.Data[i*m.Cols+i]
-	}
-	return d
 }
 
 // FrobeniusNorm returns sqrt(sum m_ij^2).
@@ -270,14 +238,6 @@ func (m *Matrix) Sum() float64 {
 		s += v
 	}
 	return s
-}
-
-// Mean returns the mean of all entries (0 for an empty matrix).
-func (m *Matrix) Mean() float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return m.Sum() / float64(len(m.Data))
 }
 
 // Equal reports whether m and other have the same shape and identical

@@ -62,19 +62,6 @@ func (r *RNG) NormFloat64() float64 {
 	return radius * math.Cos(theta)
 }
 
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // RandN returns a rows x cols matrix of N(0, std^2) samples.
 func RandN(r *RNG, rows, cols int, std float64) *Matrix {
 	m := Zeros(rows, cols)

@@ -71,18 +71,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := NewRNG(4)
-	p := r.Perm(20)
-	seen := make([]bool, 20)
-	for _, v := range p {
-		if v < 0 || v >= 20 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRandConstructors(t *testing.T) {
 	r := NewRNG(5)
 	m := RandN(r, 10, 10, 2)

@@ -27,13 +27,15 @@ func (Loopback) AllReduce(name string, dst, base []float64, parts [][]float64) (
 	return 0, nil
 }
 
-// ReduceScatter is AllReduce: with one rank the shard is the whole buffer.
-func (l Loopback) ReduceScatter(name string, dst, base []float64, parts [][]float64) (int64, error) {
-	return l.AllReduce(name, dst, base, parts)
+// AllReduceBatch is one AllReduce per reduction, in order.
+func (l Loopback) AllReduceBatch(rs []Reduction) (int64, error) {
+	for i := range rs {
+		if _, err := l.AllReduce(rs[i].Name, rs[i].Dst, rs[i].Base, rs[i].Parts); err != nil {
+			return 0, fmt.Errorf("all-reduce %q: %w", rs[i].Name, err)
+		}
+	}
+	return 0, nil
 }
-
-// AllGather is a no-op: the single rank's shard is already the whole buffer.
-func (Loopback) AllGather(name string, buf []float64) (int64, error) { return 0, nil }
 
 // Broadcast is a no-op for root 0 (the only valid root).
 func (Loopback) Broadcast(name string, root int, buf []float64) (int64, error) {

@@ -85,6 +85,12 @@ type RingOptions struct {
 // a different chunk while every rank folds another, which is where the
 // chunked mode's speedup over one monolithic message comes from.
 //
+// The distribution pass is the ring's one relay pass (relay): an origin
+// rank's chunks travel once around the ring, every other rank copying each
+// into its buffer and forwarding it until the rank before the origin.
+// Broadcast is one relay from the root, and AllGather one relay per shard
+// owner.
+//
 // Frames are demultiplexed by collective name into per-name FIFO queues,
 // so collectives with different names may run concurrently from different
 // goroutines (the engine folds different pipeline stages in parallel).
@@ -723,7 +729,7 @@ func (r *Ring) AllReduceBatch(rs []Reduction) (int64, error) {
 		return sent, nil // every dst completed during its reduce pass
 	}
 	for i := range rs {
-		nb, err := r.distributePass(rs[i].Name, rs[i].Dst, epoch)
+		nb, err := r.relay(rs[i].Name, passFinal, r.size-1, epoch, rs[i].Dst, 0, len(rs[i].Dst))
 		sent += nb
 		if err != nil {
 			return sent, err
@@ -732,72 +738,79 @@ func (r *Ring) AllReduceBatch(rs []Reduction) (int64, error) {
 	return sent, nil
 }
 
+// chunks returns how many frames a pass over [lo, hi) sends. An
+// all-reduce's passes send at least one, so an empty reduction still meets
+// every rank; a broadcast or gather of nothing sends nothing.
+func (r *Ring) chunks(pass byte, lo, hi int) int {
+	k := (hi - lo + r.chunk - 1) / r.chunk
+	if k == 0 && (pass == passReduce || pass == passFinal) {
+		k = 1
+	}
+	return k
+}
+
 // reducePass: partials flow rank 0 -> 1 -> ... -> W-1, each rank folding
 // its own parts in ascending order. Rank W-1 owns the completed chunk and
-// starts the distribution pass.
+// sends it on as the first frame of the distribution pass.
 func (r *Ring) reducePass(op *Reduction, epoch int64) (int64, error) {
 	dst, n := op.Dst, len(op.Dst)
 	var sent int64
-	last := r.rank == r.size-1
-	for lo, idx := 0, uint32(0); lo < n || n == 0; lo, idx = lo+r.chunk, idx+1 {
-		hi := lo + r.chunk
-		if hi > n {
-			hi = n
-		}
-		pass, origin := passReduce, byte(r.rank)
+	for idx := range r.chunks(passReduce, 0, n) {
+		lo := idx * r.chunk
+		hi := min(lo+r.chunk, n)
+		pass := passReduce
 		if r.rank == 0 {
 			foldInto(dst, op.Base, op.Parts, lo, hi)
 		} else {
-			f, err := r.expect(op.Name, epoch, passReduce, idx, hi-lo)
+			f, err := r.expect(op.Name, epoch, passReduce, uint32(idx), hi-lo)
 			if err != nil {
 				return sent, err
 			}
 			copy(dst[lo:hi], f.payload)
 			addParts(dst, op.Parts, lo, hi)
 			r.putFrame(f)
-			if last {
+			if r.rank == r.size-1 {
 				pass = passFinal // chunk complete; start the distribution pass
 			}
 		}
-		nb, err := r.sendData(op.Name, pass, origin, epoch, idx, dst[lo:hi])
+		nb, err := r.sendData(op.Name, pass, byte(r.rank), epoch, uint32(idx), dst[lo:hi])
 		if err != nil {
 			return sent, err
 		}
 		sent += nb
-		if n == 0 {
-			break
-		}
 	}
 	return sent, nil
 }
 
-// distributePass: completed chunks flow W-1 -> 0 -> ... -> W-2; every rank
-// but W-1 copies them into dst and forwards until the rank before the
-// originator.
-func (r *Ring) distributePass(name string, dst []float64, epoch int64) (int64, error) {
-	n := len(dst)
+// relay carries buf[lo:hi) from origin around the ring in chunks: origin
+// sends them, and every other rank checks each frame's origin, copies the
+// chunk into buf and forwards it unless its next rank is origin.
+func (r *Ring) relay(name string, pass byte, origin int, epoch int64, buf []float64, lo, hi int) (int64, error) {
 	var sent int64
-	forward := r.rank != r.size-2
-	for lo, idx := 0, uint32(0); lo < n || n == 0; lo, idx = lo+r.chunk, idx+1 {
-		hi := lo + r.chunk
-		if hi > n {
-			hi = n
-		}
-		f, err := r.expect(name, epoch, passFinal, idx, hi-lo)
-		if err != nil {
-			return sent, err
-		}
-		copy(dst[lo:hi], f.payload)
-		if forward {
-			nb, err := r.sendData(name, passFinal, f.origin, epoch, idx, f.payload)
+	forward := (r.rank+1)%r.size != origin
+	for idx := range r.chunks(pass, lo, hi) {
+		clo := lo + idx*r.chunk
+		chunk := buf[clo:min(clo+r.chunk, hi)]
+		if r.rank != origin {
+			f, err := r.expect(name, epoch, pass, uint32(idx), len(chunk))
 			if err != nil {
 				return sent, err
 			}
-			sent += nb
+			if int(f.origin) != origin {
+				r.putFrame(f)
+				return sent, fmt.Errorf("transport: rank %d %q frame from rank %d, want rank %d",
+					r.rank, name, f.origin, origin)
+			}
+			copy(chunk, f.payload)
+			r.putFrame(f)
+			if !forward {
+				continue
+			}
 		}
-		r.putFrame(f)
-		if n == 0 {
-			break
+		nb, err := r.sendData(name, pass, byte(origin), epoch, uint32(idx), chunk)
+		sent += nb
+		if err != nil {
+			return sent, err
 		}
 	}
 	return sent, nil
@@ -812,65 +825,29 @@ func (r *Ring) ReduceScatter(name string, dst, base []float64, parts [][]float64
 	return r.AllReduce(name, dst, base, parts)
 }
 
-// AllGather rotates shards around the ring: every rank sends its own shard
-// first, then forwards each received shard until the rank before its
-// owner; after Size-1 steps every rank holds every shard.
+// AllGather completes buf on every rank from the per-rank shards: on entry
+// rank r's buf holds valid data in ShardRange(len(buf), r, Size()); on
+// return the whole buf is populated. It is one relay per owner, this rank's
+// own shard first and then the nearest owner's, in the order shards arrive.
 func (r *Ring) AllGather(name string, buf []float64) (int64, error) {
 	epoch := r.epoch.Load()
 	if err := r.abortErr(epoch); err != nil {
 		return 0, err
 	}
-	n := len(buf)
 	var sent int64
-	// Send own shard, chunked.
-	olo, ohi := ShardRange(n, r.rank, r.size)
-	for lo, idx := olo, uint32(0); lo < ohi; lo, idx = lo+r.chunk, idx+1 {
-		hi := lo + r.chunk
-		if hi > ohi {
-			hi = ohi
-		}
-		nb, err := r.sendData(name, passGather, byte(r.rank), epoch, idx, buf[lo:hi])
+	for s := range r.size {
+		owner := (r.rank - s + r.size) % r.size
+		lo, hi := ShardRange(len(buf), owner, r.size)
+		nb, err := r.relay(name, passGather, owner, epoch, buf, lo, hi)
+		sent += nb
 		if err != nil {
 			return sent, err
-		}
-		sent += nb
-	}
-	// Receive the other Size-1 shards in deterministic arrival order:
-	// prev's own shard first, then the shards prev forwarded, each one
-	// ring-step older.
-	for s := 1; s < r.size; s++ {
-		owner := (r.rank - s + r.size) % r.size
-		slo, shi := ShardRange(n, owner, r.size)
-		forward := (r.rank+1)%r.size != owner
-		for lo, idx := slo, uint32(0); lo < shi; lo, idx = lo+r.chunk, idx+1 {
-			hi := lo + r.chunk
-			if hi > shi {
-				hi = shi
-			}
-			f, err := r.expect(name, epoch, passGather, idx, hi-lo)
-			if err != nil {
-				return sent, err
-			}
-			if int(f.origin) != owner {
-				return sent, fmt.Errorf("transport: rank %d all-gather %q: got shard of rank %d, want rank %d",
-					r.rank, name, f.origin, owner)
-			}
-			copy(buf[lo:hi], f.payload)
-			if forward {
-				nb, err := r.sendData(name, passGather, f.origin, epoch, idx, f.payload)
-				if err != nil {
-					return sent, err
-				}
-				sent += nb
-			}
-			r.putFrame(f)
 		}
 	}
 	return sent, nil
 }
 
-// Broadcast sends root's buf around the ring; every other rank copies and
-// forwards until the rank before root.
+// Broadcast relays root's buf around the ring into every rank's buf.
 func (r *Ring) Broadcast(name string, root int, buf []float64) (int64, error) {
 	if root < 0 || root >= r.size {
 		return 0, fmt.Errorf("transport: broadcast root %d out of range for %d ranks", root, r.size)
@@ -879,43 +856,7 @@ func (r *Ring) Broadcast(name string, root int, buf []float64) (int64, error) {
 	if err := r.abortErr(epoch); err != nil {
 		return 0, err
 	}
-	n := len(buf)
-	var sent int64
-	if r.rank == root {
-		for lo, idx := 0, uint32(0); lo < n; lo, idx = lo+r.chunk, idx+1 {
-			hi := lo + r.chunk
-			if hi > n {
-				hi = n
-			}
-			nb, err := r.sendData(name, passBcast, byte(root), epoch, idx, buf[lo:hi])
-			if err != nil {
-				return sent, err
-			}
-			sent += nb
-		}
-		return sent, nil
-	}
-	forward := (r.rank+1)%r.size != root
-	for lo, idx := 0, uint32(0); lo < n; lo, idx = lo+r.chunk, idx+1 {
-		hi := lo + r.chunk
-		if hi > n {
-			hi = n
-		}
-		f, err := r.expect(name, epoch, passBcast, idx, hi-lo)
-		if err != nil {
-			return sent, err
-		}
-		copy(buf[lo:hi], f.payload)
-		if forward {
-			nb, err := r.sendData(name, passBcast, f.origin, epoch, idx, f.payload)
-			if err != nil {
-				return sent, err
-			}
-			sent += nb
-		}
-		r.putFrame(f)
-	}
-	return sent, nil
+	return r.relay(name, passBcast, root, epoch, buf, 0, len(buf))
 }
 
 // Wire format (little-endian):

@@ -1,8 +1,11 @@
 // Package transport provides the collective-communication substrate behind
-// the engine's data-parallel axis: reduce-scatter, all-gather, all-reduce
+// the engine's data-parallel axis: all-reduce (one at a time or as a batch)
 // and broadcast over named float64 buffers, with a deterministic fold order
 // that makes the reduced values bit-identical no matter which transport
-// carries them.
+// carries them. Group is exactly what the engine calls; Ring also offers
+// ReduceScatter and AllGather, which only the benchmark's collective
+// tracing reaches and which rejoin Group once the engine shards a
+// reduction.
 //
 // # Fold order
 //
@@ -41,9 +44,12 @@ import (
 	"fmt"
 )
 
-// Group is one rank's membership in a collective group of Size() peers.
-// Implementations: Loopback (the in-process degenerate group, Size 1) and
-// Ring (a chunked chain/ring transport over TCP or Unix-domain sockets).
+// Group is one rank's membership in a collective group of Size() peers:
+// the collectives the engine runs — AllReduceBatch for gradient and factor
+// sums, AllReduce for barriers and scalars, Broadcast for parameters — and
+// the round and failure hooks. Implementations: Loopback (the in-process
+// degenerate group, Size 1) and Ring (a chunked chain/ring transport over
+// TCP or Unix-domain sockets).
 type Group interface {
 	// Rank is this member's index in [0, Size).
 	Rank() int
@@ -56,16 +62,12 @@ type Group interface {
 	// bytes this rank put on the wire.
 	AllReduce(name string, dst, base []float64, parts [][]float64) (int64, error)
 
-	// ReduceScatter is AllReduce with a weaker delivery guarantee: only
-	// dst[ShardRange(len(dst), Rank(), Size())] is guaranteed to hold the
-	// reduced values on return (implementations may deliver more). The
-	// fold order is identical to AllReduce.
-	ReduceScatter(name string, dst, base []float64, parts [][]float64) (int64, error)
-
-	// AllGather completes buf on every rank from the per-rank shards: on
-	// entry rank r's buf holds valid data in ShardRange(len(buf), r,
-	// Size()); on return the whole buf is populated on every rank.
-	AllGather(name string, buf []float64) (int64, error)
+	// AllReduceBatch leaves every reduction's Dst as one AllReduce call
+	// each would: same fold order, and on a wire the same frames and bytes.
+	// The reductions must have distinct names and disjoint Dst buffers. A
+	// stage's gradient reductions and a layer's factor reductions go
+	// through here, so a ring overlaps their waits (Ring.AllReduceBatch).
+	AllReduceBatch(rs []Reduction) (int64, error)
 
 	// Broadcast copies root's buf into every rank's buf.
 	Broadcast(name string, root int, buf []float64) (int64, error)
@@ -105,35 +107,6 @@ type Reduction struct {
 	Name      string
 	Dst, Base []float64
 	Parts     [][]float64
-}
-
-// BatchReducer is implemented by groups that can overlap the waits of
-// independent all-reduces; Ring is one.
-type BatchReducer interface {
-	// AllReduceBatch leaves every reduction's Dst as one AllReduce call
-	// each would: same fold order, same frames, same bytes on the wire.
-	// The reductions must have distinct names and disjoint Dst buffers.
-	AllReduceBatch(rs []Reduction) (int64, error)
-}
-
-// AllReduceBatch runs rs on g — as one overlapped exchange when g is a
-// BatchReducer, as one AllReduce after another otherwise — and returns the
-// bytes put on the wire. A stage's per-parameter gradient reductions go
-// through here: on a wire each separate call waits for its peers in turn,
-// and a step whose compute is short spends most of its time in those waits.
-func AllReduceBatch(g Group, rs []Reduction) (int64, error) {
-	if b, ok := g.(BatchReducer); ok {
-		return b.AllReduceBatch(rs)
-	}
-	var bytes int64
-	for i := range rs {
-		nb, err := g.AllReduce(rs[i].Name, rs[i].Dst, rs[i].Base, rs[i].Parts)
-		bytes += nb
-		if err != nil {
-			return bytes, fmt.Errorf("all-reduce %q: %w", rs[i].Name, err)
-		}
-	}
-	return bytes, nil
 }
 
 // RankFailure is the typed liveness error of a wire transport: a specific
@@ -176,7 +149,7 @@ func ShardRange(n, rank, size int) (lo, hi int) {
 	return rank * n / size, (rank + 1) * n / size
 }
 
-// checkReduceArgs validates the shared AllReduce/ReduceScatter contract.
+// checkReduceArgs validates an all-reduce's arguments.
 func checkReduceArgs(dst, base []float64, parts [][]float64) error {
 	if base != nil && len(base) != len(dst) {
 		return fmt.Errorf("transport: base length %d != dst length %d", len(base), len(dst))

@@ -1,12 +1,17 @@
 package transport
 
 import (
+	"bufio"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash"
+	"io"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // refFold computes the contract's reference result on one rank: base (or
@@ -447,7 +452,7 @@ func TestRingAllReduceBatchMatchesSeparateCalls(t *testing.T) {
 			})
 			runRingCollective(t, size, 256, func(r *Ring) error {
 				rs := mk(r.Rank())
-				nb, err := AllReduceBatch(r, rs)
+				nb, err := r.AllReduceBatch(rs)
 				batched[r.Rank()], batchBytes[r.Rank()] = rs, nb
 				return err
 			})
@@ -465,14 +470,14 @@ func TestRingAllReduceBatchMatchesSeparateCalls(t *testing.T) {
 	}
 }
 
-// TestAllReduceBatchFallsBackToAllReduce: a group without AllReduceBatch
-// gets one AllReduce per reduction, in order.
+// TestAllReduceBatchFallsBackToAllReduce: Loopback's batch is one
+// AllReduce per reduction, in order.
 func TestAllReduceBatchFallsBackToAllReduce(t *testing.T) {
 	rs := []Reduction{
 		{Name: "a", Dst: make([]float64, 3), Base: fill(3, 0.5), Parts: [][]float64{fill(3, 1), fill(3, 2)}},
 		{Name: "b", Dst: make([]float64, 2), Parts: [][]float64{fill(2, 3)}},
 	}
-	if _, err := AllReduceBatch(Loopback{}, rs); err != nil {
+	if _, err := (Loopback{}).AllReduceBatch(rs); err != nil {
 		t.Fatal(err)
 	}
 	if want := refFold(3, rs[0].Base, [][][]float64{rs[0].Parts}); !bitEqual(rs[0].Dst, want) {
@@ -482,7 +487,7 @@ func TestAllReduceBatchFallsBackToAllReduce(t *testing.T) {
 		t.Fatal("reduction b differs from the reference fold")
 	}
 	rs[1].Parts[0] = fill(5, 1) // wrong length: the error names the reduction
-	if _, err := AllReduceBatch(Loopback{}, rs); err == nil || !strings.Contains(err.Error(), `"b"`) {
+	if _, err := (Loopback{}).AllReduceBatch(rs); err == nil || !strings.Contains(err.Error(), `"b"`) {
 		t.Fatalf("got %v, want an error naming reduction b", err)
 	}
 }
@@ -511,6 +516,93 @@ func TestRingAllReduceBatchAbortUnblocks(t *testing.T) {
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "peer gave up") {
 		t.Fatalf("got %v, want the peer's abort", err)
 	}
+}
+
+// wireBytesDigest is TestRingWireBytes' digest of every rank's byte stream.
+const wireBytesDigest = "4783760a704d047bc3c3aaf9262f40715f6684d5155ba54e08b931cda3598f09"
+
+// TestRingWireBytes pins the bytes each rank writes: at W ∈ {2, 3, 4} and
+// n ∈ {0, 1, 63, 64, 200} (64-float chunks, so empty, partial, exact and
+// multi-chunk payloads), every rank runs an AllReduce, an AllReduceBatch of
+// two reductions, a Broadcast from every root and an AllGather, and each
+// rank's stream is hashed with its BytesOnWire. Heartbeats are off, and the
+// hashes are read before Close, whose teardown sends failure frames.
+func TestRingWireBytes(t *testing.T) {
+	sum := sha256.New()
+	for _, size := range []int{2, 3, 4} {
+		for _, n := range []int{0, 1, 63, 64, 200} {
+			rings, _, cleanup, err := NewLocalRingOpts(size, RingOptions{
+				ChunkFloats: 64, HeartbeatInterval: -1,
+				CollectiveTimeout: 10 * time.Second, // a wire change fails the test, not hangs it
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tees := make([]hash.Hash, size)
+			for i, r := range rings {
+				tees[i] = sha256.New()
+				r.wmu.Lock()
+				r.wbuf = bufio.NewWriterSize(io.MultiWriter(r.next, tees[i]), 64*1024)
+				r.wmu.Unlock()
+				r.BeginRound()
+			}
+			var wg sync.WaitGroup
+			errs := make([]error, size)
+			for i, r := range rings {
+				wg.Add(1)
+				go func(i int, r *Ring) {
+					defer wg.Done()
+					errs[i] = wireCollectives(r, n)
+				}(i, r)
+			}
+			wg.Wait()
+			for i, r := range rings {
+				if errs[i] != nil {
+					t.Fatalf("W%d n%d rank %d: %v", size, n, i, errs[i])
+				}
+				r.wmu.Lock()
+				line := fmt.Sprintf("W%d n%d rank %d: %x %d bytes", size, n, i, tees[i].Sum(nil), r.BytesOnWire())
+				r.wmu.Unlock()
+				t.Log(line)
+				fmt.Fprintln(sum, line)
+			}
+			closeAll(t, rings)
+			cleanup()
+		}
+	}
+	if got := fmt.Sprintf("%x", sum.Sum(nil)); got != wireBytesDigest {
+		t.Fatalf("wire bytes digest %s, want %s", got, wireBytesDigest)
+	}
+}
+
+// wireCollectives is one rank's share of TestRingWireBytes.
+func wireCollectives(r *Ring, n int) error {
+	rk := float64(r.Rank())
+	dst := make([]float64, n)
+	if _, err := r.AllReduce("ar", dst, fill(n, 0.25+rk), [][]float64{fill(n, rk+1), fill(n, rk+1.5)}); err != nil {
+		return err
+	}
+	rs := []Reduction{
+		{Name: "b/0", Dst: make([]float64, n), Base: fill(n, 0.5+rk), Parts: [][]float64{fill(n, rk+2)}},
+		{Name: "b/1", Dst: make([]float64, n), Parts: [][]float64{fill(n, rk+3), fill(n, rk+3.5)}},
+	}
+	if _, err := r.AllReduceBatch(rs); err != nil {
+		return err
+	}
+	for root := 0; root < r.Size(); root++ {
+		buf := make([]float64, n)
+		if r.Rank() == root {
+			buf = fill(n, float64(root)+0.125)
+		}
+		if _, err := r.Broadcast("bc", root, buf); err != nil {
+			return err
+		}
+	}
+	buf := make([]float64, n)
+	lo, hi := ShardRange(n, r.Rank(), r.Size())
+	copy(buf[lo:hi], fill(n, 7)[lo:hi])
+	_, err := r.AllGather("ag", buf)
+	return err
 }
 
 // TestPayloadPoolSizeClasses: data frames are pooled by their payload's
