@@ -863,8 +863,9 @@ func BenchmarkAllReduce(b *testing.B) {
 // over a Unix-socket ring, one replica each, the same global W = 2. The
 // loopback rows are the zero-overhead reference the transport seam must not
 // tax; the ring row prices the wire (frame encode, socket hop, chunk
-// pipelining) for the same bit-identical result. CI distills all three into
-// BENCH_engine.json next to the per-step W series.
+// pipelining) for the same bit-identical result, and its kfac row the same
+// with a K-FAC refresh every step (the factor exchange, once per stage).
+// CI distills them into BENCH_engine.json next to the per-step W series.
 func BenchmarkEngineTransport(b *testing.B) {
 	// globalW is replicas x group size; every configuration splits the same
 	// 8-sequence global batch into 4/globalW micro-batches per replica.
@@ -896,7 +897,7 @@ func BenchmarkEngineTransport(b *testing.B) {
 			b.ReportMetric(8*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
 		})
 	}
-	b.Run("ring/2x1", func(b *testing.B) {
+	ring := func(b *testing.B, kfacOn bool) {
 		rings, err := transport.NewLocalRing(2, transport.DefaultChunkFloats)
 		if err != nil {
 			b.Fatal(err)
@@ -917,9 +918,15 @@ func BenchmarkEngineTransport(b *testing.B) {
 			}(r)
 		}
 		wg.Wait()
+		if kfacOn {
+			for _, e := range engines {
+				if err := e.EnableKFAC(kfac.DefaultOptions(), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
 		errs := make([]error, 2)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+		step := func() {
 			wg.Add(2)
 			for r := range engines {
 				go func(r int) {
@@ -934,8 +941,19 @@ func BenchmarkEngineTransport(b *testing.B) {
 				}
 			}
 		}
+		// One untimed step: the first step at a micro-batch shape re-prices
+		// the packing and rebuilds the schedule, a one-time cost that would
+		// otherwise move allocs/op with b.N.
+		step()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
 		b.ReportMetric(8*float64(b.N)/b.Elapsed().Seconds(), "seqs/s")
-	})
+	}
+	b.Run("ring/2x1", func(b *testing.B) { ring(b, false) })
+	// Every step refreshes: each stage's factor sums cross the ring once.
+	b.Run("ring/2x1/kfac", func(b *testing.B) { ring(b, true) })
 }
 
 // BenchmarkEngineSlotBytes is the first measured rung of the memory ladder:

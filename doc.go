@@ -598,7 +598,12 @@
 //     payloads through pools, one per power-of-two payload size — the
 //     steady-state chunk path allocates nothing, and stale
 //     frames from an aborted round are drained back into the pool, not
-//     leaked.
+//     leaked. Payloads cross in place: a data frame's header is encoded
+//     into the sender's scratch and its float64s are written straight from
+//     the caller's slice, and the reader reads them straight into the
+//     pooled frame's payload (little-endian hosts; a big-endian one
+//     converts value by value), so the wire format is unchanged and no
+//     per-value copy is left on either side (FuzzReadFrame).
 //   - Chunking: payloads split at DefaultChunkFloats (64 KiB) so the fold
 //     of chunk k overlaps the transfer of chunk k+1 along the chain.
 //     The win needs cores to overlap on — hardware.ChainAllReduceCost
@@ -609,10 +614,25 @@
 //     the fixed per-frame cost makes chunked ~= unchunked; the model is
 //     the acceptance bar, the bench is the honest measurement).
 //   - Batching: a stage's per-parameter gradient reductions (one running
-//     sum's k reductions), and a K-FAC layer's two factor sums (one batch
-//     of two per layer refresh, not one per factor), go to the group as one
+//     sum's k reductions), and a stage's K-FAC factor sums (all 2L of
+//     them, once per generation), go to the group as one
 //     Group.AllReduceBatch, retained by the sums so the steady state
-//     allocates nothing. A factor's
+//     allocates nothing. The factor batch runs at the stage's
+//     sync-curvature op, which the packer emits per (stage, generation,
+//     owner) wherever the group spans processes (schedule.Config.
+//     CrossProcess), after every curvature op of the stage and before
+//     every inversion of it; the first owner to reach it exchanges, the
+//     others find it done, and a layer's first inversion only folds the
+//     reduced sums into the EMA (TestRingFactorExchangePerStage).
+//     Single-process schedules carry no such op unless InversionParallel
+//     shards a stage, and there the exchange is free. Before, each layer's
+//     first inversion exchanged its own pair: six round trips per stage
+//     of tiny_ring2 (2 ranks, 1F1B, D = 2). Per stage, with the frames
+//     read and written in place, pipefisher_seqs_per_s rose 5 469 → 6 093
+//     there (medians of 20 interleaved pairs, faster in 20/20, 2 vCPUs),
+//     kfac_overhead fell 1.29 → 1.24, and the traced engine.inversion_ms
+//     fell 0.71 → 0.10 ms a step, its compute, beside a 0.45 ms
+//     engine.sync_curvature_ms. A factor's
 //     row count is not reduced: every statistic has one row per token, so
 //     the group-wide count is the generation's batch, Seqs × SeqLen. A Ring runs
 //     every reduce pass before the first distribution pass: the same
@@ -857,7 +877,8 @@
 //     a new window's snapshots never clobber factors still in flight. The
 //     fold happens at first inversion touch of a layer per generation,
 //     under the per-layer lock, scaled by the generation's own statistics
-//     batch; cross-generation dependency edges order a layer's carried
+//     batch (across processes the stage's sync-curvature has exchanged the
+//     sums by then); cross-generation dependency edges order a layer's carried
 //     fold before the newer generation's, keeping the EMA sequential.
 //   - Preconditions keep §3.1's freshest-completed rule across the window
 //     boundary: step j depends on the inversions of BOTH generations
@@ -891,7 +912,9 @@
 // forward), curvature per factor (2 d² FLOPs per token), inversion per
 // factor (d³), precondition (2 dout din (din + dout) per layer), the
 // optimizer update (8 FLOPs per parameter) and the collectives (hardware's
-// interconnect models, where the topology runs them), on a nominal host
+// interconnect models, where the topology runs them: a multi-process
+// group's sync-curvature as the chunked chain all-reduce of the stage's
+// float64 factor sums), on a nominal host
 // profile that prices every FLOP alike and no byte — the blocked inverse
 // runs on the same packed GEMM driver as the products it is weighed
 // against, and a proportion of FLOPs to bytes would be one more number to

@@ -295,11 +295,11 @@ func (s *runningSum) stage(rank0 bool) error {
 
 // reduce completes sums over the group as one transport batch — batch is
 // their retained reductions back to back: a stage's gradient set, or a
-// layer's A and B factor sums, which so cross a wire in one round trip,
-// each still summed alone in the fixed ascending global micro-batch order.
-// It runs at most once per epoch, under the sums' locks, so a latecomer —
-// another participant of a stage's collective, a retried inversion —
-// blocks until it finished and gets its outcome: its error is sticky for
+// stage's factor sums, which so cross a wire in one round trip, each still
+// summed alone in the fixed ascending global micro-batch order. It runs at
+// most once per epoch, under the sums' locks, so a latecomer — another
+// participant of a stage's collective, a retried exchange — blocks until
+// it finished and gets its outcome: its error is sticky for
 // the epoch, and nothing is ever added twice. A single-rank group whose
 // prefixes are complete has nothing to exchange: the sums are the result.
 // On success the held contributions go back to the pool; a failed
@@ -390,40 +390,73 @@ func swapGrads(params []*nn.Param, deltas []*tensor.Matrix) {
 	}
 }
 
+// syncCurvature completes stage s's factor sums over the group — all 2L of
+// them, the stage's whole ops[s], in one reduce — so on a ring a stage pays
+// the round trip once per generation, not once per layer. The schedule
+// puts it after every curvature op of the stage and generation, and every
+// inversion of the stage after it (schedule.Config.CrossProcess); a stage's
+// other owners find it done. On a single-rank group it exchanges nothing.
+func (e *Engine) syncCurvature(pool *kfacGenPool, s int) (int64, error) {
+	return reduce(e.group, pool.epoch, pool.ops[s], pool.stageSums[s]...)
+}
+
+// reduced returns the outcome of the reduction that made s the group's sum
+// in epoch: the stage's sync-curvature (its error, sticky for the epoch),
+// or — on a single-rank group, where a stage may have no such op — none, a
+// complete prefix being the sum.
+func (s *runningSum) reduced(epoch int64, single bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.arm(epoch)
+	switch {
+	case s.done:
+		return s.err
+	case !single:
+		return fmt.Errorf("factor sums folded before their stage's exchange")
+	case s.next < len(s.parts):
+		return fmt.Errorf("missing contribution of micro-batch %d", s.next)
+	}
+	return nil
+}
+
 // foldFactors hands over a layer's two Kronecker factors: the group-wide
-// sums (reduce) — each scale/N · Σ_m U_m^T U_m, scale 1 for A and scaleB
-// for B. N is the group-wide row count: every statistic has one row per
-// token of its micro-batch, so N is the generation's batch in tokens,
-// Seqs × SeqLen, an integer exact in float64. The partials are lower
-// triangles whose upper ones are unspecified (they are summed, and cross
-// the wire, as they are); each sum is mirrored once before it is scaled,
-// which equals folding mirrored partials bit for bit: an upper element was
-// the same sum of the same values in the same order. Under a fault plan a
-// sum holding NaN/Inf fails the fold before it is scaled — corrupted
-// partials must not poison the preconditioner's EMA, which SetFactors
-// folds into long-lived state no retry could repair — and stays in the
-// pool, so a retry checks it again and, still poisoned, degrades. The
-// returned matrices stay the sums' own: the caller scrubs the two sums
-// once SetFactors copied them out.
-func (e *Engine) foldFactors(pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, bytes int64, err error) {
+// sums — each scale/N · Σ_m U_m^T U_m, scale 1 for A and scaleB for B,
+// reduced over the group by then (reduced). N is the group-wide row count:
+// every statistic has one row per token of its micro-batch, so N is the
+// generation's batch in tokens, Seqs × SeqLen, an integer exact in
+// float64. The partials are lower triangles whose upper ones are
+// unspecified (they are summed, and cross the wire, as they are); each sum
+// is mirrored once before it is scaled, which equals folding mirrored
+// partials bit for bit: an upper element was the same sum of the same
+// values in the same order. Under a fault plan a sum holding NaN/Inf fails
+// the fold before it is scaled — corrupted partials must not poison the
+// preconditioner's EMA, which SetFactors folds into long-lived state no
+// retry could repair — and stays in the pool, so a retry checks it again
+// and, still poisoned, degrades. The returned matrices stay the sums' own:
+// the caller scrubs the two sums once SetFactors copied them out.
+func (e *Engine) foldFactors(pool *kfacGenPool, s, li int, scaleB float64) (newA, newB *tensor.Matrix, err error) {
 	a, b := &pool.sums[s][2*li], &pool.sums[s][2*li+1]
-	if bytes, err = reduce(e.group, pool.epoch, pool.ops[s][2*li:2*li+2], a, b); err != nil {
-		return nil, nil, bytes, err
+	single := e.group.Size() == 1
+	if err = a.reduced(pool.epoch, single); err == nil {
+		err = b.reduced(pool.epoch, single)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	newA, newB = a.sum[0], b.sum[0]
 	if newA == nil || newB == nil {
-		return nil, nil, bytes, fmt.Errorf("factor sums already handed on")
+		return nil, nil, fmt.Errorf("factor sums already handed on")
 	}
 	// Mirroring is idempotent, so a retry may mirror again.
 	newA.MirrorLower()
 	newB.MirrorLower()
 	if e.inj != nil && (newA.HasNaN() || newB.HasNaN()) {
-		return nil, nil, bytes, fmt.Errorf("NaN/Inf in folded curvature factors of layer %d stage %d", li, s)
+		return nil, nil, fmt.Errorf("NaN/Inf in folded curvature factors of layer %d stage %d", li, s)
 	}
 	n := float64(pool.totals.Seqs * e.sets[0].model.SeqLen())
 	newA.ScaleInPlace(1 / n)
 	newB.ScaleInPlace(scaleB / n)
-	return newA, newB, bytes, nil
+	return newA, newB, nil
 }
 
 // syncLoss reduces step j's per-micro-batch losses across the group so

@@ -9,6 +9,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/schedule"
 	"repro/internal/tensor"
+	"repro/internal/transport"
 )
 
 // hostProfile is the device the engine prices its packing on: every op
@@ -53,9 +54,12 @@ func modelArch(set *moduleSet) (arch.Transformer, error) {
 // optimizer update, by the op classes pipeline.CostsFor applies to arch
 // shapes, on hostProfile. The collectives are priced where the parent
 // topology runs them: sync-grad across replicas, sync-curvature also across
-// an inversion-parallel stage's owners. A factor whose inversion outlasts a
-// stage forward becomes an inversion chain, its steps priced by the same
-// inversion class on the FLOPs of each step of the blocked inverse.
+// an inversion-parallel stage's owners and, on a multi-rank group, as what
+// runs there: the stage's factor sums in float64, one batch over the ring's
+// ranks (hardware.ChainAllReduceCost, each sum cut into the transport's
+// chunks). A factor whose inversion outlasts a stage forward becomes an
+// inversion chain, its steps priced by the same inversion class on the
+// FLOPs of each step of the blocked inverse.
 func (e *Engine) shapeCosts(seqs int) (pipeline.StageCosts, error) {
 	cc := pipeline.CostConfig{
 		Arch: e.shape, BlocksPerStage: len(e.sets[0].stages[0].blocks), MicroBatch: seqs, GPU: hostProfile,
@@ -72,6 +76,15 @@ func (e *Engine) shapeCosts(seqs int) (pipeline.StageCosts, error) {
 	}
 	if e.cfg.Replicas == 1 {
 		c.SyncGrad = 0
+	}
+	if e.multiRank {
+		var floats, chunks int
+		for f := range c.InversionUnits {
+			n := e.factorDim(f) * e.factorDim(f)
+			floats += n
+			chunks += max(1, (n+transport.DefaultChunkFloats-1)/transport.DefaultChunkFloats)
+		}
+		c.SyncCurvature = hardware.ChainAllReduceCost(int64(8*floats), e.group.Size(), chunks, hardware.DefaultInterconnect)
 	}
 	for f, u := range c.InversionUnits {
 		dim := e.factorDim(f)

@@ -576,6 +576,7 @@ func (e *Engine) ScheduleConfig(costs pipeline.StageCosts) schedule.Config {
 		Costs:             costs,
 		DataParallelWidth: e.cfg.Replicas,
 		InversionParallel: e.cfg.InversionParallel,
+		CrossProcess:      e.multiRank,
 		RefreshSteps:      e.roundLen,
 		Overlap:           e.cfg.OverlapRounds,
 	}

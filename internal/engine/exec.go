@@ -454,12 +454,12 @@ func (st *runState) commitStep(j int) error {
 	return nil
 }
 
-// exec dispatches one op. SyncCurvature is a pure dependency barrier in
-// this in-process realization — the factor fold reads every replica's
-// partials directly. OptStep is where a step commits: it anchors the
-// step's gradient collective and then rendezvouses with the step's other
-// OptStep ops so the optimizer fires exactly once per step, inside the
-// round.
+// exec dispatches one op. SyncCurvature completes its stage's factor sums
+// over the group, all of them in one batch (syncCurvature); the
+// inversions of the stage follow it. OptStep is where a step commits: it
+// anchors the step's gradient collective and then rendezvouses with the
+// step's other OptStep ops so the optimizer fires exactly once per step,
+// inside the round.
 func (st *runState) exec(d int, op *pipeline.Op) error {
 	if hook := st.e.failOp; hook != nil {
 		if err := hook(op); err != nil {
@@ -513,8 +513,13 @@ func (st *runState) exec(d int, op *pipeline.Op) error {
 		// generation (the round's own, or — Generation = 1 — a carried
 		// one); otherwise the op is a silent no-op so the executed timeline
 		// matches the work done.
-		if st.genPool(op) != nil {
-			st.record(d, op, time.Since(st.start))
+		if pool := st.genPool(op); pool != nil {
+			t0 := time.Since(st.start)
+			bytes, err := st.e.syncCurvature(pool, op.Stage)
+			if err != nil {
+				return fmt.Errorf("factor exchange of stage %d: %w", op.Stage, err)
+			}
+			st.recordComm(d, op, t0, bytes)
 		}
 		return nil
 	}
@@ -723,9 +728,10 @@ func (st *runState) curvature(d int, op *pipeline.Op, pool *kfacGenPool) error {
 
 // inversion finalizes the layer's factors on first touch of its generation
 // (folding the sums of every replica's per-micro-batch products, in
-// ascending global micro-batch order, into the shared preconditioner's EMA
-// — the distributed K-FAC factor exchange) and then refreshes the cached
-// inverse of the op's factor — rule 2's unit of inversion work. The
+// ascending global micro-batch order — reduced over the group by the
+// stage's sync-curvature op where the group spans processes — into the
+// shared preconditioner's EMA) and then refreshes the cached inverse of the
+// op's factor — rule 2's unit of inversion work. The
 // per-layer lock (instead of a stage-wide one) is what lets
 // InversionParallel's round-robin sharding run different layers' inversions
 // concurrently on different devices of the replica group. In a multi-step
@@ -768,14 +774,12 @@ func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	st.e.layerMu[s][li].Lock()
 	defer st.e.layerMu[s][li].Unlock()
 	t0 := time.Since(st.start)
-	var bytes int64
 	if !pool.folded[s][li] {
 		// The statistics — and therefore the loss scale — come from the
 		// generation's own statistics batch (its collect round's first
 		// step), not the folding round's.
 		scale := st.e.sets[0].model.KFACLossScale(pool.totals)
-		newA, newB, nb, err := st.e.foldFactors(pool, s, li, scale*scale)
-		bytes = nb
+		newA, newB, err := st.e.foldFactors(pool, s, li, scale*scale)
 		if err != nil {
 			return fmt.Errorf("factors of layer %d: %w", li, err)
 		}
@@ -798,7 +802,7 @@ func (st *runState) inversion(d int, op *pipeline.Op, pool *kfacGenPool) error {
 	if err != nil {
 		return err
 	}
-	st.recordComm(d, op, t0, bytes)
+	st.record(d, op, t0)
 	return nil
 }
 

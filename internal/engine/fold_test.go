@@ -76,7 +76,8 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 			return nil, nil, err
 		}
 		local := micro * replicas
-		pool := newKFACGenPool(2, local, len(e.sets[0].stages[stage].layers), replicas, nil)
+		// One layer per stage: the stage's exchange reduces all of its sums.
+		pool := newKFACGenPool(2, local, 1, replicas, nil)
 		defer pool.reset()
 		pool.totals = pipemodel.Totals{Seqs: total}
 		for i := 0; i < local; i++ {
@@ -96,7 +97,10 @@ func TestFoldMirrorsLowerGramsOnce(t *testing.T) {
 				sum.arrive(pool.epoch, i, e.foldsEarly())
 			}
 		}
-		if a, b, _, err = e.foldFactors(pool, stage, lay, scaleB); err != nil {
+		if _, err = e.syncCurvature(pool, stage); err != nil {
+			return nil, nil, err
+		}
+		if a, b, err = e.foldFactors(pool, stage, lay, scaleB); err != nil {
 			return nil, nil, err
 		}
 		// The sums stay the pool's until the inversion hands them on: keep
@@ -389,8 +393,8 @@ func (g *flakyGroup) AllReduceBatch(rs []transport.Reduction) (int64, error) {
 // failed one's error is sticky. A second reduce of the same sums returns
 // the first error and adds nothing — not onto the half-written sum, not
 // into a fresh one — and the scrub returns every held buffer. In an engine
-// with a fault plan, the retried inversion so degrades instead of
-// exchanging the layer again.
+// with a fault plan, the retried sync-curvature and the stage's inversions
+// so degrade instead of exchanging the stage again.
 func TestReductionErrorIsSticky(t *testing.T) {
 	tensor.SetPoolAudit(true)
 	defer tensor.SetPoolAudit(false)
@@ -462,11 +466,12 @@ func TestReductionErrorIsSticky(t *testing.T) {
 		if res := train(); !res.Degraded || !strings.Contains(res.DegradedReason, errWroteThenFailed.Error()) {
 			t.Fatalf("round not degraded by the failed factor exchange: %+v", res)
 		}
-		// Each layer reduces its factor pair once — one AllReduce per factor
+		// Each stage reduces its factor sums once — one AllReduce per factor
 		// on a group that does not batch, the failed exchange stopping after
-		// its first — and neither the retry nor the pair's other inversion
-		// exchanges it again.
-		if got, want := g.calls.Load()-calls, int32(2*e.Stages()*len(e.sets[0].stages[0].layers)-1); got != want {
+		// its first — and neither the retry nor the stage's inversions
+		// exchange them again.
+		perStage := 2 * len(e.sets[0].stages[0].layers)
+		if got, want := g.calls.Load()-calls, int32(perStage*(e.Stages()-1)+1); got != want {
 			t.Fatalf("%d factor reductions in the degraded round, want %d", got, want)
 		}
 		if live := tensor.PoolLive(); live != base {

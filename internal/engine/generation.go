@@ -29,8 +29,8 @@ import (
 // Gram partials and sum belong to its runningSum, which takes a partial
 // from the pool, adds it into the sum and Puts it as soon as every lower
 // micro-batch's is in — on a rank that folds early — or else holds it
-// until the inversion that reduces the layer; the inversion hands the sums
-// on to SetFactors; and reset scrubs whatever an aborted round left
+// until the stage's sync-curvature reduces the stage; the layer's first
+// inversion hands the sums on to SetFactors; and reset scrubs whatever an aborted round left
 // behind. So a factor holds one pooled sum plus the partials that arrived
 // ahead of a lower micro-batch's. The slice structure itself is allocated
 // once at EnableKFAC and reused every round. Snapshots are
@@ -41,10 +41,12 @@ type kfacGenPool struct {
 	actsSnap  [][][]tensor.Snap // [stage][gmicro][layer]
 	gradsSnap [][][]tensor.Snap // [stage][gmicro][layer]
 	// sums[s][f] is factor f's running sum (A factors even, B odd, like
-	// stage.layerOf), and ops[s][f] its reduction: a layer's two are
-	// ops[s][2li : 2li+2], the batch they cross the group in.
-	sums [][]runningSum
-	ops  [][]transport.Reduction
+	// stage.layerOf), and ops[s][f] its reduction: ops[s] is the batch the
+	// stage's sums cross the group in, stageSums[s] the sums it reduces
+	// (syncCurvature).
+	sums      [][]runningSum
+	ops       [][]transport.Reduction
+	stageSums [][]*runningSum
 	// epoch counts the generations the pool has held: its sums re-arm on
 	// the first touch in a new one.
 	epoch int64
@@ -78,6 +80,7 @@ func newKFACGenPool(stages, perStep, layers, replicas int, held *byteGauge) *kfa
 		gradsSnap: snap3(stages, perStep, layers),
 		sums:      make([][]runningSum, stages),
 		ops:       make([][]transport.Reduction, stages),
+		stageSums: make([][]*runningSum, stages),
 		epoch:     1,
 		folded:    make([][]bool, stages),
 		chains:    make([][][]kfac.FactorChain, stages),
@@ -88,6 +91,7 @@ func newKFACGenPool(stages, perStep, layers, replicas int, held *byteGauge) *kfa
 		for f := range p.sums[s] {
 			p.ops[s][f].Name = fmt.Sprintf("f%c/%d/%d", "AB"[f%2], s, f/2)
 			p.sums[s][f].init(perStep, p.ops[s][f:f+1], nil, held)
+			p.stageSums[s] = append(p.stageSums[s], &p.sums[s][f])
 		}
 		p.folded[s] = make([]bool, layers)
 		p.chains[s] = make([][]kfac.FactorChain, 2*layers)

@@ -1,8 +1,10 @@
 package schedule
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/hardware"
 	"repro/internal/pipeline"
 )
 
@@ -155,6 +157,50 @@ func TestPackPlacesSyncAndInversions(t *testing.T) {
 		}
 		if c[0] == 0 {
 			t.Fatalf("no %v item was placed into a bubble (%d candidates)", kind, c[1])
+		}
+	}
+}
+
+// A group that spans processes gets one sync-curvature op per (stage,
+// owner) whatever InversionParallel says, even priced at zero (a round
+// re-simulated with measured costs in which no generation was exchanged),
+// and every inversion of the stage waits for its stage's syncs.
+func TestExecutableCrossProcessSyncs(t *testing.T) {
+	for _, method := range []string{"gpipe", "1f1b", "chimera"} {
+		for _, cost := range []int{0, 20} {
+			for _, overlap := range []bool{false, true} {
+				cfg := execTestConfig(method)
+				cfg.CrossProcess, cfg.Overlap, cfg.RefreshSteps = true, overlap, 2
+				cfg.Costs.SyncCurvature = hardware.Microseconds(cost)
+				s, err := Executable(cfg)
+				if err != nil {
+					t.Fatalf("%s cost %d overlap %v: %v", method, cost, overlap, err)
+				}
+				if _, err := pipeline.Run(s); err != nil {
+					t.Fatalf("%s cost %d overlap %v: executable schedule stalls: %v", method, cost, overlap, err)
+				}
+				syncs := make(map[int][]int) // stage -> its sync ops
+				for _, op := range s.Ops {
+					if op.Kind == pipeline.SyncCurvature {
+						syncs[op.Stage] = append(syncs[op.Stage], op.ID)
+					}
+				}
+				for stage, owners := range s.Placement.Owners {
+					if len(syncs[stage]) != len(owners) {
+						t.Fatalf("%s cost %d: stage %d has %d sync-curvature ops, want one per owner (%d)", method, cost, stage, len(syncs[stage]), len(owners))
+					}
+				}
+				for _, op := range s.Ops {
+					if op.Kind != pipeline.Inversion || op.Chain > 1 {
+						continue
+					}
+					for _, id := range syncs[op.Stage] {
+						if !slices.Contains(op.Deps, id) {
+							t.Fatalf("%s cost %d: inversion %s does not wait for its stage's sync %d", method, cost, op.Label(), id)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -20,10 +20,11 @@
 //  2. Inversion work for a factor is assigned after the curvature work of
 //     its *layer pair* — A_l and B_l — for all micro-batches on every
 //     device that owns the stage, and after the stage's sync-curvature
-//     collectives when factors are sharded across owners. The paper states
-//     the rule per factor; real inversion needs the pair, because the
-//     factored Tikhonov damping couples A_l and B_l through their traces,
-//     and the sync is what makes a sharded factor final.
+//     collectives when factors are sharded across owners or summed across
+//     processes (Config.CrossProcess). The paper states the rule per
+//     factor; real inversion needs the pair, because the factored Tikhonov
+//     damping couples A_l and B_l through their traces, and the sync is
+//     what makes a sharded or cross-process factor final.
 //  3. Precondition work runs after the backward of all layers in a stage
 //     and before the next pipeline step (inserted into the schedule itself
 //     via pipeline.BuildConfig.IncludePrecondition — it is the only
@@ -70,6 +71,14 @@ type Config struct {
 	// devices holding that stage (the replica group for gpipe/1f1b, the
 	// bidirectional pair for chimera) and adds sync-curvature collectives.
 	InversionParallel bool
+	// CrossProcess says the replica group spans processes (a multi-rank
+	// transport group): every stage's factor sums cross a process boundary
+	// before its inversions, so every owner of a stage gets a sync-curvature
+	// item per generation whatever InversionParallel says. No other field
+	// says it: DataParallelWidth counts the replica streams of this process,
+	// and Costs.SyncCurvature is priced for in-process replica groups too,
+	// whose factors need no exchange.
+	CrossProcess bool
 	// RefreshSteps is the round length K of the *executable* form: Executable
 	// lays out K consecutive pipeline steps and packs one curvature/inversion
 	// refresh into the bubbles of the whole window, the paper's multi-step
@@ -423,15 +432,18 @@ func buildWorkQueue(cfg Config, tl *pipeline.Timeline, place *pipeline.Placement
 				}
 			}
 		}
-		// Sync-curvature collectives when factors are split across owners,
-		// each after all of the stage's curvature.
+		// Sync-curvature collectives when factors are split across owners or
+		// cross processes, each after all of the stage's curvature. One the
+		// group's processes need books at least 1 µs even when priced at
+		// zero (measured costs of a round that exchanged nothing), so it
+		// has a piece wherever it is placed.
 		var syncs []*workItem
-		if cfg.InversionParallel && len(owners) > 1 && cfg.Costs.SyncCurvature > 0 {
+		if cfg.CrossProcess || cfg.InversionParallel && len(owners) > 1 && cfg.Costs.SyncCurvature > 0 {
 			for _, ow := range owners {
 				it := &workItem{
 					kind: pipeline.SyncCurvature, stage: stage, device: ow.Device,
 					replica: ow.Replica, factor: -1, micro: -1,
-					duration: cfg.Costs.SyncCurvature,
+					duration: max(cfg.Costs.SyncCurvature, 1),
 					deps:     stageCurv,
 				}
 				items = append(items, it)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"math/bits"
 	"net"
 	"strings"
@@ -110,7 +109,7 @@ type Ring struct {
 	prev     net.Conn
 	wmu      sync.Mutex // serializes frames onto next
 	wbuf     *bufio.Writer
-	wscr     []byte    // frame-encoding scratch, guarded by wmu
+	wscr     []byte    // frame-header scratch (and big-endian payloads), guarded by wmu
 	wdeadArm time.Time // next write-deadline re-arm point, guarded by wmu
 	bytes    atomic.Int64
 	epoch    atomic.Int64
@@ -137,12 +136,13 @@ type Ring struct {
 	hbSend frame // heartbeat encode scratch, owned by the heartbeat goroutine
 	hbRecv frame // heartbeat decode scratch, owned by the reader goroutine
 
-	// Receive-path reuse: rhdr and rscr are the reader's decode scratch and
-	// names interns collective names (all three owned by the single reader
+	// Receive-path reuse: rhdr and rscr are the reader's decode scratch
+	// (rscr holds names, and payloads only on a big-endian host) and names
+	// interns collective names (all three owned by the single reader
 	// goroutine); frames recycles decoded data frames with their payloads —
-	// the reader draws decode targets from it and the collective loops
-	// return them once copied out — so steady-state chunk traffic does not
-	// allocate.
+	// the reader reads payloads straight into them and the collective
+	// loops return them once copied out — so steady-state chunk traffic
+	// does not allocate.
 	rhdr   [frameHeaderSize]byte
 	rscr   []byte
 	names  map[string]string
@@ -866,7 +866,11 @@ func (r *Ring) Broadcast(name string, root int, buf []float64) (int64, error) {
 //
 // payload is count float64 values for data frames, a count-byte reason
 // string for abort and failure frames, absent for hello and heartbeat
-// frames.
+// frames. A data frame's count is bounded by 1<<28, checked before any of
+// the frame past its header is read. On a little-endian host the float64
+// payload is written straight from the sender's slice and read straight
+// into the receiving frame's (payload_le.go); a big-endian host converts
+// each value (payload_be.go), so the bytes on the wire are the same.
 const frameHeaderSize = 1 + 1 + 1 + 1 + 8 + 4 + 4 + 2
 
 func frameWireSize(f *frame) int64 {
@@ -896,33 +900,37 @@ func (r *Ring) sendFrame(f *frame) error {
 			r.wdeadArm = now.Add(r.wireTimeout / 2)
 		}
 	}
-	if cap(r.wscr) < int(size) {
-		r.wscr = make([]byte, size)
+	// The header, name and reason go through the scratch; a data frame's
+	// payload is written from the caller's slice (writePayload).
+	n := frameHeaderSize + len(f.name)
+	if f.kind == frameAbort || f.kind == frameFailure {
+		n += len(f.reason)
 	}
-	b := r.wscr[:size]
+	if cap(r.wscr) < n {
+		r.wscr = make([]byte, n)
+	}
+	b := r.wscr[:n]
 	b[0], b[1], b[2], b[3] = f.kind, f.origin, f.pass, 0
 	binary.LittleEndian.PutUint64(b[4:], uint64(f.epoch))
 	binary.LittleEndian.PutUint32(b[12:], f.chunk)
-	off := frameHeaderSize + len(f.name)
+	binary.LittleEndian.PutUint16(b[20:], uint16(len(f.name)))
 	copy(b[frameHeaderSize:], f.name)
 	switch f.kind {
 	case frameData:
 		binary.LittleEndian.PutUint32(b[16:], uint32(len(f.payload)))
-		binary.LittleEndian.PutUint16(b[20:], uint16(len(f.name)))
-		for _, v := range f.payload {
-			binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
-			off += 8
-		}
 	case frameAbort, frameFailure:
 		binary.LittleEndian.PutUint32(b[16:], uint32(len(f.reason)))
-		binary.LittleEndian.PutUint16(b[20:], uint16(len(f.name)))
-		copy(b[off:], f.reason)
+		copy(b[frameHeaderSize+len(f.name):], f.reason)
 	default:
 		binary.LittleEndian.PutUint32(b[16:], 0)
-		binary.LittleEndian.PutUint16(b[20:], uint16(len(f.name)))
 	}
 	if _, err := r.wbuf.Write(b); err != nil {
 		return r.sendErr(err)
+	}
+	if f.kind == frameData {
+		if err := writePayload(r.wbuf, f.payload, &r.wscr); err != nil {
+			return r.sendErr(err)
+		}
 	}
 	// Flush per frame: chunk pipelining depends on partials reaching the
 	// next rank as soon as they are folded, not when a buffer fills.
@@ -1007,16 +1015,8 @@ func (r *Ring) readFrame(br *bufio.Reader) (*frame, error) {
 	}
 	switch f.kind {
 	case frameData:
-		need := int(count) * 8
-		if cap(r.rscr) < need {
-			r.rscr = make([]byte, need)
-		}
-		raw := r.rscr[:need]
-		if _, err := io.ReadFull(br, raw); err != nil {
+		if err := readPayload(br, f.payload, &r.rscr); err != nil {
 			return nil, err
-		}
-		for i := range f.payload {
-			f.payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
 		}
 	case frameAbort, frameFailure:
 		if count > (1 << 20) {

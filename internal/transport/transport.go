@@ -27,7 +27,11 @@
 // them; dst is fully written before a call returns successfully. Callers
 // keep ownership of every buffer (pooled matrices may be passed directly
 // and recycled as soon as the call returns). Implementations must not
-// alias dst with any part (base may alias dst).
+// alias dst with any part (base may alias dst). A Ring's data frames carry
+// their float64 payloads in place: written straight from the caller's
+// slices and read straight into the receiver's pooled frames on
+// little-endian hosts, converted value by value on big-endian ones, so the
+// wire format (little-endian) is one everywhere.
 //
 // # Names and concurrency
 //
@@ -65,7 +69,7 @@ type Group interface {
 	// AllReduceBatch leaves every reduction's Dst as one AllReduce call
 	// each would: same fold order, and on a wire the same frames and bytes.
 	// The reductions must have distinct names and disjoint Dst buffers. A
-	// stage's gradient reductions and a layer's factor reductions go
+	// stage's gradient reductions and a stage's factor reductions go
 	// through here, so a ring overlaps their waits (Ring.AllReduceBatch).
 	AllReduceBatch(rs []Reduction) (int64, error)
 
